@@ -5,12 +5,14 @@ Compares a ``pytest --benchmark-json`` results file against a baseline and
 exits non-zero when any gated benchmark's mean time slowed down by more
 than the threshold (default 30%).
 
-Usage::
+Usage (from the repository root)::
+
+    # the gated pytest node ids this checkout defines, one per line
+    python benchmarks/check_regression.py --node-ids
 
     # produce results
-    PYTHONPATH=src python -m pytest benchmarks/bench_substrates.py \
-        benchmarks/bench_vector_rollout.py -q \
-        --benchmark-only --benchmark-json=bench.json
+    PYTHONPATH=src python -m pytest $(python benchmarks/check_regression.py --node-ids) \
+        -q --benchmark-only --benchmark-json=bench.json
 
     # gate against the committed reference baseline
     python benchmarks/check_regression.py bench.json
@@ -21,13 +23,17 @@ Usage::
 In CI the baseline is regenerated from the merge base on the same runner
 (see .github/workflows/ci.yml), so the comparison is machine-consistent;
 the committed ``perf_baseline.json`` serves local development, where
-absolute times are only comparable on similar hardware.
+absolute times are only comparable on similar hardware.  Both CI steps
+take their node ids from ``--node-ids``, so ``GATED_BENCHMARKS`` below is
+the one list of gated benchmarks; at an older merge base it prints only
+the ones that checkout defines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -46,25 +52,39 @@ from pathlib import Path
 # silent float64 upcast — moves this gate without moving the float64
 # one), and one cross-family fused update round each for MADDPG and
 # MAAC (the actor-through-critic VJP engines — guards the stacked
-# ReLU kernels and the attention-critic fast paths).  Names match
-# pytest node names.
-GATED_BENCHMARKS = (
-    "test_env_step_throughput",
-    "test_mlp_forward_backward",
-    "test_vector_env_step",
-    "test_baseline_vector_cycle",
-    "test_eval_vector_cycle",
-    "test_update_engine_cycle",
-    "test_update_engine_cycle_f32",
-    "test_update_engine_cycle_maddpg",
-    "test_update_engine_cycle_maac",
-    "test_sharded_env_step",
-    "test_actor_learner_roundtrip",
-    "test_actor_fanin_roundtrip",
-    "test_inference_batch_cycle",
-)
+# ReLU kernels and the attention-critic fast paths).  Each name (the
+# pytest test name, and the key in perf_baseline.json) maps to the file
+# under benchmarks/ that defines it.
+GATED_BENCHMARKS = {
+    "test_env_step_throughput": "bench_substrates.py",
+    "test_mlp_forward_backward": "bench_substrates.py",
+    "test_vector_env_step": "bench_vector_rollout.py",
+    "test_baseline_vector_cycle": "bench_baseline_rollout.py",
+    "test_eval_vector_cycle": "bench_eval_rollout.py",
+    "test_update_engine_cycle": "bench_update_phase.py",
+    "test_update_engine_cycle_f32": "bench_update_phase.py",
+    "test_update_engine_cycle_maddpg": "bench_update_phase.py",
+    "test_update_engine_cycle_maac": "bench_update_phase.py",
+    "test_sharded_env_step": "bench_sharded_rollout.py",
+    "test_actor_learner_roundtrip": "bench_actor_learner.py",
+    "test_actor_fanin_roundtrip": "bench_actor_learner.py",
+    "test_inference_batch_cycle": "bench_inference_service.py",
+}
 DEFAULT_BASELINE = Path(__file__).resolve().parent / "perf_baseline.json"
 DEFAULT_THRESHOLD = 0.30
+
+
+def gated_node_ids(root: Path = Path(".")) -> list[str]:
+    """``benchmarks/<file>::<name>`` for each gated benchmark that the
+    checkout at ``root`` defines (a merge base may predate some)."""
+    node_ids = []
+    for name, filename in GATED_BENCHMARKS.items():
+        path = root / "benchmarks" / filename
+        if path.is_file() and re.search(
+            rf"^def {name}\(", path.read_text(), re.MULTILINE
+        ):
+            node_ids.append(f"benchmarks/{filename}::{name}")
+    return node_ids
 
 
 def load_means(path: Path) -> dict[str, float]:
@@ -108,7 +128,15 @@ def write_baseline(means: dict[str, float], path: Path) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("results", type=Path, help="pytest --benchmark-json output")
+    parser.add_argument(
+        "results", type=Path, nargs="?", help="pytest --benchmark-json output"
+    )
+    parser.add_argument(
+        "--node-ids",
+        action="store_true",
+        help="print the gated pytest node ids defined in the current "
+        "directory's checkout, one per line, and exit",
+    )
     parser.add_argument(
         "--baseline",
         type=Path,
@@ -127,6 +155,16 @@ def main(argv: list[str] | None = None) -> int:
         help="write the gated means from RESULTS into the baseline and exit",
     )
     args = parser.parse_args(argv)
+
+    if args.node_ids:
+        node_ids = gated_node_ids()
+        if not node_ids:
+            print("no gated benchmark found under ./benchmarks", file=sys.stderr)
+            return 1
+        print("\n".join(node_ids))
+        return 0
+    if args.results is None:
+        parser.error("RESULTS is required unless --node-ids is given")
 
     current = load_means(args.results)
     if args.update_baseline:

@@ -108,8 +108,13 @@ class BatchedHeroRunner:
         self._available = np.array(
             [option.can_initiate(probe) for option in self.option_set]
         )
+        self._bounds = self._bound_table(self.option_set)
 
         n, a = self.num_envs, self.num_agents
+        # Column k's opponents, in agent order: (a, a - 1).
+        self._others = np.array(
+            [[j for j in range(a) if j != k] for k in range(a)], dtype=np.int64
+        ).reshape(a, max(a - 1, 0))
         obs_dim = vec_env.high_level_obs_dim
         self._option = np.full((n, a), KEEP_LANE, dtype=np.int64)
         self._steps_in_option = np.zeros((n, a), dtype=np.int64)
@@ -152,8 +157,9 @@ class BatchedHeroRunner:
             hl = self.team.agents[agent_id].high_level
             self._observed_other[:, k] = hl._last_observed_options
 
-    def start_episode(self, i: int) -> None:
-        """Reset per-env execution state (mirrors HeroAgent.start_episode)."""
+    def start_episode(self, i: int | np.ndarray) -> None:
+        """Reset per-env execution state of env(s) ``i`` (mirrors
+        HeroAgent.start_episode)."""
         self._option[i] = KEEP_LANE
         self._steps_in_option[i] = 0
         self._acc_reward[i] = 0.0
@@ -193,9 +199,10 @@ class BatchedHeroRunner:
         epsilon: np.ndarray,
         explore: bool,
     ) -> None:
-        options_before = self._option.copy()
+        needs = self._needs_new.copy()
+        chosen = self._option.copy()
         for k, agent_id in enumerate(self.agents):
-            rows = np.flatnonzero(self._needs_new[:, k])
+            rows = np.flatnonzero(needs[:, k])
             if rows.size == 0:
                 continue
             hl = self.team.agents[agent_id].high_level
@@ -208,43 +215,42 @@ class BatchedHeroRunner:
             )
             logits = np.where(self._available, logits, -1e9)
             if explore:
-                chosen = sample_categorical(logits, hl._rng)
+                choice = sample_categorical(logits, hl._rng)
                 random_mask = hl._rng.uniform(size=rows.size) < epsilon[rows]
                 if random_mask.any():
                     choices = np.flatnonzero(self._available)
-                    chosen = np.where(
+                    choice = np.where(
                         random_mask,
                         hl._rng.choice(choices, size=rows.size),
-                        chosen,
+                        choice,
                     )
             else:
-                chosen = logits.argmax(axis=-1)
-            chosen = np.asarray(chosen, dtype=np.int64)
+                choice = logits.argmax(axis=-1)
+            chosen[rows, k] = choice
 
-            start_lane = lane[rows, k]
-            target_lane = start_lane.copy()
-            changing = chosen == LANE_CHANGE
-            if self._track.num_lanes == 2:
-                target_lane[changing] = 1 - start_lane[changing]
-            elif self._track.num_lanes > 1:
-                target_lane[changing] = (
-                    start_lane[changing] + 1
-                ) % self._track.num_lanes
-
-            self._option[rows, k] = chosen
-            self._start_lane[rows, k] = start_lane
-            self._target_lane[rows, k] = target_lane
-            self._steps_in_option[rows, k] = 0
-            self._acc_reward[rows, k] = 0.0
-            self._needs_new[rows, k] = False
-            self._pending_valid[rows, k] = True
-            self._pending_obs[rows, k] = obs_rows
-            if self.num_opponents:
-                others = [j for j in range(self.num_agents) if j != k]
-                self._pending_other[rows, k] = options_before[rows][:, others]
-            self.lane_change_attempts += np.bincount(
-                rows[changing], minlength=self.num_envs
+        # Start the chosen options of every selecting (env, agent) pair at
+        # once; every selection above saw the pre-step options.
+        changing = needs & (chosen == LANE_CHANGE)
+        num_lanes = self._track.num_lanes
+        if num_lanes == 2:
+            target_lane = np.where(changing, 1 - lane, lane)
+        elif num_lanes > 1:
+            target_lane = np.where(changing, (lane + 1) % num_lanes, lane)
+        else:
+            target_lane = lane
+        if self.num_opponents:
+            np.copyto(
+                self._pending_other, self._option[:, self._others], where=needs[..., None]
             )
+        np.copyto(self._option, chosen, where=needs)
+        np.copyto(self._start_lane, lane, where=needs)
+        np.copyto(self._target_lane, target_lane, where=needs)
+        np.copyto(self._pending_obs, high, where=needs[..., None])
+        self._steps_in_option[needs] = 0
+        self._acc_reward[needs] = 0.0
+        self._pending_valid |= needs
+        self._needs_new[needs] = False
+        self.lane_change_attempts += changing.sum(axis=1)
 
     def _opponent_rep(
         self, hl, obs_rows: np.ndarray, rows: np.ndarray, k: int
@@ -270,8 +276,11 @@ class BatchedHeroRunner:
         self, obs: dict[str, np.ndarray], lane: np.ndarray, explore: bool
     ) -> np.ndarray:
         n, a = self.num_envs, self.num_agents
+        option = self._option
+        keep = option == KEEP_LANE
+        changing = option == LANE_CHANGE
         merge_direction = np.where(
-            self._option == LANE_CHANGE,
+            changing,
             np.sign(self._target_lane - self._start_lane).astype(get_default_dtype()),
             0.0,
         )
@@ -291,62 +300,54 @@ class BatchedHeroRunner:
         d = self.vec_env.agent_d
         heading = self.vec_env.agent_heading
 
-        actions = np.zeros((n, a, 2))
         # One (n_rows, obs_dim) forward per (agent, skill) pair.  Grouping
         # by agent column — not one flattened (n*a, obs_dim) batch — keeps
         # every network call shape-identical to the scalar loop's at
         # num_envs == 1 (per-agent (1, obs_dim) forwards in agent order),
         # which is what makes greedy evaluation bit-for-bit reproducible;
         # BLAS matmuls do not guarantee row-wise equality across batch
-        # sizes.
+        # sizes.  The driving-in-lane skill executes slow-down and
+        # accelerate (shared network, per-option bounds).  Everything after
+        # the forwards is elementwise, so it runs once over all pairs.
+        skills = self.team.skills
+        raw = np.zeros((n, a, 2))
+        raw_dtype = raw.dtype
+        driving_cols = (~keep & ~changing).T
+        changing_cols = changing.T
         for k in range(a):
-            option_k = self._option[:, k]
+            for skill, column in (
+                (skills.driving_in_lane, driving_cols[k]),
+                (skills.lane_change, changing_cols[k]),
+            ):
+                rows = np.flatnonzero(column)
+                if rows.size:
+                    out = self._skill_forward(skill, obs_low[rows, k], explore)
+                    raw[rows, k] = out
+                    raw_dtype = out.dtype
+        bounded = self._clip_bounds(raw, option).astype(raw_dtype, copy=False)
 
-            # Keep-lane: coast at the previous linear speed with
-            # lane-centering steering (HeroAgent's fallback when the skill
-            # returns None; repro.envs.control.lane_keep_command).
-            keep = np.flatnonzero(option_k == KEEP_LANE)
-            if keep.size:
-                lateral_error = self._lane_centers[lane[keep, k]] - d[keep, k]
-                angular = 0.8 * lateral_error - 1.5 * 0.8 * heading[keep, k]
-                actions[keep, k, 0] = self._last_action[keep, k, 0]
-                actions[keep, k, 1] = np.clip(angular, -0.1, 0.1)
+        # Keep-lane: coast at the previous linear speed with lane-centering
+        # steering (HeroAgent's fallback when the skill returns None;
+        # repro.envs.control.lane_keep_command).
+        lateral_error = self._lane_centers[lane] - d
+        keep_angular = np.clip(0.8 * lateral_error - 1.5 * 0.8 * heading, -0.1, 0.1)
 
-            # Driving-in-lane skill executes slow-down and accelerate
-            # (shared network, per-option bounds).
-            driving = np.flatnonzero(
-                (option_k != KEEP_LANE) & (option_k != LANE_CHANGE)
-            )
-            if driving.size:
-                raw = self._skill_forward(
-                    self.team.skills.driving_in_lane, obs_low[driving, k], explore
-                )
-                for option_index in np.unique(option_k[driving]):
-                    rows = option_k[driving] == option_index
-                    bounds = self.option_set[int(option_index)].bounds
-                    actions[driving[rows], k] = self._clip_bounds(raw[rows], bounds)
+        # Lane change: steering sign from the merge-direction controller
+        # (repro.envs.control.lane_change_steer_sign, vectorized).
+        target_d = self._lane_centers[self._target_lane]
+        desired = np.clip(
+            HEADING_GAIN * (target_d - d), -HEADING_CAP, HEADING_CAP
+        )
+        heading_error = desired - heading
+        sign = np.where(np.abs(heading_error) <= 1e-6, 0.0, np.sign(heading_error))
 
-            changing = np.flatnonzero(option_k == LANE_CHANGE)
-            if changing.size:
-                raw = self._skill_forward(
-                    self.team.skills.lane_change, obs_low[changing, k], explore
-                )
-                bounded = self._clip_bounds(raw, self.option_set[LANE_CHANGE].bounds)
-                # Steering sign from the merge-direction controller
-                # (repro.envs.control.lane_change_steer_sign, vectorized).
-                target_d = self._lane_centers[self._target_lane[changing, k]]
-                desired = np.clip(
-                    HEADING_GAIN * (target_d - d[changing, k]),
-                    -HEADING_CAP,
-                    HEADING_CAP,
-                )
-                heading_error = desired - heading[changing, k]
-                sign = np.where(
-                    np.abs(heading_error) <= 1e-6, 0.0, np.sign(heading_error)
-                )
-                actions[changing, k, 0] = bounded[:, 0]
-                actions[changing, k, 1] = sign * np.abs(bounded[:, 1])
-
+        actions = np.empty((n, a, 2))
+        actions[..., 0] = np.where(keep, self._last_action[..., 0], bounded[..., 0])
+        actions[..., 1] = np.where(
+            keep,
+            keep_angular,
+            np.where(changing, sign * np.abs(bounded[..., 1]), bounded[..., 1]),
+        )
         self._last_action = actions.copy()
         return actions
 
@@ -356,19 +357,39 @@ class BatchedHeroRunner:
         return skill.actor.act_batch(obs_rows, skill._rng if explore else None)
 
     @staticmethod
-    def _clip_bounds(raw: np.ndarray, bounds: OptionBounds | None) -> np.ndarray:
-        """Vectorized SkillLibrary.act bounds clipping (sign-preserving)."""
-        if bounds is None:
-            return raw
-        low, high = bounds.as_arrays()
-        out = np.empty_like(raw)
-        out[:, 0] = np.clip(raw[:, 0], low[0], high[0])
-        if low[1] >= 0.0:
-            sign = np.sign(raw[:, 1])
-            sign = np.where(sign == 0.0, 1.0, sign)
-            out[:, 1] = sign * np.clip(np.abs(raw[:, 1]), low[1], high[1])
-        else:
-            out[:, 1] = np.clip(raw[:, 1], low[1], high[1])
+    def _bound_table(option_set) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-option ``SkillLibrary.act`` bounds as stacked arrays.
+
+        Returns ``(low, high, signed)``: ``(num_options, 2)`` bounds, with
+        ``+/-inf`` for options without bounds (which pass every value
+        through unchanged), and whether the angular bound keeps the sign
+        (a non-negative angular low).
+        """
+        num_options = option_set.num_options
+        low = np.full((num_options, 2), -np.inf)
+        high = np.full((num_options, 2), np.inf)
+        signed = np.zeros(num_options, dtype=bool)
+        for index in range(num_options):
+            bounds: OptionBounds | None = option_set[index].bounds
+            if bounds is not None:
+                low[index], high[index] = bounds.as_arrays()
+                signed[index] = low[index, 1] >= 0.0
+        return low, high, signed
+
+    def _clip_bounds(self, raw: np.ndarray, option: np.ndarray) -> np.ndarray:
+        """Vectorized SkillLibrary.act bounds clipping (sign-preserving),
+        each ``(env, agent)`` row against its option's bounds, in float64."""
+        low, high, signed = self._bounds
+        low, high = low[option], high[option]
+        out = np.clip(raw, low, high)
+        angular = raw[..., 1]
+        sign = np.sign(angular)
+        sign[sign == 0.0] = 1.0
+        out[..., 1] = np.where(
+            signed[option],
+            sign * np.clip(np.abs(angular), low[..., 1], high[..., 1]),
+            out[..., 1],
+        )
         return out
 
     # ------------------------------------------------------------------
@@ -427,26 +448,24 @@ class BatchedHeroRunner:
                     "lane_change_successes": int(self.lane_change_successes[i]),
                 }
             )
-            self.start_episode(i)
-        live = np.ones(self.num_envs, dtype=bool)
-        live[done_idx] = False
-        self._needs_new |= terminated & live[:, None]
+        if len(done_idx):
+            self.start_episode(done_idx)  # also flags their first selection
+        self._needs_new |= terminated
         return stats
 
     def _record_observations(self, next_high: np.ndarray) -> None:
         """Feed every agent's opponent-model history (batched bookkeeping)."""
         if not self.num_opponents:
             return
+        observed = self._option[:, self._others]  # (n, a, a - 1)
+        self._observed_other[:] = observed
         for k, agent_id in enumerate(self.agents):
             hl = self.team.agents[agent_id].high_level
-            others = [j for j in range(self.num_agents) if j != k]
-            observed = self._option[:, others]
-            self._observed_other[:, k] = observed
             # Keep the scalar-path field meaningful for update()-time reps.
-            hl._last_observed_options = observed[0].copy()
+            hl._last_observed_options = observed[0, k].copy()
             if hl.opponent_mode == "model":
-                for i in range(self.num_envs):
-                    hl.opponent_model.record(next_high[i, k], observed[i])
+                # One record per env, in env order.
+                hl.opponent_model.record_batch(next_high[:, k], observed[:, k])
 
     def _flush(self, k: int, rows: np.ndarray, next_obs: np.ndarray, done: bool) -> None:
         """Store completed SMDP transitions for agent ``k`` in ``rows``."""

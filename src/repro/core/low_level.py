@@ -32,6 +32,7 @@ from ..nn import (
 )
 from ..training.replay import ReplayBuffer
 from ..utils.logging_utils import MetricLogger
+from ..utils.math_utils import clip_scalar
 from .options import KEEP_LANE, LANE_CHANGE, OptionSet
 
 
@@ -91,10 +92,9 @@ class SACAgent:
     # ------------------------------------------------------------------
     def act(self, obs: np.ndarray, deterministic: bool = False) -> np.ndarray:
         obs = np.asarray(obs, dtype=get_default_dtype()).reshape(1, -1)
-        if deterministic:
-            return self.actor.deterministic(obs)[0]
-        action, _ = self.actor.sample(obs, self._rng)
-        return action.data[0]
+        # The no-graph path: the same draw and arithmetic as actor.sample /
+        # actor.deterministic (bitwise), without taping a log-prob graph.
+        return self.actor.act_batch(obs, None if deterministic else self._rng)[0]
 
     def observe(self, obs, action, reward, next_obs, done) -> None:
         self.buffer.push(obs, action, reward, next_obs, done)
@@ -298,15 +298,17 @@ class SkillLibrary:
         action = skill.act(obs, deterministic=deterministic)
         bounds: OptionBounds | None = self.option_set[option_index].bounds
         if bounds is not None:
-            low, high = bounds.as_arrays()
             # Angular bound of lane change is one-sided; preserve the sign
-            # chosen by the policy and clip the magnitude.
-            linear = float(np.clip(action[0], low[0], high[0]))
-            if low[1] >= 0.0:
+            # chosen by the policy and clip the magnitude.  Clipping the
+            # float64 value against the float64 bounds is what np.clip did
+            # (at float32 too).
+            lin, ang = float(action[0]), float(action[1])
+            linear = clip_scalar(lin, bounds.linear_low, bounds.linear_high)
+            if bounds.angular_low >= 0.0:
                 sign = np.sign(action[1]) or 1.0
-                angular = sign * float(np.clip(abs(action[1]), low[1], high[1]))
+                angular = sign * clip_scalar(abs(ang), bounds.angular_low, bounds.angular_high)
             else:
-                angular = float(np.clip(action[1], low[1], high[1]))
+                angular = clip_scalar(ang, bounds.angular_low, bounds.angular_high)
             action = np.array([linear, angular])
         return action
 

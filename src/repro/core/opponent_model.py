@@ -81,6 +81,19 @@ class OpponentModel:
             )
         self.history.push(obs, other_options)
 
+    def record_batch(self, obs: np.ndarray, other_options: np.ndarray) -> None:
+        """Store one observation per row, in row order (one :meth:`record`
+        per row, batched)."""
+        if self.num_opponents == 0:
+            return
+        other_options = np.asarray(other_options, dtype=np.int64)
+        if other_options.shape != (len(obs), self.num_opponents):
+            raise ValueError(
+                f"expected ({len(obs)}, {self.num_opponents}) opponent options, "
+                f"got {other_options.shape}"
+            )
+        self.history.push_batch(obs, other_options)
+
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
@@ -221,6 +234,11 @@ class WindowedOpponentModel(OpponentModel):
             return
         stacked = self._stack(np.asarray(obs, dtype=get_default_dtype()))
         super().record(stacked, other_options)
+
+    def record_batch(self, obs: np.ndarray, other_options: np.ndarray) -> None:
+        # Each row advances the rolling window, so rows go one at a time.
+        for row, options in zip(obs, other_options):
+            self.record(row, options)
 
     def predict_probs(self, obs: np.ndarray) -> np.ndarray:
         """Predict from the window ending at ``obs`` (window not mutated)."""

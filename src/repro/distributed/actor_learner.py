@@ -243,6 +243,16 @@ def _capture_record(events: list, agent_index: int):
     return capture
 
 
+def _capture_record_batch(events: list, agent_index: int):
+    capture = _capture_record(events, agent_index)
+
+    def capture_batch(obs, other_options) -> None:
+        for row, options in zip(obs, other_options):
+            capture(row, options)
+
+    return capture_batch
+
+
 def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     """Rollout actor process: act on snapshots, ship captured experience.
 
@@ -294,6 +304,7 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
             high.store_transition = _capture_transition(events, k)
             if spec["has_opponent_slot"]:
                 high.opponent_model.record = _capture_record(events, k)
+                high.opponent_model.record_batch = _capture_record_batch(events, k)
 
         vec_env = _make_hero_vec_env(
             spec["factory"], spec["num_envs"], spec["num_workers"]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..utils.math_utils import clip_scalar
 from .vehicle import Vehicle
 
 # Desired-heading profile: proportional to remaining lateral error, capped
@@ -29,7 +30,7 @@ def lane_change_steer_sign(vehicle: Vehicle, target_lane: int) -> float:
     """
     target_d = vehicle.track.lane_center(target_lane)
     lateral_error = target_d - vehicle.state.d
-    desired_heading = float(np.clip(HEADING_GAIN * lateral_error, -HEADING_CAP, HEADING_CAP))
+    desired_heading = clip_scalar(HEADING_GAIN * lateral_error, -HEADING_CAP, HEADING_CAP)
     heading_error = desired_heading - vehicle.state.heading
     if abs(heading_error) <= 1e-6:
         return 0.0
@@ -52,4 +53,4 @@ def lane_keep_command(
     target_d = vehicle.track.lane_center(vehicle.lane_id)
     lateral_error = target_d - vehicle.state.d
     angular = gain * lateral_error - 1.5 * gain * vehicle.state.heading
-    return np.array([linear, float(np.clip(angular, -max_angular, max_angular))])
+    return np.array([linear, clip_scalar(angular, -max_angular, max_angular)])

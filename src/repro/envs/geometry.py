@@ -14,7 +14,11 @@ for rendering and for lidar geometry fidelity tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from ..utils.math_utils import clip_scalar
 
 
 class Track:
@@ -37,10 +41,12 @@ class Track:
     def wrap(self, s: float) -> float:
         """Wrap a longitudinal coordinate into ``[0, length)``.
 
-        ``np.mod`` of a tiny negative value can round to exactly ``length``;
-        fold that case back to 0 so the invariant holds.
+        ``%`` follows the same fmod-and-sign rule as ``np.mod`` (bitwise),
+        without numpy's per-call cost.  The modulo of a tiny negative value
+        can round to exactly ``length``; fold that case back to 0 so the
+        invariant holds.
         """
-        wrapped = float(np.mod(s, self.length))
+        wrapped = float(s % self.length)
         if wrapped >= self.length:
             wrapped = 0.0
         return wrapped
@@ -74,8 +80,8 @@ class Track:
     def lane_of(self, d: float) -> int:
         """Lane index containing lateral offset ``d`` (clamped to the road)."""
         half_span = self.num_lanes * self.lane_width / 2.0
-        index = int(np.floor((d + half_span) / self.lane_width))
-        return int(np.clip(index, 0, self.num_lanes - 1))
+        index = math.floor((d + half_span) / self.lane_width)
+        return clip_scalar(index, 0, self.num_lanes - 1)
 
     def deviation_from_lane_center(self, d: float, lane_id: int | None = None) -> float:
         """Absolute lateral deviation from a lane centre (own lane if None)."""

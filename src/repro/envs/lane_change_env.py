@@ -106,6 +106,16 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self, seed: int | None = None) -> dict[str, np.ndarray]:
+        self._reset_state(seed)
+        return {agent: self._observe(agent) for agent in self.agents}
+
+    def _reset_state(self, seed: int | None = None) -> None:
+        """Place the vehicles for a new episode without observing them.
+
+        :meth:`reset` is this plus the observations, so both make the same
+        RNG draws.  :class:`~repro.envs.vector_env.VectorEnv` calls it on
+        its fast path and observes the reset rows with its stacked kernels.
+        """
         if seed is not None:
             self._rng = np.random.default_rng(seed)
         cfg = self.scenario
@@ -147,7 +157,6 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
             self._vehicles[agent] = vehicle
             if lane == 0:
                 self._blocked_agents.add(agent)
-        return {agent: self._observe(agent) for agent in self.agents}
 
     # ------------------------------------------------------------------
     # Stepping

@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import OptionBounds, RewardConfig, ScenarioConfig, LANE_CHANGE_BOUNDS
+from ..utils.math_utils import clip_scalar
 from .base import SingleAgentEnv
 from .geometry import make_track
 from .sensors import PseudoCamera, feature_dim, feature_vector
@@ -222,10 +223,9 @@ class LaneChangeEnv(_SkillEnvBase):
         # (see repro.envs.control) — identical to HERO option execution.
         from .control import lane_change_command
 
-        linear = float(np.clip(action[0], self.action_space.low[0], self.action_space.high[0]))
-        angular_mag = float(
-            np.clip(abs(action[1]), abs(self.action_space.low[1]), self.action_space.high[1])
-        )
+        low, high = self.action_space.low, self.action_space.high
+        linear = float(clip_scalar(action[0], low[0], high[0]))
+        angular_mag = float(clip_scalar(abs(action[1]), abs(low[1]), high[1]))
         command = lane_change_command(self.ego, self._target_lane, linear, angular_mag)
         before = self.ego.distance_travelled
         self._advance_obstacles()

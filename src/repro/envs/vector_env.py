@@ -2,18 +2,25 @@
 
 The paper trains over ~14,000 episodes; stepping one
 :class:`~repro.envs.lane_change_env.CooperativeLaneChangeEnv` at a time
-leaves the hot path dominated by per-agent Python loops (the profile is
-~65% lidar raycasts, the rest per-agent network calls).  :class:`VectorEnv`
-steps ``N`` environment instances synchronously with all vehicle state held
-in stacked NumPy arrays:
+leaves the hot path in per-vehicle Python loops: one lidar raycast and one
+feature vector per agent per step, each paying numpy's per-call cost on
+single numbers.  :class:`VectorEnv` steps ``N`` environment instances
+synchronously with all vehicle state held in stacked NumPy arrays:
 
 * kinematics, collision tests, merge bookkeeping and team rewards are
-  evaluated for all ``N * num_vehicles`` vehicles in one shot,
+  evaluated for all ``N * num_vehicles`` vehicles in one shot; lane ids
+  are computed once per step and shared by the merge bookkeeping and the
+  observation,
 * observations (lidar + feature vectors) are produced by one call into the
   shared :meth:`~repro.envs.sensors.Lidar.scan_batch` raycast kernel,
+* resets are stacked too: construction, :meth:`~VectorEnv.reset`,
+  :meth:`~VectorEnv.reset_env` and auto-resets place the vehicles through
+  each scalar env's state-only reset (the RNG draws of its ``reset``) and
+  observe just the reset rows with the stacked kernels,
 * finished environments auto-reset: the returned row holds the first
   observation of the next episode and ``infos[i]`` carries the finished
-  episode's summary plus its terminal observation.
+  episode's summary plus its terminal observation; a step observes the
+  next states and the terminal states in the same stacked call.
 
 The vectorized step reproduces the scalar environment **bitwise**: every
 arithmetic expression mirrors the scalar code path elementwise, and the
@@ -37,8 +44,9 @@ configuration the vectorized kernels can express:
   :class:`~repro.envs.traffic.StationaryObstacle`.
 
 ``SlowLeader`` and ``StationaryObstacle`` are self-contained (each scripted
-vehicle's command depends only on its own state), so all scripted vehicles
-move in one batched kinematics pass.  ``LaneKeepingCruiser`` *reads other
+vehicle's command depends only on its own pre-step state), so all
+vehicles, scripted and learning, move in one batched kinematics pass.
+``LaneKeepingCruiser`` *reads other
 vehicles' state* (it brakes toward the nearest same-lane leader), and the
 scalar environment moves scripted vehicles sequentially — vehicle ``k``'s
 controller sees vehicles ``j < k`` already moved.  Its vectorized kernel
@@ -46,8 +54,9 @@ therefore loops over scripted vehicles in the same order, one batched
 update per vehicle across all envs, which keeps the fast path bitwise
 exact at the cost of a short Python loop (over vehicles, not envs).
 
-Anything else falls back to stepping the wrapped scalar environments one
-by one, so behaviour is always correct even when it is not fast:
+Anything else falls back to stepping and resetting the wrapped scalar
+environments one by one, so behaviour is always correct even when it is
+not fast:
 :attr:`VectorEnv.fast_path` reports which path is live and
 :attr:`VectorEnv.fallback_reason` carries a human-readable explanation of
 the first blocking configuration (``None`` on the fast path) — surface it
@@ -133,11 +142,16 @@ class VectorEnv(VectorStepper):
         # this throwaway reset does not perturb seeded rollouts.  Distinct
         # per-env seeds matter for the unseeded path: reset(seeds=None)
         # continues these streams, and N identical streams would hand every
-        # env the same initial-condition sequence forever.
+        # env the same initial-condition sequence forever.  The fast path
+        # never needs the scalar observation, so it resets state only.
         for i, env in enumerate(self._envs):
-            env.reset(seed=i)
+            if self._fast:
+                env._reset_state(seed=i)
+            else:
+                env.reset(seed=i)
             self._read_static(i)
             self._sync_from_env(i)
+        self._build_constants()
 
         # Post-step (pre-autoreset) learning-vehicle state, exposed for the
         # batched option-termination logic in repro.core.batched.
@@ -276,6 +290,36 @@ class VectorEnv(VectorStepper):
             self._max_lin[j] = vehicle.max_linear_speed
             self._max_ang[j] = vehicle.max_angular_speed
 
+    def _build_constants(self) -> None:
+        """Build once what every fast-path step and observation reuses."""
+        n, a, v = self.num_envs, self.num_agents, self._num_vehicles
+        track = self._envs[0].track
+        self._length = track.length
+        self._lane_width = track.lane_width
+        self._num_lanes = track.num_lanes
+        # The road's half width, which is also the offset of lane 0's edge.
+        self._half_width = track.num_lanes * track.lane_width / 2.0
+        self._lane_centers = (
+            -self._half_width + (np.arange(track.num_lanes) + 0.5) * track.lane_width
+        )
+        self._lane_eye = np.eye(track.num_lanes, dtype=self.obs_dtype)
+        # Pairwise contact distances, -inf on the diagonal so a vehicle never
+        # collides with itself.
+        self._contact = self._radius[:, None] + self._radius[None, :]
+        np.fill_diagonal(self._contact, -np.inf)
+        self._not_self = ~np.eye(a, v, dtype=bool)
+        # Lidar rows are (env, agent) egos scanning every other vehicle in
+        # vehicle order, as the scalar scan does (it skips `other is ego`).
+        # Observing m state rows uses the first m * a rows of the radii; a
+        # step with auto-resets observes up to 2n (every env's next state
+        # plus each finished env's last).
+        self._lidar_others = np.array(
+            [[j for j in range(v) if j != k] for k in range(a)], dtype=np.int64
+        ).reshape(a, v - 1)
+        self._lidar_radii = np.broadcast_to(
+            self._radius[self._lidar_others], (2 * n, a, v - 1)
+        ).reshape(-1, v - 1)
+
     def _sync_from_env(self, i: int) -> None:
         """Pull one scalar env's state into the stacked arrays."""
         env = self._envs[i]
@@ -332,11 +376,27 @@ class VectorEnv(VectorStepper):
         int (env ``i`` gets ``seeds + i``), or one seed per env.
         """
         seed_list = self._normalize_seeds(seeds)
+        if self._fast:
+            return self._reset_rows(range(self.num_envs), seed_list)
         per_env = []
         for i, (env, seed) in enumerate(zip(self._envs, seed_list)):
             per_env.append(env.reset(seed=seed))
             self._sync_from_env(i)
         return self._stack_obs(per_env)
+
+    def _reset_rows(
+        self, rows: Sequence[int], seeds: Sequence[int | None]
+    ) -> ObsBatch:
+        """Fast-path reset of envs ``rows``, returning just their rows.
+
+        Each scalar env resets its state only (the same RNG draws as its
+        ``reset``); one stacked observation of those rows replaces the
+        scalar lidar and feature observations.
+        """
+        for i, seed in zip(rows, seeds):
+            self._envs[i]._reset_state(seed)
+            self._sync_from_env(i)
+        return self._observe_batch(np.asarray(rows))
 
     def _stack_obs(self, per_env: list[dict[str, dict[str, np.ndarray]]]) -> ObsBatch:
         keys = per_env[0][self.agents[0]].keys()
@@ -350,11 +410,6 @@ class VectorEnv(VectorStepper):
             for key in keys
         }
 
-    def _reset_env(self, i: int) -> dict[str, dict[str, np.ndarray]]:
-        obs = self._envs[i].reset()
-        self._sync_from_env(i)
-        return obs
-
     def reset_env(self, i: int, seed: int | None = None) -> dict[str, np.ndarray]:
         """Reset just environment ``i`` (optionally seeded).
 
@@ -365,6 +420,8 @@ class VectorEnv(VectorStepper):
         """
         if not 0 <= i < self.num_envs:
             raise IndexError(f"env index {i} out of range [0, {self.num_envs})")
+        if self._fast:
+            return {key: value[0] for key, value in self._reset_rows([i], [seed]).items()}
         obs = self._envs[i].reset(seed=seed)
         self._sync_from_env(i)
         return {
@@ -401,60 +458,55 @@ class VectorEnv(VectorStepper):
         cfg = self.scenario
         rew = self.rewards
         n, a, v = self.num_envs, self.num_agents, self._num_vehicles
-        track = self._envs[0].track
-        half_width = track.half_width
         self._t += 1
 
         travel_before = self._distance[:, :a].copy()
 
-        # --- Scripted vehicles move first, mirroring the scalar loop's
-        # ordering.  Only LaneKeepingCruiser reads other vehicles' state, so
-        # only it needs the scalar loop's sequential update (vehicle k's
-        # controller sees vehicles j < k already moved); the self-contained
-        # policies keep the original single batched kinematics pass.
-        if v > a:
-            policy = self._envs[0]._scripted_policy
-            if type(policy) is LaneKeepingCruiser:
-                for k in range(v - a):
-                    lin_k, ang_k = self._cruiser_commands(k)
-                    self._apply_kinematics(
-                        slice(a + k, a + k + 1),
-                        lin_k[:, None],
-                        ang_k[:, None],
-                        cfg.dt,
-                    )
-            else:
-                cols = slice(a, v)
-                if type(policy) is StationaryObstacle:
-                    lin_cmd = np.zeros((n, v - a))
-                    ang_cmd = np.zeros((n, v - a))
-                else:
-                    lin_cmd = np.full((n, v - a), policy.speed)
-                    ang_cmd = self._lane_centering_steer(cols, policy.steer_gain)
-                self._apply_kinematics(cols, lin_cmd, ang_cmd, cfg.dt)
-
-        # --- Learning vehicles from `actions`, all at once.
-        self._apply_kinematics(slice(0, a), actions[:, :, 0], actions[:, :, 1], cfg.dt)
+        # --- Kinematics.  The scalar loop moves scripted vehicles first, then
+        # the learning vehicles.  Only LaneKeepingCruiser reads other
+        # vehicles' state, so only it needs that sequential order (vehicle
+        # k's controller sees vehicles j < k already moved).  SlowLeader and
+        # StationaryObstacle commands read only their own pre-step state,
+        # so every vehicle moves in one pass.
+        policy = self._envs[0]._scripted_policy
+        if type(policy) is LaneKeepingCruiser:
+            for k in range(v - a):
+                lin_k, ang_k = self._cruiser_commands(k)
+                self._apply_kinematics(
+                    slice(a + k, a + k + 1), lin_k[:, None], ang_k[:, None], cfg.dt
+                )
+            self._apply_kinematics(
+                slice(0, a), actions[:, :, 0], actions[:, :, 1], cfg.dt
+            )
+        else:
+            lin_cmd = np.zeros((n, v))
+            ang_cmd = np.zeros((n, v))
+            lin_cmd[:, :a] = actions[:, :, 0]
+            ang_cmd[:, :a] = actions[:, :, 1]
+            if type(policy) is SlowLeader:
+                lin_cmd[:, a:] = policy.speed
+                ang_cmd[:, a:] = self._lane_centering_steer(
+                    slice(a, v), policy.steer_gain
+                )
+            self._apply_kinematics(slice(0, v), lin_cmd, ang_cmd, cfg.dt)
 
         # --- Collisions: pairwise disc tests across all vehicles per env.
         gap_s = self._signed_gap(self._s[:, :, None], self._s[:, None, :])
         gap_d = self._d[:, None, :] - self._d[:, :, None]
-        dist = np.hypot(gap_s, gap_d)
-        radius_sum = self._radius[:, None] + self._radius[None, :]
-        colliding = dist < radius_sum
-        colliding[:, np.arange(v), np.arange(v)] = False
-        crashed_now = colliding.any(axis=2)
-        involved = crashed_now[:, :a]
+        colliding = np.hypot(gap_s, gap_d) < self._contact
+        involved = colliding[:, :a].any(axis=2)
         self._crashed[:, :a] |= involved
 
-        off_road = ~(np.abs(self._d[:, :a]) <= half_width)
+        off_road = ~(np.abs(self._d[:, :a]) <= self._half_width)
         failure = involved | off_road
         failure_any = failure.any(axis=1)
         self._collision_happened |= failure_any
 
         # --- Merge bookkeeping (blocked vehicle settled in the other lane).
-        lane = self._lane_of(self._d[:, :a])
-        deviation = np.abs(self._d[:, :a] - self._lane_center(lane))
+        # Lane ids are computed once per step: the observation reuses them.
+        lane_all = self._lane_of(self._d)
+        lane = lane_all[:, :a]
+        deviation = np.abs(self._d[:, :a] - self._lane_centers[lane])
         self._merged |= (
             self._blocked
             & ~self._merged
@@ -464,13 +516,15 @@ class VectorEnv(VectorStepper):
         )
 
         # --- Team reward r_h = alpha * r_col + (1 - alpha) * r_travel.
-        travel = np.mean(self._distance[:, :a] - travel_before, axis=1)
+        # np.mean's own arithmetic (one add.reduce, then a divide by the
+        # count) without its per-call wrapper cost.
+        travel = np.add.reduce(self._distance[:, :a] - travel_before, axis=1) / a
         r_travel = travel * rew.travel_reward_scale
         r_col = np.where(failure_any, rew.collision_penalty, 0.0)
         rewards = rew.alpha * r_col + (1.0 - rew.alpha) * r_travel
         self._episode_reward += rewards
 
-        self._speed_sum += np.mean(self._lin[:, :a], axis=1)
+        self._speed_sum += np.add.reduce(self._lin[:, :a], axis=1) / a
         self._speed_count += 1
 
         dones = failure_any | (self._t >= cfg.episode_length)
@@ -480,20 +534,45 @@ class VectorEnv(VectorStepper):
         # boundary cast into the compute dtype.
         rewards = rewards.astype(self.obs_dtype)
 
-        observations = self._observe_batch()
-        infos: list[dict[str, Any]] = [{"t": int(self._t[i])} for i in range(n)]
-        for i in np.flatnonzero(dones):
+        infos: list[dict[str, Any]] = [{"t": t} for t in self._t.tolist()]
+        done_rows = np.flatnonzero(dones)
+        for i in done_rows:
             infos[i]["episode"] = self._episode_summary(i)
+        if not (self.auto_reset and len(done_rows)):
+            observations = self._observe_batch(lane_all=lane_all)
+            for i in done_rows:
+                infos[i]["terminal_observation"] = {
+                    key: value[i].copy() for key, value in observations.items()
+                }
+            return observations, rewards, dones, infos
+
+        # Auto-reset: keep the finished episodes' last state, place the next
+        # episodes' vehicles, and observe both in one stacked call — rows
+        # [0, n) are the returned observations, rows n + j the terminal
+        # observation of done_rows[j].
+        terminal = [
+            state[done_rows] for state in (self._s, self._d, self._heading, self._lin)
+        ]
+        lane_terminal = lane_all[done_rows]
+        for i in done_rows:
+            self._envs[i]._reset_state()
+            self._sync_from_env(i)
+        lane_all = lane_all.copy()
+        lane_all[done_rows] = self._lane_of(self._d[done_rows])
+        stacked = self._observe(
+            *(
+                np.concatenate([now, last])
+                for now, last in zip(
+                    (self._s, self._d, self._heading, self._lin, lane_all),
+                    (*terminal, lane_terminal),
+                )
+            )
+        )
+        observations = {key: value[:n] for key, value in stacked.items()}
+        for j, i in enumerate(done_rows):
             infos[i]["terminal_observation"] = {
-                key: value[i].copy() for key, value in observations.items()
+                key: value[n + j] for key, value in stacked.items()
             }
-        if self.auto_reset and dones.any():
-            for i in np.flatnonzero(dones):
-                reset_obs = self._reset_env(i)
-                for key in observations:
-                    observations[key][i] = np.stack(
-                        [reset_obs[agent][key] for agent in self.agents]
-                    )
         return observations, rewards, dones, infos
 
     def _step_fallback(self, actions: np.ndarray):
@@ -536,9 +615,9 @@ class VectorEnv(VectorStepper):
         """Mirror ``Vehicle.apply_action`` elementwise for the given columns
         (crashed vehicles are frozen exactly as the scalar early-return does).
         """
-        alive = ~self._crashed[:, cols]
+        max_ang = self._max_ang[cols]
         lin = np.clip(lin_cmd, 0.0, self._max_lin[cols])
-        ang = np.clip(ang_cmd, -self._max_ang[cols], self._max_ang[cols])
+        ang = np.clip(ang_cmd, -max_ang, max_ang)
         heading = np.clip(
             wrap_angle(self._heading[:, cols] + ang * dt),
             -MAX_HEADING_ERROR,
@@ -547,18 +626,30 @@ class VectorEnv(VectorStepper):
         ds = lin * np.cos(heading) * dt
         s = self._wrap(self._s[:, cols] + ds)
         d = self._d[:, cols] + lin * np.sin(heading) * dt
-        self._lin[:, cols] = np.where(alive, lin, self._lin[:, cols])
-        self._ang[:, cols] = np.where(alive, ang, self._ang[:, cols])
-        self._heading[:, cols] = np.where(alive, heading, self._heading[:, cols])
-        self._s[:, cols] = np.where(alive, s, self._s[:, cols])
-        self._d[:, cols] = np.where(alive, d, self._d[:, cols])
-        self._distance[:, cols] += np.where(alive, np.maximum(ds, 0.0), 0.0)
+        advance = np.maximum(ds, 0.0)
+        crashed = self._crashed[:, cols]
+        # A crash ends the episode, so with auto-reset no vehicle is ever
+        # crashed here and the freeze below is skipped.
+        if crashed.any():
+            alive = ~crashed
+            lin = np.where(alive, lin, self._lin[:, cols])
+            ang = np.where(alive, ang, self._ang[:, cols])
+            heading = np.where(alive, heading, self._heading[:, cols])
+            s = np.where(alive, s, self._s[:, cols])
+            d = np.where(alive, d, self._d[:, cols])
+            advance = np.where(alive, advance, 0.0)
+        self._lin[:, cols] = lin
+        self._ang[:, cols] = ang
+        self._heading[:, cols] = heading
+        self._s[:, cols] = s
+        self._d[:, cols] = d
+        self._distance[:, cols] += advance
 
     def _lane_centering_steer(self, cols: slice, gain: float) -> np.ndarray:
         """Vectorized lane-centering P-controller (traffic module's
         ``_lane_centering_steer``) for the given columns."""
         lane = self._lane_of(self._d[:, cols])
-        lateral_error = self._lane_center(lane) - self._d[:, cols]
+        lateral_error = self._lane_centers[lane] - self._d[:, cols]
         command = gain * lateral_error - 1.5 * gain * self._heading[:, cols]
         return np.clip(command, -0.3, 0.3)
 
@@ -593,59 +684,69 @@ class VectorEnv(VectorStepper):
     # Vectorized geometry (each expression mirrors the scalar code path)
     # ------------------------------------------------------------------
     def _wrap(self, s: np.ndarray) -> np.ndarray:
-        length = self._envs[0].track.length
-        wrapped = np.mod(s, length)
-        return np.where(wrapped >= length, 0.0, wrapped)
+        wrapped = np.mod(s, self._length)
+        return np.where(wrapped >= self._length, 0.0, wrapped)
 
     def _signed_gap(self, s_from: np.ndarray, s_to: np.ndarray) -> np.ndarray:
-        length = self._envs[0].track.length
         gap = self._wrap(s_to - s_from)
-        return np.where(gap > length / 2.0, gap - length, gap)
+        return np.where(gap > self._length / 2.0, gap - self._length, gap)
 
     def _lane_of(self, d: np.ndarray) -> np.ndarray:
-        track = self._envs[0].track
-        half_span = track.num_lanes * track.lane_width / 2.0
-        index = np.floor((d + half_span) / track.lane_width).astype(np.int64)
-        return np.clip(index, 0, track.num_lanes - 1)
-
-    def _lane_center(self, lane: np.ndarray) -> np.ndarray:
-        track = self._envs[0].track
-        half_span = track.num_lanes * track.lane_width / 2.0
-        centers = -half_span + (np.arange(track.num_lanes) + 0.5) * track.lane_width
-        return centers[lane]
+        index = np.floor((d + self._half_width) / self._lane_width).astype(np.int64)
+        # np.clip on integers, without its per-call bound checks.
+        np.maximum(index, 0, out=index)
+        return np.minimum(index, self._num_lanes - 1, out=index)
 
     # ------------------------------------------------------------------
     # Batched observations
     # ------------------------------------------------------------------
-    def _observe_batch(self) -> ObsBatch:
-        cfg = self.scenario
-        n, a, v = self.num_envs, self.num_agents, self._num_vehicles
-        track = self._envs[0].track
+    def _observe_batch(
+        self, rows: np.ndarray | None = None, lane_all: np.ndarray | None = None
+    ) -> ObsBatch:
+        """Observations of every env, or of envs ``rows`` only.
 
-        lane = self._lane_of(self._d[:, :a])
-        lane_onehot = np.eye(cfg.num_lanes, dtype=self.obs_dtype)[lane]
-        speed = np.array(self._lin[:, :a, None], dtype=self.obs_dtype)
+        ``lane_all`` passes in the step's lane ids of every vehicle.
+        """
+        s, d, heading, lin = self._s, self._d, self._heading, self._lin
+        if rows is not None:
+            s, d, heading, lin = s[rows], d[rows], heading[rows], lin[rows]
+        if lane_all is None:
+            lane_all = self._lane_of(d)
+        return self._observe(s, d, heading, lin, lane_all)
 
-        # Lidar: one raycast kernel call for all (env, agent) egos; each
-        # ego's own disc is masked out (the scalar scan skips `other is ego`).
-        origins = np.stack([self._s[:, :a], self._d[:, :a]], axis=-1).reshape(-1, 2)
-        headings = self._heading[:, :a].reshape(-1)
-        centers = np.stack([self._s, self._d], axis=-1)  # (n, v, 2)
-        centers = np.broadcast_to(centers[:, None], (n, a, v, 2)).reshape(-1, v, 2)
-        radii = np.broadcast_to(self._radius, (n * a, v))
-        not_self = ~np.eye(a, v, dtype=bool)
-        valid = np.broadcast_to(not_self, (n, a, v)).reshape(-1, v)
+    def _observe(
+        self,
+        s: np.ndarray,
+        d: np.ndarray,
+        heading: np.ndarray,
+        lin: np.ndarray,
+        lane_all: np.ndarray,
+    ) -> ObsBatch:
+        """Observations of the given ``(m, num_vehicles)`` state rows.
+
+        Every row is observed independently, so a row's observation does
+        not depend on which other rows share the call.
+        """
+        a, v = self.num_agents, self._num_vehicles
+        m = len(s)
+        lane_onehot = self._lane_eye[lane_all[:, :a]]
+        speed = np.array(lin[:, :a, None], dtype=self.obs_dtype)
+
+        # Lidar: one raycast kernel call for all (env, agent) egos.
+        positions = np.stack([s, d], axis=-1)  # (m, v, 2)
+        origins = positions[:, :a].reshape(-1, 2)
+        headings = heading[:, :a].reshape(-1)
+        centers = positions[:, self._lidar_others].reshape(m * a, v - 1, 2)
         lidar = self._envs[0].lidar.scan_batch(
             origins,
             headings,
             centers,
-            radii,
-            half_width=track.half_width,
-            track_length=track.length,
-            valid=valid,
-        ).reshape(n, a, -1).astype(self.obs_dtype, copy=False)
+            self._lidar_radii[: m * a],
+            half_width=self._half_width,
+            track_length=self._length,
+        ).reshape(m, a, -1).astype(self.obs_dtype, copy=False)
 
-        features = self._feature_batch(lane, lane_onehot)
+        features = self._feature_batch(s, d, heading, lin, lane_all, lane_onehot)
         return {
             "lidar": lidar,
             "speed": speed,
@@ -653,46 +754,49 @@ class VectorEnv(VectorStepper):
             "features": features,
         }
 
-    def _feature_batch(self, lane: np.ndarray, lane_onehot: np.ndarray) -> np.ndarray:
-        """Vectorized :func:`repro.envs.sensors.feature_vector`."""
-        cfg = self.scenario
-        n, a, v = self.num_envs, self.num_agents, self._num_vehicles
-        track = self._envs[0].track
+    def _feature_batch(
+        self,
+        s: np.ndarray,
+        d: np.ndarray,
+        heading: np.ndarray,
+        lin: np.ndarray,
+        lane_all: np.ndarray,
+        lane_onehot: np.ndarray,
+    ) -> np.ndarray:
+        """Vectorized :func:`repro.envs.sensors.feature_vector` of the envs
+        whose state rows are given (``lane_all``: every vehicle's lane)."""
+        a, num_lanes = self.num_agents, self._num_lanes
         horizon = 3.0
 
-        deviation = self._d[:, :a] - self._lane_center(lane)
-        lane_all = self._lane_of(self._d)  # (n, v)
+        lane = lane_all[:, :a]
+        deviation = d[:, :a] - self._lane_centers[lane]
 
         # Signed periodic gap from each ego to every vehicle, self masked.
-        gap = self._signed_gap(self._s[:, :a, None], self._s[:, None, :])  # (n, a, v)
-        not_self = ~np.eye(a, v, dtype=bool)[None]  # (1, a, v)
+        gap = self._signed_gap(s[:, :a, None], s[:, None, :])  # (m, a, v)
         same_lane = lane_all[:, None, :] == lane[:, :, None]
-        if track.num_lanes == 2:
+        if num_lanes == 2:
             other_lane_id = 1 - lane
         else:
             other_lane_id = lane
         in_other_lane = lane_all[:, None, :] == other_lane_id[:, :, None]
 
-        def nearest(mask: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-            candidates = np.where(
-                mask & (gaps > 0.0) & (gaps < horizon), gaps, horizon
-            )
-            return candidates.min(axis=2) / horizon
-
-        fwd_same = nearest(not_self & same_lane, gap)
-        fwd_other = nearest(not_self & in_other_lane, gap)
-        rear_other = nearest(not_self & in_other_lane, -gap)
+        # Nearest vehicle within the horizon for [forward in the same lane,
+        # forward in the other lane, behind in the other lane], stacked on
+        # one axis so one masked minimum over vehicles serves all three.
+        other = self._not_self & in_other_lane
+        mask = np.stack([self._not_self & same_lane, other, other], axis=-2)
+        gaps = np.stack([gap, gap, -gap], axis=-2)  # (m, a, 3, v)
+        candidates = np.where(mask & (gaps > 0.0) & (gaps < horizon), gaps, horizon)
+        nearest = candidates.min(axis=-1) / horizon  # (m, a, 3)
 
         # Allocated in the boundary dtype: every assignment below computes
         # in float64 and rounds exactly once on store.
-        features = np.empty((n, a, 3 + cfg.num_lanes + 3), dtype=self.obs_dtype)
-        features[:, :, 0] = deviation / track.lane_width
-        features[:, :, 1] = self._heading[:, :a]
-        features[:, :, 2] = self._lin[:, :a]
-        features[:, :, 3 : 3 + cfg.num_lanes] = lane_onehot
-        features[:, :, 3 + cfg.num_lanes] = fwd_same
-        features[:, :, 4 + cfg.num_lanes] = fwd_other
-        features[:, :, 5 + cfg.num_lanes] = rear_other
+        features = np.empty((len(s), a, 3 + num_lanes + 3), dtype=self.obs_dtype)
+        features[:, :, 0] = deviation / self._lane_width
+        features[:, :, 1] = heading[:, :a]
+        features[:, :, 2] = lin[:, :a]
+        features[:, :, 3 : 3 + num_lanes] = lane_onehot
+        features[:, :, 3 + num_lanes :] = nearest
         return features
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..utils.math_utils import clamp, wrap_angle
+from ..utils.math_utils import clamp, clip_scalar, wrap_angle
 from .geometry import Track
 
 MAX_HEADING_ERROR = np.pi / 3.0  # beyond this the vehicle is "spun out"
@@ -84,8 +84,10 @@ class Vehicle:
         state = self.state
         state.linear_speed = v
         state.angular_speed = w
-        state.heading = float(
-            np.clip(wrap_angle(state.heading + w * dt), -MAX_HEADING_ERROR, MAX_HEADING_ERROR)
+        # The trigonometry stays on numpy's ufuncs: the stacked kernels in
+        # repro.envs.vector_env are locked bitwise against them.
+        state.heading = clip_scalar(
+            wrap_angle(state.heading + w * dt), -MAX_HEADING_ERROR, MAX_HEADING_ERROR
         )
         ds = v * np.cos(state.heading) * dt
         state.s = self.track.wrap(state.s + ds)

@@ -24,9 +24,9 @@ wrapped ``VectorEnv``: :attr:`VectorBaselineEnv.fast_path` /
 :attr:`VectorBaselineEnv.fallback_reason` forward its verdict.  The fast
 path covers feature-mode observations with ``SlowLeader``,
 ``LaneKeepingCruiser`` or ``StationaryObstacle`` traffic
-(``LaneKeepingCruiser`` and ``StationaryObstacle`` keep bitwise exactness
-through sequential per-scripted-vehicle kernels — see
-``repro.envs.vector_env``); anything else steps the scalar envs one by
+(``LaneKeepingCruiser`` keeps bitwise exactness through a sequential
+per-scripted-vehicle kernel — see ``repro.envs.vector_env``); anything
+else steps the scalar envs one by
 one, correct but not fast, and ``fallback_reason`` says why — e.g.
 ``"scripted policy CustomPolicy has no vectorized kernel"``.
 :func:`repro.baselines.base.train_marl_vectorized` surfaces it as a

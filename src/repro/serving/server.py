@@ -25,6 +25,8 @@ The socket front-end (:meth:`PolicyServer.serve` /
 :class:`PolicyClient`) speaks 8-byte length-prefixed pickle frames — the
 framing convention of the PR-6 shared-memory queue — and the lifecycle
 verbs (``request_stop`` / ``close``) follow the parameter-server naming.
+A connection that announces a frame above :data:`MAX_FRAME_BYTES` is
+closed; the others keep being served.
 Checkpoint hot-reload swaps parameters under the same lock the flush
 handler holds, so a reload lands *between* batches, never inside one.
 """
@@ -396,6 +398,12 @@ class PolicyServer:
         """Stop, drain queued requests, and tear down the socket front-end."""
         self.request_stop()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does, so the accept thread joins at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -468,7 +476,7 @@ class PolicyServer:
                 except Exception as exc:
                     _send_frame(conn, ("error", f"{type(exc).__name__}: {exc}"))
         except OSError:
-            return  # connection torn down
+            return  # connection torn down, or it announced an oversized frame
         finally:
             try:
                 conn.close()
@@ -526,19 +534,27 @@ class PolicyClient:
 
 _LEN = struct.Struct(">Q")
 
+# Largest frame a peer may announce.  A request is a few kilobytes; a
+# larger length prefix closes the connection before anything is allocated.
+MAX_FRAME_BYTES = 16 * 1024 * 1024
+
 
 def _send_frame(conn: socket.socket, obj) -> None:
     data = pickle.dumps(obj)
     conn.sendall(_LEN.pack(len(data)) + data)
 
 
-def _recv_exact(conn: socket.socket, size: int) -> bytes | None:
-    buf = b""
-    while len(buf) < size:
-        chunk = conn.recv(size - len(buf))
-        if not chunk:
+def _recv_exact(conn: socket.socket, size: int) -> bytearray | None:
+    """Read exactly ``size`` bytes into one preallocated buffer (linear in
+    ``size``, however the bytes arrive); None if the peer closed first."""
+    buf = bytearray(size)
+    view = memoryview(buf)
+    filled = 0
+    while filled < size:
+        count = conn.recv_into(view[filled:])
+        if not count:
             return None
-        buf += chunk
+        filled += count
     return buf
 
 
@@ -547,6 +563,10 @@ def _recv_frame(conn: socket.socket):
     if header is None:
         return None
     (size,) = _LEN.unpack(header)
+    if size > MAX_FRAME_BYTES:
+        raise ConnectionError(
+            f"peer announced a {size}-byte frame (limit {MAX_FRAME_BYTES})"
+        )
     data = _recv_exact(conn, size)
     if data is None:
         return None
@@ -555,6 +575,7 @@ def _recv_frame(conn: socket.socket):
 
 __all__ = [
     "HeroPolicySession",
+    "MAX_FRAME_BYTES",
     "MarlPolicySession",
     "ObservationRequest",
     "PolicyClient",

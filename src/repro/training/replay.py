@@ -321,6 +321,20 @@ class ObservationHistoryBuffer:
         self._index = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
+    def push_batch(self, obs: np.ndarray, other_options: np.ndarray) -> None:
+        """Append rows in order; equivalent to one :meth:`push` per row."""
+        count = len(obs)
+        i = self._index
+        if i + count <= self.capacity:
+            self.obs[i : i + count] = obs
+            self.options[i : i + count] = other_options
+        else:
+            drop, idx = _ring_append_slots(i, self.capacity, count)
+            self.obs[idx] = obs[drop:]
+            self.options[idx] = other_options[drop:]
+        self._index = (i + count) % self.capacity
+        self._size = min(self._size + count, self.capacity)
+
     def sample(self, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")

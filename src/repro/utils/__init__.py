@@ -3,6 +3,7 @@
 from .logging_utils import MetricLogger, format_table
 from .math_utils import (
     clamp,
+    clip_scalar,
     discounted_returns,
     explained_variance,
     moving_average,
@@ -29,6 +30,7 @@ __all__ = [
     "Schedule",
     "child_rng",
     "clamp",
+    "clip_scalar",
     "discounted_returns",
     "explained_variance",
     "format_table",

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+_TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
     """Wrap an angle (radians) into ``(-pi, pi]``."""
+    if isinstance(angle, float):
+        # One float: Python's ``%`` applies np.mod's fmod-and-sign rule, so
+        # this is bitwise the array branch without numpy's per-call cost.
+        wrapped = (float(angle) + math.pi) % _TWO_PI - math.pi
+        return math.pi if wrapped == -math.pi else wrapped
     wrapped = np.mod(np.asarray(angle) + np.pi, 2.0 * np.pi) - np.pi
     # np.mod maps -pi to -pi; push it to +pi for a half-open interval.
     wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
@@ -18,6 +27,18 @@ def wrap_angle(angle: float | np.ndarray) -> float | np.ndarray:
 def clamp(value: float, low: float, high: float) -> float:
     """Scalar clamp."""
     return max(low, min(high, value))
+
+
+def clip_scalar(value, low, high):
+    """``np.clip`` of one Python number, bitwise, without numpy's per-call cost.
+
+    ``min(max(value, low), high)`` with the value first returns, for ordered
+    bounds, exactly what ``np.clip`` returns: signed zeros keep their sign
+    when they tie a bound, and a NaN value propagates (``max`` keeps its
+    first argument when no later one compares greater).  :func:`clamp`
+    puts the bounds first, so it maps NaN to a bound instead.
+    """
+    return min(max(value, low), high)
 
 
 def moving_average(values, window: int) -> np.ndarray:

@@ -112,6 +112,36 @@ class TestBatchedHeroRunner:
             assert set(stat) >= {"env", "episode", "lane_change_attempts"}
             assert stat["episode"]["length"] >= 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_clip_bounds_matches_per_option_clipping(self, dtype):
+        """One stacked clip against each row's option bounds equals clipping
+        each option's rows with its own bounds (SkillLibrary.act's rule:
+        the angular magnitude is clipped and its sign kept when the angular
+        low bound is non-negative), then storing in the skill's dtype."""
+        _, _, runner = make_setup(num_envs=6)
+        rng = np.random.default_rng(4)
+        raw = rng.uniform(-0.4, 0.4, (6, runner.num_agents, 2)).astype(dtype)
+        raw[0, :, 1] = [0.0, -0.0, np.nan][: runner.num_agents]
+        option = rng.integers(0, runner.num_options, (6, runner.num_agents))
+
+        expected = raw.copy()
+        for index in range(runner.num_options):
+            bounds = runner.option_set[index].bounds
+            rows = option == index
+            if bounds is None:
+                continue
+            low, high = bounds.as_arrays()
+            expected[rows, 0] = np.clip(raw[rows, 0], low[0], high[0])
+            if low[1] >= 0.0:
+                sign = np.sign(raw[rows, 1])
+                sign = np.where(sign == 0.0, 1.0, sign)
+                expected[rows, 1] = sign * np.clip(np.abs(raw[rows, 1]), low[1], high[1])
+            else:
+                expected[rows, 1] = np.clip(raw[rows, 1], low[1], high[1])
+
+        actual = runner._clip_bounds(raw.astype(np.float64), option).astype(dtype)
+        assert actual.tobytes() == expected.tobytes()
+
     def test_start_episode_resets_counters(self):
         vec, team, runner = make_setup()
         obs = vec.reset(0)

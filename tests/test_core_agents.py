@@ -14,6 +14,7 @@ from repro.core import (
     train_skill,
 )
 from repro.envs import LaneKeepingEnv
+from repro.nn.tensor import default_dtype
 from repro.training.replay import OptionTransition
 
 
@@ -44,6 +45,27 @@ class TestSACAgent:
         a1 = agent.act(np.ones(4), deterministic=True)
         a2 = agent.act(np.ones(4), deterministic=True)
         np.testing.assert_array_equal(a1, a2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_act_equals_taped_sample_bitwise(self, dtype):
+        """act's no-graph path draws and computes exactly what the taped
+        actor.sample / actor.deterministic do, from the same RNG state."""
+        with default_dtype(dtype):
+            agent = make_sac(obs_dim=11)
+            rng = np.random.default_rng(5)
+            for _ in range(200):
+                obs = rng.standard_normal(11) * 2.0
+                state = agent._rng.bit_generator.state
+                action = agent.act(obs)
+                after = agent._rng.bit_generator.state
+                agent._rng.bit_generator.state = state
+                taped, _ = agent.actor.sample(obs.astype(dtype)[None], agent._rng)
+                assert agent._rng.bit_generator.state == after
+                assert action.dtype == taped.data.dtype == dtype
+                assert action.tobytes() == taped.data[0].tobytes()
+                mean = agent.act(obs, deterministic=True)
+                taped_mean = agent.actor.deterministic(obs.astype(dtype)[None])[0]
+                assert mean.tobytes() == taped_mean.tobytes()
 
     def test_update_requires_data(self):
         agent = make_sac()

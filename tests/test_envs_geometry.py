@@ -363,3 +363,56 @@ def test_property_lidar_symmetric_setup(seed, beams):
     back.reset(s=10.0 - gap, lane_id=0)
     scan = lidar.scan(ego, [ego, front, back])
     assert scan[0] == pytest.approx(scan[beams // 2], abs=1e-9)
+
+
+def _random_scan_inputs(rng, batch, obstacles, length, half_width=0.5):
+    origins = np.stack(
+        [rng.uniform(0.0, length, batch), rng.uniform(-0.6, 0.6, batch)], axis=-1
+    )
+    centers = np.stack(
+        [
+            rng.uniform(0.0, length, (batch, obstacles)),
+            rng.uniform(-half_width, half_width, (batch, obstacles)),
+        ],
+        axis=-1,
+    )
+    if obstacles:
+        # A disc around the ego itself and one exactly half a track away:
+        # the inside-the-disc hit and the tie between two periodic copies.
+        centers[:, 0] = origins + rng.choice([0.0, 0.05, 0.12], (batch, 1))
+        centers[:, -1, 0] = (origins[:, 0] + length / 2.0) % length
+    origins[: batch // 3, 0] = rng.choice([0.0, np.nextafter(length, 0.0)], batch // 3)
+    radii = rng.choice([0.05, 0.12, 0.3], (batch, obstacles))
+    headings = rng.uniform(-np.pi, np.pi, batch)
+    headings[: batch // 4] = rng.choice([0.0, np.pi / 2, np.pi], batch // 4)
+    return origins, headings, centers, radii
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    batch=st.sampled_from([2, 9, 24, 48]),
+    obstacles=st.integers(0, 5),
+    length=st.sampled_from([4.0, 6.0, 20.0]),
+)
+def test_property_lidar_batch_rows_equal_single_scans(seed, batch, obstacles, length):
+    """Each row of a batched scan is bitwise the one-ego scan of that row.
+
+    Batches only raycast each disc's nearest periodic copy when the track is
+    long enough that the others cannot be in range (not at L = 4 or 6 with
+    max_range 3); single egos always test all three copies.
+    """
+    rng = np.random.default_rng(seed)
+    lidar = Lidar(n_beams=16, max_range=3.0)
+    origins, headings, centers, radii = _random_scan_inputs(rng, batch, obstacles, length)
+    kwargs = dict(half_width=0.5, track_length=length)
+    rows = lidar.scan_batch(origins, headings, centers, radii, **kwargs)
+    for i in range(batch):
+        one = lidar.scan_batch(
+            origins[i : i + 1],
+            headings[i : i + 1],
+            centers[i : i + 1],
+            radii[i : i + 1],
+            **kwargs,
+        )
+        assert one.tobytes() == rows[i : i + 1].tobytes(), i

@@ -89,6 +89,29 @@ class TestCommon:
             result.series("hero", "episode_reward")
 
 
+class TestFig7Verdicts:
+    @staticmethod
+    def _merge_verdict(hero: float, idqn: float) -> bool:
+        from repro.experiments.fig7 import PANELS, report_fig7
+
+        flat = {"hero": np.zeros(20), "idqn": np.zeros(20)}
+        panels = {panel: flat for panel in PANELS}
+        panels["c_merge_success_rate"] = {
+            "hero": np.full(20, hero),
+            "idqn": np.full(20, idqn),
+        }
+        checks = dict(report_fig7({"panels": panels}))
+        (line,) = [line for line in checks if "merges far more" in line]
+        return checks[line]
+
+    def test_merge_verdict_misses_when_hero_never_merges(self, capsys):
+        assert not self._merge_verdict(hero=0.0, idqn=0.0)
+        assert "[MISS] HERO merges far more reliably" in capsys.readouterr().out
+
+    def test_merge_verdict_passes_on_a_clear_margin(self):
+        assert self._merge_verdict(hero=0.5, idqn=0.1)
+
+
 class TestFig8Tiny:
     def test_run_and_report(self):
         from repro.experiments.fig8 import report_fig8, run_fig8

@@ -18,7 +18,11 @@ The contract under test:
 """
 
 import os
+import pickle
+import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -48,6 +52,7 @@ from repro.serving import (
     MicroBatcher,
     split_hero_batch,
 )
+from repro.serving.server import MAX_FRAME_BYTES, _recv_frame
 
 BASELINE_NAMES = ["idqn", "coma", "maddpg", "maac"]
 
@@ -499,6 +504,43 @@ def test_socket_roundtrip_matches_in_process(tmp_path):
         finally:
             for c in clients:
                 c.close()
+
+
+def test_socket_frame_sent_one_byte_at_a_time_round_trips():
+    scenario = small_scenario()
+    vec_env = VectorEnv(1, scenario=scenario)
+    obs = vec_env.reset([4])
+    (request,) = split_hero_batch(obs, vec_env.agent_d, vec_env.agent_heading)
+    data = pickle.dumps(("act", request))
+    frame = struct.pack(">Q", len(data)) + data
+    with PolicyServer(fresh_team(seed=8, scenario=scenario), num_slots=1) as srv:
+        host, port = srv.serve()
+        with socket.create_connection((host, port), timeout=30) as raw:
+            raw.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for k in range(len(frame)):
+                raw.sendall(frame[k : k + 1])
+                time.sleep(0.0002)
+            status, action = _recv_frame(raw)
+        assert status == "ok"
+        srv.reset_slot(0)
+        assert np.array_equal(action, srv.submit(request))
+
+
+def test_oversized_frame_closes_only_that_connection():
+    with PolicyServer(fresh_team(seed=8), num_slots=1) as srv:
+        host, port = srv.serve()
+        with PolicyClient(host, port) as good:
+            assert good.info().method == "hero"
+            with socket.create_connection((host, port), timeout=30) as bad:
+                bad.sendall(struct.pack(">Q", MAX_FRAME_BYTES + 1))
+                try:
+                    closed = bad.recv(1) == b""
+                except ConnectionResetError:
+                    closed = True
+                assert closed
+            assert good.info().num_slots == 1
+            with PolicyClient(host, port) as late:
+                assert late.reset_slot(0) is True
 
 
 # ---------------------------------------------------------------------------

@@ -292,3 +292,45 @@ def test_property_discounted_returns_recursion(seed, gamma):
     for t in range(9):
         assert returns[t] == pytest.approx(rewards[t] + gamma * returns[t + 1])
     assert returns[9] == pytest.approx(rewards[9])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    capacity=st.integers(1, 12),
+    batches=st.lists(st.integers(0, 15), max_size=6),
+)
+def test_property_history_push_batch_equals_sequential_pushes(capacity, batches):
+    """push_batch leaves the ring exactly as one push per row would, across
+    wrap-around and batches longer than the capacity."""
+    one = ObservationHistoryBuffer(capacity, obs_dim=2, num_opponents=2)
+    batched = ObservationHistoryBuffer(capacity, obs_dim=2, num_opponents=2)
+    rng = np.random.default_rng(capacity)
+    for count in batches:
+        obs = rng.standard_normal((count, 2))
+        options = rng.integers(0, 4, (count, 2))
+        for row, opts in zip(obs, options):
+            one.push(row, opts)
+        batched.push_batch(obs, options)
+        assert len(one) == len(batched)
+        assert one._index == batched._index
+        np.testing.assert_array_equal(one.obs, batched.obs)
+        np.testing.assert_array_equal(one.options, batched.options)
+
+
+@pytest.mark.parametrize("windowed", [False, True])
+def test_opponent_model_record_batch_equals_records(windowed):
+    from repro.core.opponent_model import OpponentModel, WindowedOpponentModel
+
+    cls = WindowedOpponentModel if windowed else OpponentModel
+    models = [cls(3, 4, 2, np.random.default_rng(0), history_capacity=5) for _ in range(2)]
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        obs = rng.standard_normal((4, 3))
+        options = rng.integers(0, 4, (4, 2))
+        for row, opts in zip(obs, options):
+            models[0].record(row, opts)
+        models[1].record_batch(obs, options)
+    np.testing.assert_array_equal(models[0].history.obs, models[1].history.obs)
+    np.testing.assert_array_equal(models[0].history.options, models[1].history.options)
+    with pytest.raises(ValueError):
+        models[1].record_batch(np.zeros((2, 3)), np.zeros((2, 3), dtype=np.int64))

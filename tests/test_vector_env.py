@@ -23,6 +23,7 @@ from repro.envs import (
     StationaryObstacle,
     VectorEnv,
 )
+from repro.nn.tensor import default_dtype
 
 
 def random_actions(rng, num_envs, num_agents):
@@ -133,6 +134,28 @@ class TestScalarAgreement:
                 scalar_obs[i] = obs
                 assert_obs_rows_equal(vec_obs, scalar_obs[i], i, agents)
         assert episodes_seen > 0, "rollout never hit an episode boundary"
+
+    def test_crashed_vehicles_stay_frozen_without_auto_reset(self):
+        """Without auto-reset a finished env keeps stepping; crashed
+        vehicles must stay frozen exactly as the scalar early return does."""
+        vec = VectorEnv(1, auto_reset=False)
+        scalar = CooperativeLaneChangeEnv()
+        vec.reset(5)
+        scalar.reset(seed=5)
+        agents = vec.agents
+        # Put agent 1 on top of agent 0 in both: the next step collides.
+        first, second = scalar.vehicle(agents[0]), scalar.vehicle(agents[1])
+        second.state.s, second.state.d = first.state.s, first.state.d
+        vec._s[0, 1], vec._d[0, 1] = vec._s[0, 0], vec._d[0, 0]
+        rng = np.random.default_rng(2)
+        for _ in range(4):
+            actions = random_actions(rng, 1, vec.num_agents)
+            vec_obs, _, vec_dones, _ = vec.step(actions)
+            obs, _, _, _ = scalar.step(
+                {agent: actions[0, k] for k, agent in enumerate(agents)}
+            )
+            assert_obs_rows_equal(vec_obs, obs, 0, agents)
+        assert vec_dones[0] and first.crashed and second.crashed
 
     def test_post_step_lane_state_matches_scalar(self):
         vec = VectorEnv(2)
@@ -288,6 +311,81 @@ class TestResetEnv:
         vec = VectorEnv(2)
         with pytest.raises(IndexError):
             vec.reset_env(2)
+
+
+class TestStackedResets:
+    """Fast-path resets never observe through the scalar env: vehicles are
+    placed by the state-only reset and the reset rows come from the stacked
+    kernels, bitwise equal to what the scalar env's own reset returns."""
+
+    @staticmethod
+    def _count_scalar_observes(monkeypatch) -> list:
+        calls = []
+        original = CooperativeLaneChangeEnv._observe
+
+        def counting(self, agent):
+            calls.append(agent)
+            return original(self, agent)
+
+        monkeypatch.setattr(CooperativeLaneChangeEnv, "_observe", counting)
+        return calls
+
+    def test_fast_path_resets_make_no_scalar_observation(self, monkeypatch):
+        calls = self._count_scalar_observes(monkeypatch)
+        vec = VectorEnv(3, scenario=ScenarioConfig(episode_length=4))
+        assert vec.fast_path
+        vec.reset([1, 2, 3])
+        vec.reset()
+        vec.reset_env(1, seed=4)
+        vec.reset_env(2)
+        rng = np.random.default_rng(0)
+        auto_resets = 0
+        for _ in range(9):
+            _, _, dones, _ = vec.step(random_actions(rng, 3, vec.num_agents))
+            auto_resets += int(dones.sum())
+        assert auto_resets > 0
+        assert calls == []
+
+    def test_fallback_resets_still_observe_through_the_scalar_env(self, monkeypatch):
+        calls = self._count_scalar_observes(monkeypatch)
+        vec = VectorEnv(2, scenario=ScenarioConfig(observation_mode="image"))
+        assert not vec.fast_path
+        vec.reset([1, 2])
+        assert len(calls) > 0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_reset_rows_bitwise_equal_scalar_reset(self, dtype):
+        scenario = ScenarioConfig(episode_length=3)
+        scalars = [CooperativeLaneChangeEnv(scenario=scenario) for _ in range(3)]
+
+        def assert_rows(rows, scalar_obs):
+            for key, value in rows.items():
+                want = np.stack([scalar_obs[agent][key] for agent in vec.agents])
+                assert value.dtype == dtype
+                assert value.tobytes() == want.astype(dtype).tobytes(), key
+
+        with default_dtype(dtype):
+            vec = VectorEnv(3, scenario=scenario)
+            obs = vec.reset([7, 8, 9])
+            for i, seed in enumerate([7, 8, 9]):
+                assert_rows({k: v[i] for k, v in obs.items()}, scalars[i].reset(seed=seed))
+            assert_rows(vec.reset_env(2, seed=11), scalars[2].reset(seed=11))
+
+            # Auto-resets continue each env's stream, like a scalar reset().
+            rng = np.random.default_rng(3)
+            auto_resets = 0
+            for _ in range(7):
+                actions = random_actions(rng, 3, vec.num_agents)
+                obs, _, dones, _ = vec.step(actions)
+                for i, env in enumerate(scalars):
+                    _, _, done, _ = env.step(
+                        {a: actions[i, k] for k, a in enumerate(vec.agents)}
+                    )
+                    assert done["__all__"] == dones[i]
+                    if dones[i]:
+                        auto_resets += 1
+                        assert_rows({k: v[i] for k, v in obs.items()}, env.reset())
+            assert auto_resets >= 3
 
 
 class TestSyncToEnvs:
