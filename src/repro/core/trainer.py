@@ -20,6 +20,8 @@ exact seed stream of the scalar one and is bit-for-bit equal to it at
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import traceback
 import warnings
 
 import numpy as np
@@ -30,6 +32,7 @@ from ..envs.sharded_env import EnvReplicaFactory, ShardedVectorEnv
 from ..envs.skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
 from ..envs.stepping import VectorStepper
 from ..envs.vector_env import VectorEnv
+from ..nn import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger, summarise_eval_episodes
 from ..utils.schedule import LinearSchedule
 from ..utils.seeding import episode_reset_seeds
@@ -49,36 +52,108 @@ def train_low_level_skills(
 
     The two skills are trained in separate environments with their own
     intrinsic reward functions ("we create parallel training environments
-    with different intrinsic reward functions").
+    with different intrinsic reward functions"), and on two cores: lane
+    change, the shorter skill, trains in one child process while this
+    process trains lane keeping.  The child starts with the platform's
+    default start method (fork on Linux); its entry point is module-level,
+    so ``spawn`` works too.  Inside a daemonic process, which may not start
+    children (a ``multiprocessing.Pool`` worker), the two skills train one
+    after the other here.
+
+    The result is bitwise that of training the skills one after the other
+    with two :func:`~repro.core.low_level.train_skill` calls, on the
+    default and the ``fused_updates`` path: the skills share no state.
+    ``skills.driving_in_lane`` is trained in place.  ``skills.lane_change``
+    is replaced by the agent the child trained (its parameters, optimiser
+    moments, ``log_alpha``, RNG state and replay buffer), and the child's
+    series are appended to ``logger`` after lane keeping's, as sequential
+    training logs them.  A child that raises or dies raises
+    ``RuntimeError`` here, naming the skill; the child is joined on every
+    path.
     """
     logger = logger or MetricLogger()
     rng = np.random.default_rng(config.seed)
     obs_dim = low_level_obs_dim(config.scenario)
     skills = skills or SkillLibrary(obs_dim, rng, hyper=config.hyper)
-    fused = config.fused_updates
-
-    keeping_env = LaneKeepingEnv(config.scenario, config.rewards)
-    train_skill(
-        keeping_env,
-        skills.driving_in_lane,
-        episodes=episodes,
-        seed=config.seed,
-        logger=logger,
-        log_prefix="lane_keeping",
-        engine=UpdateEngine(skills.driving_in_lane) if fused else None,
+    keeping = (
+        skills.driving_in_lane, LaneKeepingEnv, config, episodes, config.seed,
+        "lane_keeping",
     )
-
-    change_env = LaneChangeEnv(config.scenario, config.rewards)
-    train_skill(
-        change_env,
-        skills.lane_change,
-        episodes=episodes,
-        seed=config.seed + 1,
-        logger=logger,
-        log_prefix="lane_change",
-        engine=UpdateEngine(skills.lane_change) if fused else None,
+    change = (
+        skills.lane_change, LaneChangeEnv, config, episodes, config.seed + 1,
+        "lane_change",
     )
+    if mp.current_process().daemon:
+        logger.extend(_train_one_skill(*keeping))
+        logger.extend(_train_one_skill(*change))
+        return skills, logger
+
+    ctx = mp.get_context()
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(
+        target=_skill_child_main,
+        args=(sender, np.dtype(get_default_dtype()).name, change),
+        daemon=True,
+        name="repro-skill-lane_change",
+    )
+    with receiver:
+        with sender:  # the child holds its own end
+            child.start()
+        try:
+            logger.extend(_train_one_skill(*keeping))
+            try:
+                reply = receiver.recv()
+            except (EOFError, OSError):
+                child.join()
+                raise RuntimeError(
+                    "the lane_change skill's training process exited with "
+                    f"code {child.exitcode} before sending its result"
+                ) from None
+        except BaseException:
+            child.terminate()
+            raise
+        finally:
+            child.join()
+    if reply[0] != "ok":
+        raise RuntimeError(
+            "training the lane_change skill failed in its child process:\n"
+            + reply[1]
+        )
+    _, skills.lane_change, change_logger = reply
+    logger.extend(change_logger)
     return skills, logger
+
+
+def _train_one_skill(
+    agent, env_cls, config: TrainingConfig, episodes: int, seed: int, log_prefix: str
+) -> MetricLogger:
+    """One :func:`train_skill` run on a fresh skill env; returns its series."""
+    return train_skill(
+        env_cls(config.scenario, config.rewards),
+        agent,
+        episodes=episodes,
+        seed=seed,
+        log_prefix=log_prefix,
+        engine=UpdateEngine(agent) if config.fused_updates else None,
+    )
+
+
+def _skill_child_main(sender, float_dtype: str, job: tuple) -> None:
+    """Child process of :func:`train_low_level_skills`: train one skill.
+
+    Module-level, so a ``spawn`` child can import it; ``float_dtype``
+    replays the parent's compute dtype (a spawned interpreter starts at
+    the float64 default).  Sends ``("ok", agent, logger)`` with the trained
+    agent, or ``("error", traceback)``.
+    """
+    try:
+        set_default_dtype(float_dtype)
+        logger = _train_one_skill(*job)
+        sender.send(("ok", job[0], logger))
+    except Exception:
+        sender.send(("error", traceback.format_exc()))
+    finally:
+        sender.close()
 
 
 class BatchedRolloutWorker:

@@ -47,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..nn import Parameter, Tensor, clip_grad_norm, one_hot
+from ..nn import Parameter, Tensor, one_hot
 from ..nn.functional import gumbel_noise
 from ..nn.layers import Identity, LeakyReLU, Linear, ReLU, Sigmoid, Tanh
 from ..nn.networks import MLP
@@ -440,12 +440,14 @@ class FamilyAdam:
     Elementwise identical to K independent :class:`repro.nn.Adam`
     optimisers (each member keeps its own step count for bias correction).
     The stacked parameters and moments live in one flat buffer
-    (``Parameter.data`` becomes a view, like :class:`repro.nn.Optimizer`);
-    when every member is active and their step counts agree — the steady
-    state — the step is a dozen whole-buffer vector operations.  Uneven
-    histories (members whose learners were data-starved on earlier rounds)
-    fall back to per-parameter masked updates with per-member bias
-    corrections.
+    (``Parameter.data`` becomes a view, like :class:`repro.nn.Optimizer`).
+    Whenever every member is active the step is a dozen whole-buffer
+    vector operations: with one bias correction when the members' step
+    counts agree, and with each member's corrections gathered onto the
+    flat buffer when they differ (members that became eligible on
+    different rounds keep different counts for the rest of training).
+    Only a step where some members sit out takes the per-parameter masked
+    loop.
     """
 
     def __init__(
@@ -484,6 +486,10 @@ class FamilyAdam:
         self._v = np.zeros_like(self._flat)
         self._buf = np.empty_like(self._flat)
         self._buf2 = np.empty_like(self._flat)
+        # Per-element bias corrections for whole-buffer steps over uneven
+        # step counts.
+        self._bias1 = np.empty_like(self._flat)
+        self._bias2 = np.empty_like(self._flat)
 
     def zero_grad(self) -> None:
         self._grads_bound = False
@@ -507,30 +513,41 @@ class FamilyAdam:
 
     def step(self, active: np.ndarray | None = None) -> None:
         if active is None:
-            # Every member active: bump all step counts and take the flat
-            # path when their histories agree (always true once no member
-            # has ever been masked out).
             self._t += 1
-            t0 = int(self._t[0])
-            if self.num_members == 1 or int(self._t.max()) == t0 == int(
-                self._t.min()
-            ):
-                self._step_flat(t0)
-            else:
-                self._step_masked(np.ones(self.num_members, dtype=bool))
+        elif not active.any():
             return
-        if not active.any():
-            return
-        self._t[active] += 1
-        if bool(active.all()) and self._t.min() == self._t.max():
-            self._step_flat(int(self._t[0]))
+        elif bool(active.all()):
+            self._t += 1
         else:
+            self._t[active] += 1
             self._step_masked(active)
+            return
+        if self.num_members == 1 or self._t.min() == self._t.max():
+            t = int(self._t[0])
+            self._step_flat(1.0 - self.beta1**t, 1.0 - self.beta2**t)
+        elif all(p.grad is not None for p in self.params):
+            bias1, bias2 = self._member_bias()
+            # Each stacked parameter is K contiguous member blocks.
+            for sl in self._slices:
+                self._bias1[sl].reshape(self.num_members, -1)[...] = bias1[:, None]
+                self._bias2[sl].reshape(self.num_members, -1)[...] = bias2[:, None]
+            self._step_flat(self._bias1, self._bias2)
+        else:
+            self._step_masked(np.ones(self.num_members, dtype=bool))
 
-    def _step_flat(self, t: int) -> None:
-        """Steady-state step: one fused pass over the whole family buffer."""
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+    def _member_bias(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-member bias corrections, in the parameter dtype."""
+        t = self._t.astype(self._flat.dtype)
+        return 1.0 - self.beta1**t, 1.0 - self.beta2**t
+
+    def _step_flat(self, bias1, bias2) -> None:
+        """Every member active: one fused pass over the whole family buffer.
+
+        ``bias1``/``bias2`` are the Adam bias corrections, one float when
+        the members' step counts agree, else flat per-element arrays of
+        each member's :meth:`_member_bias`; the expression order is
+        :meth:`_step_masked`'s, so the two agree bitwise.
+        """
         if not self._grads_bound:
             for param, sl, view in zip(
                 self.params, self._slices, self._grad_views
@@ -559,9 +576,8 @@ class FamilyAdam:
         self._flat -= buf
 
     def _step_masked(self, active: np.ndarray) -> None:
-        """Per-member masked step for uneven histories (early training)."""
-        bias1 = 1.0 - self.beta1 ** self._t.astype(self._flat.dtype)
-        bias2 = 1.0 - self.beta2 ** self._t.astype(self._flat.dtype)
+        """Per-member masked step for a round where some members sit out."""
+        bias1, bias2 = self._member_bias()
         idx = np.flatnonzero(active)
         for param, sl in zip(self.params, self._slices):
             grad = param.grad
@@ -921,9 +937,18 @@ class SACUpdateEngine:
 
     The twin critics are one two-member family (one forward/backward for
     both Q networks, jointly clipped and stepped as in the scalar loop);
-    the actor runs as a one-member family with the squashed-Gaussian
-    reparameterisation gradient in closed form against the frozen critic.
-    RNG consumption matches ``SACAgent.update`` draw for draw.
+    the actor is a one-member family.  All of them are all-ReLU stacks and
+    run on the :func:`_stacked_relu_fwd`/:func:`_stacked_relu_bwd` kernels
+    with contiguous transposed weights.  One actor forward over
+    ``[next_obs; obs]`` and one ``sample_no_grad`` call serve both the TD
+    target and the reparameterised actor sample: the actor does not change
+    before its own step, and one ``(2B, d)`` noise draw is the stream of
+    the scalar loop's two ``(B, d)`` draws, so RNG consumption matches
+    ``SACAgent.update`` draw for draw.  The actor gradient is the
+    squashed-Gaussian reparameterisation in closed form against the frozen
+    critic family, whose VJP is collapsed as in MADDPG's actor step: the
+    width-1 top layer is a broadcast product and the first layer yields
+    the action columns only.
     """
 
     def __init__(self, agent):
@@ -944,6 +969,16 @@ class SACUpdateEngine:
             self.actor_family.params(), 1, lr=agent.actor_opt.lr
         )
         self.actor_family.bind_members()
+        self._critic = _stacked_relu_layers(self.critic_family)
+        self._actor = _stacked_relu_layers(self.actor_family)
+        if self._critic is None or self._actor is None:
+            raise ValueError("SACUpdateEngine needs all-ReLU actor and critic trunks")
+        self._critic_w_t = _transposed_buffers(self._critic)
+        self._actor_w_t = _transposed_buffers(self._actor)
+        hidden = self._critic[0][0].data.shape[-1]
+        self._w1_action_t = np.empty(
+            (2, hidden, agent.action_dim), dtype=self.critic_family.dtype
+        )
 
     def update(self) -> dict[str, float] | None:
         agent = self.agent
@@ -953,71 +988,84 @@ class SACUpdateEngine:
         self.target_family.sync_members()
         self.actor_family.sync_members()
         batch = agent.buffer.sample(agent.batch_size, agent._rng)
+        rows = len(batch["dones"])
+        dtype = self.critic_family.dtype
+        actor = agent.actor
+        alpha = agent.alpha
+
+        # --- One actor pass: TD-target sample and actor sample -------------
+        obs_pair = np.concatenate([batch["next_obs"], batch["obs"]]).astype(dtype)
+        trunk_out, actor_acts, actor_masks = _stacked_relu_fwd(
+            obs_pair[None], self._actor
+        )
+        action_pair, log_prob_pair, parts = actor.sample_no_grad(
+            obs_pair, agent._rng, trunk_out=trunk_out[0], return_parts=True
+        )
+        next_obs, obs = obs_pair[:rows], obs_pair[rows:]
+        next_action, action = action_pair[:rows], action_pair[rows:]
+        next_log_prob, log_prob = log_prob_pair[:rows], log_prob_pair[rows:]
 
         # --- Critic family -------------------------------------------------
-        next_action, next_log_prob = agent.actor.sample_no_grad(
-            batch["next_obs"], agent._rng
-        )
-        target_in = np.concatenate([batch["next_obs"], next_action], axis=-1)
-        target_q = self.target_family.infer(
-            np.broadcast_to(target_in, (2,) + target_in.shape)
-        )[..., 0].min(axis=0)
-        soft_target = target_q - agent.alpha * next_log_prob
+        target_in = np.concatenate([next_obs, next_action], axis=-1)
+        # ``x[None]`` against the (2, in, out) stacks broadcasts one input
+        # over both members.
+        target_q = self.target_family.infer(target_in[None])[..., 0].min(axis=0)
+        soft_target = target_q - alpha * next_log_prob
         y = batch["rewards"] + agent.gamma * (1.0 - batch["dones"]) * soft_target
 
-        dtype = self.critic_family.dtype
-        critic_in = np.concatenate([batch["obs"], batch["actions"]], axis=-1).astype(
-            dtype
+        critic_in = np.concatenate(
+            [obs, batch["actions"].astype(dtype, copy=False)], axis=-1
         )
-        batch_rows = len(critic_in)
-        q_out, critic_cache = self.critic_family.forward_cached(
-            np.broadcast_to(critic_in, (2,) + critic_in.shape)
+        q_out, critic_acts, critic_masks = _stacked_relu_fwd(
+            critic_in[None], self._critic
         )
         diff = q_out[..., 0] - y[None]  # (2, B)
         critic_loss = float((diff * diff).mean(axis=1).sum())
         self.critic_opt.bind_grads()
-        self.critic_family.backward_cached(
-            critic_cache, (2.0 / batch_rows) * diff[..., None]
+        _refresh_transposed(self._critic, self._critic_w_t)
+        _stacked_relu_bwd(
+            critic_acts,
+            critic_masks,
+            (2.0 / rows) * diff[..., None],
+            self._critic,
+            self.critic_family._ones_row(rows),
+            self._critic_w_t,
         )
-        clip_grad_norm(self.critic_family.params(), agent.grad_clip)
+        clip_grad_norm_flat(self.critic_opt._grad, agent.grad_clip)
         self.critic_opt.step()
 
         # --- Actor against the frozen critic family ------------------------
-        # Reparameterised sample with the same RNG draw as actor.sample,
-        # then the closed-form squashed-Gaussian VJP: dQ/d(action) comes
-        # from the critic family's manual backward with frozen parameters
-        # (the stop-gradient critic pass) and is chained through the tanh
-        # rescale, the noise reparameterisation and the log-prob terms.
-        obs_c = np.asarray(batch["obs"], dtype=dtype)
-        obs_width = obs_c.shape[-1]
-        actor = self.agent.actor
-        out, trunk_cache = self.actor_family.forward_cached(obs_c[None])
-        action, log_prob, parts = actor.sample_no_grad(
-            batch["obs"], agent._rng, trunk_out=out[0], return_parts=True
+        # dL/dq_new = -1/B routed to the member the min selected, carried
+        # down the stepped critic with its parameters frozen (the
+        # stop-gradient critic pass) to the action columns of its input.
+        _refresh_transposed(self._critic, self._critic_w_t)
+        obs_width = obs.shape[-1]
+        np.copyto(
+            self._w1_action_t,
+            np.swapaxes(self._critic[0][0].data[:, obs_width:], -1, -2),
         )
-        std, noise = parts["std"], parts["noise"]
-        squashed, clip_mask = parts["squashed"], parts["clip_mask"]
-
-        actor_q_in = np.concatenate([obs_c, action], axis=-1)
-        q_rows, q_cache = self.critic_family.forward_cached(
-            np.broadcast_to(actor_q_in, (2,) + actor_q_in.shape)
-        )
+        actor_q_in = np.concatenate([obs, action], axis=-1)
+        q_rows, _, frozen_masks = _stacked_relu_fwd(actor_q_in[None], self._critic)
         q_pair = q_rows[..., 0]  # (2, B)
         take_first = q_pair[0] <= q_pair[1]
         q_new = np.where(take_first, q_pair[0], q_pair[1])
-        actor_loss = float(np.mean(agent.alpha * log_prob - q_new))
+        actor_loss = float(np.mean(alpha * log_prob - q_new))
+        grad = np.stack([take_first, ~take_first]).astype(dtype)[..., None]
+        grad *= -1.0 / rows
+        for pos in range(len(self._critic) - 1, 0, -1):
+            if grad.shape[-1] == 1:
+                grad = grad * np.swapaxes(self._critic[pos][0].data, -1, -2)
+            else:
+                grad = grad @ self._critic_w_t[pos]
+            grad *= frozen_masks[pos - 1]
+        grad_action = (grad @ self._w1_action_t).sum(axis=0)  # (B, d)
 
-        # dL/dq_new = -1/B routed to the member the min selected.
-        upstream = np.full(batch_rows, -1.0 / batch_rows, dtype=dtype)
-        grad_pair = np.stack([upstream * take_first, upstream * ~take_first])
-        grad_q_in = self.critic_family.backward_cached(
-            q_cache, grad_pair[..., None], with_params=False, need_input_grad=True
-        )
-        grad_action = grad_q_in[:, :, obs_width:].sum(axis=0)  # (B, d)
         # Chain rule: action -> tanh -> pre_tanh -> (mean, log_std), plus
         # the log-prob terms (alpha/B each): d log_prob/d pre_tanh = 2*tanh
         # (tanh correction), d log_prob/d log_std = -1 (Gaussian term).
-        grad_log_prob = agent.alpha / batch_rows
+        std, noise = parts["std"][rows:], parts["noise"][rows:]
+        squashed, clip_mask = parts["squashed"][rows:], parts["clip_mask"][rows:]
+        grad_log_prob = alpha / rows
         grad_squashed = grad_action * actor._action_scale
         grad_pre_tanh = grad_squashed * (1.0 - squashed**2) + grad_log_prob * (
             2.0 * squashed
@@ -1026,8 +1074,17 @@ class SACUpdateEngine:
         grad_log_std = (grad_pre_tanh * (std * noise) - grad_log_prob) * clip_mask
         grad_out = np.concatenate([grad_mean, grad_log_std], axis=-1)[None]
         self.actor_opt.bind_grads()
-        self.actor_family.backward_cached(trunk_cache, grad_out)
-        clip_grad_norm(self.actor_family.params(), agent.grad_clip)
+        _refresh_transposed(self._actor, self._actor_w_t)
+        # Backward over the obs half of the pass only.
+        _stacked_relu_bwd(
+            [x[:, rows:] for x in actor_acts],
+            [mask[:, rows:] for mask in actor_masks],
+            grad_out,
+            self._actor,
+            self.actor_family._ones_row(rows),
+            self._actor_w_t,
+        )
+        clip_grad_norm_flat(self.actor_opt._grad, agent.grad_clip)
         self.actor_opt.step()
 
         # --- Temperature + targets (same as the scalar loop) ---------------
@@ -1177,19 +1234,8 @@ class MADDPGUpdateEngine:
         if self._fast:
             dtype = self.critic_family.dtype
             num_actions = algorithm.num_actions
-
-            def transposed(layers):
-                bufs = [None] * len(layers)
-                for pos in range(1, len(layers)):
-                    w = layers[pos][0].data
-                    if w.shape[-1] != 1:
-                        bufs[pos] = np.empty(
-                            (n, w.shape[-1], w.shape[-2]), dtype=dtype
-                        )
-                return bufs
-
-            self._w_t_critic = transposed(self._fast_critic)
-            self._w_t_actor = transposed(self._fast_actor)
+            self._w_t_critic = _transposed_buffers(self._fast_critic)
+            self._w_t_actor = _transposed_buffers(self._fast_actor)
             hidden = self._fast_critic[0][0].data.shape[-1]
             self._w1_block_t = np.empty((n, hidden, num_actions), dtype=dtype)
 
@@ -1210,12 +1256,6 @@ class MADDPGUpdateEngine:
             for pos in range(1, len(self._fast_critic))
         }
         self._scratch_batch = batch_size
-
-    def _refresh_w_t(self, layers, bufs) -> None:
-        """Recopy the transposed inner weights (refreshed after each step)."""
-        for pos, buf in enumerate(bufs):
-            if buf is not None:
-                np.copyto(buf, np.swapaxes(layers[pos][0].data, -1, -2))
 
     def update(self) -> dict[str, float] | None:
         algo = self.algorithm
@@ -1278,7 +1318,7 @@ class MADDPGUpdateEngine:
         self.critic_opt.bind_grads()
         critic_upstream = (2.0 / batch_size) * diff[..., None]
         if fast:
-            self._refresh_w_t(self._fast_critic, self._w_t_critic)
+            _refresh_transposed(self._fast_critic, self._w_t_critic)
             _stacked_relu_bwd(
                 critic_acts,
                 critic_masks,
@@ -1336,7 +1376,7 @@ class MADDPGUpdateEngine:
             # hops use the transposed copies refreshed after the critic
             # step; the first layer's GEMM shrinks to each member's own
             # action-block columns.
-            self._refresh_w_t(self._fast_critic, self._w_t_critic)
+            _refresh_transposed(self._fast_critic, self._w_t_critic)
             w1 = self._fast_critic[0][0].data
             for i in range(n):
                 s = col + i * num_actions
@@ -1376,7 +1416,7 @@ class MADDPGUpdateEngine:
         grad_logits = inv_temp * y_soft * (grad_action - dot)
         self.actor_opt.bind_grads()
         if fast:
-            self._refresh_w_t(self._fast_actor, self._w_t_actor)
+            _refresh_transposed(self._fast_actor, self._w_t_actor)
             _stacked_relu_bwd(
                 actor_acts,
                 actor_masks,
@@ -1508,6 +1548,31 @@ def _stacked_relu_layers(fam: StackedMLP):
     if any(b is None for b in fam.biases):
         return None
     return list(zip(fam.weights, fam.biases))
+
+
+def _transposed_buffers(layers) -> list[np.ndarray | None]:
+    """Buffers for contiguous transposed copies of the inner weight stacks.
+
+    The ``weights_t`` argument of :func:`_stacked_relu_bwd`: one
+    ``(K, out, in)`` buffer per layer past the first, ``None`` where the
+    layer's output has width 1 (its hop is a broadcast product).  Fill
+    with :func:`_refresh_transposed` whenever the weights have stepped.
+    """
+    bufs: list[np.ndarray | None] = [None] * len(layers)
+    for pos in range(1, len(layers)):
+        w = layers[pos][0].data
+        if w.shape[-1] != 1:
+            bufs[pos] = np.empty(
+                w.shape[:-2] + (w.shape[-1], w.shape[-2]), dtype=w.dtype
+            )
+    return bufs
+
+
+def _refresh_transposed(layers, bufs) -> None:
+    """Recopy the transposed inner weights (refreshed after each step)."""
+    for pos, buf in enumerate(bufs):
+        if buf is not None:
+            np.copyto(buf, np.swapaxes(layers[pos][0].data, -1, -2))
 
 
 def _stacked_relu_fwd(x3d: np.ndarray, layers):

@@ -217,9 +217,7 @@ def train_hero_method(
         num_workers=num_workers,
     )
     # Keep the skill curves available to Fig. 8.
-    for name in skill_logger.names():
-        for step, value in zip(skill_logger.steps(name), skill_logger.values(name)):
-            logger.log(name, value, int(step))
+    logger.extend(skill_logger)
 
     def evaluate(eval_env, episodes, eval_seed=0):
         if isinstance(eval_env, VectorStepper):

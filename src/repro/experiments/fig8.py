@@ -27,8 +27,10 @@ def run_fig8(
     num_actors: int = 1,
 ) -> dict:
     """``num_envs``/``num_workers``/``async_actors``/``max_staleness`` are
-    accepted for CLI uniformity; skill training is single-agent and stays
-    scalar.  ``fused_updates`` runs the SAC updates through the fused
+    accepted for CLI uniformity; each skill trains on one scalar
+    single-agent env, the two skills in two processes
+    (:func:`~repro.core.trainer.train_low_level_skills`).
+    ``fused_updates`` runs the SAC updates through the fused
     twin-critic/actor engine."""
     config = TrainingConfig(seed=seed, fused_updates=fused_updates)
     config.scenario = bench_scenario()

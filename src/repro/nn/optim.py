@@ -55,6 +55,16 @@ class Optimizer:
             self._views.append(view)
         self._grad = np.zeros_like(self._flat)
 
+    def __setstate__(self, state: dict) -> None:
+        # Pickle copies every parameter view out of the flat buffer (numpy
+        # pickles a view as an array of its own).  Fresh views make the
+        # next step's _sync_views re-adopt the unpickled parameter values.
+        self.__dict__.update(state)
+        self._views = [
+            self._flat[sl].reshape(view.shape)
+            for sl, view in zip(self._slices, self._views)
+        ]
+
     # ------------------------------------------------------------------
     # Flat-buffer bookkeeping
     # ------------------------------------------------------------------

@@ -63,6 +63,8 @@ class ReplayBuffer:
     docs/ARCHITECTURE.md, "Precision").
     """
 
+    _ROW_ARRAYS = ("obs", "actions", "rewards", "next_obs", "dones")
+
     def __init__(
         self,
         capacity: int,
@@ -84,6 +86,23 @@ class ReplayBuffer:
 
     def __len__(self) -> int:
         return self._size
+
+    def __getstate__(self) -> dict:
+        # Pickle only the rows written so far: rows at and past ``_size``
+        # are the zeros of construction (the ring wraps only once full),
+        # and an untouched 100k-row tail is ~11 MB of them.
+        state = self.__dict__.copy()
+        for name in self._ROW_ARRAYS:
+            state[name] = state[name][: self._size]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name in self._ROW_ARRAYS:
+            rows = state[name]
+            full = np.zeros((state["capacity"],) + rows.shape[1:], dtype=rows.dtype)
+            full[: len(rows)] = rows
+            state[name] = full
+        self.__dict__.update(state)
 
     def push(self, obs, action, reward, next_obs, done) -> None:
         i = self._index

@@ -49,6 +49,12 @@ class MetricLogger:
         for name, value in values.items():
             self.log(name, value, step)
 
+    def extend(self, other: "MetricLogger") -> None:
+        """Append every point of ``other``, series by series in the order
+        ``other`` first logged them."""
+        for name, points in other._series.items():
+            self._series[name].extend(points)
+
     def names(self) -> list[str]:
         return sorted(self._series)
 

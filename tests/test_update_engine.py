@@ -15,6 +15,8 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from repro.core.low_level import SACAgent
 from repro.core.update_engine import FamilyAdam, StackedMLP
 from repro.core.trainer import train_low_level_skills
 from repro.envs import CooperativeLaneChangeEnv, make_baseline_env
+from repro.nn.tensor import default_dtype
 from repro.nn import (
     MLP,
     Adam,
@@ -182,6 +185,25 @@ class TestFlatOptimizersBitwise:
             np.testing.assert_array_equal(value, loaded[key])
 
 
+    def test_pickled_optimizer_keeps_stepping_its_parameters(self):
+        """Pickle copies parameter views out of the flat buffer; the
+        unpickled optimizer re-adopts them, so a pickled SAC learner keeps
+        training bit for bit like the original."""
+        agent = SACAgent(
+            obs_dim=6, action_dim=2, rng=RNG(1), action_low=np.array([0.0, -0.1]),
+            action_high=np.array([0.2, 0.1]), batch_size=32,
+        )
+        _fill_sac(agent, transitions=64)
+        agent.update()
+        copy = pickle.loads(pickle.dumps(agent))
+        for _ in range(5):
+            agent.update()
+            copy.update()
+        state, copied = agent.state_dict(), copy.state_dict()
+        for key in state:
+            np.testing.assert_array_equal(copied[key], state[key], err_msg=key)
+
+
 class TestClipGradNorm:
     def test_flat_matches_loop(self):
         rng = RNG(1)
@@ -331,6 +353,57 @@ class TestFamilyAdam:
             )
 
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("bound", [False, True])
+    def test_uneven_counts_all_active_match_masked_bitwise(self, dtype, bound):
+        """All members active over uneven step counts: the whole-buffer
+        pass with gathered bias corrections == the masked loop, bitwise."""
+        num_members = 3
+        rng = RNG(5)
+        with default_dtype(dtype):
+            init = [
+                rng.standard_normal((num_members, 4, 3)),
+                rng.standard_normal((num_members, 1, 3)),
+            ]
+            pair = []
+            for _ in range(2):
+                params = [Parameter(value.copy()) for value in init]
+                pair.append((params, FamilyAdam(params, num_members, lr=0.02)))
+        (params_a, opt_a), (params_b, opt_b) = pair
+        masked_calls = []
+        step_masked = opt_a._step_masked
+        opt_a._step_masked = lambda active: (
+            masked_calls.append(active.copy()), step_masked(active)
+        )
+        history = [np.array([True, False, True]), np.array([False, False, True])]
+        history += [np.ones(num_members, dtype=bool)] * 30
+        for step, active in enumerate(history):
+            grads = [
+                rng.standard_normal(p.data.shape).astype(p.data.dtype)
+                for p in params_a
+            ]
+            if bound:
+                opt_a.bind_grads()
+            for pa, pb, grad in zip(params_a, params_b, grads):
+                if bound:
+                    pa.grad[...] = grad
+                else:
+                    pa.grad = grad.copy()
+                pb.grad = grad.copy()
+            # All-active steps alternate the two spellings of "everyone".
+            opt_a.step(None if active.all() and step % 2 else active)
+            if active.all():
+                opt_b._t += 1
+            else:
+                opt_b._t[active] += 1
+            opt_b._step_masked(active)
+        assert list(opt_a._t) == [31, 30, 32]
+        assert len(masked_calls) == 2  # only the two partial rounds
+        for name in ("_flat", "_m", "_v"):
+            np.testing.assert_array_equal(getattr(opt_a, name), getattr(opt_b, name))
+        assert opt_a._flat.dtype == np.dtype(dtype)
+
+
 # ----------------------------------------------------------------------
 # Fused engine vs. the default per-network update loop
 # ----------------------------------------------------------------------
@@ -409,6 +482,65 @@ class TestFusedEngineEquivalence:
                 state_scalar[key], state_fused[key], rtol=1e-6, atol=1e-9,
                 err_msg=key,
             )
+
+    @pytest.mark.parametrize(
+        "dtype, rtol, atol",
+        [("float64", 1e-6, 1e-9), ("float32", 1e-3, 1e-5)],
+    )
+    def test_sac_update_ragged_batches(self, dtype, rtol, atol):
+        """The trimmed SAC step tracks SACAgent.update from the first
+        data-starved-but-eligible batch (64 rows of a 256 batch) on."""
+
+        def make():
+            with default_dtype(dtype):
+                return SACAgent(
+                    obs_dim=12, action_dim=2, rng=RNG(4),
+                    action_low=np.array([0.04, -0.1]),
+                    action_high=np.array([0.14, 0.1]),
+                )
+
+        scalar, fused = make(), make()
+        with default_dtype(dtype):
+            engine = UpdateEngine(fused)
+        fill = RNG(9)
+        rows_seen = set()
+        with default_dtype(dtype):
+            for step in range(320):
+                transition = (
+                    fill.standard_normal(12), fill.uniform(0.04, 0.14, 2),
+                    fill.standard_normal(), fill.standard_normal(12),
+                    fill.uniform() < 0.1,
+                )
+                scalar.observe(*transition)
+                fused.observe(*transition)
+                losses_scalar = scalar.update()
+                losses_fused = engine.update()
+                assert (losses_scalar is None) == (losses_fused is None), step
+                if losses_scalar is None:
+                    continue
+                rows_seen.add(min(len(scalar.buffer), scalar.batch_size))
+                for key in losses_scalar:
+                    assert np.isclose(
+                        losses_scalar[key], losses_fused[key], rtol=rtol, atol=atol
+                    ), (step, key)
+        assert min(rows_seen) == 64 and max(rows_seen) == 256
+        assert scalar._rng.bit_generator.state == fused._rng.bit_generator.state
+        state_scalar, state_fused = scalar.state_dict(), fused.state_dict()
+        for key in state_scalar:
+            assert state_fused[key].dtype == np.dtype(dtype), key
+            np.testing.assert_allclose(
+                state_scalar[key], state_fused[key], rtol=rtol, atol=atol,
+                err_msg=key,
+            )
+
+    def test_one_double_draw_is_the_two_draw_stream(self):
+        """The SAC engine's single (2B, d) noise draw replays the scalar
+        loop's (B, d) draws for next_obs, then obs."""
+        one, two = RNG(11), RNG(11)
+        pair = one.standard_normal((2 * 37, 2))
+        first, second = two.standard_normal((37, 2)), two.standard_normal((37, 2))
+        np.testing.assert_array_equal(pair, np.concatenate([first, second]))
+        assert one.bit_generator.state == two.bit_generator.state
 
     def test_idqn_update(self):
         def make():

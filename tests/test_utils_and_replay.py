@@ -1,5 +1,7 @@
 """Tests for utilities (schedules, math, logging) and replay buffers."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,18 @@ class TestMetricLogger:
         assert loaded.names() == ["a", "b"]
         assert loaded.latest("a") == 1.0
 
+    def test_extend_appends_series_in_logging_order(self):
+        logger = MetricLogger()
+        logger.log("b", 1.0, 0)
+        other = MetricLogger()
+        other.log("c", 2.0, 3)
+        other.log("b", 0.5, 7)
+        other.log("c", 4.0, 4)
+        logger.extend(other)
+        assert list(logger.to_dict()) == ["b", "c"]
+        assert logger.to_dict() == {"b": [(0, 1.0), (7, 0.5)], "c": [(3, 2.0), (4, 4.0)]}
+        assert other.to_dict() == {"c": [(3, 2.0), (4, 4.0)], "b": [(7, 0.5)]}
+
     def test_format_table_alignment(self):
         table = format_table(["name", "val"], [["x", 1.0], ["longer", 2.5]])
         lines = table.split("\n")
@@ -207,6 +221,30 @@ class TestReplayBuffer:
     def test_prioritized_inherits_float32(self):
         buffer = PrioritizedReplayBuffer(8, 2, 1)
         assert buffer.obs.dtype == np.float32
+
+    @pytest.mark.parametrize("pushes", [0, 5, 8, 13])
+    @pytest.mark.parametrize("cls", [ReplayBuffer, PrioritizedReplayBuffer])
+    def test_pickle_round_trip_ships_written_rows_only(self, cls, pushes):
+        buffer = cls(8, obs_dim=3, action_dim=2)
+        rng = np.random.default_rng(pushes)
+        for _ in range(pushes):
+            buffer.push(
+                rng.standard_normal(3), rng.standard_normal(2), rng.standard_normal(),
+                rng.standard_normal(3), rng.uniform() < 0.5,
+            )
+        payload = pickle.dumps(buffer)
+        copy = pickle.loads(payload)
+        assert (copy._index, copy._size, copy.capacity) == (
+            buffer._index, buffer._size, buffer.capacity
+        )
+        for name in ("obs", "actions", "rewards", "next_obs", "dones"):
+            np.testing.assert_array_equal(getattr(copy, name), getattr(buffer, name))
+            assert getattr(copy, name).dtype == getattr(buffer, name).dtype
+        if cls is PrioritizedReplayBuffer:
+            np.testing.assert_array_equal(copy._priorities, buffer._priorities)
+        big = ReplayBuffer(100_000, obs_dim=12, action_dim=2)
+        big.push(np.ones(12), np.ones(2), 1.0, np.ones(12), False)
+        assert len(pickle.dumps(big)) < 10_000
 
 
 class TestPrioritizedReplay:
