@@ -7,11 +7,14 @@ SAC critics of every skill, and one DQN per IDQN agent.  Looping over them
 pays the Python tape/optimiser overhead once per network; this module pays
 it once per **network family** instead:
 
-* :class:`StackedMLP` holds K same-architecture MLPs as stacked
-  ``(K, in, out)`` parameters and runs one batched forward/backward for the
-  whole family.  Member networks' ``Parameter.data`` are rebound as views
-  into the stack, so rollout-time inference, ``state_dict`` and target-net
-  updates keep working on the live values.
+* :class:`StackedMLP` holds K same-architecture ReLU MLPs as stacked
+  ``(K, in, out)`` parameters and is the one kernel layer under every
+  engine: a cached forward, its hand-written VJP (vector-Jacobian
+  product), a gradient-free ``infer`` and the frozen-parameter input
+  gradient of an actor-through-critic step.  Member networks'
+  ``Parameter.data`` are rebound as views into the stack, so rollout-time
+  inference, ``state_dict`` and target-net updates keep working on the
+  live values.
 * :class:`FamilyAdam` is Adam over stacked parameters with per-member step
   counts and active-member masking — elementwise identical to K independent
   :class:`repro.nn.Adam` instances.
@@ -21,8 +24,9 @@ it once per **network family** instead:
 
 Centralized-critic baselines fuse through a **cross-family VJP**: the
 actor update differentiates the actor family's output *through* a frozen
-critic family — one ``backward_cached(with_params=False)`` pass over the
-critic composed with the actor family's own backward (the SAC
+critic family — :meth:`StackedMLP.frozen_input_grad` carries the loss
+gradient down the critic, parameters frozen, to each member's action
+columns, and the actor family's own backward takes it from there (the SAC
 frozen-critic pass, generalised to span two families).
 :class:`MADDPGUpdateEngine` chains per-agent Gumbel-softmax actions into
 the joint-observation critic family; :class:`MAACUpdateEngine` fuses the
@@ -47,51 +51,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..nn import Parameter, Tensor, one_hot
+from ..nn import Parameter, one_hot
 from ..nn.functional import gumbel_noise
-from ..nn.layers import Identity, LeakyReLU, Linear, ReLU, Sigmoid, Tanh
+from ..nn.layers import Identity, Linear, ReLU
 from ..nn.networks import MLP
 from ..nn.optim import clip_grad_norm_flat, clip_grad_norm_stacked
-
-_TENSOR_ACTIVATIONS = {
-    ReLU: lambda t, m: t.relu(),
-    Tanh: lambda t, m: t.tanh(),
-    Sigmoid: lambda t, m: t.sigmoid(),
-    LeakyReLU: lambda t, m: t.leaky_relu(m.negative_slope),
-}
-
-# In-place variants for inference: the input array is always a freshly
-# allocated matmul result the engine owns.  np.maximum(x, 0) produces the
-# same bits as np.where(x > 0, x, 0.0) for all finite inputs.
-_ARRAY_ACTIVATIONS = {
-    ReLU: lambda x, m: np.maximum(x, 0.0, out=x),
-    Tanh: lambda x, m: np.tanh(x, out=x),
-    Sigmoid: lambda x, m: 1.0 / (1.0 + np.exp(-x)),
-    LeakyReLU: lambda x, m: np.where(x > 0, x, m.negative_slope * x),
-}
-
-
-def _stacked_linear(x: Tensor, weight: Parameter, bias: Parameter | None) -> Tensor:
-    """One fused tape node for the stacked affine ``(K,B,in) @ (K,in,out) + b``.
-
-    Mirrors ``layers.Linear.forward`` at the family level: a single closure
-    instead of matmul + add nodes, with the bias adjoint reduced over the
-    batch axis exactly as ``_unbroadcast`` would.
-    """
-    data = np.matmul(x.data, weight.data)
-    if bias is not None:
-        data += bias.data  # in-place: ``data`` is a fresh matmul result
-
-    def backward(grad: np.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate(grad @ np.swapaxes(weight.data, -1, -2), fresh=True)
-        if weight.requires_grad:
-            weight._accumulate(np.swapaxes(x.data, -1, -2) @ grad, fresh=True)
-        if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=1, keepdims=True), fresh=True)
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(data, parents, backward, "stacked_linear")
 
 
 def _rowmax_small(a: np.ndarray) -> np.ndarray:
@@ -136,15 +100,34 @@ def _stable_softmax(logits: np.ndarray) -> np.ndarray:
     return exp / _rowsum_small(exp, keepdims=True)
 
 
-class StackedMLP:
-    """K architecturally identical MLPs fused into stacked parameters.
+def _check_relu_stack(children) -> None:
+    """Raise ``ValueError`` unless ``children`` is a biased
+    ``linear(-relu-linear)*`` stack with an identity output."""
+    body = children[:-1] if isinstance(children[-1], Identity) else children
+    for idx, child in enumerate(body):
+        if idx % 2:
+            ok = isinstance(child, ReLU) and idx < len(body) - 1
+        else:
+            ok = isinstance(child, Linear) and child.bias is not None
+        if not ok:
+            detail = " without bias" if isinstance(child, Linear) else ""
+            raise ValueError(
+                "StackedMLP needs biased linear(-relu-linear)* members with an "
+                f"identity output; layer {idx} is {type(child).__name__}{detail}"
+            )
 
-    Parameters of layer ``l`` across the family become one
-    ``Parameter (K, in_l, out_l)`` (weights) and ``(K, 1, out_l)``
-    (biases); :meth:`forward` maps ``(K, B, in)`` to ``(K, B, out)`` with
-    one batched matmul per layer and the members' activation sequence.
-    After :meth:`bind_members`, every member ``Linear``'s ``Parameter.data``
-    is a row view into the stack, so the members stay live for rollout
+
+class StackedMLP:
+    """K architecturally identical ReLU MLPs fused into stacked parameters.
+
+    Every member is a biased ``linear(-relu-linear)*`` stack with an
+    identity output, the shape of every MLP the learners train; any other
+    layer raises ``ValueError``.  Linear layer ``l`` across the family
+    becomes one ``Parameter (K, in_l, out_l)`` (weights) and
+    ``(K, 1, out_l)`` (biases), so a family pass maps ``(K, B, in)`` to
+    ``(K, B, out)`` with one batched matmul per layer.  After
+    :meth:`bind_members`, every member ``Linear``'s ``Parameter.data`` is
+    a row view into the stack, so the members stay live for rollout
     inference and checkpointing while the engine updates the stack.
     """
 
@@ -153,53 +136,42 @@ class StackedMLP:
             raise ValueError("StackedMLP needs at least one member")
         self.members = list(members)
         nets = [m.net for m in self.members]
+        for net in nets:
+            _check_relu_stack(net.children)
         template = nets[0].children
         for net in nets[1:]:
             if len(net.children) != len(template):
                 raise ValueError("family members have different depths")
             for child, ref in zip(net.children, template):
-                if type(child) is not type(ref):
-                    raise ValueError("family members have different layer types")
                 if isinstance(child, Linear) and (
                     child.in_features != ref.in_features
                     or child.out_features != ref.out_features
-                    or (child.bias is None) != (ref.bias is None)
                 ):
                     raise ValueError("family members have different shapes")
 
-        self.weights: list[Parameter] = []
-        self.biases: list[Parameter | None] = []
-        self._ops: list[tuple[str, object]] = []
-        self._linear_columns: list[list[Linear]] = []
+        self._linear_columns = _family_linear_columns(self.members)
+        self.weights = [
+            Parameter(np.stack([lin.weight.data for lin in column]))
+            for column in self._linear_columns
+        ]
+        self.biases = [
+            Parameter(np.stack([lin.bias.data for lin in column])[:, None, :])
+            for column in self._linear_columns
+        ]
         # The family computes in its members' parameter dtype; every input
         # is cast here once so no float64 literal survives on the hot path.
-        self.dtype = np.dtype(np.float64)
-        for idx, child in enumerate(template):
-            if isinstance(child, Linear):
-                column = [net.children[idx] for net in nets]
-                self._linear_columns.append(column)
-                self.weights.append(
-                    Parameter(np.stack([lin.weight.data for lin in column]))
-                )
-                if child.bias is not None:
-                    self.biases.append(
-                        Parameter(
-                            np.stack([lin.bias.data for lin in column])[:, None, :]
-                        )
-                    )
-                else:
-                    self.biases.append(None)
-                self._ops.append(("linear", len(self.weights) - 1))
-            elif isinstance(child, Identity):
-                continue
-            elif type(child) in _TENSOR_ACTIVATIONS:
-                self._ops.append(("act", child))
-            else:
-                raise ValueError(
-                    f"unsupported layer {type(child).__name__} in stacked family"
-                )
-        if self.weights:
-            self.dtype = self.weights[0].data.dtype
+        self.dtype = self.weights[0].data.dtype
+        # Contiguous (K, out, in) copies of the weight stacks past the
+        # first, for the backward hops: at family shapes a transposed
+        # strided GEMM runs ~2x slower than a contiguous one.  ``None``
+        # where a layer's output has width 1 (its hop is a broadcast
+        # product).  Refreshed by every backward pass: the weights step.
+        self._weights_t: list[np.ndarray | None] = [None] + [
+            None
+            if w.data.shape[-1] == 1
+            else np.empty(np.swapaxes(w.data, -1, -2).shape, dtype=self.dtype)
+            for w in self.weights[1:]
+        ]
         self._bound: list[tuple[Parameter, np.ndarray]] = []
         self._ones_rows: dict[int, np.ndarray] = {}
 
@@ -211,12 +183,13 @@ class StackedMLP:
             self._ones_rows[rows] = ones
         return ones
 
-    @property
-    def num_members(self) -> int:
-        return len(self.members)
+    def _refresh_transposed(self) -> None:
+        for weight, buf in zip(self.weights, self._weights_t):
+            if buf is not None:
+                np.copyto(buf, np.swapaxes(weight.data, -1, -2))
 
     def params(self) -> list[Parameter]:
-        return self.weights + [b for b in self.biases if b is not None]
+        return self.weights + self.biases
 
     # ------------------------------------------------------------------
     # Member view binding
@@ -229,17 +202,14 @@ class StackedMLP:
         views must alias that final storage.
         """
         self._bound = []
-        for layer, column in enumerate(self._linear_columns):
-            weight_stack = self.weights[layer].data
-            bias_stack = self.biases[layer].data if self.biases[layer] is not None else None
+        for weight, bias, column in zip(
+            self.weights, self.biases, self._linear_columns
+        ):
             for k, lin in enumerate(column):
-                view = weight_stack[k]
-                lin.weight.data = view
-                self._bound.append((lin.weight, view))
-                if bias_stack is not None:
-                    bias_view = bias_stack[k, 0]
-                    lin.bias.data = bias_view
-                    self._bound.append((lin.bias, bias_view))
+                lin.weight.data = weight.data[k]
+                lin.bias.data = bias.data[k, 0]
+                self._bound.append((lin.weight, lin.weight.data))
+                self._bound.append((lin.bias, lin.bias.data))
 
     def sync_members(self) -> None:
         """Re-adopt member parameters whose ``.data`` was reassigned.
@@ -254,157 +224,119 @@ class StackedMLP:
                 param.data = view
 
     # ------------------------------------------------------------------
-    # Family forward passes
+    # Family passes — the engine hot path
     # ------------------------------------------------------------------
-    def forward(self, x: Tensor) -> Tensor:
-        """Autograd forward over the whole family: ``(K, B, in) -> (K, B, out)``."""
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        for kind, op in self._ops:
-            if kind == "linear":
-                x = _stacked_linear(x, self.weights[op], self.biases[op])
-            else:
-                x = _TENSOR_ACTIVATIONS[type(op)](x, op)
-        return x
+    def infer(self, x: np.ndarray, start: int = 0) -> np.ndarray:
+        """Gradient-free family forward on raw arrays: ``(K, B, ·) -> (K, B, out)``.
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Gradient-free family forward on raw arrays (in-place between layers)."""
-        x = np.asarray(x, dtype=self.dtype)
-        for kind, op in self._ops:
-            if kind == "linear":
-                x = np.matmul(x, self.weights[op].data)
-                if self.biases[op] is not None:
-                    x += self.biases[op].data
-            else:
-                x = _ARRAY_ACTIVATIONS[type(op)](x, op)
-        return x
-
-    # ------------------------------------------------------------------
-    # Manual (tape-free) forward/backward — the engine hot path
-    # ------------------------------------------------------------------
-    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, list]:
-        """Forward pass caching what :meth:`backward_cached` needs.
-
-        The cache holds each linear layer's input and each activation's
-        local-derivative data; gradients computed from it are the tape's
-        chain-rule expressions with none of the per-node closure overhead
-        (bias adjoints reduce through a BLAS GEMV, so they match the tape
-        to summation-order tolerance rather than bitwise).
+        With ``start > 0`` the pass begins at linear layer ``start`` and
+        ``x`` is layer ``start - 1``'s affine output before its ReLU, which
+        is applied in place — for callers that computed the first affines
+        themselves (the per-option critic sweep reuses the observation
+        block across options).
         """
         x = np.asarray(x, dtype=self.dtype)
-        cache: list[tuple] = []
-        for kind, op in self._ops:
-            if kind == "linear":
-                cache.append(("lin", op, x))
-                x = np.matmul(x, self.weights[op].data)
-                if self.biases[op] is not None:
-                    x += self.biases[op].data
-            elif isinstance(op, ReLU):
-                mask = x > 0
-                cache.append(("relu", mask))
-                x = np.maximum(x, 0.0, out=x)
-            elif isinstance(op, Tanh):
-                x = np.tanh(x, out=x)
-                cache.append(("tanh", x))
-            elif isinstance(op, Sigmoid):
-                x = 1.0 / (1.0 + np.exp(-x))
-                cache.append(("sigmoid", x))
-            else:  # LeakyReLU
-                mask = x > 0
-                cache.append(("leaky", mask, op.negative_slope))
-                x = np.where(mask, x, op.negative_slope * x)
-        return x, cache
+        for pos in range(start, len(self.weights)):
+            if pos:
+                np.maximum(x, 0.0, out=x)
+            x = np.matmul(x, self.weights[pos].data)
+            x += self.biases[pos].data
+        return x
+
+    def forward_cached(self, x: np.ndarray) -> tuple[np.ndarray, tuple[list, list]]:
+        """Forward pass returning ``(out, (acts, masks))`` for :meth:`backward_cached`.
+
+        ``acts[l]`` is linear layer ``l``'s input, ``masks[l]`` the ReLU
+        mask after it.  (Batched ``np.matmul`` is measurably slower when
+        handed an ``out=`` buffer at family shapes, so the pass allocates
+        its layer outputs.)
+        """
+        x = np.asarray(x, dtype=self.dtype)
+        acts: list[np.ndarray] = []
+        masks: list[np.ndarray] = []
+        last = len(self.weights) - 1
+        for pos, (weight, bias) in enumerate(zip(self.weights, self.biases)):
+            acts.append(x)
+            x = np.matmul(x, weight.data)
+            x += bias.data
+            if pos != last:
+                masks.append(x > 0)
+                np.maximum(x, 0.0, out=x)
+        return x, (acts, masks)
 
     def backward_cached(
         self,
-        cache: list,
+        cache: tuple[list, list],
         grad: np.ndarray,
-        with_params: bool = True,
         need_input_grad: bool = False,
-        input_grad_block: tuple[np.ndarray, int] | None = None,
     ) -> np.ndarray | None:
-        """Manual VJP through the cached forward; returns the input gradient.
+        """VJP through :meth:`forward_cached`; returns the input gradient.
 
-        With ``with_params`` the parameter gradients land in
-        ``Parameter.grad``: written **in place** when a gradient buffer is
-        already bound (:meth:`FamilyAdam.bind_grads` points them into the
-        optimiser's flat vector, so the whole backward allocates nothing),
-        freshly allocated when unbound.  Without it the parameters are
-        treated as frozen — the SAC actor's stop-gradient critic pass.
-        ``grad`` is consumed (mutated in place through the activation
-        adjoints); pass a copy if the caller still needs it.  Unless
-        ``need_input_grad`` is set, the first layer's input-gradient matmul
-        is skipped (no caller consumes it) and ``None`` is returned.
-
-        ``input_grad_block=(starts, width)`` restricts the returned input
-        gradient to ``width`` contiguous columns per member, starting at
-        ``starts[k]`` for member ``k`` — the cross-family actor pass only
-        consumes each agent's own action block, so the first layer's
-        widest GEMM shrinks to the block width.
+        Parameter gradients land in ``Parameter.grad``: written **in place**
+        when a gradient buffer is already bound (:meth:`FamilyAdam.bind_grads`
+        points them into the optimiser's flat vector), freshly allocated
+        when unbound.  Bias adjoints reduce the batch through a BLAS GEMV
+        (``ones @ grad``), whose summation order differs from the tape's
+        pairwise sum — within the fused path's tolerance contract.  A
+        width-1 layer's input adjoint is a broadcast product with its
+        weight row.  The first layer's input gradient is computed only
+        with ``need_input_grad``; otherwise ``None`` is returned.
         """
-        first = cache[0]
-        for entry in reversed(cache):
-            kind = entry[0]
-            if kind == "lin":
-                _, layer, x_in = entry
-                weight = self.weights[layer]
-                if with_params:
-                    x_t = np.swapaxes(x_in, -1, -2)
-                    if weight.grad is None:
-                        weight.grad = x_t @ grad
-                    else:
-                        np.matmul(x_t, grad, out=weight.grad)
-                    bias = self.biases[layer]
-                    if bias is not None:
-                        # The batch reduction as a BLAS GEMV (ones @ grad):
-                        # ~2x the throughput of the strided axis-1 sum and
-                        # it scales with element width.  The accumulation
-                        # order differs from the tape's pairwise sum, which
-                        # is within the fused path's tolerance contract.
-                        ones = self._ones_row(grad.shape[1])
-                        if bias.grad is None:
-                            bias.grad = np.matmul(ones, grad)
-                        else:
-                            np.matmul(ones, grad, out=bias.grad)
-                if entry is first:
-                    if not need_input_grad:
-                        return None
-                    if input_grad_block is not None:
-                        starts, width = input_grad_block
-                        rows = np.stack(
-                            [
-                                weight.data[k, s : s + width]
-                                for k, s in enumerate(starts)
-                            ]
-                        )
-                        return grad @ np.swapaxes(rows, -1, -2)
-                grad = grad @ np.swapaxes(weight.data, -1, -2)
-            elif kind == "relu":
-                np.multiply(grad, entry[1], out=grad)
-            elif kind == "tanh":
-                np.multiply(grad, 1.0 - entry[1] ** 2, out=grad)
-            elif kind == "sigmoid":
-                out = entry[1]
-                np.multiply(grad, out * (1.0 - out), out=grad)
-            else:  # leaky
-                np.multiply(grad, np.where(entry[1], 1.0, entry[2]), out=grad)
-        return grad
-
-    def infer_from(self, x: np.ndarray, op_start: int) -> np.ndarray:
-        """Gradient-free forward starting at op index ``op_start``.
-
-        Lets callers that computed the first affine themselves (e.g. the
-        per-option critic sweep, which reuses the observation block across
-        options) run only the remaining layers.
-        """
-        for kind, op in self._ops[op_start:]:
-            if kind == "linear":
-                x = np.matmul(x, self.weights[op].data)
-                if self.biases[op] is not None:
-                    x += self.biases[op].data
+        acts, masks = cache
+        self._refresh_transposed()
+        ones = self._ones_row(grad.shape[-2])
+        for pos in range(len(self.weights) - 1, -1, -1):
+            weight, bias = self.weights[pos], self.biases[pos]
+            x_t = np.swapaxes(acts[pos], -1, -2)
+            if weight.grad is None:
+                weight.grad = np.matmul(x_t, grad)
+                bias.grad = np.matmul(ones, grad)
             else:
-                x = _ARRAY_ACTIVATIONS[type(op)](x, op)
-        return x
+                np.matmul(x_t, grad, out=weight.grad)
+                np.matmul(ones, grad, out=bias.grad)
+            if pos == 0:
+                break
+            if grad.shape[-1] == 1:
+                grad = grad * np.swapaxes(weight.data, -1, -2)
+            else:
+                grad = grad @ self._weights_t[pos]
+            grad *= masks[pos - 1]
+        if need_input_grad:
+            return grad @ np.swapaxes(self.weights[0].data, -1, -2)
+        return None
+
+    def frozen_input_grad(
+        self,
+        masks: list[np.ndarray],
+        upstream: float | np.ndarray,
+        starts: Sequence[int],
+        width: int,
+    ) -> np.ndarray:
+        """Input gradient of a scalar-output family with frozen parameters.
+
+        The stop-gradient critic pass of an actor step, for a Q-network
+        family with at least one hidden layer: ``masks`` come from
+        :meth:`forward_cached` on the actor's critic inputs, ``upstream``
+        is dL/dQ (a scalar or per-row ``(K, B, 1)``), and the result is
+        the ``(K, B, width)`` gradient of member ``k``'s input columns
+        ``starts[k]:starts[k] + width`` — the action block the actor fed.
+        No parameter gradient is formed; the width-1 top layer is a
+        broadcast product, and the first layer's GEMM shrinks to the
+        block.  The block operand is built C-contiguous: a stack of
+        transposed slices takes another BLAS path and other bits.
+        """
+        self._refresh_transposed()
+        last = len(self.weights) - 1
+        grad = masks[last - 1] * np.swapaxes(self.weights[last].data, -1, -2)
+        grad *= upstream
+        for pos in range(last - 1, 0, -1):
+            grad = grad @ self._weights_t[pos]
+            grad *= masks[pos - 1]
+        w1 = self.weights[0].data
+        block_t = np.empty((len(starts), w1.shape[-1], width), dtype=self.dtype)
+        for k, start in enumerate(starts):
+            block_t[k] = w1[k, start : start + width].T
+        return grad @ block_t
 
     def zero_grad(self) -> None:
         for param in self.params():
@@ -824,7 +756,7 @@ class HeroTeamUpdateEngine:
             num_agents, options * batch_size, -1
         )
         q_all = (
-            self.critic_family.infer_from(z1, 1)[..., 0]
+            self.critic_family.infer(z1, start=1)[..., 0]
             .reshape(num_agents, options, batch_size)
             .transpose(0, 2, 1)
         )  # (A, B, O)
@@ -937,18 +869,15 @@ class SACUpdateEngine:
 
     The twin critics are one two-member family (one forward/backward for
     both Q networks, jointly clipped and stepped as in the scalar loop);
-    the actor is a one-member family.  All of them are all-ReLU stacks and
-    run on the :func:`_stacked_relu_fwd`/:func:`_stacked_relu_bwd` kernels
-    with contiguous transposed weights.  One actor forward over
+    the actor is a one-member family.  One actor forward over
     ``[next_obs; obs]`` and one ``sample_no_grad`` call serve both the TD
     target and the reparameterised actor sample: the actor does not change
     before its own step, and one ``(2B, d)`` noise draw is the stream of
     the scalar loop's two ``(B, d)`` draws, so RNG consumption matches
     ``SACAgent.update`` draw for draw.  The actor gradient is the
     squashed-Gaussian reparameterisation in closed form against the frozen
-    critic family, whose VJP is collapsed as in MADDPG's actor step: the
-    width-1 top layer is a broadcast product and the first layer yields
-    the action columns only.
+    critic family (:meth:`StackedMLP.frozen_input_grad` over the action
+    columns).
     """
 
     def __init__(self, agent):
@@ -969,16 +898,6 @@ class SACUpdateEngine:
             self.actor_family.params(), 1, lr=agent.actor_opt.lr
         )
         self.actor_family.bind_members()
-        self._critic = _stacked_relu_layers(self.critic_family)
-        self._actor = _stacked_relu_layers(self.actor_family)
-        if self._critic is None or self._actor is None:
-            raise ValueError("SACUpdateEngine needs all-ReLU actor and critic trunks")
-        self._critic_w_t = _transposed_buffers(self._critic)
-        self._actor_w_t = _transposed_buffers(self._actor)
-        hidden = self._critic[0][0].data.shape[-1]
-        self._w1_action_t = np.empty(
-            (2, hidden, agent.action_dim), dtype=self.critic_family.dtype
-        )
 
     def update(self) -> dict[str, float] | None:
         agent = self.agent
@@ -995,8 +914,8 @@ class SACUpdateEngine:
 
         # --- One actor pass: TD-target sample and actor sample -------------
         obs_pair = np.concatenate([batch["next_obs"], batch["obs"]]).astype(dtype)
-        trunk_out, actor_acts, actor_masks = _stacked_relu_fwd(
-            obs_pair[None], self._actor
+        trunk_out, (actor_acts, actor_masks) = self.actor_family.forward_cached(
+            obs_pair[None]
         )
         action_pair, log_prob_pair, parts = actor.sample_no_grad(
             obs_pair, agent._rng, trunk_out=trunk_out[0], return_parts=True
@@ -1016,49 +935,30 @@ class SACUpdateEngine:
         critic_in = np.concatenate(
             [obs, batch["actions"].astype(dtype, copy=False)], axis=-1
         )
-        q_out, critic_acts, critic_masks = _stacked_relu_fwd(
-            critic_in[None], self._critic
-        )
+        q_out, critic_cache = self.critic_family.forward_cached(critic_in[None])
         diff = q_out[..., 0] - y[None]  # (2, B)
         critic_loss = float((diff * diff).mean(axis=1).sum())
         self.critic_opt.bind_grads()
-        _refresh_transposed(self._critic, self._critic_w_t)
-        _stacked_relu_bwd(
-            critic_acts,
-            critic_masks,
-            (2.0 / rows) * diff[..., None],
-            self._critic,
-            self.critic_family._ones_row(rows),
-            self._critic_w_t,
-        )
+        self.critic_family.backward_cached(critic_cache, (2.0 / rows) * diff[..., None])
         clip_grad_norm_flat(self.critic_opt._grad, agent.grad_clip)
         self.critic_opt.step()
 
         # --- Actor against the frozen critic family ------------------------
         # dL/dq_new = -1/B routed to the member the min selected, carried
-        # down the stepped critic with its parameters frozen (the
-        # stop-gradient critic pass) to the action columns of its input.
-        _refresh_transposed(self._critic, self._critic_w_t)
-        obs_width = obs.shape[-1]
-        np.copyto(
-            self._w1_action_t,
-            np.swapaxes(self._critic[0][0].data[:, obs_width:], -1, -2),
-        )
+        # down the stepped critic with its parameters frozen to the action
+        # columns of its input.
         actor_q_in = np.concatenate([obs, action], axis=-1)
-        q_rows, _, frozen_masks = _stacked_relu_fwd(actor_q_in[None], self._critic)
+        q_rows, (_, frozen_masks) = self.critic_family.forward_cached(actor_q_in[None])
         q_pair = q_rows[..., 0]  # (2, B)
         take_first = q_pair[0] <= q_pair[1]
         q_new = np.where(take_first, q_pair[0], q_pair[1])
         actor_loss = float(np.mean(alpha * log_prob - q_new))
-        grad = np.stack([take_first, ~take_first]).astype(dtype)[..., None]
-        grad *= -1.0 / rows
-        for pos in range(len(self._critic) - 1, 0, -1):
-            if grad.shape[-1] == 1:
-                grad = grad * np.swapaxes(self._critic[pos][0].data, -1, -2)
-            else:
-                grad = grad @ self._critic_w_t[pos]
-            grad *= frozen_masks[pos - 1]
-        grad_action = (grad @ self._w1_action_t).sum(axis=0)  # (B, d)
+        upstream = np.stack([take_first, ~take_first]).astype(dtype)[..., None]
+        upstream *= -1.0 / rows
+        obs_width = obs.shape[-1]
+        grad_action = self.critic_family.frozen_input_grad(
+            frozen_masks, upstream, (obs_width, obs_width), action.shape[-1]
+        ).sum(axis=0)  # (B, d)
 
         # Chain rule: action -> tanh -> pre_tanh -> (mean, log_std), plus
         # the log-prob terms (alpha/B each): d log_prob/d pre_tanh = 2*tanh
@@ -1074,15 +974,10 @@ class SACUpdateEngine:
         grad_log_std = (grad_pre_tanh * (std * noise) - grad_log_prob) * clip_mask
         grad_out = np.concatenate([grad_mean, grad_log_std], axis=-1)[None]
         self.actor_opt.bind_grads()
-        _refresh_transposed(self._actor, self._actor_w_t)
         # Backward over the obs half of the pass only.
-        _stacked_relu_bwd(
-            [x[:, rows:] for x in actor_acts],
-            [mask[:, rows:] for mask in actor_masks],
+        self.actor_family.backward_cached(
+            ([x[:, rows:] for x in actor_acts], [m[:, rows:] for m in actor_masks]),
             grad_out,
-            self._actor,
-            self.actor_family._ones_row(rows),
-            self._actor_w_t,
         )
         clip_grad_norm_flat(self.actor_opt._grad, agent.grad_clip)
         self.actor_opt.step()
@@ -1181,14 +1076,14 @@ class MADDPGUpdateEngine:
     critics (and targets) become four :class:`StackedMLP` families.  One
     round runs: a family TD step over all critics, then the actor step via
     the **cross-family VJP** — the Gumbel-softmax straight-through actions
-    feed a frozen critic-family forward, ``backward_cached`` with
-    ``with_params=False`` returns dQ/d(input), the per-agent action-block
-    slice chains through the softmax Jacobian into the actor family's own
-    backward.  No agent's critic parameters depend on another agent's
-    within a round (the critic inputs use *replayed* joint actions), so
-    batching all critic steps before all actor steps reproduces the scalar
-    interleaving; replay sampling and per-agent Gumbel draws consume the
-    shared RNG in the scalar loop's order.
+    feed a frozen critic-family forward, :meth:`StackedMLP.frozen_input_grad`
+    returns dQ/d(own action block) per agent, and that chains through the
+    softmax Jacobian into the actor family's own backward.  No agent's
+    critic parameters depend on another agent's within a round (the critic
+    inputs use *replayed* joint actions), so batching all critic steps
+    before all actor steps reproduces the scalar interleaving; replay
+    sampling and per-agent Gumbel draws consume the shared RNG in the
+    scalar loop's order.
     """
 
     def __init__(self, algorithm):
@@ -1211,52 +1106,6 @@ class MADDPGUpdateEngine:
         self.target_critic_family = StackedMLP(algorithm.target_critics)
         self.target_critic_family.bind_members()
 
-        # Specialised all-ReLU kernels (see _stacked_relu_fwd/_bwd): when
-        # every family is a biased linear/ReLU stack the update runs
-        # through preallocated buffers and contiguous transposed-weight
-        # copies; anything else falls back to the generic cached path.
-        self._fast_actor = _stacked_relu_layers(self.actor_family)
-        self._fast_tactor = _stacked_relu_layers(self.target_actor_family)
-        self._fast_critic = _stacked_relu_layers(self.critic_family)
-        self._fast_tcritic = _stacked_relu_layers(self.target_critic_family)
-        self._fast = (
-            None
-            not in (
-                self._fast_actor,
-                self._fast_tactor,
-                self._fast_critic,
-                self._fast_tcritic,
-            )
-            # The collapsed frozen-critic VJP assumes a scalar Q output.
-            and self.critic_family.weights[-1].data.shape[-1] == 1
-        )
-        self._scratch_batch = -1
-        if self._fast:
-            dtype = self.critic_family.dtype
-            num_actions = algorithm.num_actions
-            self._w_t_critic = _transposed_buffers(self._fast_critic)
-            self._w_t_actor = _transposed_buffers(self._fast_actor)
-            hidden = self._fast_critic[0][0].data.shape[-1]
-            self._w1_block_t = np.empty((n, hidden, num_actions), dtype=dtype)
-
-    def _alloc_scratch(self, batch_size: int) -> None:
-        """Size the per-batch forward/backward buffers for the fast path."""
-        n = self.algorithm.num_agents
-        dtype = self.critic_family.dtype
-
-        joint_dim = self.critic_family.weights[0].data.shape[-2]
-        self._actor_q_in = np.empty((n, batch_size, joint_dim), dtype=dtype)
-        # Hidden-gradient buffers for the collapsed frozen-critic VJP,
-        # keyed by the layer whose *input* gradient they hold.
-        self._g_bufs = {
-            pos: np.empty(
-                (n, batch_size, self._fast_critic[pos][0].data.shape[-2]),
-                dtype=dtype,
-            )
-            for pos in range(1, len(self._fast_critic))
-        }
-        self._scratch_batch = batch_size
-
     def update(self) -> dict[str, float] | None:
         algo = self.algorithm
         if len(algo.buffer) < max(algo.batch_size // 4, 8):
@@ -1272,10 +1121,6 @@ class MADDPGUpdateEngine:
         num_actions = algo.num_actions
         obs_dim = algo.obs_dim
         dtype = self.critic_family.dtype
-
-        fast = self._fast
-        if fast and self._scratch_batch != batch_size:
-            self._alloc_scratch(batch_size)
 
         obs_stack = batch["obs"].transpose(1, 0, 2)  # (A, B, do)
         joint_obs = batch["obs"].reshape(batch_size, -1)
@@ -1306,29 +1151,15 @@ class MADDPGUpdateEngine:
         critic_in = np.concatenate([joint_obs, joint_actions], axis=-1).astype(
             dtype, copy=False
         )
-        critic_bc = np.broadcast_to(critic_in, (n,) + critic_in.shape)
-        if fast:
-            q_out, critic_acts, critic_masks = _stacked_relu_fwd(
-                critic_bc, self._fast_critic
-            )
-        else:
-            q_out, critic_cache = self.critic_family.forward_cached(critic_bc)
+        q_out, critic_cache = self.critic_family.forward_cached(
+            np.broadcast_to(critic_in, (n,) + critic_in.shape)
+        )
         diff = q_out[..., 0] - y  # (A, B)
         critic_losses = (diff * diff).mean(axis=1)
         self.critic_opt.bind_grads()
-        critic_upstream = (2.0 / batch_size) * diff[..., None]
-        if fast:
-            _refresh_transposed(self._fast_critic, self._w_t_critic)
-            _stacked_relu_bwd(
-                critic_acts,
-                critic_masks,
-                critic_upstream,
-                self._fast_critic,
-                self.critic_family._ones_row(batch_size),
-                self._w_t_critic,
-            )
-        else:
-            self.critic_family.backward_cached(critic_cache, critic_upstream)
+        self.critic_family.backward_cached(
+            critic_cache, (2.0 / batch_size) * diff[..., None]
+        )
         clip_grad_norm_stacked(
             [p.grad for p in self.critic_family.params()], algo.grad_clip
         )
@@ -1343,12 +1174,7 @@ class MADDPGUpdateEngine:
         noise = gumbel_noise((n, batch_size, num_actions), algo._rng).astype(
             dtype, copy=False
         )
-        if fast:
-            logits, actor_acts, actor_masks = _stacked_relu_fwd(
-                np.asarray(obs_stack, dtype=dtype), self._fast_actor
-            )  # (A, B, O)
-        else:
-            logits, actor_cache = self.actor_family.forward_cached(obs_stack)
+        logits, actor_cache = self.actor_family.forward_cached(obs_stack)  # (A, B, O)
         inv_temp = 1.0 / algo.temperature
         y_soft = _stable_softmax((logits + noise) * inv_temp)
         y_hard = one_hot(y_soft.argmax(axis=-1), num_actions, dtype=dtype)
@@ -1357,76 +1183,23 @@ class MADDPGUpdateEngine:
 
         # Each agent's critic sees the replayed joint input with only its
         # own action block swapped for the differentiable sample.
-        if fast:
-            actor_q_in = self._actor_q_in
-            actor_q_in[...] = critic_in
-        else:
-            actor_q_in = np.repeat(critic_in[None], n, axis=0)
-        col = n * obs_dim
-        for i in range(n):
-            actor_q_in[i, :, col + i * num_actions : col + (i + 1) * num_actions] = (
-                hard_action[i]
-            )
+        actor_q_in = np.repeat(critic_in[None], n, axis=0)
+        starts = [n * obs_dim + i * num_actions for i in range(n)]
+        for i, start in enumerate(starts):
+            actor_q_in[i, :, start : start + num_actions] = hard_action[i]
         # dL/dQ = -1/B; the critic parameters are stop-gradiented across
-        # forward+backward, only dQ/d(input) survives — and of that only
-        # agent i's own action block is consumed.
-        if fast:
-            # With the constant -1/B upstream the top of the frozen VJP
-            # chain collapses to a mask x weight-row product; the inner
-            # hops use the transposed copies refreshed after the critic
-            # step; the first layer's GEMM shrinks to each member's own
-            # action-block columns.
-            _refresh_transposed(self._fast_critic, self._w_t_critic)
-            w1 = self._fast_critic[0][0].data
-            for i in range(n):
-                s = col + i * num_actions
-                self._w1_block_t[i] = w1[i, s : s + num_actions].T
-            q_actor, _, frozen_masks = _stacked_relu_fwd(
-                actor_q_in, self._fast_critic
-            )
-            actor_losses = -q_actor[..., 0].mean(axis=1)  # (A,)
-            depth = len(self._fast_critic)
-            w_last = self._fast_critic[-1][0].data
-            const = (-1.0 / batch_size) * np.swapaxes(w_last, -1, -2)  # (A,1,H)
-            g = np.multiply(frozen_masks[-1], const, out=self._g_bufs[depth - 1])
-            for pos in range(depth - 2, 0, -1):
-                w_t = self._w_t_critic[pos]
-                if w_t is None:
-                    w_t = np.swapaxes(self._fast_critic[pos][0].data, -1, -2)
-                g = np.matmul(g, w_t, out=self._g_bufs[pos])
-                g *= frozen_masks[pos - 1]
-            grad_action = g @ self._w1_block_t  # (A, B, O)
-        else:
-            q_actor, frozen_cache = self.critic_family.forward_cached(actor_q_in)
-            actor_losses = -q_actor[..., 0].mean(axis=1)  # (A,)
-            upstream = np.full((n, batch_size, 1), -1.0 / batch_size, dtype=dtype)
-            grad_action = self.critic_family.backward_cached(
-                frozen_cache,
-                upstream,
-                with_params=False,
-                need_input_grad=True,
-                input_grad_block=(
-                    [col + i * num_actions for i in range(n)],
-                    num_actions,
-                ),
-            )  # (A, B, O)
+        # forward+backward, only dQ/d(own action block) survives.
+        q_actor, (_, frozen_masks) = self.critic_family.forward_cached(actor_q_in)
+        actor_losses = -q_actor[..., 0].mean(axis=1)  # (A,)
+        grad_action = self.critic_family.frozen_input_grad(
+            frozen_masks, -1.0 / batch_size, starts, num_actions
+        )  # (A, B, O)
         # Straight-through passes the gradient to the soft sample; chain the
         # softmax Jacobian (with the 1/temperature factor) to the logits.
         dot = _rowsum_small(grad_action * y_soft, keepdims=True)
         grad_logits = inv_temp * y_soft * (grad_action - dot)
         self.actor_opt.bind_grads()
-        if fast:
-            _refresh_transposed(self._fast_actor, self._w_t_actor)
-            _stacked_relu_bwd(
-                actor_acts,
-                actor_masks,
-                grad_logits,
-                self._fast_actor,
-                self.actor_family._ones_row(batch_size),
-                self._w_t_actor,
-            )
-        else:
-            self.actor_family.backward_cached(actor_cache, grad_logits)
+        self.actor_family.backward_cached(actor_cache, grad_logits)
         clip_grad_norm_stacked(
             [p.grad for p in self.actor_family.params()], algo.grad_clip
         )
@@ -1442,188 +1215,6 @@ class MADDPGUpdateEngine:
         return losses
 
 
-def _set_grad(param: Parameter, value: np.ndarray) -> None:
-    """Store ``value`` as ``param.grad``, reusing a bound buffer if present.
-
-    When :meth:`FamilyAdam.bind_grads` has pointed ``param.grad`` into the
-    optimiser's flat vector the value is copied in place (no gather on
-    step); otherwise a fresh contiguous array is attached.
-    """
-    if param.grad is None:
-        param.grad = np.ascontiguousarray(value)
-    else:
-        np.copyto(param.grad, value)
-
-
-def _relu_mlp_params(fam: StackedMLP, depth: int):
-    """One-member all-ReLU MLP parameters for the specialised 2-D kernels.
-
-    Returns ``[(weight, bias), ...]`` per linear layer when ``fam`` is a
-    single-member ``linear(-relu-linear)*`` family with biases throughout
-    (the MAAC critic/actor shape), else ``None`` — callers keep the
-    generic stacked path for anything else.  The Parameters are returned
-    (not raw arrays) so rebinds stay visible through ``.data``.
-    """
-    ops = fam._ops
-    if fam.num_members != 1 or len(ops) != 2 * depth - 1:
-        return None
-    for pos, (kind, op) in enumerate(ops):
-        if pos % 2 == 0:
-            if kind != "linear":
-                return None
-        elif kind != "act" or not isinstance(op, ReLU):
-            return None
-    if any(b is None for b in fam.biases):
-        return None
-    return list(zip(fam.weights, fam.biases))
-
-
-def _relu_mlp_fwd(x2d: np.ndarray, layers):
-    """Cached forward: returns ``(out, [input/activation per layer], masks)``.
-
-    ``acts[i]`` is linear layer ``i``'s input (post-ReLU, stored in place
-    like the generic cache); ``masks[i]`` the ReLU mask after layer ``i``.
-    """
-    acts = []
-    masks = []
-    last = len(layers) - 1
-    for pos, (weight, bias) in enumerate(layers):
-        acts.append(x2d)
-        x2d = x2d @ weight.data[0]
-        x2d += bias.data[0, 0]
-        if pos != last:
-            masks.append(x2d > 0)
-            np.maximum(x2d, 0.0, out=x2d)
-    return x2d, acts, masks
-
-
-def _relu_mlp_bwd(
-    acts,
-    masks,
-    grad2d: np.ndarray,
-    layers,
-    ones: np.ndarray,
-    need_input_grad: bool = False,
-) -> np.ndarray | None:
-    """VJP matching :func:`_relu_mlp_fwd`; writes into bound ``.grad`` views.
-
-    Requires :meth:`FamilyAdam.bind_grads` to have run (the engine binds
-    every update) — gradients land straight in the optimiser flat via
-    ``out=`` GEMMs, bias adjoints via the ones-GEMV (same summation-order
-    tolerance as ``StackedMLP.backward_cached``).
-    """
-    for pos in range(len(layers) - 1, -1, -1):
-        weight, bias = layers[pos]
-        x_in = acts[pos]
-        if weight.grad is not None:
-            np.matmul(x_in.T, grad2d, out=weight.grad[0])
-            np.matmul(ones, grad2d, out=bias.grad[0, 0])
-        else:
-            weight.grad = (x_in.T @ grad2d)[None]
-            bias.grad = (ones @ grad2d)[None, None]
-        if pos > 0:
-            grad2d = grad2d @ weight.data[0].T
-            grad2d *= masks[pos - 1]
-        elif need_input_grad:
-            return grad2d @ weight.data[0].T
-    return None
-
-
-def _stacked_relu_layers(fam: StackedMLP):
-    """All-ReLU stacked-MLP parameters for the batched fast kernels.
-
-    Returns ``[(weight, bias), ...]`` when every op of ``fam`` is a biased
-    linear alternating with ReLU (any member count — the MADDPG actor and
-    critic families), else ``None`` so callers keep the generic path.
-    """
-    ops = fam._ops
-    if not ops or len(ops) % 2 == 0:
-        return None
-    for pos, (kind, op) in enumerate(ops):
-        if pos % 2 == 0:
-            if kind != "linear":
-                return None
-        elif kind != "act" or not isinstance(op, ReLU):
-            return None
-    if any(b is None for b in fam.biases):
-        return None
-    return list(zip(fam.weights, fam.biases))
-
-
-def _transposed_buffers(layers) -> list[np.ndarray | None]:
-    """Buffers for contiguous transposed copies of the inner weight stacks.
-
-    The ``weights_t`` argument of :func:`_stacked_relu_bwd`: one
-    ``(K, out, in)`` buffer per layer past the first, ``None`` where the
-    layer's output has width 1 (its hop is a broadcast product).  Fill
-    with :func:`_refresh_transposed` whenever the weights have stepped.
-    """
-    bufs: list[np.ndarray | None] = [None] * len(layers)
-    for pos in range(1, len(layers)):
-        w = layers[pos][0].data
-        if w.shape[-1] != 1:
-            bufs[pos] = np.empty(
-                w.shape[:-2] + (w.shape[-1], w.shape[-2]), dtype=w.dtype
-            )
-    return bufs
-
-
-def _refresh_transposed(layers, bufs) -> None:
-    """Recopy the transposed inner weights (refreshed after each step)."""
-    for pos, buf in enumerate(bufs):
-        if buf is not None:
-            np.copyto(buf, np.swapaxes(layers[pos][0].data, -1, -2))
-
-
-def _stacked_relu_fwd(x3d: np.ndarray, layers):
-    """Cached stacked forward mirroring :func:`_relu_mlp_fwd` over members.
-
-    (Batched ``np.matmul`` is measurably slower when handed an ``out=``
-    buffer at family shapes, so the pass allocates its layer outputs.)
-    """
-    acts = []
-    masks = []
-    last = len(layers) - 1
-    for pos, (weight, bias) in enumerate(layers):
-        acts.append(x3d)
-        x3d = np.matmul(x3d, weight.data)
-        x3d += bias.data
-        if pos != last:
-            masks.append(x3d > 0)
-            np.maximum(x3d, 0.0, out=x3d)
-    return x3d, acts, masks
-
-
-def _stacked_relu_bwd(acts, masks, grad3d, layers, ones, weights_t=None) -> None:
-    """Stacked VJP mirroring :func:`_relu_mlp_bwd`; grads land in ``.grad``.
-
-    ``weights_t`` optionally supplies contiguous transposed copies of the
-    inner-layer weight stacks: at family shapes a transposed strided GEMM
-    runs ~2x slower than a contiguous one, so callers refresh the copies
-    once per step instead.  A width-1 output layer skips its GEMM entirely
-    — the input adjoint is a broadcast product with the weight row.
-    """
-    for pos in range(len(layers) - 1, -1, -1):
-        weight, bias = layers[pos]
-        x_t = np.swapaxes(acts[pos], -1, -2)
-        if weight.grad is not None:
-            np.matmul(x_t, grad3d, out=weight.grad)
-            np.matmul(ones, grad3d, out=bias.grad)
-        else:
-            weight.grad = np.matmul(x_t, grad3d)
-            bias.grad = np.matmul(ones, grad3d)
-        if pos > 0:
-            if grad3d.shape[-1] == 1:
-                grad3d = grad3d * np.swapaxes(weight.data, -1, -2)
-            else:
-                w_t = weights_t[pos] if weights_t is not None else None
-                if w_t is None:
-                    w_t = np.swapaxes(weight.data, -1, -2)
-                grad3d = grad3d @ w_t
-            grad3d *= masks[pos - 1]
-    return None
-
-
 class MAACUpdateEngine:
     """Fused update for :class:`~repro.baselines.maac.MAAC`.
 
@@ -1635,7 +1226,7 @@ class MAACUpdateEngine:
     Jacobian over the scores, GEMMs for the projections).  The actor is a
     one-member family evaluated on all agents' rows at once; its
     score-function gradient routes through the fused critic's Q rows.  TD
-    targets come from the target critic's no-grad ``infer`` kernels.  RNG
+    targets come from the target critic's folded no-grad pass.  RNG
     consumption (replay sample, per-agent next-action draws, per-agent
     sampled actions) matches the scalar loop draw for draw.
     """
@@ -1750,37 +1341,17 @@ class MAACUpdateEngine:
         # their constant agent-id blocks are written once per (re)size.
         self._actor_pair_buf: np.ndarray | None = None
         self._head_in_buf: np.ndarray | None = None
-        self._ones_rows: np.ndarray | None = None
-        # Specialised flat-2-D kernels for the K=1 all-ReLU families (the
-        # stock MAAC shape); ``None`` falls back to the generic stacked
-        # path for exotic member architectures.
-        self._fast_obs = _relu_mlp_params(self.obs_enc, 2)
-        self._fast_sa = _relu_mlp_params(self.sa_enc, 2)
-        self._fast_head = _relu_mlp_params(self.head, 2)
-        self._fast_tobs = _relu_mlp_params(self.target_obs_enc, 2)
-        self._fast_tsa = _relu_mlp_params(self.target_sa_enc, 2)
-        self._fast_thead = _relu_mlp_params(self.target_head, 2)
-        self._fast_actor = _relu_mlp_params(self.actor_family, 3)
-        self._fast_critic = None not in (
-            self._fast_obs,
-            self._fast_sa,
-            self._fast_head,
-            self._fast_tobs,
-            self._fast_tsa,
-            self._fast_thead,
-        )
-        if self._fast_critic:
-            # Scratch for the collapsed no-grad pass: encoder output
-            # layers folded into the q/kv projections and the head's
-            # state block, the attention out-projection into the head's
-            # attended block (see :meth:`_critic_infer_fast`).
-            obs_hidden = self._fast_obs[0][0].data.shape[-1]
-            sa_hidden = self._fast_sa[0][0].data.shape[-1]
-            head_hidden = self._fast_head[0][0].data.shape[-1]
-            self._aq_buf = np.empty((obs_hidden, width), dtype=dtype)
-            self._akv_buf = np.empty((sa_hidden, 2 * width), dtype=dtype)
-            self._ah_buf = np.empty((obs_hidden, head_hidden), dtype=dtype)
-            self._am_buf = np.empty((width, head_hidden), dtype=dtype)
+        # Scratch for the collapsed no-grad pass: encoder output layers
+        # folded into the q/kv projections and the head's state block, the
+        # attention out-projection into the head's attended block (see
+        # :meth:`_critic_infer_folded`).
+        obs_hidden = self.obs_enc.weights[0].data.shape[-1]
+        sa_hidden = self.sa_enc.weights[0].data.shape[-1]
+        head_hidden = self.head.weights[0].data.shape[-1]
+        self._aq_buf = np.empty((obs_hidden, width), dtype=dtype)
+        self._akv_buf = np.empty((sa_hidden, 2 * width), dtype=dtype)
+        self._ah_buf = np.empty((obs_hidden, head_hidden), dtype=dtype)
+        self._am_buf = np.empty((width, head_hidden), dtype=dtype)
 
     # ------------------------------------------------------------------
     def _sync(self) -> None:
@@ -1799,19 +1370,6 @@ class MAACUpdateEngine:
             if param.data is not view:
                 view[...] = param.data
                 param.data = view
-
-    def _actor_rows(self, obs: np.ndarray) -> np.ndarray:
-        """All agents' actor inputs ``(1, A*B, do + A)``, agent-major.
-
-        Mirrors ``MAAC._actor_input`` for every agent in one family batch.
-        """
-        batch = obs.shape[0]
-        n = self.algorithm.num_agents
-        dtype = self.actor_family.dtype
-        rows = np.empty((n, batch, obs.shape[-1] + n), dtype=dtype)
-        rows[:, :, : obs.shape[-1]] = obs.transpose(1, 0, 2)
-        rows[:, :, obs.shape[-1] :] = self._agent_eye[:, None, :]
-        return rows.reshape(1, n * batch, -1)
 
     def _actor_rows_pair(
         self, next_obs: np.ndarray, obs: np.ndarray
@@ -1840,7 +1398,7 @@ class MAACUpdateEngine:
         halves[1, :, :, :obs_dim] = obs.transpose(1, 0, 2)
         return buf
 
-    def _critic_infer_fast(
+    def _critic_infer_folded(
         self,
         critic,
         obs_2d: np.ndarray,
@@ -1850,7 +1408,7 @@ class MAACUpdateEngine:
         n: int,
         target: bool,
     ) -> np.ndarray:
-        """Collapsed no-grad critic forward for the all-ReLU fast layout.
+        """Collapsed no-grad critic forward: ``(B, A, |A|)`` Q rows.
 
         Values only, so every post-hidden linear map folds right-to-left
         into its consumer: the encoder output layers into the fused q/kv
@@ -1861,11 +1419,14 @@ class MAACUpdateEngine:
         eight module GEMMs of the layered pass (associativity-level
         reordering, within the fused tolerance contract).
         """
-        (w1o, b1o), (w2o, b2o) = self._fast_tobs if target else self._fast_obs
-        (w1s, b1s), (w2s, b2s) = self._fast_tsa if target else self._fast_sa
-        (w1h, b1h), (w2h, b2h) = (
-            self._fast_thead if target else self._fast_head
-        )
+        if target:
+            obs_fam, sa_fam = self.target_obs_enc, self.target_sa_enc
+            head_fam = self.target_head
+        else:
+            obs_fam, sa_fam, head_fam = self.obs_enc, self.sa_enc, self.head
+        (w1o, w2o), (b1o, b2o) = obs_fam.weights, obs_fam.biases
+        (w1s, w2s), (b1s, b2s) = sa_fam.weights, sa_fam.biases
+        (w1h, w2h), (b1h, b2h) = head_fam.weights, head_fam.biases
         heads = critic.attention.heads
         out_proj = critic.attention.out_proj
         num_heads = len(heads)
@@ -1933,14 +1494,7 @@ class MAACUpdateEngine:
         rows += b2h.data[0, 0]
         return rows.reshape(batch, n, -1)
 
-    def _critic_forward(
-        self,
-        obs: np.ndarray,
-        actions: np.ndarray,
-        target: bool = False,
-        need_grad: bool = True,
-        inputs: tuple[np.ndarray, np.ndarray] | None = None,
-    ):
+    def _critic_forward(self, obs: np.ndarray, sa_in: np.ndarray):
         """Fused attention-critic forward: ``(B, A, |A|)`` Q rows + cache.
 
         One pass over the shared encoders for all agents' rows, the
@@ -1951,73 +1505,24 @@ class MAACUpdateEngine:
         per-head loops of ``AttentionCritic.forward`` disappear.  The
         projections run as 2-D GEMMs on the flat ``(B*A, ·)`` row blocks
         (a 3-D matmul against a 2-D weight dispatches ``B`` tiny GEMMs).
-        With ``target`` the pass runs no-grad on the target critic's
-        families; ``need_grad=False`` runs the *main* critic no-grad (the
-        post-step actor pass consumes values only).  Both return a
-        ``None`` cache.
+        ``obs`` and ``sa_in`` are the assembled ``(B, A, ·)`` inputs in the
+        compute dtype; value-only passes go through
+        :meth:`_critic_infer_folded` instead.
         """
-        critic = (
-            self.algorithm.target_critic if target else self.algorithm.critic
-        )
+        critic = self.algorithm.critic
         n = critic.num_agents
         batch = obs.shape[0]
         dtype = self.head.dtype
-        no_grad = target or not need_grad
-        fast = self._fast_critic
-        if inputs is not None:
-            # The pre- and post-step passes over the same replay batch
-            # share their assembled inputs (the weights differ, not the
-            # rows).
-            obs, sa_in = inputs
-            sa_in_2d = sa_in.reshape(batch * n, -1)
-        else:
-            obs = np.asarray(obs, dtype=dtype)
-            if no_grad and fast:
-                # The collapsed pass gathers the one-hot action block as
-                # rows of the sa encoder's first weight — no one-hot or
-                # concatenated input to build.
-                sa_in_2d = None
-            else:
-                action_onehot = one_hot(
-                    actions, critic.num_actions, dtype=dtype
-                )
-                sa_in = np.concatenate([obs, action_onehot], axis=-1)
-                sa_in_2d = sa_in.reshape(batch * n, -1)
-        obs_2d = obs.reshape(batch * n, -1)
-        if no_grad and fast:
-            return (
-                self._critic_infer_fast(
-                    critic, obs_2d, sa_in_2d, actions, batch, n, target
-                ),
-                None,
-            )
-        obs_cache = sa_cache = None
-        if no_grad:
-            obs_fam = self.target_obs_enc if target else self.obs_enc
-            sa_fam = self.target_sa_enc if target else self.sa_enc
-            state_2d = obs_fam.infer(obs.reshape(1, batch * n, -1)).reshape(
-                batch * n, -1
-            )
-            sa_2d = sa_fam.infer(sa_in.reshape(1, batch * n, -1)).reshape(
-                batch * n, -1
-            )
-        elif fast:
-            state_2d, obs_acts, obs_masks = _relu_mlp_fwd(obs_2d, self._fast_obs)
-            sa_2d, sa_acts, sa_masks = _relu_mlp_fwd(sa_in_2d, self._fast_sa)
-            obs_cache = (obs_acts, obs_masks)
-            sa_cache = (sa_acts, sa_masks)
-        else:
-            state_flat, obs_cache = self.obs_enc.forward_cached(
-                obs.reshape(1, batch * n, -1)
-            )
-            sa_flat, sa_cache = self.sa_enc.forward_cached(
-                sa_in.reshape(1, batch * n, -1)
-            )
-            state_2d = state_flat.reshape(batch * n, -1)
-            sa_2d = sa_flat.reshape(batch * n, -1)
+        state_flat, obs_cache = self.obs_enc.forward_cached(
+            obs.reshape(1, batch * n, -1)
+        )
+        sa_flat, sa_cache = self.sa_enc.forward_cached(
+            sa_in.reshape(1, batch * n, -1)
+        )
+        state_2d = state_flat[0]
+        sa_2d = sa_flat[0]
         state_emb = state_2d.reshape(batch, n, -1)
         sa_emb = sa_2d.reshape(batch, n, -1)
-
         heads = critic.attention.heads
         num_heads = len(heads)
         # Fused projections: one GEMM for all heads' queries, one for all
@@ -2060,25 +1565,13 @@ class MAACUpdateEngine:
             self._head_in_buf = head_in
         head_in[..., :h] = state_emb
         head_in[..., h : 2 * h] = attended.reshape(batch, n, -1)
-        if no_grad:
-            head_fam = self.target_head if target else self.head
-            rows_flat = head_fam.infer(head_in.reshape(1, batch * n, -1))
-            return rows_flat.reshape(batch, n, -1), None
-        if fast:
-            rows_2d, head_acts, head_masks = _relu_mlp_fwd(
-                head_in.reshape(batch * n, -1), self._fast_head
-            )
-            rows = rows_2d.reshape(batch, n, -1)
-            head_cache = (head_acts, head_masks)
-        else:
-            rows_flat, head_cache = self.head.forward_cached(
-                head_in.reshape(1, batch * n, -1)
-            )
-            rows = rows_flat.reshape(batch, n, -1)
+        rows_flat, head_cache = self.head.forward_cached(
+            head_in.reshape(1, batch * n, -1)
+        )
+        rows = rows_flat.reshape(batch, n, -1)
         cache = {
             "batch": batch,
             "h": h,
-            "fast": fast,
             "obs_cache": obs_cache,
             "sa_cache": sa_cache,
             "head_cache": head_cache,
@@ -2093,9 +1586,10 @@ class MAACUpdateEngine:
     def _critic_backward(self, cache: dict, grad_rows: np.ndarray) -> None:
         """Closed-form VJP through :meth:`_critic_forward`.
 
-        ``grad_rows`` is ``(B, A, |A|)``; parameter gradients land in
-        ``Parameter.grad`` (fresh arrays — :class:`FamilyAdam` gathers them
-        on step).  The state embedding feeds both the head input and the
+        ``grad_rows`` is ``(B, A, |A|)``; parameter gradients are written
+        into the ``Parameter.grad`` views that :meth:`FamilyAdam.bind_grads`
+        points into the optimiser's flat buffer (:meth:`update` binds them
+        first).  The state embedding feeds both the head input and the
         attention queries, so its adjoint sums both paths; the mask bias is
         an additive constant and drops out of the softmax VJP.  Like the
         forward, every attention head backpropagates in one 4-D batch.
@@ -2103,42 +1597,23 @@ class MAACUpdateEngine:
         critic = self.algorithm.critic
         n = critic.num_agents
         batch, h = cache["batch"], cache["h"]
-        fast = cache["fast"]
-        ones = self._ones_rows
-        if ones is None or ones.shape[0] != batch * n:
-            ones = np.ones(batch * n, dtype=grad_rows.dtype)
-            self._ones_rows = ones
-        if fast:
-            head_acts, head_masks = cache["head_cache"]
-            grad_head_in = _relu_mlp_bwd(
-                head_acts,
-                head_masks,
-                grad_rows.reshape(batch * n, -1),
-                self._fast_head,
-                ones,
-                need_input_grad=True,
-            ).reshape(batch, n, -1)
-        else:
-            grad_head_in = self.head.backward_cached(
-                cache["head_cache"],
-                grad_rows.reshape(1, batch * n, -1),
-                need_input_grad=True,
-            ).reshape(batch, n, -1)
+        grad_head_in = self.head.backward_cached(
+            cache["head_cache"],
+            grad_rows.reshape(1, batch * n, -1),
+            need_input_grad=True,
+        ).reshape(batch, n, -1)
         grad_state = np.ascontiguousarray(grad_head_in[..., :h])
         grad_attended = grad_head_in[..., h : 2 * h]  # agent-id block: constant
 
         out_proj = critic.attention.out_proj
         flat_merged = cache["merged"]  # already (B*A, H*kd)
         flat_gatt = np.ascontiguousarray(grad_attended).reshape(batch * n, -1)
-        if out_proj.weight.grad is not None:
-            # Bound flat-buffer views: GEMM straight into them, and the
-            # bias batch-reduction as a BLAS GEMV (ones @ grad — same
-            # summation-order tolerance note as StackedMLP's bias adjoint).
-            np.matmul(flat_merged.T, flat_gatt, out=out_proj.weight.grad)
-            np.matmul(ones, flat_gatt, out=out_proj.bias.grad)
-        else:
-            out_proj.weight.grad = flat_merged.T @ flat_gatt
-            out_proj.bias.grad = flat_gatt.sum(axis=0)
+        # The bias batch-reduction as a BLAS GEMV (ones @ grad — same
+        # summation-order tolerance note as StackedMLP's bias adjoint).
+        np.matmul(flat_merged.T, flat_gatt, out=out_proj.weight.grad)
+        np.matmul(
+            self.head._ones_row(batch * n)[0, 0], flat_gatt, out=out_proj.bias.grad
+        )
         grad_merged = flat_gatt @ out_proj.weight.data.T  # (B*A, H*kd)
 
         q, k, v, weights = cache["qkv"]
@@ -2174,39 +1649,21 @@ class MAACUpdateEngine:
         wkv_grad = flat_sa.T @ g_kv_flat  # (h, 2*H*kd): [key | value] blocks
         for idx, head in enumerate(heads):
             block = slice(idx * key_dim, (idx + 1) * key_dim)
-            _set_grad(head.query_proj.weight, wq_grad[:, block])
-            _set_grad(head.key_proj.weight, wkv_grad[:, block])
-            _set_grad(
-                head.value_proj.weight,
+            np.copyto(head.query_proj.weight.grad, wq_grad[:, block])
+            np.copyto(head.key_proj.weight.grad, wkv_grad[:, block])
+            np.copyto(
+                head.value_proj.weight.grad,
                 wkv_grad[:, width + idx * key_dim : width + (idx + 1) * key_dim],
             )
         # The fused weights sum the per-head input adjoints in one GEMM.
         grad_state += (g_q_flat @ wq.T).reshape(batch, n, -1)
         grad_sa = (g_kv_flat @ wkv.T).reshape(batch, n, -1)
-        if fast:
-            obs_acts, obs_masks = cache["obs_cache"]
-            _relu_mlp_bwd(
-                obs_acts,
-                obs_masks,
-                grad_state.reshape(batch * n, -1),
-                self._fast_obs,
-                ones,
-            )
-            sa_acts, sa_masks = cache["sa_cache"]
-            _relu_mlp_bwd(
-                sa_acts,
-                sa_masks,
-                grad_sa.reshape(batch * n, -1),
-                self._fast_sa,
-                ones,
-            )
-        else:
-            self.obs_enc.backward_cached(
-                cache["obs_cache"], grad_state.reshape(1, batch * n, -1)
-            )
-            self.sa_enc.backward_cached(
-                cache["sa_cache"], grad_sa.reshape(1, batch * n, -1)
-            )
+        self.obs_enc.backward_cached(
+            cache["obs_cache"], grad_state.reshape(1, batch * n, -1)
+        )
+        self.sa_enc.backward_cached(
+            cache["sa_cache"], grad_sa.reshape(1, batch * n, -1)
+        )
 
     def _sample_rows(
         self, logits_all: np.ndarray, rng: np.random.Generator
@@ -2261,14 +1718,10 @@ class MAACUpdateEngine:
         # else is batched over agents.
         half = batch_size * n
         pair_rows = self._actor_rows_pair(batch["next_obs"], batch["obs"])
-        if self._fast_actor is not None:
-            flat_logits, pair_acts, pair_masks = _relu_mlp_fwd(
-                pair_rows[0], self._fast_actor
-            )
-            pair_cache = None
-        else:
-            pair_logits, pair_cache = self.actor_family.forward_cached(pair_rows)
-            flat_logits = pair_logits[0]
+        pair_logits, (pair_acts, pair_masks) = self.actor_family.forward_cached(
+            pair_rows
+        )
+        flat_logits = pair_logits[0]
         next_logits = flat_logits[:half].reshape(n, batch_size, num_actions)
         logits_all = flat_logits[half:].reshape(n, batch_size, num_actions)
         next_act_am, next_row_log, _ = self._sample_rows(next_logits, algo._rng)
@@ -2283,18 +1736,21 @@ class MAACUpdateEngine:
         # fused forward + closed-form attention VJP, flat-buffer clip, one
         # Adam step over all critic parameters (gradients written straight
         # into the optimiser's bound flat buffer).
-        target_rows, _ = self._critic_forward(
-            batch["next_obs"], next_actions, target=True
+        target_rows = self._critic_infer_folded(
+            algo.target_critic,
+            np.asarray(batch["next_obs"], dtype=dtype).reshape(half, -1),
+            None,
+            next_actions,
+            batch_size,
+            n,
+            target=True,
         )
         obs_arr = np.asarray(batch["obs"], dtype=dtype)
         sa_arr = np.concatenate(
             [obs_arr, one_hot(batch["actions"], num_actions, dtype=dtype)],
             axis=-1,
         )
-        main_inputs = (obs_arr, sa_arr)
-        rows, cache = self._critic_forward(
-            batch["obs"], batch["actions"], inputs=main_inputs
-        )
+        rows, cache = self._critic_forward(obs_arr, sa_arr)
         action_idx = np.asarray(batch["actions"], dtype=np.int64)
         target_q = target_rows.reshape(batch_size * n, -1)[
             flat_idx, next_actions.ravel()
@@ -2322,12 +1778,18 @@ class MAACUpdateEngine:
         self.critic_opt.step()
 
         # --- Actor step: fresh post-step Q rows (data only, so the main
-        # critic's no-grad infer kernels) feed the entropy-regularised
+        # critic's folded no-grad pass) feed the entropy-regularised
         # counterfactual advantage; one stacked actor forward/backward
         # replaces the per-agent tape loop, and only the categorical draws
         # remain per-agent (RNG order).
-        q_rows, _ = self._critic_forward(
-            batch["obs"], batch["actions"], need_grad=False, inputs=main_inputs
+        q_rows = self._critic_infer_folded(
+            algo.critic,
+            obs_arr.reshape(half, -1),
+            sa_arr.reshape(half, -1),
+            batch["actions"],
+            batch_size,
+            n,
+            target=False,
         )
         sampled, log_probs, probs = self._sample_rows(logits_all, algo._rng)
         log_probs = log_probs.astype(dtype, copy=False)  # (A, B, |A|)
@@ -2355,30 +1817,12 @@ class MAACUpdateEngine:
             flat_idx, sampled.ravel()
         ] += coeff.ravel()
         self.actor_opt.bind_grads()
-        if self._fast_actor is not None:
-            # Backward over the replay-time half only (tail slices stay
-            # contiguous views); the next-step half's gradient is zero.
-            _relu_mlp_bwd(
-                [a[half:] for a in pair_acts],
-                [m[half:] for m in pair_masks],
-                grad_logits.reshape(n * batch_size, -1),
-                self._fast_actor,
-                self._ones_rows,
-            )
-        else:
-            # Restrict the paired cache to its replay-time half so the
-            # backward's GEMMs only see the rows whose gradient is nonzero.
-            actor_cache = []
-            for entry in pair_cache:
-                if entry[0] == "lin":
-                    actor_cache.append(("lin", entry[1], entry[2][:, half:]))
-                elif entry[0] == "leaky":
-                    actor_cache.append(("leaky", entry[1][:, half:], entry[2]))
-                else:
-                    actor_cache.append((entry[0], entry[1][:, half:]))
-            self.actor_family.backward_cached(
-                actor_cache, grad_logits.reshape(1, n * batch_size, -1)
-            )
+        # Backward over the replay-time half only (tail slices stay
+        # contiguous views); the next-step half's gradient is zero.
+        self.actor_family.backward_cached(
+            ([a[:, half:] for a in pair_acts], [m[:, half:] for m in pair_masks]),
+            grad_logits.reshape(1, half, -1),
+        )
         clip_grad_norm_flat(self.actor_opt._grad, algo.grad_clip)
         self.actor_opt.step()
 

@@ -39,6 +39,7 @@ from repro.nn import (
     TwinQNetwork,
     clip_grad_norm,
 )
+from repro.nn.layers import Linear
 from repro.nn.optim import clip_grad_norm_flat, clip_grad_norm_stacked
 
 RNG = np.random.default_rng
@@ -276,12 +277,15 @@ class TestStackedMLP:
         members, family = self._family()
         family.bind_members()
         x = RNG(0).standard_normal((3, 12, 5))
-        out = family.forward(Tensor(x)).data
+        out, _ = family.forward_cached(x)
         for k, member in enumerate(members):
             np.testing.assert_allclose(
                 out[k], member(Tensor(x[k])).data, rtol=1e-12
             )
         np.testing.assert_allclose(family.infer(x), out, rtol=1e-12)
+        # ``start`` resumes from a caller-computed first affine (pre-ReLU).
+        first = x @ family.weights[0].data + family.biases[0].data
+        np.testing.assert_allclose(family.infer(first, start=1), out, rtol=1e-12)
 
     def test_member_views_stay_live(self):
         members, family = self._family()
@@ -308,24 +312,87 @@ class TestStackedMLP:
         )
 
     def test_manual_backward_matches_tape(self):
+        """Parameter and input gradients == each member's own tape."""
         members, family = self._family()
         family.bind_members()
         x = RNG(4).standard_normal((3, 12, 5))
         grad_out = RNG(6).standard_normal((3, 12, 4))
 
-        out = family.forward(Tensor(x))
-        family.zero_grad()
-        out.backward(grad_out)
-        tape_grads = [param.grad.copy() for param in family.params()]
-
         cached, cache = family.forward_cached(x)
-        np.testing.assert_allclose(cached, out.data, rtol=1e-12)
         family.zero_grad()
-        family.backward_cached(cache, grad_out.copy())
-        for manual, tape in zip(
-            [param.grad for param in family.params()], tape_grads
-        ):
-            np.testing.assert_allclose(manual, tape, rtol=1e-10, atol=1e-12)
+        input_grad = family.backward_cached(
+            cache, grad_out.copy(), need_input_grad=True
+        )
+        for k, member in enumerate(members):
+            x_k = Tensor(x[k], requires_grad=True)
+            member.zero_grad()
+            out = member(x_k)
+            np.testing.assert_allclose(cached[k], out.data, rtol=1e-12)
+            out.backward(grad_out[k])
+            np.testing.assert_allclose(input_grad[k], x_k.grad, rtol=1e-10, atol=1e-12)
+            linears = [c for c in member.net.children if isinstance(c, Linear)]
+            for weight, bias, lin in zip(family.weights, family.biases, linears):
+                np.testing.assert_allclose(
+                    weight.grad[k], lin.weight.grad, rtol=1e-10, atol=1e-12
+                )
+                np.testing.assert_allclose(
+                    bias.grad[k, 0], lin.bias.grad, rtol=1e-10, atol=1e-12
+                )
+
+    @pytest.mark.parametrize(
+        "member, layer",
+        [
+            (lambda: MLP(5, [8], 4, RNG(0), activation="tanh"), "layer 1 is Tanh"),
+            (
+                lambda: MLP(5, [8], 4, RNG(0), output_activation="tanh"),
+                "layer 3 is Tanh",
+            ),
+            (
+                lambda: _without_bias(MLP(5, [8], 4, RNG(0))),
+                "layer 2 is Linear without bias",
+            ),
+        ],
+    )
+    def test_rejects_non_relu_members(self, member, layer):
+        with pytest.raises(ValueError, match=layer):
+            StackedMLP([member()])
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize(
+        "dtype, tol",
+        [("float64", dict(rtol=1e-10)), ("float32", dict(rtol=1e-3, atol=1e-5))],
+    )
+    def test_frozen_input_grad_matches_member_tapes(self, per_row, dtype, tol):
+        """The stop-gradient critic pass == the member tapes' action columns
+        (float32 against the float64 tapes under the float32 tolerance
+        contract)."""
+        members = [MLP(9, [8, 8], 1, RNG(20 + k)) for k in range(3)]
+        with default_dtype(dtype):
+            family_members = [MLP(9, [8, 8], 1, RNG(20 + k)) for k in range(3)]
+            family = StackedMLP(family_members)
+        batch, starts, width = 12, [0, 3, 6], 3
+        x = RNG(8).standard_normal((3, batch, 9))
+        if per_row:
+            tape_upstream = RNG(9).standard_normal((3, batch, 1))
+            upstream = tape_upstream.astype(dtype)
+        else:
+            upstream = -1.0 / batch
+            tape_upstream = np.full((3, batch, 1), upstream)
+        _, (_, masks) = family.forward_cached(x)
+        grad = family.frozen_input_grad(masks, upstream, starts, width)
+        assert grad.shape == (3, batch, width) and grad.dtype == np.dtype(dtype)
+        for k, (member, start) in enumerate(zip(members, starts)):
+            x_k = Tensor(x[k], requires_grad=True)
+            member(x_k).backward(tape_upstream[k])
+            np.testing.assert_allclose(
+                grad[k], x_k.grad[:, start : start + width], **tol
+            )
+
+
+def _without_bias(member):
+    """``member`` with its output Linear rebuilt bias-free."""
+    member.net.children[2] = Linear(8, 4, RNG(1), bias=False)
+    return member
 
 
 class TestFamilyAdam:

@@ -51,10 +51,6 @@ EXEMPTIONS: dict[tuple[str, str], str] = {
         "categorical sampling compares float64 RNG draws against cumulative "
         "probabilities; an integer-output path, so the upcast cannot leak"
     ),
-    ("src/repro/core/update_engine.py", "self.dtype = np.dtype(np.float64)"): (
-        "fallback before the member scan; overwritten from the stacked "
-        "parameters whenever the family has any"
-    ),
     ("src/repro/core/update_engine.py", "return np.dtype(np.float64)"): (
         "family_dtype fallback for an empty family (no parameters to read)"
     ),
