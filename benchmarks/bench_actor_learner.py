@@ -11,9 +11,8 @@ with it.
 Overlap needs real parallelism, so the ratio is only measurable where
 the two processes can run side by side: the hard assertion is skipped on
 CI runners (shared, noisy; regressions are caught by the perf-gate job)
-and on hosts with fewer than four usable CPUs, mirroring
-``bench_sharded_rollout.py``.  Bitwise lockstep equivalence is locked
-separately by ``tests/test_actor_learner.py``.
+and on hosts with fewer than four usable CPUs.  Bitwise lockstep
+equivalence is locked separately by ``tests/test_actor_learner.py``.
 
 ``test_actor_fanout_speedup`` is the ISSUE 8 scaling check on top: two
 actors collecting in staleness mode must beat one actor by **at least
@@ -36,6 +35,7 @@ import os
 import time
 
 import numpy as np
+from bench_update_phase import _usable_cpus
 
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
@@ -47,7 +47,6 @@ from repro.distributed import (
     encode_rng_state,
 )
 from repro.envs import CooperativeLaneChangeEnv
-from repro.envs.sharded_env import _usable_cpus
 
 N_ENVS = 32
 EPISODES = int(os.environ.get("REPRO_BENCH_ASYNC_EPISODES", "12"))

@@ -27,7 +27,7 @@ def test_fig7_panels_and_shape(shared_sweep, benchmark):
     checks = report_fig7(outputs)
     passed = sum(1 for _, ok in checks if ok)
     print(f"\nFig. 7 shape checks passed: {passed}/{len(checks)} "
-          f"(at bench scale; see EXPERIMENTS.md for full-scale results)")
+          f"(at bench scale; docs/REPRODUCING.md gives full-scale commands)")
 
     # Benchmark: one greedy evaluation episode of the trained HERO team.
     hero = shared_sweep.methods["hero"]

@@ -19,12 +19,11 @@ of the two sides is locked by ``tests/test_skill_training.py``.
 import os
 
 import numpy as np
-from bench_update_phase import _time_rounds_paired
+from bench_update_phase import _time_rounds_paired, _usable_cpus
 
 from repro.config import TrainingConfig
 from repro.core import SkillLibrary, UpdateEngine, train_low_level_skills, train_skill
 from repro.envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
-from repro.envs.sharded_env import _usable_cpus
 from repro.experiments.common import bench_scenario
 from repro.experiments.fig8 import report_fig8, run_fig8
 

@@ -693,6 +693,14 @@ def _fused_round_fn(dtype: str = "float64", batch: int | None = None):
     return one_round
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may schedule on (affinity-aware where possible)."""
+    try:
+        return max(len(os.sched_getaffinity(0)), 1)
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def _time_rounds_paired(
     fn_a, fn_b, rounds: int, repeats: int = 10, rounds_b: int | None = None
 ) -> tuple[float, float, float]:

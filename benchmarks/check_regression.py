@@ -40,11 +40,10 @@ from pathlib import Path
 # The hot-path guards: one scalar env step, one optimiser-in-the-loop MLP
 # step, one vectorized env step, one batched baseline act/step/observe
 # cycle, one batched greedy-evaluation act/step cycle, one fused update
-# round (HERO team + skill + IDQN through core.update_engine), one
-# sharded multi-process env step (N=32 over 2 workers: shared-memory
-# round trip + dispatch overhead), one async actor-learner round trip
-# (parameter-snapshot publish/read + transition-payload put/get through
-# the shared-memory plumbing), one 2-actor lockstep merge round through
+# round (HERO team + skill + IDQN through core.update_engine), one async
+# actor-learner round trip (parameter-snapshot publish/read +
+# transition-payload put/get through the shared-memory plumbing), one
+# 2-actor lockstep merge round through
 # the ActorFanIn rotation, one full-slot micro-batched inference
 # pass of the serving stack (32 client slots through one stacked
 # forward), the same fused update round at --dtype float32 (guards
@@ -65,7 +64,6 @@ GATED_BENCHMARKS = {
     "test_update_engine_cycle_f32": "bench_update_phase.py",
     "test_update_engine_cycle_maddpg": "bench_update_phase.py",
     "test_update_engine_cycle_maac": "bench_update_phase.py",
-    "test_sharded_env_step": "bench_sharded_rollout.py",
     "test_actor_learner_roundtrip": "bench_actor_learner.py",
     "test_actor_fanin_roundtrip": "bench_actor_learner.py",
     "test_inference_batch_cycle": "bench_inference_service.py",

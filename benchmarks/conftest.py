@@ -3,8 +3,8 @@
 The figure/table benches share one training sweep (HERO + 4 baselines) so
 the suite stays affordable; the sweep scale is controlled by
 ``REPRO_BENCH_SCALE`` (fraction of the paper's 14,000-episode budget,
-default 0.01 ≈ 140 episodes per method). EXPERIMENTS.md records results
-from larger runs where the paper's shapes are reproduced.
+default 0.01 ≈ 140 episodes per method). docs/REPRODUCING.md documents
+the budgets and commands of larger runs.
 """
 
 from __future__ import annotations

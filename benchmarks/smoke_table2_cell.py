@@ -3,23 +3,17 @@
 
 Trains one baseline for a handful of episodes with ``--num-envs``
 vectorized env copies (the exact stack ``repro run table2 --num-envs N``
-uses; ``--num-workers W`` shards them across worker processes exactly as
-``repro run table2 --num-workers W`` does), evaluates its domain-shifted
-Table 2 testbed cell, and then guards against drift bit-for-bit:
-
-* vectorized vs scalar — fresh identically-seeded algorithms through
-  ``train_marl`` and ``train_marl_vectorized(num_envs=1)`` must log
-  identical metric series;
-* sharded vs single-process (when ``--num-workers > 1``) — the same
-  vectorized training over a ``ShardedVectorEnv(num_envs, W)`` and a
-  single-process ``VectorEnv(num_envs)`` must log identical series.
+uses), evaluates its domain-shifted Table 2 testbed cell, and then guards
+against drift bit-for-bit: fresh identically-seeded algorithms through
+``train_marl`` and ``train_marl_vectorized(num_envs=1)`` must log
+identical metric series.
 
 ``--dtype float32`` runs the whole cell (training, evaluation and the
 drift checks) under the reduced-precision compute path: the numbers
 differ from float64 within the tolerance contract documented in
 docs/ARCHITECTURE.md (Precision), but the drift checks stay bit-for-bit
-*within* the dtype — vectorization and sharding must not change results
-at any precision.
+*within* the dtype — vectorization must not change results at any
+precision.
 
 ``--fused-updates`` routes the cell's gradient phases through
 ``core.update_engine`` (all five methods dispatch natively, including
@@ -31,7 +25,7 @@ check is close-to, not bit-for-bit.
 Usage::
 
     PYTHONPATH=src python benchmarks/smoke_table2_cell.py idqn \
-        --episodes 2 --num-envs 2 --num-workers 2 --dtype float32
+        --episodes 2 --num-envs 2 --dtype float32
 """
 
 from __future__ import annotations
@@ -59,7 +53,6 @@ def run_cell(
     name: str,
     episodes: int,
     num_envs: int,
-    num_workers: int,
     seed: int,
     fused_updates: bool = False,
 ) -> dict:
@@ -73,7 +66,6 @@ def run_cell(
         episodes=episodes,
         seed=seed,
         num_envs=num_envs,
-        num_workers=num_workers,
         fused_updates=fused_updates,
     )
     recorded = len(trained.logger.values(f"{name}/episode_reward"))
@@ -102,20 +94,16 @@ def check_drift(name: str, episodes: int, seed: int) -> None:
     algo_vec = make_baseline(name, vec_env, seed=seed, **kwargs)
     log_vec = train_marl_vectorized(vec_env, algo_vec, episodes=episodes, seed=seed)
 
-    _assert_logs_equal(name, "vectorized-vs-scalar", log_scalar, log_vec)
-
-
-def _assert_logs_equal(name: str, what: str, log_a, log_b) -> None:
-    if log_a.names() != log_b.names():
+    if log_scalar.names() != log_vec.names():
         raise SystemExit(
-            f"{name}: metric names drifted ({what}): "
-            f"{sorted(set(log_a.names()) ^ set(log_b.names()))}"
+            f"{name}: metric names drifted (vectorized-vs-scalar): "
+            f"{sorted(set(log_scalar.names()) ^ set(log_vec.names()))}"
         )
-    for metric in log_a.names():
-        if not np.array_equal(log_a.values(metric), log_b.values(metric)):
+    for metric in log_scalar.names():
+        if not np.array_equal(log_scalar.values(metric), log_vec.values(metric)):
             raise SystemExit(
-                f"{name}: {what} drift in {metric}: "
-                f"{log_a.values(metric)} != {log_b.values(metric)}"
+                f"{name}: vectorized-vs-scalar drift in {metric}: "
+                f"{log_scalar.values(metric)} != {log_vec.values(metric)}"
             )
 
 
@@ -156,34 +144,11 @@ def check_fused_drift(name: str, episodes: int, seed: int, dtype: str) -> None:
             )
 
 
-def check_shard_drift(
-    name: str, episodes: int, num_envs: int, num_workers: int, seed: int
-) -> None:
-    """Sharded training must match the single-process cell bit-for-bit."""
-    scenario = bench_scenario()
-    kwargs = {"batch_size": 16} if name != "coma" else {}
-
-    def train(workers: int):
-        vec_env = make_baseline_vector_env(
-            num_envs, scenario=scenario, num_workers=workers
-        )
-        algo = make_baseline(name, vec_env, seed=seed, **kwargs)
-        try:
-            return train_marl_vectorized(vec_env, algo, episodes=episodes, seed=seed)
-        finally:
-            vec_env.close()
-
-    _assert_logs_equal(
-        name, f"sharded(W={num_workers})-vs-single-process", train(1), train(num_workers)
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", choices=sorted(BASELINES))
     parser.add_argument("--episodes", type=int, default=2)
     parser.add_argument("--num-envs", type=int, default=2)
-    parser.add_argument("--num-workers", type=int, default=1)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--dtype",
@@ -206,15 +171,13 @@ def main(argv: list[str] | None = None) -> int:
             args.baseline,
             args.episodes,
             args.num_envs,
-            args.num_workers,
             args.seed,
             fused_updates=args.fused_updates,
         )
         row = " ".join(f"{key}={value:.4f}" for key, value in sorted(metrics.items()))
         print(
             f"table2[{args.baseline}] (num_envs={args.num_envs}, "
-            f"num_workers={args.num_workers}, dtype={args.dtype}, "
-            f"fused_updates={args.fused_updates}): {row}"
+            f"dtype={args.dtype}, fused_updates={args.fused_updates}): {row}"
         )
 
         check_drift(args.baseline, args.episodes, args.seed)
@@ -227,14 +190,6 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"table2[{args.baseline}]: fused updates track the plain "
                 f"loop within the {args.dtype} tolerance contract"
-            )
-        if args.num_workers > 1:
-            check_shard_drift(
-                args.baseline, args.episodes, args.num_envs, args.num_workers, args.seed
-            )
-            print(
-                f"table2[{args.baseline}]: num_workers={args.num_workers} sharded "
-                f"== single-process (no drift, dtype={args.dtype})"
             )
     return 0
 

@@ -6,13 +6,10 @@ observations through :class:`repro.distributed.MessageBus` with latency
 and packet loss, trains HERO in that fully-distributed regime, and prints
 bus statistics alongside learning metrics.
 
-It closes with the repo's *other* distribution axes side by side:
+It closes with the repo's *other* distribution axis next to it:
 
 * the ``distributed/`` package distributes **observations** (the paper's
   DTDE semantics — what each agent may see);
-* :class:`repro.envs.ShardedVectorEnv` distributes **env stepping**
-  across worker processes (a pure throughput axis, bit-for-bit identical
-  to single-process rollouts);
 * the async actor–learner stack
   (:mod:`repro.distributed.actor_learner`) distributes **rollout
   collection vs. gradient updates** across processes: an actor pushes
@@ -21,14 +18,10 @@ It closes with the repo's *other* distribution axes side by side:
   lockstep barrier, bitwise equal to the synchronous loop;
   ``max_staleness > 0`` overlaps the two phases.
 
-The three compose: the async actor can itself shard its env batch across
-workers, and any regime that accepts the vectorized stepping interface
-can ride on top.
-
 Usage::
 
     python examples/distributed_dtde.py --latency 2 --drop 0.2 \
-        --episodes 200 --num-workers 2 --async-episodes 20
+        --episodes 200 --async-episodes 20
 """
 
 import argparse
@@ -39,33 +32,8 @@ import numpy as np
 from repro.config import TrainingConfig
 from repro.core import HeroTeam, train_hero, train_low_level_skills
 from repro.distributed import DistributedObservationService
-from repro.envs import CooperativeLaneChangeEnv, EnvReplicaFactory, ShardedVectorEnv
+from repro.envs import CooperativeLaneChangeEnv
 from repro.experiments.common import bench_scenario
-
-
-def sharded_rollout_demo(config: TrainingConfig, num_workers: int, num_envs: int = 8):
-    """Short sharded-rollout usage: the VectorEnv surface, W processes.
-
-    Steps a fixed cruise command batch through a worker pool; swap the
-    actions for a ``BatchedHeroRunner`` (or pass ``num_workers`` to
-    ``train_hero``) to drive real training from the same pool.
-    """
-    factory = EnvReplicaFactory(scenario=config.scenario, rewards=config.rewards)
-    with ShardedVectorEnv(num_envs, env_factory=factory, num_workers=num_workers) as vec:
-        obs = vec.reset(0)
-        actions = np.tile(
-            [config.scenario.initial_speed, 0.0], (vec.num_envs, vec.num_agents, 1)
-        )
-        steps = 50
-        start = time.perf_counter()
-        for _ in range(steps):
-            obs, rewards, dones, infos = vec.step(actions)
-        rate = steps * vec.num_envs / (time.perf_counter() - start)
-        print(
-            f"\nsharded rollouts: {vec.num_envs} envs over {vec.num_workers} "
-            f"worker processes (shards {vec.shards}), {rate:.0f} env-steps/s, "
-            f"fast_path={vec.fast_path}"
-        )
 
 
 def async_actor_learner_demo(
@@ -115,12 +83,6 @@ def main() -> None:
     parser.add_argument("--skill-episodes", type=int, default=250)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
-        "--num-workers",
-        type=int,
-        default=2,
-        help="worker processes for the closing sharded-rollout demo",
-    )
-    parser.add_argument(
         "--async-episodes",
         type=int,
         default=12,
@@ -165,15 +127,13 @@ def main() -> None:
         "lossy broadcasts — the paper's DTDE setting."
     )
 
-    sharded_rollout_demo(config, num_workers=args.num_workers)
     if args.async_episodes > 0:
         async_actor_learner_demo(
             config, episodes=args.async_episodes, max_staleness=args.max_staleness
         )
     print(
-        "distributed/ shards what agents may observe; ShardedVectorEnv "
-        "shards where envs are stepped; actor_learner shards when "
-        "collection and updates happen — orthogonal, composable axes."
+        "distributed/ shards what agents may observe; actor_learner shards "
+        "when collection and updates happen — orthogonal, composable axes."
     )
 
 

@@ -325,10 +325,7 @@ def train_marl_vectorized(
     ``VectorBaselineEnv`` (the training one holds live mid-episode state)
     through :func:`evaluate_marl_vectorized`, over ``eval_num_envs`` env
     copies — default: the training batch size capped at ``eval_episodes``
-    (extra envs would roll out episodes that are never scored).  The
-    evaluation env stays single-process even when training steps through
-    sharded worker processes: its batch is too small to amortise worker
-    dispatch, and results are bit-for-bit identical either way.
+    (extra envs would roll out episodes that are never scored).
 
     ``async_actors`` moves the rollout phase into a separate actor process
     on the async actor–learner stack
@@ -373,11 +370,6 @@ def train_marl_vectorized(
 
         if eval_num_envs is None:
             eval_num_envs = max(min(vec_env.num_envs, eval_episodes), 1)
-        # The eval batch is capped at eval_episodes (tiny), where
-        # multi-process dispatch costs more than the shard work — keep
-        # interleaved evals single-process even when training is sharded
-        # (bit-for-bit identical either way; evaluate_marl_vectorized
-        # accepts a sharded env when a caller builds one).
         eval_vec_env = make_baseline_vector_env(
             eval_num_envs, scenario=vec_env.scenario, rewards=vec_env.rewards
         )
@@ -385,33 +377,15 @@ def train_marl_vectorized(
         warnings.warn(
             "VectorBaselineEnv is stepping on the scalar fallback "
             f"({vec_env.fallback_reason}); training is correct but "
-            "--num-envs/--num-workers will not speed it up",
+            "--num-envs will not speed it up",
             RuntimeWarning,
             stacklevel=2,
         )
 
-    try:
-        if async_actors:
-            from ..distributed.actor_learner import train_marl_async
+    if async_actors:
+        from ..distributed.actor_learner import train_marl_async
 
-            return train_marl_async(
-                vec_env,
-                algorithm,
-                episodes,
-                seed,
-                epsilon_schedule,
-                updates_per_episode,
-                logger,
-                prefix,
-                eval_every,
-                eval_episodes,
-                eval_vec_env,
-                update_fn,
-                engine=engine,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
-            )
-        return _train_marl_vectorized_loop(
+        return train_marl_async(
             vec_env,
             algorithm,
             episodes,
@@ -424,10 +398,24 @@ def train_marl_vectorized(
             eval_episodes,
             eval_vec_env,
             update_fn,
+            engine=engine,
+            max_staleness=max_staleness,
+            num_actors=num_actors,
         )
-    finally:
-        if eval_vec_env is not None:
-            eval_vec_env.close()
+    return _train_marl_vectorized_loop(
+        vec_env,
+        algorithm,
+        episodes,
+        seed,
+        epsilon_schedule,
+        updates_per_episode,
+        logger,
+        prefix,
+        eval_every,
+        eval_episodes,
+        eval_vec_env,
+        update_fn,
+    )
 
 
 def _train_marl_vectorized_loop(

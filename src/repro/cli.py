@@ -44,9 +44,9 @@ def _show_fallback_warnings() -> None:
     The training loops warn (once per call site by default) when a config
     falls off the VectorEnv fast path; a sweep runs many loops, so force
     every occurrence of that specific warning through — users asking for
-    --num-envs/--num-workers should see exactly why those flags are not
-    helping.  Scoped by message so unrelated RuntimeWarnings keep the
-    default once-per-location behaviour.
+    --num-envs should see exactly why that flag is not helping.  Scoped by
+    message so unrelated RuntimeWarnings keep the default
+    once-per-location behaviour.
     """
     import warnings
 
@@ -64,7 +64,6 @@ def _cmd_run(args) -> int:
         scale=args.scale,
         seed=args.seed,
         num_envs=args.num_envs,
-        num_workers=args.num_workers,
         fused_updates=args.fused_updates,
         async_actors=args.async_actors,
         max_staleness=args.max_staleness,
@@ -86,7 +85,6 @@ def _cmd_run_all(args) -> int:
             scale=args.scale,
             seed=args.seed,
             num_envs=args.num_envs,
-            num_workers=args.num_workers,
             fused_updates=args.fused_updates,
             async_actors=args.async_actors,
             max_staleness=args.max_staleness,
@@ -237,16 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     run.add_argument(
-        "--num-workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "worker processes the vectorized env batch is sharded across "
-            "(envs.sharded_env.ShardedVectorEnv; applies when --num-envs > 1; "
-            "bit-for-bit equal to single-process stepping at any count)"
-        ),
-    )
-    run.add_argument(
         "--fused-updates",
         action="store_true",
         help=(
@@ -322,16 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "vectorized env copies for training AND the interleaved greedy "
             "evaluations, for HERO and all four baselines (1 = scalar loops)"
-        ),
-    )
-    run_all.add_argument(
-        "--num-workers",
-        type=_positive_int,
-        default=1,
-        help=(
-            "worker processes the vectorized env batch is sharded across "
-            "(envs.sharded_env.ShardedVectorEnv; applies when --num-envs > 1; "
-            "bit-for-bit equal to single-process stepping at any count)"
         ),
     )
     run_all.add_argument(

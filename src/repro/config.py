@@ -126,11 +126,6 @@ class TrainingConfig:
     # parallel (1 = the scalar loop; >1 uses envs.vector_env.VectorEnv with
     # batched policy inference).
     num_envs: int = 1
-    # Number of worker processes the vectorized env batch is sharded
-    # across (1 = in-process stepping; >1 uses envs.sharded_env.
-    # ShardedVectorEnv — bit-for-bit equal to the single-process engine at
-    # the same num_envs).  Applies when num_envs > 1.
-    num_workers: int = 1
     # Route gradient updates through core.update_engine.UpdateEngine, which
     # batches architecturally identical networks into one fused
     # forward/backward per family.  Numerically equivalent to the default

@@ -1,13 +1,12 @@
 """Batched policy inference for vectorized rollouts.
 
 :class:`BatchedHeroRunner` drives one :class:`~repro.core.hero.HeroTeam`
-across the ``N`` environments of any
-:class:`~repro.envs.stepping.VectorStepper` — the single-process
-:class:`~repro.envs.vector_env.VectorEnv` or the multi-process
-:class:`~repro.envs.sharded_env.ShardedVectorEnv` (the runner only uses
-the shared stepping surface, so the engines are interchangeable).  Where
-the scalar team loops Python per agent per env, the runner flattens
-everything into stacked arrays:
+across the ``N`` environments of a
+:class:`~repro.envs.stepping.VectorStepper` — the
+:class:`~repro.envs.vector_env.VectorEnv` in training and evaluation, a
+pose-only stand-in in the serving stack (the runner only uses the shared
+stepping surface).  Where the scalar team loops Python per agent per env,
+the runner flattens everything into stacked arrays:
 
 * low-level skill execution runs one ``(N, obs_dim)`` forward pass per
   (agent, skill) pair — batched over environments, with the per-agent

@@ -28,10 +28,8 @@ import numpy as np
 
 from ..config import TrainingConfig
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
-from ..envs.sharded_env import EnvReplicaFactory, ShardedVectorEnv
 from ..envs.skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
-from ..envs.stepping import VectorStepper
-from ..envs.vector_env import VectorEnv
+from ..envs.vector_env import EnvReplicaFactory, VectorEnv
 from ..nn import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger, summarise_eval_episodes
 from ..utils.schedule import LinearSchedule
@@ -169,7 +167,7 @@ class BatchedRolloutWorker:
 
     def __init__(
         self,
-        vec_env: VectorStepper,
+        vec_env: VectorEnv,
         team: HeroTeam,
         runner: BatchedHeroRunner | None = None,
     ):
@@ -236,7 +234,6 @@ def train_hero(
     eval_every: int | None = None,
     eval_episodes: int = 3,
     num_envs: int | None = None,
-    num_workers: int | None = None,
     fused_updates: bool | None = None,
     async_actors: bool | None = None,
     max_staleness: int | None = None,
@@ -258,14 +255,6 @@ def train_hero(
     environment copies with batched policy inference; updates, logging and
     evaluation cadence stay per-episode as in the scalar loop.  When the
     argument is omitted it defaults to ``config.num_envs``.
-
-    ``num_workers > 1`` (default ``config.num_workers``; applies when
-    ``num_envs > 1``) shards the training env copies across worker
-    processes (:class:`~repro.envs.sharded_env.ShardedVectorEnv`) —
-    bit-for-bit equal to the single-process engine at the same
-    ``num_envs`` for any worker count.  The interleaved evaluations stay
-    single-process (their env batch is capped at ``eval_episodes``, too
-    small to amortise worker dispatch; the result is identical anyway).
 
     ``fused_updates`` (default ``config.fused_updates``) routes the
     gradient phase through a :class:`~repro.core.update_engine.UpdateEngine`
@@ -300,8 +289,6 @@ def train_hero(
     config = config or TrainingConfig()
     if num_envs is None:
         num_envs = config.num_envs
-    if num_workers is None:
-        num_workers = config.num_workers
     if fused_updates is None:
         fused_updates = config.fused_updates
     if async_actors is None:
@@ -341,7 +328,6 @@ def train_hero(
                 team,
                 episodes,
                 num_envs=num_envs,
-                num_workers=num_workers,
                 rng=rng,
                 epsilon_schedule=epsilon_schedule,
                 n_updates=n_updates,
@@ -361,7 +347,6 @@ def train_hero(
             team,
             episodes,
             num_envs=num_envs,
-            num_workers=num_workers,
             rng=rng,
             epsilon_schedule=epsilon_schedule,
             n_updates=n_updates,
@@ -495,21 +480,11 @@ def _log_hero_eval(
     )
 
 
-def _make_hero_vec_env(
-    factory: EnvReplicaFactory, num_envs: int, num_workers: int
-) -> VectorStepper:
-    """Build the rollout engine: sharded across workers when asked to."""
-    if num_workers > 1:
-        return ShardedVectorEnv(num_envs, env_factory=factory, num_workers=num_workers)
-    return VectorEnv(num_envs, env_fns=[factory] * num_envs)
-
-
 def _train_hero_vectorized(
     env: CooperativeLaneChangeEnv,
     team: HeroTeam,
     episodes: int,
     num_envs: int,
-    num_workers: int,
     rng: np.random.Generator,
     epsilon_schedule,
     n_updates: int,
@@ -520,16 +495,13 @@ def _train_hero_vectorized(
     config: TrainingConfig,
     update_fn=None,
 ) -> MetricLogger:
-    """Algorithm 1 with the rollout phase on a vectorized stepping engine.
+    """Algorithm 1 with the rollout phase on a :class:`VectorEnv`.
 
     Episodes are logged in completion order; each finished episode triggers
     the same gradient-update budget as the scalar loop, so the only change
     is how experience is gathered.  The interleaved greedy evaluations run
-    on a dedicated evaluation engine (the training one holds live
-    mid-episode state) through :func:`evaluate_hero_vectorized`.  With
-    ``num_workers > 1`` the training engine shards its env batch across
-    worker processes (:class:`~repro.envs.sharded_env.ShardedVectorEnv`);
-    the tiny eval engine stays single-process (see the inline note).
+    on a dedicated evaluation ``VectorEnv`` (the training one holds live
+    mid-episode state) through :func:`evaluate_hero_vectorized`.
     """
     if type(env) is not CooperativeLaneChangeEnv:
         raise ValueError(
@@ -540,8 +512,7 @@ def _train_hero_vectorized(
 
     # Replicate the caller's env faithfully: share the (stateless) track and
     # scripted policy so custom traffic falls through to VectorEnv's scalar
-    # fallback instead of being swapped for the defaults.  A picklable
-    # factory (not a closure) so shard workers can rebuild the replicas.
+    # fallback instead of being swapped for the defaults.
     factory = EnvReplicaFactory(
         scenario=env.scenario,
         rewards=env.rewards,
@@ -549,78 +520,67 @@ def _train_hero_vectorized(
         scripted_policy=env._scripted_policy,
     )
 
-    vec_env = _make_hero_vec_env(factory, num_envs, num_workers)
-    eval_vec: VectorStepper | None = None
-    try:
-        if not vec_env.fast_path:
-            warnings.warn(
-                "vectorized HERO rollouts are stepping on the scalar fallback "
-                f"({vec_env.fallback_reason}); training is correct but "
-                "--num-envs/--num-workers will not speed it up",
-                RuntimeWarning,
-                stacklevel=2,
+    vec_env = VectorEnv(num_envs, env_fns=[factory] * num_envs)
+    if not vec_env.fast_path:
+        warnings.warn(
+            "vectorized HERO rollouts are stepping on the scalar fallback "
+            f"({vec_env.fallback_reason}); training is correct but "
+            "--num-envs will not speed it up",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    worker = BatchedRolloutWorker(vec_env, team)
+    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
+    worker.reset(seeds)
+
+    evaluator = None
+    if eval_every:
+        # More eval envs than eval episodes would just burn steps on
+        # rollouts that are never scored.
+        eval_envs = max(min(num_envs, eval_episodes), 1)
+        eval_vec = VectorEnv(eval_envs, env_fns=[factory] * eval_envs)
+        eval_runner = BatchedHeroRunner(team, eval_vec)
+
+        def evaluator(episodes, seed):
+            return evaluate_hero_vectorized(
+                eval_vec, team, episodes=episodes, seed=seed, runner=eval_runner
             )
-        worker = BatchedRolloutWorker(vec_env, team)
-        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
-        worker.reset(seeds)
 
-        evaluator = None
-        if eval_every:
-            # More eval envs than eval episodes would just burn steps on
-            # rollouts that are never scored.  The eval batch is therefore
-            # tiny (<= eval_episodes), where multi-process dispatch costs
-            # more than the shard work — keep interleaved evals
-            # single-process (results are bit-for-bit identical either
-            # way; evaluate_hero_vectorized accepts a sharded engine when
-            # a caller builds one for large standalone evaluations).
-            eval_envs = max(min(num_envs, eval_episodes), 1)
-            eval_vec = _make_hero_vec_env(factory, eval_envs, 1)
-            eval_runner = BatchedHeroRunner(team, eval_vec)
-
-            def evaluator(episodes, seed):
-                return evaluate_hero_vectorized(
-                    eval_vec, team, episodes=episodes, seed=seed, runner=eval_runner
-                )
-
-        if update_fn is None:
-            update_fn = team.update
-        completed = 0
-        losses: dict[str, float] = {}
-        while completed < episodes:
-            for stat in worker.collect(epsilon_schedule):
-                for _ in range(n_updates):
-                    losses = update_fn()
-                _log_hero_episode(
+    if update_fn is None:
+        update_fn = team.update
+    completed = 0
+    losses: dict[str, float] = {}
+    while completed < episodes:
+        for stat in worker.collect(epsilon_schedule):
+            for _ in range(n_updates):
+                losses = update_fn()
+            _log_hero_episode(
+                logger,
+                metric_prefix,
+                env,
+                stat["episode"],
+                stat["epsilon"],
+                stat["lane_change_attempts"],
+                losses,
+                completed,
+            )
+            if eval_every and (
+                completed % eval_every == 0 or completed == episodes - 1
+            ):
+                _log_hero_eval(
                     logger,
                     metric_prefix,
                     env,
-                    stat["episode"],
-                    stat["epsilon"],
-                    stat["lane_change_attempts"],
-                    losses,
+                    team,
+                    eval_episodes,
+                    config,
                     completed,
+                    evaluator=evaluator,
                 )
-                if eval_every and (
-                    completed % eval_every == 0 or completed == episodes - 1
-                ):
-                    _log_hero_eval(
-                        logger,
-                        metric_prefix,
-                        env,
-                        team,
-                        eval_episodes,
-                        config,
-                        completed,
-                        evaluator=evaluator,
-                    )
-                completed += 1
-                if completed >= episodes:
-                    break
-        return logger
-    finally:
-        vec_env.close()
-        if eval_vec is not None:
-            eval_vec.close()
+            completed += 1
+            if completed >= episodes:
+                break
+    return logger
 
 
 def evaluate_hero(
@@ -657,14 +617,13 @@ def evaluate_hero(
 
 
 def evaluate_hero_vectorized(
-    vec_env: VectorStepper,
+    vec_env: VectorEnv,
     team: HeroTeam,
     episodes: int,
     seed: int = 0,
     runner: BatchedHeroRunner | None = None,
 ) -> dict[str, float]:
-    """Greedy evaluation of ``team`` over a vectorized stepping engine
-    (:class:`VectorEnv` or :class:`~repro.envs.sharded_env.ShardedVectorEnv`).
+    """Greedy evaluation of ``team`` over a :class:`VectorEnv`.
 
     Drives the env batch with :meth:`BatchedHeroRunner.act` in greedy mode
     (``epsilon=0``, ``explore=False``) and never calls ``after_step`` —

@@ -1,10 +1,8 @@
 """Async actor–learner training stack (Ape-X/IMPALA style) for DTDE runs.
 
 Topology: **N rollout actor processes** (``num_actors``) each drive a
-vectorized env batch with batched policy inference on a replica of the
-policy networks (``num_workers > 1`` shards the env *stepping* inside
-each actor across worker processes via
-:class:`~repro.envs.sharded_env.ShardedVectorEnv`), while the **learner**
+:class:`~repro.envs.vector_env.VectorEnv` batch with batched policy
+inference on a replica of the policy networks, while the **learner**
 stays in the calling process, drains transition batches from per-actor
 shared-memory :class:`~repro.distributed.queues.ShmRingQueue` rings
 merged by :class:`~repro.distributed.queues.ActorFanIn`, and runs
@@ -56,8 +54,8 @@ changes what each whole actor steps, per mode:
 
 Shutdown: the learner sets the server's stop flag, closes every queue
 (waking actors blocked on backpressure), joins the actors and unlinks
-every shared-memory segment.  An actor-side failure — including a shard
-worker death inside its ``ShardedVectorEnv`` — arrives as an
+every shared-memory segment.  An actor-side failure (an exception
+anywhere in the actor, its env batch included) arrives as an
 :class:`~repro.distributed.protocol.ActorError` frame carrying the
 actor id and jumps the fan-in merge; an actor that dies without
 reporting (SIGKILL, ``os._exit``) is caught by the learner's abort poll,
@@ -84,7 +82,6 @@ from ..core.trainer import (
     BatchedRolloutWorker,
     _log_hero_episode,
     _log_hero_eval,
-    _make_hero_vec_env,
     evaluate_hero_vectorized,
 )
 from ..core.update_engine import (
@@ -96,7 +93,7 @@ from ..core.update_engine import (
     gather_family,
 )
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
-from ..envs.sharded_env import EnvReplicaFactory
+from ..envs.vector_env import EnvReplicaFactory, VectorEnv
 from ..envs.wrappers import make_baseline_vector_env
 from ..nn.layers import Linear
 from ..nn.tensor import get_default_dtype, set_default_dtype
@@ -109,8 +106,7 @@ from .queues import ActorFanIn, QueueClosed, ShmRingQueue
 __all__ = ["train_hero_async", "train_marl_async"]
 
 # Spawned (not forked) actors: a fork would duplicate the learner's BLAS
-# state and open shm handles; spawn re-imports cleanly and matches the
-# shard workers' model.
+# state and open shm handles; spawn re-imports cleanly.
 _CTX = mp.get_context("spawn")
 
 # Per-actor transition-queue capacity.  A HERO collection round ships
@@ -166,7 +162,7 @@ def _make_exporter(members, flat: np.ndarray | None = None):
     return lambda: gather_family(members, out)
 
 
-def _shutdown(server, queues, processes, *closeables) -> None:
+def _shutdown(server, queues, processes) -> None:
     """Tear the stack down in signal order; never leaves an orphan or shm.
 
     Stop flag first (wakes actors polling the server), queue closes
@@ -186,9 +182,6 @@ def _shutdown(server, queues, processes, *closeables) -> None:
     for queue in queues:
         queue.release()
     server.release()
-    for closeable in closeables:
-        if closeable is not None:
-            closeable.close()
 
 
 def _check_payload(payload) -> RolloutPayload:
@@ -269,7 +262,6 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     staleness mode this actor's batch is its own partition of the
     collection workload.
     """
-    vec_env = None
     try:
         # Spawned processes start at the float64 default; adopt the
         # learner's compute dtype before building any network or env.
@@ -306,10 +298,8 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
                 high.opponent_model.record = _capture_record(events, k)
                 high.opponent_model.record_batch = _capture_record_batch(events, k)
 
-        vec_env = _make_hero_vec_env(
-            spec["factory"], spec["num_envs"], spec["num_workers"]
-        )
-        worker = BatchedRolloutWorker(vec_env, team)
+        n = spec["num_envs"]
+        worker = BatchedRolloutWorker(VectorEnv(n, env_fns=[spec["factory"]] * n), team)
         worker.reset(spec["seeds"])
         max_staleness = spec["max_staleness"]
         lockstep = max_staleness == 0
@@ -370,8 +360,6 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         except Exception:
             pass
     finally:
-        if vec_env is not None:
-            vec_env.close()
         queue.release()
         server.release()
 
@@ -382,7 +370,6 @@ def train_hero_async(
     episodes: int,
     *,
     num_envs: int,
-    num_workers: int,
     rng: np.random.Generator,
     epsilon_schedule,
     n_updates: int,
@@ -477,7 +464,6 @@ def train_hero_async(
     shared_spec = {
         "factory": factory,
         "num_envs": num_envs,
-        "num_workers": num_workers,
         "num_actors": num_actors,
         "epsilon_schedule": epsilon_schedule,
         "hyper": team.hyper,
@@ -521,19 +507,18 @@ def train_hero_async(
     for process in processes:
         process.start()
 
-    eval_vec = None
     try:
         evaluator = None
         if eval_every:
             # Same sizing note as the synchronous loop: the eval batch is
-            # capped at eval_episodes and stays single-process.
+            # capped at eval_episodes.
             eval_envs = max(min(num_envs, eval_episodes), 1)
-            eval_vec = _make_hero_vec_env(factory, eval_envs, 1)
+            eval_vec = VectorEnv(eval_envs, env_fns=[factory] * eval_envs)
             if not eval_vec.fast_path:
                 warnings.warn(
                     "vectorized HERO rollouts are stepping on the scalar "
                     f"fallback ({eval_vec.fallback_reason}); training is "
-                    "correct but --num-envs/--num-workers will not speed it up",
+                    "correct but --num-envs will not speed it up",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -634,7 +619,7 @@ def train_hero_async(
                 )
         return logger
     finally:
-        _shutdown(server, queues, processes, eval_vec)
+        _shutdown(server, queues, processes)
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +663,6 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     the learner's stop flag — exiting early would race the learner's
     liveness poll, which treats a missing actor process as a crash.
     """
-    vec_env = None
     try:
         # Adopt the learner's compute dtype before building the replica.
         set_default_dtype(spec.get("dtype", "float64"))
@@ -699,7 +683,6 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
             spec["num_envs"],
             scenario=spec["scenario"],
             rewards=spec["rewards"],
-            num_workers=spec["num_workers"],
         )
         episodes = spec["episodes"]
         schedule = spec["epsilon_schedule"]
@@ -818,8 +801,6 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         except Exception:
             pass
     finally:
-        if vec_env is not None:
-            vec_env.close()
         queue.release()
         server.release()
 
@@ -879,7 +860,6 @@ def train_marl_async(
         "scenario": vec_env.scenario,
         "rewards": vec_env.rewards,
         "num_envs": vec_env.num_envs,
-        "num_workers": vec_env.num_workers,
         "episodes": episodes,
         "seed": seed,
         "epsilon_schedule": epsilon_schedule,

@@ -27,8 +27,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..envs.sharded_env import _attach_shm
-from .protocol import RNG_WORDS
+from .protocol import RNG_WORDS, _attach_shm
 
 __all__ = ["ParameterServer"]
 

@@ -8,12 +8,15 @@ its own vocabulary: pickled :class:`RolloutPayload` /
 fixed-width RNG codec so ``numpy`` PCG64 generator state can ride inside
 the parameter server's flat uint64 sidecar (a snapshot must carry the
 learner's post-update RNG state for the lockstep determinism contract).
+Both shared-memory carriers attach to their segments through
+:func:`_attach_shm`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -161,6 +164,26 @@ def decode_json_meta(arr: np.ndarray):
     """Unpack a uint8 array written by :func:`encode_json_meta`."""
     data = np.asarray(arr, dtype=np.uint8).tobytes()
     return json.loads(data.decode("utf-8"))
+
+
+# ---------------------------------------------------------------------------
+# Shared-memory attach
+# ---------------------------------------------------------------------------
+
+
+def _attach_shm(name: str) -> shared_memory.SharedMemory:
+    """Attach to the parent's segment without taking ownership of it.
+
+    Only the parent unlinks the block.  On Python >= 3.13 ``track=False``
+    says so explicitly; earlier versions attach normally — attaching
+    processes share the parent's resource tracker, where the duplicate
+    registration is a set add and the parent's unlink balances it exactly
+    once.
+    """
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track kwarg
+        return shared_memory.SharedMemory(name=name)
 
 
 __all__ = [

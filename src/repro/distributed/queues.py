@@ -24,9 +24,9 @@ any ring.
 Liveness: both ends poll in short slices and run an optional ``abort``
 callback between slices, so a dead peer (crashed actor, killed learner)
 surfaces as a :class:`RuntimeError` naming the failure instead of a hang.
-Ownership mirrors :class:`~repro.envs.sharded_env.ShardedVectorEnv`: the
-creating process unlinks the segment exactly once; attached copies (the
-pickled handle a worker receives) only close their mapping.
+Ownership: the creating process unlinks the segment exactly once;
+attached copies (the pickled handle an actor receives) only close their
+mapping.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from ..envs.sharded_env import _attach_shm
-from .protocol import ActorError
+from .protocol import ActorError, _attach_shm
 
 __all__ = ["ActorFanIn", "QueueClosed", "ShmRingQueue"]
 

@@ -6,7 +6,6 @@ from .geometry import RingTrack, StraightTrack, Track, make_track
 from .lane_change_env import CooperativeLaneChangeEnv
 from .render import print_episode, render_episode_frames, render_scene
 from .sensors import Lidar, PseudoCamera, feature_dim, feature_vector
-from .sharded_env import EnvReplicaFactory, ShardedVectorEnv
 from .skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
 from .spaces import Box, DictSpace, Discrete, Space
 from .stepping import VectorStepper
@@ -17,7 +16,7 @@ from .traffic import (
     SlowLeader,
     StationaryObstacle,
 )
-from .vector_env import VectorEnv
+from .vector_env import EnvReplicaFactory, VectorEnv
 from .vehicle import Vehicle, VehicleState
 from .wrappers import (
     DiscreteActionWrapper,
@@ -44,7 +43,6 @@ __all__ = [
     "RealWorldTestbed",
     "RingTrack",
     "ScriptedPolicy",
-    "ShardedVectorEnv",
     "SingleAgentEnv",
     "SlowLeader",
     "Space",

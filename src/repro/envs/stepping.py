@@ -1,25 +1,23 @@
 """The shared stepping interface behind every vectorized rollout consumer.
 
-Two engines step batches of cooperative lane-change environments:
-
-* :class:`~repro.envs.vector_env.VectorEnv` — single-process, all ``N``
-  envs in stacked NumPy arrays;
-* :class:`~repro.envs.sharded_env.ShardedVectorEnv` — the same batch
-  sharded across ``W`` worker processes exchanging stacked arrays over
-  shared memory.
+One engine steps batches of cooperative lane-change environments:
+:class:`~repro.envs.vector_env.VectorEnv`, all ``N`` envs in stacked NumPy
+arrays in one process.  The serving stack's pose-only stepper
+(``repro.serving.server``) stands in for it where a
+:class:`~repro.core.batched.BatchedHeroRunner` acts for client slots
+instead of envs.
 
 Everything downstream — :class:`~repro.core.batched.BatchedHeroRunner`,
 :class:`~repro.core.trainer.BatchedRolloutWorker`, ``train_hero``,
 ``train_marl_vectorized`` and both vectorized evaluators — programs
-against this surface only, so the two engines are drop-in substitutes
-for each other.  :class:`VectorStepper` names that surface in one place:
+against this surface only.  :class:`VectorStepper` names that surface in
+one place:
 
 ========================  ====================================================
 member                    contract
 ========================  ====================================================
 ``num_envs``              batch size ``N``
 ``num_agents``/``agents`` learning vehicles per env (shared across the batch)
-``num_workers``           worker processes stepping the batch (1 = in-process)
 ``scenario``/``rewards``  the shared configuration dataclasses
 ``observation_spaces``    per-agent spaces of the template environment
 ``action_spaces``         per-agent spaces of the template environment
@@ -38,15 +36,13 @@ member                    contract
 ``agent_heading``         learning vehicles' exact heading errors (n, a)
 ``lane_ids``              post-step (pre-auto-reset) lane ids (n, a)
 ``lane_deviation``        post-step distance to lane centre (n, a)
-``close()``               release engine resources (worker processes,
-                          shared memory); idempotent
+``close()``               release engine resources; idempotent
 ========================  ====================================================
 
-The interface also carries the repo's reproducibility contract: for a
-fixed ``num_envs`` every implementation must return **bit-for-bit**
-identical observations, rewards, dones and episode summaries for the
-same action and reset-seed streams (``tests/test_sharded_env.py`` locks
-single-process vs sharded equality at several worker counts).
+The interface also carries the repo's reproducibility contract: the
+engine returns **bit-for-bit** the observations, rewards, dones and
+episode summaries of the scalar environment for the same action and
+reset-seed streams (``tests/test_vector_env.py`` locks it).
 """
 
 from __future__ import annotations
@@ -62,13 +58,12 @@ class VectorStepper:
     """Base class naming the vectorized stepping surface (see module doc).
 
     Subclasses provide the attributes and methods tabulated above;  the
-    base class only implements the observation-flattening helpers shared
-    by every engine and the default no-op :meth:`close`.
+    base class only implements the observation-flattening helpers every
+    consumer shares and the default no-op :meth:`close`.
     """
 
     num_envs: int
     num_agents: int
-    num_workers: int = 1
     agents: list[str]
 
     # ------------------------------------------------------------------
@@ -77,24 +72,6 @@ class VectorStepper:
     def reset(self, seeds: int | Sequence[int | None] | None = None) -> ObsBatch:
         """Reset every environment; returns stacked observations."""
         raise NotImplementedError
-
-    def _normalize_seeds(
-        self, seeds: int | Sequence[int | None] | None
-    ) -> list[int | None]:
-        """Expand :meth:`reset`'s seed argument to one entry per env.
-
-        Shared by every engine so the seed semantics — ``None`` (each env
-        continues its own RNG stream), one int (env ``i`` gets
-        ``seeds + i``), or one seed/None per env — can never drift between
-        them (the engines' bit-for-bit equivalence depends on it).
-        """
-        if seeds is None:
-            return [None] * self.num_envs
-        if isinstance(seeds, (int, np.integer)):
-            return [int(seeds) + i for i in range(self.num_envs)]
-        if len(seeds) != self.num_envs:
-            raise ValueError(f"expected {self.num_envs} seeds, got {len(seeds)}")
-        return [None if seed is None else int(seed) for seed in seeds]
 
     def reset_env(self, i: int, seed: int | None = None) -> dict[str, np.ndarray]:
         """Reset just environment ``i``; returns its per-agent obs rows."""
@@ -108,12 +85,6 @@ class VectorStepper:
 
     def close(self) -> None:
         """Release engine resources; default engines hold none."""
-
-    def __enter__(self) -> "VectorStepper":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Flattening helpers (stacked counterparts of the scalar staticmethods)

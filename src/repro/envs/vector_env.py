@@ -72,6 +72,7 @@ import numpy as np
 from ..config import RewardConfig, ScenarioConfig
 from ..nn.tensor import get_default_dtype
 from ..utils.math_utils import wrap_angle
+from .geometry import Track
 from .lane_change_env import CooperativeLaneChangeEnv
 from .stepping import ObsBatch, VectorStepper
 from .traffic import LaneKeepingCruiser, ScriptedPolicy, SlowLeader, StationaryObstacle
@@ -87,12 +88,43 @@ def _scripted_policy_params(policy: ScriptedPolicy) -> tuple:
     return ()
 
 
+class EnvReplicaFactory:
+    """Picklable factory replicating one ``CooperativeLaneChangeEnv`` setup.
+
+    The async actor processes rebuild their env batch from this object, so
+    it must cross the process boundary — a local closure cannot (the
+    ``spawn`` start method pickles start-up arguments).  Captures exactly
+    what the env constructor takes; ``track`` and ``scripted_policy`` are
+    stateless parameter holders, so pickled copies behave identically to
+    the parent's instances.
+    """
+
+    def __init__(
+        self,
+        scenario: ScenarioConfig | None = None,
+        rewards: RewardConfig | None = None,
+        track: Track | None = None,
+        scripted_policy: ScriptedPolicy | None = None,
+    ):
+        self.scenario = scenario
+        self.rewards = rewards
+        self.track = track
+        self.scripted_policy = scripted_policy
+
+    def __call__(self) -> CooperativeLaneChangeEnv:
+        return CooperativeLaneChangeEnv(
+            scenario=self.scenario,
+            rewards=self.rewards,
+            track=self.track,
+            scripted_policy=self.scripted_policy,
+        )
+
+
 class VectorEnv(VectorStepper):
     """Synchronous batch of ``N`` cooperative lane-change environments.
 
     Implements the :class:`~repro.envs.stepping.VectorStepper` surface
-    in-process; :class:`~repro.envs.sharded_env.ShardedVectorEnv` is the
-    multi-process drop-in substitute.
+    in-process.
     """
 
     def __init__(
@@ -373,9 +405,16 @@ class VectorEnv(VectorStepper):
         """Reset every environment; returns stacked observations.
 
         ``seeds`` may be None (each env continues its own RNG stream), one
-        int (env ``i`` gets ``seeds + i``), or one seed per env.
+        int (env ``i`` gets ``seeds + i``), or one seed (or None) per env.
         """
-        seed_list = self._normalize_seeds(seeds)
+        if seeds is None:
+            seed_list = [None] * self.num_envs
+        elif isinstance(seeds, (int, np.integer)):
+            seed_list = [int(seeds) + i for i in range(self.num_envs)]
+        elif len(seeds) != self.num_envs:
+            raise ValueError(f"expected {self.num_envs} seeds, got {len(seeds)}")
+        else:
+            seed_list = [None if seed is None else int(seed) for seed in seeds]
         if self._fast:
             return self._reset_rows(range(self.num_envs), seed_list)
         per_env = []
@@ -814,5 +853,5 @@ class VectorEnv(VectorStepper):
         }
 
     # The flatten_high / flatten_low staticmethods are inherited from
-    # VectorStepper (repro.envs.stepping) so both stepping engines and all
-    # consumers share one observation layout definition.
+    # VectorStepper (repro.envs.stepping) so the engine, the serving
+    # stepper and all consumers share one observation layout definition.

@@ -44,9 +44,7 @@ from ..config import RewardConfig, ScenarioConfig
 from .base import MultiAgentEnv
 from .lane_change_env import CooperativeLaneChangeEnv
 from .sensors import feature_dim
-from .sharded_env import ShardedVectorEnv
 from .spaces import Box, Discrete
-from .stepping import VectorStepper
 from .vector_env import VectorEnv
 
 # The standard (linear, angular) command grid for value-based baselines;
@@ -144,10 +142,8 @@ def make_baseline_env(
 class VectorBaselineEnv:
     """Vectorized counterpart of :func:`make_baseline_env`.
 
-    Wraps any :class:`~repro.envs.stepping.VectorStepper` — the
-    single-process :class:`~repro.envs.vector_env.VectorEnv` or the
-    multi-process :class:`~repro.envs.sharded_env.ShardedVectorEnv` —
-    behind the baselines' flat interface: observations come out as
+    Wraps a :class:`~repro.envs.vector_env.VectorEnv` behind the
+    baselines' flat interface: observations come out as
     ``(num_envs, num_agents, obs_dim)`` arrays with the same
     ``[lidar, speed, lane_onehot, features]`` layout as
     :class:`FlattenObservationWrapper`, and actions go in as
@@ -157,7 +153,7 @@ class VectorBaselineEnv:
 
     def __init__(
         self,
-        vec_env: VectorStepper,
+        vec_env: VectorEnv,
         linear_levels: tuple[float, ...] = DEFAULT_LINEAR_LEVELS,
         angular_levels: tuple[float, ...] = DEFAULT_ANGULAR_LEVELS,
     ):
@@ -190,13 +186,8 @@ class VectorBaselineEnv:
     def fallback_reason(self) -> str | None:
         return self.vec_env.fallback_reason
 
-    @property
-    def num_workers(self) -> int:
-        """Worker processes stepping the wrapped batch (1 = in-process)."""
-        return self.vec_env.num_workers
-
     def close(self) -> None:
-        """Release the wrapped engine (worker processes, shared memory)."""
+        """Release the wrapped engine."""
         self.vec_env.close()
 
     @staticmethod
@@ -245,20 +236,6 @@ def make_baseline_vector_env(
     num_envs: int,
     scenario: ScenarioConfig | None = None,
     rewards: RewardConfig | None = None,
-    num_workers: int = 1,
 ) -> VectorBaselineEnv:
-    """Vectorized baseline env stack mirroring :func:`make_baseline_env`.
-
-    ``num_workers > 1`` shards the batch across that many worker
-    processes (:class:`~repro.envs.sharded_env.ShardedVectorEnv`) —
-    bit-for-bit equal to the single-process engine at the same
-    ``num_envs``; call :meth:`VectorBaselineEnv.close` when done so the
-    workers are reaped.
-    """
-    if num_workers > 1:
-        return VectorBaselineEnv(
-            ShardedVectorEnv(
-                num_envs, scenario=scenario, rewards=rewards, num_workers=num_workers
-            )
-        )
+    """Vectorized baseline env stack mirroring :func:`make_baseline_env`."""
     return VectorBaselineEnv(VectorEnv(num_envs, scenario=scenario, rewards=rewards))

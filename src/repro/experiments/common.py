@@ -57,8 +57,8 @@ class TrainedMethod:
     ``evaluate(env, episodes, seed)`` runs a greedy evaluation of the
     trained controller.  ``env`` may be the method's scalar evaluation
     stack (any wrapper, e.g. the Table 2 domain-shifted testbed) or a
-    vectorized one — any :class:`~repro.envs.stepping.VectorStepper`
-    (``VectorEnv`` or the multi-process ``ShardedVectorEnv``) for HERO, a
+    vectorized one — a :class:`~repro.envs.vector_env.VectorEnv` (any
+    :class:`~repro.envs.stepping.VectorStepper`) for HERO, a
     :class:`~repro.envs.wrappers.VectorBaselineEnv` for the baselines —
     in which case episodes are batched through the vectorized evaluators
     (bit-for-bit equal to scalar at one env, ~episode-parallel otherwise).
@@ -160,7 +160,6 @@ def train_hero_method(
     updates_per_episode: int = 4,
     metric_prefix: str = "hero",
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
@@ -171,18 +170,15 @@ def train_hero_method(
     ``fused_updates`` routes every gradient phase — skill SAC updates and
     the high-level team update — through the fused
     :class:`repro.core.update_engine.UpdateEngine` families.
-    ``num_workers > 1`` shards the vectorized rollout batch across worker
-    processes (applies when ``num_envs > 1``).  ``async_actors`` moves the
-    rollout phase to a separate actor process on the async actor–learner
-    stack; ``max_staleness`` bounds how far it may run ahead of the newest
-    policy snapshot (0 = lockstep, bitwise equal to the synchronous path);
-    ``num_actors`` fans collection out to that many actor processes
-    (bitwise invariant under lockstep).
+    ``async_actors`` moves the rollout phase to a separate actor process on
+    the async actor–learner stack; ``max_staleness`` bounds how far it may
+    run ahead of the newest policy snapshot (0 = lockstep, bitwise equal to
+    the synchronous path); ``num_actors`` fans collection out to that many
+    actor processes (bitwise invariant under lockstep).
     """
     config = TrainingConfig(
         seed=seed,
         num_envs=num_envs,
-        num_workers=num_workers,
         fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,
@@ -214,7 +210,6 @@ def train_hero_method(
         updates_per_episode=updates_per_episode,
         metric_prefix=metric_prefix,
         num_envs=num_envs,
-        num_workers=num_workers,
     )
     # Keep the skill curves available to Fig. 8.
     logger.extend(skill_logger)
@@ -242,7 +237,6 @@ def train_baseline_method(
     seed: int,
     updates_per_episode: int = 1,
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
@@ -257,12 +251,10 @@ def train_baseline_method(
     interleaved greedy evaluations batched the same way
     (:func:`~repro.baselines.base.evaluate_marl_vectorized`);
     ``num_envs == 1`` keeps the scalar loop (the two are metric-identical
-    at one env).  ``num_workers > 1`` shards the vectorized batch across
-    worker processes; the pool is shut down before returning.
-    ``async_actors`` runs the rollouts in a separate actor process (IDQN
-    only; other baselines warn and fall back); ``max_staleness=0`` keeps
-    the run bitwise equal to the synchronous vectorized loop at any
-    ``num_actors`` fan-out.
+    at one env).  ``async_actors`` runs the rollouts in a separate actor
+    process (IDQN only; other baselines warn and fall back);
+    ``max_staleness=0`` keeps the run bitwise equal to the synchronous
+    vectorized loop at any ``num_actors`` fan-out.
     """
     env = make_baseline_env(scenario=scenario, rewards=rewards)
     algo = make_baseline(name, env, seed=seed, **baseline_kwargs)
@@ -277,24 +269,18 @@ def train_baseline_method(
         )
         async_actors = False
     if num_envs > 1:
-        vec_env = make_baseline_vector_env(
-            num_envs, scenario=scenario, rewards=rewards, num_workers=num_workers
+        logger = train_marl_vectorized(
+            make_baseline_vector_env(num_envs, scenario=scenario, rewards=rewards),
+            algo,
+            episodes=episodes,
+            seed=seed,
+            updates_per_episode=updates_per_episode,
+            epsilon_decay_episodes=max(episodes // 2, 1),
+            fused_updates=fused_updates,
+            async_actors=async_actors,
+            max_staleness=max_staleness,
+            num_actors=num_actors,
         )
-        try:
-            logger = train_marl_vectorized(
-                vec_env,
-                algo,
-                episodes=episodes,
-                seed=seed,
-                updates_per_episode=updates_per_episode,
-                epsilon_decay_episodes=max(episodes // 2, 1),
-                fused_updates=fused_updates,
-                async_actors=async_actors,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
-            )
-        finally:
-            vec_env.close()
     else:
         logger = train_marl(
             env,
@@ -328,7 +314,6 @@ def train_all_methods(
     scenario: ScenarioConfig | None = None,
     skill_scale: float | None = None,
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
@@ -342,15 +327,11 @@ def train_all_methods(
     collects every method's rollouts — HERO's and the four baselines' —
     from that many vectorized env copies with batched policy inference,
     and batches the interleaved greedy evaluations (the Fig. 7 curves)
-    the same way.  ``num_workers > 1`` additionally shards each method's
-    env batch across that many worker processes
-    (:class:`~repro.envs.sharded_env.ShardedVectorEnv`) — results are
-    bit-for-bit identical at any worker count.  ``async_actors`` runs each
-    supporting method's rollouts in a separate actor process on the async
-    actor–learner stack (``repro.distributed.actor_learner``; HERO and
-    IDQN — the other baselines warn and stay synchronous);
-    ``max_staleness=0`` keeps async runs bitwise equal to synchronous at
-    any ``num_actors`` fan-out.
+    the same way.  ``async_actors`` runs each supporting method's rollouts
+    in a separate actor process on the async actor–learner stack
+    (``repro.distributed.actor_learner``; HERO and IDQN — the other
+    baselines warn and stay synchronous); ``max_staleness=0`` keeps async
+    runs bitwise equal to synchronous at any ``num_actors`` fan-out.
     """
     methods = methods or METHOD_NAMES
     scenario = scenario or bench_scenario()
@@ -374,7 +355,6 @@ def train_all_methods(
                 skill_episodes,
                 seed,
                 num_envs=num_envs,
-                num_workers=num_workers,
                 fused_updates=fused_updates,
                 async_actors=async_actors,
                 max_staleness=max_staleness,
@@ -388,7 +368,6 @@ def train_all_methods(
                 episodes,
                 seed,
                 num_envs=num_envs,
-                num_workers=num_workers,
                 fused_updates=fused_updates,
                 async_actors=async_actors,
                 max_staleness=max_staleness,

@@ -24,7 +24,6 @@ def run_fig10(
     seed: int = 0,
     result: ExperimentResult | None = None,
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
@@ -35,7 +34,6 @@ def run_fig10(
         seed=seed,
         methods=["hero"],
         num_envs=num_envs,
-        num_workers=num_workers,
         fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,

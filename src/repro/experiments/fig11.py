@@ -20,7 +20,6 @@ def run_fig11(
     eval_episodes: int = 10,
     result: ExperimentResult | None = None,
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
@@ -30,7 +29,6 @@ def run_fig11(
         scale=scale,
         seed=seed,
         num_envs=num_envs,
-        num_workers=num_workers,
         fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,

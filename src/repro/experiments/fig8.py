@@ -20,13 +20,12 @@ def run_fig8(
     scale: float = 0.02,
     seed: int = 0,
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
 ) -> dict:
-    """``num_envs``/``num_workers``/``async_actors``/``max_staleness`` are
+    """``num_envs``/``async_actors``/``max_staleness``/``num_actors`` are
     accepted for CLI uniformity; each skill trains on one scalar
     single-agent env, the two skills in two processes
     (:func:`~repro.core.trainer.train_low_level_skills`).
@@ -73,9 +72,9 @@ def report_fig8(outputs: dict) -> list[tuple[str, bool]]:
     # exploration ("the agent will explore the action space at the
     # beginning to maximize the entropy of action probability"). Our
     # feature-based skill masters the manoeuvre sooner than the paper's
-    # raw-vision learner (see EXPERIMENTS.md), so the exploration phase is
-    # checked on SAC's policy entropy directly: it must start high and
-    # contract as the skill converges.
+    # raw-vision learner, so the exploration phase is checked on SAC's
+    # policy entropy directly: it must start high and contract as the
+    # skill converges.
     entropy = outputs.get("lane_change_entropy")
     if entropy is not None and len(entropy) > 3:
         summary = curve_summary(entropy)

@@ -69,7 +69,6 @@ def run_experiment(
     scale: float = 0.02,
     seed: int = 0,
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
@@ -82,12 +81,10 @@ def run_experiment(
     ``num_envs > 1`` collects every method's training rollouts — HERO's
     and the four baselines' — from that many vectorized environment copies
     and batches the interleaved greedy evaluations the same way (see
-    ``repro.envs.vector_env`` and docs/REPRODUCING.md).  ``num_workers >
-    1`` shards those env copies across worker processes
-    (``repro.envs.sharded_env``) — bit-for-bit identical results at any
-    worker count.  ``fused_updates`` batches every method's gradient
-    phase through ``repro.core.update_engine`` (tolerance-equivalent, not
-    bitwise).  ``async_actors`` runs rollouts in a separate actor process
+    ``repro.envs.vector_env`` and docs/REPRODUCING.md).  ``fused_updates``
+    batches every method's gradient phase through
+    ``repro.core.update_engine`` (tolerance-equivalent, not bitwise).
+    ``async_actors`` runs rollouts in a separate actor process
     on the async actor–learner stack (``repro.distributed.actor_learner``;
     HERO and IDQN), with ``max_staleness`` bounding how far the actor may
     run ahead of the newest policy snapshot (0 = lockstep, bitwise equal
@@ -113,14 +110,13 @@ def run_experiment(
                 f"checkpoint_dir is only supported by table2, not {exp_id!r}"
             )
         extra_kwargs["checkpoint_dir"] = checkpoint_dir
-    # Networks, envs and worker/actor processes all inherit the default
+    # Networks, envs and actor processes all inherit the default
     # dtype at construction, so one process-global scope covers the run.
     with default_dtype(dtype):
         outputs = experiment.run(
             scale=scale,
             seed=seed,
             num_envs=num_envs,
-            num_workers=num_workers,
             fused_updates=fused_updates,
             async_actors=async_actors,
             max_staleness=max_staleness,

@@ -106,16 +106,15 @@ def run_table2(
     eval_episodes: int = 20,
     result: ExperimentResult | None = None,
     num_envs: int = 1,
-    num_workers: int = 1,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
     checkpoint_dir: str | None = None,
 ) -> dict:
-    """Train all methods (vectorized when ``num_envs > 1``, sharded across
-    worker processes when ``num_workers > 1``, including the interleaved
-    greedy evaluations) and score each on the domain-shifted testbed.
+    """Train all methods (vectorized when ``num_envs > 1``, including the
+    interleaved greedy evaluations) and score each on the domain-shifted
+    testbed.
 
     The final Table 2 evaluation itself stays scalar regardless of
     ``num_envs``: :class:`~repro.envs.testbed.RealWorldTestbed` injects
@@ -139,7 +138,6 @@ def run_table2(
         scale=scale,
         seed=seed,
         num_envs=num_envs,
-        num_workers=num_workers,
         fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,

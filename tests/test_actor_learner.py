@@ -10,9 +10,8 @@ The contract under test (``repro.distributed.actor_learner``):
   bounded by the budget, and still produces the full metric set;
 * the shared-memory transition queue exerts backpressure: a producer
   that outruns the consumer blocks instead of growing the queue;
-* an actor crash — including a shard worker dying inside the actor's
-  ``ShardedVectorEnv`` — surfaces as a ``RuntimeError`` naming the
-  failing shard, not a hang;
+* an actor crash — an exception inside the actor's env batch — surfaces
+  as a ``RuntimeError`` naming the failing actor, not a hang;
 * a finished (or failed) run leaves no orphan processes and unlinks
   every shared-memory segment it created.
 """
@@ -31,11 +30,7 @@ from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.distributed import ParameterServer, ShmRingQueue
 from repro.distributed import actor_learner
-from repro.envs import (
-    CooperativeLaneChangeEnv,
-    EnvReplicaFactory,
-    make_baseline_vector_env,
-)
+from repro.envs import CooperativeLaneChangeEnv, make_baseline_vector_env
 
 SCENARIO = ScenarioConfig(episode_length=5)
 
@@ -330,14 +325,13 @@ def test_actor_crash_names_failing_shard(monkeypatch):
     config.scenario = SCENARIO
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
-    with pytest.raises(RuntimeError, match=r"envs \[0, 2\).*injected failure"):
+    with pytest.raises(RuntimeError, match=r"(?s)async actor 0 failed.*injected failure"):
         train_hero(
             env,
             team,
             episodes=3,
             config=config,
             num_envs=4,
-            num_workers=2,
             eval_every=0,
             async_actors=True,
         )

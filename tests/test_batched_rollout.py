@@ -301,6 +301,25 @@ class TestTrainHeroVectorized:
         assert not vec.fast_path  # custom traffic -> scalar fallback
         assert all(e._scripted_policy is policy for e in vec.envs)
 
+    def test_train_hero_warns_on_scalar_fallback(self):
+        """The vectorized HERO loop must say why --num-envs is not helping."""
+        from repro.envs import ScriptedPolicy
+
+        class CrawlPolicy(ScriptedPolicy):
+            """No vectorized kernel, so VectorEnv takes the scalar path."""
+
+            def act(self, vehicle, all_vehicles):
+                return 0.02, 0.0
+
+        config = TrainingConfig(seed=0)
+        config.scenario = ScenarioConfig(episode_length=5)
+        env = CooperativeLaneChangeEnv(
+            scenario=config.scenario, scripted_policy=CrawlPolicy()
+        )
+        team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
+        with pytest.warns(RuntimeWarning, match="scalar fallback"):
+            train_hero(env, team, episodes=1, config=config, num_envs=2, eval_every=0)
+
     def test_num_envs_defaults_from_config(self, monkeypatch):
         """train_hero must honour TrainingConfig.num_envs when the kwarg
         is omitted (the config field must not be write-only)."""

@@ -22,7 +22,7 @@ def test_node_ids_cover_every_gated_benchmark_in_this_checkout():
     out = node_ids(ROOT)
     assert out.returncode == 0, out.stderr
     ids = out.stdout.split()
-    assert len(ids) == 13
+    assert len(ids) == 12
     for node_id in ids:
         path, name = node_id.split("::")
         assert f"def {name}(" in (ROOT / path).read_text()

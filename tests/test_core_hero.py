@@ -207,7 +207,7 @@ class TestDistributedHero:
 class TestSoloSanity:
     def test_single_agent_hero_learns_to_escape(self):
         """At single-agent scale HERO must learn the merge quickly — this is
-        the end-to-end learning sanity check (see EXPERIMENTS.md)."""
+        the end-to-end learning sanity check."""
         from repro.experiments.common import train_hero_method
 
         scenario = ScenarioConfig(num_learning_vehicles=1, episode_length=20)

@@ -91,18 +91,21 @@ class TestCommon:
 
 class TestFig7Verdicts:
     @staticmethod
-    def _merge_verdict(hero: float, idqn: float) -> bool:
+    def _verdict(panel: str, tails: dict[str, float], phrase: str) -> bool:
+        """Run report_fig7 on flat curves whose ``panel`` tails are ``tails``
+        (every other panel all zeros) and return the verdict naming ``phrase``."""
         from repro.experiments.fig7 import PANELS, report_fig7
 
-        flat = {"hero": np.zeros(20), "idqn": np.zeros(20)}
-        panels = {panel: flat for panel in PANELS}
-        panels["c_merge_success_rate"] = {
-            "hero": np.full(20, hero),
-            "idqn": np.full(20, idqn),
-        }
+        panels = {name: {m: np.zeros(20) for m in tails} for name in PANELS}
+        panels[panel] = {m: np.full(20, value) for m, value in tails.items()}
         checks = dict(report_fig7({"panels": panels}))
-        (line,) = [line for line in checks if "merges far more" in line]
+        (line,) = [line for line in checks if phrase in line]
         return checks[line]
+
+    def _merge_verdict(self, hero: float, idqn: float) -> bool:
+        return self._verdict(
+            "c_merge_success_rate", {"hero": hero, "idqn": idqn}, "merges far more"
+        )
 
     def test_merge_verdict_misses_when_hero_never_merges(self, capsys):
         assert not self._merge_verdict(hero=0.0, idqn=0.0)
@@ -110,6 +113,33 @@ class TestFig7Verdicts:
 
     def test_merge_verdict_passes_on_a_clear_margin(self):
         assert self._merge_verdict(hero=0.5, idqn=0.1)
+
+    ORDERING_VERDICTS = {
+        "reward": ("a_mean_episode_reward", "HERO reaches the highest converged"),
+        "hero_collision": ("b_collision_rate", "HERO is among the lowest converged"),
+        "maddpg_collision": ("b_collision_rate", "MADDPG keeps a comparatively high"),
+    }
+
+    @pytest.mark.parametrize("verdict", sorted(ORDERING_VERDICTS))
+    def test_ordering_verdict_misses_on_all_equal_tails(self, verdict, capsys):
+        """Every method's tail at 1.00 (seen at --scale 0.003 --seed 7)
+        separates nothing, so no ordering claim may pass on it."""
+        panel, phrase = self.ORDERING_VERDICTS[verdict]
+        tails = {"hero": 1.0, "idqn": 1.0, "maddpg": 1.0, "maac": 1.0}
+        assert not self._verdict(panel, tails, phrase)
+        assert f"[MISS] {phrase}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "verdict, tails",
+        [
+            ("reward", {"hero": 6.0, "idqn": 2.0, "maddpg": 1.0, "maac": 3.0}),
+            ("hero_collision", {"hero": 0.1, "idqn": 0.6, "maddpg": 0.9, "maac": 0.5}),
+            ("maddpg_collision", {"hero": 0.1, "idqn": 0.6, "maddpg": 0.9, "maac": 0.5}),
+        ],
+    )
+    def test_ordering_verdict_passes_on_a_clear_margin(self, verdict, tails):
+        panel, phrase = self.ORDERING_VERDICTS[verdict]
+        assert self._verdict(panel, tails, phrase)
 
 
 class TestFig8Tiny:

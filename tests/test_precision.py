@@ -12,8 +12,8 @@ The guarantees under test, as documented in docs/ARCHITECTURE.md
 * **no silent upcasts** — float32 stays float32 through the optimiser
   state, the fused VJP and the replay-buffer boundary (one cast at
   ``push``, none at ``sample``);
-* **footprints halve** — parameter-server segments, the sharded-env
-  shared-memory layout and checkpoint payloads shrink ~2x at float32.
+* **footprints halve** — parameter-server segments and checkpoint
+  payloads shrink ~2x at float32.
 
 Checkpoint format coverage rides along: format 2 records the dtype and
 round-trips both precisions bitwise; format 1 archives (which predate
@@ -28,7 +28,6 @@ import pytest
 from repro.config import RewardConfig, ScenarioConfig
 from repro.core.update_engine import StackedMLP
 from repro.distributed.parameter_server import ParameterServer
-from repro.envs.sharded_env import _build_layout
 from repro.experiments.common import train_baseline_method, train_hero_method
 from repro.nn import MLP, SGD, Adam, RMSprop, Parameter
 from repro.nn.tensor import default_dtype, get_default_dtype
@@ -411,24 +410,6 @@ class TestFootprintHalving:
         size32 = segment_size(np.float32)
         # Double-buffered param block dominates; header/RNG rows are flat.
         assert size32 < 0.6 * size64
-
-    def test_sharded_layout_halves(self):
-        def total_bytes(name):
-            _, total = _build_layout(
-                num_envs=16,
-                num_agents=4,
-                num_workers=2,
-                beams=32,
-                lanes=4,
-                feats=8,
-                float_dtype=name,
-            )
-            return total
-
-        # Observation payloads dominate at this shape; the float64
-        # physics mirrors and the control plane keep the ratio above a
-        # strict 0.5.
-        assert total_bytes("float32") < 0.65 * total_bytes("float64")
 
     def test_checkpoint_payload_halves(self, tmp_path):
         team64 = _fresh_team("float64")

@@ -1,11 +1,20 @@
 #!/usr/bin/env python
-"""Docs link check: every relative link in the Markdown docs must resolve.
+"""Docs link check: every relative link and quoted repo path must resolve.
 
-Scans ``README.md`` and ``docs/*.md`` for inline Markdown links and fails
-when a relative target (file or directory) does not exist in the
-repository.  External links (``http(s)://``) are intentionally not
-fetched — CI must not depend on third-party uptime — and pure anchors
-(``#section``) are skipped.
+Scans ``README.md`` and ``docs/*.md`` and fails on
+
+* an inline Markdown link whose relative target (file or directory) does
+  not exist in the repository.  External links (``http(s)://``) are
+  intentionally not fetched — CI must not depend on third-party uptime —
+  and pure anchors (``#section``) are skipped;
+* a backtick-quoted repo path — one starting with ``src/``, ``tests/``,
+  ``benchmarks/``, ``tools/``, ``examples/``, ``docs/``, ``perfbench/`` or
+  a package directory under ``src/repro`` such as ``envs/`` — that
+  resolves neither from the repository root nor from ``src/repro``.  A
+  ``::test`` suffix is ignored and a glob must match something, so docs
+  cannot keep citing a file after it is deleted.
+
+Fenced code blocks are skipped by both checks.
 
 Usage::
 
@@ -20,32 +29,83 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
 # Inline links: [text](target). Images share the syntax via a leading "!".
 LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
+CODE_SPAN = re.compile(r"`([^`\n]+)`")
+PATH_HEADS = ("src", "tests", "benchmarks", "tools", "examples", "docs", "perfbench")
 
 
-def iter_links(markdown: str):
-    """Yield link targets, skipping fenced code blocks."""
+def _path_pattern() -> re.Pattern:
+    """A quoted repo path: a known head, directories, and a last component
+    with at most a short file extension (so ``utils/seeding.episode_reset_seeds``,
+    a module attribute, is not taken for a file)."""
+    packages = [p.name for p in PACKAGE_ROOT.iterdir() if (p / "__init__.py").is_file()]
+    heads = "|".join(re.escape(head) for head in (*PATH_HEADS, *sorted(packages)))
+    return re.compile(rf"^(?:{heads})/(?:[\w*.-]+/)*(?:[\w*-]+(?:\.[a-z0-9]{{1,4}})?)?$")
+
+
+PATH_PATTERN = _path_pattern()
+
+
+def _prose_lines(markdown: str):
+    """Yield the lines outside fenced code blocks."""
     in_fence = False
     for line in markdown.splitlines():
         if line.lstrip().startswith("```"):
             in_fence = not in_fence
             continue
-        if in_fence:
-            continue
+        if not in_fence:
+            yield line
+
+
+def iter_links(markdown: str):
+    """Yield link targets, skipping fenced code blocks."""
+    for line in _prose_lines(markdown):
         yield from LINK_PATTERN.findall(line)
 
 
+def iter_quoted_paths(markdown: str):
+    """Yield backtick-quoted repo paths (``::node`` suffix stripped)."""
+    for line in _prose_lines(markdown):
+        for span in CODE_SPAN.findall(line):
+            path = span.strip().split("::", 1)[0]
+            if PATH_PATTERN.match(path):
+                yield path
+
+
+def path_resolves(path: str) -> bool:
+    """Whether ``path`` names something from the repo root or ``src/repro``."""
+    for base in (REPO_ROOT, PACKAGE_ROOT):
+        if "*" in path:
+            if next(base.glob(path.rstrip("/")), None) is not None:
+                return True
+        elif (base / path).exists():
+            return True
+    return False
+
+
+def _display(path: Path) -> str:
+    try:
+        return str(path.relative_to(REPO_ROOT))
+    except ValueError:
+        return str(path)
+
+
 def check_file(path: Path) -> list[str]:
-    """Return one error string per broken relative link in ``path``."""
+    """Return one error string per broken link or dead quoted path in ``path``."""
+    text = path.read_text(encoding="utf-8")
     errors = []
-    for target in iter_links(path.read_text(encoding="utf-8")):
+    for target in iter_links(text):
         if target.startswith(("http://", "https://", "mailto:", "#")):
             continue
         resolved = (path.parent / target.split("#", 1)[0]).resolve()
         if not resolved.exists():
-            errors.append(f"{path.relative_to(REPO_ROOT)}: broken link -> {target}")
+            errors.append(f"{_display(path)}: broken link -> {target}")
+    for quoted in iter_quoted_paths(text):
+        if not path_resolves(quoted):
+            errors.append(f"{_display(path)}: dead path -> {quoted}")
     return errors
 
 
@@ -64,7 +124,7 @@ def main(argv: list[str] | None = None) -> int:
     errors = [error for path in files for error in check_file(path)]
     for error in errors:
         print(error, file=sys.stderr)
-    checked = ", ".join(str(p.relative_to(REPO_ROOT)) for p in files)
+    checked = ", ".join(_display(p) for p in files)
     if errors:
         print(f"\nlink check FAILED ({len(errors)} broken) over: {checked}")
         return 1
