@@ -13,7 +13,8 @@ Public API layers:
 * :mod:`repro.nn` — numpy autodiff + neural networks (framework substrate)
 * :mod:`repro.envs` — multi-vehicle driving simulator (Gazebo substitute)
 * :mod:`repro.core` — HERO: options, SAC skills, opponent modeling, trainers
-* :mod:`repro.baselines` — IDQN / COMA / MADDPG / MAAC
+* :mod:`repro.baselines` — IDQN / COMA / MADDPG / MAAC and their one
+  training loop (``train_marl_vectorized``, at any ``num_envs``)
 * :mod:`repro.distributed` — message bus, actor-learner stack, param server
 * :mod:`repro.serving` — versioned checkpoints + batched inference service
 * :mod:`repro.experiments` — one harness per paper table/figure
@@ -40,7 +41,6 @@ from .baselines import (
     evaluate_marl,
     evaluate_marl_vectorized,
     make_baseline,
-    train_marl,
     train_marl_vectorized,
 )
 from .config import (
@@ -97,6 +97,5 @@ __all__ = [
     "save_checkpoint",
     "train_hero",
     "train_low_level_skills",
-    "train_marl",
     "train_marl_vectorized",
 ]

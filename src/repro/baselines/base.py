@@ -1,29 +1,37 @@
-"""Common interface for the end-to-end MARL baselines (Sec. V-A).
+"""Common interface and training loop for the end-to-end MARL baselines
+(Sec. V-A).
 
 All four baselines act on the *flattened, discretised* environment stack
-(:func:`repro.envs.make_baseline_env`): per-agent flat observations and a
-discrete grid of primitive (linear, angular) commands. HERO's advantage in
-the paper comes precisely from not having to learn in that flat space.
+(:func:`repro.envs.make_baseline_env`, vectorized as
+:class:`~repro.envs.wrappers.VectorBaselineEnv`): per-agent flat
+observations and a discrete grid of primitive (linear, angular) commands.
+HERO's advantage in the paper comes precisely from not having to learn in
+that flat space.
+
+Training has one loop, :func:`train_marl_vectorized`, built from a
+:class:`BaselineRolloutWorker` (collection rounds) and a
+:class:`BaselineConsumer` (observe, update, log, evaluate); the async
+IDQN learner reuses both across processes.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
-from ..utils.logging_utils import MetricLogger, summarise_eval_episodes
+from ..envs.vector_env import EnvReplicaFactory, VectorEnv
+from ..envs.wrappers import VectorBaselineEnv
+from ..utils.logging_utils import (
+    MetricLogger,
+    episode_series,
+    eval_series,
+    summarise_eval_episodes,
+)
 from ..utils.schedule import LinearSchedule
-from ..utils.seeding import episode_reset_seeds
-
-
-def _resolve_update_fn(algorithm: "MARLAlgorithm", fused_updates: bool):
-    """The algorithm's update callable, optionally through the fused engine."""
-    if not fused_updates:
-        return algorithm.update
-    from ..core.update_engine import UpdateEngine
-
-    return UpdateEngine(algorithm).update
+from ..utils.seeding import episode_partition, episode_reset_seeds
 
 
 class MARLAlgorithm:
@@ -202,91 +210,195 @@ class MARLAlgorithm:
             self.load_state_dict({name: archive[name] for name in archive.files})
 
 
-def train_marl(
-    env,
-    algorithm: MARLAlgorithm,
-    episodes: int,
-    seed: int = 0,
-    epsilon_start: float = 1.0,
-    epsilon_end: float = 0.05,
-    epsilon_decay_episodes: int | None = None,
-    updates_per_episode: int = 1,
-    logger: MetricLogger | None = None,
-    metric_prefix: str | None = None,
-    eval_every: int | None = None,
-    eval_episodes: int = 3,
-    fused_updates: bool = False,
-) -> MetricLogger:
-    """Generic training loop recording the paper's four metrics.
+def _episode_plan(episodes: int, n: int, num_actors: int, actor: int):
+    """The episode universe of a rollout worker: ``(universe, order)``.
 
-    Works for both off-policy (per-episode batched updates) and on-policy
-    (the ``end_episode`` hook) baselines. ``eval_every`` (default:
-    episodes // 40) interleaves short greedy evaluations, logged under
-    ``{prefix}/eval_*`` — the exploration-free curves Fig. 7 plots.
-
-    ``fused_updates`` routes gradient steps through
-    :class:`repro.core.update_engine.UpdateEngine` — IDQN's per-agent DQNs
-    update as one stacked family, and MADDPG/MAAC run their actor steps
-    through the cross-family VJP against frozen stacked critics.  Only
-    COMA (whole variable-length episodes, no fixed family shape) delegates
-    to its own ``update`` unchanged.
+    ``universe`` is the size of the :func:`episode_reset_seeds` universe,
+    padded so that every one of ``num_actors`` workers can seed its first
+    batch of ``n`` envs; indices at or beyond ``episodes`` are
+    warm-up/overflow episodes that are stepped but never counted.
+    ``order`` holds the episode indices worker ``actor`` walks, in start
+    order: its :func:`episode_partition` stride, which for one worker is
+    the whole universe in order.
     """
-    logger = logger or MetricLogger()
-    prefix = metric_prefix or algorithm.name
-    update_fn = _resolve_update_fn(algorithm, fused_updates)
-    # Reset seeds are a pure function of (seed, episode) so the vectorized
-    # loop — which finishes episodes out of order — replays the same stream.
-    reset_seeds = episode_reset_seeds(seed, episodes)
-    epsilon_schedule = LinearSchedule(
-        epsilon_start, epsilon_end, epsilon_decay_episodes or max(episodes // 2, 1)
-    )
-    if eval_every is None:
-        eval_every = max(episodes // 40, 1)
-    for episode in range(episodes):
-        epsilon = epsilon_schedule(episode)
-        if hasattr(algorithm, "epsilon"):
-            algorithm.epsilon = epsilon
-        obs = env.reset(seed=int(reset_seeds[episode]))
-        done = False
-        info: dict = {}
-        while not done:
-            actions = algorithm.act(obs, explore=True)
-            next_obs, rewards, dones, info = env.step(actions)
-            algorithm.observe(obs, actions, rewards, next_obs, dones)
-            obs = next_obs
-            done = dones["__all__"]
-        algorithm.end_episode()
-        for _ in range(updates_per_episode):
-            losses = update_fn()
+    universe = max(episodes, n * num_actors)
+    return universe, episode_partition(universe, num_actors, actor)
 
-        summary = info["episode"]
-        logger.log_many(
-            {
-                f"{prefix}/episode_reward": summary["episode_reward"],
-                f"{prefix}/collision_rate": summary["collision"],
-                f"{prefix}/merge_success_rate": summary["merge_success_rate"],
-                f"{prefix}/mean_speed": summary["mean_speed"],
-            },
-            episode,
+
+class BaselineRolloutWorker:
+    """Collects a baseline's experience on a ``VectorBaselineEnv``.
+
+    The baselines' counterpart of HERO's
+    :class:`~repro.core.trainer.BatchedRolloutWorker`.  It owns the env
+    batch, the per-episode reset seeds and exploration rates, and the
+    episode index each env runs: env ``i`` always runs one episode ``e`` of
+    the universe, reset with ``episode_reset_seeds(seed, universe)[e]`` and
+    explored at ``epsilon_schedule(min(e, episodes - 1))``.  Each
+    :meth:`collect` is one collection round.  The synchronous loop hands
+    its rows to a :class:`BaselineConsumer` in-process; an async IDQN
+    actor ships them to the learner's consumer.
+
+    ``num_actors``/``actor`` restrict the worker to one
+    :func:`~repro.utils.seeding.episode_partition` stride of the universe
+    (a staleness-mode actor); the default walks all of it.
+    """
+
+    def __init__(
+        self,
+        vec_env,
+        algorithm: MARLAlgorithm,
+        episodes: int,
+        seed: int,
+        epsilon_schedule,
+        num_actors: int = 1,
+        actor: int = 0,
+    ):
+        n = vec_env.num_envs
+        universe, self._order = _episode_plan(episodes, n, num_actors, actor)
+        self.vec_env = vec_env
+        self.algorithm = algorithm
+        self.episodes = episodes
+        self._epsilon_schedule = epsilon_schedule
+        self._reset_seeds = episode_reset_seeds(seed, universe)
+        self._episode_of_env = self._order[:n].copy()
+        self._next_slot = n
+        self._budget_left = int((self._order < episodes).sum())
+        self._obs = vec_env.reset(
+            seeds=[int(self._reset_seeds[e]) for e in self._episode_of_env]
         )
-        if losses:
-            for name, value in losses.items():
-                logger.log(f"{prefix}/{name}", value, episode)
 
-        if eval_every and (episode % eval_every == 0 or episode == episodes - 1):
-            eval_metrics = evaluate_marl(
-                env, algorithm, episodes=eval_episodes, seed=seed + 500 + episode
-            )
-            logger.log_many(
+    @property
+    def exhausted(self) -> bool:
+        """Whether every budget episode this worker owns has finished."""
+        return self._budget_left == 0
+
+    def collect(self) -> list[dict]:
+        """Step the batch until a budget episode finishes; return the rows.
+
+        One row per step: ``obs``, ``actions``, ``rewards``, ``next_obs``
+        and ``dones`` as ``observe_batch`` takes them (done rows of
+        ``next_obs`` hold the terminal observation, as the stored
+        transition must), plus ``finished``, an ``(episode, summary)`` pair
+        per finished env in env order.  A finished env starts its next
+        seeded episode, or idles on the auto-reset rollout once the
+        worker's universe is used up.  Call it only while not
+        :attr:`exhausted`.
+        """
+        algorithm, vec_env, episodes = self.algorithm, self.vec_env, self.episodes
+        n = vec_env.num_envs
+        rows: list[dict] = []
+        while True:
+            if hasattr(algorithm, "epsilon"):
+                eps = np.array(
+                    [
+                        self._epsilon_schedule(min(int(e), episodes - 1))
+                        for e in self._episode_of_env
+                    ]
+                )
+                algorithm.epsilon = float(eps[0]) if n == 1 else eps
+            obs = self._obs
+            actions = algorithm.act_batch(obs, explore=True)
+            next_obs, rewards, dones, infos = vec_env.step(actions)
+            done_rows = np.flatnonzero(dones)
+            observed_next = next_obs
+            if len(done_rows):
+                observed_next = next_obs.copy()
+                for i in done_rows:
+                    observed_next[i] = infos[i]["terminal_observation"]
+            finished = [
+                (int(self._episode_of_env[i]), infos[i]["episode"]) for i in done_rows
+            ]
+            rows.append(
                 {
-                    f"{prefix}/eval_episode_reward": eval_metrics["episode_reward"],
-                    f"{prefix}/eval_collision_rate": eval_metrics["collision_rate"],
-                    f"{prefix}/eval_merge_success_rate": eval_metrics["success_rate"],
-                    f"{prefix}/eval_mean_speed": eval_metrics["mean_speed"],
-                },
-                episode,
+                    "obs": obs,
+                    "actions": actions,
+                    "rewards": rewards,
+                    "next_obs": observed_next,
+                    "dones": dones,
+                    "finished": finished,
+                }
             )
-    return logger
+            self._obs = next_obs
+            for i in done_rows:
+                if self._next_slot < len(self._order):
+                    episode = int(self._order[self._next_slot])
+                    next_obs[i] = vec_env.reset_env(
+                        i, seed=int(self._reset_seeds[episode])
+                    )
+                else:
+                    episode = episodes  # out of the universe: never counted
+                self._episode_of_env[i] = episode
+                self._next_slot += 1
+            budget = sum(episode < episodes for episode, _ in finished)
+            if budget:
+                self._budget_left -= budget
+                return rows
+
+
+@dataclass
+class BaselineConsumer:
+    """Trains a baseline on collected rows: observe, update, log, evaluate.
+
+    Takes each row through ``observe_batch``, then for each finished env
+    runs ``end_episode`` and, for a budget episode, the update budget, the
+    episode metrics and (every ``eval_every`` episodes, and at the last)
+    a greedy evaluation on ``eval_vec_env`` seeded ``seed + 500 + episode``,
+    all under that episode's index.  Metrics reach the logger strictly in
+    episode order, so a batch that finishes episodes out of order logs the
+    series one env would.  The synchronous loop and the async IDQN learner
+    both consume through it.
+    """
+
+    algorithm: MARLAlgorithm
+    episodes: int
+    seed: int
+    update_fn: Callable
+    updates_per_episode: int
+    logger: MetricLogger
+    prefix: str
+    eval_every: int | None
+    eval_episodes: int
+    eval_vec_env: VectorBaselineEnv | None
+    _pending: dict = field(default_factory=dict, init=False)
+    _next_to_log: int = field(default=0, init=False)
+
+    @property
+    def done(self) -> bool:
+        """Whether every budget episode has been logged."""
+        return self._next_to_log >= self.episodes
+
+    def consume(self, rows: list[dict]) -> None:
+        algorithm = self.algorithm
+        for row in rows:
+            algorithm.observe_batch(
+                row["obs"], row["actions"], row["rewards"], row["next_obs"], row["dones"]
+            )
+            for episode, summary in row["finished"]:
+                algorithm.end_episode()
+                if episode < self.episodes:
+                    self._finish(episode, summary)
+
+    def _finish(self, episode: int, summary: dict) -> None:
+        losses = None
+        for _ in range(self.updates_per_episode):
+            losses = self.update_fn()
+        series = episode_series(self.prefix, summary)
+        for name, value in (losses or {}).items():
+            series[f"{self.prefix}/{name}"] = value
+        if self.eval_every and (
+            episode % self.eval_every == 0 or episode == self.episodes - 1
+        ):
+            metrics = evaluate_marl_vectorized(
+                self.eval_vec_env,
+                self.algorithm,
+                episodes=self.eval_episodes,
+                seed=self.seed + 500 + episode,
+            )
+            series.update(eval_series(self.prefix, metrics))
+        self._pending[episode] = series
+        while self._next_to_log in self._pending:
+            self.logger.log_many(self._pending.pop(self._next_to_log), self._next_to_log)
+            self._next_to_log += 1
 
 
 def train_marl_vectorized(
@@ -308,34 +420,47 @@ def train_marl_vectorized(
     max_staleness: int = 0,
     num_actors: int = 1,
 ) -> MetricLogger:
-    """:func:`train_marl` with the rollout phase on a ``VectorBaselineEnv``.
+    """Train a baseline on a ``VectorBaselineEnv``, recording the paper's
+    four metrics per episode.
 
-    Episode accounting is per env: env ``i`` always runs a specific episode
-    index, whose reset seed and exploration epsilon come from the same
-    per-episode streams as the scalar loop, and each finished episode
-    triggers the scalar loop's ``end_episode`` / update budget / logging /
-    greedy-eval sequence under its own episode index (metrics are flushed to
-    the logger in episode order).  With ``num_envs == 1`` this reproduces
-    :func:`train_marl` bit-for-bit; with more envs only experience
-    collection changes — once the episode budget is exhausted, still-running
-    envs keep feeding the replay buffers until their last counted episode
-    finishes.
+    The one training loop of the baselines, at any batch size (the CLI's
+    default ``--num-envs 1`` included): a :class:`BaselineRolloutWorker`
+    collects and a :class:`BaselineConsumer` trains.  Works for both
+    off-policy (per-episode batched updates) and on-policy (the
+    ``end_episode`` hook) baselines.  Episode accounting is per env: env
+    ``i`` always runs a specific episode index, whose reset seed and
+    exploration epsilon are pure functions of that index, and each finished
+    episode triggers ``end_episode``, the update budget, the logging and
+    the greedy eval under its own index (flushed in episode order).  More
+    envs change only experience collection: once the episode budget is
+    exhausted, still-running envs keep feeding the replay buffers until
+    their last counted episode finishes.
 
-    The interleaved greedy evaluations run on a dedicated evaluation
-    ``VectorBaselineEnv`` (the training one holds live mid-episode state)
-    through :func:`evaluate_marl_vectorized`, over ``eval_num_envs`` env
-    copies — default: the training batch size capped at ``eval_episodes``
-    (extra envs would roll out episodes that are never scored).
+    ``eval_every`` (default: episodes // 40) interleaves short greedy
+    evaluations, logged under ``{prefix}/eval_*``: the exploration-free
+    curves Fig. 7 plots.  They run through :func:`evaluate_marl_vectorized`
+    on a dedicated ``VectorBaselineEnv`` (the training one holds live
+    mid-episode state) of ``eval_num_envs`` replicas of the training
+    batch's env (default: the training batch size capped at
+    ``eval_episodes``; extra envs would roll out episodes that are never
+    scored), so evaluation sees the caller's traffic and track.
 
-    ``async_actors`` moves the rollout phase into a separate actor process
+    ``fused_updates`` routes gradient steps through
+    :class:`repro.core.update_engine.UpdateEngine`: IDQN's per-agent DQNs
+    update as one stacked family, and MADDPG/MAAC run their actor steps
+    through the cross-family VJP against frozen stacked critics.  Only
+    COMA (whole variable-length episodes, no fixed family shape) delegates
+    to its own ``update`` unchanged.
+
+    ``async_actors`` moves the rollout phase into separate actor processes
     on the async actor–learner stack
     (:func:`~repro.distributed.actor_learner.train_marl_async`); only IDQN
     supports it (other baselines fall back to this synchronous loop with a
-    warning — their recurrent update/rollout coupling has no capture-replay
+    warning: their recurrent update/rollout coupling has no capture-replay
     protocol yet).  ``max_staleness=0`` is a lockstep barrier, bitwise
-    identical to the synchronous loop; larger values let the actor run
+    identical to the synchronous loop; larger values let the actors run
     ahead of the newest policy snapshot by that many collection rounds.
-    ``num_actors`` fans collection out to that many actor processes —
+    ``num_actors`` fans collection out to that many actor processes:
     bitwise invariant under the lockstep barrier (replicated collection),
     a stride partition of the same episode/seed universe when staleness
     is allowed.
@@ -366,12 +491,11 @@ def train_marl_vectorized(
         eval_every = max(episodes // 40, 1)
     eval_vec_env = None
     if eval_every:
-        from ..envs.wrappers import make_baseline_vector_env
-
         if eval_num_envs is None:
             eval_num_envs = max(min(vec_env.num_envs, eval_episodes), 1)
-        eval_vec_env = make_baseline_vector_env(
-            eval_num_envs, scenario=vec_env.scenario, rewards=vec_env.rewards
+        factory = EnvReplicaFactory.from_env(vec_env.vec_env.template_env)
+        eval_vec_env = VectorBaselineEnv(
+            VectorEnv(eval_num_envs, env_fns=[factory] * eval_num_envs)
         )
     if not vec_env.fast_path:
         warnings.warn(
@@ -382,141 +506,38 @@ def train_marl_vectorized(
             stacklevel=2,
         )
 
-    if async_actors:
-        from ..distributed.actor_learner import train_marl_async
-
-        return train_marl_async(
-            vec_env,
-            algorithm,
-            episodes,
-            seed,
-            epsilon_schedule,
-            updates_per_episode,
-            logger,
-            prefix,
-            eval_every,
-            eval_episodes,
-            eval_vec_env,
-            update_fn,
-            engine=engine,
-            max_staleness=max_staleness,
-            num_actors=num_actors,
-        )
-    return _train_marl_vectorized_loop(
-        vec_env,
+    consumer = BaselineConsumer(
         algorithm,
         episodes,
         seed,
-        epsilon_schedule,
+        update_fn,
         updates_per_episode,
         logger,
         prefix,
         eval_every,
         eval_episodes,
         eval_vec_env,
-        update_fn,
     )
+    if async_actors:
+        from ..distributed.actor_learner import train_marl_async
 
-
-def _train_marl_vectorized_loop(
-    vec_env,
-    algorithm: MARLAlgorithm,
-    episodes: int,
-    seed: int,
-    epsilon_schedule,
-    updates_per_episode: int,
-    logger: MetricLogger,
-    prefix: str,
-    eval_every: int | None,
-    eval_episodes: int,
-    eval_vec_env,
-    update_fn,
-) -> MetricLogger:
-    """The rollout/update/logging loop of :func:`train_marl_vectorized`."""
-    n = vec_env.num_envs
-    reset_seeds = episode_reset_seeds(seed, max(episodes, n))
-    episode_of_env = np.arange(n)
-    next_to_start = n
-    obs = vec_env.reset(seeds=[int(reset_seeds[e]) for e in episode_of_env])
-
-    # Completed episodes are logged strictly in episode-index order so the
-    # recorded series are directly comparable with the scalar loop's.
-    pending: dict[int, dict] = {}
-    next_to_log = 0
-    while next_to_log < episodes:
-        eps = np.array(
-            [epsilon_schedule(min(int(e), episodes - 1)) for e in episode_of_env]
+        train_marl_async(
+            vec_env,
+            algorithm,
+            episodes,
+            seed,
+            epsilon_schedule,
+            consumer,
+            engine=engine,
+            max_staleness=max_staleness,
+            num_actors=num_actors,
         )
-        if hasattr(algorithm, "epsilon"):
-            algorithm.epsilon = float(eps[0]) if n == 1 else eps
-        actions = algorithm.act_batch(obs, explore=True)
-        next_obs, rewards, dones, infos = vec_env.step(actions)
-        observed_next = next_obs
-        if dones.any():
-            # Done rows already hold the auto-reset observation; the stored
-            # transition must see the terminal one, as the scalar loop does.
-            observed_next = next_obs.copy()
-            for i in np.flatnonzero(dones):
-                observed_next[i] = infos[i]["terminal_observation"]
-        algorithm.observe_batch(obs, actions, rewards, observed_next, dones)
-        obs = next_obs
-
-        for i in np.flatnonzero(dones):
-            episode = int(episode_of_env[i])
-            algorithm.end_episode()
-            if episode < episodes:
-                losses = None
-                for _ in range(updates_per_episode):
-                    losses = update_fn()
-                summary = infos[i]["episode"]
-                payload = {
-                    "metrics": {
-                        f"{prefix}/episode_reward": summary["episode_reward"],
-                        f"{prefix}/collision_rate": summary["collision"],
-                        f"{prefix}/merge_success_rate": summary["merge_success_rate"],
-                        f"{prefix}/mean_speed": summary["mean_speed"],
-                    },
-                    "losses": {
-                        f"{prefix}/{name}": value
-                        for name, value in (losses or {}).items()
-                    },
-                    "eval": None,
-                }
-                if eval_every and (
-                    episode % eval_every == 0 or episode == episodes - 1
-                ):
-                    eval_metrics = evaluate_marl_vectorized(
-                        eval_vec_env,
-                        algorithm,
-                        episodes=eval_episodes,
-                        seed=seed + 500 + episode,
-                    )
-                    payload["eval"] = {
-                        f"{prefix}/eval_episode_reward": eval_metrics["episode_reward"],
-                        f"{prefix}/eval_collision_rate": eval_metrics["collision_rate"],
-                        f"{prefix}/eval_merge_success_rate": eval_metrics[
-                            "success_rate"
-                        ],
-                        f"{prefix}/eval_mean_speed": eval_metrics["mean_speed"],
-                    }
-                pending[episode] = payload
-                while next_to_log in pending:
-                    flushed = pending.pop(next_to_log)
-                    logger.log_many(flushed["metrics"], next_to_log)
-                    for name, value in flushed["losses"].items():
-                        logger.log(name, value, next_to_log)
-                    if flushed["eval"]:
-                        logger.log_many(flushed["eval"], next_to_log)
-                    next_to_log += 1
-
-            # Hand the env its next episode (seeded), or let it idle on the
-            # auto-reset rollout once the budget is exhausted.
-            episode_of_env[i] = next_to_start
-            if next_to_start < len(reset_seeds):
-                row = vec_env.reset_env(i, seed=int(reset_seeds[next_to_start]))
-                obs[i] = row
-            next_to_start += 1
-
+    else:
+        worker = BaselineRolloutWorker(
+            vec_env, algorithm, episodes, seed, epsilon_schedule
+        )
+        while not consumer.done:
+            consumer.consume(worker.collect())
     if hasattr(algorithm, "epsilon"):
         algorithm.epsilon = float(epsilon_schedule(episodes - 1))
     return logger

@@ -42,7 +42,7 @@ class IndependentDQN(MARLAlgorithm):
         self.batch_size = batch_size
         self.grad_clip = grad_clip
         self.double_q = double_q
-        self.epsilon = 1.0  # set per-episode by train_marl
+        self.epsilon = 1.0  # set per episode by BaselineRolloutWorker
         self._rng = rng
 
         hidden = (hidden_dim, hidden_dim)
@@ -94,8 +94,8 @@ class IndependentDQN(MARLAlgorithm):
         in one forward per agent.  ``self.epsilon`` may be per-env
         (``(num_envs,)``).  At ``num_envs == 1`` this consumes ``self._rng``
         exactly like :meth:`act` — one uniform per agent, plus one bounded
-        integer when that agent explores — so vectorized training with one
-        env reproduces the scalar loop bit-for-bit.
+        integer when that agent explores — so at one env the training loop
+        explores exactly as the scalar :meth:`act` would.
         """
         num_envs = len(observations)
         if explore:

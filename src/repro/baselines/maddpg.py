@@ -111,8 +111,8 @@ class MADDPG(MARLAlgorithm):
 
         One inference forward per agent over the env batch; at
         ``num_envs == 1`` the categorical draw consumes ``self._rng``
-        exactly like :meth:`act`, so vectorized training with one env
-        reproduces the scalar loop bit-for-bit.
+        exactly like :meth:`act`, so at one env the training loop explores
+        exactly as the scalar :meth:`act` would.
         """
         num_envs = len(observations)
         actions = np.empty((num_envs, self.num_agents), dtype=np.int64)

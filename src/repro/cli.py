@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "vectorized env copies for training AND the interleaved greedy "
-            "evaluations, for HERO and all four baselines (1 = scalar loops)"
+            "evaluations, for HERO and all four baselines (1 = one env: "
+            "HERO's scalar loop, the baselines' loop on a one-env batch)"
         ),
     )
     run.add_argument(
@@ -309,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "vectorized env copies for training AND the interleaved greedy "
-            "evaluations, for HERO and all four baselines (1 = scalar loops)"
+            "evaluations, for HERO and all four baselines (1 = one env: "
+            "HERO's scalar loop, the baselines' loop on a one-env batch)"
         ),
     )
     run_all.add_argument(

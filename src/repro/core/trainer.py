@@ -23,6 +23,8 @@ from __future__ import annotations
 import multiprocessing as mp
 import traceback
 import warnings
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +33,12 @@ from ..envs.lane_change_env import CooperativeLaneChangeEnv
 from ..envs.skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
 from ..envs.vector_env import EnvReplicaFactory, VectorEnv
 from ..nn import get_default_dtype, set_default_dtype
-from ..utils.logging_utils import MetricLogger, summarise_eval_episodes
+from ..utils.logging_utils import (
+    MetricLogger,
+    episode_series,
+    eval_series,
+    summarise_eval_episodes,
+)
 from ..utils.schedule import LinearSchedule
 from ..utils.seeding import episode_reset_seeds
 from .batched import BatchedHeroRunner
@@ -319,86 +326,65 @@ def train_hero(
             stacklevel=2,
         )
         async_actors = False
+    consumer = _HeroEpisodeConsumer(
+        env, team, episodes, n_updates, update_fn, logger, metric_prefix,
+        eval_every, eval_episodes, config,
+    )
     if num_envs > 1:
+        # Replicas share the caller's track and traffic, so custom traffic
+        # falls through to VectorEnv's scalar fallback instead of being
+        # swapped for the defaults; env subclasses are rejected.
+        factory = EnvReplicaFactory.from_env(env)
+        if eval_every:
+            consumer.evaluator = _interleaved_evaluator(
+                team, factory, num_envs, eval_episodes
+            )
         if async_actors:
             from ..distributed.actor_learner import train_hero_async
 
-            logger = train_hero_async(
+            train_hero_async(
                 env,
                 team,
-                episodes,
+                consumer,
                 num_envs=num_envs,
                 rng=rng,
                 epsilon_schedule=epsilon_schedule,
-                n_updates=n_updates,
-                logger=logger,
-                metric_prefix=metric_prefix,
-                eval_every=eval_every,
-                eval_episodes=eval_episodes,
                 config=config,
-                update_fn=update_fn,
                 engine=engine,
                 max_staleness=max_staleness,
                 num_actors=num_actors,
             )
-            return _finish_hero_training(team, env, config, checkpoint_path, logger)
-        logger = _train_hero_vectorized(
-            env,
-            team,
-            episodes,
-            num_envs=num_envs,
-            rng=rng,
-            epsilon_schedule=epsilon_schedule,
-            n_updates=n_updates,
-            logger=logger,
-            metric_prefix=metric_prefix,
-            eval_every=eval_every,
-            eval_episodes=eval_episodes,
-            config=config,
-            update_fn=update_fn,
-        )
-        return _finish_hero_training(team, env, config, checkpoint_path, logger)
-
-    losses: dict[str, float] = {}
-    for episode in range(episodes):
-        epsilon = epsilon_schedule(episode)
-        obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
-        team.start_episode()
-        done = False
-        info: dict = {}
-        step = 0
-        while not done:
-            actions = team.act(obs, epsilon=epsilon, explore=True)
-            next_obs, rewards, dones, info = env.step(actions)
-            team.exchange_observations(next_obs, timestamp=step)
-            team.after_step(next_obs, rewards, dones)
-            obs = next_obs
-            done = dones["__all__"]
-            step += 1
-
-        for _ in range(n_updates):
-            losses = update_fn()
-
-        summary = info.get("episode", env.episode_summary())
-        attempts, _ = team.lane_change_stats()
-        _log_hero_episode(
-            logger, metric_prefix, env, summary, epsilon, attempts, losses, episode
-        )
-        if eval_every and (episode % eval_every == 0 or episode == episodes - 1):
-            _log_hero_eval(
-                logger, metric_prefix, env, team, eval_episodes, config, episode
+        else:
+            worker = BatchedRolloutWorker(_hero_vector_env(factory, num_envs), team)
+            worker.reset([int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)])
+            while not consumer.done:
+                consumer.consume(worker.collect(epsilon_schedule))
+    else:
+        for episode in range(episodes):
+            epsilon = epsilon_schedule(episode)
+            obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
+            team.start_episode()
+            done = False
+            info: dict = {}
+            step = 0
+            while not done:
+                actions = team.act(obs, epsilon=epsilon, explore=True)
+                next_obs, rewards, dones, info = env.step(actions)
+                team.exchange_observations(next_obs, timestamp=step)
+                team.after_step(next_obs, rewards, dones)
+                obs = next_obs
+                done = dones["__all__"]
+                step += 1
+            attempts, _ = team.lane_change_stats()
+            consumer.consume(
+                [
+                    {
+                        "episode": info.get("episode", env.episode_summary()),
+                        "epsilon": epsilon,
+                        "lane_change_attempts": attempts,
+                    }
+                ]
             )
-    return _finish_hero_training(team, env, config, checkpoint_path, logger)
-
-
-def _finish_hero_training(
-    team: HeroTeam,
-    env: CooperativeLaneChangeEnv,
-    config: TrainingConfig,
-    checkpoint_path: str | None,
-    logger: MetricLogger,
-) -> MetricLogger:
-    """Optionally persist the trained team as a serving checkpoint."""
     if checkpoint_path is not None:
         from ..serving.checkpoint import save_checkpoint
 
@@ -413,113 +399,85 @@ def _finish_hero_training(
     return logger
 
 
-def _log_hero_episode(
-    logger: MetricLogger,
-    metric_prefix: str,
-    env: CooperativeLaneChangeEnv,
-    summary: dict[str, float],
-    epsilon: float,
-    lane_change_attempts: int,
-    losses: dict[str, float],
-    episode: int,
-) -> None:
-    """Per-episode training metrics (shared by the scalar/vectorized loops)."""
-    logger.log_many(
-        {
-            f"{metric_prefix}/episode_reward": summary["episode_reward"],
-            f"{metric_prefix}/collision_rate": summary["collision"],
-            f"{metric_prefix}/merge_success_rate": summary["merge_success_rate"],
-            f"{metric_prefix}/mean_speed": summary["mean_speed"],
-            f"{metric_prefix}/epsilon": epsilon,
-            f"{metric_prefix}/lane_change_attempts": float(lane_change_attempts),
-        },
-        episode,
-    )
-    if losses:
-        # Log a stable subset: the first agent's core losses.
-        first = env.agents[0]
-        for name in ("critic_loss", "actor_loss"):
-            key = f"{first}/{name}"
-            if key in losses:
-                logger.log(f"{metric_prefix}/{name}", losses[key], episode)
-        for key, value in losses.items():
-            if "_nll" in key:
-                logger.log(f"{metric_prefix}/{key}", value, episode)
+@dataclass
+class _HeroEpisodeConsumer:
+    """The per-episode step of every HERO training loop.
 
-
-def _log_hero_eval(
-    logger: MetricLogger,
-    metric_prefix: str,
-    env: CooperativeLaneChangeEnv,
-    team: HeroTeam,
-    eval_episodes: int,
-    config: TrainingConfig,
-    episode: int,
-    evaluator=None,
-) -> None:
-    """Greedy-evaluation metrics (shared by the scalar/vectorized loops).
-
-    ``evaluator`` maps ``(episodes, seed)`` to the metrics dict; it defaults
-    to the scalar :func:`evaluate_hero` on ``env`` and is overridden by the
-    vectorized training loop with a :func:`evaluate_hero_vectorized`
-    closure over its evaluation ``VectorEnv``.
+    :meth:`consume` takes finished-episode stats (``episode`` summary,
+    ``epsilon``, ``lane_change_attempts``, as
+    :meth:`BatchedRolloutWorker.collect` returns them) and, for each,
+    runs the update budget, logs the episode's metrics and, every
+    ``eval_every`` episodes and at the last, a greedy evaluation seeded
+    ``config.seed + 500 + episode``, all under a running
+    completed-episode counter.  ``evaluator`` maps ``(episodes, seed)``
+    to the metrics dict; it defaults to the scalar :func:`evaluate_hero`
+    on ``env`` (the vectorized loops set :func:`_interleaved_evaluator`).
+    The scalar, vectorized and async loops all consume through it.
     """
-    if evaluator is None:
-        def evaluator(episodes, seed):
-            return evaluate_hero(env, team, episodes=episodes, seed=seed)
 
-    eval_metrics = evaluator(eval_episodes, config.seed + 500 + episode)
-    logger.log_many(
-        {
-            f"{metric_prefix}/eval_episode_reward": eval_metrics["episode_reward"],
-            f"{metric_prefix}/eval_collision_rate": eval_metrics["collision_rate"],
-            f"{metric_prefix}/eval_merge_success_rate": eval_metrics["success_rate"],
-            f"{metric_prefix}/eval_mean_speed": eval_metrics["mean_speed"],
-        },
-        episode,
-    )
+    env: CooperativeLaneChangeEnv
+    team: HeroTeam
+    episodes: int
+    n_updates: int
+    update_fn: Callable
+    logger: MetricLogger
+    prefix: str
+    eval_every: int | None
+    eval_episodes: int
+    config: TrainingConfig
+    evaluator: Callable | None = None
+    completed: int = field(default=0, init=False)
+    _losses: dict = field(default_factory=dict, init=False)
+
+    @property
+    def done(self) -> bool:
+        return self.completed >= self.episodes
+
+    def consume(self, stats: list[dict]) -> None:
+        for stat in stats:
+            if self.done:
+                break
+            for _ in range(self.n_updates):
+                self._losses = self.update_fn()
+            self._log_episode(stat)
+            if self.eval_every and (
+                self.completed % self.eval_every == 0
+                or self.completed == self.episodes - 1
+            ):
+                self._log_eval()
+            self.completed += 1
+
+    def _log_episode(self, stat: dict) -> None:
+        prefix, episode = self.prefix, self.completed
+        series = episode_series(prefix, stat["episode"])
+        series[f"{prefix}/epsilon"] = stat["epsilon"]
+        series[f"{prefix}/lane_change_attempts"] = float(stat["lane_change_attempts"])
+        self.logger.log_many(series, episode)
+        if self._losses:
+            # Log a stable subset: the first agent's core losses.
+            first = self.env.agents[0]
+            for name in ("critic_loss", "actor_loss"):
+                key = f"{first}/{name}"
+                if key in self._losses:
+                    self.logger.log(f"{prefix}/{name}", self._losses[key], episode)
+            for key, value in self._losses.items():
+                if "_nll" in key:
+                    self.logger.log(f"{prefix}/{key}", value, episode)
+
+    def _log_eval(self) -> None:
+        seed = self.config.seed + 500 + self.completed
+        if self.evaluator is None:
+            metrics = evaluate_hero(
+                self.env, self.team, episodes=self.eval_episodes, seed=seed
+            )
+        else:
+            metrics = self.evaluator(self.eval_episodes, seed)
+        self.logger.log_many(eval_series(self.prefix, metrics), self.completed)
 
 
-def _train_hero_vectorized(
-    env: CooperativeLaneChangeEnv,
-    team: HeroTeam,
-    episodes: int,
-    num_envs: int,
-    rng: np.random.Generator,
-    epsilon_schedule,
-    n_updates: int,
-    logger: MetricLogger,
-    metric_prefix: str,
-    eval_every: int | None,
-    eval_episodes: int,
-    config: TrainingConfig,
-    update_fn=None,
-) -> MetricLogger:
-    """Algorithm 1 with the rollout phase on a :class:`VectorEnv`.
-
-    Episodes are logged in completion order; each finished episode triggers
-    the same gradient-update budget as the scalar loop, so the only change
-    is how experience is gathered.  The interleaved greedy evaluations run
-    on a dedicated evaluation ``VectorEnv`` (the training one holds live
-    mid-episode state) through :func:`evaluate_hero_vectorized`.
-    """
-    if type(env) is not CooperativeLaneChangeEnv:
-        raise ValueError(
-            f"num_envs > 1 cannot replicate a {type(env).__name__}; vectorized "
-            "rollouts would silently train on different dynamics — use "
-            "num_envs=1 or build the VectorEnv/BatchedRolloutWorker directly"
-        )
-
-    # Replicate the caller's env faithfully: share the (stateless) track and
-    # scripted policy so custom traffic falls through to VectorEnv's scalar
-    # fallback instead of being swapped for the defaults.
-    factory = EnvReplicaFactory(
-        scenario=env.scenario,
-        rewards=env.rewards,
-        track=env.track,
-        scripted_policy=env._scripted_policy,
-    )
-
+def _hero_vector_env(factory: EnvReplicaFactory, num_envs: int) -> VectorEnv:
+    """``num_envs`` replicas of one env, warning when they step on the
+    scalar fallback (the warning shows once per fallback reason)."""
     vec_env = VectorEnv(num_envs, env_fns=[factory] * num_envs)
     if not vec_env.fast_path:
         warnings.warn(
@@ -527,60 +485,29 @@ def _train_hero_vectorized(
             f"({vec_env.fallback_reason}); training is correct but "
             "--num-envs will not speed it up",
             RuntimeWarning,
-            stacklevel=2,
         )
-    worker = BatchedRolloutWorker(vec_env, team)
-    seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
-    worker.reset(seeds)
+    return vec_env
 
-    evaluator = None
-    if eval_every:
-        # More eval envs than eval episodes would just burn steps on
-        # rollouts that are never scored.
-        eval_envs = max(min(num_envs, eval_episodes), 1)
-        eval_vec = VectorEnv(eval_envs, env_fns=[factory] * eval_envs)
-        eval_runner = BatchedHeroRunner(team, eval_vec)
 
-        def evaluator(episodes, seed):
-            return evaluate_hero_vectorized(
-                eval_vec, team, episodes=episodes, seed=seed, runner=eval_runner
-            )
+def _interleaved_evaluator(
+    team: HeroTeam, factory: EnvReplicaFactory, num_envs: int, eval_episodes: int
+):
+    """The vectorized loops' interleaved greedy evaluator.
 
-    if update_fn is None:
-        update_fn = team.update
-    completed = 0
-    losses: dict[str, float] = {}
-    while completed < episodes:
-        for stat in worker.collect(epsilon_schedule):
-            for _ in range(n_updates):
-                losses = update_fn()
-            _log_hero_episode(
-                logger,
-                metric_prefix,
-                env,
-                stat["episode"],
-                stat["epsilon"],
-                stat["lane_change_attempts"],
-                losses,
-                completed,
-            )
-            if eval_every and (
-                completed % eval_every == 0 or completed == episodes - 1
-            ):
-                _log_hero_eval(
-                    logger,
-                    metric_prefix,
-                    env,
-                    team,
-                    eval_episodes,
-                    config,
-                    completed,
-                    evaluator=evaluator,
-                )
-            completed += 1
-            if completed >= episodes:
-                break
-    return logger
+    Runs :func:`evaluate_hero_vectorized` on a dedicated ``VectorEnv`` of
+    replicas (the training batch holds live mid-episode state) with one
+    reused runner.  The batch is capped at ``eval_episodes``: more envs
+    would only burn steps on rollouts that are never scored.
+    """
+    eval_vec = _hero_vector_env(factory, max(min(num_envs, eval_episodes), 1))
+    runner = BatchedHeroRunner(team, eval_vec)
+
+    def evaluator(episodes, seed):
+        return evaluate_hero_vectorized(
+            eval_vec, team, episodes=episodes, seed=seed, runner=runner
+        )
+
+    return evaluator
 
 
 def evaluate_hero(

@@ -13,6 +13,15 @@ double-buffered segment serves every actor (readers only attach), and
 each payload reports the snapshot version that actor acted with, so the
 learner logs aggregate and per-actor ``snapshot_staleness``.
 
+Each learner is the synchronous loop with its collection moved out: the
+actors run the synchronous loop's rollout workers
+(:class:`~repro.core.trainer.BatchedRolloutWorker` for HERO,
+:class:`~repro.baselines.base.BaselineRolloutWorker` for IDQN) and ship
+each collection round, and the learner hands every round to the same
+per-episode consumer the synchronous loop uses.  IDQN rows carry their
+finished episodes' indices, so the learner keeps no episode accounting
+of its own.
+
 Option selection consumes one shared RNG stream across an env batch, so
 an env batch is never *split* across actors (batch-shaped draws and
 batch-shaped BLAS forwards would both change bits).  Fan-out instead
@@ -69,21 +78,16 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback
-import warnings
 
 import numpy as np
 
-from ..baselines.base import evaluate_marl_vectorized
+from ..baselines.base import BaselineConsumer, BaselineRolloutWorker
+from ..baselines.base import evaluate_marl_vectorized  # noqa: F401 (perfbench/tracing.py wraps it)
 from ..baselines.idqn import IndependentDQN
-from ..core.batched import BatchedHeroRunner
 from ..core.hero import HeroTeam
 from ..core.options import OptionSet
-from ..core.trainer import (
-    BatchedRolloutWorker,
-    _log_hero_episode,
-    _log_hero_eval,
-    evaluate_hero_vectorized,
-)
+from ..core.trainer import BatchedRolloutWorker, _HeroEpisodeConsumer
+from ..core.trainer import evaluate_hero_vectorized  # noqa: F401 (perfbench/tracing.py wraps it)
 from ..core.update_engine import (
     BoundFamilyVector,
     HeroTeamUpdateEngine,
@@ -94,11 +98,11 @@ from ..core.update_engine import (
 )
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
 from ..envs.vector_env import EnvReplicaFactory, VectorEnv
-from ..envs.wrappers import make_baseline_vector_env
+from ..envs.wrappers import VectorBaselineEnv
 from ..nn.layers import Linear
 from ..nn.tensor import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger
-from ..utils.seeding import episode_partition, episode_reset_seeds, spawn_rngs
+from ..utils.seeding import spawn_rngs
 from .parameter_server import ParameterServer
 from .protocol import ActorError, RolloutPayload, encode_rng_state, load_rng_state
 from .queues import ActorFanIn, QueueClosed, ShmRingQueue
@@ -190,6 +194,120 @@ def _check_payload(payload) -> RolloutPayload:
             f"async actor {payload.actor_id} failed:\n{payload.message}"
         )
     return payload
+
+
+def _report_actor_error(queue: ShmRingQueue, spec: dict) -> None:
+    """Ship the current exception's traceback as an ``ActorError`` frame
+    (best effort: the learner's abort poll names an actor that cannot)."""
+    try:
+        queue.put(
+            ActorError(
+                message=traceback.format_exc(), actor_id=spec.get("actor_id", -1)
+            ),
+            timeout=5.0,
+        )
+    except Exception:
+        pass
+
+
+def _ship_rounds(spec: dict, server, queue, collect_round, exhausted=None) -> None:
+    """The actor side of the round protocol, shared by both actors.
+
+    Before round ``r`` read the newest snapshot with version >=
+    ``r - max_staleness``, let ``collect_round(vectors, rng_words)`` load
+    it and collect (it returns the payload's ``data`` and ``rng_states``),
+    and ship the round.  Every replica ships every round.  In lockstep the
+    ship is also this replica's ack that it consumed the current snapshot:
+    the learner publishes version r+1 only after draining all N round-r
+    payloads, so a replica's next read observes exactly version r+1 — a
+    newest-wins read without that barrier lets a fast learner feed a slow
+    replica a later snapshot and silently fork the replicated state.
+    Runs until the learner's stop flag or a closed queue; while
+    ``exhausted()`` holds the actor idles instead (exiting early would
+    race the learner's liveness poll, which treats a missing actor
+    process as a crash).
+    """
+    round_index = 0
+    while not server.stop_requested:
+        if exhausted is not None and exhausted():
+            time.sleep(0.01)
+            continue
+        try:
+            version, vectors, rng_words = server.read(
+                max(round_index - spec["max_staleness"], 0), abort=_parent_abort
+            )
+        except RuntimeError:
+            if server.stop_requested:
+                break
+            raise
+        data, rng_states = collect_round(vectors, rng_words)
+        payload = RolloutPayload(
+            round_index=round_index,
+            version_used=version,
+            data=data,
+            rng_states=rng_states,
+            actor_id=spec["actor_id"],
+        )
+        try:
+            queue.put(payload, abort=_parent_abort)
+        except QueueClosed:
+            break
+        round_index += 1
+
+
+def _start_actors(target, kind: str, server, queues, specs) -> list:
+    """Start one ``{kind}-actor-{k}`` process per spec, on its own ring."""
+    processes = [
+        _CTX.Process(
+            target=target, args=(spec, server, queue), name=f"{kind}-actor-{k}"
+        )
+        for k, (spec, queue) in enumerate(zip(specs, queues))
+    ]
+    for process in processes:
+        process.start()
+    return processes
+
+
+def _receive_rounds(queues, processes, lockstep: bool, logger: MetricLogger, prefix: str):
+    """Yield the payload the learner replays for each collection round.
+
+    Lockstep drains one payload per replica, in rotation, and yields the
+    round owner's (``round % N``) copy; the rest are bit-identical and
+    only serve as acks.  Draining the full replica set before the next
+    publish is the lockstep barrier: each ship acks that its replica has
+    consumed the current snapshot, so every replica's next read observes
+    exactly ``version == round``.  Staleness mode yields payloads as they
+    arrive and logs each one's snapshot staleness: the aggregate series at
+    the merged-payload counter (monotonic across actors; equal to the
+    round index at N=1) and the per-actor series at that actor's round.
+    """
+    num_actors = len(queues)
+    abort = _actor_abort(processes)
+    fan_in = ActorFanIn(queues)
+    merged = 0  # payloads consumed; the global round counter in lockstep
+    while True:
+        if lockstep:
+            replicas = []
+            for _ in range(num_actors):
+                replicas.append(
+                    _check_payload(fan_in.get(expected=merged % num_actors, abort=abort))
+                )
+                merged += 1
+            yield replicas[(merged // num_actors - 1) % num_actors]
+            continue
+        payload = _check_payload(fan_in.get(abort=abort))
+        merged += 1
+        # version_used can exceed this actor's round counter when other
+        # actors drive versions up faster; staleness is the lag behind the
+        # actor's own progress, floored at 0.
+        staleness = float(max(payload.round_index - payload.version_used, 0))
+        logger.log(f"{prefix}/snapshot_staleness", staleness, merged - 1)
+        logger.log(
+            f"{prefix}/snapshot_staleness/actor{payload.actor_id}",
+            staleness,
+            payload.round_index,
+        )
+        yield payload
 
 
 def _actor_seed_sets(rng, num_envs: int, num_actors: int, lockstep: bool):
@@ -301,64 +419,26 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         n = spec["num_envs"]
         worker = BatchedRolloutWorker(VectorEnv(n, env_fns=[spec["factory"]] * n), team)
         worker.reset(spec["seeds"])
-        max_staleness = spec["max_staleness"]
-        lockstep = max_staleness == 0
-        actor_id = spec["actor_id"]
-        round_index = 0
-        while not server.stop_requested:
-            try:
-                version, vectors, rng_words = server.read(
-                    max(round_index - max_staleness, 0), abort=_parent_abort
-                )
-            except RuntimeError:
-                if server.stop_requested:
-                    break
-                raise
+        lockstep = spec["max_staleness"] == 0
+
+        def collect_round(vectors, rng_words):
             for name, view in bound.items():
                 view.load(vectors[name])
             if lockstep:
-                for j, high in enumerate(highs):
-                    load_rng_state(high._rng, rng_words[j])
+                for high, words in zip(highs, rng_words):
+                    load_rng_state(high._rng, words)
             events.clear()
             stats = worker.collect(spec["epsilon_schedule"])
-            # Every replica ships every round.  In lockstep the ship is
-            # also this replica's ack that it consumed the current
-            # snapshot: the learner publishes version r+1 only after
-            # draining all N round-r payloads, so a replica's next read
-            # observes exactly version r+1 — a newest-wins read without
-            # that barrier lets a fast learner feed a slow replica a
-            # later snapshot and silently fork the replicated state.
-            payload = RolloutPayload(
-                round_index=round_index,
-                version_used=version,
-                data={
-                    "events": list(events),
-                    "stats": stats,
-                    "last_observed": [
-                        h._last_observed_options.copy() for h in highs
-                    ],
-                },
-                rng_states=(
-                    [encode_rng_state(h._rng) for h in highs] if lockstep else []
-                ),
-                actor_id=actor_id,
-            )
-            try:
-                queue.put(payload, abort=_parent_abort)
-            except QueueClosed:
-                break
-            round_index += 1
+            data = {
+                "events": list(events),
+                "stats": stats,
+                "last_observed": [h._last_observed_options.copy() for h in highs],
+            }
+            return data, [encode_rng_state(h._rng) for h in highs] if lockstep else []
+
+        _ship_rounds(spec, server, queue, collect_round)
     except Exception:
-        try:
-            queue.put(
-                ActorError(
-                    message=traceback.format_exc(),
-                    actor_id=spec.get("actor_id", -1),
-                ),
-                timeout=5.0,
-            )
-        except Exception:
-            pass
+        _report_actor_error(queue, spec)
     finally:
         queue.release()
         server.release()
@@ -367,40 +447,34 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
 def train_hero_async(
     env: CooperativeLaneChangeEnv,
     team: HeroTeam,
-    episodes: int,
+    consumer: _HeroEpisodeConsumer,
     *,
     num_envs: int,
     rng: np.random.Generator,
     epsilon_schedule,
-    n_updates: int,
-    logger: MetricLogger,
-    metric_prefix: str,
-    eval_every: int | None,
-    eval_episodes: int,
     config,
-    update_fn,
     engine=None,
     max_staleness: int = 0,
     num_actors: int = 1,
 ) -> MetricLogger:
     """Algorithm 1 on the async actor–learner stack.
 
-    Same contract as the synchronous ``_train_hero_vectorized`` — at
-    ``max_staleness=0`` the same bits (at any ``num_actors``), at
-    ``max_staleness>0`` overlapped rollout and update with aggregate and
-    per-actor staleness logged per round.  ``num_actors`` fans collection
-    out over that many actor processes (see the module docstring for the
+    The synchronous loop of :func:`~repro.core.trainer.train_hero` with
+    its :class:`~repro.core.trainer.BatchedRolloutWorker` moved into
+    ``num_actors`` actor processes: the learner replays each round's
+    capture log into the team and hands the round's finished episodes to
+    ``consumer``, the loop's per-episode consumer (update budget, logging,
+    interleaved evals).  At ``max_staleness=0`` the run is the synchronous
+    one bit for bit (at any ``num_actors``); at ``max_staleness>0``
+    rollout and update overlap, with aggregate and per-actor staleness
+    logged per round (see the module docstring for the
     replicated-lockstep / partitioned-staleness split).  ``engine`` is
-    the :class:`~repro.core.update_engine.UpdateEngine` behind
-    ``update_fn`` when fused updates are active; its flat optimizer
-    buffers make each snapshot publish a plain ``np.copyto``.
+    the :class:`~repro.core.update_engine.UpdateEngine` behind the
+    consumer's update when fused updates are active; its flat optimizer
+    buffers make each snapshot publish a plain ``np.copyto``.  Returns
+    ``consumer.logger``.
     """
-    if type(env) is not CooperativeLaneChangeEnv:
-        raise ValueError(
-            f"async actors cannot replicate a {type(env).__name__}; the actor "
-            "process rebuilds the env from its configuration — use the stock "
-            "CooperativeLaneChangeEnv or the synchronous loop"
-        )
+    factory = EnvReplicaFactory.from_env(env)
     if type(team.option_set) is not OptionSet:
         raise ValueError(
             "async actors require the default OptionSet (custom option sets "
@@ -411,12 +485,6 @@ def train_hero_async(
     if num_actors < 1:
         raise ValueError(f"num_actors must be >= 1, got {num_actors}")
 
-    factory = EnvReplicaFactory(
-        scenario=env.scenario,
-        rewards=env.rewards,
-        track=env.track,
-        scripted_policy=env._scripted_policy,
-    )
     highs = [team.agents[a].high_level for a in env.agents]
     first = highs[0]
     impl = getattr(engine, "_impl", None)
@@ -485,95 +553,33 @@ def train_hero_async(
     # Version 0 — current weights and RNG states — must exist before the
     # actors' first read.
     server.publish({name: fn() for name, fn in exporters.items()}, rng_sidecar())
-    processes = []
-    for k in range(num_actors):
-        spec = dict(
-            shared_spec,
-            actor_id=k,
-            seeds=seed_sets[k],
-            actor_rng=(
-                None
-                if lockstep
-                else actor_streams[k * len(highs) : (k + 1) * len(highs)]
-            ),
-        )
-        processes.append(
-            _CTX.Process(
-                target=_hero_actor_main,
-                args=(spec, server, queues[k]),
-                name=f"hero-actor-{k}",
+    processes = _start_actors(
+        _hero_actor_main,
+        "hero",
+        server,
+        queues,
+        [
+            dict(
+                shared_spec,
+                actor_id=k,
+                seeds=seed_sets[k],
+                actor_rng=(
+                    None
+                    if lockstep
+                    else actor_streams[k * len(highs) : (k + 1) * len(highs)]
+                ),
             )
-        )
-    for process in processes:
-        process.start()
+            for k in range(num_actors)
+        ],
+    )
 
     try:
-        evaluator = None
-        if eval_every:
-            # Same sizing note as the synchronous loop: the eval batch is
-            # capped at eval_episodes.
-            eval_envs = max(min(num_envs, eval_episodes), 1)
-            eval_vec = VectorEnv(eval_envs, env_fns=[factory] * eval_envs)
-            if not eval_vec.fast_path:
-                warnings.warn(
-                    "vectorized HERO rollouts are stepping on the scalar "
-                    f"fallback ({eval_vec.fallback_reason}); training is "
-                    "correct but --num-envs will not speed it up",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            eval_runner = BatchedHeroRunner(team, eval_vec)
-
-            def evaluator(episodes, seed):
-                return evaluate_hero_vectorized(
-                    eval_vec, team, episodes=episodes, seed=seed, runner=eval_runner
-                )
-
-        abort = _actor_abort(processes)
-        fan_in = ActorFanIn(queues)
-        completed = 0
-        merged = 0  # payloads consumed; the global round counter in lockstep
-        losses: dict[str, float] = {}
-        while completed < episodes:
+        rounds = _receive_rounds(queues, processes, lockstep, consumer.logger, consumer.prefix)
+        while not consumer.done:
+            payload = next(rounds)
             if lockstep:
-                # Drain one payload per replica, in rotation.  Draining
-                # the full replica set before the next publish is the
-                # lockstep barrier: each ship acks that its replica has
-                # consumed the current snapshot, so every replica's next
-                # read observes exactly version == round.  The round
-                # owner's copy (round % N) is replayed; the rest are
-                # bit-identical and only served as acks.
-                round_payloads = []
-                for _ in range(num_actors):
-                    round_payloads.append(
-                        _check_payload(
-                            fan_in.get(expected=merged % num_actors, abort=abort)
-                        )
-                    )
-                    merged += 1
-                round_idx = merged // num_actors - 1
-                payload = round_payloads[round_idx % num_actors]
                 for high, words in zip(highs, payload.rng_states):
                     load_rng_state(high._rng, words)
-            else:
-                payload = _check_payload(fan_in.get(abort=abort))
-                merged += 1
-                # version_used can exceed this actor's round counter when
-                # other actors drive versions up faster; staleness is the
-                # lag behind the actor's own progress, floored at 0.  The
-                # aggregate series is logged at the merged-payload counter
-                # (monotonic across actors; equals round_index at N=1).
-                staleness = float(
-                    max(payload.round_index - payload.version_used, 0)
-                )
-                logger.log(
-                    f"{metric_prefix}/snapshot_staleness", staleness, merged - 1
-                )
-                logger.log(
-                    f"{metric_prefix}/snapshot_staleness/actor{payload.actor_id}",
-                    staleness,
-                    payload.round_index,
-                )
             # Replay the actor's capture log: buffer pushes and opponent
             # records land in the learner's team in the exact order the
             # synchronous loop would have produced them.
@@ -584,40 +590,12 @@ def train_hero_async(
                     highs[event[1]].opponent_model.record(event[2], event[3])
             for high, observed in zip(highs, payload.data["last_observed"]):
                 high._last_observed_options = observed
-            for stat in payload.data["stats"]:
-                for _ in range(n_updates):
-                    losses = update_fn()
-                _log_hero_episode(
-                    logger,
-                    metric_prefix,
-                    env,
-                    stat["episode"],
-                    stat["epsilon"],
-                    stat["lane_change_attempts"],
-                    losses,
-                    completed,
-                )
-                if eval_every and (
-                    completed % eval_every == 0 or completed == episodes - 1
-                ):
-                    _log_hero_eval(
-                        logger,
-                        metric_prefix,
-                        env,
-                        team,
-                        eval_episodes,
-                        config,
-                        completed,
-                        evaluator=evaluator,
-                    )
-                completed += 1
-                if completed >= episodes:
-                    break
-            if completed < episodes:
+            consumer.consume(payload.data["stats"])
+            if not consumer.done:
                 server.publish(
                     {name: fn() for name, fn in exporters.items()}, rng_sidecar()
                 )
-        return logger
+        return consumer.logger
     finally:
         _shutdown(server, queues, processes)
 
@@ -635,33 +613,16 @@ def _idqn_hidden_dim(algorithm: IndependentDQN) -> int:
     raise ValueError("IDQN trunk has no Linear layer")
 
 
-def _idqn_episode_plan(episodes: int, n: int, num_actors: int, actor: int):
-    """Episode universe bookkeeping shared by the IDQN actor and learner.
-
-    Returns ``(universe, my_episodes)``: the size of the
-    :func:`episode_reset_seeds` universe and the (global) episode indices
-    this actor walks, in start order.  The universe is padded so every
-    actor can seed its initial batch of ``n`` envs; indices at or beyond
-    ``episodes`` are warm-up/overflow episodes that are stepped but never
-    counted.  At ``num_actors=1`` this reduces to the synchronous loop's
-    ``max(episodes, n)`` universe walked in order.
-    """
-    universe = max(episodes, n * num_actors)
-    return universe, episode_partition(universe, num_actors, actor)
-
-
 def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
-    """IDQN rollout actor: replicates the synchronous vectorized loop's
-    env/episode accounting step for step, acting on snapshots and shipping
-    per-step transition rows; every step that would trigger updates in the
-    synchronous loop closes a collection round.
+    """IDQN rollout actor: the synchronous loop's
+    :class:`~repro.baselines.base.BaselineRolloutWorker`, acting on
+    snapshots and shipping each collection round's rows (every round ends
+    where the synchronous loop would run updates).
 
-    Fan-out: lockstep replicas all walk the full episode universe (only
-    actor ``round % num_actors`` ships each round); staleness actors walk
-    their :func:`episode_partition` stride of the same universe and ship
-    every round they close.  Either way the actor keeps stepping until
-    the learner's stop flag — exiting early would race the learner's
-    liveness poll, which treats a missing actor process as a crash.
+    Fan-out: lockstep replicas all walk the full episode universe;
+    staleness actors walk their :func:`episode_partition` stride of it.
+    Once its budget episodes are done the actor idles (see
+    :func:`_ship_rounds`).
     """
     try:
         # Adopt the learner's compute dtype before building the replica.
@@ -679,127 +640,27 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         )
         if spec["actor_rng"] is not None:  # staleness mode: forked stream
             load_rng_state(algo._rng, spec["actor_rng"])
-        vec_env = make_baseline_vector_env(
-            spec["num_envs"],
-            scenario=spec["scenario"],
-            rewards=spec["rewards"],
+        n = spec["num_envs"]
+        lockstep = spec["max_staleness"] == 0
+        worker = BaselineRolloutWorker(
+            VectorBaselineEnv(VectorEnv(n, env_fns=[spec["factory"]] * n)),
+            algo,
+            spec["episodes"],
+            spec["seed"],
+            spec["epsilon_schedule"],
+            *((1, 0) if lockstep else (spec["num_actors"], spec["actor_id"])),
         )
-        episodes = spec["episodes"]
-        schedule = spec["epsilon_schedule"]
-        max_staleness = spec["max_staleness"]
-        lockstep = max_staleness == 0
-        actor_id = spec["actor_id"]
-        num_actors = spec["num_actors"]
-        # Lockstep replicates the whole universe on every actor; staleness
-        # partitions it by stride.
-        part_actors, part_id = (1, 0) if lockstep else (num_actors, actor_id)
 
-        n = vec_env.num_envs
-        universe, my_episodes = _idqn_episode_plan(episodes, n, part_actors, part_id)
-        reset_seeds = episode_reset_seeds(spec["seed"], universe)
-        episode_of_env = my_episodes[:n].copy()
-        next_slot = n
-        budget_count = int((my_episodes < episodes).sum())
-        completed_budget = 0
-        obs = vec_env.reset(seeds=[int(reset_seeds[e]) for e in episode_of_env])
+        def collect_round(vectors, rng_words):
+            bound.load(vectors["q"])
+            if lockstep:
+                load_rng_state(algo._rng, rng_words[0])
+            rows = worker.collect()
+            return {"rows": rows}, [encode_rng_state(algo._rng)] if lockstep else []
 
-        rows: list[dict] = []
-        round_index = 0
-        version = -1
-        need_snapshot = True
-        while not server.stop_requested:
-            if completed_budget >= budget_count and not need_snapshot:
-                # Budget drained and no round pending: idle until the
-                # learner's stop flag rather than busy-stepping envs.
-                time.sleep(0.01)
-                continue
-            if need_snapshot:
-                try:
-                    version, vectors, rng_words = server.read(
-                        max(round_index - max_staleness, 0), abort=_parent_abort
-                    )
-                except RuntimeError:
-                    if server.stop_requested:
-                        break
-                    raise
-                bound.load(vectors["q"])
-                if lockstep:
-                    load_rng_state(algo._rng, rng_words[0])
-                need_snapshot = False
-
-            eps = np.array(
-                [schedule(min(int(e), episodes - 1)) for e in episode_of_env]
-            )
-            algo.epsilon = float(eps[0]) if n == 1 else eps
-            actions = algo.act_batch(obs, explore=True)
-            next_obs, rewards, dones, infos = vec_env.step(actions)
-            observed_next = next_obs
-            if dones.any():
-                observed_next = next_obs.copy()
-                for i in np.flatnonzero(dones):
-                    observed_next[i] = infos[i]["terminal_observation"]
-            rows.append(
-                {
-                    "obs": np.array(obs, copy=True),
-                    "actions": actions,
-                    "rewards": np.array(rewards, copy=True),
-                    "next_obs": np.array(observed_next, copy=True),
-                    "dones": np.array(dones, copy=True),
-                    "summaries": {
-                        int(i): infos[i]["episode"] for i in np.flatnonzero(dones)
-                    },
-                }
-            )
-            obs = next_obs
-
-            if any(episode_of_env[i] < episodes for i in np.flatnonzero(dones)):
-                # Every replica ships every round; in lockstep the ship is
-                # also the snapshot ack that keeps each replica's next
-                # read at exactly version == round (see _hero_actor_main).
-                payload = RolloutPayload(
-                    round_index=round_index,
-                    version_used=version,
-                    data={"rows": rows},
-                    rng_states=(
-                        [encode_rng_state(algo._rng)] if lockstep else []
-                    ),
-                    actor_id=actor_id,
-                )
-                try:
-                    queue.put(payload, abort=_parent_abort)
-                except QueueClosed:
-                    break
-                rows = []
-                round_index += 1
-                need_snapshot = True
-            elif completed_budget >= budget_count:
-                # All owned budget episodes done: keep stepping (see the
-                # docstring) but stop accumulating unshippable rows.
-                rows = []
-
-            # Mirror the learner's episode accounting (the learner has no
-            # envs; the actor has no logger — both follow the same rule).
-            for i in np.flatnonzero(dones):
-                if int(episode_of_env[i]) < episodes:
-                    completed_budget += 1
-                if next_slot < len(my_episodes):
-                    nxt = int(my_episodes[next_slot])
-                    episode_of_env[i] = nxt
-                    obs[i] = vec_env.reset_env(i, seed=int(reset_seeds[nxt]))
-                else:
-                    episode_of_env[i] = episodes  # out of budget: never counted
-                next_slot += 1
+        _ship_rounds(spec, server, queue, collect_round, lambda: worker.exhausted)
     except Exception:
-        try:
-            queue.put(
-                ActorError(
-                    message=traceback.format_exc(),
-                    actor_id=spec.get("actor_id", -1),
-                ),
-                timeout=5.0,
-            )
-        except Exception:
-            pass
+        _report_actor_error(queue, spec)
     finally:
         queue.release()
         server.release()
@@ -811,33 +672,32 @@ def train_marl_async(
     episodes: int,
     seed: int,
     epsilon_schedule,
-    updates_per_episode: int,
-    logger: MetricLogger,
-    prefix: str,
-    eval_every: int | None,
-    eval_episodes: int,
-    eval_vec_env,
-    update_fn,
+    consumer: BaselineConsumer,
     engine=None,
     max_staleness: int = 0,
     num_actors: int = 1,
 ) -> MetricLogger:
     """IDQN training on the async actor–learner stack.
 
-    Drop-in for ``_train_marl_vectorized_loop`` (same argument roles; the
-    caller keeps ownership of ``eval_vec_env``): each of the ``num_actors``
-    actor processes steps a fresh replica of ``vec_env``'s configuration,
-    the learner replays the shipped transition rows into its own replay
-    buffers and runs the update/logging/eval sequence under the identical
-    episode accounting.  Lockstep fan-out replicates collection (only the
-    round-robin owner ships, so results are bitwise independent of
-    ``num_actors``); staleness fan-out stride-partitions the episode
-    universe across actors for real collection parallelism.
+    The synchronous loop of
+    :func:`~repro.baselines.base.train_marl_vectorized` with its
+    :class:`~repro.baselines.base.BaselineRolloutWorker` moved into
+    ``num_actors`` actor processes: each steps replicas of ``vec_env``'s
+    env (:meth:`EnvReplicaFactory.from_env`, so custom traffic and track
+    carry over) and ships its collection rounds; the learner hands every
+    round's rows to ``consumer``, a
+    :class:`~repro.baselines.base.BaselineConsumer`, which reads each
+    finished episode's index from the rows.  Lockstep fan-out replicates
+    collection (the round owner's copy is replayed, so results are bitwise
+    independent of ``num_actors``); staleness fan-out stride-partitions
+    the episode universe across actors for real collection parallelism.
+    Returns ``consumer.logger``.
     """
     if max_staleness < 0:
         raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
     if num_actors < 1:
         raise ValueError(f"num_actors must be >= 1, got {num_actors}")
+    factory = EnvReplicaFactory.from_env(vec_env.vec_env.template_env)
     ids = algorithm.agent_ids
     members = [algorithm.q_networks[a].trunk for a in ids]
     impl = getattr(engine, "_impl", None)
@@ -857,8 +717,7 @@ def train_marl_async(
         "obs_dim": algorithm.obs_dim,
         "num_actions": algorithm.num_actions,
         "hidden_dim": _idqn_hidden_dim(algorithm),
-        "scenario": vec_env.scenario,
-        "rewards": vec_env.rewards,
+        "factory": factory,
         "num_envs": vec_env.num_envs,
         "episodes": episodes,
         "seed": seed,
@@ -868,149 +727,34 @@ def train_marl_async(
         "dtype": np.dtype(get_default_dtype()).name,
     }
     server.publish({"q": export()}, np.stack([encode_rng_state(algorithm._rng)]))
-    processes = []
-    for k in range(num_actors):
-        spec = dict(
-            shared_spec,
-            actor_id=k,
-            actor_rng=(
-                None if lockstep else encode_rng_state(actor_streams[k])
-            ),
-        )
-        processes.append(
-            _CTX.Process(
-                target=_idqn_actor_main,
-                args=(spec, server, queues[k]),
-                name=f"idqn-actor-{k}",
+    processes = _start_actors(
+        _idqn_actor_main,
+        "idqn",
+        server,
+        queues,
+        [
+            dict(
+                shared_spec,
+                actor_id=k,
+                actor_rng=(
+                    None if lockstep else encode_rng_state(actor_streams[k])
+                ),
             )
-        )
-    for process in processes:
-        process.start()
+            for k in range(num_actors)
+        ],
+    )
 
     try:
-        n = vec_env.num_envs
-        # Mirror each collecting actor's episode accounting (one shared
-        # mirror in lockstep: the replicas all walk the full universe).
-        part_actors = 1 if lockstep else num_actors
-        mirrors = []
-        for k in range(part_actors):
-            _, mine = _idqn_episode_plan(episodes, n, part_actors, k)
-            mirrors.append(
-                {"mine": mine, "episode_of_env": mine[:n].copy(), "next_slot": n}
-            )
-        pending: dict[int, dict] = {}
-        next_to_log = 0
-        merged = 0
-        abort = _actor_abort(processes)
-        fan_in = ActorFanIn(queues)
-        while next_to_log < episodes:
+        rounds = _receive_rounds(queues, processes, lockstep, consumer.logger, consumer.prefix)
+        while not consumer.done:
+            payload = next(rounds)
             if lockstep:
-                # Drain one payload per replica, in rotation — the
-                # lockstep barrier (see train_hero_async): each ship acks
-                # its replica's snapshot consumption, so every replica
-                # reads exactly version == round.  The round owner's copy
-                # is replayed; the rest are bit-identical acks.
-                round_payloads = []
-                for _ in range(num_actors):
-                    round_payloads.append(
-                        _check_payload(
-                            fan_in.get(expected=merged % num_actors, abort=abort)
-                        )
-                    )
-                    merged += 1
-                round_idx = merged // num_actors - 1
-                payload = round_payloads[round_idx % num_actors]
                 load_rng_state(algorithm._rng, payload.rng_states[0])
-            else:
-                payload = _check_payload(fan_in.get(abort=abort))
-                merged += 1
-                staleness = float(
-                    max(payload.round_index - payload.version_used, 0)
-                )
-                logger.log(
-                    f"{prefix}/snapshot_staleness", staleness, merged - 1
-                )
-                logger.log(
-                    f"{prefix}/snapshot_staleness/actor{payload.actor_id}",
-                    staleness,
-                    payload.round_index,
-                )
-            mirror = mirrors[0] if lockstep else mirrors[payload.actor_id]
-            episode_of_env = mirror["episode_of_env"]
-            for row in payload.data["rows"]:
-                algorithm.observe_batch(
-                    row["obs"],
-                    row["actions"],
-                    row["rewards"],
-                    row["next_obs"],
-                    row["dones"],
-                )
-                for i in np.flatnonzero(row["dones"]):
-                    episode = int(episode_of_env[i])
-                    algorithm.end_episode()
-                    if episode < episodes:
-                        losses = None
-                        for _ in range(updates_per_episode):
-                            losses = update_fn()
-                        summary = row["summaries"][int(i)]
-                        entry = {
-                            "metrics": {
-                                f"{prefix}/episode_reward": summary["episode_reward"],
-                                f"{prefix}/collision_rate": summary["collision"],
-                                f"{prefix}/merge_success_rate": summary[
-                                    "merge_success_rate"
-                                ],
-                                f"{prefix}/mean_speed": summary["mean_speed"],
-                            },
-                            "losses": {
-                                f"{prefix}/{name}": value
-                                for name, value in (losses or {}).items()
-                            },
-                            "eval": None,
-                        }
-                        if eval_every and (
-                            episode % eval_every == 0 or episode == episodes - 1
-                        ):
-                            eval_metrics = evaluate_marl_vectorized(
-                                eval_vec_env,
-                                algorithm,
-                                episodes=eval_episodes,
-                                seed=seed + 500 + episode,
-                            )
-                            entry["eval"] = {
-                                f"{prefix}/eval_episode_reward": eval_metrics[
-                                    "episode_reward"
-                                ],
-                                f"{prefix}/eval_collision_rate": eval_metrics[
-                                    "collision_rate"
-                                ],
-                                f"{prefix}/eval_merge_success_rate": eval_metrics[
-                                    "success_rate"
-                                ],
-                                f"{prefix}/eval_mean_speed": eval_metrics[
-                                    "mean_speed"
-                                ],
-                            }
-                        pending[episode] = entry
-                        while next_to_log in pending:
-                            flushed = pending.pop(next_to_log)
-                            logger.log_many(flushed["metrics"], next_to_log)
-                            for name, value in flushed["losses"].items():
-                                logger.log(name, value, next_to_log)
-                            if flushed["eval"]:
-                                logger.log_many(flushed["eval"], next_to_log)
-                            next_to_log += 1
-                    slot = mirror["next_slot"]
-                    if slot < len(mirror["mine"]):
-                        episode_of_env[i] = int(mirror["mine"][slot])
-                    else:
-                        episode_of_env[i] = episodes  # out of budget
-                    mirror["next_slot"] += 1
-            if next_to_log < episodes:
+            consumer.consume(payload.data["rows"])
+            if not consumer.done:
                 server.publish(
                     {"q": export()}, np.stack([encode_rng_state(algorithm._rng)])
                 )
-        algorithm.epsilon = float(epsilon_schedule(episodes - 1))
-        return logger
+        return consumer.logger
     finally:
         _shutdown(server, queues, processes)

@@ -91,8 +91,9 @@ def _scripted_policy_params(policy: ScriptedPolicy) -> tuple:
 class EnvReplicaFactory:
     """Picklable factory replicating one ``CooperativeLaneChangeEnv`` setup.
 
-    The async actor processes rebuild their env batch from this object, so
-    it must cross the process boundary — a local closure cannot (the
+    The vectorized training loops, their interleaved-eval batches and the
+    async actor processes build their env batches from this object; the
+    actors' copy must cross the process boundary — a local closure cannot (the
     ``spawn`` start method pickles start-up arguments).  Captures exactly
     what the env constructor takes; ``track`` and ``scripted_policy`` are
     stateless parameter holders, so pickled copies behave identically to
@@ -110,6 +111,31 @@ class EnvReplicaFactory:
         self.rewards = rewards
         self.track = track
         self.scripted_policy = scripted_policy
+
+    @classmethod
+    def from_env(cls, env: CooperativeLaneChangeEnv) -> "EnvReplicaFactory":
+        """The factory for copies of ``env``: its scenario, rewards, track and
+        traffic, so custom traffic reaches every replica (through
+        :class:`VectorEnv`'s scalar fallback when it has no kernel) instead
+        of being swapped for the defaults.
+
+        Raises ``ValueError`` for anything but the exact
+        ``CooperativeLaneChangeEnv`` class: a subclass may override dynamics
+        that a replica built from the configuration would silently drop.
+        """
+        if type(env) is not CooperativeLaneChangeEnv:
+            raise ValueError(
+                f"cannot replicate a {type(env).__name__}: vectorized rollouts, "
+                "evaluation batches and async actors rebuild the env from its "
+                "configuration and would silently run different dynamics — use "
+                "the stock CooperativeLaneChangeEnv (or HERO's num_envs=1 loop)"
+            )
+        return cls(
+            scenario=env.scenario,
+            rewards=env.rewards,
+            track=env.track,
+            scripted_policy=env._scripted_policy,
+        )
 
     def __call__(self) -> CooperativeLaneChangeEnv:
         return CooperativeLaneChangeEnv(

@@ -16,7 +16,6 @@ from ..baselines import (
     evaluate_marl,
     evaluate_marl_vectorized,
     make_baseline,
-    train_marl,
     train_marl_vectorized,
 )
 from ..config import (
@@ -30,7 +29,6 @@ from ..core.trainer import evaluate_hero, evaluate_hero_vectorized
 from ..envs import (
     CooperativeLaneChangeEnv,
     VectorStepper,
-    make_baseline_env,
     make_baseline_vector_env,
 )
 from ..envs.wrappers import VectorBaselineEnv
@@ -245,52 +243,41 @@ def train_baseline_method(
 ) -> TrainedMethod:
     """Train one end-to-end baseline.
 
-    ``num_envs > 1`` collects experience from that many vectorized env
-    copies through the algorithm's batched act/observe interface
-    (:func:`~repro.baselines.base.train_marl_vectorized`), with the
-    interleaved greedy evaluations batched the same way
-    (:func:`~repro.baselines.base.evaluate_marl_vectorized`);
-    ``num_envs == 1`` keeps the scalar loop (the two are metric-identical
-    at one env).  ``async_actors`` runs the rollouts in a separate actor
-    process (IDQN only; other baselines warn and fall back);
-    ``max_staleness=0`` keeps the run bitwise equal to the synchronous
-    vectorized loop at any ``num_actors`` fan-out.
+    Experience comes from ``num_envs`` vectorized env copies through the
+    algorithm's batched act/observe interface
+    (:func:`~repro.baselines.base.train_marl_vectorized`, the one baseline
+    training loop, at ``num_envs == 1`` too), with the interleaved greedy
+    evaluations batched the same way
+    (:func:`~repro.baselines.base.evaluate_marl_vectorized`).
+    ``async_actors`` runs the rollouts in separate actor processes (IDQN
+    only; other baselines warn and fall back); ``max_staleness=0`` keeps
+    the run bitwise equal to the synchronous loop at any ``num_actors``
+    fan-out.
     """
-    env = make_baseline_env(scenario=scenario, rewards=rewards)
-    algo = make_baseline(name, env, seed=seed, **baseline_kwargs)
+    vec_env = make_baseline_vector_env(num_envs, scenario=scenario, rewards=rewards)
+    algo = make_baseline(name, vec_env, seed=seed, **baseline_kwargs)
     if async_actors and num_envs <= 1:
         import warnings
 
         warnings.warn(
-            "async_actors needs num_envs > 1 (the actor process steps a "
-            "vectorized env batch); falling back to the synchronous scalar loop",
+            "async_actors needs num_envs > 1, as for HERO; falling back to "
+            "the synchronous loop at num_envs=1",
             RuntimeWarning,
             stacklevel=2,
         )
         async_actors = False
-    if num_envs > 1:
-        logger = train_marl_vectorized(
-            make_baseline_vector_env(num_envs, scenario=scenario, rewards=rewards),
-            algo,
-            episodes=episodes,
-            seed=seed,
-            updates_per_episode=updates_per_episode,
-            epsilon_decay_episodes=max(episodes // 2, 1),
-            fused_updates=fused_updates,
-            async_actors=async_actors,
-            max_staleness=max_staleness,
-            num_actors=num_actors,
-        )
-    else:
-        logger = train_marl(
-            env,
-            algo,
-            episodes=episodes,
-            seed=seed,
-            updates_per_episode=updates_per_episode,
-            epsilon_decay_episodes=max(episodes // 2, 1),
-            fused_updates=fused_updates,
-        )
+    logger = train_marl_vectorized(
+        vec_env,
+        algo,
+        episodes=episodes,
+        seed=seed,
+        updates_per_episode=updates_per_episode,
+        epsilon_decay_episodes=max(episodes // 2, 1),
+        fused_updates=fused_updates,
+        async_actors=async_actors,
+        max_staleness=max_staleness,
+        num_actors=num_actors,
+    )
 
     def evaluate(eval_env, episodes, eval_seed=0):
         if isinstance(eval_env, VectorBaselineEnv):

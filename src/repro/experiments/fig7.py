@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .common import ExperimentResult, train_all_methods
-from .reporting import curve_summary, print_learning_curves, shape_check
+from .reporting import _separated, curve_summary, print_learning_curves, shape_check
 
 PANELS = {
     "a_mean_episode_reward": ("eval_episode_reward", True),
@@ -57,13 +57,6 @@ def run_fig7(
             method: result.series(method, metric) for method in result.methods
         }
     return {"panels": panels, "result": result}
-
-
-def _separated(tails: dict[str, float]) -> bool:
-    """Whether the compared tails differ at all.  An ordering verdict over
-    all-equal tails (every method at collision rate 1.00, say) would pass
-    vacuously, so it misses instead."""
-    return max(tails.values()) - min(tails.values()) > 1e-9
 
 
 def report_fig7(outputs: dict) -> list[tuple[str, bool]]:

@@ -78,6 +78,13 @@ def print_metric_table(
     return report
 
 
+def _separated(values: dict[str, float]) -> bool:
+    """Whether the compared per-method values differ at all.  An ordering
+    verdict over all-equal values (every method at collision rate 1.00,
+    say) would pass vacuously, so it misses instead."""
+    return max(values.values()) - min(values.values()) > 1e-9
+
+
 def shape_check(
     description: str, condition: bool, details: str = ""
 ) -> tuple[str, bool]:

@@ -28,7 +28,7 @@ from ..envs import (
     RealWorldTestbed,
 )
 from .common import METHOD_NAMES, ExperimentResult, TrainedMethod, train_all_methods
-from .reporting import print_metric_table, shape_check
+from .reporting import _separated, print_metric_table, shape_check
 
 PAPER_ROWS = {
     "coma": {"collision_rate": 0.35, "success_rate": 0.65, "mean_speed": 0.06344},
@@ -170,28 +170,31 @@ def report_table2(outputs: dict) -> list[tuple[str, bool]]:
         columns=["collision_rate", "success_rate", "mean_speed"],
     )
     checks = []
+    collisions = {k: v["collision_rate"] for k, v in rows.items()}
+    successes = {k: v["success_rate"] for k, v in rows.items()}
     if "hero" in rows:
-        others = {k: v for k, v in rows.items() if k != "hero"}
+        others = [k for k in rows if k != "hero"]
         if others:
             checks.append(
                 shape_check(
                     "HERO has the lowest testbed collision rate",
-                    rows["hero"]["collision_rate"]
-                    <= min(v["collision_rate"] for v in others.values()) + 0.1,
+                    collisions["hero"] <= min(collisions[k] for k in others) + 0.1
+                    and _separated(collisions),
                 )
             )
             checks.append(
                 shape_check(
                     "HERO has the highest testbed success rate",
-                    rows["hero"]["success_rate"]
-                    >= max(v["success_rate"] for v in others.values()) - 0.1,
+                    successes["hero"] >= max(successes[k] for k in others) - 0.1
+                    and _separated(successes),
                 )
             )
     if "idqn" in rows and "hero" in rows:
+        pair = {k: successes[k] for k in ("hero", "idqn")}
         checks.append(
             shape_check(
                 "Independent DQN degrades under domain shift",
-                rows["idqn"]["success_rate"] <= rows["hero"]["success_rate"],
+                pair["idqn"] <= pair["hero"] and _separated(pair),
             )
         )
     return checks

@@ -34,6 +34,28 @@ def summarise_eval_episodes(
     }
 
 
+def episode_series(prefix: str, summary: dict[str, float]) -> dict[str, float]:
+    """The four paper metrics of an env's episode ``summary``, as the
+    ``{prefix}/*`` series every training loop logs per episode."""
+    return {
+        f"{prefix}/episode_reward": summary["episode_reward"],
+        f"{prefix}/collision_rate": summary["collision"],
+        f"{prefix}/merge_success_rate": summary["merge_success_rate"],
+        f"{prefix}/mean_speed": summary["mean_speed"],
+    }
+
+
+def eval_series(prefix: str, metrics: dict[str, float]) -> dict[str, float]:
+    """A greedy evaluation's metrics (:func:`summarise_eval_episodes`) as
+    the ``{prefix}/eval_*`` series: the curves Fig. 7 plots."""
+    return {
+        f"{prefix}/eval_episode_reward": metrics["episode_reward"],
+        f"{prefix}/eval_collision_rate": metrics["collision_rate"],
+        f"{prefix}/eval_merge_success_rate": metrics["success_rate"],
+        f"{prefix}/eval_mean_speed": metrics["mean_speed"],
+    }
+
+
 class MetricLogger:
     """Append-only store of named scalar time series."""
 

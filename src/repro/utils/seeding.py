@@ -35,7 +35,7 @@ def episode_reset_seeds(seed: int, episodes: int) -> np.ndarray:
     Seed ``e`` is a pure function of ``(seed, e)`` — unlike drawing from a
     sequential generator stream, a training loop that runs episodes out of
     order (vectorized rollouts finishing at different times) reproduces the
-    exact same reset seed for episode ``e`` as the scalar loop does.
+    exact same reset seed for episode ``e`` as a one-env loop does.
     """
     if episodes < 0:
         raise ValueError(f"episodes must be non-negative, got {episodes}")

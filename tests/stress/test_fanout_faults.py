@@ -20,7 +20,7 @@ import pytest
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.distributed import ParameterServer, ShmRingQueue, actor_learner
-from repro.envs import CooperativeLaneChangeEnv
+from repro.envs import CooperativeLaneChangeEnv, EnvReplicaFactory
 
 SCENARIO = ScenarioConfig(episode_length=5)
 
@@ -61,13 +61,10 @@ class _SigkillEnv(CooperativeLaneChangeEnv):
         return super().step(actions)
 
 
-class _ExitFactory:
+class _ExitFactory(EnvReplicaFactory):
     """Drop-in for EnvReplicaFactory building :class:`_ExitEnv` replicas."""
 
     env_cls = _ExitEnv
-
-    def __init__(self, scenario=None, rewards=None, track=None, scripted_policy=None):
-        self.scenario = scenario
 
     def __call__(self):
         return self.env_cls(scenario=self.scenario)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import make_baseline, train_marl_vectorized
+from repro.baselines.base import _episode_plan
 from repro.config import ScenarioConfig
-from repro.distributed.actor_learner import _idqn_episode_plan
 from repro.envs import make_baseline_vector_env
 from repro.utils.seeding import episode_partition, episode_reset_seeds
 
@@ -79,7 +79,7 @@ def test_any_fanout_consumes_the_same_budget_seed_set(stress_round):
         for num_actors in (1, 2, 3):
             consumed = {}
             for actor in range(num_actors):
-                universe, mine = _idqn_episode_plan(episodes, n, num_actors, actor)
+                universe, mine = _episode_plan(episodes, n, num_actors, actor)
                 assert universe >= episodes and universe >= n * num_actors
                 seeds = episode_reset_seeds(seed, universe)
                 for episode in mine[mine < episodes]:

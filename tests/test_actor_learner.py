@@ -30,7 +30,14 @@ from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.distributed import ParameterServer, ShmRingQueue
 from repro.distributed import actor_learner
-from repro.envs import CooperativeLaneChangeEnv, make_baseline_vector_env
+from repro.envs import (
+    CooperativeLaneChangeEnv,
+    EnvReplicaFactory,
+    StationaryObstacle,
+    VectorBaselineEnv,
+    VectorEnv,
+    make_baseline_vector_env,
+)
 
 SCENARIO = ScenarioConfig(episode_length=5)
 
@@ -131,6 +138,35 @@ def test_hero_lockstep_matches_sync_bitwise(fused, num_actors):
 def test_idqn_lockstep_matches_sync_bitwise(fused, num_actors):
     log_sync, algo_sync = _sync_reference("idqn", fused)
     log_async, algo_async = _idqn_run(True, fused=fused, num_actors=num_actors)
+    _assert_logs_equal(log_sync, log_async)
+    for agent in algo_sync.agent_ids:
+        for p_sync, p_async in zip(
+            algo_sync.q_networks[agent].trunk.parameters(),
+            algo_async.q_networks[agent].trunk.parameters(),
+        ):
+            np.testing.assert_array_equal(p_sync.data, p_async.data, err_msg=agent)
+
+
+def test_idqn_lockstep_matches_sync_bitwise_on_custom_traffic():
+    """The actors replicate the caller's env: under StationaryObstacle
+    traffic lockstep async must still match the synchronous loop."""
+
+    def run(async_actors: bool):
+        factory = EnvReplicaFactory(scenario=SCENARIO, scripted_policy=StationaryObstacle())
+        vec_env = VectorBaselineEnv(VectorEnv(2, env_fns=[factory] * 2))
+        algo = make_baseline("idqn", vec_env, seed=3, batch_size=16, buffer_capacity=500)
+        logger = train_marl_vectorized(
+            vec_env,
+            algo,
+            episodes=4,
+            seed=5,
+            eval_every=2,
+            eval_episodes=2,
+            async_actors=async_actors,
+        )
+        return logger, algo
+
+    (log_sync, algo_sync), (log_async, algo_async) = run(False), run(True)
     _assert_logs_equal(log_sync, log_async)
     for agent in algo_sync.agent_ids:
         for p_sync, p_async in zip(
@@ -308,11 +344,8 @@ class _ExplodingEnv(CooperativeLaneChangeEnv):
         raise RuntimeError("injected failure")
 
 
-class _ExplodingFactory:
+class _ExplodingFactory(EnvReplicaFactory):
     """Drop-in for EnvReplicaFactory that builds exploding replicas."""
-
-    def __init__(self, scenario=None, rewards=None, track=None, scripted_policy=None):
-        self.scenario = scenario
 
     def __call__(self):
         return _ExplodingEnv(scenario=self.scenario)

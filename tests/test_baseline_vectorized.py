@@ -1,13 +1,15 @@
-"""Tests for vectorized baseline training (repro.baselines.base).
+"""Tests for the baselines' training loop (repro.baselines.base).
 
 The contract under test:
 
-* ``train_marl_vectorized`` with ``num_envs == 1`` reproduces the scalar
-  ``train_marl`` loop **bit-for-bit** for every baseline — same metric
-  names, steps and values (the batched act/observe implementations consume
-  the algorithm RNG exactly like their scalar counterparts at one env),
+* ``train_marl_vectorized`` is the one baseline training loop; at one env
+  the batched ``act_batch`` consumes the algorithm RNG exactly like the
+  scalar ``act`` the evaluators and the testbed use,
 * ``num_envs > 1`` trains correctly (full episode budget, finite metrics,
   in-order logging) through the same interface,
+* the interleaved evaluations run on replicas of the training batch's env,
+  so custom traffic reaches them (and the async actors) instead of the
+  default ``SlowLeader``,
 * ``VectorBaselineEnv`` exposes the exact scalar baseline stack — flat
   observation layout and discrete action grid — over a ``VectorEnv``,
 * the batched buffer/seed plumbing (``push_batch``,
@@ -19,12 +21,15 @@ import pytest
 
 from repro.baselines import (
     make_baseline,
-    train_marl,
     train_marl_vectorized,
 )
 from repro.config import ScenarioConfig
 from repro.envs import (
+    CooperativeLaneChangeEnv,
     DiscreteActionWrapper,
+    EnvReplicaFactory,
+    StationaryObstacle,
+    VectorEnv,
     make_baseline_env,
     make_baseline_vector_env,
 )
@@ -52,27 +57,7 @@ def make_pair(name, num_envs, seed=3):
 
 
 class TestSeedEquivalence:
-    """num_envs=1 vectorized training == scalar training, bit for bit."""
-
-    @pytest.mark.parametrize("name", ALL)
-    def test_metrics_identical_to_scalar_loop(self, name):
-        env, vec, (algo_scalar, algo_vec) = make_pair(name, num_envs=1)
-        log_scalar = train_marl(env, algo_scalar, episodes=5, seed=7)
-        log_vec = train_marl_vectorized(vec, algo_vec, episodes=5, seed=7)
-        assert log_scalar.names() == log_vec.names()
-        for metric in log_scalar.names():
-            np.testing.assert_array_equal(
-                log_scalar.steps(metric), log_vec.steps(metric), err_msg=metric
-            )
-            np.testing.assert_array_equal(
-                log_scalar.values(metric), log_vec.values(metric), err_msg=metric
-            )
-
-    def test_epsilon_final_value_matches_scalar(self):
-        env, vec, (algo_scalar, algo_vec) = make_pair("idqn", num_envs=1)
-        train_marl(env, algo_scalar, episodes=4, seed=7)
-        train_marl_vectorized(vec, algo_vec, episodes=4, seed=7)
-        assert algo_vec.epsilon == algo_scalar.epsilon
+    """At one env the batched act path consumes the RNG like the scalar one."""
 
     @pytest.mark.parametrize("name", ALL)
     def test_act_batch_matches_act_at_one_env(self, name):
@@ -122,6 +107,40 @@ class TestVectorizedTraining:
                 vec, algo, episodes=2, seed=0, eval_every=0
             )
         assert len(logger.values("idqn/episode_reward")) == 2
+
+    def test_interleaved_eval_runs_on_the_callers_traffic(self, monkeypatch):
+        """The eval batch replicates the training batch's env: custom
+        traffic must reach it, not be swapped for the default SlowLeader."""
+        import repro.baselines.base as base_module
+
+        policy = StationaryObstacle()
+        factory = EnvReplicaFactory(scenario=small_scenario(), scripted_policy=policy)
+        vec = VectorBaselineEnv(VectorEnv(2, env_fns=[factory] * 2))
+        algo = make_baseline("idqn", vec, seed=0, batch_size=16)
+        evaluated = []
+        original = base_module.evaluate_marl_vectorized
+
+        def recording_evaluate(eval_env, *args, **kwargs):
+            evaluated.append(eval_env)
+            return original(eval_env, *args, **kwargs)
+
+        monkeypatch.setattr(base_module, "evaluate_marl_vectorized", recording_evaluate)
+        train_marl_vectorized(vec, algo, episodes=2, seed=0, eval_every=1)
+        assert len(evaluated) == 2
+        for eval_env in evaluated:
+            assert eval_env is not vec
+            assert all(e._scripted_policy is policy for e in eval_env.vec_env.envs)
+
+    def test_custom_env_class_rejected_when_replicated(self):
+        class CustomEnv(CooperativeLaneChangeEnv):
+            pass
+
+        vec = VectorBaselineEnv(
+            VectorEnv(1, env_fns=[lambda: CustomEnv(scenario=small_scenario())])
+        )
+        algo = make_baseline("idqn", vec, seed=0, batch_size=16)
+        with pytest.raises(ValueError, match="CustomEnv"):
+            train_marl_vectorized(vec, algo, episodes=2, seed=0, eval_every=1)
 
 
 class TestVectorBaselineEnv:

@@ -7,15 +7,20 @@ from repro.baselines import (
     BASELINES,
     evaluate_marl,
     make_baseline,
-    train_marl,
+    train_marl_vectorized,
 )
 from repro.baselines.maac import AttentionCritic
 from repro.config import ScenarioConfig
-from repro.envs import make_baseline_env
+from repro.envs import make_baseline_env, make_baseline_vector_env
 
 
 def small_env():
     return make_baseline_env(scenario=ScenarioConfig(episode_length=6))
+
+
+def small_vector_env():
+    """The one-env batch the training loop steps (``--num-envs 1``)."""
+    return make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=6))
 
 
 def make(name, env, **kwargs):
@@ -183,10 +188,10 @@ class TestAttentionCritic:
 class TestTrainEvaluate:
     @pytest.mark.parametrize("name", ALL)
     def test_train_marl_records_metrics(self, name):
-        env = small_env()
+        env = small_vector_env()
         kwargs = {"batch_size": 16} if name in OFF_POLICY else {}
         algo = make(name, env, **kwargs)
-        logger = train_marl(env, algo, episodes=3, seed=0)
+        logger = train_marl_vectorized(env, algo, episodes=3, seed=0)
         assert len(logger.values(f"{name}/episode_reward")) == 3
         assert f"{name}/collision_rate" in logger.names()
 
@@ -199,8 +204,8 @@ class TestTrainEvaluate:
         assert metrics["mean_speed"] >= 0.0
 
     def test_epsilon_annealed_into_idqn(self):
-        env = small_env()
+        env = small_vector_env()
         algo = make("idqn", env, batch_size=16)
-        train_marl(env, algo, episodes=4, seed=0, epsilon_start=0.9, epsilon_end=0.1,
-                   epsilon_decay_episodes=4)
+        train_marl_vectorized(env, algo, episodes=4, seed=0, epsilon_start=0.9,
+                              epsilon_end=0.1, epsilon_decay_episodes=4)
         assert algo.epsilon < 0.9

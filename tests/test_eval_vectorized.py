@@ -24,7 +24,7 @@ from repro.baselines import (
     evaluate_marl,
     evaluate_marl_vectorized,
     make_baseline,
-    train_marl,
+    train_marl_vectorized,
 )
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
@@ -57,7 +57,13 @@ def trained_baseline(name, scenario, episodes=2):
     kwargs = {"batch_size": 16} if name != "coma" else {}
     env = make_baseline_env(scenario=scenario)
     algo = make_baseline(name, env, seed=3, **kwargs)
-    train_marl(env, algo, episodes=episodes, seed=7, eval_every=0)
+    train_marl_vectorized(
+        make_baseline_vector_env(1, scenario=scenario),
+        algo,
+        episodes=episodes,
+        seed=7,
+        eval_every=0,
+    )
     return env, algo
 
 
@@ -128,6 +134,9 @@ class TestSeedStreams:
 
     def _recorded_seeds(self, monkeypatch, n_envs, episodes, seed, scenario):
         """Run a baseline eval at N>1 and record every seeded reset."""
+        # Train first: training steps a VectorEnv too, and only the eval's
+        # resets are recorded.
+        _, algo = trained_baseline("idqn", scenario, episodes=1)
         recorded = {}
         original_reset = VectorEnv.reset
         original_reset_env = VectorEnv.reset_env
@@ -146,7 +155,6 @@ class TestSeedStreams:
 
         monkeypatch.setattr(VectorEnv, "reset", recording_reset)
         monkeypatch.setattr(VectorEnv, "reset_env", recording_reset_env)
-        _, algo = trained_baseline("idqn", scenario, episodes=1)
         evaluate_marl_vectorized(
             make_baseline_vector_env(n_envs, scenario=scenario),
             algo,

@@ -142,6 +142,43 @@ class TestFig7Verdicts:
         assert self._verdict(panel, tails, phrase)
 
 
+class TestTable2Verdicts:
+    VERDICTS = {
+        "collision": "HERO has the lowest testbed collision rate",
+        "success": "HERO has the highest testbed success rate",
+        "idqn_shift": "Independent DQN degrades under domain shift",
+    }
+
+    @staticmethod
+    def _verdict(rows: dict[str, dict[str, float]], phrase: str) -> bool:
+        """Run report_table2 on synthetic ``rows`` and return the verdict
+        naming ``phrase``."""
+        from repro.experiments.table2 import PAPER_ROWS, report_table2
+
+        checks = dict(report_table2({"rows": rows, "paper": PAPER_ROWS}))
+        (line,) = [line for line in checks if phrase in line]
+        return checks[line]
+
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    def test_verdict_misses_on_all_equal_rows(self, verdict, capsys):
+        """Every method at collision 1.0 and success 0.0 separates
+        nothing, so no Table 2 verdict may pass on it."""
+        row = {"collision_rate": 1.0, "success_rate": 0.0, "mean_speed": 0.1}
+        rows = {m: dict(row) for m in ("hero", "idqn", "coma", "maddpg", "maac")}
+        phrase = self.VERDICTS[verdict]
+        assert not self._verdict(rows, phrase)
+        assert f"[MISS] {phrase}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    def test_verdict_passes_on_a_clear_margin(self, verdict):
+        rows = {
+            "hero": {"collision_rate": 0.1, "success_rate": 0.8, "mean_speed": 0.1},
+            "idqn": {"collision_rate": 0.6, "success_rate": 0.2, "mean_speed": 0.1},
+            "maddpg": {"collision_rate": 0.9, "success_rate": 0.1, "mean_speed": 0.1},
+        }
+        assert self._verdict(rows, self.VERDICTS[verdict])
+
+
 class TestFig8Tiny:
     def test_run_and_report(self):
         from repro.experiments.fig8 import report_fig8, run_fig8

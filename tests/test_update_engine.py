@@ -20,13 +20,17 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.baselines import make_baseline, train_marl
+from repro.baselines import make_baseline, train_marl_vectorized
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, UpdateEngine, train_hero
 from repro.core.low_level import SACAgent
 from repro.core.update_engine import FamilyAdam, StackedMLP
 from repro.core.trainer import train_low_level_skills
-from repro.envs import CooperativeLaneChangeEnv, make_baseline_env
+from repro.envs import (
+    CooperativeLaneChangeEnv,
+    make_baseline_env,
+    make_baseline_vector_env,
+)
 from repro.nn.tensor import default_dtype
 from repro.nn import (
     MLP,
@@ -877,9 +881,9 @@ class TestFusedTrainingEndToEnd:
 
     def test_idqn_few_episodes(self):
         def run(fused):
-            env = make_baseline_env(scenario=ScenarioConfig(episode_length=10))
+            env = make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=10))
             algo = make_baseline("idqn", env, seed=5, batch_size=16)
-            logger = train_marl(
+            logger = train_marl_vectorized(
                 env, algo, episodes=5, seed=5, eval_every=0, fused_updates=fused
             )
             return logger
@@ -899,9 +903,9 @@ class TestFusedTrainingEndToEnd:
 
     def test_maddpg_few_episodes(self):
         def run(fused):
-            env = make_baseline_env(scenario=ScenarioConfig(episode_length=10))
+            env = make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=10))
             algo = make_baseline("maddpg", env, seed=5, batch_size=16)
-            logger = train_marl(
+            logger = train_marl_vectorized(
                 env, algo, episodes=5, seed=5, eval_every=0, fused_updates=fused
             )
             return logger
@@ -921,9 +925,9 @@ class TestFusedTrainingEndToEnd:
 
     def test_maac_few_episodes(self):
         def run(fused):
-            env = make_baseline_env(scenario=ScenarioConfig(episode_length=10))
+            env = make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=10))
             algo = make_baseline("maac", env, seed=5, batch_size=16)
-            logger = train_marl(
+            logger = train_marl_vectorized(
                 env, algo, episodes=5, seed=5, eval_every=0, fused_updates=fused
             )
             return logger
