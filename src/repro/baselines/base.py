@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..envs.vector_env import EnvReplicaFactory, VectorEnv
 from ..envs.wrappers import VectorBaselineEnv
 from ..utils.logging_utils import (
     MetricLogger,
@@ -37,13 +36,14 @@ from ..utils.seeding import episode_partition, episode_reset_seeds
 class MARLAlgorithm:
     """Interface every baseline implements.
 
-    Besides the scalar ``act``/``observe`` pair, algorithms expose batched
-    counterparts operating on stacked arrays from a
-    :class:`~repro.envs.wrappers.VectorBaselineEnv`.  The defaults below
-    loop over the batch and delegate to the scalar methods, so third-party
-    subclasses keep working under :func:`train_marl_vectorized` without
-    changes; the in-tree baselines override them with true batched
-    implementations built on the gradient-free ``Sequential.infer`` paths.
+    Acting and learning go through three methods: :meth:`act_batch` and
+    :meth:`observe_batch` take stacked arrays from a
+    :class:`~repro.envs.wrappers.VectorBaselineEnv`, one row per env, and
+    :meth:`update` runs one gradient step.  Training, the interleaved and
+    served evaluations, the async IDQN actors and the Table 2 testbed
+    (:func:`evaluate_marl`, one ``(1, num_agents, obs_dim)`` row per step)
+    all act through :meth:`act_batch`, which the in-tree baselines run on
+    the gradient-free ``Sequential.infer`` paths.
     """
 
     name: str = "base"
@@ -57,51 +57,16 @@ class MARLAlgorithm:
     def num_agents(self) -> int:
         return len(self.agent_ids)
 
-    def act(
-        self, observations: dict[str, np.ndarray], explore: bool = True
-    ) -> dict[str, int]:
-        raise NotImplementedError
-
-    def observe(
-        self,
-        observations: dict[str, np.ndarray],
-        actions: dict[str, int],
-        rewards: dict[str, float],
-        next_observations: dict[str, np.ndarray],
-        dones: dict[str, bool],
-    ) -> None:
-        raise NotImplementedError
-
-    def update(self) -> dict[str, float] | None:
-        raise NotImplementedError
-
-    def end_episode(self) -> None:
-        """Hook for on-policy methods (COMA) to consume the episode."""
-
-    # ------------------------------------------------------------------
-    # Batched interface (vectorized training)
-    # ------------------------------------------------------------------
     def act_batch(self, observations: np.ndarray, explore: bool = True) -> np.ndarray:
         """Actions for a ``(num_envs, num_agents, obs_dim)`` observation stack.
 
         Returns integer actions of shape ``(num_envs, num_agents)``.  During
-        vectorized training ``self.epsilon`` (when the algorithm has one) may
-        be a ``(num_envs,)`` array — one exploration rate per env, since the
-        envs run different episode indices of the schedule.  This default
-        delegates row-by-row to :meth:`act`.
+        training ``self.epsilon`` (when the algorithm has one) may be a
+        ``(num_envs,)`` array — one exploration rate per env, since the
+        envs run different episode indices of the schedule.  Greedy calls
+        (``explore=False``) consume no RNG and read no epsilon.
         """
-        epsilon = getattr(self, "epsilon", None)
-        per_env = epsilon is not None and np.ndim(epsilon) > 0
-        actions = np.empty((len(observations), self.num_agents), dtype=np.int64)
-        for i, row in enumerate(observations):
-            if per_env:
-                self.epsilon = float(np.asarray(epsilon)[i])
-            obs = {agent: row[k] for k, agent in enumerate(self.agent_ids)}
-            row_actions = self.act(obs, explore=explore)
-            actions[i] = [row_actions[agent] for agent in self.agent_ids]
-        if per_env:
-            self.epsilon = epsilon
-        return actions
+        raise NotImplementedError
 
     def observe_batch(
         self,
@@ -114,26 +79,14 @@ class MARLAlgorithm:
         """Record a batch of transitions, one row per env.
 
         ``rewards`` and ``dones`` are ``(num_envs,)`` (the team reward is
-        shared and every agent terminates with the env).  This default
-        delegates row-by-row to :meth:`observe`; note that on-policy
-        algorithms whose ``observe`` accumulates a single running episode
-        must override this for ``num_envs > 1`` (rows from different envs
-        interleave), as :class:`~repro.baselines.coma.COMA` does.
+        shared and every agent terminates with the env).  Rows of
+        different envs interleave, so an on-policy method accumulates one
+        episode per env, as :class:`~repro.baselines.coma.COMA` does.
         """
-        for i in range(len(observations)):
-            obs = {a: observations[i, k] for k, a in enumerate(self.agent_ids)}
-            next_obs = {
-                a: next_observations[i, k] for k, a in enumerate(self.agent_ids)
-            }
-            acts = {a: int(actions[i, k]) for k, a in enumerate(self.agent_ids)}
-            rews = {a: float(rewards[i]) for a in self.agent_ids}
-            done_dict = {a: bool(dones[i]) for a in self.agent_ids}
-            done_dict["__all__"] = bool(dones[i])
-            self.observe(obs, acts, rews, next_obs, done_dict)
+        raise NotImplementedError
 
-    # Convenience used by every subclass.
-    def _stack(self, observations: dict[str, np.ndarray]) -> np.ndarray:
-        return np.stack([observations[a] for a in self.agent_ids])
+    def update(self) -> dict[str, float] | None:
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     # Persistence (the shared checkpoint contract)
@@ -339,11 +292,11 @@ class BaselineRolloutWorker:
 class BaselineConsumer:
     """Trains a baseline on collected rows: observe, update, log, evaluate.
 
-    Takes each row through ``observe_batch``, then for each finished env
-    runs ``end_episode`` and, for a budget episode, the update budget, the
-    episode metrics and (every ``eval_every`` episodes, and at the last)
-    a greedy evaluation on ``eval_vec_env`` seeded ``seed + 500 + episode``,
-    all under that episode's index.  Metrics reach the logger strictly in
+    Takes each row through ``observe_batch``, then for each finished budget
+    episode runs the update budget, the episode metrics and (every
+    ``eval_every`` episodes, and at the last) a greedy evaluation on
+    ``eval_vec_env`` seeded ``seed + 500 + episode``, all under that
+    episode's index.  Metrics reach the logger strictly in
     episode order, so a batch that finishes episodes out of order logs the
     series one env would.  The synchronous loop and the async IDQN learner
     both consume through it.
@@ -374,7 +327,6 @@ class BaselineConsumer:
                 row["obs"], row["actions"], row["rewards"], row["next_obs"], row["dones"]
             )
             for episode, summary in row["finished"]:
-                algorithm.end_episode()
                 if episode < self.episodes:
                     self._finish(episode, summary)
 
@@ -425,16 +377,17 @@ def train_marl_vectorized(
 
     The one training loop of the baselines, at any batch size (the CLI's
     default ``--num-envs 1`` included): a :class:`BaselineRolloutWorker`
-    collects and a :class:`BaselineConsumer` trains.  Works for both
-    off-policy (per-episode batched updates) and on-policy (the
-    ``end_episode`` hook) baselines.  Episode accounting is per env: env
-    ``i`` always runs a specific episode index, whose reset seed and
-    exploration epsilon are pure functions of that index, and each finished
-    episode triggers ``end_episode``, the update budget, the logging and
-    the greedy eval under its own index (flushed in episode order).  More
-    envs change only experience collection: once the episode budget is
-    exhausted, still-running envs keep feeding the replay buffers until
-    their last counted episode finishes.
+    collects and a :class:`BaselineConsumer` trains, both through the
+    batched interface only (``act_batch``, ``observe_batch``, ``update``).
+    Works for both off-policy (per-episode batched updates) and on-policy
+    (COMA queues each env's episode in ``observe_batch``) baselines.
+    Episode accounting is per env: env ``i`` always runs a specific episode
+    index, whose reset seed and exploration epsilon are pure functions of
+    that index, and each finished episode triggers the update budget, the
+    logging and the greedy eval under its own index (flushed in episode
+    order).  More envs change only experience collection: once the episode
+    budget is exhausted, still-running envs keep feeding the replay buffers
+    until their last counted episode finishes.
 
     ``eval_every`` (default: episodes // 40) interleaves short greedy
     evaluations, logged under ``{prefix}/eval_*``: the exploration-free
@@ -443,7 +396,8 @@ def train_marl_vectorized(
     mid-episode state) of ``eval_num_envs`` replicas of the training
     batch's env (default: the training batch size capped at
     ``eval_episodes``; extra envs would roll out episodes that are never
-    scored), so evaluation sees the caller's traffic and track.
+    scored), built by :meth:`VectorBaselineEnv.replica_builder`, so
+    evaluation sees the caller's traffic, track and command grid.
 
     ``fused_updates`` routes gradient steps through
     :class:`repro.core.update_engine.UpdateEngine`: IDQN's per-agent DQNs
@@ -493,10 +447,7 @@ def train_marl_vectorized(
     if eval_every:
         if eval_num_envs is None:
             eval_num_envs = max(min(vec_env.num_envs, eval_episodes), 1)
-        factory = EnvReplicaFactory.from_env(vec_env.vec_env.template_env)
-        eval_vec_env = VectorBaselineEnv(
-            VectorEnv(eval_num_envs, env_fns=[factory] * eval_num_envs)
-        )
+        eval_vec_env = vec_env.replica_builder()(eval_num_envs)
     if not vec_env.fast_path:
         warnings.warn(
             "VectorBaselineEnv is stepping on the scalar fallback "
@@ -546,14 +497,18 @@ def train_marl_vectorized(
 def evaluate_marl(
     env, algorithm: MARLAlgorithm, episodes: int, seed: int = 0
 ) -> dict[str, float]:
-    """Greedy evaluation with the paper's Table II metrics.
+    """Greedy evaluation with the paper's Table II metrics on one scalar
+    env (dict in, dict out), such as the Table 2 testbed stack.
 
-    Episode reset seeds come from one ``SeedSequence`` spawn
-    (:func:`repro.utils.seeding.episode_reset_seeds`), so evaluation
-    episode ``e`` is a pure function of ``(seed, e)`` and
+    Each step's actions come from ``algorithm.act_batch`` on the
+    ``(1, num_agents, obs_dim)`` stack of the agents' observations, the
+    one acting path of every baseline.  Episode reset seeds come from one
+    ``SeedSequence`` spawn (:func:`repro.utils.seeding.episode_reset_seeds`),
+    so evaluation episode ``e`` is a pure function of ``(seed, e)`` and
     :func:`evaluate_marl_vectorized` — which finishes episodes out of
     order — can replay the identical seed stream.
     """
+    agent_ids = algorithm.agent_ids
     reset_seeds = episode_reset_seeds(seed, episodes)
     rewards, collisions, successes, speeds = [], [], [], []
     for episode in range(episodes):
@@ -561,8 +516,9 @@ def evaluate_marl(
         done = False
         info: dict = {}
         while not done:
-            actions = algorithm.act(obs, explore=False)
-            obs, _, dones, info = env.step(actions)
+            stack = np.stack([obs[agent] for agent in agent_ids])[None]
+            actions = algorithm.act_batch(stack, explore=False)[0]
+            obs, _, dones, info = env.step(dict(zip(agent_ids, actions.tolist())))
             done = dones["__all__"]
         summary = info["episode"]
         rewards.append(summary["episode_reward"])
@@ -578,9 +534,8 @@ def evaluate_marl_vectorized(
     """Greedy evaluation over a ``VectorBaselineEnv``.
 
     Steps the env batch with ``algorithm.act_batch(..., explore=False)``
-    (no exploration RNG, no replay-buffer writes, no ``end_episode``
-    consumption — identical side-effect profile to the scalar
-    :func:`evaluate_marl`).  Per-env episode accounting scores exactly
+    (no exploration RNG, no replay-buffer writes — identical side-effect
+    profile to the scalar :func:`evaluate_marl`).  Per-env episode accounting scores exactly
     ``episodes`` completed episodes: env ``i`` always runs a specific
     evaluation-episode index whose reset seed comes from the same
     ``SeedSequence`` spawn as the scalar evaluator's, and summaries are

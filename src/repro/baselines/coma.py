@@ -76,46 +76,14 @@ class COMA(MARLAlgorithm):
             self.actors.append(actor)
             self.actor_opts.append(Adam(actor.parameters(), lr=lr))
 
-        self._episode: list[dict] = []
         self._pending_episodes: list[list[dict]] = []
         self._env_episodes: list[list[dict]] = []
 
     # ------------------------------------------------------------------
-    def act(self, observations, explore: bool = True) -> dict[str, int]:
-        actions = {}
-        for i, agent in enumerate(self.agent_ids):
-            logits = self.actors[i].forward(observations[agent][None, :]).data[0]
-            if explore:
-                actions[agent] = int(sample_categorical(logits, self._rng))
-            else:
-                actions[agent] = int(np.argmax(logits))
-        return actions
-
-    def observe(self, observations, actions, rewards, next_observations, dones):
-        self._episode.append(
-            {
-                "obs": self._stack(observations),
-                "actions": np.array([actions[a] for a in self.agent_ids]),
-                "reward": float(np.mean([rewards[a] for a in self.agent_ids])),
-            }
-        )
-
-    def _queue_episode(self, episode: list[dict]) -> None:
-        self._pending_episodes.append(episode)
-        if len(self._pending_episodes) > self.max_episodes_per_update:
-            self._pending_episodes.pop(0)
-
-    def end_episode(self) -> None:
-        if self._episode:
-            self._queue_episode(self._episode)
-            self._episode = []
-
-    # ------------------------------------------------------------------
-    # Batched interface (vectorized training)
-    # ------------------------------------------------------------------
     def act_batch(self, observations, explore: bool = True) -> np.ndarray:
-        """Batched sampling from the actors via the gradient-free path;
-        bit-identical to :meth:`act` at ``num_envs == 1``."""
+        """Batched sampling from the actors via the gradient-free path:
+        one forward and one categorical draw per agent over the env batch
+        (argmax, no draw, when greedy)."""
         num_envs = len(observations)
         actions = np.empty((num_envs, self.num_agents), dtype=np.int64)
         for i in range(self.num_agents):
@@ -129,11 +97,10 @@ class COMA(MARLAlgorithm):
     def observe_batch(self, observations, actions, rewards, next_observations, dones):
         """Accumulate each env's episode separately.
 
-        On-policy COMA cannot use the row-by-row default — steps from
-        different envs would interleave into one corrupt episode — so rows
-        are appended to per-env lists and queued for the next update the
-        moment their env reports done (``end_episode`` then has nothing
-        left to flush).
+        Steps from different envs interleave, so rows are appended to
+        per-env lists and each list is queued for the next update (at most
+        ``max_episodes_per_update`` of them, newest kept) the moment its
+        env reports done.
         """
         num_envs = len(observations)
         if len(self._env_episodes) != num_envs:
@@ -144,17 +111,20 @@ class COMA(MARLAlgorithm):
                     # Rows are views into the trainer's reused batch: copy.
                     "obs": np.array(observations[i]),
                     "actions": np.array(actions[i]),
-                    # Not an identity: the scalar observe() stores the mean
-                    # over num_agents copies of the shared team reward, and
-                    # pairwise summation of e.g. 3 copies can round — the
-                    # same expression keeps the stored value bit-identical.
+                    # Not an identity: the mean over num_agents copies of
+                    # the shared team reward can round (pairwise summation
+                    # of e.g. 3 copies), and every stored COMA reward has
+                    # been this mean; float(rewards[i]) would move some by
+                    # an ulp and change every trained COMA run.
                     "reward": float(
                         np.mean(np.full(self.num_agents, float(rewards[i])))
                     ),
                 }
             )
             if dones[i]:
-                self._queue_episode(self._env_episodes[i])
+                self._pending_episodes.append(self._env_episodes[i])
+                if len(self._pending_episodes) > self.max_episodes_per_update:
+                    self._pending_episodes.pop(0)
                 self._env_episodes[i] = []
 
     # ------------------------------------------------------------------

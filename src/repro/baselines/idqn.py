@@ -64,38 +64,13 @@ class IndependentDQN(MARLAlgorithm):
             self.buffers[agent] = ReplayBuffer(buffer_capacity, obs_dim, 1)
 
     # ------------------------------------------------------------------
-    def act(self, observations, explore: bool = True) -> dict[str, int]:
-        actions = {}
-        for agent in self.agent_ids:
-            if explore and self._rng.uniform() < self.epsilon:
-                actions[agent] = int(self._rng.integers(0, self.num_actions))
-            else:
-                q_row = self.q_networks[agent](observations[agent][None, :]).data[0]
-                actions[agent] = int(np.argmax(q_row))
-        return actions
-
-    def observe(self, observations, actions, rewards, next_observations, dones):
-        for agent in self.agent_ids:
-            self.buffers[agent].push(
-                observations[agent],
-                [actions[agent]],
-                rewards[agent],
-                next_observations[agent],
-                dones[agent],
-            )
-
-    # ------------------------------------------------------------------
-    # Batched interface (vectorized training)
-    # ------------------------------------------------------------------
     def act_batch(self, observations, explore: bool = True) -> np.ndarray:
         """Batched epsilon-greedy over ``(num_envs, agents, obs_dim)`` stacks.
 
         Greedy rows go through the gradient-free ``Sequential.infer`` path
         in one forward per agent.  ``self.epsilon`` may be per-env
-        (``(num_envs,)``).  At ``num_envs == 1`` this consumes ``self._rng``
-        exactly like :meth:`act` — one uniform per agent, plus one bounded
-        integer when that agent explores — so at one env the training loop
-        explores exactly as the scalar :meth:`act` would.
+        (``(num_envs,)``).  Per agent, exploring draws ``num_envs`` uniforms
+        and then one bounded integer per exploring row.
         """
         num_envs = len(observations)
         if explore:

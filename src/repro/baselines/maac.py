@@ -202,40 +202,16 @@ class MAAC(MARLAlgorithm):
 
     # ------------------------------------------------------------------
     def _actor_input(self, obs: np.ndarray, agent_index: int) -> np.ndarray:
-        batch = obs.shape[0] if obs.ndim > 1 else 1
-        obs = obs.reshape(batch, -1)
+        """``(batch, obs_dim)`` rows with the agent's one-hot id appended."""
         agent_id = np.tile(
-            one_hot(np.array([agent_index]), self.num_agents), (batch, 1)
+            one_hot(np.array([agent_index]), self.num_agents), (len(obs), 1)
         )
         return np.concatenate([obs, agent_id], axis=-1)
 
-    def act(self, observations, explore: bool = True) -> dict[str, int]:
-        actions = {}
-        for i, agent in enumerate(self.agent_ids):
-            logits = self.actor.forward(
-                self._actor_input(observations[agent], i)
-            ).data[0]
-            if explore:
-                actions[agent] = int(sample_categorical(logits, self._rng))
-            else:
-                actions[agent] = int(np.argmax(logits))
-        return actions
-
-    def observe(self, observations, actions, rewards, next_observations, dones):
-        self.buffer.push(
-            self._stack(observations),
-            np.array([actions[a] for a in self.agent_ids]),
-            np.array([rewards[a] for a in self.agent_ids]),
-            self._stack(next_observations),
-            dones["__all__"],
-        )
-
-    # ------------------------------------------------------------------
-    # Batched interface (vectorized training)
-    # ------------------------------------------------------------------
     def act_batch(self, observations, explore: bool = True) -> np.ndarray:
         """Batched sampling from the shared actor via the gradient-free
-        path; bit-identical to :meth:`act` at ``num_envs == 1``."""
+        path: one forward and one categorical draw per agent over the env
+        batch (argmax, no draw, when greedy)."""
         num_envs = len(observations)
         actions = np.empty((num_envs, self.num_agents), dtype=np.int64)
         for i in range(self.num_agents):

@@ -84,36 +84,10 @@ class MADDPG(MARLAlgorithm):
         self.buffer = JointReplayBuffer(buffer_capacity, n, obs_dim)
 
     # ------------------------------------------------------------------
-    def act(self, observations, explore: bool = True) -> dict[str, int]:
-        actions = {}
-        for i, agent in enumerate(self.agent_ids):
-            logits = self.actors[i].forward(observations[agent][None, :]).data[0]
-            if explore:
-                actions[agent] = int(sample_categorical(logits, self._rng))
-            else:
-                actions[agent] = int(np.argmax(logits))
-        return actions
-
-    def observe(self, observations, actions, rewards, next_observations, dones):
-        self.buffer.push(
-            self._stack(observations),
-            np.array([actions[a] for a in self.agent_ids]),
-            np.array([rewards[a] for a in self.agent_ids]),
-            self._stack(next_observations),
-            dones["__all__"],
-        )
-
-    # ------------------------------------------------------------------
-    # Batched interface (vectorized training)
-    # ------------------------------------------------------------------
     def act_batch(self, observations, explore: bool = True) -> np.ndarray:
-        """Batched sampling from the actors via the gradient-free path.
-
-        One inference forward per agent over the env batch; at
-        ``num_envs == 1`` the categorical draw consumes ``self._rng``
-        exactly like :meth:`act`, so at one env the training loop explores
-        exactly as the scalar :meth:`act` would.
-        """
+        """Batched sampling from the actors via the gradient-free path:
+        one inference forward and one categorical draw per agent over the
+        env batch (argmax, no draw, when greedy)."""
         num_envs = len(observations)
         actions = np.empty((num_envs, self.num_agents), dtype=np.int64)
         for i in range(self.num_agents):

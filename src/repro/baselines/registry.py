@@ -28,9 +28,11 @@ def make_baseline(
     """Instantiate a baseline sized for the given discrete env stack.
 
     Accepts either the scalar stack (:func:`~repro.envs.make_baseline_env`)
-    or its vectorized counterpart — the same algorithm instance drives both
-    through the scalar/batched halves of the
-    :class:`~repro.baselines.base.MARLAlgorithm` interface.
+    or its vectorized counterpart; both have the same observation and
+    action sizes, and the algorithm acts on either through
+    :meth:`~repro.baselines.base.MARLAlgorithm.act_batch` (the scalar
+    stack one ``(1, agents, obs_dim)`` row at a time, in
+    :func:`~repro.baselines.base.evaluate_marl`).
     """
     if name not in BASELINES:
         raise ValueError(f"unknown baseline {name!r}; options: {sorted(BASELINES)}")

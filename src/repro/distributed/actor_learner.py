@@ -98,7 +98,6 @@ from ..core.update_engine import (
 )
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
 from ..envs.vector_env import EnvReplicaFactory, VectorEnv
-from ..envs.wrappers import VectorBaselineEnv
 from ..nn.layers import Linear
 from ..nn.tensor import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger
@@ -640,10 +639,9 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         )
         if spec["actor_rng"] is not None:  # staleness mode: forked stream
             load_rng_state(algo._rng, spec["actor_rng"])
-        n = spec["num_envs"]
         lockstep = spec["max_staleness"] == 0
         worker = BaselineRolloutWorker(
-            VectorBaselineEnv(VectorEnv(n, env_fns=[spec["factory"]] * n)),
+            spec["build_batch"](spec["num_envs"]),
             algo,
             spec["episodes"],
             spec["seed"],
@@ -682,9 +680,9 @@ def train_marl_async(
     The synchronous loop of
     :func:`~repro.baselines.base.train_marl_vectorized` with its
     :class:`~repro.baselines.base.BaselineRolloutWorker` moved into
-    ``num_actors`` actor processes: each steps replicas of ``vec_env``'s
-    env (:meth:`EnvReplicaFactory.from_env`, so custom traffic and track
-    carry over) and ships its collection rounds; the learner hands every
+    ``num_actors`` actor processes: each steps a batch from
+    ``vec_env.replica_builder()`` (the caller's traffic, track and command
+    grid carry over) and ships its collection rounds; the learner hands every
     round's rows to ``consumer``, a
     :class:`~repro.baselines.base.BaselineConsumer`, which reads each
     finished episode's index from the rows.  Lockstep fan-out replicates
@@ -697,7 +695,7 @@ def train_marl_async(
         raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
     if num_actors < 1:
         raise ValueError(f"num_actors must be >= 1, got {num_actors}")
-    factory = EnvReplicaFactory.from_env(vec_env.vec_env.template_env)
+    build_batch = vec_env.replica_builder()
     ids = algorithm.agent_ids
     members = [algorithm.q_networks[a].trunk for a in ids]
     impl = getattr(engine, "_impl", None)
@@ -717,7 +715,7 @@ def train_marl_async(
         "obs_dim": algorithm.obs_dim,
         "num_actions": algorithm.num_actions,
         "hidden_dim": _idqn_hidden_dim(algorithm),
-        "factory": factory,
+        "build_batch": build_batch,
         "num_envs": vec_env.num_envs,
         "episodes": episodes,
         "seed": seed,

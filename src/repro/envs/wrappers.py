@@ -17,7 +17,8 @@ Two parallel stacks expose the same interface contract:
   ``(num_envs, num_agents, obs_dim)`` stacks with the identical
   ``[lidar, speed, lane_onehot, features]`` layout, and integer actions
   index the identical (linear, angular) command grid, so an algorithm's
-  ``act_batch`` and ``act`` see the same numbers.
+  ``act_batch`` sees the same numbers on either stack (the scalar one a
+  ``(1, agents, obs_dim)`` row at a time, in ``evaluate_marl``).
 
 Whether the vectorized stack actually runs batched is decided by the
 wrapped ``VectorEnv``: :attr:`VectorBaselineEnv.fast_path` /
@@ -35,6 +36,7 @@ one, correct but not fast, and ``fallback_reason`` says why — e.g.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 from typing import Any
 
@@ -45,7 +47,7 @@ from .base import MultiAgentEnv
 from .lane_change_env import CooperativeLaneChangeEnv
 from .sensors import feature_dim
 from .spaces import Box, Discrete
-from .vector_env import VectorEnv
+from .vector_env import EnvReplicaFactory, VectorEnv
 
 # The standard (linear, angular) command grid for value-based baselines;
 # shared by the scalar DiscreteActionWrapper and VectorBaselineEnv so the
@@ -167,6 +169,7 @@ class VectorBaselineEnv:
         self.num_agents = len(self.agents)
         self.scenario = vec_env.scenario
         self.rewards = vec_env.rewards
+        self._levels = (tuple(linear_levels), tuple(angular_levels))
         self._action_table = np.array(
             [pair for pair in product(linear_levels, angular_levels)]
         )
@@ -189,6 +192,20 @@ class VectorBaselineEnv:
     def close(self) -> None:
         """Release the wrapped engine."""
         self.vec_env.close()
+
+    def replica_builder(self) -> partial:
+        """A picklable ``build(num_envs)`` of fresh batches like this one.
+
+        Each batch replicates this batch's env
+        (:meth:`EnvReplicaFactory.from_env`: scenario, rewards, track and
+        traffic) on this batch's (linear, angular) command grid.  The
+        interleaved-eval batch of
+        :func:`~repro.baselines.base.train_marl_vectorized` and every async
+        IDQN actor's batch are built through it, so both step the
+        caller's env with the caller's commands.
+        """
+        factory = EnvReplicaFactory.from_env(self.vec_env.template_env)
+        return partial(_replica_batch, factory, *self._levels)
 
     @staticmethod
     def flatten(obs: dict[str, np.ndarray]) -> np.ndarray:
@@ -230,6 +247,12 @@ class VectorBaselineEnv:
                     info["terminal_observation"]
                 )
         return self.flatten(obs), rewards, dones, infos
+
+
+def _replica_batch(factory, linear_levels, angular_levels, num_envs: int):
+    return VectorBaselineEnv(
+        VectorEnv(num_envs, env_fns=[factory] * num_envs), linear_levels, angular_levels
+    )
 
 
 def make_baseline_vector_env(

@@ -244,7 +244,7 @@ def train_baseline_method(
     """Train one end-to-end baseline.
 
     Experience comes from ``num_envs`` vectorized env copies through the
-    algorithm's batched act/observe interface
+    algorithm's ``act_batch``/``observe_batch`` interface
     (:func:`~repro.baselines.base.train_marl_vectorized`, the one baseline
     training loop, at ``num_envs == 1`` too), with the interleaved greedy
     evaluations batched the same way

@@ -148,12 +148,13 @@ def test_idqn_lockstep_matches_sync_bitwise(fused, num_actors):
 
 
 def test_idqn_lockstep_matches_sync_bitwise_on_custom_traffic():
-    """The actors replicate the caller's env: under StationaryObstacle
-    traffic lockstep async must still match the synchronous loop."""
+    """The actors replicate the caller's batch: under StationaryObstacle
+    traffic, on the default grid and on a 2-command grid, lockstep async
+    must still match the synchronous loop."""
 
-    def run(async_actors: bool):
+    def run(async_actors: bool, levels: dict):
         factory = EnvReplicaFactory(scenario=SCENARIO, scripted_policy=StationaryObstacle())
-        vec_env = VectorBaselineEnv(VectorEnv(2, env_fns=[factory] * 2))
+        vec_env = VectorBaselineEnv(VectorEnv(2, env_fns=[factory] * 2), **levels)
         algo = make_baseline("idqn", vec_env, seed=3, batch_size=16, buffer_capacity=500)
         logger = train_marl_vectorized(
             vec_env,
@@ -166,14 +167,17 @@ def test_idqn_lockstep_matches_sync_bitwise_on_custom_traffic():
         )
         return logger, algo
 
-    (log_sync, algo_sync), (log_async, algo_async) = run(False), run(True)
-    _assert_logs_equal(log_sync, log_async)
-    for agent in algo_sync.agent_ids:
-        for p_sync, p_async in zip(
-            algo_sync.q_networks[agent].trunk.parameters(),
-            algo_async.q_networks[agent].trunk.parameters(),
-        ):
-            np.testing.assert_array_equal(p_sync.data, p_async.data, err_msg=agent)
+    two_commands = {"linear_levels": (0.05, 0.1), "angular_levels": (0.0,)}
+    for levels in ({}, two_commands):
+        log_sync, algo_sync = run(False, levels)
+        log_async, algo_async = run(True, levels)
+        _assert_logs_equal(log_sync, log_async)
+        for agent in algo_sync.agent_ids:
+            for p_sync, p_async in zip(
+                algo_sync.q_networks[agent].trunk.parameters(),
+                algo_async.q_networks[agent].trunk.parameters(),
+            ):
+                np.testing.assert_array_equal(p_sync.data, p_async.data, err_msg=agent)
 
 
 def test_non_idqn_baseline_falls_back_with_warning():

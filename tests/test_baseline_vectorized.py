@@ -2,14 +2,15 @@
 
 The contract under test:
 
-* ``train_marl_vectorized`` is the one baseline training loop; at one env
-  the batched ``act_batch`` consumes the algorithm RNG exactly like the
-  scalar ``act`` the evaluators and the testbed use,
-* ``num_envs > 1`` trains correctly (full episode budget, finite metrics,
-  in-order logging) through the same interface,
-* the interleaved evaluations run on replicas of the training batch's env,
-  so custom traffic reaches them (and the async actors) instead of the
-  default ``SlowLeader``,
+* ``train_marl_vectorized`` is the one baseline training loop and
+  ``act_batch``/``observe_batch``/``update`` the one interface it (and
+  every evaluator, the async actors and the Table 2 testbed) drives;
+  ``num_envs > 1`` trains correctly (full episode budget, finite metrics,
+  in-order logging),
+* the interleaved evaluations run on replicas of the training batch
+  (``VectorBaselineEnv.replica_builder``), so custom traffic and a custom
+  command grid reach them (and the async actors) instead of the default
+  ``SlowLeader`` on the default 9-command grid,
 * ``VectorBaselineEnv`` exposes the exact scalar baseline stack — flat
   observation layout and discrete action grid — over a ``VectorEnv``,
 * the batched buffer/seed plumbing (``push_batch``,
@@ -44,41 +45,17 @@ def small_scenario():
     return ScenarioConfig(episode_length=6)
 
 
-def make_pair(name, num_envs, seed=3):
-    """A (scalar env, vector env, fresh algorithm per env) triple."""
+def make_batch(name, num_envs, seed=3):
+    """A (vector env, fresh algorithm) pair."""
     kwargs = {"batch_size": 16} if name != "coma" else {}
-    scenario = small_scenario()
-    env = make_baseline_env(scenario=scenario)
-    vec = make_baseline_vector_env(num_envs, scenario=scenario)
-    return env, vec, (
-        make_baseline(name, env, seed=seed, **kwargs),
-        make_baseline(name, vec, seed=seed, **kwargs),
-    )
-
-
-class TestSeedEquivalence:
-    """At one env the batched act path consumes the RNG like the scalar one."""
-
-    @pytest.mark.parametrize("name", ALL)
-    def test_act_batch_matches_act_at_one_env(self, name):
-        """One batched act == one scalar act from the same RNG state."""
-        env, vec, (algo_scalar, algo_vec) = make_pair(name, num_envs=1)
-        if hasattr(algo_scalar, "epsilon"):
-            algo_scalar.epsilon = algo_vec.epsilon = 0.5
-        obs = env.reset(seed=0)
-        stacked = np.stack([obs[a] for a in env.agents])[None]
-        for _ in range(10):  # several draws so both RNG branches are hit
-            scalar_actions = algo_scalar.act(obs, explore=True)
-            batch_actions = algo_vec.act_batch(stacked, explore=True)
-            assert batch_actions.shape == (1, len(env.agents))
-            for k, agent in enumerate(env.agents):
-                assert batch_actions[0, k] == scalar_actions[agent]
+    vec = make_baseline_vector_env(num_envs, scenario=small_scenario())
+    return vec, make_baseline(name, vec, seed=seed, **kwargs)
 
 
 class TestVectorizedTraining:
     @pytest.mark.parametrize("name", ALL)
     def test_multi_env_training_records_full_budget(self, name):
-        _, vec, (_, algo) = make_pair(name, num_envs=3)
+        vec, algo = make_batch(name, num_envs=3)
         logger = train_marl_vectorized(vec, algo, episodes=8, seed=1)
         for metric in ("episode_reward", "collision_rate", "mean_speed"):
             values = logger.values(f"{name}/{metric}")
@@ -91,7 +68,7 @@ class TestVectorizedTraining:
         assert len(logger.values(f"{name}/eval_episode_reward")) >= 1
 
     def test_more_envs_than_episodes(self):
-        _, vec, (_, algo) = make_pair("idqn", num_envs=4)
+        vec, algo = make_batch("idqn", num_envs=4)
         logger = train_marl_vectorized(vec, algo, episodes=2, seed=1)
         assert len(logger.values("idqn/episode_reward")) == 2
 
@@ -110,13 +87,10 @@ class TestVectorizedTraining:
 
     def test_interleaved_eval_runs_on_the_callers_traffic(self, monkeypatch):
         """The eval batch replicates the training batch's env: custom
-        traffic must reach it, not be swapped for the default SlowLeader."""
+        traffic must reach it, not be swapped for the default SlowLeader,
+        and a custom command grid must reach it, not the default 9 rows."""
         import repro.baselines.base as base_module
 
-        policy = StationaryObstacle()
-        factory = EnvReplicaFactory(scenario=small_scenario(), scripted_policy=policy)
-        vec = VectorBaselineEnv(VectorEnv(2, env_fns=[factory] * 2))
-        algo = make_baseline("idqn", vec, seed=0, batch_size=16)
         evaluated = []
         original = base_module.evaluate_marl_vectorized
 
@@ -125,11 +99,30 @@ class TestVectorizedTraining:
             return original(eval_env, *args, **kwargs)
 
         monkeypatch.setattr(base_module, "evaluate_marl_vectorized", recording_evaluate)
+        policy = StationaryObstacle()
+        factory = EnvReplicaFactory(scenario=small_scenario(), scripted_policy=policy)
+        vec = VectorBaselineEnv(VectorEnv(2, env_fns=[factory] * 2))
+        algo = make_baseline("idqn", vec, seed=0, batch_size=16)
         train_marl_vectorized(vec, algo, episodes=2, seed=0, eval_every=1)
         assert len(evaluated) == 2
         for eval_env in evaluated:
             assert eval_env is not vec
             assert all(e._scripted_policy is policy for e in eval_env.vec_env.envs)
+
+        evaluated.clear()
+        vec = VectorBaselineEnv(
+            VectorEnv(2, scenario=small_scenario()),
+            linear_levels=(0.05, 0.1),
+            angular_levels=(0.0,),
+        )
+        algo = make_baseline("idqn", vec, seed=0, batch_size=16)
+        assert algo.num_actions == 2
+        train_marl_vectorized(vec, algo, episodes=2, seed=0, eval_every=1)
+        assert len(evaluated) == 2
+        for eval_env in evaluated:
+            np.testing.assert_array_equal(
+                eval_env._action_table, [[0.05, 0.0], [0.1, 0.0]]
+            )
 
     def test_custom_env_class_rejected_when_replicated(self):
         class CustomEnv(CooperativeLaneChangeEnv):

@@ -50,24 +50,23 @@ class TestRegistry:
 class TestActObserve:
     @pytest.mark.parametrize("name", ALL)
     def test_act_returns_valid_actions(self, name):
-        env = small_env()
+        env = small_vector_env()
         algo = make(name, env)
-        obs = env.reset(seed=0)
-        actions = algo.act(obs)
-        assert set(actions) == set(env.agents)
-        for action in actions.values():
-            assert 0 <= action < env.num_actions
+        obs = env.reset(0)
+        actions = algo.act_batch(obs)
+        assert actions.shape == (1, len(env.agents))
+        assert np.all((0 <= actions) & (actions < env.num_actions))
 
     @pytest.mark.parametrize("name", ALL)
     def test_greedy_act_deterministic(self, name):
-        env = small_env()
+        env = small_vector_env()
         algo = make(name, env)
         if hasattr(algo, "epsilon"):
             algo.epsilon = 0.0
-        obs = env.reset(seed=0)
-        a1 = algo.act(obs, explore=False)
-        a2 = algo.act(obs, explore=False)
-        assert a1 == a2
+        obs = env.reset(0)
+        a1 = algo.act_batch(obs, explore=False)
+        a2 = algo.act_batch(obs, explore=False)
+        np.testing.assert_array_equal(a1, a2)
 
     @pytest.mark.parametrize("name", OFF_POLICY)
     def test_update_requires_data(self, name):
@@ -82,23 +81,25 @@ class TestActObserve:
 
 
 def _collect_experience(env, algo, episodes=3, seed=0):
+    """Step a one-env batch through ``episodes`` seeded episodes."""
     rng = np.random.default_rng(seed)
     for episode in range(episodes):
-        obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
+        obs = env.reset([int(rng.integers(0, 2**31 - 1))])
         done = False
         while not done:
-            actions = algo.act(obs)
-            next_obs, rewards, dones, _ = env.step(actions)
-            algo.observe(obs, actions, rewards, next_obs, dones)
+            actions = algo.act_batch(obs)
+            next_obs, rewards, dones, infos = env.step(actions)
+            done = bool(dones[0])
+            if done:
+                next_obs = infos[0]["terminal_observation"][None]
+            algo.observe_batch(obs, actions, rewards, next_obs, dones)
             obs = next_obs
-            done = dones["__all__"]
-        algo.end_episode()
 
 
 class TestUpdates:
     @pytest.mark.parametrize("name", ALL)
     def test_update_returns_finite_losses(self, name):
-        env = small_env()
+        env = small_vector_env()
         kwargs = {"batch_size": 16} if name in OFF_POLICY else {}
         algo = make(name, env, **kwargs)
         _collect_experience(env, algo)
@@ -108,28 +109,32 @@ class TestUpdates:
             assert np.isfinite(value), f"{key} not finite"
 
     def test_idqn_double_q_flag(self):
-        env = small_env()
+        env = small_vector_env()
         algo = make("idqn", env, batch_size=16, double_q=False)
         _collect_experience(env, algo)
         assert algo.update() is not None
 
     def test_idqn_learns_simple_preference(self):
-        """Reward action 4 regardless of state -> Q(a=4) should dominate."""
-        env = small_env()
+        """Reward action 4 regardless of state -> Q(a=4) should dominate.
+
+        The team reward is shared, so every agent takes the row's action
+        and sees the reward its own action earns."""
+        env = small_vector_env()
         algo = make("idqn", env, batch_size=32, lr=1e-2)
         algo.epsilon = 0.0
         rng = np.random.default_rng(0)
-        obs = {a: rng.standard_normal(algo.obs_dim) for a in algo.agent_ids}
+        obs = rng.standard_normal((1, algo.num_agents, algo.obs_dim))
         for _ in range(200):
-            actions = {a: int(rng.integers(0, 9)) for a in algo.agent_ids}
-            rewards = {a: 1.0 if actions[a] == 4 else 0.0 for a in algo.agent_ids}
-            algo.observe(obs, actions, rewards, obs, {a: True for a in algo.agent_ids})
+            action = int(rng.integers(0, 9))
+            actions = np.full((1, algo.num_agents), action)
+            rewards = np.array([1.0 if action == 4 else 0.0])
+            algo.observe_batch(obs, actions, rewards, obs, np.array([True]))
             algo.update()
-        greedy = algo.act(obs, explore=False)
-        assert all(action == 4 for action in greedy.values())
+        greedy = algo.act_batch(obs, explore=False)
+        assert np.all(greedy == 4)
 
     def test_maddpg_target_nets_move(self):
-        env = small_env()
+        env = small_vector_env()
         algo = make("maddpg", env, batch_size=16)
         before = algo.target_critics[0].net[0].weight.data.copy()
         _collect_experience(env, algo)
@@ -139,14 +144,14 @@ class TestUpdates:
         assert not np.allclose(before, after)
 
     def test_coma_counterfactual_baseline_shape(self):
-        env = small_env()
+        env = small_vector_env()
         algo = make("coma", env)
         _collect_experience(env, algo, episodes=2)
         losses = algo.update()
         assert "critic_loss" in losses and "actor_loss" in losses
 
     def test_coma_bounded_pending_episodes(self):
-        env = small_env()
+        env = small_vector_env()
         algo = make("coma", env, max_episodes_per_update=2)
         _collect_experience(env, algo, episodes=5)
         assert len(algo._pending_episodes) <= 3

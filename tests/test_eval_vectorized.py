@@ -11,11 +11,15 @@ The contract under test:
   reset-seed stream* — episode ``e`` always gets
   ``episode_reset_seeds(seed, episodes)[e]`` no matter which env runs it
   or in which order episodes finish,
-* evaluation has no training side effects: replay buffers, opponent-model
-  histories and exploration state are untouched,
+* evaluation has no training side effects: replay buffers (COMA's queued
+  episodes), opponent-model histories, the RNG and exploration state are
+  untouched, on the vectorized evaluators and on ``evaluate_marl`` over
+  the Table 2 testbed stack,
 * exactly ``episodes`` completed episodes are scored even when the env
   batch is larger than the episode budget.
 """
+
+import pickle
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from repro.core import HeroTeam, train_hero
 from repro.core.trainer import evaluate_hero, evaluate_hero_vectorized
 from repro.envs import CooperativeLaneChangeEnv, VectorEnv
 from repro.envs.wrappers import make_baseline_env, make_baseline_vector_env
+from repro.experiments.common import ExperimentResult
+from repro.experiments.table2 import _testbed_env_for
 from repro.utils.seeding import episode_reset_seeds
 
 BASELINE_NAMES = ["idqn", "coma", "maddpg", "maac"]
@@ -53,7 +59,7 @@ def trained_hero(scenario, episodes=2, opponent_mode="model"):
     return env, team
 
 
-def trained_baseline(name, scenario, episodes=2):
+def trained_baseline(name, scenario, episodes=2, **train_kwargs):
     kwargs = {"batch_size": 16} if name != "coma" else {}
     env = make_baseline_env(scenario=scenario)
     algo = make_baseline(name, env, seed=3, **kwargs)
@@ -63,8 +69,19 @@ def trained_baseline(name, scenario, episodes=2):
         episodes=episodes,
         seed=7,
         eval_every=0,
+        **train_kwargs,
     )
     return env, algo
+
+
+def stored_experience(algo):
+    """What a baseline has stored to learn from: its replay rings, or
+    COMA's queued and in-progress episodes."""
+    if hasattr(algo, "buffers"):  # IDQN: one ring per agent
+        return algo.buffers
+    if hasattr(algo, "buffer"):  # MADDPG, MAAC: one joint ring
+        return algo.buffer
+    return algo._pending_episodes, algo._env_episodes
 
 
 class TestBitForBitAtOneEnv:
@@ -232,6 +249,26 @@ class TestNoTrainingSideEffects:
         )
         assert {a: len(b) for a, b in algo.buffers.items()} == sizes_before
         np.testing.assert_array_equal(algo.epsilon, [0.5, 0.25])
+
+    @pytest.mark.parametrize("name", BASELINE_NAMES)
+    def test_testbed_eval_leaves_rng_replay_and_epsilon_untouched(self, name):
+        """evaluate_marl on the Table 2 testbed stack (one act_batch row per
+        step) draws no RNG, stores no experience and reads no epsilon, and
+        equal seeds give equal metrics."""
+        scenario = small_scenario()
+        # No updates, so COMA still holds its queued episodes.
+        _, algo = trained_baseline(name, scenario, updates_per_episode=0)
+        if name == "coma":
+            assert algo._pending_episodes
+        algo.epsilon = np.array([0.5, 0.25])  # per-env array from training
+        rng_state = algo._rng.bit_generator.state
+        stored = pickle.dumps(stored_experience(algo))
+        env = _testbed_env_for(name, ExperimentResult(scenario=scenario), None, 7)
+        first = evaluate_marl(env, algo, episodes=3, seed=1)
+        assert algo._rng.bit_generator.state == rng_state
+        assert pickle.dumps(stored_experience(algo)) == stored
+        np.testing.assert_array_equal(algo.epsilon, [0.5, 0.25])
+        assert evaluate_marl(env, algo, episodes=3, seed=1) == first
 
 
 class TestEpisodeAccounting:

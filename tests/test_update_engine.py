@@ -618,17 +618,14 @@ class TestFusedEngineEquivalence:
             env = make_baseline_env(scenario=ScenarioConfig(episode_length=12))
             algo = make_baseline("idqn", env, seed=0, batch_size=32)
             fill = RNG(7)
-            for _ in range(80):
-                obs = {a: fill.standard_normal(algo.obs_dim) for a in algo.agent_ids}
-                nxt = {a: fill.standard_normal(algo.obs_dim) for a in algo.agent_ids}
-                acts = {
-                    a: int(fill.integers(0, algo.num_actions))
-                    for a in algo.agent_ids
-                }
-                rews = {a: float(fill.standard_normal()) for a in algo.agent_ids}
-                dones = {a: bool(fill.uniform() < 0.1) for a in algo.agent_ids}
-                dones["__all__"] = False
-                algo.observe(obs, acts, rews, nxt, dones)
+            shape = (80, algo.num_agents)
+            algo.observe_batch(
+                fill.standard_normal(shape + (algo.obs_dim,)),
+                fill.integers(0, algo.num_actions, size=shape),
+                fill.standard_normal(80),
+                fill.standard_normal(shape + (algo.obs_dim,)),
+                fill.uniform(size=80) < 0.1,
+            )
             return algo
 
         scalar, fused = make(), make()

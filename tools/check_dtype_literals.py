@@ -1,23 +1,25 @@
 #!/usr/bin/env python
-"""Precision guard: no hard-coded ``np.float64`` in the hot kernels.
+"""Precision guard: no hard-coded ``np.float64`` in the compute paths.
 
-``--dtype float32`` only works end-to-end if every array in ``nn/`` and
-``core/`` draws its dtype from ``repro.nn.tensor.get_default_dtype()``
-(or from the parameters it operates on).  A stray ``np.float64`` literal
-silently upcasts the arrays it touches and — because numpy propagates
-the widest dtype through every downstream op — quietly converts the
-whole pipeline back to double precision, erasing the float32 speedup
-without failing a single numerical test.
+``--dtype float32`` only works end-to-end if every array in ``nn/``,
+``core/``, ``baselines/`` and ``training/`` draws its dtype from
+``repro.nn.tensor.get_default_dtype()`` (or from the parameters or
+buffers it operates on).  A stray ``np.float64`` literal silently upcasts
+the arrays it touches and — because numpy propagates the widest dtype
+through every downstream op — quietly converts the whole pipeline back
+to double precision, erasing the float32 speedup without failing a
+single numerical test.
 
-This checker scans ``src/repro/nn`` and ``src/repro/core`` for
-``np.float64`` tokens outside the documented exemptions below.  Comments
+This checker scans ``src/repro/nn``, ``src/repro/core``,
+``src/repro/baselines`` and ``src/repro/training`` for ``np.float64``
+tokens outside the documented exemptions below.  Comments and strings
 are ignored; add a new exemption only with a justification for why the
 site must stay float64 at any compute dtype (see the existing entries
 and docs/ARCHITECTURE.md (Precision)).
 
 Usage::
 
-    python tools/check_dtype_literals.py           # check nn/ and core/
+    python tools/check_dtype_literals.py           # check the scanned dirs
     python tools/check_dtype_literals.py FILE...   # check specific files
 """
 
@@ -30,7 +32,12 @@ import tokenize
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SCANNED_DIRS = ("src/repro/nn", "src/repro/core")
+SCANNED_DIRS = (
+    "src/repro/nn",
+    "src/repro/core",
+    "src/repro/baselines",
+    "src/repro/training",
+)
 
 LITERAL_PATTERN = re.compile(r"np\s*\.\s*float64")
 
@@ -71,6 +78,10 @@ EXEMPTIONS: dict[tuple[str, str], str] = {
         "exploration-schedule scalar compared against float64 RNG draws; "
         "never enters network compute"
     ),
+    ("src/repro/baselines/idqn.py", "np.asarray(self.epsilon, dtype=np.float64)"): (
+        "IDQN's exploration probability, compared against float64 RNG draws; "
+        "the result is integer actions, so the upcast cannot leak"
+    ),
 }
 
 
@@ -97,8 +108,16 @@ def code_lines(source: str) -> dict[int, str]:
     return {number: line for number, line in enumerate(lines, start=1)}
 
 
+def repo_path(path: Path) -> str:
+    """``path`` relative to the repo root, or absolute when outside it."""
+    resolved = path.resolve()
+    if resolved.is_relative_to(REPO_ROOT):
+        return resolved.relative_to(REPO_ROOT).as_posix()
+    return resolved.as_posix()
+
+
 def check_file(path: Path) -> list[str]:
-    rel = path.resolve().relative_to(REPO_ROOT).as_posix()
+    rel = repo_path(path)
     failures = []
     for number, line in code_lines(path.read_text()).items():
         if not LITERAL_PATTERN.search(line):
@@ -109,7 +128,7 @@ def check_file(path: Path) -> list[str]:
         )
         if not exempt:
             failures.append(
-                f"{rel}:{number}: hard-coded np.float64 in a hot kernel "
+                f"{rel}:{number}: hard-coded np.float64 in a compute path "
                 f"(use get_default_dtype() or the parameter dtype): "
                 f"{line.strip()}"
             )
@@ -130,10 +149,7 @@ def main(argv: list[str]) -> int:
         failures.extend(check_file(path))
 
     # Stale exemptions are noise that hides real regressions: prune them.
-    sources = {
-        path.resolve().relative_to(REPO_ROOT).as_posix(): path.read_text()
-        for path in paths
-    }
+    sources = {repo_path(path): path.read_text() for path in paths}
     if not argv:  # only meaningful over the full scan set
         for (exempt_path, marker), reason in EXEMPTIONS.items():
             source = sources.get(exempt_path)
