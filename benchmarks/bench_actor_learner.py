@@ -25,8 +25,9 @@ about time.
 ``test_actor_learner_roundtrip`` records the per-round cost of the
 shared-memory plumbing itself — one parameter-snapshot publish/read plus
 one transition-payload put/get — and ``test_actor_fanin_roundtrip`` the
-same cycle through the N-ring :class:`ActorFanIn` merge; both feed the
-CI perf gate (``benchmarks/check_regression.py``).
+cost of draining a 2-ring round through the :class:`ActorFanIn` merge
+that staleness fan-out uses; both feed the CI perf gate
+(``benchmarks/check_regression.py``).
 """
 
 from __future__ import annotations
@@ -197,13 +198,13 @@ def test_actor_learner_roundtrip(benchmark):
 
 
 def test_actor_fanin_roundtrip(benchmark):
-    """One lockstep merge round through the N-ring fan-in, for the gate.
+    """One 2-ring merge round through the fan-in, for the gate.
 
-    Mirrors a 2-actor lockstep round: each ring receives a ~64KB payload
-    and the learner drains them in strict rotation through
-    :class:`ActorFanIn`.  The mean tracks the merge overhead the fan-out
-    adds on top of the single-ring put/get (pending-buffer bookkeeping,
-    rotation scan, poll backoff).
+    Mirrors two staleness fan-out actors shipping one round each: each
+    ring receives a ~64KB payload and the learner drains both through
+    :class:`ActorFanIn`'s first-available ``get()``.  The mean tracks the
+    merge overhead the fan-out adds on top of the single-ring put/get
+    (round-robin scan, per-call abort poll, poll backoff).
     """
     payload = RolloutPayload(
         round_index=0,
@@ -217,8 +218,8 @@ def test_actor_fanin_roundtrip(benchmark):
     def cycle():
         for queue in queues:
             queue.put(payload)
-        for expected in range(len(queues)):
-            fan_in.get(expected=expected, timeout=5.0)
+        for _ in queues:
+            fan_in.get(timeout=5.0)
 
     try:
         benchmark(cycle)

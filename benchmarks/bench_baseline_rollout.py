@@ -96,15 +96,4 @@ def test_baseline_rollout_speedup():
 
 def test_baseline_vector_cycle(benchmark):
     """One batched act/step/observe cycle (N=8) for the perf gate."""
-    vec_env = make_baseline_vector_env(N_ENVS)
-    algo = make_baseline("idqn", vec_env, seed=0)
-    algo.epsilon = EPSILON
-    state = {"obs": vec_env.reset(0)}
-
-    def cycle():
-        actions = algo.act_batch(state["obs"], explore=True)
-        next_obs, rewards, dones, _ = vec_env.step(actions)
-        algo.observe_batch(state["obs"], actions, rewards, next_obs, dones)
-        state["obs"] = next_obs
-
-    benchmark(cycle)
+    benchmark(_cycle(N_ENVS))

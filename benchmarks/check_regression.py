@@ -43,8 +43,8 @@ from pathlib import Path
 # round (HERO team + skill + IDQN through core.update_engine), one async
 # actor-learner round trip (parameter-snapshot publish/read +
 # transition-payload put/get through the shared-memory plumbing), one
-# 2-actor lockstep merge round through
-# the ActorFanIn rotation, one full-slot micro-batched inference
+# 2-actor merge round through the ActorFanIn round-robin (the
+# staleness fan-out drain), one full-slot micro-batched inference
 # pass of the serving stack (32 client slots through one stacked
 # forward), the same fused update round at --dtype float32 (guards
 # the mixed-precision speedup: a float32-only regression — e.g. a

@@ -6,9 +6,9 @@ handful of episodes on the async actor–learner stack — the exact stack
 ``repro run ... --async-actors`` uses — and guards its equivalence
 contract:
 
-* lockstep (``max_staleness=0``): the async run must log metric series
-  **bit-for-bit identical** to the synchronous vectorized loop, for the
-  plain and the fused-update gradient paths;
+* lockstep (``max_staleness=0``, one actor): the async run must log
+  metric series **bit-for-bit identical** to the synchronous vectorized
+  loop, for the plain and the fused-update gradient paths;
 * staleness mode (``--max-staleness > 0``): the run must complete the
   full episode budget and log a ``snapshot_staleness`` series bounded by
   the budget.
@@ -18,10 +18,9 @@ Usage::
     PYTHONPATH=src python benchmarks/smoke_async_cycle.py \
         --episodes 3 --num-envs 2 --max-staleness 2 --num-actors 2
 
-``--num-actors N`` fans collection out over N actor processes; the
-lockstep drift check must hold at any width (that is the fan-out's
-equivalence contract), and the staleness run additionally partitions
-the episode universe across the actors.
+``--num-actors N`` fans the staleness run's collection out over N actor
+processes, each walking its own slice of the episode universe; lockstep
+always runs one actor.
 """
 
 from __future__ import annotations
@@ -115,24 +114,12 @@ def _assert_logs_equal(name: str, what: str, log_a, log_b) -> None:
             )
 
 
-def check_lockstep(
-    train, name: str, prefix: str, episodes, num_envs, seed, num_actors
-) -> None:
+def check_lockstep(train, name: str, prefix: str, episodes, num_envs, seed) -> None:
     """Async lockstep must match the synchronous loop bit-for-bit."""
     for fused in (False, True):
-        what = (
-            f"async-lockstep({num_actors} actors)-vs-sync "
-            f"({'fused' if fused else 'plain'})"
-        )
+        what = f"async-lockstep-vs-sync ({'fused' if fused else 'plain'})"
         log_sync = train(episodes, num_envs, seed, async_actors=False, fused=fused)
-        log_async = train(
-            episodes,
-            num_envs,
-            seed,
-            async_actors=True,
-            fused=fused,
-            num_actors=num_actors,
-        )
+        log_async = train(episodes, num_envs, seed, async_actors=True, fused=fused)
         _assert_logs_equal(name, what, log_sync, log_async)
         print(f"{name}: {what}: no drift over {episodes} episodes")
 
@@ -182,15 +169,7 @@ def main(argv: list[str] | None = None) -> int:
         (_hero_logger, "hero", "hero"),
         (_idqn_logger, "idqn", "idqn"),
     ):
-        check_lockstep(
-            train,
-            name,
-            prefix,
-            args.episodes,
-            args.num_envs,
-            args.seed,
-            args.num_actors,
-        )
+        check_lockstep(train, name, prefix, args.episodes, args.num_envs, args.seed)
         if args.max_staleness > 0:
             check_staleness(
                 train,

@@ -414,10 +414,9 @@ def train_marl_vectorized(
     protocol yet).  ``max_staleness=0`` is a lockstep barrier, bitwise
     identical to the synchronous loop; larger values let the actors run
     ahead of the newest policy snapshot by that many collection rounds.
-    ``num_actors`` fans collection out to that many actor processes:
-    bitwise invariant under the lockstep barrier (replicated collection),
-    a stride partition of the same episode/seed universe when staleness
-    is allowed.
+    ``num_actors`` fans collection out to that many actor processes, a
+    stride partition of the same episode/seed universe; it needs
+    ``max_staleness > 0`` (lockstep runs one actor).
     """
     logger = logger or MetricLogger()
     prefix = metric_prefix or algorithm.name

@@ -271,11 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help=(
-            "rollout actor processes for --async-actors: with "
-            "--max-staleness 0 results stay bitwise identical at any "
-            "count (replicated collection); with --max-staleness > 0 "
-            "each actor collects its own slice of the episode universe "
-            "and collection throughput scales with the count"
+            "rollout actor processes for --async-actors; more than one "
+            "needs --max-staleness > 0 (lockstep runs one actor): each "
+            "actor collects its own slice of the episode universe and "
+            "collection throughput scales with the count"
         ),
     )
     run.add_argument(
@@ -350,11 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help=(
-            "rollout actor processes for --async-actors: with "
-            "--max-staleness 0 results stay bitwise identical at any "
-            "count (replicated collection); with --max-staleness > 0 "
-            "each actor collects its own slice of the episode universe "
-            "and collection throughput scales with the count"
+            "rollout actor processes for --async-actors; more than one "
+            "needs --max-staleness > 0 (lockstep runs one actor): each "
+            "actor collects its own slice of the episode universe and "
+            "collection throughput scales with the count"
         ),
     )
     run_all.add_argument(
@@ -429,6 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "async_actors", False):
+        from .distributed.actor_learner import check_fanout
+
+        try:
+            check_fanout(args.max_staleness, args.num_actors)
+        except ValueError as exc:
+            parser.error(f"argument --num-actors/--max-staleness: {exc}")
     return args.func(args)
 
 

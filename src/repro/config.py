@@ -143,11 +143,9 @@ class TrainingConfig:
     # (rollout and update genuinely overlap; staleness is logged per round).
     max_staleness: int = 0
     # Number of rollout actor processes for async_actors (the fan-out).
-    # Under the lockstep barrier (max_staleness == 0) results are bitwise
-    # identical at any num_actors (replicated collection, round-robin
-    # attribution); with max_staleness > 0 each actor steps its own env
-    # batch on forked RNG streams and collection throughput scales with
-    # the actor count.
+    # Lockstep (max_staleness == 0) runs exactly one; with max_staleness > 0
+    # each actor steps its own env batch on forked RNG streams and
+    # collection throughput scales with the actor count.
     num_actors: int = 1
     # Floating-point compute dtype for the whole stack ("float64" |
     # "float32").  float64 is the default and bitwise-identical to the

@@ -281,10 +281,9 @@ def train_hero(
     synchronous path; larger values overlap rollout and update and log
     per-round snapshot staleness.  ``num_actors`` (default
     ``config.num_actors``) fans the rollout phase out to that many actor
-    processes: under the lockstep barrier results stay bitwise identical
-    at any ``num_actors`` (replicated collection, round-robin
-    attribution); with ``max_staleness > 0`` each actor steps its own env
-    batch on forked RNG streams and collection throughput scales with the
+    processes, which needs ``max_staleness > 0`` (lockstep runs one
+    actor; more raise ``ValueError``): each actor steps its own env batch
+    on forked RNG streams and collection throughput scales with the
     actor count.
 
     ``checkpoint_path`` (optional) writes the trained team as a versioned

@@ -24,27 +24,19 @@ of its own.
 
 Option selection consumes one shared RNG stream across an env batch, so
 an env batch is never *split* across actors (batch-shaped draws and
-batch-shaped BLAS forwards would both change bits).  Fan-out instead
-changes what each whole actor steps, per mode:
+batch-shaped BLAS forwards would both change bits).  Two modes:
 
-* **Lockstep fan-out** (``max_staleness=0``) — *replicated collection*.
-  All N actors step identical env-batch replicas: same env seeds, same
-  snapshot, same published RNG sidecar each round, hence identical
-  trajectories.  Every replica ships every round; the learner drains the
-  full replica set in rotation (``ActorFanIn.get(expected=merged % N)``)
-  before publishing the next version, replaying only the round owner's
-  (``round % N``) bit-identical copy.  The drain is the lockstep
-  barrier: each ship acks that its replica has consumed the current
-  snapshot, so every replica's next ``read`` observes exactly
-  ``version == round`` — without it, a newest-wins read would let a fast
-  learner feed a slow replica a later snapshot and silently fork the
-  replicated state.  The learner adopts the shipped post-round RNG
-  state, replays the captured experience in order, updates, and
-  publishes version ``round + 1`` — so the run is **bitwise identical**
-  to the synchronous vectorized loop at any ``num_actors``
-  (``tests/test_actor_learner.py`` locks N in {1, 2, 3}).  This is the
-  correctness mode: replication buys attribution coverage, not
-  throughput.
+* **Lockstep** (``max_staleness=0``) — *one actor*, the correctness
+  mode.  Each round the actor reads the newest snapshot and the
+  learner's published RNG sidecar, collects and ships; the learner
+  adopts the shipped post-round RNG state, replays the captured
+  experience in order, updates, and only then publishes version
+  ``round + 1``.  The ship is the barrier: the actor's next ``read``
+  observes exactly ``version == round``, so the run is **bitwise
+  identical** to the synchronous vectorized loop
+  (``tests/test_actor_learner.py``).  More actors would only step copies
+  of the same trajectory, so :func:`check_fanout` rejects
+  ``num_actors > 1`` here.
 * **Staleness fan-out** (``max_staleness=k > 0``) — *partitioned
   collection*, the throughput mode.  Each actor runs its *own* env batch
   on actor-indexed forked RNG streams
@@ -66,15 +58,16 @@ Shutdown: the learner sets the server's stop flag, closes every queue
 every shared-memory segment.  An actor-side failure (an exception
 anywhere in the actor, its env batch included) arrives as an
 :class:`~repro.distributed.protocol.ActorError` frame carrying the
-actor id and jumps the fan-in merge; an actor that dies without
-reporting (SIGKILL, ``os._exit``) is caught by the learner's abort poll,
-which names the dead actor process.  Either way the learner re-raises a
-``RuntimeError`` naming the failing actor and tears the whole fleet
-down.
+actor id; an actor that dies without reporting (SIGKILL, ``os._exit``)
+is caught by the learner's abort poll, which names the dead actor
+process even while other actors keep shipping.  Either way the learner
+re-raises a ``RuntimeError`` naming the failing actor and tears the
+whole fleet down.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import time
 import traceback
@@ -106,7 +99,7 @@ from .parameter_server import ParameterServer
 from .protocol import ActorError, RolloutPayload, encode_rng_state, load_rng_state
 from .queues import ActorFanIn, QueueClosed, ShmRingQueue
 
-__all__ = ["train_hero_async", "train_marl_async"]
+__all__ = ["check_fanout", "train_hero_async", "train_marl_async"]
 
 # Spawned (not forked) actors: a fork would duplicate the learner's BLAS
 # state and open shm handles; spawn re-imports cleanly.
@@ -128,6 +121,23 @@ _ACTOR_RNG_SALT = 31337
 # ---------------------------------------------------------------------------
 # Shared plumbing
 # ---------------------------------------------------------------------------
+
+
+def check_fanout(max_staleness: int, num_actors: int) -> None:
+    """Reject an actor layout the stack does not run (``ValueError``).
+
+    Shared by both learners and the CLI.  Lockstep (``max_staleness=0``)
+    runs one actor: more would only step copies of its trajectory.
+    """
+    if max_staleness < 0:
+        raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
+    if num_actors < 1:
+        raise ValueError(f"num_actors must be >= 1, got {num_actors}")
+    if num_actors > 1 and max_staleness == 0:
+        raise ValueError(
+            f"num_actors={num_actors} needs max_staleness > 0: lockstep "
+            "(max_staleness=0) runs one actor"
+        )
 
 
 def _parent_abort() -> str | None:
@@ -215,15 +225,11 @@ def _ship_rounds(spec: dict, server, queue, collect_round, exhausted=None) -> No
     Before round ``r`` read the newest snapshot with version >=
     ``r - max_staleness``, let ``collect_round(vectors, rng_words)`` load
     it and collect (it returns the payload's ``data`` and ``rng_states``),
-    and ship the round.  Every replica ships every round.  In lockstep the
-    ship is also this replica's ack that it consumed the current snapshot:
-    the learner publishes version r+1 only after draining all N round-r
-    payloads, so a replica's next read observes exactly version r+1 — a
-    newest-wins read without that barrier lets a fast learner feed a slow
-    replica a later snapshot and silently fork the replicated state.
-    Runs until the learner's stop flag or a closed queue; while
-    ``exhausted()`` holds the actor idles instead (exiting early would
-    race the learner's liveness poll, which treats a missing actor
+    and ship the round.  In lockstep the learner publishes version r+1
+    only after receiving round r, so the next read observes exactly
+    version r+1.  Runs until the learner's stop flag or a closed queue;
+    while ``exhausted()`` holds the actor idles instead (exiting early
+    would race the learner's liveness poll, which treats a missing actor
     process as a crash).
     """
     round_index = 0
@@ -268,63 +274,29 @@ def _start_actors(target, kind: str, server, queues, specs) -> list:
 
 
 def _receive_rounds(queues, processes, lockstep: bool, logger: MetricLogger, prefix: str):
-    """Yield the payload the learner replays for each collection round.
+    """Yield each collection round's payload as the fan-in delivers it.
 
-    Lockstep drains one payload per replica, in rotation, and yields the
-    round owner's (``round % N``) copy; the rest are bit-identical and
-    only serve as acks.  Draining the full replica set before the next
-    publish is the lockstep barrier: each ship acks that its replica has
-    consumed the current snapshot, so every replica's next read observes
-    exactly ``version == round``.  Staleness mode yields payloads as they
-    arrive and logs each one's snapshot staleness: the aggregate series at
-    the merged-payload counter (monotonic across actors; equal to the
-    round index at N=1) and the per-actor series at that actor's round.
+    Staleness mode also logs each payload's snapshot staleness: the
+    aggregate series at the merged-payload counter (monotonic across
+    actors; equal to the round index at N=1) and the per-actor series at
+    that actor's round.
     """
-    num_actors = len(queues)
     abort = _actor_abort(processes)
     fan_in = ActorFanIn(queues)
-    merged = 0  # payloads consumed; the global round counter in lockstep
-    while True:
-        if lockstep:
-            replicas = []
-            for _ in range(num_actors):
-                replicas.append(
-                    _check_payload(fan_in.get(expected=merged % num_actors, abort=abort))
-                )
-                merged += 1
-            yield replicas[(merged // num_actors - 1) % num_actors]
-            continue
+    for merged in itertools.count():
         payload = _check_payload(fan_in.get(abort=abort))
-        merged += 1
-        # version_used can exceed this actor's round counter when other
-        # actors drive versions up faster; staleness is the lag behind the
-        # actor's own progress, floored at 0.
-        staleness = float(max(payload.round_index - payload.version_used, 0))
-        logger.log(f"{prefix}/snapshot_staleness", staleness, merged - 1)
-        logger.log(
-            f"{prefix}/snapshot_staleness/actor{payload.actor_id}",
-            staleness,
-            payload.round_index,
-        )
+        if not lockstep:
+            # version_used can exceed this actor's round counter when other
+            # actors drive versions up faster; staleness is the lag behind
+            # the actor's own progress, floored at 0.
+            staleness = float(max(payload.round_index - payload.version_used, 0))
+            logger.log(f"{prefix}/snapshot_staleness", staleness, merged)
+            logger.log(
+                f"{prefix}/snapshot_staleness/actor{payload.actor_id}",
+                staleness,
+                payload.round_index,
+            )
         yield payload
-
-
-def _actor_seed_sets(rng, num_envs: int, num_actors: int, lockstep: bool):
-    """Per-actor env reset seeds for HERO fan-out.
-
-    Lockstep replicates: every actor steps the same seeds (one draw of
-    ``num_envs``, shared), so trajectories are identical and round
-    attribution can rotate.  Staleness partitions: each actor draws its
-    own batch, actor-major, so actor 0's seeds are exactly the
-    single-actor run's at any N.
-    """
-    if lockstep:
-        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
-        return [seeds] * num_actors
-    return [
-        [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
-        for _ in range(num_actors)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -371,13 +343,8 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     to flat import vectors.  Replay-buffer writes and opponent-model
     records are captured as an ordered event log instead of being applied
     locally — the learner replays them verbatim, so its buffers evolve
-    exactly as the synchronous loop's would.
-
-    Fan-out: in lockstep mode all ``num_actors`` replicas collect and
-    ship every round (the learner replays the round owner's bit-identical
-    copy and treats each ship as that replica's snapshot ack); in
-    staleness mode this actor's batch is its own partition of the
-    collection workload.
+    exactly as the synchronous loop's would.  In staleness fan-out this
+    actor's batch is its own partition of the collection workload.
     """
     try:
         # Spawned processes start at the float64 default; adopt the
@@ -399,9 +366,8 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         # exact states, shipped once at spawn.
         load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
         load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
-        if spec["actor_rng"] is not None:  # staleness mode: forked streams
-            for high, words in zip(highs, spec["actor_rng"]):
-                load_rng_state(high._rng, words)
+        for high, words in zip(highs, spec["actor_rng"]):
+            load_rng_state(high._rng, words)
 
         bound = {"actor": BoundFamilyVector([h.actor.trunk for h in highs])}
         if spec["has_opponent_slot"]:
@@ -463,26 +429,22 @@ def train_hero_async(
     ``num_actors`` actor processes: the learner replays each round's
     capture log into the team and hands the round's finished episodes to
     ``consumer``, the loop's per-episode consumer (update budget, logging,
-    interleaved evals).  At ``max_staleness=0`` the run is the synchronous
-    one bit for bit (at any ``num_actors``); at ``max_staleness>0``
+    interleaved evals).  At ``max_staleness=0`` one actor runs and the
+    run is the synchronous one bit for bit; at ``max_staleness>0``
     rollout and update overlap, with aggregate and per-actor staleness
-    logged per round (see the module docstring for the
-    replicated-lockstep / partitioned-staleness split).  ``engine`` is
+    logged per round (see the module docstring).  ``engine`` is
     the :class:`~repro.core.update_engine.UpdateEngine` behind the
     consumer's update when fused updates are active; its flat optimizer
     buffers make each snapshot publish a plain ``np.copyto``.  Returns
     ``consumer.logger``.
     """
+    check_fanout(max_staleness, num_actors)
     factory = EnvReplicaFactory.from_env(env)
     if type(team.option_set) is not OptionSet:
         raise ValueError(
             "async actors require the default OptionSet (custom option sets "
             "hold unpicklable predicates and cannot be shipped to the actor)"
         )
-    if max_staleness < 0:
-        raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
-    if num_actors < 1:
-        raise ValueError(f"num_actors must be >= 1, got {num_actors}")
 
     highs = [team.agents[a].high_level for a in env.agents]
     first = highs[0]
@@ -513,25 +475,24 @@ def train_hero_async(
     lockstep = max_staleness == 0
     server = ParameterServer(slots, num_rngs=len(highs), dtype=get_default_dtype())
     queues = [ShmRingQueue(_QUEUE_BYTES, context=_CTX) for _ in range(num_actors)]
-    seed_sets = _actor_seed_sets(rng, num_envs, num_actors, lockstep)
-    # Actor-major RNG forks: actor k's agent streams are children
-    # [k * agents, (k + 1) * agents) of one SeedSequence, so actor 0's
-    # streams equal the single-actor run's at any fan-out (SeedSequence
-    # children depend only on their index, not on how many are spawned).
-    actor_streams = (
-        None
-        if lockstep
-        else [
-            encode_rng_state(g)
-            for g in spawn_rngs(
-                config.seed + _ACTOR_RNG_SALT, num_actors * len(highs)
-            )
-        ]
-    )
+    # Each actor draws its own env seeds, actor-major, so actor 0's seeds
+    # are exactly the single-actor run's at any fan-out.
+    seed_sets = [
+        [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
+        for _ in range(num_actors)
+    ]
+    # Actor-major RNG forks (lockstep swaps in the sidecar every round):
+    # actor k's agent streams are children [k * agents, (k + 1) * agents)
+    # of one SeedSequence, so actor 0's streams equal the single-actor
+    # run's at any fan-out (SeedSequence children depend only on their
+    # index, not on how many are spawned).
+    actor_streams = [
+        encode_rng_state(g)
+        for g in spawn_rngs(config.seed + _ACTOR_RNG_SALT, num_actors * len(highs))
+    ]
     shared_spec = {
         "factory": factory,
         "num_envs": num_envs,
-        "num_actors": num_actors,
         "epsilon_schedule": epsilon_schedule,
         "hyper": team.hyper,
         "option_set_args": (
@@ -562,11 +523,7 @@ def train_hero_async(
                 shared_spec,
                 actor_id=k,
                 seeds=seed_sets[k],
-                actor_rng=(
-                    None
-                    if lockstep
-                    else actor_streams[k * len(highs) : (k + 1) * len(highs)]
-                ),
+                actor_rng=actor_streams[k * len(highs) : (k + 1) * len(highs)],
             )
             for k in range(num_actors)
         ],
@@ -618,10 +575,9 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     snapshots and shipping each collection round's rows (every round ends
     where the synchronous loop would run updates).
 
-    Fan-out: lockstep replicas all walk the full episode universe;
-    staleness actors walk their :func:`episode_partition` stride of it.
-    Once its budget episodes are done the actor idles (see
-    :func:`_ship_rounds`).
+    Each actor walks its :func:`episode_partition` stride of the episode
+    universe (all of it when one actor runs).  Once its budget episodes
+    are done the actor idles (see :func:`_ship_rounds`).
     """
     try:
         # Adopt the learner's compute dtype before building the replica.
@@ -637,8 +593,7 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         bound = BoundFamilyVector(
             [algo.q_networks[a].trunk for a in algo.agent_ids]
         )
-        if spec["actor_rng"] is not None:  # staleness mode: forked stream
-            load_rng_state(algo._rng, spec["actor_rng"])
+        load_rng_state(algo._rng, spec["actor_rng"])
         lockstep = spec["max_staleness"] == 0
         worker = BaselineRolloutWorker(
             spec["build_batch"](spec["num_envs"]),
@@ -646,7 +601,8 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
             spec["episodes"],
             spec["seed"],
             spec["epsilon_schedule"],
-            *((1, 0) if lockstep else (spec["num_actors"], spec["actor_id"])),
+            spec["num_actors"],
+            spec["actor_id"],
         )
 
         def collect_round(vectors, rng_words):
@@ -685,16 +641,12 @@ def train_marl_async(
     grid carry over) and ships its collection rounds; the learner hands every
     round's rows to ``consumer``, a
     :class:`~repro.baselines.base.BaselineConsumer`, which reads each
-    finished episode's index from the rows.  Lockstep fan-out replicates
-    collection (the round owner's copy is replayed, so results are bitwise
-    independent of ``num_actors``); staleness fan-out stride-partitions
-    the episode universe across actors for real collection parallelism.
+    finished episode's index from the rows.  Lockstep runs one actor,
+    bitwise the synchronous loop; staleness fan-out stride-partitions the
+    episode universe across actors for real collection parallelism.
     Returns ``consumer.logger``.
     """
-    if max_staleness < 0:
-        raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
-    if num_actors < 1:
-        raise ValueError(f"num_actors must be >= 1, got {num_actors}")
+    check_fanout(max_staleness, num_actors)
     build_batch = vec_env.replica_builder()
     ids = algorithm.agent_ids
     members = [algorithm.q_networks[a].trunk for a in ids]
@@ -707,9 +659,7 @@ def train_marl_async(
         {"q": family_vector_size(members)}, num_rngs=1, dtype=family_dtype(members)
     )
     queues = [ShmRingQueue(_QUEUE_BYTES, context=_CTX) for _ in range(num_actors)]
-    actor_streams = (
-        None if lockstep else spawn_rngs(seed + _ACTOR_RNG_SALT, num_actors)
-    )
+    actor_streams = spawn_rngs(seed + _ACTOR_RNG_SALT, num_actors)
     shared_spec = {
         "agent_ids": list(ids),
         "obs_dim": algorithm.obs_dim,
@@ -731,13 +681,7 @@ def train_marl_async(
         server,
         queues,
         [
-            dict(
-                shared_spec,
-                actor_id=k,
-                actor_rng=(
-                    None if lockstep else encode_rng_state(actor_streams[k])
-                ),
-            )
+            dict(shared_spec, actor_id=k, actor_rng=encode_rng_state(actor_streams[k]))
             for k in range(num_actors)
         ],
     )

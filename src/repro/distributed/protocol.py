@@ -51,14 +51,12 @@ class RolloutPayload:
     """One collection round's worth of experience from an actor.
 
     ``actor_id`` attributes the round to one of the learner's N actor
-    processes and ``round_index`` counts collection rounds on that actor
-    (in lockstep fan-out every actor tracks the same global round counter,
-    so the pair fully orders the merged stream).  ``version_used`` is the
-    snapshot version the actor acted with, so the learner can log
-    per-actor staleness (``round_index - version_used``).  ``data`` is
-    method-specific (the HERO capture log or the IDQN step rows) and
-    ``rng_states`` carries the actor's post-collection generator states
-    for the lockstep handoff (empty when staleness is allowed).
+    processes and ``round_index`` counts collection rounds on that actor.
+    ``version_used`` is the snapshot version the actor acted with, so the
+    learner can log per-actor staleness (``round_index - version_used``).
+    ``data`` is method-specific (the HERO capture log or the IDQN step
+    rows) and ``rng_states`` carries the actor's post-collection generator
+    states for the lockstep handoff (empty when staleness is allowed).
 
     Arrays inside ``data`` keep their dtype through pickling, so the wire
     format needs no dtype tag of its own: a float32 run's frames carry

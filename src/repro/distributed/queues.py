@@ -13,17 +13,15 @@ instead of letting the queue grow without bound.
 
 :class:`ActorFanIn` merges N per-actor SPSC rings into the learner's
 single consumption stream (MPSC at the merge, SPSC on every ring — no
-ring ever has two writers, so the rings stay lock-cheap).  Lockstep
-fan-out drains with ``get(expected=k)`` — the learner knows exactly which
-actor ships each round — while staleness fan-out uses plain ``get()``,
-first-available round-robin starting one past the previously served
-actor so a fast producer cannot starve the others.  Error frames
-(:class:`~repro.distributed.protocol.ActorError`) jump the merge from
-any ring.
+ring ever has two writers, so the rings stay lock-cheap): first-available
+round-robin starting one past the previously served actor, so a fast
+producer cannot starve the others.
 
 Liveness: both ends poll in short slices and run an optional ``abort``
 callback between slices, so a dead peer (crashed actor, killed learner)
 surfaces as a :class:`RuntimeError` naming the failure instead of a hang.
+The multi-ring merge also polls ``abort`` on every call, so live actors
+cannot keep the learner fed past a dead one.
 Ownership: the creating process unlinks the segment exactly once;
 attached copies (the pickled handle an actor receives) only close their
 mapping.
@@ -34,7 +32,6 @@ from __future__ import annotations
 import multiprocessing as mp
 import pickle
 import time
-from collections import deque
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -265,7 +262,7 @@ class ShmRingQueue:
             pass
 
 
-# Fan-in poll backoff: start near-spin so a lockstep round trip adds
+# Fan-in poll backoff: start near-spin so a merge round trip adds
 # microseconds, back off exponentially so an idle merge costs no CPU.
 _FANIN_MIN_SLICE = 1e-4
 _FANIN_MAX_SLICE = 0.02
@@ -275,39 +272,20 @@ class ActorFanIn:
     """MPSC merge over per-actor SPSC rings (consumer side only).
 
     The learner owns one :class:`ShmRingQueue` per actor and drains them
-    through this merge.  Two modes:
-
-    * ``get(expected=k)`` — strict rotation for lockstep fan-out.  Blocks
-      until actor ``k``'s ring yields a frame; frames that surface
-      out of turn from other rings are held in per-ring pending buffers
-      and served when their turn comes, so the merge never reorders a
-      ring's FIFO stream.
-    * ``get()`` — first-available round-robin for staleness fan-out.  The
-      scan starts one past the previously served ring, so a producer that
-      is always ready cannot starve the others.
-
-    :class:`~repro.distributed.protocol.ActorError` frames are returned
-    immediately from *any* ring in either mode — a crashing actor must
-    not wait behind the rotation.  Once every ring is closed and drained
-    (or the expected ring is, in expected mode), raises
-    :class:`QueueClosed`.
+    through :meth:`get`: first-available round-robin, each scan starting
+    one past the previously served ring, so a producer that is always
+    ready cannot starve the others.  Every ring's FIFO order is kept.
+    Once every ring is closed and drained, raises :class:`QueueClosed`.
     """
 
     def __init__(self, queues):
         if not queues:
             raise ValueError("ActorFanIn needs at least one queue")
         self._queues = list(queues)
-        self._pending = [deque() for _ in self._queues]
         self._exhausted = [False] * len(self._queues)
         self._next = 0
 
-    def __len__(self) -> int:
-        return len(self._queues)
-
     def _poll_one(self, index: int):
-        """Pop from ring ``index``'s pending buffer or the ring itself."""
-        if self._pending[index]:
-            return True, self._pending[index].popleft()
         if self._exhausted[index]:
             return False, None
         try:
@@ -316,19 +294,22 @@ class ActorFanIn:
             self._exhausted[index] = True
             return False, None
 
-    def get(self, expected: int | None = None, timeout: float | None = None, abort=None):
+    def get(self, timeout: float | None = None, abort=None):
         """Pop the next merged frame; see the class docstring for order.
 
         Raises :class:`QueueClosed` when no further frame can arrive,
-        :class:`RuntimeError` via ``abort`` (polled between scan slices)
-        and :class:`TimeoutError` past ``timeout`` seconds.
+        :class:`RuntimeError` via ``abort`` and :class:`TimeoutError` past
+        ``timeout`` seconds.  With one ring ``abort`` is polled between
+        wait slices; with several it is also polled on every call, since
+        the others may keep frames coming after one actor died.  Once it
+        fires, data frames are dropped and only an
+        :class:`~repro.distributed.protocol.ActorError` still queued on
+        some ring is returned instead of the raise.
         """
         count = len(self._queues)
-        if expected is not None and not 0 <= expected < count:
-            raise ValueError(f"expected must be in [0, {count}), got {expected}")
-        if count == 1 and not self._pending[0] and not self._exhausted[0]:
+        if count == 1 and not self._exhausted[0]:
             # Single-actor fast path: block on the ring's condition
-            # variable instead of poll-spinning (the PR 6 topology).
+            # variable instead of poll-spinning.
             try:
                 return self._queues[0].get(timeout=timeout, abort=abort)
             except QueueClosed:
@@ -337,28 +318,21 @@ class ActorFanIn:
         deadline = None if timeout is None else time.monotonic() + timeout
         delay = _FANIN_MIN_SLICE
         while True:
-            if expected is None:
-                order = [(self._next + i) % count for i in range(count)]
-            else:
-                order = [expected] + [k for k in range(count) if k != expected]
-            for index in order:
+            message = abort() if abort is not None else None
+            for offset in range(count):
+                index = (self._next + offset) % count
                 ok, item = self._poll_one(index)
-                if not ok:
-                    continue
-                if isinstance(item, ActorError):
-                    return item  # crash reports jump the merge
-                if expected is None or index == expected:
+                # An actor that reported and then exited must surface its
+                # own traceback, not the bare death notice.
+                while ok and message and not isinstance(item, ActorError):
+                    ok, item = self._poll_one(index)
+                if ok:
                     self._next = (index + 1) % count
                     return item
-                self._pending[index].append(item)  # out of turn: hold it
-            if expected is not None:
-                if self._exhausted[expected] and not self._pending[expected]:
-                    raise QueueClosed(
-                        f"actor {expected}'s queue is closed and drained"
-                    )
-            elif all(self._exhausted) and not any(self._pending):
+            if message:
+                raise RuntimeError(message)
+            if all(self._exhausted):
                 raise QueueClosed("all actor queues are closed and drained")
-            ShmRingQueue._check_abort(abort)
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"no actor produced a frame for {timeout:.1f}s"

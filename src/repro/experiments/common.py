@@ -172,7 +172,7 @@ def train_hero_method(
     the async actor–learner stack; ``max_staleness`` bounds how far it may
     run ahead of the newest policy snapshot (0 = lockstep, bitwise equal to
     the synchronous path); ``num_actors`` fans collection out to that many
-    actor processes (bitwise invariant under lockstep).
+    actor processes (staleness mode only: lockstep runs one actor).
     """
     config = TrainingConfig(
         seed=seed,
@@ -250,9 +250,8 @@ def train_baseline_method(
     evaluations batched the same way
     (:func:`~repro.baselines.base.evaluate_marl_vectorized`).
     ``async_actors`` runs the rollouts in separate actor processes (IDQN
-    only; other baselines warn and fall back); ``max_staleness=0`` keeps
-    the run bitwise equal to the synchronous loop at any ``num_actors``
-    fan-out.
+    only; other baselines warn and fall back); ``max_staleness=0`` runs
+    one actor, bitwise equal to the synchronous loop.
     """
     vec_env = make_baseline_vector_env(num_envs, scenario=scenario, rewards=rewards)
     algo = make_baseline(name, vec_env, seed=seed, **baseline_kwargs)
@@ -317,8 +316,8 @@ def train_all_methods(
     the same way.  ``async_actors`` runs each supporting method's rollouts
     in a separate actor process on the async actor–learner stack
     (``repro.distributed.actor_learner``; HERO and IDQN — the other
-    baselines warn and stay synchronous); ``max_staleness=0`` keeps async
-    runs bitwise equal to synchronous at any ``num_actors`` fan-out.
+    baselines warn and stay synchronous); ``max_staleness=0`` runs one
+    actor, bitwise equal to synchronous.
     """
     methods = methods or METHOD_NAMES
     scenario = scenario or bench_scenario()

@@ -88,8 +88,9 @@ def run_experiment(
     on the async actor–learner stack (``repro.distributed.actor_learner``;
     HERO and IDQN), with ``max_staleness`` bounding how far the actor may
     run ahead of the newest policy snapshot (0 = lockstep, bitwise equal
-    to the synchronous path) and ``num_actors`` fanning collection out to
-    that many actor processes (bitwise invariant under lockstep).  ``checkpoint_dir`` persists each trained
+    to the synchronous path; one actor) and ``num_actors`` fanning
+    collection out to that many actor processes (needs ``max_staleness >
+    0``).  ``checkpoint_dir`` persists each trained
     method as a serving checkpoint and reloads instead of retraining when
     the directory is already complete (table2 only — the figure harnesses
     report training curves, which a checkpoint does not carry).

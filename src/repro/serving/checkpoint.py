@@ -35,6 +35,7 @@ round trip is byte-identical.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,19 +85,37 @@ def _flatten_state(state: dict) -> tuple[np.ndarray, list]:
     return flat, keys
 
 
-def _scatter_state(flat: np.ndarray, keys: list) -> dict:
-    """Rebuild a ``state_dict`` from the flat vector and its key table."""
+def _scatter_state(flat: np.ndarray, keys) -> dict:
+    """Rebuild a ``state_dict`` from the flat vector and its key table.
+
+    The table must be what :func:`_flatten_state` writes: a list of
+    ``[name, shape, offset]`` entries whose chunks tile ``flat`` exactly,
+    in order from offset 0, with no gap, overlap or repeated name.
+    """
+    if not isinstance(keys, list):
+        raise CheckpointError(f"corrupted checkpoint key table: {keys!r}")
     state = {}
+    end = 0
     for entry in keys:
         try:
             name, shape, offset = entry
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            chunk = flat[offset:offset + size]
-            if chunk.size != size:
-                raise ValueError(f"key {name!r} overruns the parameter vector")
-            state[name] = chunk.reshape(shape).copy()
+            size = math.prod(shape)
+            if not (
+                isinstance(name, str)
+                and name not in state
+                and all(type(dim) is int and dim >= 0 for dim in shape)
+                and offset == end
+                and end + size <= flat.size
+            ):
+                raise ValueError(f"does not tile the {flat.size} parameters from {end}")
+            state[name] = flat[end:end + size].reshape(shape).copy()
         except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupted checkpoint key table: {exc}") from exc
+            raise CheckpointError(f"corrupted checkpoint key {entry!r}: {exc}") from exc
+        end += size
+    if end != flat.size:
+        raise CheckpointError(
+            f"corrupted checkpoint key table: covers {end} of {flat.size} parameters"
+        )
     return state
 
 
@@ -214,15 +233,20 @@ def load_checkpoint(path) -> Checkpoint:
                     f"corrupted checkpoint metadata: {exc}"
                 ) from exc
             # Format 1 predates the dtype field: always float64.  Format 2
-            # records it; the stored bytes already are that dtype, so the
-            # asarray is a validation, not a conversion.
+            # records it; the stored vector must be exactly that dtype (a
+            # narrower one would read only part of the stored bytes).
             dtype = np.dtype(meta.get("dtype", "float64"))
             if dtype not in SUPPORTED_DTYPES:
                 raise CheckpointError(
                     f"unsupported checkpoint dtype {dtype.name!r}; "
                     f"options: {[np.dtype(d).name for d in SUPPORTED_DTYPES]}"
                 )
-            flat = np.asarray(archive["flat_params"], dtype=dtype)
+            flat = archive["flat_params"]
+            if flat.dtype != dtype or flat.ndim != 1:
+                raise CheckpointError(
+                    f"corrupted checkpoint parameters: a {flat.dtype} array of "
+                    f"shape {flat.shape}, not a {dtype.name} vector"
+                )
     except CheckpointError:
         raise
     except Exception as exc:
@@ -271,28 +295,34 @@ def load_policy(path) -> LoadedPolicy:
         hyper = PaperHyperparameters(**meta["hyper"])
     except TypeError as exc:
         raise CheckpointError(f"corrupted checkpoint config: {exc}") from exc
-    build = dict(meta["build"])
+    build = meta["build"]
 
-    with default_dtype(ckpt.dtype):
-        if ckpt.method == "hero":
-            from ..core.hero import HeroTeam
-            from ..envs.lane_change_env import CooperativeLaneChangeEnv
+    try:
+        with default_dtype(ckpt.dtype):
+            if ckpt.method == "hero":
+                from ..core.hero import HeroTeam
+                from ..envs.lane_change_env import CooperativeLaneChangeEnv
 
-            env = CooperativeLaneChangeEnv(scenario=scenario, rewards=rewards)
-            controller = HeroTeam(
-                env, np.random.default_rng(0), hyper=hyper, **build
-            )
-        else:
-            from ..baselines.registry import BASELINES, make_baseline
-            from ..envs.wrappers import make_baseline_env
-
-            if ckpt.method not in BASELINES:
-                raise CheckpointError(
-                    f"unknown checkpoint method {ckpt.method!r}; "
-                    f"options: ['hero'] + {sorted(BASELINES)}"
+                env = CooperativeLaneChangeEnv(scenario=scenario, rewards=rewards)
+                controller = HeroTeam(
+                    env, np.random.default_rng(0), hyper=hyper, **build
                 )
-            env = make_baseline_env(scenario=scenario, rewards=rewards)
-            controller = make_baseline(ckpt.method, env, seed=0, **build)
+            else:
+                from ..baselines.registry import BASELINES, make_baseline
+                from ..envs.wrappers import make_baseline_env
+
+                if ckpt.method not in BASELINES:
+                    raise CheckpointError(
+                        f"unknown checkpoint method {ckpt.method!r}; "
+                        f"options: ['hero'] + {sorted(BASELINES)}"
+                    )
+                env = make_baseline_env(scenario=scenario, rewards=rewards)
+                controller = make_baseline(ckpt.method, env, seed=0, **build)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise CheckpointError(
+            f"checkpoint cannot rebuild its {ckpt.method!r} controller "
+            f"(build kwargs {build!r}): {exc}"
+        ) from exc
 
     try:
         controller.load_state_dict(ckpt.state_dict())

@@ -1,11 +1,11 @@
 """Concurrency stress locks for the ActorFanIn MPSC merge.
 
 Thread producers feed per-ring SPSC queues under seeded randomized
-schedules; the merge must preserve every ring's FIFO order, serve strict
-rotation in expected mode (stashing out-of-turn frames), let ActorError
-jump the merge from any ring, and turn closed-and-drained rings into
-QueueClosed instead of hangs.  ``REPRO_STRESS_ROUNDS`` repeats the
-randomized schedules with fresh seeds.
+schedules; the merge must preserve every ring's FIFO order, surface an
+ActorError from any ring, poll ``abort`` on every multi-ring call, and
+turn closed-and-drained rings into QueueClosed instead of hangs.
+``REPRO_STRESS_ROUNDS`` repeats the randomized schedules with fresh
+seeds.
 """
 
 from __future__ import annotations
@@ -69,54 +69,6 @@ def test_plain_merge_preserves_per_ring_fifo(stress_round):
         _release_all(rings)
 
 
-def test_expected_rotation_stashes_out_of_turn_frames(stress_round):
-    """Strict rotation with producers finishing in random order: the
-    merged stream is exactly ring 0, 1, 2, 0, 1, 2, ... regardless of
-    arrival order (out-of-turn frames wait in pending buffers)."""
-    rng = np.random.default_rng(20_000 + stress_round)
-    rounds = 12
-    rings = _make_rings(3)
-    try:
-        fan_in = ActorFanIn(rings)
-        order = list(range(3))
-        rng.shuffle(order)
-        threads = [
-            threading.Thread(
-                target=_producer,
-                args=(
-                    rings[k],
-                    [(k, r) for r in range(rounds)],
-                    np.random.default_rng(21_000 + stress_round * 7 + k),
-                ),
-            )
-            for k in order
-        ]
-        for thread in threads:
-            thread.start()
-        received = [
-            fan_in.get(expected=i % 3, timeout=30.0) for i in range(rounds * 3)
-        ]
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert received == [(i % 3, i // 3) for i in range(rounds * 3)]
-    finally:
-        _release_all(rings)
-
-
-def test_actor_error_jumps_the_merge_in_expected_mode():
-    """An ActorError on a non-expected ring is returned immediately even
-    while the expected ring stays silent."""
-    rings = _make_rings(3)
-    try:
-        fan_in = ActorFanIn(rings)
-        rings[2].put(ActorError(message="boom", actor_id=2))
-        result = fan_in.get(expected=0, timeout=5.0)
-        assert isinstance(result, ActorError)
-        assert result.actor_id == 2 and result.message == "boom"
-    finally:
-        _release_all(rings)
-
-
 def test_actor_error_behind_data_frames_still_surfaces():
     """Data frames queued ahead of the error frame on the same ring are
     served first (FIFO), then the error jumps out on the next get."""
@@ -132,21 +84,9 @@ def test_actor_error_behind_data_frames_still_surfaces():
         _release_all(rings)
 
 
-def test_expected_mode_raises_when_expected_ring_closed():
-    rings = _make_rings(3)
-    try:
-        fan_in = ActorFanIn(rings)
-        rings[1].put(("survivor", 1))
-        rings[0].close()
-        with pytest.raises(QueueClosed, match="actor 0"):
-            fan_in.get(expected=0, timeout=5.0)
-    finally:
-        _release_all(rings)
-
-
 def test_plain_mode_drains_pending_after_all_rings_close(stress_round):
     """Closing every ring after a burst: the merge serves every enqueued
-    frame (including stashed ones) before raising QueueClosed."""
+    frame before raising QueueClosed."""
     rng = np.random.default_rng(30_000 + stress_round)
     rings = _make_rings(2)
     try:
@@ -173,8 +113,25 @@ def test_merge_timeout_and_abort():
             fan_in.get(timeout=0.1)
         with pytest.raises(RuntimeError, match="actor died"):
             fan_in.get(abort=lambda: "actor died", timeout=5.0)
-        with pytest.raises(ValueError, match="expected must be in"):
-            fan_in.get(expected=2)
+    finally:
+        _release_all(rings)
+
+
+def test_abort_is_polled_while_other_rings_keep_frames_coming():
+    """A dead actor must not hide behind live ones: ``abort`` fires even
+    when a ring holds a frame, unless a ring holds an ActorError (the
+    dead actor's own report), which is served instead."""
+    rings = _make_rings(2)
+    try:
+        fan_in = ActorFanIn(rings)
+        rings[0].put(("data", 0))
+        with pytest.raises(RuntimeError, match="actor 1 died"):
+            fan_in.get(abort=lambda: "actor 1 died", timeout=5.0)
+        rings[0].put(("data", 1))
+        rings[1].put(("data", 2))
+        rings[1].put(ActorError(message="reported", actor_id=1))
+        result = fan_in.get(abort=lambda: "actor 1 died", timeout=5.0)
+        assert isinstance(result, ActorError) and result.message == "reported"
     finally:
         _release_all(rings)
 

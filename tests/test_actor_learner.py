@@ -2,10 +2,12 @@
 
 The contract under test (``repro.distributed.actor_learner``):
 
-* ``async_actors`` with ``max_staleness=0`` (lockstep barrier) is
-  **bit-for-bit** equal to the synchronous vectorized loop — metrics,
-  logged steps and final network weights — for HERO (``train_hero``) and
-  IDQN (``train_marl_vectorized``), plain and fused;
+* ``async_actors`` with ``max_staleness=0`` (lockstep barrier) runs one
+  actor and is **bit-for-bit** equal to the synchronous vectorized loop —
+  metrics, logged steps and final network weights — for HERO
+  (``train_hero``) and IDQN (``train_marl_vectorized``), plain and fused;
+  asking it for more actors is a ``ValueError`` (and a CLI usage error)
+  before any actor process starts;
 * ``max_staleness > 0`` runs, logs a per-round snapshot-staleness series
   bounded by the budget, and still produces the full metric set;
 * the shared-memory transition queue exerts backpressure: a producer
@@ -96,8 +98,7 @@ def _idqn_run(
     return logger, algo
 
 
-# The synchronous reference runs are identical for every num_actors case,
-# so compute each (method, fused) reference once per test session.
+# Compute each (method, fused) synchronous reference once per test session.
 _SYNC_CACHE: dict = {}
 
 
@@ -119,9 +120,10 @@ def _assert_logs_equal(log_a, log_b):
 
 
 # ----------------------------------------------------------------------
-# Lockstep bitwise equivalence
+# Lockstep bitwise equivalence (lockstep runs one actor; the parameter
+# keeps that width in the test ids)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("num_actors", [1, 2, 3])
+@pytest.mark.parametrize("num_actors", [1])
 @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
 def test_hero_lockstep_matches_sync_bitwise(fused, num_actors):
     log_sync, team_sync = _sync_reference("hero", fused)
@@ -133,7 +135,7 @@ def test_hero_lockstep_matches_sync_bitwise(fused, num_actors):
         np.testing.assert_array_equal(state_sync[key], state_async[key], err_msg=key)
 
 
-@pytest.mark.parametrize("num_actors", [1, 2, 3])
+@pytest.mark.parametrize("num_actors", [1])
 @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
 def test_idqn_lockstep_matches_sync_bitwise(fused, num_actors):
     log_sync, algo_sync = _sync_reference("idqn", fused)
@@ -178,6 +180,36 @@ def test_idqn_lockstep_matches_sync_bitwise_on_custom_traffic():
                 algo_async.q_networks[agent].trunk.parameters(),
             ):
                 np.testing.assert_array_equal(p_sync.data, p_async.data, err_msg=agent)
+
+
+def test_lockstep_fanout_is_rejected_before_any_actor_starts(monkeypatch, capsys):
+    """Lockstep runs one actor: asking both learners for two raises
+    ``ValueError`` before any actor process starts, and the CLI exits with
+    a usage error before any training.  Staleness fan-out stays legal."""
+
+    def no_actors(*args):
+        pytest.fail("an actor process was started")
+
+    monkeypatch.setattr(actor_learner, "_start_actors", no_actors)
+    with pytest.raises(ValueError, match="max_staleness > 0"):
+        _hero_run(True, num_actors=2)
+    with pytest.raises(ValueError, match="max_staleness > 0"):
+        _idqn_run(True, num_actors=2)
+
+    from repro import experiments
+    from repro.cli import main
+
+    runs = []
+    monkeypatch.setattr(experiments, "run_experiment", lambda *a, **k: runs.append(k))
+    fanout = ["run", "fig7", "--async-actors", "--num-actors", "2"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(fanout)
+    assert excinfo.value.code == 2
+    assert "max_staleness > 0" in capsys.readouterr().err
+    assert runs == []
+    assert main(fanout + ["--max-staleness", "1"]) == 0
+    assert main(["run", "fig7", "--num-actors", "2"]) == 0
+    assert [run["num_actors"] for run in runs] == [2, 2]
 
 
 def test_non_idqn_baseline_falls_back_with_warning():

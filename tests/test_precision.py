@@ -229,7 +229,9 @@ class TestEndToEndEquivalence:
         )
 
     def test_hero_async(self):
-        kwargs = dict(num_envs=2, async_actors=True, num_actors=2)
+        # One lockstep actor: a staleness run is scheduling-dependent, so
+        # it cannot be compared across dtypes.
+        kwargs = dict(num_envs=2, async_actors=True)
         _assert_logs_close(
             _train_hero("float64", **kwargs),
             _train_hero("float32", **kwargs),
