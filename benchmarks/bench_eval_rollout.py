@@ -1,12 +1,12 @@
-"""Vectorized greedy-evaluation throughput: batched eval vs scalar.
+"""Vectorized greedy-evaluation throughput: batched eval vs one env.
 
-Not a paper table — this is the scaling guard for the evaluation hot path
-added by ISSUE 3.  Interleaved greedy evaluations dominate short vectorized
-training runs when they step one scalar env at a time; the contract is that
-at ``N = 8`` evaluation envs, ``evaluate_hero_vectorized`` completes the
-same evaluation-episode budget **at least 3x** faster than the scalar
-``evaluate_hero`` (both run the identical seed stream, so they score the
-same episodes).
+Not a paper table — this is the scaling guard for the evaluation hot path.
+Interleaved greedy evaluations dominate short vectorized training runs
+when they step one env at a time; the contract is that at ``N = 8``
+evaluation envs, ``evaluate_hero_vectorized`` completes the same
+evaluation-episode budget **at least 3x** faster than ``evaluate_hero``,
+which steps one scalar env through a one-env runner (both run the
+identical seed stream, so they score the same episodes).
 
 ``test_eval_rollout_speedup`` measures the ratio in alternating paired
 windows (``bench_update_phase._time_rounds_paired``) and asserts on the
@@ -43,7 +43,7 @@ def _make_team(scenario: ScenarioConfig) -> tuple[CooperativeLaneChangeEnv, Hero
 
 
 def test_eval_rollout_speedup():
-    """The ISSUE 3 acceptance check: >= 3x at N = 8.
+    """The evaluation scaling check: >= 3x at N = 8 over one env.
 
     Both evaluators score the same ``EVAL_EPISODES`` episodes in
     alternating paired windows, so a host speed phase lands on both sides
@@ -111,7 +111,7 @@ def test_eval_vector_cycle(benchmark):
 
 def test_vectorized_eval_matches_scalar_sample():
     """Cheap cross-check that the batched greedy path is live and agrees
-    with the scalar evaluator at one env (the full equivalence matrix
+    with the scalar-env evaluator at one env (the full equivalence matrix
     lives in tests/test_eval_vectorized.py)."""
     scenario = ScenarioConfig(episode_length=10)
     env, team = _make_team(scenario)

@@ -76,21 +76,15 @@ def test_high_level_update(benchmark):
                 rng.standard_normal(19), False, int(rng.integers(1, 5)),
             )
         )
-        agent.record_observation(rng.standard_normal(19), rng.integers(0, 4, 2))
+        agent.opponent_model.record(rng.standard_normal(19), rng.integers(0, 4, 2))
     result = benchmark(agent.update)
     assert result is not None
 
 
 def test_bus_exchange(benchmark):
+    """One stacked exchange of 4 agents over an 8-env batch."""
     service = DistributedObservationService(
-        [f"vehicle_{i}" for i in range(4)], latency_steps=1, seed=0
+        [f"vehicle_{i}" for i in range(4)], latency_steps=2, drop_probability=0.1, seed=0
     )
-    state = np.zeros(19)
-    payload = {f"vehicle_{i}": (i % 4, state) for i in range(4)}
-    counter = {"t": 0}
-
-    def exchange():
-        counter["t"] += 1
-        service.exchange(payload, counter["t"])
-
-    benchmark(exchange)
+    options = np.arange(32).reshape(8, 4) % 4
+    benchmark(lambda: service.exchange(options))

@@ -2,9 +2,10 @@
 
 The paper's observability model (Sec. III-A): each agent only sees the
 *historical* states and options of the others. This example routes those
-observations through :class:`repro.distributed.MessageBus` with latency
-and packet loss, trains HERO in that fully-distributed regime, and prints
-bus statistics alongside learning metrics.
+observations through a :class:`repro.distributed.DistributedObservationService`
+with latency and packet loss, trains HERO in that fully-distributed regime
+on a batch of ``--num-envs`` environments (every env carries its own
+messages), and prints the bus counters alongside learning metrics.
 
 It closes with the repo's *other* distribution axis next to it:
 
@@ -21,7 +22,7 @@ It closes with the repo's *other* distribution axis next to it:
 Usage::
 
     python examples/distributed_dtde.py --latency 2 --drop 0.2 \
-        --episodes 200 --async-episodes 20
+        --num-envs 8 --episodes 200 --async-episodes 20
 """
 
 import argparse
@@ -79,6 +80,9 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--latency", type=int, default=1, help="bus latency in env steps")
     parser.add_argument("--drop", type=float, default=0.1, help="message drop probability")
+    parser.add_argument(
+        "--num-envs", type=int, default=8, help="env copies stepped as one batch"
+    )
     parser.add_argument("--episodes", type=int, default=200)
     parser.add_argument("--skill-episodes", type=int, default=250)
     parser.add_argument("--seed", type=int, default=0)
@@ -114,11 +118,15 @@ def main() -> None:
         skills=skills, observation_service=service, batch_size=128, lr=2e-3,
     )
     logger = train_hero(
-        env, team, episodes=args.episodes, config=config, updates_per_episode=4
+        env, team, episodes=args.episodes, config=config, updates_per_episode=4,
+        num_envs=args.num_envs,
     )
 
-    print(f"\nbus: latency={args.latency} steps, drop={args.drop:.0%}")
-    for name, value in service.bus.stats().items():
+    print(
+        f"\nbus: latency={args.latency} steps, drop={args.drop:.0%}, "
+        f"{args.num_envs} envs (counters summed over envs)"
+    )
+    for name, value in service.stats().items():
         print(f"  {name:10s} {value}")
     print(f"\nfinal eval reward:    {logger.latest('hero/eval_episode_reward'):.2f}")
     print(f"final eval collision: {logger.latest('hero/eval_collision_rate'):.2f}")

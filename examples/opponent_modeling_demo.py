@@ -16,33 +16,47 @@ import argparse
 import numpy as np
 
 from repro.config import TrainingConfig
-from repro.core import HeroTeam, train_hero, train_low_level_skills
+from repro.core import BatchedHeroRunner, HeroTeam, train_hero, train_low_level_skills
 from repro.core.options import OPTION_NAMES
-from repro.envs import CooperativeLaneChangeEnv
+from repro.envs import CooperativeLaneChangeEnv, VectorEnv, VectorStepper
 from repro.experiments.common import bench_scenario
 
 
-def prediction_accuracy(env, team, episodes: int, seed: int) -> dict[str, float]:
+def greedy_episode(team, seed: int) -> tuple[list, dict]:
+    """One greedy episode on a one-env batch.
+
+    Returns the per-step ``(state, options)`` pairs — every agent's
+    high-level state ``(agents, Dh)`` and the options the agents execute
+    ``(agents,)`` — and the episode summary.
+    """
+    vec = VectorEnv(1, scenario=team.env.scenario, rewards=team.env.rewards)
+    runner = BatchedHeroRunner(team, vec)
+    obs = vec.reset([seed])
+    steps = []
+    while True:
+        actions = runner.act(obs, epsilon=0.0, explore=False)
+        steps.append((VectorStepper.flatten_high(obs)[0], runner._option[0].copy()))
+        obs, _, dones, infos = vec.step(actions)
+        if dones[0]:
+            return steps, infos[0]["episode"]
+
+
+def prediction_accuracy(team, episodes: int, seed: int) -> dict[str, float]:
     """Greedy rollouts; score each agent's per-step opponent predictions."""
     rng = np.random.default_rng(seed)
-    hits = {agent: 0 for agent in env.agents}
-    totals = {agent: 0 for agent in env.agents}
+    agents = team.env.agents
+    hits = {agent: 0 for agent in agents}
+    totals = {agent: 0 for agent in agents}
     for _ in range(episodes):
-        obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
-        team.start_episode()
-        done = False
-        while not done:
-            actions = team.act(obs, epsilon=0.0, explore=False)
-            for agent in env.agents:
-                hero = team.agents[agent]
-                state = CooperativeLaneChangeEnv.flatten_high(obs[agent])
-                predicted = hero.high_level.opponent_model.most_likely(state)
-                actual = team._options_of_others(agent)
+        steps, _ = greedy_episode(team, int(rng.integers(0, 2**31 - 1)))
+        for state, options in steps:
+            for k, agent in enumerate(agents):
+                model = team.agents[agent].high_level.opponent_model
+                predicted = model.predict_probs_batch(state[[k]])[0].argmax(axis=-1)
+                actual = np.delete(options, k)
                 hits[agent] += int((predicted == actual).sum())
                 totals[agent] += len(actual)
-            obs, _, dones, _ = env.step(actions)
-            done = dones["__all__"]
-    return {agent: hits[agent] / max(totals[agent], 1) for agent in env.agents}
+    return {agent: hits[agent] / max(totals[agent], 1) for agent in agents}
 
 
 def main() -> None:
@@ -73,24 +87,16 @@ def main() -> None:
             print(f"  {name}: first={values[0]:.3f} last={values[-1]:.3f}")
 
     print("\nPrediction accuracy on fresh greedy episodes (uniform = 0.25):")
-    accuracy = prediction_accuracy(env, team, episodes=10, seed=args.seed + 99)
+    accuracy = prediction_accuracy(team, episodes=10, seed=args.seed + 99)
     for agent, acc in accuracy.items():
         print(f"  {agent}: {acc:.2%}")
 
     print("\nSample greedy episode with option traces:")
-    obs = env.reset(seed=args.seed + 7)
-    team.start_episode()
-    done = False
-    traces = {agent: [] for agent in env.agents}
-    while not done:
-        actions = team.act(obs, epsilon=0.0, explore=False)
-        for agent in env.agents:
-            traces[agent].append(OPTION_NAMES[team.agents[agent].current_option])
-        obs, _, dones, info = env.step(actions)
-        done = dones["__all__"]
-    for agent, trace in traces.items():
-        print(f"  {agent}: {' '.join(t[:4] for t in trace[:15])}")
-    print(f"  outcome: {info['episode']}")
+    steps, summary = greedy_episode(team, args.seed + 7)
+    for k, agent in enumerate(env.agents):
+        trace = [OPTION_NAMES[options[k]] for _, options in steps[:15]]
+        print(f"  {agent}: {' '.join(t[:4] for t in trace)}")
+    print(f"  outcome: {summary}")
 
 
 if __name__ == "__main__":

@@ -231,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "vectorized env copies for training AND the interleaved greedy "
-            "evaluations, for HERO and all four baselines (1 = one env: "
-            "HERO's scalar loop, the baselines' loop on a one-env batch)"
+            "evaluations, for HERO and all four baselines (1 = a one-env "
+            "batch)"
         ),
     )
     run.add_argument(
@@ -251,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run rollouts in a separate actor process on the async "
             "actor-learner stack (distributed.actor_learner; HERO and "
-            "IDQN, needs --num-envs > 1; other baselines warn and stay "
-            "synchronous)"
+            "IDQN; other baselines warn and stay synchronous)"
         ),
     )
     run.add_argument(
@@ -309,8 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help=(
             "vectorized env copies for training AND the interleaved greedy "
-            "evaluations, for HERO and all four baselines (1 = one env: "
-            "HERO's scalar loop, the baselines' loop on a one-env batch)"
+            "evaluations, for HERO and all four baselines (1 = a one-env "
+            "batch)"
         ),
     )
     run_all.add_argument(
@@ -329,8 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "run rollouts in a separate actor process on the async "
             "actor-learner stack (distributed.actor_learner; HERO and "
-            "IDQN, needs --num-envs > 1; other baselines warn and stay "
-            "synchronous)"
+            "IDQN; other baselines warn and stay synchronous)"
         ),
     )
     run_all.add_argument(

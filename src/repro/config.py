@@ -122,9 +122,9 @@ class TrainingConfig:
     rewards: RewardConfig = field(default_factory=RewardConfig)
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     seed: int = 0
-    # Number of vectorized environment copies the rollout phase steps in
-    # parallel (1 = the scalar loop; >1 uses envs.vector_env.VectorEnv with
-    # batched policy inference).
+    # Number of environment copies the rollout phase steps in parallel on
+    # one envs.vector_env.VectorEnv with batched policy inference (1 is a
+    # one-env batch).
     num_envs: int = 1
     # Route gradient updates through core.update_engine.UpdateEngine, which
     # batches architecturally identical networks into one fused
@@ -135,7 +135,7 @@ class TrainingConfig:
     # Run rollouts in a separate actor process (distributed.actor_learner):
     # the actor steps the vectorized env batch and pulls versioned policy
     # snapshots from a shared-memory parameter server while the learner
-    # updates continuously.  Applies when num_envs > 1.
+    # updates continuously.
     async_actors: bool = False
     # Snapshot-staleness budget for async_actors, in collection rounds.
     # 0 = lockstep barrier — bitwise identical to the synchronous loop;

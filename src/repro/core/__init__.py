@@ -8,7 +8,7 @@ from .batched import BatchedHeroRunner
 from .hero import HeroAgent, HeroTeam
 from .high_level import HighLevelAgent
 from .low_level import SACAgent, SkillLibrary, train_skill
-from .opponent_model import OpponentModel, WindowedOpponentModel
+from .opponent_model import OpponentModel
 from .options import (
     ACCELERATE,
     KEEP_LANE,
@@ -16,8 +16,6 @@ from .options import (
     OPTION_NAMES,
     SLOW_DOWN,
     Option,
-    OptionContext,
-    OptionExecutor,
     OptionSet,
 )
 from .trainer import (
@@ -43,8 +41,6 @@ __all__ = [
     "OPTION_NAMES",
     "OpponentModel",
     "Option",
-    "OptionContext",
-    "OptionExecutor",
     "OptionSet",
     "SACAgent",
     "SLOW_DOWN",
@@ -53,7 +49,6 @@ __all__ = [
     "UpdateEngine",
     "VisionEncoder",
     "VisionSACAgent",
-    "WindowedOpponentModel",
     "evaluate_hero",
     "evaluate_hero_vectorized",
     "train_hero",

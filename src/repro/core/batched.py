@@ -1,41 +1,52 @@
-"""Batched policy inference for vectorized rollouts.
+"""Batched policy inference: the one HERO actor.
 
 :class:`BatchedHeroRunner` drives one :class:`~repro.core.hero.HeroTeam`
 across the ``N`` environments of a
 :class:`~repro.envs.stepping.VectorStepper` — the
-:class:`~repro.envs.vector_env.VectorEnv` in training and evaluation, a
-pose-only stand-in in the serving stack (the runner only uses the shared
-stepping surface).  Where the scalar team loops Python per agent per env,
-the runner flattens everything into stacked arrays:
+:class:`~repro.envs.vector_env.VectorEnv` in training and interleaved
+evaluation (``N == 1`` included), and the pose-only
+:class:`~repro.envs.stepping.PoseStepper` where the envs are somewhere
+else: the serving stack's client slots and the scalar env (or Table 2
+testbed) :func:`~repro.core.trainer.evaluate_hero` steps.  The runner
+only uses the shared stepping surface and flattens everything into
+stacked arrays:
 
 * low-level skill execution runs one ``(N, obs_dim)`` forward pass per
-  (agent, skill) pair — batched over environments, with the per-agent
-  grouping chosen so that at ``N == 1`` every network call has exactly the
-  scalar path's input shape (BLAS matmuls are not row-wise bit-stable
-  across batch sizes, so shape-identical calls are what makes greedy
-  evaluation bit-for-bit reproducible against the scalar team),
+  (agent, skill) pair — batched over environments, grouped per agent so
+  that at ``N == 1`` every network call has the per-agent ``(1, obs_dim)``
+  shape (BLAS matmuls are not row-wise bit-stable across batch sizes, so
+  shape-identical calls are what make greedy evaluation at one env
+  bit-for-bit reproducible across the evaluators and the served policy),
 * high-level option selection batches, per agent, every environment whose
   option just terminated through one actor forward,
 * opponent intention inference goes through the opponent model's batched
-  ``predict_probs_batch`` instead of per-env single-row calls,
+  ``predict_probs_batch``,
 * steering controllers read the exact vehicle pose from the stepper's
   ``agent_d`` / ``agent_heading`` arrays instead of un-normalising the
-  feature vector (bit-identical to the scalar controllers, which read
-  ``vehicle.state`` directly).
+  feature vector (bit-identical to the controllers in
+  :mod:`repro.envs.control`, which read ``vehicle.state`` directly).
 
-Semantics match the scalar :class:`~repro.core.hero.HeroAgent` option
-machinery (asynchronous termination, SMDP transition accounting, the
-keep-lane coast rule) with one documented difference: option selections
-within a step see the *pre-step* options of the other agents, whereas the
-scalar team's sequential loop lets later agents observe earlier agents'
-same-step re-selections.
+Option machinery: each agent re-selects on its own clock when its option
+terminates (asynchronous termination, Sec. III-B), rewards accumulate
+into SMDP transitions, and keep-lane coasts at the previous speed with
+lane-centering steering.  Every selection within a step sees the
+*pre-step* options of the other agents.
 
-Greedy evaluation (:func:`repro.core.trainer.evaluate_hero_vectorized`)
-drives :meth:`BatchedHeroRunner.act` with ``explore=False`` and **never
-calls** :meth:`BatchedHeroRunner.after_step` — mirroring the scalar
-evaluator, which selects one option per agent at episode start and runs
-its skill to the end of the episode without storing transitions or
-feeding opponent-model histories.
+Opponent observations: without a bus, an agent's stored opponent options
+and its opponent-model records are the other agents' executing options.
+When the team carries a
+:class:`~repro.distributed.DistributedObservationService` (the paper's
+DTDE setting), they are what the agent last *heard* over the delayed,
+lossy bus instead: :meth:`BatchedHeroRunner.after_step` exchanges every
+env's executing options before recording.  Only a runner that calls
+``after_step`` advances the bus.
+
+Greedy evaluation (:func:`repro.core.trainer.evaluate_hero_vectorized`,
+:func:`repro.core.trainer.evaluate_hero`) drives
+:meth:`BatchedHeroRunner.act` with ``explore=False`` and **never calls**
+:meth:`BatchedHeroRunner.after_step`: each agent selects one option at
+episode start and runs its skill to the end of the episode, without
+storing transitions, feeding opponent-model histories or exchanging.
 """
 
 from __future__ import annotations
@@ -45,10 +56,10 @@ import numpy as np
 from ..config import OptionBounds
 from ..envs.control import HEADING_CAP, HEADING_GAIN
 from ..envs.stepping import VectorStepper
+from ..envs.vehicle import Vehicle
 from ..nn import get_default_dtype, one_hot, sample_categorical
 from ..training.replay import OptionTransition
 from .hero import HeroTeam
-from .opponent_model import WindowedOpponentModel
 from .options import KEEP_LANE, LANE_CHANGE, _always, _can_change_lane
 
 __all__ = ["BatchedHeroRunner"]
@@ -62,20 +73,6 @@ class BatchedHeroRunner:
             raise ValueError(
                 "BatchedHeroRunner requires observation_mode='features'"
             )
-        if team.observation_service is not None:
-            raise ValueError(
-                "BatchedHeroRunner reads opponents' options directly and "
-                "would silently bypass the team's DistributedObservationService "
-                "(delayed/lossy bus observations); use the scalar rollout loop "
-                "for the distributed DTDE setting"
-            )
-        for agent in team.agents.values():
-            if isinstance(agent.high_level.opponent_model, WindowedOpponentModel):
-                raise ValueError(
-                    "WindowedOpponentModel keeps a single rolling window and "
-                    "cannot be fed interleaved env streams; use the base "
-                    "OpponentModel with vectorized rollouts"
-                )
         self.team = team
         self.vec_env = vec_env
         self.agents = list(team.env.agents)
@@ -91,19 +88,19 @@ class BatchedHeroRunner:
             [track.lane_center(lane) for lane in range(track.num_lanes)]
         )
         # The default option set's initiation predicates depend only on the
-        # track, so availability is one static mask.  A custom predicate
-        # could inspect per-step vehicle state, which a mask baked at
-        # construction would silently freeze — reject it like the other
-        # unsupported configurations.
+        # track, so availability is one static mask, probed with a vehicle
+        # on the track.  A custom predicate could inspect per-step vehicle
+        # state, which a mask baked at construction would silently freeze —
+        # reject it.
         for option in self.option_set:
             if option.initiation not in (_always, _can_change_lane):
                 raise ValueError(
                     f"option {option.name!r} has a custom initiation "
                     "predicate; the batched runner precomputes a static "
                     "availability mask and cannot evaluate state-dependent "
-                    "initiation sets — use the scalar rollout loop"
+                    "initiation sets"
                 )
-        probe = vec_env.template_env.vehicle(self.agents[0])
+        probe = Vehicle(0, track)
         self._available = np.array(
             [option.can_initiate(probe) for option in self.option_set]
         )
@@ -145,8 +142,8 @@ class BatchedHeroRunner:
         ``HighLevelAgent._last_observed_options``, which rollouts update as
         episodes run.  A runner built mid-training (e.g. a fresh evaluation
         runner) starts from zeroed state; broadcasting the team's current
-        values into every env row makes its first option selection match
-        what the scalar path would have chosen.  Called at construction and
+        values into every env row makes its first option selection see the
+        opponents the team last observed.  Called at construction and
         by :func:`repro.core.trainer.evaluate_hero_vectorized` before each
         evaluation sweep.
         """
@@ -157,8 +154,7 @@ class BatchedHeroRunner:
             self._observed_other[:, k] = hl._last_observed_options
 
     def start_episode(self, i: int | np.ndarray) -> None:
-        """Reset per-env execution state of env(s) ``i`` (mirrors
-        HeroAgent.start_episode)."""
+        """Reset per-env execution state of env(s) ``i``."""
         self._option[i] = KEEP_LANE
         self._steps_in_option[i] = 0
         self._acc_reward[i] = 0.0
@@ -188,10 +184,10 @@ class BatchedHeroRunner:
         epsilon = np.broadcast_to(np.asarray(epsilon, dtype=np.float64), (self.num_envs,))
 
         if self._needs_new.any():
-            self._select_options(high, lane, epsilon, explore)
+            self._choose_options(high, lane, epsilon, explore)
         return self._low_level_actions(obs, lane, explore)
 
-    def _select_options(
+    def _choose_options(
         self,
         high: np.ndarray,
         lane: np.ndarray,
@@ -208,7 +204,7 @@ class BatchedHeroRunner:
             obs_rows = high[rows, k]
             self._flush(k, rows, next_obs=obs_rows, done=False)
 
-            rep = self._opponent_rep(hl, obs_rows, rows, k)
+            rep = self._opponent_input(hl, obs_rows, rows, k)
             logits = hl.actor.logits_inference(
                 np.concatenate([obs_rows, rep], axis=-1)
             )
@@ -238,9 +234,7 @@ class BatchedHeroRunner:
         else:
             target_lane = lane
         if self.num_opponents:
-            np.copyto(
-                self._pending_other, self._option[:, self._others], where=needs[..., None]
-            )
+            np.copyto(self._pending_other, self._heard_options(), where=needs[..., None])
         np.copyto(self._option, chosen, where=needs)
         np.copyto(self._start_lane, lane, where=needs)
         np.copyto(self._target_lane, target_lane, where=needs)
@@ -251,7 +245,7 @@ class BatchedHeroRunner:
         self._needs_new[needs] = False
         self.lane_change_attempts += changing.sum(axis=1)
 
-    def _opponent_rep(
+    def _opponent_input(
         self, hl, obs_rows: np.ndarray, rows: np.ndarray, k: int
     ) -> np.ndarray:
         """Batched opponent-intention representation (one actor's view)."""
@@ -293,21 +287,21 @@ class BatchedHeroRunner:
             axis=-1,
         )  # (n, a, obs_dim)
 
-        # Exact vehicle pose: the scalar controllers read vehicle.state
-        # directly, so read the same doubles from the stacked state instead
-        # of un-normalising the feature vector (which rounds).
+        # Exact vehicle pose: the control.py controllers read vehicle.state
+        # directly, so read the same doubles from the stepper instead of
+        # un-normalising the feature vector (which rounds).
         d = self.vec_env.agent_d
         heading = self.vec_env.agent_heading
 
         # One (n_rows, obs_dim) forward per (agent, skill) pair.  Grouping
-        # by agent column — not one flattened (n*a, obs_dim) batch — keeps
-        # every network call shape-identical to the scalar loop's at
-        # num_envs == 1 (per-agent (1, obs_dim) forwards in agent order),
-        # which is what makes greedy evaluation bit-for-bit reproducible;
-        # BLAS matmuls do not guarantee row-wise equality across batch
-        # sizes.  The driving-in-lane skill executes slow-down and
-        # accelerate (shared network, per-option bounds).  Everything after
-        # the forwards is elementwise, so it runs once over all pairs.
+        # by agent column — not one flattened (n*a, obs_dim) batch — gives
+        # every network call at num_envs == 1 the per-agent (1, obs_dim)
+        # shape in agent order, which is what makes greedy evaluation
+        # bit-for-bit reproducible; BLAS matmuls do not guarantee row-wise
+        # equality across batch sizes.  The driving-in-lane skill executes
+        # slow-down and accelerate (shared network, per-option bounds).
+        # Everything after the forwards is elementwise, so it runs once
+        # over all pairs.
         skills = self.team.skills
         raw = np.zeros((n, a, 2))
         raw_dtype = raw.dtype
@@ -326,8 +320,7 @@ class BatchedHeroRunner:
         bounded = self._clip_bounds(raw, option).astype(raw_dtype, copy=False)
 
         # Keep-lane: coast at the previous linear speed with lane-centering
-        # steering (HeroAgent's fallback when the skill returns None;
-        # repro.envs.control.lane_keep_command).
+        # steering (repro.envs.control.lane_keep_command, vectorized).
         lateral_error = self._lane_centers[lane] - d
         keep_angular = np.clip(0.8 * lateral_error - 1.5 * 0.8 * heading, -0.1, 0.1)
 
@@ -357,7 +350,7 @@ class BatchedHeroRunner:
 
     @staticmethod
     def _bound_table(option_set) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-option ``SkillLibrary.act`` bounds as stacked arrays.
+        """Per-option action bounds as stacked arrays.
 
         Returns ``(low, high, signed)``: ``(num_options, 2)`` bounds, with
         ``+/-inf`` for options without bounds (which pass every value
@@ -376,8 +369,11 @@ class BatchedHeroRunner:
         return low, high, signed
 
     def _clip_bounds(self, raw: np.ndarray, option: np.ndarray) -> np.ndarray:
-        """Vectorized SkillLibrary.act bounds clipping (sign-preserving),
-        each ``(env, agent)`` row against its option's bounds, in float64."""
+        """Clip each ``(env, agent)`` row to its option's bounds, in float64.
+
+        A non-negative angular low bound is one-sided: the angular
+        magnitude is clipped and its sign kept (zero counts as positive).
+        """
         low, high, signed = self._bounds
         low, high = low[option], high[option]
         out = np.clip(raw, low, high)
@@ -433,7 +429,10 @@ class BatchedHeroRunner:
         success = terminated & is_change & reached
         self.lane_change_successes += success.sum(axis=1)
 
-        self._record_observations(terminal_high)
+        service = self.team.observation_service
+        if service is not None:
+            service.exchange(self._option)
+        self._record_opponents(terminal_high)
 
         stats: list[dict] = []
         for i in done_idx:
@@ -452,15 +451,25 @@ class BatchedHeroRunner:
         self._needs_new |= terminated
         return stats
 
-    def _record_observations(self, next_high: np.ndarray) -> None:
+    def _heard_options(self) -> np.ndarray:
+        """``(n, a, a - 1)`` options each agent observes of its opponents:
+        their executing options, or what it last heard over the team's
+        bus."""
+        service = self.team.observation_service
+        if service is None:
+            return self._option[:, self._others]
+        return service.observed_options(self.num_envs)
+
+    def _record_opponents(self, next_high: np.ndarray) -> None:
         """Feed every agent's opponent-model history (batched bookkeeping)."""
         if not self.num_opponents:
             return
-        observed = self._option[:, self._others]  # (n, a, a - 1)
+        observed = self._heard_options()  # (n, a, a - 1)
         self._observed_other[:] = observed
         for k, agent_id in enumerate(self.agents):
             hl = self.team.agents[agent_id].high_level
-            # Keep the scalar-path field meaningful for update()-time reps.
+            # Env 0's view feeds update()-time 'observed' reps and the
+            # next runner's sync_observed_options.
             hl._last_observed_options = observed[0, k].copy()
             if hl.opponent_mode == "model":
                 # One record per env, in env order.

@@ -1,14 +1,14 @@
 """HERO agent: hierarchical decision-making with opponent modeling.
 
-:class:`HeroAgent` composes, for one vehicle,
-
-* a :class:`~repro.core.high_level.HighLevelAgent` choosing options,
-* a shared :class:`~repro.core.low_level.SkillLibrary` executing them,
-* an :class:`~repro.core.options.OptionExecutor` tracking asynchronous
-  termination (Sec. III-B).
-
-:class:`HeroTeam` is the set of agents sharing one skill library — the
-paper pre-trains skills once and shares them across vehicles.
+:class:`HeroTeam` is the set of learning vehicles sharing one skill
+library — the paper pre-trains skills once and shares them across
+vehicles.  Each vehicle is a :class:`HeroAgent`: its
+:class:`~repro.core.high_level.HighLevelAgent` chooses options, which the
+shared :class:`~repro.core.low_level.SkillLibrary` executes.  The team
+holds learnable state only; acting (option execution with asynchronous
+termination, Sec. III-B) runs through
+:class:`~repro.core.batched.BatchedHeroRunner` over a batch of one or
+more envs.
 """
 
 from __future__ import annotations
@@ -16,163 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import PaperHyperparameters
-from ..envs.control import lane_change_command, lane_keep_command
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
-from ..envs.vehicle import Vehicle
-from ..training.replay import OptionTransition
 from .high_level import HighLevelAgent
 from .low_level import SkillLibrary
-from .options import KEEP_LANE, LANE_CHANGE, OptionExecutor, OptionSet
+from .options import OptionSet
 
 
 class HeroAgent:
-    """One vehicle's two-layer controller."""
+    """One vehicle's learner: its id and high-level agent."""
 
-    def __init__(
-        self,
-        agent_id: str,
-        high_level: HighLevelAgent,
-        skills: SkillLibrary,
-        option_set: OptionSet,
-    ):
+    def __init__(self, agent_id: str, high_level: HighLevelAgent):
         self.agent_id = agent_id
         self.high_level = high_level
-        self.skills = skills
-        self.option_set = option_set
-        self.executor = OptionExecutor(option_set)
-
-        self._pending_obs: np.ndarray | None = None
-        self._pending_option: int = KEEP_LANE
-        self._pending_other: np.ndarray = np.zeros(
-            high_level.num_opponents, dtype=np.int64
-        )
-        self._accumulated_reward = 0.0
-        self._steps_in_option = 0
-        self._needs_new_option = True
-        self._last_action = np.array([0.0, 0.0])
-        self.lane_change_attempts = 0
-        self.lane_change_successes = 0
-
-    # ------------------------------------------------------------------
-    # Episode lifecycle
-    # ------------------------------------------------------------------
-    def start_episode(self, initial_speed: float) -> None:
-        self._pending_obs = None
-        self._accumulated_reward = 0.0
-        self._steps_in_option = 0
-        self._needs_new_option = True
-        self._last_action = np.array([initial_speed, 0.0])
-        self.lane_change_attempts = 0
-        self.lane_change_successes = 0
-
-    @property
-    def current_option(self) -> int:
-        return self._pending_option
-
-    # ------------------------------------------------------------------
-    # Acting
-    # ------------------------------------------------------------------
-    def act(
-        self,
-        obs: dict[str, np.ndarray],
-        vehicle: Vehicle,
-        other_options: np.ndarray,
-        epsilon: float = 0.0,
-        explore: bool = True,
-    ) -> np.ndarray:
-        """Produce the primitive action for this step.
-
-        Selects a fresh option first if the previous one terminated
-        (asynchronous termination: the agent re-decides on its own clock).
-        """
-        obs_high = CooperativeLaneChangeEnv.flatten_high(obs)
-        if self._needs_new_option:
-            self._flush_transition(obs_high, done=False)
-            available = self.option_set.available_mask(vehicle)
-            option = self.high_level.select_option(
-                obs_high, available=available, explore=explore, epsilon=epsilon
-            )
-            self.executor.begin(option, vehicle)
-            self._pending_obs = obs_high
-            self._pending_option = option
-            self._pending_other = np.asarray(other_options, dtype=np.int64).copy()
-            self._accumulated_reward = 0.0
-            self._steps_in_option = 0
-            self._needs_new_option = False
-            if option == LANE_CHANGE:
-                self.lane_change_attempts += 1
-
-        option = self._pending_option
-        obs_low = self._low_level_obs(obs, vehicle)
-        action = self.skills.act(option, obs_low, deterministic=not explore)
-        if action is None:
-            # Keep-lane: retain the previous linear speed (the paper's
-            # coast rule) with lane-centering steering so a residual
-            # lane-change turn command does not carry the vehicle off-road.
-            action = lane_keep_command(vehicle, self._last_action[0])
-        elif option == LANE_CHANGE:
-            # The skill outputs (linear, |angular|); the steering sign comes
-            # from the same merge-direction controller used in skill
-            # training (repro.envs.control).
-            action = lane_change_command(
-                vehicle, self.executor.target_lane, action[0], action[1]
-            )
-        self._last_action = np.asarray(action, dtype=np.float64)
-        return self._last_action
-
-    def _low_level_obs(self, obs: dict[str, np.ndarray], vehicle: Vehicle) -> np.ndarray:
-        direction = self.executor.merge_direction(vehicle)
-        return np.concatenate(
-            [obs["features"], obs["speed"], obs["lane_onehot"], [direction]]
-        )
-
-    # ------------------------------------------------------------------
-    # Learning plumbing
-    # ------------------------------------------------------------------
-    def after_step(
-        self,
-        next_obs: dict[str, np.ndarray],
-        reward: float,
-        done: bool,
-        other_options: np.ndarray,
-        vehicle: Vehicle,
-    ) -> None:
-        """Accumulate the option's reward and test its termination."""
-        next_high = CooperativeLaneChangeEnv.flatten_high(next_obs)
-        self._accumulated_reward += reward
-        self._steps_in_option += 1
-
-        terminated = self.executor.step(vehicle)
-        if terminated and self._pending_option == LANE_CHANGE:
-            if self.executor.lane_change_succeeded(vehicle):
-                self.lane_change_successes += 1
-
-        self.high_level.record_observation(next_high, other_options)
-
-        if done:
-            self._flush_transition(next_high, done=True)
-            self._needs_new_option = True
-        elif terminated:
-            self._needs_new_option = True
-
-    def _flush_transition(self, next_obs_high: np.ndarray, done: bool) -> None:
-        """Store the completed SMDP transition, if one is pending."""
-        if self._pending_obs is None or self._steps_in_option == 0:
-            return
-        self.high_level.store_transition(
-            OptionTransition(
-                obs=self._pending_obs,
-                option=self._pending_option,
-                other_options=self._pending_other
-                if self.high_level.num_opponents
-                else np.zeros(1, dtype=np.int64),
-                reward=self._accumulated_reward,
-                next_obs=next_obs_high,
-                done=done,
-                steps=self._steps_in_option,
-            )
-        )
-        self._pending_obs = None
 
     def update(self) -> dict[str, float] | None:
         return self.high_level.update()
@@ -193,7 +48,10 @@ class HeroTeam:
         batch_size: int = 128,
         observation_service=None,
     ):
-        """``observation_service`` (optional): a
+        """``env`` is the team's template env (scenario, agents, spaces);
+        rollouts and evaluations step their own envs.
+
+        ``observation_service`` (optional): a
         :class:`repro.distributed.DistributedObservationService`; when set,
         agents learn opponents' options from bus messages (delayed, lossy)
         instead of reading them directly — the paper's true DTDE setting.
@@ -222,71 +80,7 @@ class HeroTeam:
                 batch_size=batch_size,
                 opponent_mode=opponent_mode,
             )
-            self.agents[agent_id] = HeroAgent(
-                agent_id, high, self.skills, self.option_set
-            )
-
-    def start_episode(self) -> None:
-        initial = self.env.scenario.initial_speed
-        for agent in self.agents.values():
-            agent.start_episode(initial)
-
-    def _options_of_others(self, agent_id: str) -> np.ndarray:
-        if self.observation_service is not None:
-            return self.observation_service.observed_options(agent_id)
-        return np.array(
-            [
-                self.agents[other].current_option
-                for other in self.env.agents
-                if other != agent_id
-            ],
-            dtype=np.int64,
-        )
-
-    def exchange_observations(self, observations, timestamp: int) -> None:
-        """Broadcast current options over the bus (distributed mode only)."""
-        if self.observation_service is None:
-            return
-        payload = {
-            agent_id: (
-                self.agents[agent_id].current_option,
-                CooperativeLaneChangeEnv.flatten_high(observations[agent_id]),
-            )
-            for agent_id in self.env.agents
-        }
-        self.observation_service.exchange(payload, timestamp)
-
-    def act(
-        self,
-        observations: dict[str, dict[str, np.ndarray]],
-        epsilon: float = 0.0,
-        explore: bool = True,
-    ) -> dict[str, np.ndarray]:
-        actions = {}
-        for agent_id in self.env.agents:
-            actions[agent_id] = self.agents[agent_id].act(
-                observations[agent_id],
-                self.env.vehicle(agent_id),
-                self._options_of_others(agent_id),
-                epsilon=epsilon,
-                explore=explore,
-            )
-        return actions
-
-    def after_step(
-        self,
-        next_observations: dict[str, dict[str, np.ndarray]],
-        rewards: dict[str, float],
-        dones: dict[str, bool],
-    ) -> None:
-        for agent_id in self.env.agents:
-            self.agents[agent_id].after_step(
-                next_observations[agent_id],
-                rewards[agent_id],
-                dones[agent_id],
-                self._options_of_others(agent_id),
-                self.env.vehicle(agent_id),
-            )
+            self.agents[agent_id] = HeroAgent(agent_id, high)
 
     def update(self) -> dict[str, float]:
         merged: dict[str, float] = {}
@@ -296,11 +90,6 @@ class HeroTeam:
                 for name, value in losses.items():
                     merged[f"{agent_id}/{name}"] = value
         return merged
-
-    def lane_change_stats(self) -> tuple[int, int]:
-        attempts = sum(a.lane_change_attempts for a in self.agents.values())
-        successes = sum(a.lane_change_successes for a in self.agents.values())
-        return attempts, successes
 
     # ------------------------------------------------------------------
     # Persistence: checkpoint the whole team (skills + every agent).

@@ -33,7 +33,6 @@ from ..nn import (
     hard_update,
     mse_loss,
     one_hot,
-    sample_categorical,
     soft_update,
 )
 from ..nn.functional import log_softmax
@@ -108,16 +107,6 @@ class HighLevelAgent:
     # ------------------------------------------------------------------
     # Opponent representation
     # ------------------------------------------------------------------
-    def _opponent_rep(self, obs: np.ndarray) -> np.ndarray:
-        """Flattened inferred opponent option distribution for one state."""
-        if self.num_opponents == 0:
-            return np.zeros(0, dtype=get_default_dtype())
-        if self.opponent_mode == "model":
-            return self.opponent_model.predict_probs(obs).reshape(-1)
-        if self.opponent_mode == "observed":
-            return one_hot(self._last_observed_options, self.num_options).reshape(-1)
-        return np.zeros(self.num_opponents * self.num_options, dtype=get_default_dtype())
-
     def _opponent_rep_batch(self, obs: np.ndarray) -> np.ndarray:
         """Batched opponent representation, shape (batch, n_opp * n_opt)."""
         batch = len(obs)
@@ -133,39 +122,8 @@ class HighLevelAgent:
         )
 
     # ------------------------------------------------------------------
-    # Acting
+    # Experience (written by the batched runner)
     # ------------------------------------------------------------------
-    def select_option(
-        self,
-        obs: np.ndarray,
-        available: np.ndarray | None = None,
-        explore: bool = True,
-        epsilon: float = 0.0,
-    ) -> int:
-        """Pick an option given s_h and the inferred opponent options."""
-        obs = np.asarray(obs, dtype=get_default_dtype())
-        actor_in = np.concatenate([obs, self._opponent_rep(obs)])[None, :]
-        logits = self.actor.forward(actor_in).data[0]
-        if available is not None:
-            logits = np.where(available, logits, -1e9)
-        if explore and self._rng.uniform() < epsilon:
-            choices = (
-                np.flatnonzero(available)
-                if available is not None
-                else np.arange(self.num_options)
-            )
-            return int(self._rng.choice(choices))
-        if explore:
-            return int(sample_categorical(logits, self._rng))
-        return int(np.argmax(logits))
-
-    def record_observation(self, obs: np.ndarray, other_options: np.ndarray) -> None:
-        """Feed the opponent-model history (Algorithm 1 line 23)."""
-        other_options = np.asarray(other_options, dtype=np.int64)
-        self._last_observed_options = other_options
-        if self.num_opponents and self.opponent_mode == "model":
-            self.opponent_model.record(obs, other_options)
-
     def store_transition(self, transition: OptionTransition) -> None:
         self.buffer.push(transition)
 

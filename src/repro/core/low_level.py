@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..config import OptionBounds, PaperHyperparameters
+from ..config import PaperHyperparameters
 from ..envs.base import SingleAgentEnv
 from ..nn import (
     Adam,
@@ -32,7 +32,6 @@ from ..nn import (
 )
 from ..training.replay import ReplayBuffer
 from ..utils.logging_utils import MetricLogger
-from ..utils.math_utils import clip_scalar
 from .options import KEEP_LANE, LANE_CHANGE, OptionSet
 
 
@@ -283,34 +282,6 @@ class SkillLibrary:
         if option_index == LANE_CHANGE:
             return self.lane_change
         return self.driving_in_lane
-
-    def act(
-        self, option_index: int, obs: np.ndarray, deterministic: bool = True
-    ) -> np.ndarray | None:
-        """Low-level action for the option, clipped to the option's bounds.
-
-        Returns None for keep-lane: the caller applies the paper's coast
-        rule (previous speeds are retained).
-        """
-        skill = self.skill_for(option_index)
-        if skill is None:
-            return None
-        action = skill.act(obs, deterministic=deterministic)
-        bounds: OptionBounds | None = self.option_set[option_index].bounds
-        if bounds is not None:
-            # Angular bound of lane change is one-sided; preserve the sign
-            # chosen by the policy and clip the magnitude.  Clipping the
-            # float64 value against the float64 bounds is what np.clip did
-            # (at float32 too).
-            lin, ang = float(action[0]), float(action[1])
-            linear = clip_scalar(lin, bounds.linear_low, bounds.linear_high)
-            if bounds.angular_low >= 0.0:
-                sign = np.sign(action[1]) or 1.0
-                angular = sign * clip_scalar(abs(ang), bounds.angular_low, bounds.angular_high)
-            else:
-                angular = clip_scalar(ang, bounds.angular_low, bounds.angular_high)
-            action = np.array([linear, angular])
-        return action
 
     def state_dict(self) -> dict[str, np.ndarray]:
         state = {

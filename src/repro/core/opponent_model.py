@@ -97,17 +97,9 @@ class OpponentModel:
     # ------------------------------------------------------------------
     # Inference
     # ------------------------------------------------------------------
-    def predict_probs(self, obs: np.ndarray) -> np.ndarray:
-        """Predicted option probabilities, shape (num_opponents, num_options)."""
-        if self.num_opponents == 0:
-            return np.zeros((0, self.num_options), dtype=get_default_dtype())
-        obs = np.asarray(obs, dtype=get_default_dtype()).reshape(1, -1)
-        return np.stack(
-            [predictor.probs_inference(obs)[0] for predictor in self.predictors]
-        )
-
     def predict_probs_batch(self, obs: np.ndarray) -> np.ndarray:
-        """Batched probabilities, shape (batch, num_opponents, num_options).
+        """Predicted option probabilities, shape (batch, num_opponents,
+        num_options).
 
         Inference only (no autograd graph); numerically identical to the
         Tensor path — this feeds both rollout-time intention inference and
@@ -130,11 +122,6 @@ class OpponentModel:
             ],
             axis=1,
         )
-
-    def most_likely(self, obs: np.ndarray) -> np.ndarray:
-        """Greedy option prediction per opponent."""
-        probs = self.predict_probs(obs)
-        return probs.argmax(axis=-1)
 
     # ------------------------------------------------------------------
     # Training
@@ -178,70 +165,3 @@ class OpponentModel:
             predictor.load_state_dict(
                 {k[len(prefix):]: v for k, v in state.items() if k.startswith(prefix)}
             )
-
-
-class WindowedOpponentModel(OpponentModel):
-    """Opponent model over a window of recent states.
-
-    The paper trains the model "from the recent observation histories";
-    the base class conditions on the instantaneous state, this variant
-    conditions on the concatenation of the last ``window`` states so it
-    can pick up *temporal* regularities (e.g. "vehicle 3 slows for two
-    steps before it changes lanes"). The interface is identical: callers
-    still pass single states to :meth:`record` / :meth:`predict_probs`,
-    and the window is maintained internally.
-    """
-
-    def __init__(
-        self,
-        obs_dim: int,
-        num_options: int,
-        num_opponents: int,
-        rng: np.random.Generator,
-        window: int = 3,
-        **kwargs,
-    ):
-        if window < 1:
-            raise ValueError(f"window must be >= 1, got {window}")
-        self.window = window
-        self.base_obs_dim = obs_dim
-        super().__init__(obs_dim * window, num_options, num_opponents, rng, **kwargs)
-        self._window_buffer = np.zeros((window, obs_dim), dtype=get_default_dtype())
-        self._filled = 0
-
-    def reset_window(self) -> None:
-        """Clear the rolling window (call at episode boundaries)."""
-        self._window_buffer[:] = 0.0
-        self._filled = 0
-
-    def _stack(self, obs: np.ndarray) -> np.ndarray:
-        """Append ``obs`` and return the flattened window (oldest first)."""
-        self._window_buffer = np.roll(self._window_buffer, -1, axis=0)
-        self._window_buffer[-1] = obs
-        self._filled = min(self._filled + 1, self.window)
-        return self._window_buffer.reshape(-1).copy()
-
-    def current_window(self, obs: np.ndarray | None = None) -> np.ndarray:
-        """Flattened window; optionally as-if ``obs`` were appended."""
-        if obs is None:
-            return self._window_buffer.reshape(-1).copy()
-        preview = np.roll(self._window_buffer, -1, axis=0)
-        preview[-1] = obs
-        return preview.reshape(-1)
-
-    def record(self, obs: np.ndarray, other_options: np.ndarray) -> None:
-        if self.num_opponents == 0:
-            return
-        stacked = self._stack(np.asarray(obs, dtype=get_default_dtype()))
-        super().record(stacked, other_options)
-
-    def record_batch(self, obs: np.ndarray, other_options: np.ndarray) -> None:
-        # Each row advances the rolling window, so rows go one at a time.
-        for row, options in zip(obs, other_options):
-            self.record(row, options)
-
-    def predict_probs(self, obs: np.ndarray) -> np.ndarray:
-        """Predict from the window ending at ``obs`` (window not mutated)."""
-        if self.num_opponents == 0:
-            return np.zeros((0, self.num_options), dtype=get_default_dtype())
-        return super().predict_probs(self.current_window(np.asarray(obs)))

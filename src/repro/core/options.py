@@ -3,20 +3,23 @@
 An option is the paper's three-tuple ``o = (I_o, pi_h, beta_o)``: an
 initiation set, the policy that executes it, and a termination condition.
 Here the execution policy is supplied by the low-level skill library, so
-an :class:`Option` carries the *identity*, *action bounds*, *initiation
-predicate* and *termination rule*; :class:`OptionSet` groups the four
-driving options of Sec. IV-B.
+an :class:`Option` carries the *identity*, *action bounds* and
+*initiation predicate*; :class:`OptionSet` groups the four driving
+options of Sec. IV-B and the two numbers their termination rules read.
 
 Termination is **asynchronous** (Sec. III-B): each agent checks its own
 option's ``beta`` every step and re-selects independently of the others.
+:class:`~repro.core.batched.BatchedHeroRunner` evaluates every agent's
+``beta`` at once: keep-lane, slow-down and accelerate end after
+``option_duration`` steps; a lane change ends when the vehicle is within a
+quarter lane width of the target lane's centre (a success) or after
+``lane_change_max_steps`` steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from ..config import (
     ACCELERATE_BOUNDS,
@@ -34,31 +37,17 @@ LANE_CHANGE = 3
 OPTION_NAMES = ["keep_lane", "slow_down", "accelerate", "lane_change"]
 
 
-@dataclass
-class OptionContext:
-    """Execution state the termination rule can inspect."""
-
-    vehicle: Vehicle
-    steps_in_option: int
-    start_lane: int
-    target_lane: int
-
-
 @dataclass(frozen=True)
 class Option:
-    """One high-level option: identity + bounds + initiation + termination."""
+    """One high-level option: identity + bounds + initiation."""
 
     index: int
     name: str
     bounds: OptionBounds | None  # None -> coast (keep previous speeds)
     initiation: Callable[[Vehicle], bool]
-    termination: Callable[[OptionContext], bool]
 
     def can_initiate(self, vehicle: Vehicle) -> bool:
         return self.initiation(vehicle)
-
-    def should_terminate(self, context: OptionContext) -> bool:
-        return self.termination(context)
 
 
 def _always(vehicle: Vehicle) -> bool:
@@ -71,25 +60,6 @@ def _can_change_lane(vehicle: Vehicle) -> bool:
     return vehicle.track.num_lanes > 1
 
 
-def _fixed_duration(steps: int) -> Callable[[OptionContext], bool]:
-    def terminate(context: OptionContext) -> bool:
-        return context.steps_in_option >= steps
-
-    return terminate
-
-
-def _lane_change_done(max_steps: int) -> Callable[[OptionContext], bool]:
-    def terminate(context: OptionContext) -> bool:
-        vehicle = context.vehicle
-        reached = (
-            vehicle.lane_id == context.target_lane
-            and vehicle.lane_deviation < 0.25 * vehicle.track.lane_width
-        )
-        return reached or context.steps_in_option >= max_steps
-
-    return terminate
-
-
 class OptionSet:
     """The driving option set A_h = [keep, slow, accelerate, change]."""
 
@@ -97,33 +67,16 @@ class OptionSet:
         self.option_duration = option_duration
         self.lane_change_max_steps = lane_change_max_steps
         self.options = [
+            Option(KEEP_LANE, "keep_lane", bounds=None, initiation=_always),
+            Option(SLOW_DOWN, "slow_down", bounds=SLOW_DOWN_BOUNDS, initiation=_always),
             Option(
-                KEEP_LANE,
-                "keep_lane",
-                bounds=None,
-                initiation=_always,
-                termination=_fixed_duration(option_duration),
-            ),
-            Option(
-                SLOW_DOWN,
-                "slow_down",
-                bounds=SLOW_DOWN_BOUNDS,
-                initiation=_always,
-                termination=_fixed_duration(option_duration),
-            ),
-            Option(
-                ACCELERATE,
-                "accelerate",
-                bounds=ACCELERATE_BOUNDS,
-                initiation=_always,
-                termination=_fixed_duration(option_duration),
+                ACCELERATE, "accelerate", bounds=ACCELERATE_BOUNDS, initiation=_always
             ),
             Option(
                 LANE_CHANGE,
                 "lane_change",
                 bounds=LANE_CHANGE_BOUNDS,
                 initiation=_can_change_lane,
-                termination=_lane_change_done(lane_change_max_steps),
             ),
         ]
 
@@ -142,64 +95,3 @@ class OptionSet:
 
     def names(self) -> list[str]:
         return [option.name for option in self.options]
-
-    def available_mask(self, vehicle: Vehicle) -> np.ndarray:
-        """Boolean mask of options whose initiation set contains the state."""
-        return np.array([option.can_initiate(vehicle) for option in self.options])
-
-
-class OptionExecutor:
-    """Tracks one agent's running option and its asynchronous termination."""
-
-    def __init__(self, option_set: OptionSet):
-        self.option_set = option_set
-        self.current: Option | None = None
-        self.steps_in_option = 0
-        self.start_lane = 0
-        self.target_lane = 0
-
-    @property
-    def active(self) -> bool:
-        return self.current is not None
-
-    def begin(self, option_index: int, vehicle: Vehicle) -> Option:
-        """Start executing an option from the current vehicle state."""
-        option = self.option_set[option_index]
-        self.current = option
-        self.steps_in_option = 0
-        self.start_lane = vehicle.lane_id
-        if option.index == LANE_CHANGE and vehicle.track.num_lanes > 1:
-            self.target_lane = 1 - vehicle.lane_id if vehicle.track.num_lanes == 2 else (
-                (vehicle.lane_id + 1) % vehicle.track.num_lanes
-            )
-        else:
-            self.target_lane = vehicle.lane_id
-        return option
-
-    def step(self, vehicle: Vehicle) -> bool:
-        """Advance the per-option clock; return True if beta fired."""
-        if self.current is None:
-            raise RuntimeError("no option running; call begin() first")
-        self.steps_in_option += 1
-        context = OptionContext(
-            vehicle=vehicle,
-            steps_in_option=self.steps_in_option,
-            start_lane=self.start_lane,
-            target_lane=self.target_lane,
-        )
-        return self.current.should_terminate(context)
-
-    def lane_change_succeeded(self, vehicle: Vehicle) -> bool:
-        """Whether a just-terminated lane change hit its target lane."""
-        if self.current is None or self.current.index != LANE_CHANGE:
-            return False
-        return (
-            vehicle.lane_id == self.target_lane
-            and vehicle.lane_deviation < 0.25 * vehicle.track.lane_width
-        )
-
-    def merge_direction(self, vehicle: Vehicle) -> float:
-        """Signed direction (+1 left / -1 right / 0) for the low-level state."""
-        if self.current is None or self.current.index != LANE_CHANGE:
-            return 0.0
-        return float(np.sign(self.target_lane - self.start_lane))

@@ -2,10 +2,10 @@
 
 :func:`train_low_level_skills` runs Algorithm 2 for both skills;
 :func:`train_hero` runs Algorithm 1 on the cooperative lane-change game,
-recording the paper's four evaluation metrics per episode.  With
-``num_envs > 1`` the rollout phase runs on a
+recording the paper's four evaluation metrics per episode.  At every
+``num_envs`` (one included) the rollout phase runs on a
 :class:`~repro.envs.vector_env.VectorEnv` through
-:class:`BatchedRolloutWorker`, which fills the same replay buffers from
+:class:`BatchedRolloutWorker`, which fills the replay buffers from
 vectorized rollouts with batched policy inference, and the interleaved
 greedy evaluations run on their own ``VectorEnv`` through
 :func:`evaluate_hero_vectorized`.
@@ -14,8 +14,9 @@ Evaluation seeding: both evaluators derive episode reset seeds from one
 ``SeedSequence`` spawn (:func:`repro.utils.seeding.episode_reset_seeds`),
 so evaluation episode ``e`` is a pure function of ``(seed, e)`` — the
 vectorized evaluator, which finishes episodes out of order, replays the
-exact seed stream of the scalar one and is bit-for-bit equal to it at
-``num_envs=1`` (``tests/test_eval_vectorized.py`` locks this in).
+exact seed stream of :func:`evaluate_hero` (a one-env runner over the
+caller's scalar env) and is bit-for-bit equal to it at ``num_envs=1``
+(``tests/test_eval_vectorized.py`` locks this in).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import numpy as np
 from ..config import TrainingConfig
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
 from ..envs.skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
+from ..envs.stepping import PoseStepper
 from ..envs.vector_env import EnvReplicaFactory, VectorEnv
 from ..nn import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import (
@@ -258,10 +260,15 @@ def train_hero(
     evaluations and logs them as ``{prefix}/eval_*`` — these are the
     exploration-free learning curves Fig. 7 plots.
 
-    ``num_envs > 1`` collects rollouts from that many vectorized
-    environment copies with batched policy inference; updates, logging and
-    evaluation cadence stay per-episode as in the scalar loop.  When the
-    argument is omitted it defaults to ``config.num_envs``.
+    Rollouts come from ``num_envs`` vectorized copies of ``env`` (default
+    ``config.num_envs``; one copy is a one-env batch) with batched policy
+    inference; updates, logging and evaluation cadence stay per-episode.
+    The copies share ``env``'s track and traffic, and an ``env`` subclass
+    raises ``ValueError`` (see
+    :meth:`~repro.envs.vector_env.EnvReplicaFactory.from_env`).  A team
+    built with a :class:`~repro.distributed.DistributedObservationService`
+    learns its opponents' options over that delayed, lossy bus (the DTDE
+    setting) at any ``num_envs``.
 
     ``fused_updates`` (default ``config.fused_updates``) routes the
     gradient phase through a :class:`~repro.core.update_engine.UpdateEngine`
@@ -269,9 +276,8 @@ def train_hero(
     updated as three stacked network families — tolerance-equivalent to the
     per-agent loop, substantially faster (see docs/ARCHITECTURE.md).
 
-    ``async_actors`` (default ``config.async_actors``; needs
-    ``num_envs > 1``) moves the rollout phase into a separate actor
-    process on the async actor–learner stack
+    ``async_actors`` (default ``config.async_actors``) moves the rollout
+    phase into a separate actor process on the async actor–learner stack
     (:func:`~repro.distributed.actor_learner.train_hero_async`): the
     actor acts on versioned policy snapshots from a shared-memory
     parameter server and ships experience back through a transition
@@ -284,13 +290,13 @@ def train_hero(
     processes, which needs ``max_staleness > 0`` (lockstep runs one
     actor; more raise ``ValueError``): each actor steps its own env batch
     on forked RNG streams and collection throughput scales with the
-    actor count.
+    actor count.  The actors run without a bus, so a team with an
+    observation service raises ``ValueError``.
 
     ``checkpoint_path`` (optional) writes the trained team as a versioned
     serving checkpoint (:func:`repro.serving.save_checkpoint`) once
-    training finishes — on every loop variant (scalar, vectorized,
-    async) — so ``repro serve`` / :func:`repro.load_policy` can pick it
-    up without the training harness.
+    training finishes, synchronous or async, so ``repro serve`` /
+    :func:`repro.load_policy` can pick it up without the training harness.
     """
     config = config or TrainingConfig()
     if num_envs is None:
@@ -317,73 +323,38 @@ def train_hero(
     )
     if eval_every is None:
         eval_every = max(episodes // 40, 1)
-    if async_actors and num_envs <= 1:
-        warnings.warn(
-            "async_actors needs num_envs > 1 (the actor process steps a "
-            "vectorized env batch); falling back to the synchronous scalar loop",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        async_actors = False
     consumer = _HeroEpisodeConsumer(
         env, team, episodes, n_updates, update_fn, logger, metric_prefix,
         eval_every, eval_episodes, config,
     )
-    if num_envs > 1:
-        # Replicas share the caller's track and traffic, so custom traffic
-        # falls through to VectorEnv's scalar fallback instead of being
-        # swapped for the defaults; env subclasses are rejected.
-        factory = EnvReplicaFactory.from_env(env)
-        if eval_every:
-            consumer.evaluator = _interleaved_evaluator(
-                team, factory, num_envs, eval_episodes
-            )
-        if async_actors:
-            from ..distributed.actor_learner import train_hero_async
+    # Replicas share the caller's track and traffic, so custom traffic
+    # falls through to VectorEnv's scalar fallback instead of being
+    # swapped for the defaults; env subclasses are rejected.
+    factory = EnvReplicaFactory.from_env(env)
+    if eval_every:
+        consumer.evaluator = _interleaved_evaluator(
+            team, factory, num_envs, eval_episodes
+        )
+    if async_actors:
+        from ..distributed.actor_learner import train_hero_async
 
-            train_hero_async(
-                env,
-                team,
-                consumer,
-                num_envs=num_envs,
-                rng=rng,
-                epsilon_schedule=epsilon_schedule,
-                config=config,
-                engine=engine,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
-            )
-        else:
-            worker = BatchedRolloutWorker(_hero_vector_env(factory, num_envs), team)
-            worker.reset([int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)])
-            while not consumer.done:
-                consumer.consume(worker.collect(epsilon_schedule))
+        train_hero_async(
+            env,
+            team,
+            consumer,
+            num_envs=num_envs,
+            rng=rng,
+            epsilon_schedule=epsilon_schedule,
+            config=config,
+            engine=engine,
+            max_staleness=max_staleness,
+            num_actors=num_actors,
+        )
     else:
-        for episode in range(episodes):
-            epsilon = epsilon_schedule(episode)
-            obs = env.reset(seed=int(rng.integers(0, 2**31 - 1)))
-            team.start_episode()
-            done = False
-            info: dict = {}
-            step = 0
-            while not done:
-                actions = team.act(obs, epsilon=epsilon, explore=True)
-                next_obs, rewards, dones, info = env.step(actions)
-                team.exchange_observations(next_obs, timestamp=step)
-                team.after_step(next_obs, rewards, dones)
-                obs = next_obs
-                done = dones["__all__"]
-                step += 1
-            attempts, _ = team.lane_change_stats()
-            consumer.consume(
-                [
-                    {
-                        "episode": info.get("episode", env.episode_summary()),
-                        "epsilon": epsilon,
-                        "lane_change_attempts": attempts,
-                    }
-                ]
-            )
+        worker = BatchedRolloutWorker(_hero_vector_env(factory, num_envs), team)
+        worker.reset([int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)])
+        while not consumer.done:
+            consumer.consume(worker.collect(epsilon_schedule))
     if checkpoint_path is not None:
         from ..serving.checkpoint import save_checkpoint
 
@@ -408,10 +379,10 @@ class _HeroEpisodeConsumer:
     runs the update budget, logs the episode's metrics and, every
     ``eval_every`` episodes and at the last, a greedy evaluation seeded
     ``config.seed + 500 + episode``, all under a running
-    completed-episode counter.  ``evaluator`` maps ``(episodes, seed)``
-    to the metrics dict; it defaults to the scalar :func:`evaluate_hero`
-    on ``env`` (the vectorized loops set :func:`_interleaved_evaluator`).
-    The scalar, vectorized and async loops all consume through it.
+    completed-episode counter.  ``evaluator`` (set by
+    :func:`_interleaved_evaluator` whenever ``eval_every`` is non-zero)
+    maps ``(episodes, seed)`` to the metrics dict.  The synchronous loop
+    and the async learner both consume through it.
     """
 
     env: CooperativeLaneChangeEnv
@@ -465,12 +436,7 @@ class _HeroEpisodeConsumer:
 
     def _log_eval(self) -> None:
         seed = self.config.seed + 500 + self.completed
-        if self.evaluator is None:
-            metrics = evaluate_hero(
-                self.env, self.team, episodes=self.eval_episodes, seed=seed
-            )
-        else:
-            metrics = self.evaluator(self.eval_episodes, seed)
+        metrics = self.evaluator(self.eval_episodes, seed)
         self.logger.log_many(eval_series(self.prefix, metrics), self.completed)
 
 
@@ -491,7 +457,7 @@ def _hero_vector_env(factory: EnvReplicaFactory, num_envs: int) -> VectorEnv:
 def _interleaved_evaluator(
     team: HeroTeam, factory: EnvReplicaFactory, num_envs: int, eval_episodes: int
 ):
-    """The vectorized loops' interleaved greedy evaluator.
+    """The training loops' interleaved greedy evaluator.
 
     Runs :func:`evaluate_hero_vectorized` on a dedicated ``VectorEnv`` of
     replicas (the training batch holds live mid-episode state) with one
@@ -515,24 +481,41 @@ def evaluate_hero(
     episodes: int,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Greedy evaluation returning the paper's Table II style metrics.
+    """Greedy evaluation on a scalar env, returning Table II style metrics.
+
+    ``env`` is any scalar env of the team's scenario — the env the team
+    was built over, another copy, or a wrapper such as the Table 2
+    :class:`~repro.envs.testbed.RealWorldTestbed` that forwards
+    ``vehicle(agent)``.  It acts through a one-env
+    :class:`BatchedHeroRunner` over a :class:`~repro.envs.stepping.PoseStepper`
+    that reads each step's exact poses from ``env`` itself; observations
+    are cast to the compute dtype, as :class:`VectorEnv` casts them.
 
     Episode reset seeds come from one ``SeedSequence`` spawn
     (:func:`repro.utils.seeding.episode_reset_seeds`), so evaluation
     episode ``e`` is a pure function of ``(seed, e)`` and
     :func:`evaluate_hero_vectorized` — which finishes episodes out of
-    order — can replay the identical seed stream.
+    order — replays the identical seed stream (at ``num_envs=1`` over the
+    same scenario, bit for bit).
     """
     reset_seeds = episode_reset_seeds(seed, episodes)
+    poses = PoseStepper(team.env, 1)
+    runner = BatchedHeroRunner(team, poses)
+    agents, dtype = runner.agents, get_default_dtype()
     rewards, collisions, successes, speeds = [], [], [], []
     for episode in range(episodes):
         obs = env.reset(seed=int(reset_seeds[episode]))
-        team.start_episode()
+        runner.start_episode(0)
         done = False
         info: dict = {}
         while not done:
-            actions = team.act(obs, epsilon=0.0, explore=False)
-            obs, _, dones, info = env.step(actions)
+            poses.read_poses(env)
+            batch = {
+                key: np.asarray([[obs[a][key] for a in agents]], dtype=dtype)
+                for key in obs[agents[0]]
+            }
+            actions = runner.act(batch, epsilon=0.0, explore=False)[0]
+            obs, _, dones, info = env.step(dict(zip(agents, actions)))
             done = dones["__all__"]
         summary = info.get("episode", env.episode_summary())
         rewards.append(summary["episode_reward"])
@@ -552,26 +535,28 @@ def evaluate_hero_vectorized(
     """Greedy evaluation of ``team`` over a :class:`VectorEnv`.
 
     Drives the env batch with :meth:`BatchedHeroRunner.act` in greedy mode
-    (``epsilon=0``, ``explore=False``) and never calls ``after_step`` —
-    mirroring the scalar :func:`evaluate_hero`, which selects one option
-    per agent at episode start, runs its skill to the episode's end, and
-    leaves replay buffers and opponent-model histories untouched.
+    (``epsilon=0``, ``explore=False``) and never calls ``after_step``, as
+    :func:`evaluate_hero` does: each agent selects one option at episode
+    start and runs its skill to the episode's end, and replay buffers,
+    opponent-model histories and the team's bus stay untouched.
 
     Per-env episode accounting scores exactly ``episodes`` completed
     episodes: env ``i`` always runs a specific evaluation-episode index
-    whose reset seed comes from the same ``SeedSequence`` spawn as the
-    scalar evaluator's, and per-episode summaries are accumulated by
+    whose reset seed comes from the same ``SeedSequence`` spawn as
+    :func:`evaluate_hero`'s, and per-episode summaries are accumulated by
     episode index, so the returned means aggregate the identical episode
     set in the identical order.  At ``num_envs=1`` the result is
-    **bit-for-bit** equal to :func:`evaluate_hero`; at larger batches the
-    only difference is last-ulp float noise from batched network forwards
-    (BLAS matmuls are not row-wise bit-stable across batch sizes), so
-    results are statistically identical.
+    **bit-for-bit** equal to :func:`evaluate_hero` on a scalar env of the
+    same scenario; at larger batches the only difference is last-ulp
+    float noise from batched network forwards (BLAS matmuls are not
+    row-wise bit-stable across batch sizes), so results are statistically
+    identical.
 
     ``runner`` may be a pre-built :class:`BatchedHeroRunner` over
     ``vec_env`` (the interleaved-evaluation path reuses one across calls);
     it must not be the training runner — evaluation clobbers its per-env
-    option state.
+    option state.  An evaluation runner never exchanges over the team's
+    bus, so the training runner's bus state survives it.
     """
     runner = runner or BatchedHeroRunner(team, vec_env)
     if runner.vec_env is not vec_env:

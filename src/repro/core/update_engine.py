@@ -596,7 +596,7 @@ class HeroTeamUpdateEngine:
         if self.opponent_family is not None:
             self.opponent_family.sync_members()
 
-    def _opponent_rep(self, obs_stack: np.ndarray) -> np.ndarray:
+    def _opponent_input(self, obs_stack: np.ndarray) -> np.ndarray:
         """Per-agent opponent representation, shape ``(A, B, J * O)``.
 
         Mirrors ``HighLevelAgent._opponent_rep_batch`` for every agent in
@@ -703,7 +703,7 @@ class HeroTeamUpdateEngine:
         # --- Critic family: SMDP TD targets, one cached forward + manual VJP.
         # One family pass covers the opponent representations of both the
         # TD-target states (next_obs) and the actor states (obs).
-        both_reps = self._opponent_rep(
+        both_reps = self._opponent_input(
             np.concatenate([next_obs, obs], axis=1)
         )
         next_other_rep = both_reps[:, :batch_size]

@@ -435,10 +435,18 @@ def train_hero_async(
     logged per round (see the module docstring).  ``engine`` is
     the :class:`~repro.core.update_engine.UpdateEngine` behind the
     consumer's update when fused updates are active; its flat optimizer
-    buffers make each snapshot publish a plain ``np.copyto``.  Returns
+    buffers make each snapshot publish a plain ``np.copyto``.  A team
+    with an observation service raises ``ValueError`` before any actor
+    starts: the actors rebuild the team without a bus.  Returns
     ``consumer.logger``.
     """
     check_fanout(max_staleness, num_actors)
+    if team.observation_service is not None:
+        raise ValueError(
+            "async actors roll out without the team's "
+            "DistributedObservationService (their replica teams have no bus); "
+            "train a team with a bus synchronously"
+        )
     factory = EnvReplicaFactory.from_env(env)
     if type(team.option_set) is not OptionSet:
         raise ValueError(

@@ -1,13 +1,11 @@
 """Wire types for the distributed runtime.
 
-Two kinds of traffic live here. The simulated vehicle network (Sec.
-III-A observability model) still exchanges :class:`OptionAnnouncement`
-beacons over the lossy, delayed bus. The async actor–learner stack adds
-its own vocabulary: pickled :class:`RolloutPayload` /
-:class:`ActorError` frames on the shared-memory transition queue, and a
-fixed-width RNG codec so ``numpy`` PCG64 generator state can ride inside
-the parameter server's flat uint64 sidecar (a snapshot must carry the
-learner's post-update RNG state for the lockstep determinism contract).
+The async actor–learner stack's vocabulary: pickled
+:class:`RolloutPayload` / :class:`ActorError` frames on the
+shared-memory transition queue, and a fixed-width RNG codec so
+``numpy`` PCG64 generator state can ride inside the parameter server's
+flat uint64 sidecar (a snapshot must carry the learner's post-update RNG
+state for the lockstep determinism contract).
 Both shared-memory carriers attach to their segments through
 :func:`_attach_shm`.
 """
@@ -19,32 +17,6 @@ from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 
 import numpy as np
-
-# ---------------------------------------------------------------------------
-# Simulated vehicle network (bus / node demo)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Message:
-    """Base envelope: who sent it and when (in env steps)."""
-
-    sender: str
-    timestamp: int
-
-
-@dataclass(frozen=True)
-class OptionAnnouncement(Message):
-    """Broadcast of the option an agent is currently executing."""
-
-    option: int = 0
-    state: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-
-# ---------------------------------------------------------------------------
-# Async actor–learner traffic
-# ---------------------------------------------------------------------------
-
 
 @dataclass
 class RolloutPayload:
@@ -186,8 +158,6 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
 
 __all__ = [
     "ActorError",
-    "Message",
-    "OptionAnnouncement",
     "RNG_WORDS",
     "RolloutPayload",
     "decode_json_meta",

@@ -2,10 +2,10 @@
 
 One engine steps batches of cooperative lane-change environments:
 :class:`~repro.envs.vector_env.VectorEnv`, all ``N`` envs in stacked NumPy
-arrays in one process.  The serving stack's pose-only stepper
-(``repro.serving.server``) stands in for it where a
-:class:`~repro.core.batched.BatchedHeroRunner` acts for client slots
-instead of envs.
+arrays in one process.  :class:`PoseStepper` stands in for it where a
+:class:`~repro.core.batched.BatchedHeroRunner` acts for envs stepped
+elsewhere: the serving stack's client slots, and the scalar env (or
+Table 2 testbed) that :func:`~repro.core.trainer.evaluate_hero` steps.
 
 Everything downstream — :class:`~repro.core.batched.BatchedHeroRunner`,
 :class:`~repro.core.trainer.BatchedRolloutWorker`, ``train_hero``,
@@ -25,7 +25,7 @@ member                    contract
 ``low_level_obs_dim``     flat dim of the feature-mode ``s_l``
 ``track``                 shared track geometry (read-only)
 ``template_env``          a live scalar env for static probing (never stepped
-                          by the engine; e.g. option initiation predicates)
+                          by the engine; e.g. rebuilding replicas of it)
 ``fast_path``             whether steps run on the stacked kernels
 ``fallback_reason``       why they do not (``None`` on the fast path) —
                           surface it in logs, never swallow it
@@ -102,3 +102,37 @@ class VectorStepper:
         return np.concatenate(
             [obs["features"], obs["speed"], obs["lane_onehot"]], axis=-1
         )
+
+
+class PoseStepper:
+    """Pose-only stand-in for a :class:`VectorStepper`.
+
+    The batched runner needs a stepper for construction metadata
+    (scenario, track, sizes) and, per ``act``, the exact pose arrays.
+    Here the ``num_envs`` rows are envs stepped elsewhere (served client
+    slots, the scalar env of :func:`~repro.core.trainer.evaluate_hero`):
+    their owner writes each row's ``agent_d``/``agent_heading`` before
+    acting, by hand or (one env) with :meth:`read_poses`.  Nothing is
+    stepped — ``after_step`` is never called on a runner over this
+    stepper, so the step-side surface (``lane_ids``, ``lane_deviation``)
+    does not exist.
+
+    ``env`` is any scalar env of the scenario; it is only read.
+    """
+
+    def __init__(self, env, num_envs: int):
+        self.scenario = env.scenario
+        self.track = env.track
+        self.agents = list(env.agents)
+        self.num_envs = num_envs
+        self.num_agents = len(self.agents)
+        self.high_level_obs_dim = env.high_level_obs_dim
+        self.agent_d = np.zeros((num_envs, self.num_agents))
+        self.agent_heading = np.zeros((num_envs, self.num_agents))
+
+    def read_poses(self, env) -> None:
+        """Copy ``env``'s learning vehicles' exact pose into the first row."""
+        for k, agent in enumerate(self.agents):
+            state = env.vehicle(agent).state
+            self.agent_d[0, k] = state.d
+            self.agent_heading[0, k] = state.heading

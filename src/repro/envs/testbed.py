@@ -101,5 +101,9 @@ class RealWorldTestbed(MultiAgentEnv):
         obs = np.asarray(obs)
         return obs + self._rng.normal(0.0, std, obs.shape)
 
+    def vehicle(self, agent: str):
+        """The wrapped env's vehicle (its exact pose, without sensor noise)."""
+        return self.env.vehicle(agent)
+
     def episode_summary(self):
         return self.env.episode_summary()

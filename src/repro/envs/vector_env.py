@@ -128,7 +128,7 @@ class EnvReplicaFactory:
                 f"cannot replicate a {type(env).__name__}: vectorized rollouts, "
                 "evaluation batches and async actors rebuild the env from its "
                 "configuration and would silently run different dynamics — use "
-                "the stock CooperativeLaneChangeEnv (or HERO's num_envs=1 loop)"
+                "the stock CooperativeLaneChangeEnv"
             )
         return cls(
             scenario=env.scenario,

@@ -255,16 +255,6 @@ def train_baseline_method(
     """
     vec_env = make_baseline_vector_env(num_envs, scenario=scenario, rewards=rewards)
     algo = make_baseline(name, vec_env, seed=seed, **baseline_kwargs)
-    if async_actors and num_envs <= 1:
-        import warnings
-
-        warnings.warn(
-            "async_actors needs num_envs > 1, as for HERO; falling back to "
-            "the synchronous loop at num_envs=1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        async_actors = False
     logger = train_marl_vectorized(
         vec_env,
         algo,

@@ -38,7 +38,7 @@ def run_fig11(
     collisions = {}
     for name, trained in result.methods.items():
         if name == "hero":
-            # HERO's team holds a reference env; evaluation must run on it.
+            # Any scalar env of the scenario works; reuse the team's.
             env = trained.controller.env
         else:
             env = make_baseline_env(scenario=result.scenario, rewards=result.rewards)

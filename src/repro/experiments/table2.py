@@ -43,7 +43,7 @@ def _testbed_env_for(name: str, result: ExperimentResult, trained, seed: int):
     """Build the domain-shifted env matching the method's training stack."""
     config = TestbedConfig()
     if name == "hero":
-        base = trained.controller.env  # evaluation must share the team's env
+        base = trained.controller.env  # any env of the team's scenario would do
         return RealWorldTestbed(base, config, seed=seed)
     base = CooperativeLaneChangeEnv(scenario=result.scenario, rewards=result.rewards)
     shifted = RealWorldTestbed(base, config, seed=seed)

@@ -7,8 +7,9 @@ engine for one loaded controller — and a
 
 * :class:`HeroPolicySession` drives a
   :class:`~repro.core.batched.BatchedHeroRunner` over a *serving stepper*
-  (a pose-only stand-in for the vectorized env: clients send observations
-  plus the exact ``d``/``heading`` doubles the steering controllers read).
+  (:class:`~repro.envs.stepping.PoseStepper`, the pose-only stand-in for
+  the vectorized env: clients send observations plus the exact
+  ``d``/``heading`` doubles the steering controllers read).
   Each client owns one **slot** — the runner keeps per-slot option state
   (current option, steps-in-option, coast speed) exactly like one env row
   of :func:`~repro.core.trainer.evaluate_hero_vectorized`; when every slot
@@ -44,6 +45,7 @@ import numpy as np
 
 from ..core.batched import BatchedHeroRunner
 from ..core.hero import HeroTeam
+from ..envs.stepping import PoseStepper
 from ..nn.tensor import default_dtype
 from .batcher import MicroBatcher
 from .checkpoint import CheckpointError, LoadedPolicy, load_checkpoint
@@ -123,31 +125,6 @@ def split_hero_batch(obs: dict, d: np.ndarray, heading: np.ndarray) -> list:
     ]
 
 
-class _HeroServingStepper:
-    """Pose-only :class:`~repro.envs.stepping.VectorStepper` stand-in.
-
-    The batched runner needs a stepper for construction metadata
-    (scenario, track, probe vehicle, sizes) and, per ``act``, the exact
-    pose arrays.  Here the "envs" are client slots: each flush writes the
-    submitted ``d``/``heading`` rows before acting.  Nothing is stepped —
-    ``after_step`` is never called on a serving runner, so the
-    step-side surface (``lane_ids``, ``lane_deviation``) does not exist.
-    """
-
-    def __init__(self, env, num_slots: int):
-        if not env._vehicles:  # probe vehicles exist only after a reset
-            env.reset(0)
-        self.scenario = env.scenario
-        self.track = env.track
-        self.template_env = env
-        self.agents = list(env.agents)
-        self.num_envs = num_slots
-        self.num_agents = len(self.agents)
-        self.high_level_obs_dim = env.high_level_obs_dim
-        self.agent_d = np.zeros((num_slots, self.num_agents))
-        self.agent_heading = np.zeros((num_slots, self.num_agents))
-
-
 class HeroPolicySession:
     """Stateful greedy inference for one HERO team over client slots."""
 
@@ -155,7 +132,7 @@ class HeroPolicySession:
         self.controller = team
         self.num_slots = int(num_slots)
         self._dtype = _controller_dtype(team)
-        self._stepper = _HeroServingStepper(team.env, self.num_slots)
+        self._stepper = PoseStepper(team.env, self.num_slots)
         # Runner scratch buffers follow the construction-time default
         # dtype; pin it to the controller's so a float32 checkpoint
         # serves float32 forwards under a float64 process default.
@@ -208,7 +185,7 @@ class HeroPolicySession:
         # stores no transitions, so this is the only state that moves.
         m = len(requests)
         if m not in self._subsets:
-            stepper = _HeroServingStepper(self.controller.env, m)
+            stepper = PoseStepper(self.controller.env, m)
             with default_dtype(self._dtype):
                 runner = BatchedHeroRunner(self.controller, stepper)
             self._subsets[m] = (stepper, runner)

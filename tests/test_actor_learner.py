@@ -5,7 +5,8 @@ The contract under test (``repro.distributed.actor_learner``):
 * ``async_actors`` with ``max_staleness=0`` (lockstep barrier) runs one
   actor and is **bit-for-bit** equal to the synchronous vectorized loop —
   metrics, logged steps and final network weights — for HERO
-  (``train_hero``) and IDQN (``train_marl_vectorized``), plain and fused;
+  (``train_hero``) and IDQN (``train_marl_vectorized``), plain and fused,
+  on a two-env and on a one-env batch;
   asking it for more actors is a ``ValueError`` (and a CLI usage error)
   before any actor process starts;
 * ``max_staleness > 0`` runs, logs a per-round snapshot-staleness series
@@ -50,6 +51,7 @@ def _hero_run(
     fused: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
+    num_envs: int = 2,
 ):
     config = TrainingConfig(seed=0)
     config.scenario = SCENARIO
@@ -60,7 +62,7 @@ def _hero_run(
         team,
         episodes=3,
         config=config,
-        num_envs=2,
+        num_envs=num_envs,
         eval_every=2,
         eval_episodes=2,
         fused_updates=fused,
@@ -77,8 +79,9 @@ def _idqn_run(
     fused: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
+    num_envs: int = 2,
 ):
-    vec_env = make_baseline_vector_env(2, scenario=SCENARIO)
+    vec_env = make_baseline_vector_env(num_envs, scenario=SCENARIO)
     algo = make_baseline("idqn", vec_env, seed=3, batch_size=16, buffer_capacity=500)
     try:
         logger = train_marl_vectorized(
@@ -98,15 +101,16 @@ def _idqn_run(
     return logger, algo
 
 
-# Compute each (method, fused) synchronous reference once per test session.
+# Compute each (method, fused, num_envs) synchronous reference once per
+# test session.
 _SYNC_CACHE: dict = {}
 
 
-def _sync_reference(method: str, fused: bool):
-    key = (method, fused)
+def _sync_reference(method: str, fused: bool, num_envs: int = 2):
+    key = (method, fused, num_envs)
     if key not in _SYNC_CACHE:
         run = _hero_run if method == "hero" else _idqn_run
-        _SYNC_CACHE[key] = run(False, fused=fused)
+        _SYNC_CACHE[key] = run(False, fused=fused, num_envs=num_envs)
     return _SYNC_CACHE[key]
 
 
@@ -121,13 +125,20 @@ def _assert_logs_equal(log_a, log_b):
 
 # ----------------------------------------------------------------------
 # Lockstep bitwise equivalence (lockstep runs one actor; the parameter
-# keeps that width in the test ids)
+# keeps that width in the test ids), on a two-env and a one-env batch
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("num_actors", [1])
+LOCKSTEP_LAYOUTS = pytest.mark.parametrize(
+    "num_actors, num_envs", [(1, 2), (1, 1)], ids=["1", "1-num_envs1"]
+)
+
+
+@LOCKSTEP_LAYOUTS
 @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
-def test_hero_lockstep_matches_sync_bitwise(fused, num_actors):
-    log_sync, team_sync = _sync_reference("hero", fused)
-    log_async, team_async = _hero_run(True, fused=fused, num_actors=num_actors)
+def test_hero_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
+    log_sync, team_sync = _sync_reference("hero", fused, num_envs)
+    log_async, team_async = _hero_run(
+        True, fused=fused, num_actors=num_actors, num_envs=num_envs
+    )
     _assert_logs_equal(log_sync, log_async)
     state_sync, state_async = team_sync.state_dict(), team_async.state_dict()
     assert state_sync.keys() == state_async.keys()
@@ -135,11 +146,13 @@ def test_hero_lockstep_matches_sync_bitwise(fused, num_actors):
         np.testing.assert_array_equal(state_sync[key], state_async[key], err_msg=key)
 
 
-@pytest.mark.parametrize("num_actors", [1])
+@LOCKSTEP_LAYOUTS
 @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
-def test_idqn_lockstep_matches_sync_bitwise(fused, num_actors):
-    log_sync, algo_sync = _sync_reference("idqn", fused)
-    log_async, algo_async = _idqn_run(True, fused=fused, num_actors=num_actors)
+def test_idqn_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
+    log_sync, algo_sync = _sync_reference("idqn", fused, num_envs)
+    log_async, algo_async = _idqn_run(
+        True, fused=fused, num_actors=num_actors, num_envs=num_envs
+    )
     _assert_logs_equal(log_sync, log_async)
     for agent in algo_sync.agent_ids:
         for p_sync, p_async in zip(
@@ -222,23 +235,6 @@ def test_non_idqn_baseline_falls_back_with_warning():
             )
     finally:
         vec_env.close()
-
-
-def test_hero_scalar_loop_falls_back_with_warning():
-    env = CooperativeLaneChangeEnv(scenario=SCENARIO)
-    team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
-    config = TrainingConfig(seed=0)
-    config.scenario = SCENARIO
-    with pytest.warns(RuntimeWarning, match="num_envs > 1"):
-        train_hero(
-            env,
-            team,
-            episodes=1,
-            config=config,
-            num_envs=1,
-            eval_every=0,
-            async_actors=True,
-        )
 
 
 # ----------------------------------------------------------------------

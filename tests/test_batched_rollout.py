@@ -2,7 +2,8 @@
 
 Covers the no-grad inference kernels (``MLP.infer`` & friends must be
 bit-identical to the autograd forward), the
-:class:`~repro.core.batched.BatchedHeroRunner` option machinery, the
+:class:`~repro.core.batched.BatchedHeroRunner` option machinery (its
+vectorized termination rules included) and its bus exchange, the
 :class:`~repro.core.trainer.BatchedRolloutWorker`, and
 ``train_hero(..., num_envs=N)`` end to end.
 """
@@ -12,14 +13,19 @@ import pytest
 
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import (
+    ACCELERATE,
     BatchedHeroRunner,
     BatchedRolloutWorker,
     HeroTeam,
     KEEP_LANE,
+    LANE_CHANGE,
+    SLOW_DOWN,
     train_hero,
 )
-from repro.core.opponent_model import WindowedOpponentModel
+from repro.core.options import OptionSet
+from repro.distributed import DistributedObservationService
 from repro.envs import CooperativeLaneChangeEnv, VectorEnv
+from repro.envs.stepping import PoseStepper
 from repro.nn import MLP, CategoricalPolicy, SquashedGaussianPolicy
 
 
@@ -154,36 +160,9 @@ class TestBatchedHeroRunner:
         assert bool(runner._needs_new[0].all())
         assert runner._option[0, 0] == KEEP_LANE
 
-    def test_rejects_windowed_opponent_model(self):
-        vec, team, _ = make_setup()
-        agent = team.agents[team.env.agents[0]]
-        high = agent.high_level
-        high.opponent_model = WindowedOpponentModel(
-            high.obs_dim, high.num_options, high.num_opponents,
-            np.random.default_rng(0),
-        )
-        with pytest.raises(ValueError, match="Windowed"):
-            BatchedHeroRunner(team, vec)
-
-    def test_rejects_distributed_observation_service(self):
-        """The batched path must not silently bypass the DTDE bus."""
-        from repro.distributed import DistributedObservationService
-
-        scenario = small_scenario()
-        vec = VectorEnv(2, scenario=scenario)
-        env = CooperativeLaneChangeEnv(scenario=scenario)
-        service = DistributedObservationService(env.agents, seed=0)
-        team = HeroTeam(
-            env, np.random.default_rng(0), observation_service=service
-        )
-        with pytest.raises(ValueError, match="ObservationService"):
-            BatchedHeroRunner(team, vec)
-
     def test_rejects_custom_initiation_predicates(self):
         """A state-dependent initiation set cannot be frozen into the
         runner's static availability mask."""
-        from repro.core.options import OptionSet
-
         option_set = OptionSet()
         custom = option_set.options[0]
         object.__setattr__(custom, "initiation", lambda vehicle: vehicle.lane_id == 0)
@@ -206,6 +185,174 @@ class TestBatchedHeroRunner:
         )
         with pytest.raises(ValueError, match="features"):
             BatchedHeroRunner(team, vec)
+
+
+def force_options(team, options):
+    """Make every agent's greedy choice ``options[k]`` (a dominant logit)."""
+    for agent_id, option in zip(team.env.agents, options):
+        bias = team.agents[agent_id].high_level.actor.trunk.net[-2].bias.data
+        bias[:] = 0.0
+        bias[option] = 50.0
+
+
+class TestOptionTermination:
+    """The runner's vectorized option rules, driven over a pose-only
+    stepper whose post-step lanes each test sets by hand."""
+
+    def make(self, options, num_envs=1, num_lanes=2, **option_set_kwargs):
+        scenario = small_scenario(num_lanes=num_lanes)
+        env = CooperativeLaneChangeEnv(scenario=scenario)
+        team = HeroTeam(
+            env, np.random.default_rng(0), option_set=OptionSet(**option_set_kwargs)
+        )
+        force_options(team, options)
+        stepper = PoseStepper(env, num_envs)
+        runner = BatchedHeroRunner(team, stepper)
+        obs = env.reset(seed=0)
+        self.obs = {
+            key: np.repeat(np.stack([obs[a][key] for a in env.agents])[None], num_envs, 0)
+            for key in obs[env.agents[0]]
+        }
+        self.merge_flags = []
+        forward = runner._skill_forward
+
+        def recording_forward(skill, obs_rows, explore):
+            self.merge_flags.append(obs_rows[:, -1].copy())
+            return forward(skill, obs_rows, explore)
+
+        runner._skill_forward = recording_forward
+        return runner, stepper
+
+    def act(self, runner, lanes):
+        """Greedy act with every (env, agent) observed in ``lanes``."""
+        lanes = np.broadcast_to(lanes, (runner.num_envs, runner.num_agents))
+        self.obs["lane_onehot"] = np.eye(runner.vec_env.track.num_lanes)[lanes]
+        return runner.act(self.obs, explore=False)
+
+    def step(self, runner, lanes, deviation=0.0):
+        """One after_step with the post-step pose ``(lanes, deviation)``."""
+        n, a = runner.num_envs, runner.num_agents
+        runner.vec_env.lane_ids = np.broadcast_to(lanes, (n, a))
+        runner.vec_env.lane_deviation = np.broadcast_to(deviation, (n, a))
+        runner.after_step(self.obs, np.zeros(n), np.zeros(n, dtype=bool), [{}] * n)
+        return runner._needs_new.copy()
+
+    def test_fixed_length_options_end_on_time(self):
+        runner, _ = self.make([SLOW_DOWN] * 3, option_duration=3)
+        self.act(runner, 0)
+        fired = [bool(self.step(runner, 0).all()) for _ in range(3)]
+        assert fired == [False, False, True]
+
+    def test_lane_change_targets_other_lane(self):
+        runner, _ = self.make([LANE_CHANGE] * 3)
+        self.act(runner, 0)
+        np.testing.assert_array_equal(runner._target_lane, [[1, 1, 1]])
+        np.testing.assert_array_equal(np.concatenate(self.merge_flags), [1.0] * 3)
+
+    def test_lane_change_from_lane_one(self):
+        runner, _ = self.make([LANE_CHANGE] * 3)
+        self.act(runner, 1)
+        np.testing.assert_array_equal(runner._target_lane, [[0, 0, 0]])
+        np.testing.assert_array_equal(np.concatenate(self.merge_flags), [-1.0] * 3)
+
+    def test_lane_change_terminates_on_arrival(self):
+        runner, _ = self.make([LANE_CHANGE] * 3, lane_change_max_steps=10)
+        self.act(runner, 0)
+        # Not yet centred in the target lane: still running.
+        assert not self.step(runner, 1, deviation=0.2).any()
+        assert self.step(runner, 1, deviation=0.0).all()
+        assert runner.lane_change_successes[0] == 3
+
+    def test_lane_change_timeout(self):
+        runner, _ = self.make([LANE_CHANGE] * 3, lane_change_max_steps=2)
+        self.act(runner, 0)
+        assert not self.step(runner, 0).any()
+        assert self.step(runner, 0).all()  # timeout fires
+        assert runner.lane_change_successes[0] == 0
+
+    def test_success_counted_only_for_lane_change(self):
+        runner, _ = self.make([KEEP_LANE, ACCELERATE, SLOW_DOWN], option_duration=1)
+        self.act(runner, 0)
+        assert self.step(runner, 0).all()  # in the target (own) lane, centred
+        assert runner.lane_change_successes[0] == 0
+        assert runner.lane_change_attempts[0] == 0
+
+    def test_merge_direction_zero_for_other_options(self):
+        runner, _ = self.make([ACCELERATE, SLOW_DOWN, ACCELERATE])
+        self.act(runner, 1)
+        np.testing.assert_array_equal(np.concatenate(self.merge_flags), [0.0] * 3)
+
+    def test_asynchronous_termination_independent(self):
+        """Agents (and envs) terminate on their own clocks."""
+        runner, _ = self.make(
+            [LANE_CHANGE, SLOW_DOWN, KEEP_LANE], num_envs=2, option_duration=2
+        )
+        self.act(runner, 0)
+        # Env 0's lane changer arrives at once; env 1's is still merging.
+        fired = self.step(runner, np.array([[1, 0, 0], [0, 0, 0]]))
+        np.testing.assert_array_equal(fired, [[True, False, False], [False, False, False]])
+        self.act(runner, 0)  # only env 0's lane changer re-selects
+        fired = self.step(runner, 0)
+        np.testing.assert_array_equal(fired, [[False, True, True], [False, True, True]])
+        np.testing.assert_array_equal(runner.lane_change_successes, [1, 0])
+        np.testing.assert_array_equal(runner.lane_change_attempts, [2, 1])
+
+    def test_no_lane_change_on_one_lane_track(self):
+        runner, _ = self.make([LANE_CHANGE] * 3, num_lanes=1)
+        assert not runner._available[LANE_CHANGE]
+        self.act(runner, 0)
+        assert not (runner._option == LANE_CHANGE).any()
+        np.testing.assert_array_equal(runner._target_lane, [[0, 0, 0]])
+        assert runner.lane_change_attempts[0] == 0
+
+
+class TestBusOnRunner:
+    """The DTDE bus on the batched path: opponents' options come from
+    what each agent last heard, not from the other agents' state."""
+
+    def make(self, num_envs=2, latency=1, drop=0.0):
+        vec, team, _ = make_setup(num_envs=num_envs)
+        service = DistributedObservationService(
+            team.env.agents, latency_steps=latency, drop_probability=drop, seed=0
+        )
+        team.observation_service = service
+        return vec, team, BatchedHeroRunner(team, vec), service
+
+    def test_records_come_from_the_bus(self):
+        vec, team, runner, service = self.make(latency=2)
+        obs = vec.reset(0)
+        heard = []
+        for _ in range(3):
+            obs, rewards, dones, infos = vec.step(runner.act(obs, epsilon=0.5))
+            runner.after_step(obs, rewards, dones, infos)
+            heard.append(service.observed_options(vec.num_envs))
+        # Latency 2: nothing heard after the first exchange, so the first
+        # records are the keep-lane defaults, not the executing options.
+        np.testing.assert_array_equal(heard[0], 0)
+        history = team.agents[team.env.agents[0]].high_level.opponent_model.history
+        np.testing.assert_array_equal(history.options[: vec.num_envs], 0)
+        np.testing.assert_array_equal(runner._observed_other, heard[-1])
+        assert service.stats()["sent"] == 3 * vec.num_envs * 6
+
+    def test_pending_opponent_options_come_from_the_bus(self):
+        vec, team, runner, service = self.make(latency=0)
+        service.exchange(np.full((vec.num_envs, 3), ACCELERATE))
+        runner.act(vec.reset(0), epsilon=0.5)
+        np.testing.assert_array_equal(runner._pending_other, ACCELERATE)
+
+    def test_eval_runner_leaves_the_bus_alone(self):
+        from repro.core.trainer import evaluate_hero_vectorized
+
+        vec, team, runner, service = self.make(latency=3)
+        obs = vec.reset(0)
+        for _ in range(4):
+            obs, rewards, dones, infos = vec.step(runner.act(obs, epsilon=0.5))
+            runner.after_step(obs, rewards, dones, infos)
+        table, stats = service.observed_options(vec.num_envs), service.stats()
+        evaluate_hero_vectorized(VectorEnv(vec.num_envs, scenario=vec.scenario), team, 2)
+        evaluate_hero_vectorized(VectorEnv(1, scenario=vec.scenario), team, 2)
+        np.testing.assert_array_equal(service.observed_options(vec.num_envs), table)
+        assert service.stats() == stats
 
 
 class TestBatchedRolloutWorker:

@@ -3,19 +3,52 @@
 import numpy as np
 import pytest
 
-from repro.config import PaperHyperparameters
+from repro.config import PaperHyperparameters, ScenarioConfig
 from repro.core import (
+    ACCELERATE,
+    BatchedHeroRunner,
+    HeroTeam,
     HighLevelAgent,
     LANE_CHANGE,
     KEEP_LANE,
     OpponentModel,
     SACAgent,
+    SLOW_DOWN,
     SkillLibrary,
     train_skill,
 )
-from repro.envs import LaneKeepingEnv
+from repro.envs import CooperativeLaneChangeEnv, LaneKeepingEnv, VectorEnv
 from repro.nn.tensor import default_dtype
 from repro.training.replay import OptionTransition
+
+
+def one_env_runner(seed=0):
+    """A team acting through a one-env runner (the N=1 batch)."""
+    scenario = ScenarioConfig(episode_length=8)
+    team = HeroTeam(CooperativeLaneChangeEnv(scenario=scenario), np.random.default_rng(seed))
+    vec = VectorEnv(1, scenario=scenario)
+    return vec, team, BatchedHeroRunner(team, vec)
+
+
+def executed_actions(option, steps=10):
+    """Every agent's executed actions with all agents forced onto
+    ``option`` (exploring skills; one selection, ``steps`` acts)."""
+    vec, team, runner = one_env_runner()
+    for agent in team.agents.values():
+        bias = agent.high_level.actor.trunk.net[-2].bias.data
+        bias[:] = 0.0
+        bias[option] = 50.0
+    obs = vec.reset(0)
+    actions = np.concatenate([runner.act(obs, epsilon=0.0)[0] for _ in range(steps)])
+    assert (runner._option == option).all()
+    return actions
+
+
+def greedy_option(agent, obs):
+    """The option a high-level agent's actor ranks first in state ``obs``."""
+    obs = np.asarray(obs)[None]
+    actor_in = np.concatenate([obs, agent._opponent_rep_batch(obs)], axis=-1)
+    return int(agent.actor.logits_inference(actor_in)[0].argmax())
 
 
 def make_sac(obs_dim=4, **kwargs):
@@ -141,34 +174,29 @@ class TestTrainSkill:
 
 
 class TestSkillLibrary:
+    """Skills as the runner executes them: clipped to each option's bounds."""
+
     def test_keep_lane_returns_none(self):
         skills = SkillLibrary(obs_dim=6, rng=np.random.default_rng(0))
-        assert skills.act(KEEP_LANE, np.zeros(6)) is None
+        assert skills.skill_for(KEEP_LANE) is None  # the coast rule drives
 
     def test_slow_down_respects_bounds(self):
-        skills = SkillLibrary(obs_dim=6, rng=np.random.default_rng(0))
-        from repro.core.options import SLOW_DOWN
-        for _ in range(10):
-            action = skills.act(SLOW_DOWN, np.zeros(6), deterministic=False)
-            assert 0.04 <= action[0] <= 0.08
-            assert -0.1 <= action[1] <= 0.1
+        actions = executed_actions(SLOW_DOWN)
+        assert np.all((0.04 <= actions[:, 0]) & (actions[:, 0] <= 0.08))
+        assert np.all(np.abs(actions[:, 1]) <= 0.1)
 
     def test_accelerate_respects_bounds(self):
-        skills = SkillLibrary(obs_dim=6, rng=np.random.default_rng(0))
-        from repro.core.options import ACCELERATE
-        for _ in range(10):
-            action = skills.act(ACCELERATE, np.zeros(6), deterministic=False)
-            assert 0.08 <= action[0] <= 0.14
+        actions = executed_actions(ACCELERATE)
+        assert np.all((0.08 <= actions[:, 0]) & (actions[:, 0] <= 0.14))
 
     def test_lane_change_angular_magnitude(self):
-        skills = SkillLibrary(obs_dim=6, rng=np.random.default_rng(0))
-        for _ in range(10):
-            action = skills.act(LANE_CHANGE, np.zeros(6), deterministic=False)
-            assert 0.10 <= action[0] <= 0.20
-            assert 0.12 <= abs(action[1]) <= 0.25
+        # At reset every vehicle is straight in its lane, so the merge
+        # controller always steers (a non-zero sign).
+        actions = executed_actions(LANE_CHANGE)
+        assert np.all((0.10 <= actions[:, 0]) & (actions[:, 0] <= 0.20))
+        assert np.all((0.12 <= np.abs(actions[:, 1])) & (np.abs(actions[:, 1]) <= 0.25))
 
     def test_shared_skill_for_in_lane_options(self):
-        from repro.core.options import ACCELERATE, SLOW_DOWN
         skills = SkillLibrary(obs_dim=6, rng=np.random.default_rng(0))
         assert skills.skill_for(SLOW_DOWN) is skills.skill_for(ACCELERATE)
         assert skills.skill_for(LANE_CHANGE) is skills.lane_change
@@ -197,13 +225,13 @@ class TestOpponentModel:
 
     def test_predict_shape(self):
         model = self.make_model()
-        probs = model.predict_probs(np.zeros(4))
+        probs = model.predict_probs_batch(np.zeros((1, 4)))[0]
         assert probs.shape == (2, 4)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
 
     def test_zero_opponents(self):
         model = self.make_model(num_opponents=0)
-        assert model.predict_probs(np.zeros(4)).shape == (0, 4)
+        assert model.predict_probs_batch(np.zeros((1, 4))).shape == (1, 0, 4)
         model.record(np.zeros(4), np.array([]))  # no-op
         assert model.update() is None
 
@@ -228,8 +256,8 @@ class TestOpponentModel:
         for _ in range(150):
             losses = model.update()
         assert losses["opponent_0_nll"] < 0.4
-        neg = model.most_likely(np.array([-2.0, 0, 0, 0]))
-        pos = model.most_likely(np.array([2.0, 0, 0, 0]))
+        probs = model.predict_probs_batch(np.array([[-2.0, 0, 0, 0], [2.0, 0, 0, 0]]))
+        neg, pos = probs.argmax(axis=-1)
         assert neg[0] == 0 and pos[0] == 3
 
     def test_batched_log_probs(self):
@@ -253,9 +281,9 @@ class TestOpponentModel:
         for _ in range(100):
             sharp.update()
             flat.update()
-        obs = np.zeros(4)
-        sharp_probs = sharp.predict_probs(obs)[0]
-        flat_probs = flat.predict_probs(obs)[0]
+        obs = np.zeros((1, 4))
+        sharp_probs = sharp.predict_probs_batch(obs)[0, 0]
+        flat_probs = flat.predict_probs_batch(obs)[0, 0]
         sharp_entropy = -(sharp_probs * np.log(sharp_probs + 1e-12)).sum()
         flat_entropy = -(flat_probs * np.log(flat_probs + 1e-12)).sum()
         assert flat_entropy > sharp_entropy
@@ -265,7 +293,7 @@ class TestOpponentModel:
         m1.predictors[0].trunk.net[0].weight.data += 0.5
         m2.load_state_dict(m1.state_dict())
         np.testing.assert_allclose(
-            m1.predict_probs(np.ones(4)), m2.predict_probs(np.ones(4))
+            m1.predict_probs_batch(np.ones((1, 4))), m2.predict_probs_batch(np.ones((1, 4)))
         )
 
 
@@ -296,34 +324,37 @@ class TestHighLevelAgent:
                     steps=int(rng.integers(1, 5)),
                 )
             )
-            agent.record_observation(rng.standard_normal(6), rng.integers(0, 4, 2))
+            agent.opponent_model.record(rng.standard_normal(6), rng.integers(0, 4, 2))
 
-    def test_select_option_in_range(self):
-        agent = self.make_agent()
-        for _ in range(10):
-            option = agent.select_option(np.zeros(6))
-            assert 0 <= option < 4
+    @staticmethod
+    def runner_picks(draws, available=None, epsilon=0.0, explore=True):
+        """Agent 0's options over ``draws`` fresh selections of the runner,
+        which selects options for every high-level agent."""
+        vec, _, runner = one_env_runner()
+        if available is not None:
+            runner._available = np.asarray(available)
+        obs = vec.reset(0)
+        picks = []
+        for _ in range(draws):
+            runner.start_episode(0)
+            runner.act(obs, epsilon=epsilon, explore=explore)
+            picks.append(int(runner._option[0, 0]))
+        return picks
+
+    def test_chosen_option_in_range(self):
+        assert all(0 <= option < 4 for option in self.runner_picks(10))
 
     def test_select_respects_availability(self):
-        agent = self.make_agent()
-        available = np.array([True, False, False, False])
-        for _ in range(20):
-            assert agent.select_option(np.zeros(6), available=available) == 0
+        picks = self.runner_picks(20, available=[True, False, False, False])
+        assert set(picks) == {0}
 
     def test_epsilon_one_is_uniform_over_available(self):
-        agent = self.make_agent()
-        available = np.array([False, True, True, False])
-        picks = {
-            agent.select_option(np.zeros(6), available=available, epsilon=1.0)
-            for _ in range(50)
-        }
+        picks = set(self.runner_picks(50, available=[False, True, True, False], epsilon=1.0))
         assert picks <= {1, 2}
         assert len(picks) == 2
 
     def test_greedy_is_deterministic(self):
-        agent = self.make_agent()
-        options = {agent.select_option(np.ones(6), explore=False) for _ in range(5)}
-        assert len(options) == 1
+        assert len(set(self.runner_picks(5, explore=False))) == 1
 
     def test_update_requires_data(self):
         agent = self.make_agent()
@@ -348,8 +379,8 @@ class TestHighLevelAgent:
 
     def test_observed_mode_uses_last_options(self):
         agent = self.make_agent(opponent_mode="observed")
-        agent.record_observation(np.zeros(6), np.array([3, 1]))
-        rep = agent._opponent_rep(np.zeros(6))
+        agent._last_observed_options = np.array([3, 1])  # the runner records these
+        rep = agent._opponent_rep_batch(np.zeros((1, 6)))[0]
         expected = np.zeros(8)
         expected[3] = 1.0  # opponent 0 chose option 3
         expected[4 + 1] = 1.0  # opponent 1 chose option 1
@@ -382,15 +413,13 @@ class TestHighLevelAgent:
             agent.store_transition(
                 OptionTransition(obs, option, np.array([0, 0]), reward, obs, False, 1)
             )
-            agent.record_observation(obs, np.array([0, 0]))
+            agent.opponent_model.record(obs, np.array([0, 0]))
         for _ in range(200):
             agent.update()
-        assert agent.select_option(obs, explore=False) == 2
+        assert greedy_option(agent, obs) == 2
 
     def test_state_dict_roundtrip(self):
         a1 = self.make_agent()
         a2 = self.make_agent(rng=np.random.default_rng(7))
         a2.load_state_dict(a1.state_dict())
-        assert a1.select_option(np.ones(6), explore=False) == a2.select_option(
-            np.ones(6), explore=False
-        )
+        assert greedy_option(a1, np.ones(6)) == greedy_option(a2, np.ones(6))

@@ -1,4 +1,5 @@
-"""Tests for the options framework and option executor."""
+"""Tests for the options framework (the runner executes options; see
+``tests/test_batched_rollout.py::TestOptionTermination``)."""
 
 import pytest
 
@@ -8,7 +9,6 @@ from repro.core.options import (
     LANE_CHANGE,
     OPTION_NAMES,
     SLOW_DOWN,
-    OptionExecutor,
     OptionSet,
 )
 from repro.envs import StraightTrack, Vehicle
@@ -53,82 +53,15 @@ class TestOptionSet:
         assert OptionSet()[KEEP_LANE].bounds is None
 
     def test_availability_mask_all_on_two_lanes(self, vehicle):
-        mask = OptionSet().available_mask(vehicle)
-        assert mask.all()
+        assert all(option.can_initiate(vehicle) for option in OptionSet())
 
     def test_lane_change_unavailable_single_lane(self):
         track = StraightTrack(20.0, num_lanes=1)
         vehicle = Vehicle(0, track)
         vehicle.reset(s=0.0, lane_id=0)
-        mask = OptionSet().available_mask(vehicle)
+        mask = [option.can_initiate(vehicle) for option in OptionSet()]
         assert mask[KEEP_LANE] and mask[SLOW_DOWN] and mask[ACCELERATE]
         assert not mask[LANE_CHANGE]
 
     def test_iteration(self):
         assert [o.index for o in OptionSet()] == [0, 1, 2, 3]
-
-
-class TestOptionExecutor:
-    def test_fixed_duration_termination(self, vehicle):
-        executor = OptionExecutor(OptionSet(option_duration=3))
-        executor.begin(SLOW_DOWN, vehicle)
-        assert not executor.step(vehicle)
-        assert not executor.step(vehicle)
-        assert executor.step(vehicle)
-
-    def test_step_without_begin_raises(self, vehicle):
-        executor = OptionExecutor(OptionSet())
-        with pytest.raises(RuntimeError):
-            executor.step(vehicle)
-
-    def test_lane_change_targets_other_lane(self, vehicle):
-        executor = OptionExecutor(OptionSet())
-        executor.begin(LANE_CHANGE, vehicle)
-        assert executor.target_lane == 1
-        assert executor.merge_direction(vehicle) == 1.0
-
-    def test_lane_change_from_lane_one(self, track):
-        vehicle = Vehicle(0, track)
-        vehicle.reset(s=0.0, lane_id=1)
-        executor = OptionExecutor(OptionSet())
-        executor.begin(LANE_CHANGE, vehicle)
-        assert executor.target_lane == 0
-        assert executor.merge_direction(vehicle) == -1.0
-
-    def test_lane_change_terminates_on_arrival(self, vehicle, track):
-        executor = OptionExecutor(OptionSet(lane_change_max_steps=10))
-        executor.begin(LANE_CHANGE, vehicle)
-        vehicle.state.d = track.lane_center(1)
-        assert executor.step(vehicle)
-        assert executor.lane_change_succeeded(vehicle)
-
-    def test_lane_change_timeout(self, vehicle):
-        executor = OptionExecutor(OptionSet(lane_change_max_steps=2))
-        executor.begin(LANE_CHANGE, vehicle)
-        assert not executor.step(vehicle)
-        assert executor.step(vehicle)  # timeout fires
-        assert not executor.lane_change_succeeded(vehicle)
-
-    def test_merge_direction_zero_for_other_options(self, vehicle):
-        executor = OptionExecutor(OptionSet())
-        executor.begin(ACCELERATE, vehicle)
-        assert executor.merge_direction(vehicle) == 0.0
-
-    def test_non_lane_change_never_succeeds_merge(self, vehicle):
-        executor = OptionExecutor(OptionSet())
-        executor.begin(KEEP_LANE, vehicle)
-        assert not executor.lane_change_succeeded(vehicle)
-
-    def test_asynchronous_termination_independent(self, track):
-        """Two executors with different options terminate on their own clocks."""
-        v1, v2 = Vehicle(0, track), Vehicle(1, track)
-        v1.reset(s=0.0, lane_id=0)
-        v2.reset(s=2.0, lane_id=1)
-        e1 = OptionExecutor(OptionSet(option_duration=2))
-        e2 = OptionExecutor(OptionSet(option_duration=4))
-        e1.begin(KEEP_LANE, v1)
-        e2.begin(ACCELERATE, v2)
-        fired1 = [e1.step(v1) for _ in range(2)]
-        fired2 = [e2.step(v2) for _ in range(2)]
-        assert fired1 == [False, True]
-        assert fired2 == [False, False]

@@ -1,4 +1,4 @@
-"""Tests for the message bus, agent nodes and the async-stack primitives
+"""Tests for the observation bus and the async-stack primitives
 (shared-memory parameter server, transition queue, RNG codec)."""
 
 import numpy as np
@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 
 from repro.distributed import (
     DistributedObservationService,
-    MessageBus,
-    OptionAnnouncement,
     ParameterServer,
     QueueClosed,
     RolloutPayload,
@@ -20,132 +18,117 @@ from repro.distributed import (
 )
 
 
-def announcement(sender: str, option: int = 0, timestamp: int = 0):
-    return OptionAnnouncement(
-        sender=sender, timestamp=timestamp, option=option, state=np.zeros(2)
-    )
+def exchange_all(service, options, rounds=1):
+    for _ in range(rounds):
+        service.exchange(np.array(options))
 
 
-class TestMessageBus:
-    def test_register_and_nodes(self):
-        bus = MessageBus()
-        bus.register("a")
-        bus.register("b")
-        assert bus.nodes == ["a", "b"]
-
-    def test_double_register_rejected(self):
-        bus = MessageBus()
-        bus.register("a")
-        with pytest.raises(ValueError):
-            bus.register("a")
-
-    def test_unknown_recipient_rejected(self):
-        bus = MessageBus()
-        bus.register("a")
-        with pytest.raises(KeyError):
-            bus.send("ghost", announcement("a"))
-
-    def test_zero_latency_delivers_next_step(self):
-        bus = MessageBus(latency_steps=0)
-        bus.register("a")
-        bus.register("b")
-        bus.send("b", announcement("a", option=2))
-        assert bus.pending("b") == 0
-        bus.step()
-        messages = bus.receive("b")
-        assert len(messages) == 1
-        assert messages[0].option == 2
-
-    def test_latency_delays_delivery(self):
-        bus = MessageBus(latency_steps=3)
-        bus.register("a")
-        bus.register("b")
-        bus.send("b", announcement("a"))
-        for _ in range(3):
-            assert bus.receive("b") == []
-            bus.step()
-        assert len(bus.receive("b")) == 1
-
-    def test_broadcast_excludes_sender(self):
-        bus = MessageBus()
-        for node in ("a", "b", "c"):
-            bus.register(node)
-        bus.broadcast(announcement("a"))
-        bus.step()
-        assert bus.receive("a") == []
-        assert len(bus.receive("b")) == 1
-        assert len(bus.receive("c")) == 1
-
-    def test_drop_probability_loses_messages(self):
-        bus = MessageBus(drop_probability=0.5, seed=0)
-        bus.register("a")
-        bus.register("b")
-        for _ in range(200):
-            bus.send("b", announcement("a"))
-        bus.step()
-        received = len(bus.receive("b"))
-        assert 60 < received < 140  # ~100 expected
-        assert bus.stats()["dropped"] == 200 - received
+class TestObservationService:
+    """The stacked bus: each receiver's last-known option per sender."""
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
-            MessageBus(latency_steps=-1)
+            DistributedObservationService(["a", "b"], latency_steps=-1)
         with pytest.raises(ValueError):
-            MessageBus(drop_probability=1.0)
+            DistributedObservationService(["a", "b"], drop_probability=1.0)
 
-    def test_messages_to_unregistered_node_vanish(self):
-        bus = MessageBus(latency_steps=1)
-        bus.register("a")
-        bus.register("b")
-        bus.send("b", announcement("a"))
-        bus.unregister("b")
-        bus.step()
-        bus.step()
-        assert bus.stats()["delivered"] == 0
+    def test_unexchanged_batch_reads_keep_lane(self):
+        service = DistributedObservationService(["a", "b", "c"])
+        np.testing.assert_array_equal(service.observed_options(2), np.zeros((2, 3, 2)))
+        assert service.stats() == {"sent": 0, "dropped": 0, "delivered": 0, "in_flight": 0}
 
-    def test_fifo_order_preserved(self):
-        bus = MessageBus()
-        bus.register("a")
-        bus.register("b")
-        for option in (1, 2, 3):
-            bus.send("b", announcement("a", option=option))
-        bus.step()
-        options = [m.option for m in bus.receive("b")]
-        assert options == [1, 2, 3]
+    @pytest.mark.parametrize("latency", [0, 1])
+    def test_zero_latency_delivers_within_the_exchange(self, latency):
+        service = DistributedObservationService(["a", "b"], latency_steps=latency)
+        service.exchange(np.array([[2, 3]]))
+        # Receiver a hears b's 3, receiver b hears a's 2.
+        np.testing.assert_array_equal(service.observed_options(1), [[[3], [2]]])
 
+    def test_latency_delays_delivery(self):
+        """Latency L delivers L - 1 exchanges after the send."""
+        service = DistributedObservationService(["a", "b"], latency_steps=3)
+        heard = []
+        for option in (1, 2, 3, 4, 5):
+            service.exchange(np.array([[0, option]]))
+            heard.append(int(service.observed_options(1)[0, 0, 0]))
+        assert heard == [0, 0, 1, 2, 3]
+        assert service.stats()["in_flight"] == 4  # two rounds of two messages
 
-class TestAgentNode:
+    def test_broadcast_excludes_sender(self):
+        service = DistributedObservationService(["a", "b", "c"], latency_steps=0)
+        service.exchange(np.array([[1, 2, 3]]))
+        # Each receiver hears its two peers in agent order, never itself.
+        np.testing.assert_array_equal(
+            service.observed_options(1)[0], [[2, 3], [1, 3], [1, 2]]
+        )
+        assert service.stats()["sent"] == 6
+
+    def test_drop_probability_loses_messages(self):
+        service = DistributedObservationService(
+            ["a", "b"], latency_steps=0, drop_probability=0.5, seed=0
+        )
+        exchange_all(service, [[1, 2]], rounds=100)
+        stats = service.stats()
+        assert stats["sent"] == 200
+        assert 60 < stats["delivered"] < 140  # ~100 expected
+        assert stats["dropped"] == 200 - stats["delivered"]
+
+    def test_dropped_message_keeps_last_known(self):
+        """One uniform per message — env, then sender, then recipients in
+        agent order — and a draw below the drop probability loses it."""
+        seed, drop = 5, 0.5
+        draws = np.random.default_rng(seed).uniform(size=(2, 2, 1, 1))
+        service = DistributedObservationService(
+            ["a", "b"], latency_steps=0, drop_probability=drop, seed=seed
+        )
+        expected_b_hears_a = 0
+        for round_index, option in enumerate((2, 3)):
+            service.exchange(np.array([[option, 1]]))
+            # Sender a's message to b is the first draw of the round.
+            if draws[round_index, 0, 0, 0] >= drop:
+                expected_b_hears_a = option
+            assert service.observed_options(1)[0, 1, 0] == expected_b_hears_a
+        kept = int((draws >= drop).sum())
+        assert service.stats()["delivered"] == kept
+
+    def test_envs_are_independent(self):
+        service = DistributedObservationService(["a", "b"], latency_steps=2)
+        service.exchange(np.array([[1, 2], [3, 0]]))
+        np.testing.assert_array_equal(service.observed_options(2), np.zeros((2, 2, 1)))
+        service.exchange(np.array([[0, 0], [0, 0]]))
+        np.testing.assert_array_equal(
+            service.observed_options(2), [[[2], [1]], [[0], [3]]]
+        )
+
+    def test_batch_of_another_size_starts_fresh(self):
+        service = DistributedObservationService(["a", "b"], latency_steps=0)
+        service.exchange(np.array([[1, 2]]))
+        np.testing.assert_array_equal(service.observed_options(3), np.zeros((3, 2, 1)))
+        service.exchange(np.array([[1, 2], [3, 1], [2, 2]]))
+        np.testing.assert_array_equal(service.observed_options(3)[:, 0, 0], [2, 1, 2])
+
     def test_exchange_updates_last_known(self):
         service = DistributedObservationService(["a", "b", "c"], latency_steps=0)
-        service.exchange(
-            {
-                "a": (1, np.zeros(2)),
-                "b": (3, np.zeros(2)),
-                "c": (2, np.zeros(2)),
-            },
-            timestamp=0,
-        )
-        np.testing.assert_array_equal(service.observed_options("a"), [3, 2])
-        np.testing.assert_array_equal(service.observed_options("b"), [1, 2])
+        service.exchange(np.array([[1, 3, 2]]))
+        np.testing.assert_array_equal(service.observed_options(1)[0, 0], [3, 2])
+        np.testing.assert_array_equal(service.observed_options(1)[0, 1], [1, 2])
 
     def test_latency_shows_stale_options(self):
         service = DistributedObservationService(["a", "b"], latency_steps=2)
-        service.exchange({"a": (1, np.zeros(1)), "b": (2, np.zeros(1))}, 0)
+        service.exchange(np.array([[1, 2]]))
         # Not yet delivered: defaults (0) still visible.
-        np.testing.assert_array_equal(service.observed_options("a"), [0])
-        service.exchange({"a": (1, np.zeros(1)), "b": (3, np.zeros(1))}, 1)
-        service.exchange({"a": (1, np.zeros(1)), "b": (3, np.zeros(1))}, 2)
-        # Now the first announcement (option 2) has arrived — stale by design.
-        assert service.observed_options("a")[0] in (2, 3)
+        np.testing.assert_array_equal(service.observed_options(1)[0, 0], [0])
+        service.exchange(np.array([[1, 3]]))
+        # The first announcement (option 2) has arrived — stale by design.
+        np.testing.assert_array_equal(service.observed_options(1)[0, 0], [2])
 
     def test_lossy_bus_keeps_last_known(self):
         service = DistributedObservationService(
             ["a", "b"], latency_steps=0, drop_probability=0.9, seed=3
         )
-        for t in range(50):
-            service.exchange({"a": (1, np.zeros(1)), "b": (2, np.zeros(1))}, t)
+        exchange_all(service, [[1, 2]], rounds=50)
         # Even at 90% loss, some message got through eventually.
-        assert service.observed_options("a")[0] == 2
+        assert service.observed_options(1)[0, 0, 0] == 2
 
 
 class TestRngCodec:
@@ -385,33 +368,41 @@ class TestShmRingQueue:
 @settings(max_examples=25, deadline=None)
 @given(
     latency=st.integers(0, 5),
-    n_messages=st.integers(1, 20),
+    rounds=st.integers(1, 20),
+    num_envs=st.integers(1, 3),
     seed=st.integers(0, 1000),
 )
-def test_property_lossless_bus_conserves_messages(latency, n_messages, seed):
-    bus = MessageBus(latency_steps=latency, drop_probability=0.0, seed=seed)
-    bus.register("a")
-    bus.register("b")
-    for i in range(n_messages):
-        bus.send("b", announcement("a", option=i % 4))
-    received = []
-    for _ in range(latency + 1):
-        bus.step()
-        received.extend(bus.receive("b"))
-    assert len(received) == n_messages
+def test_property_lossless_bus_conserves_messages(latency, rounds, num_envs, seed):
+    """Without loss every message arrives max(latency - 1, 0) exchanges
+    after it was sent, and the table then shows it."""
+    service = DistributedObservationService(
+        ["a", "b", "c"], latency_steps=latency, drop_probability=0.0, seed=seed
+    )
+    rng = np.random.default_rng(seed)
+    sent = [rng.integers(0, 4, size=(num_envs, 3)) for _ in range(rounds)]
+    delay = max(latency - 1, 0)
+    for index, options in enumerate(sent):
+        service.exchange(options)
+        if index >= delay:
+            due = sent[index - delay]
+            np.testing.assert_array_equal(
+                service.observed_options(num_envs)[:, 0], due[:, 1:]
+            )
+    stats = service.stats()
+    assert stats["sent"] == rounds * num_envs * 6
+    assert stats["delivered"] + stats["in_flight"] == stats["sent"]
+    assert stats["in_flight"] == min(delay, rounds) * num_envs * 6
 
 
 @settings(max_examples=25, deadline=None)
-@given(drop=st.floats(0.0, 0.9), seed=st.integers(0, 1000))
-def test_property_stats_balance(drop, seed):
-    bus = MessageBus(drop_probability=drop, seed=seed)
-    bus.register("a")
-    bus.register("b")
-    for _ in range(50):
-        bus.send("b", announcement("a"))
-    bus.step()
-    bus.receive("b")
-    stats = bus.stats()
+@given(drop=st.floats(0.0, 0.9), latency=st.integers(0, 4), seed=st.integers(0, 1000))
+def test_property_stats_balance(drop, latency, seed):
+    service = DistributedObservationService(
+        ["a", "b"], latency_steps=latency, drop_probability=drop, seed=seed
+    )
+    for _ in range(25):
+        service.exchange(np.array([[1, 2], [3, 0]]))
+    stats = service.stats()
     assert stats["sent"] == stats["dropped"] + stats["delivered"] + stats["in_flight"]
 
 

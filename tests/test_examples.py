@@ -25,6 +25,7 @@ FAST_EXAMPLES = [
     [
         "distributed_dtde.py",
         "--episodes", "4", "--skill-episodes", "4", "--async-episodes", "3",
+        "--num-envs", "2", "--latency", "2", "--drop", "0.2",
     ],
 ]
 

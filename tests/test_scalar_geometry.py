@@ -15,8 +15,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import LANE_CHANGE_BOUNDS, SLOW_DOWN_BOUNDS, ScenarioConfig
-from repro.core import LANE_CHANGE, SLOW_DOWN, SkillLibrary
-from repro.envs import LaneChangeEnv, StraightTrack, Vehicle
+from repro.core import LANE_CHANGE, SLOW_DOWN, BatchedHeroRunner, HeroTeam
+from repro.envs import CooperativeLaneChangeEnv, LaneChangeEnv, StraightTrack, Vehicle
+from repro.envs.stepping import PoseStepper
 from repro.envs.control import HEADING_CAP, HEADING_GAIN, lane_keep_command
 from repro.envs.vehicle import MAX_HEADING_ERROR
 from repro.utils.math_utils import clip_scalar, wrap_angle
@@ -210,7 +211,7 @@ def test_lane_change_step_clips_are_bitwise(linear, angular, seed):
 
 
 def ref_bounded_action(action, bounds):
-    """``SkillLibrary.act``'s bound step written with np.clip."""
+    """One skill action's bound step written with scalar np.clip calls."""
     low, high = bounds.as_arrays()
     linear = float(np.clip(action[0], low[0], high[0]))
     if low[1] >= 0.0:
@@ -226,8 +227,11 @@ def ref_bounded_action(action, bounds):
     "option, bounds", [(SLOW_DOWN, SLOW_DOWN_BOUNDS), (LANE_CHANGE, LANE_CHANGE_BOUNDS)]
 )
 def test_skill_library_act_clips_are_bitwise(dtype, option, bounds):
-    library = SkillLibrary(obs_dim=11, rng=np.random.default_rng(0))
-    assert library.option_set[option].bounds == bounds
+    """The runner's stacked bound step (``_clip_bounds`` in float64, then
+    stored in the skill's dtype) equals the scalar clip, bit for bit."""
+    env = CooperativeLaneChangeEnv(scenario=ScenarioConfig(episode_length=5))
+    runner = BatchedHeroRunner(HeroTeam(env, np.random.default_rng(0)), PoseStepper(env, 1))
+    assert runner.option_set[option].bounds == bounds
     # Random actions plus every bound, its dtype neighbours and signed zeros
     # (a float32 action next to a float64 bound is where a comparison made
     # in the wrong precision would show).
@@ -239,10 +243,8 @@ def test_skill_library_act_clips_are_bitwise(dtype, option, bounds):
     rng = np.random.default_rng(1)
     raws = [rng.uniform(-0.4, 0.4, size=2).astype(dtype) for _ in range(200)]
     raws += [np.array([x, y], dtype=dtype) for x in edges for y in edges]
-    skill = library.skill_for(option)
-    for raw in raws:
-        skill.act = lambda obs, deterministic=True, raw=raw: raw
-        actual = library.act(option, np.zeros(11))
-        expected = ref_bounded_action(raw, bounds)
-        assert actual.dtype == expected.dtype
-        assert actual.tobytes() == expected.tobytes()
+    stacked = np.array(raws, dtype=np.float64)[:, None, :]  # the runner's raw rows
+    actual = runner._clip_bounds(stacked, np.full((len(raws), 1), option))[:, 0]
+    for raw, row in zip(raws, actual.astype(dtype)):
+        expected = ref_bounded_action(raw, bounds).astype(dtype)
+        assert row.tobytes() == expected.tobytes()

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from repro.config import ScenarioConfig, TestbedConfig as ShiftConfig
-from repro.core import HeroTeam
-from repro.distributed import DistributedObservationService, MessageBus
+from repro.core import BatchedHeroRunner, HeroTeam
+from repro.distributed import DistributedObservationService
 from repro.envs import CooperativeLaneChangeEnv, RealWorldTestbed
+from repro.envs.stepping import PoseStepper
 from repro.training.replay import ReplayBuffer
 
 
@@ -40,14 +41,16 @@ class TestExtremeNoise:
     def test_hero_team_acts_on_noisy_observations(self):
         env = tiny_env()
         team = HeroTeam(env, np.random.default_rng(0), batch_size=8)
+        poses = PoseStepper(env, 1)
+        runner = BatchedHeroRunner(team, poses)
         obs = env.reset(seed=0)
-        team.start_episode()
+        poses.read_poses(env)
         noisy = {
-            agent: {k: v + 5.0 for k, v in o.items()} for agent, o in obs.items()
+            key: np.stack([obs[a][key] for a in env.agents])[None] + 5.0
+            for key in obs[env.agents[0]]
         }
-        actions = team.act(noisy)
-        for action in actions.values():
-            assert np.all(np.isfinite(action))
+        actions = runner.act(noisy)
+        assert np.all(np.isfinite(actions))
 
 
 class TestTotalMessageLoss:
@@ -55,19 +58,12 @@ class TestTotalMessageLoss:
         service = DistributedObservationService(
             ["a", "b"], latency_steps=0, drop_probability=0.999999, seed=0
         )
-        for t in range(20):
-            service.exchange({"a": (1, np.zeros(2)), "b": (3, np.zeros(2))}, t)
-        # With effectively total loss, "a" still reports a default for "b".
-        observed = service.observed_options("a")
-        assert observed.shape == (1,)
-        assert 0 <= observed[0] < 4
-
-    def test_bus_clock_advances_under_loss(self):
-        bus = MessageBus(drop_probability=0.9, seed=0)
-        bus.register("x")
-        for _ in range(10):
-            bus.step()
-        assert bus.clock == 10
+        for _ in range(20):
+            service.exchange(np.array([[1, 3]]))
+        # With effectively total loss, "a" still reports the default for "b".
+        observed = service.observed_options(1)[0, 0]
+        np.testing.assert_array_equal(observed, [0])
+        assert service.stats()["delivered"] == 0
 
 
 class TestCrashedVehicles:

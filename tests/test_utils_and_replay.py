@@ -355,12 +355,13 @@ def test_property_history_push_batch_equals_sequential_pushes(capacity, batches)
         np.testing.assert_array_equal(one.options, batched.options)
 
 
-@pytest.mark.parametrize("windowed", [False, True])
-def test_opponent_model_record_batch_equals_records(windowed):
-    from repro.core.opponent_model import OpponentModel, WindowedOpponentModel
+def test_opponent_model_record_batch_equals_records():
+    from repro.core.opponent_model import OpponentModel
 
-    cls = WindowedOpponentModel if windowed else OpponentModel
-    models = [cls(3, 4, 2, np.random.default_rng(0), history_capacity=5) for _ in range(2)]
+    models = [
+        OpponentModel(3, 4, 2, np.random.default_rng(0), history_capacity=5)
+        for _ in range(2)
+    ]
     rng = np.random.default_rng(1)
     for _ in range(3):
         obs = rng.standard_normal((4, 3))

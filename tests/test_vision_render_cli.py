@@ -1,12 +1,10 @@
 """Tests for the vision pipeline, ASCII renderer, CLI and checkpoints."""
 
 import numpy as np
-import pytest
 
 from repro.cli import build_parser, main
 from repro.config import ScenarioConfig
 from repro.core.hero import HeroTeam
-from repro.core.opponent_model import WindowedOpponentModel
 from repro.core.vision import VisionEncoder, VisionSACAgent, train_vision_skill
 from repro.envs import CooperativeLaneChangeEnv, LaneKeepingEnv
 from repro.envs.render import print_episode, render_episode_frames, render_scene
@@ -153,62 +151,15 @@ class TestTeamCheckpoint:
         team1.save(path)
         team2.load(path)
 
-        obs = np.ones(env.high_level_obs_dim)
+        obs = np.ones((1, env.high_level_obs_dim))
         for agent_id in env.agents:
-            a1 = team1.agents[agent_id].high_level.select_option(obs, explore=False)
-            a2 = team2.agents[agent_id].high_level.select_option(obs, explore=False)
-            assert a1 == a2
+            h1, h2 = team1.agents[agent_id].high_level, team2.agents[agent_id].high_level
+            np.testing.assert_array_equal(
+                h1.actor.logits_inference(np.hstack([obs, h1._opponent_rep_batch(obs)])),
+                h2.actor.logits_inference(np.hstack([obs, h2._opponent_rep_batch(obs)])),
+            )
         skill_obs = np.ones(team1.skills.obs_dim)
         np.testing.assert_allclose(
             team1.skills.lane_change.act(skill_obs, deterministic=True),
             team2.skills.lane_change.act(skill_obs, deterministic=True),
         )
-
-
-class TestWindowedOpponentModel:
-    def make(self, window=3):
-        return WindowedOpponentModel(
-            obs_dim=4, num_options=4, num_opponents=1,
-            rng=np.random.default_rng(0), window=window, batch_size=16,
-        )
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            self.make(window=0)
-
-    def test_predict_shape(self):
-        model = self.make()
-        probs = model.predict_probs(np.zeros(4))
-        assert probs.shape == (1, 4)
-
-    def test_window_rolls(self):
-        model = self.make(window=2)
-        model.record(np.full(4, 1.0), np.array([0]))
-        model.record(np.full(4, 2.0), np.array([1]))
-        window = model.current_window()
-        np.testing.assert_array_equal(window[:4], np.full(4, 1.0))
-        np.testing.assert_array_equal(window[4:], np.full(4, 2.0))
-        model.record(np.full(4, 3.0), np.array([2]))
-        window = model.current_window()
-        np.testing.assert_array_equal(window[:4], np.full(4, 2.0))
-
-    def test_reset_window(self):
-        model = self.make(window=2)
-        model.record(np.ones(4), np.array([0]))
-        model.reset_window()
-        np.testing.assert_array_equal(model.current_window(), np.zeros(8))
-
-    def test_learns_temporal_pattern(self):
-        """Opponent's option equals the PREVIOUS state's sign — only a
-        windowed model can represent this."""
-        model = self.make(window=2)
-        rng = np.random.default_rng(1)
-        prev_sign = 1.0
-        for _ in range(500):
-            obs = rng.standard_normal(4)
-            option = 0 if prev_sign < 0 else 3
-            model.record(obs, np.array([option]))
-            prev_sign = obs[0]
-        for _ in range(150):
-            losses = model.update()
-        assert losses["opponent_0_nll"] < 0.6

@@ -70,10 +70,6 @@ EXEMPTIONS: dict[tuple[str, str], str] = {
         "actions bitwise-faithful to the scalar path; float32 members cast "
         "the reused log-probs/probs back down at the point of use"
     ),
-    ("src/repro/core/hero.py", "np.asarray(action, dtype=np.float64)"): (
-        "physics command handed to the simulator; env state is float64 "
-        "at any compute dtype (see envs/vector_env.py)"
-    ),
     ("src/repro/core/batched.py", "np.asarray(epsilon, dtype=np.float64)"): (
         "exploration-schedule scalar compared against float64 RNG draws; "
         "never enters network compute"
