@@ -69,6 +69,7 @@ from repro.nn.layers import Identity, Linear
 from repro.nn.networks import LOG_STD_MAX, LOG_STD_MIN
 from repro.nn.tensor import concatenate, default_dtype
 from repro.training.replay import OptionTransition
+from repro.utils.jobs import usable_cpus
 
 TARGET_SPEEDUP = 3.0
 TARGET_F32_SPEEDUP = 1.7  # float32 over float64, fused round, batch 1024
@@ -694,11 +695,9 @@ def _fused_round_fn(dtype: str = "float64", batch: int | None = None):
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may schedule on (affinity-aware where possible)."""
-    try:
-        return max(len(os.sched_getaffinity(0)), 1)
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
+    """CPUs this process may schedule on, counted as the program counts
+    them for its side-by-side jobs."""
+    return usable_cpus()
 
 
 def _time_rounds_paired(

@@ -21,8 +21,6 @@ caller's scalar env) and is bit-for-bit equal to it at ``num_envs=1``
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import traceback
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,7 +32,8 @@ from ..envs.lane_change_env import CooperativeLaneChangeEnv
 from ..envs.skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
 from ..envs.stepping import PoseStepper
 from ..envs.vector_env import EnvReplicaFactory, VectorEnv
-from ..nn import get_default_dtype, set_default_dtype
+from ..nn import get_default_dtype
+from ..utils.jobs import Job, run_jobs
 from ..utils.logging_utils import (
     MetricLogger,
     episode_series,
@@ -59,12 +58,11 @@ def train_low_level_skills(
 
     The two skills are trained in separate environments with their own
     intrinsic reward functions ("we create parallel training environments
-    with different intrinsic reward functions"), and on two cores: lane
-    change, the shorter skill, trains in one child process while this
-    process trains lane keeping.  The child starts with the platform's
-    default start method (fork on Linux); its entry point is module-level,
-    so ``spawn`` works too.  Inside a daemonic process, which may not start
-    children (a ``multiprocessing.Pool`` worker), the two skills train one
+    with different intrinsic reward functions"), side by side through
+    :func:`repro.utils.jobs.run_jobs`: with two usable CPUs lane change,
+    the shorter skill, trains in one child process while this process
+    trains lane keeping.  With one usable CPU, or inside a daemonic
+    process (a ``multiprocessing.Pool`` worker), the two skills train one
     after the other here.
 
     The result is bitwise that of training the skills one after the other
@@ -90,52 +88,23 @@ def train_low_level_skills(
         skills.lane_change, LaneChangeEnv, config, episodes, config.seed + 1,
         "lane_change",
     )
-    if mp.current_process().daemon:
-        logger.extend(_train_one_skill(*keeping))
-        logger.extend(_train_one_skill(*change))
-        return skills, logger
-
-    ctx = mp.get_context()
-    receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(
-        target=_skill_child_main,
-        args=(sender, np.dtype(get_default_dtype()).name, change),
-        daemon=True,
-        name="repro-skill-lane_change",
+    (skills.driving_in_lane, keeping_log), (skills.lane_change, change_log) = run_jobs(
+        [
+            Job("lane_keeping", _train_one_skill, keeping),
+            Job("lane_change", _train_one_skill, change),
+        ]
     )
-    with receiver:
-        with sender:  # the child holds its own end
-            child.start()
-        try:
-            logger.extend(_train_one_skill(*keeping))
-            try:
-                reply = receiver.recv()
-            except (EOFError, OSError):
-                child.join()
-                raise RuntimeError(
-                    "the lane_change skill's training process exited with "
-                    f"code {child.exitcode} before sending its result"
-                ) from None
-        except BaseException:
-            child.terminate()
-            raise
-        finally:
-            child.join()
-    if reply[0] != "ok":
-        raise RuntimeError(
-            "training the lane_change skill failed in its child process:\n"
-            + reply[1]
-        )
-    _, skills.lane_change, change_logger = reply
-    logger.extend(change_logger)
+    logger.extend(keeping_log)
+    logger.extend(change_log)
     return skills, logger
 
 
 def _train_one_skill(
     agent, env_cls, config: TrainingConfig, episodes: int, seed: int, log_prefix: str
-) -> MetricLogger:
-    """One :func:`train_skill` run on a fresh skill env; returns its series."""
-    return train_skill(
+) -> tuple:
+    """One :func:`train_skill` run on a fresh skill env; returns the trained
+    agent and its series."""
+    logger = train_skill(
         env_cls(config.scenario, config.rewards),
         agent,
         episodes=episodes,
@@ -143,24 +112,7 @@ def _train_one_skill(
         log_prefix=log_prefix,
         engine=UpdateEngine(agent) if config.fused_updates else None,
     )
-
-
-def _skill_child_main(sender, float_dtype: str, job: tuple) -> None:
-    """Child process of :func:`train_low_level_skills`: train one skill.
-
-    Module-level, so a ``spawn`` child can import it; ``float_dtype``
-    replays the parent's compute dtype (a spawned interpreter starts at
-    the float64 default).  Sends ``("ok", agent, logger)`` with the trained
-    agent, or ``("error", traceback)``.
-    """
-    try:
-        set_default_dtype(float_dtype)
-        logger = _train_one_skill(*job)
-        sender.send(("ok", job[0], logger))
-    except Exception:
-        sender.send(("error", traceback.format_exc()))
-    finally:
-        sender.close()
+    return agent, logger
 
 
 class BatchedRolloutWorker:

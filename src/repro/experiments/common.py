@@ -32,6 +32,7 @@ from ..envs import (
     make_baseline_vector_env,
 )
 from ..envs.wrappers import VectorBaselineEnv
+from ..utils.jobs import Job, run_jobs
 from ..utils.logging_utils import MetricLogger
 
 METHOD_NAMES = ["hero", "idqn", "coma", "maddpg", "maac"]
@@ -52,14 +53,10 @@ def bench_scenario(episode_length: int = 30) -> ScenarioConfig:
 class TrainedMethod:
     """One trained method plus its training curves.
 
-    ``evaluate(env, episodes, seed)`` runs a greedy evaluation of the
-    trained controller.  ``env`` may be the method's scalar evaluation
-    stack (any wrapper, e.g. the Table 2 domain-shifted testbed) or a
-    vectorized one — a :class:`~repro.envs.vector_env.VectorEnv` (any
-    :class:`~repro.envs.stepping.VectorStepper`) for HERO, a
-    :class:`~repro.envs.wrappers.VectorBaselineEnv` for the baselines —
-    in which case episodes are batched through the vectorized evaluators
-    (bit-for-bit equal to scalar at one env, ~episode-parallel otherwise).
+    :meth:`evaluate` runs a greedy evaluation of the trained controller.
+    A trained method is plain data, so it crosses a pipe or a ``spawn``
+    boundary by pickle: :func:`train_all_methods` trains methods in worker
+    processes and adopts what they send back.
 
     :meth:`to_checkpoint` / :meth:`from_checkpoint` round the trained
     controller through the versioned serving format
@@ -71,10 +68,32 @@ class TrainedMethod:
 
     name: str
     logger: MetricLogger
-    evaluate: callable  # (env, episodes, seed) -> metrics dict
     controller: object = None
     scenario: ScenarioConfig | None = None
     rewards: RewardConfig | None = None
+
+    def evaluate(self, eval_env, episodes: int, eval_seed: int = 0) -> dict:
+        """Greedy evaluation of the controller over ``episodes`` episodes.
+
+        ``eval_env`` may be the method's scalar evaluation stack (any
+        wrapper, e.g. the Table 2 domain-shifted testbed) or a vectorized
+        one — a :class:`~repro.envs.vector_env.VectorEnv` (any
+        :class:`~repro.envs.stepping.VectorStepper`) for HERO, a
+        :class:`~repro.envs.wrappers.VectorBaselineEnv` for the baselines —
+        in which case episodes are batched through the vectorized
+        evaluators (bit-for-bit equal to scalar at one env,
+        ~episode-parallel otherwise).
+        """
+        if isinstance(self.controller, HeroTeam):
+            if isinstance(eval_env, VectorStepper):
+                evaluator = evaluate_hero_vectorized
+            else:
+                evaluator = evaluate_hero
+        elif isinstance(eval_env, VectorBaselineEnv):
+            evaluator = evaluate_marl_vectorized
+        else:
+            evaluator = evaluate_marl
+        return evaluator(eval_env, self.controller, episodes, seed=eval_seed)
 
     def to_checkpoint(self, path) -> None:
         """Persist the trained controller as a serving checkpoint."""
@@ -98,30 +117,10 @@ class TrainedMethod:
         from ..serving.checkpoint import load_policy
 
         loaded = load_policy(path)
-        controller = loaded.controller
-        if loaded.method == "hero":
-
-            def evaluate(eval_env, episodes, eval_seed=0):
-                if isinstance(eval_env, VectorStepper):
-                    return evaluate_hero_vectorized(
-                        eval_env, controller, episodes, seed=eval_seed
-                    )
-                return evaluate_hero(eval_env, controller, episodes, seed=eval_seed)
-
-        else:
-
-            def evaluate(eval_env, episodes, eval_seed=0):
-                if isinstance(eval_env, VectorBaselineEnv):
-                    return evaluate_marl_vectorized(
-                        eval_env, controller, episodes, seed=eval_seed
-                    )
-                return evaluate_marl(eval_env, controller, episodes, seed=eval_seed)
-
         return cls(
             loaded.method,
             MetricLogger(),
-            evaluate,
-            controller=controller,
+            controller=loaded.controller,
             scenario=loaded.scenario,
             rewards=loaded.rewards,
         )
@@ -211,16 +210,9 @@ def train_hero_method(
     )
     # Keep the skill curves available to Fig. 8.
     logger.extend(skill_logger)
-
-    def evaluate(eval_env, episodes, eval_seed=0):
-        if isinstance(eval_env, VectorStepper):
-            return evaluate_hero_vectorized(eval_env, team, episodes, seed=eval_seed)
-        return evaluate_hero(eval_env, team, episodes, seed=eval_seed)
-
     return TrainedMethod(
         metric_prefix,
         logger,
-        evaluate,
         controller=team,
         scenario=scenario,
         rewards=rewards,
@@ -267,16 +259,9 @@ def train_baseline_method(
         max_staleness=max_staleness,
         num_actors=num_actors,
     )
-
-    def evaluate(eval_env, episodes, eval_seed=0):
-        if isinstance(eval_env, VectorBaselineEnv):
-            return evaluate_marl_vectorized(eval_env, algo, episodes, seed=eval_seed)
-        return evaluate_marl(eval_env, algo, episodes, seed=eval_seed)
-
     return TrainedMethod(
         name,
         logger,
-        evaluate,
         controller=algo,
         scenario=scenario,
         rewards=rewards,
@@ -308,8 +293,17 @@ def train_all_methods(
     (``repro.distributed.actor_learner``; HERO and IDQN — the other
     baselines warn and stay synchronous); ``max_staleness=0`` runs one
     actor, bitwise equal to synchronous.
+
+    The methods share no state, so they train side by side, one
+    :func:`~repro.utils.jobs.run_jobs` job each in the order of
+    ``methods``: the first (HERO in :data:`METHOD_NAMES`, the longest)
+    trains in this process, the others in worker processes that send
+    their :class:`TrainedMethod` back.  Every logged series and every
+    controller is bitwise the one of training the methods one after the
+    other.  A method worker is not daemonic, so HERO's Algorithm 2 and
+    the ``async_actors`` actors start their own processes inside it.
     """
-    methods = methods or METHOD_NAMES
+    methods = list(methods or METHOD_NAMES)
     scenario = scenario or bench_scenario()
     rewards = RewardConfig()
     episodes = episodes_from_scale(scale)
@@ -321,33 +315,38 @@ def train_all_methods(
     else:
         skill_episodes = max(episodes, 250)
 
-    result = ExperimentResult(scenario=scenario, rewards=rewards)
-    for name in methods:
-        if name == "hero":
-            trained = train_hero_method(
-                scenario,
-                rewards,
-                episodes,
-                skill_episodes,
-                seed,
-                num_envs=num_envs,
-                fused_updates=fused_updates,
-                async_actors=async_actors,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
-            )
-        else:
-            trained = train_baseline_method(
-                name,
-                scenario,
-                rewards,
-                episodes,
-                seed,
-                num_envs=num_envs,
-                fused_updates=fused_updates,
-                async_actors=async_actors,
-                max_staleness=max_staleness,
-                num_actors=num_actors,
-            )
-        result.methods[name] = trained
-    return result
+    options = {
+        "num_envs": num_envs,
+        "fused_updates": fused_updates,
+        "async_actors": async_actors,
+        "max_staleness": max_staleness,
+        "num_actors": num_actors,
+    }
+    trained = run_jobs(
+        Job(
+            f"train {name}",
+            _train_method,
+            (name, scenario, rewards, episodes, skill_episodes, seed, options),
+        )
+        for name in methods
+    )
+    return ExperimentResult(
+        methods=dict(zip(methods, trained)), scenario=scenario, rewards=rewards
+    )
+
+
+def _train_method(
+    name: str,
+    scenario: ScenarioConfig,
+    rewards: RewardConfig,
+    episodes: int,
+    skill_episodes: int,
+    seed: int,
+    options: dict,
+) -> TrainedMethod:
+    """One method of :func:`train_all_methods` (a :func:`run_jobs` job)."""
+    if name == "hero":
+        return train_hero_method(
+            scenario, rewards, episodes, skill_episodes, seed, **options
+        )
+    return train_baseline_method(name, scenario, rewards, episodes, seed, **options)

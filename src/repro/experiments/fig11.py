@@ -10,6 +10,7 @@ Shape targets (paper: HERO highest at ~0.08, MAAC lowest at ~0.048):
 from __future__ import annotations
 
 from ..envs import make_baseline_env
+from ..utils.jobs import Job, run_jobs
 from .common import ExperimentResult, train_all_methods
 from .reporting import print_metric_table, shape_check
 
@@ -34,18 +35,29 @@ def run_fig11(
         max_staleness=max_staleness,
         num_actors=num_actors,
     )
-    speeds = {}
-    collisions = {}
-    for name, trained in result.methods.items():
-        if name == "hero":
-            # Any scalar env of the scenario works; reuse the team's.
-            env = trained.controller.env
-        else:
-            env = make_baseline_env(scenario=result.scenario, rewards=result.rewards)
-        metrics = trained.evaluate(env, eval_episodes, seed + 100)
-        speeds[name] = metrics["mean_speed"]
-        collisions[name] = metrics["collision_rate"]
-    return {"mean_speed": speeds, "collision_rate": collisions, "result": result}
+    # The methods are scored side by side, one job each; every score is
+    # bitwise the one computed in this process.
+    names = list(result.methods)
+    scores = run_jobs(
+        Job(f"fig11 {name}", _simulated_score, (name, result, seed, eval_episodes))
+        for name in names
+    )
+    return {
+        "mean_speed": {name: m["mean_speed"] for name, m in zip(names, scores)},
+        "collision_rate": {name: m["collision_rate"] for name, m in zip(names, scores)},
+        "result": result,
+    }
+
+
+def _simulated_score(name: str, result: ExperimentResult, seed: int, eval_episodes: int) -> dict:
+    """One method's greedy evaluation in simulation (a run_jobs job)."""
+    trained = result.methods[name]
+    if name == "hero":
+        # Any scalar env of the scenario works; reuse the team's.
+        env = trained.controller.env
+    else:
+        env = make_baseline_env(scenario=result.scenario, rewards=result.rewards)
+    return trained.evaluate(env, eval_episodes, seed + 100)
 
 
 def report_fig11(outputs: dict) -> list[tuple[str, bool]]:

@@ -27,6 +27,7 @@ from ..envs import (
     FlattenObservationWrapper,
     RealWorldTestbed,
 )
+from ..utils.jobs import Job, run_jobs
 from .common import METHOD_NAMES, ExperimentResult, TrainedMethod, train_all_methods
 from .reporting import _separated, print_metric_table, shape_check
 
@@ -116,14 +117,12 @@ def run_table2(
     interleaved greedy evaluations) and score each on the domain-shifted
     testbed.
 
-    The final Table 2 evaluation itself stays scalar regardless of
+    The testbed episodes step one scalar env at a time regardless of
     ``num_envs``: :class:`~repro.envs.testbed.RealWorldTestbed` injects
     per-step sensor noise and actuation delay that the stacked
-    ``VectorEnv`` kernels cannot express, so these 20 episodes step one
-    env at a time.  That is not a trivial cost at small scales: in a
-    traced run of the end-to-end benchmark's ``team`` workload (112
-    training episodes per method, 2-vCPU Xeon VM) the testbed's scalar
-    steps take 1.3 s of a 16.6 s pass.
+    ``VectorEnv`` kernels cannot express.  The rows are scored side by
+    side instead, one :func:`~repro.utils.jobs.run_jobs` job per method,
+    and each row is bitwise the one scored in this process.
 
     ``checkpoint_dir`` (optional) persists each trained method as a
     versioned serving checkpoint (``<dir>/<method>.npz``).  If the
@@ -145,16 +144,20 @@ def run_table2(
     )
     if freshly_trained and checkpoint_dir is not None:
         _persist_methods(result, checkpoint_dir)
-    rows = {}
-    for name, trained in result.methods.items():
-        env = _testbed_env_for(name, result, trained, seed + 7)
-        metrics = trained.evaluate(env, eval_episodes, seed + 200)
-        rows[name] = {
-            "collision_rate": metrics["collision_rate"],
-            "success_rate": metrics["success_rate"],
-            "mean_speed": metrics["mean_speed"],
-        }
-    return {"rows": rows, "paper": PAPER_ROWS, "result": result}
+    names = list(result.methods)
+    rows = run_jobs(
+        Job(f"table2 {name}", _testbed_row, (name, result, seed, eval_episodes))
+        for name in names
+    )
+    return {"rows": dict(zip(names, rows)), "paper": PAPER_ROWS, "result": result}
+
+
+def _testbed_row(name: str, result: ExperimentResult, seed: int, eval_episodes: int) -> dict:
+    """One method's Table 2 row (a :func:`~repro.utils.jobs.run_jobs` job)."""
+    trained = result.methods[name]
+    env = _testbed_env_for(name, result, trained, seed + 7)
+    metrics = trained.evaluate(env, eval_episodes, seed + 200)
+    return {key: metrics[key] for key in ("collision_rate", "success_rate", "mean_speed")}
 
 
 def report_table2(outputs: dict) -> list[tuple[str, bool]]:

@@ -53,7 +53,38 @@ def _ring_append_transitions(buffer, obs, actions, rewards, next_obs, dones, cou
     buffer._size = min(buffer._size + count, buffer.capacity)
 
 
-class ReplayBuffer:
+class _RingBuffer:
+    """What every ring buffer here shares: its length, and a pickle that
+    carries only the rows written so far.
+
+    A subclass names its per-row arrays in ``_ROW_ARRAYS`` and keeps
+    ``capacity``, ``_index`` and ``_size``.  Rows at and past ``_size``
+    are the zeros of construction (the ring wraps only once full), and an
+    untouched 100k-row tail is megabytes of them, so a trained controller
+    crossing a process boundary would otherwise ship mostly zeros.
+    """
+
+    _ROW_ARRAYS: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        for name in self._ROW_ARRAYS:
+            state[name] = state[name][: self._size]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        for name in self._ROW_ARRAYS:
+            rows = state[name]
+            full = np.zeros((state["capacity"],) + rows.shape[1:], dtype=rows.dtype)
+            full[: len(rows)] = rows
+            state[name] = full
+        self.__dict__.update(state)
+
+
+class ReplayBuffer(_RingBuffer):
     """Uniform ring buffer over (obs, action, reward, next_obs, done).
 
     Storage is ``float32`` by default regardless of the compute dtype: a
@@ -83,26 +114,6 @@ class ReplayBuffer:
         self.dones = np.zeros(capacity, dtype=self.dtype)
         self._index = 0
         self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __getstate__(self) -> dict:
-        # Pickle only the rows written so far: rows at and past ``_size``
-        # are the zeros of construction (the ring wraps only once full),
-        # and an untouched 100k-row tail is ~11 MB of them.
-        state = self.__dict__.copy()
-        for name in self._ROW_ARRAYS:
-            state[name] = state[name][: self._size]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        for name in self._ROW_ARRAYS:
-            rows = state[name]
-            full = np.zeros((state["capacity"],) + rows.shape[1:], dtype=rows.dtype)
-            full[: len(rows)] = rows
-            state[name] = full
-        self.__dict__.update(state)
 
     def push(self, obs, action, reward, next_obs, done) -> None:
         i = self._index
@@ -143,6 +154,8 @@ class PrioritizedReplayBuffer(ReplayBuffer):
     Priorities default to the max seen so new transitions are replayed at
     least once; importance weights are returned for bias correction.
     """
+
+    _ROW_ARRAYS = ReplayBuffer._ROW_ARRAYS + ("_priorities",)
 
     def __init__(
         self,
@@ -205,8 +218,12 @@ class OptionTransition:
     steps: int               # c, for the gamma^c discount
 
 
-class OptionReplayBuffer:
+class OptionReplayBuffer(_RingBuffer):
     """Ring buffer of :class:`OptionTransition`."""
+
+    _ROW_ARRAYS = (
+        "obs", "options", "other_options", "rewards", "next_obs", "dones", "steps"
+    )
 
     def __init__(self, capacity: int, obs_dim: int, num_opponents: int):
         if capacity <= 0:
@@ -226,9 +243,6 @@ class OptionReplayBuffer:
         self.steps = np.zeros(capacity, dtype=np.int64)
         self._index = 0
         self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     def push(self, transition: OptionTransition) -> None:
         i = self._index
@@ -259,12 +273,14 @@ class OptionReplayBuffer:
         }
 
 
-class JointReplayBuffer:
+class JointReplayBuffer(_RingBuffer):
     """Replay of joint multi-agent transitions (CTDE baselines).
 
     Stores all agents' observations and integer actions per step plus the
     per-agent reward vector and a shared done flag.
     """
+
+    _ROW_ARRAYS = ReplayBuffer._ROW_ARRAYS
 
     def __init__(self, capacity: int, num_agents: int, obs_dim: int):
         if capacity <= 0:
@@ -279,9 +295,6 @@ class JointReplayBuffer:
         self.dones = np.zeros(capacity, dtype=dtype)
         self._index = 0
         self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     def push(self, obs, actions, rewards, next_obs, done) -> None:
         i = self._index
@@ -313,13 +326,15 @@ class JointReplayBuffer:
         }
 
 
-class ObservationHistoryBuffer:
+class ObservationHistoryBuffer(_RingBuffer):
     """Rolling history of (state, other-agent options) observations.
 
     This is the opponent-model dataset D_h^-i of Algorithm 1 line 23: the
     agent only ever sees *past* states and the options other agents were
     executing — never their policies.
     """
+
+    _ROW_ARRAYS = ("obs", "options")
 
     def __init__(self, capacity: int, obs_dim: int, num_opponents: int):
         if capacity <= 0:
@@ -329,9 +344,6 @@ class ObservationHistoryBuffer:
         self.options = np.zeros((capacity, num_opponents), dtype=np.int64)
         self._index = 0
         self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
 
     def push(self, obs: np.ndarray, other_options: np.ndarray) -> None:
         i = self._index

@@ -1,5 +1,8 @@
 """Tests for the experiment harnesses (registry, reporting, tiny runs)."""
 
+import multiprocessing as mp
+import os
+
 import numpy as np
 import pytest
 
@@ -13,7 +16,10 @@ from repro.experiments import (
     train_all_methods,
 )
 from repro.experiments.common import bench_scenario
+from repro.experiments.fig11 import run_fig11
 from repro.experiments.registry import run_experiment
+from repro.experiments.table2 import run_table2
+from repro.nn.tensor import default_dtype
 
 
 class TestRegistry:
@@ -87,6 +93,65 @@ class TestCommon:
         )
         with pytest.raises(KeyError):
             result.series("hero", "episode_reward")
+
+
+class TestMethodsSideBySide:
+    """``train_all_methods`` trains, and ``run_table2``/``run_fig11`` score,
+    the methods in worker processes; everything is bitwise the in-process
+    result that a one-CPU affinity forces."""
+
+    @staticmethod
+    def _sweep(monkeypatch, cpus: int, methods=None, **options):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        result = train_all_methods(
+            scale=0.0005, seed=5, methods=methods, skill_scale=0.0, num_envs=2,
+            **options,
+        )
+        rows = run_table2(result=result, seed=5, eval_episodes=3)["rows"]
+        fig11 = run_fig11(result=result, seed=5, eval_episodes=3)
+        assert mp.active_children() == []
+        return result, rows, fig11
+
+    @staticmethod
+    def _assert_bitwise(side_by_side, in_process) -> None:
+        (result, rows, fig11), (ref, ref_rows, ref_fig11) = side_by_side, in_process
+        assert list(result.methods) == list(ref.methods)
+        for name, trained in result.methods.items():
+            logger, ref_logger = trained.logger, ref.methods[name].logger
+            assert logger.names() == ref_logger.names(), name
+            for series in ref_logger.names():
+                np.testing.assert_array_equal(
+                    logger.steps(series), ref_logger.steps(series), err_msg=series
+                )
+                np.testing.assert_array_equal(
+                    logger.values(series), ref_logger.values(series), err_msg=series
+                )
+            state = trained.controller.state_dict()
+            ref_state = ref.methods[name].controller.state_dict()
+            assert list(state) == list(ref_state), name
+            for key, value in ref_state.items():
+                assert state[key].dtype == value.dtype, key
+                np.testing.assert_array_equal(state[key], value, err_msg=f"{name} {key}")
+        assert rows == ref_rows
+        assert fig11["mean_speed"] == ref_fig11["mean_speed"]
+        assert fig11["collision_rate"] == ref_fig11["collision_rate"]
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
+    def test_five_methods_bitwise(self, monkeypatch, dtype, fused):
+        with default_dtype(dtype):
+            side_by_side = self._sweep(monkeypatch, 2, fused_updates=fused)
+            in_process = self._sweep(monkeypatch, 1, fused_updates=fused)
+        assert list(side_by_side[0].methods) == ["hero", "idqn", "coma", "maddpg", "maac"]
+        self._assert_bitwise(side_by_side, in_process)
+
+    def test_lockstep_actors_start_inside_a_method_worker(self, monkeypatch):
+        """IDQN trains in the (non-daemonic) worker, which starts its own
+        lockstep actor; lockstep stays bitwise."""
+        options = {"async_actors": True, "max_staleness": 0}
+        side_by_side = self._sweep(monkeypatch, 2, ["hero", "idqn"], **options)
+        in_process = self._sweep(monkeypatch, 1, ["hero", "idqn"], **options)
+        self._assert_bitwise(side_by_side, in_process)
 
 
 class TestFig7Verdicts:

@@ -552,7 +552,7 @@ def test_trained_method_checkpoint_roundtrip(tmp_path):
     scenario = small_scenario()
     team = fresh_team(seed=12, scenario=scenario)
     method = TrainedMethod(
-        "hero", None, lambda *a: None, controller=team,
+        "hero", None, controller=team,
         scenario=scenario, rewards=team.env.rewards,
     )
     path = tmp_path / "hero.npz"
@@ -561,13 +561,13 @@ def test_trained_method_checkpoint_roundtrip(tmp_path):
     assert reloaded.name == "hero"
     assert reloaded.scenario == scenario
     assert_state_equal(team.state_dict(), reloaded.controller.state_dict())
-    # The rebuilt evaluate closure runs end to end.
+    # The reloaded method evaluates end to end.
     metrics = reloaded.evaluate(reloaded.controller.env, 1, 0)
     assert "collision_rate" in metrics
 
 
 def test_trained_method_requires_controller(tmp_path):
-    method = TrainedMethod("hero", None, lambda *a: None)
+    method = TrainedMethod("hero", None)
     with pytest.raises(ValueError, match="no controller"):
         method.to_checkpoint(tmp_path / "x.npz")
 
@@ -578,7 +578,7 @@ def test_table2_persist_and_load_helpers(tmp_path):
     algo = make_baseline("idqn", env, seed=2)
     result = ExperimentResult(scenario=scenario)
     result.methods["idqn"] = TrainedMethod(
-        "idqn", None, lambda *a: None, controller=algo,
+        "idqn", None, controller=algo,
         scenario=scenario, rewards=result.rewards,
     )
     paths = _persist_methods(result, str(tmp_path / "ckpts"))

@@ -223,28 +223,76 @@ class TestReplayBuffer:
         assert buffer.obs.dtype == np.float32
 
     @pytest.mark.parametrize("pushes", [0, 5, 8, 13])
-    @pytest.mark.parametrize("cls", [ReplayBuffer, PrioritizedReplayBuffer])
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            ReplayBuffer,
+            PrioritizedReplayBuffer,
+            OptionReplayBuffer,
+            JointReplayBuffer,
+            ObservationHistoryBuffer,
+        ],
+    )
     def test_pickle_round_trip_ships_written_rows_only(self, cls, pushes):
-        buffer = cls(8, obs_dim=3, action_dim=2)
-        rng = np.random.default_rng(pushes)
-        for _ in range(pushes):
+        """Empty, partly filled, full and wrapped rings round-trip bitwise
+        and sample the same batch; a 100k ring pickles only its rows."""
+        buffer = _filled(cls, 8, pushes)
+        copy = pickle.loads(pickle.dumps(buffer))
+        assert (copy._index, copy._size, copy.capacity) == (
+            buffer._index, buffer._size, buffer.capacity
+        )
+        arrays = {k: v for k, v in vars(buffer).items() if isinstance(v, np.ndarray)}
+        assert arrays.keys() == {
+            k for k, v in vars(copy).items() if isinstance(v, np.ndarray)
+        }
+        for name, array in arrays.items():
+            np.testing.assert_array_equal(getattr(copy, name), array, err_msg=name)
+            assert getattr(copy, name).dtype == array.dtype, name
+        if pushes:
+            batch = buffer.sample(5, np.random.default_rng(1))
+            copied = copy.sample(5, np.random.default_rng(1))
+            assert batch.keys() == copied.keys()
+            for key, value in batch.items():
+                np.testing.assert_array_equal(copied[key], value, err_msg=key)
+        assert len(pickle.dumps(_filled(cls, 100_000, 1))) < 10_000
+
+
+def _filled(cls, capacity: int, pushes: int):
+    """A ``cls`` ring of ``capacity`` rows after ``pushes`` random pushes."""
+    rng = np.random.default_rng(pushes)
+    if cls in (ReplayBuffer, PrioritizedReplayBuffer):
+        buffer = cls(capacity, obs_dim=3, action_dim=2)
+
+        def push():
             buffer.push(
                 rng.standard_normal(3), rng.standard_normal(2), rng.standard_normal(),
                 rng.standard_normal(3), rng.uniform() < 0.5,
             )
-        payload = pickle.dumps(buffer)
-        copy = pickle.loads(payload)
-        assert (copy._index, copy._size, copy.capacity) == (
-            buffer._index, buffer._size, buffer.capacity
-        )
-        for name in ("obs", "actions", "rewards", "next_obs", "dones"):
-            np.testing.assert_array_equal(getattr(copy, name), getattr(buffer, name))
-            assert getattr(copy, name).dtype == getattr(buffer, name).dtype
-        if cls is PrioritizedReplayBuffer:
-            np.testing.assert_array_equal(copy._priorities, buffer._priorities)
-        big = ReplayBuffer(100_000, obs_dim=12, action_dim=2)
-        big.push(np.ones(12), np.ones(2), 1.0, np.ones(12), False)
-        assert len(pickle.dumps(big)) < 10_000
+    elif cls is OptionReplayBuffer:
+        buffer = cls(capacity, obs_dim=3, num_opponents=2)
+
+        def push():
+            buffer.push(OptionTransition(
+                rng.standard_normal(3), int(rng.integers(3)), rng.integers(3, size=2),
+                rng.standard_normal(), rng.standard_normal(3), rng.uniform() < 0.5,
+                int(rng.integers(1, 5)),
+            ))
+    elif cls is JointReplayBuffer:
+        buffer = cls(capacity, num_agents=2, obs_dim=3)
+
+        def push():
+            buffer.push(
+                rng.standard_normal((2, 3)), rng.integers(9, size=2),
+                rng.standard_normal(2), rng.standard_normal((2, 3)), rng.uniform() < 0.5,
+            )
+    else:
+        buffer = cls(capacity, obs_dim=3, num_opponents=2)
+
+        def push():
+            buffer.push(rng.standard_normal(3), rng.integers(3, size=2))
+    for _ in range(pushes):
+        push()
+    return buffer
 
 
 class TestPrioritizedReplay:
