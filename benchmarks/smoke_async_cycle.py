@@ -11,7 +11,10 @@ contract:
   loop, for the plain and the fused-update gradient paths;
 * staleness mode (``--max-staleness > 0``): the run must complete the
   full episode budget and log a ``snapshot_staleness`` series bounded by
-  the budget.
+  the budget; HERO's evaluator process must have logged every
+  interleaved evaluation of the cadence (``0, eval_every, ...,
+  episodes - 1``);
+* every run, synchronous or async, leaves no child process behind.
 
 Usage::
 
@@ -26,6 +29,7 @@ always runs one actor.
 from __future__ import annotations
 
 import argparse
+import multiprocessing as mp
 import sys
 
 import numpy as np
@@ -36,6 +40,13 @@ from repro.core import HeroTeam, train_hero
 from repro.envs import CooperativeLaneChangeEnv, make_baseline_vector_env
 
 SCENARIO = ScenarioConfig(episode_length=10)
+EVAL_EVERY = 2
+
+
+def _check_no_children(name: str) -> None:
+    children = mp.active_children()
+    if children:
+        raise SystemExit(f"{name}: run left child processes behind: {children}")
 
 
 def _hero_logger(
@@ -52,19 +63,21 @@ def _hero_logger(
     config.scenario = SCENARIO
     env = CooperativeLaneChangeEnv(scenario=SCENARIO)
     team = HeroTeam(env, np.random.default_rng(seed), batch_size=32)
-    return train_hero(
+    logger = train_hero(
         env,
         team,
         episodes=episodes,
         config=config,
         num_envs=num_envs,
-        eval_every=2,
+        eval_every=EVAL_EVERY,
         eval_episodes=2,
         fused_updates=fused,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,
     )
+    _check_no_children("hero")
+    return logger
 
 
 def _idqn_logger(
@@ -82,12 +95,12 @@ def _idqn_logger(
         "idqn", vec_env, seed=seed, batch_size=16, buffer_capacity=500
     )
     try:
-        return train_marl_vectorized(
+        logger = train_marl_vectorized(
             vec_env,
             algo,
             episodes=episodes,
             seed=seed,
-            eval_every=2,
+            eval_every=EVAL_EVERY,
             eval_episodes=2,
             fused_updates=fused,
             async_actors=async_actors,
@@ -96,6 +109,8 @@ def _idqn_logger(
         )
     finally:
         vec_env.close()
+    _check_no_children("idqn")
+    return logger
 
 
 def _assert_logs_equal(name: str, what: str, log_a, log_b) -> None:
@@ -150,6 +165,13 @@ def check_staleness(
             f"{name}: snapshot staleness {staleness} escaped the "
             f"budget [0, {budget}]"
         )
+    if name == "hero":
+        cadence = sorted(set(range(0, episodes, EVAL_EVERY)) | {episodes - 1})
+        evals = {m: logger.steps(m).tolist() for m in logger.names() if "/eval_" in m}
+        if not evals or any(steps != cadence for steps in evals.values()):
+            raise SystemExit(
+                f"{name}: eval series logged at steps {evals}, expected {cadence}"
+            )
     print(
         f"{name}: staleness budget {budget}: {episodes} episodes, observed "
         f"staleness mean {staleness.mean():.2f} / max {staleness.max():.0f}"

@@ -107,16 +107,24 @@ class HighLevelAgent:
     # ------------------------------------------------------------------
     # Opponent representation
     # ------------------------------------------------------------------
-    def _opponent_rep_batch(self, obs: np.ndarray) -> np.ndarray:
-        """Batched opponent representation, shape (batch, n_opp * n_opt)."""
+    def _opponent_rep_batch(
+        self, obs: np.ndarray, other_onehot: np.ndarray
+    ) -> np.ndarray:
+        """Batched opponent representation, shape (batch, n_opp * n_opt).
+
+        Mode ``model``: the opponent model's predicted distributions at
+        ``obs``.  Mode ``observed``: ``other_onehot``, each sampled row's
+        stored one-hot of the options the agent observed when it chose its
+        option.  The replay stores no next-state options, so the TD
+        target's next state reads the same row.  Mode ``zeros``: zeros.
+        """
         batch = len(obs)
         if self.num_opponents == 0:
             return np.zeros((batch, 0), dtype=get_default_dtype())
         if self.opponent_mode == "model":
             return self.opponent_model.predict_probs_batch(obs).reshape(batch, -1)
         if self.opponent_mode == "observed":
-            rep = one_hot(self._last_observed_options, self.num_options).reshape(-1)
-            return np.tile(rep, (batch, 1))
+            return other_onehot
         return np.zeros(
             (batch, self.num_opponents * self.num_options), dtype=get_default_dtype()
         )
@@ -150,7 +158,7 @@ class HighLevelAgent:
             other_onehot = np.zeros((batch_size, 0), dtype=get_default_dtype())
 
         # --- Critic: SMDP TD target with policy/option-model probabilities.
-        next_other_rep = self._opponent_rep_batch(batch["next_obs"])
+        next_other_rep = self._opponent_rep_batch(batch["next_obs"], other_onehot)
         next_actor_in = np.concatenate([batch["next_obs"], next_other_rep], axis=-1)
         next_own_probs = self.actor.probs_inference(next_actor_in)
         target_in = self._critic_input(
@@ -174,7 +182,7 @@ class HighLevelAgent:
         # onto one option) we evaluate the critic for *every* option and
         # ascend E_{o ~ pi}[Q(s, o, o_-i)] directly:
         #   loss = -sum_o pi(o|s) * A(s, o),  A = Q - V,  V = sum_o pi*Q.
-        other_rep = self._opponent_rep_batch(batch["obs"])
+        other_rep = self._opponent_rep_batch(batch["obs"], other_onehot)
         actor_in = np.concatenate([batch["obs"], other_rep], axis=-1)
         logits = self.actor.forward(actor_in)
         log_probs = log_softmax(logits, axis=-1)

@@ -233,11 +233,13 @@ def train_hero(
     (:func:`~repro.distributed.actor_learner.train_hero_async`): the
     actor acts on versioned policy snapshots from a shared-memory
     parameter server and ships experience back through a transition
-    queue.  ``max_staleness`` (default ``config.max_staleness``) bounds
-    how many collection rounds the actor may run ahead of the newest
-    snapshot — 0 is a lockstep barrier, bitwise identical to the
-    synchronous path; larger values overlap rollout and update and log
-    per-round snapshot staleness.  ``num_actors`` (default
+    queue, and the interleaved evaluations run in an evaluator process
+    beside it (the same evaluations, logged at the same steps before this
+    function returns).  ``max_staleness`` (default
+    ``config.max_staleness``) bounds how many collection rounds the actor
+    may run ahead of the newest snapshot — 0 is a lockstep barrier,
+    bitwise identical to the synchronous path; larger values overlap
+    rollout and update and log per-round snapshot staleness.  ``num_actors`` (default
     ``config.num_actors``) fans the rollout phase out to that many actor
     processes, which needs ``max_staleness > 0`` (lockstep runs one
     actor; more raise ``ValueError``): each actor steps its own env batch
@@ -279,17 +281,10 @@ def train_hero(
         env, team, episodes, n_updates, update_fn, logger, metric_prefix,
         eval_every, eval_episodes, config,
     )
-    # Replicas share the caller's track and traffic, so custom traffic
-    # falls through to VectorEnv's scalar fallback instead of being
-    # swapped for the defaults; env subclasses are rejected.
-    factory = EnvReplicaFactory.from_env(env)
-    if eval_every:
-        consumer.evaluator = _interleaved_evaluator(
-            team, factory, num_envs, eval_episodes
-        )
     if async_actors:
         from ..distributed.actor_learner import train_hero_async
 
+        # Its evaluator process runs the interleaved evaluations.
         train_hero_async(
             env,
             team,
@@ -303,6 +298,14 @@ def train_hero(
             num_actors=num_actors,
         )
     else:
+        # Replicas share the caller's track and traffic, so custom traffic
+        # falls through to VectorEnv's scalar fallback instead of being
+        # swapped for the defaults; env subclasses are rejected.
+        factory = EnvReplicaFactory.from_env(env)
+        if eval_every:
+            consumer.evaluator = _interleaved_evaluator(
+                team, factory, num_envs, eval_episodes
+            )
         worker = BatchedRolloutWorker(_hero_vector_env(factory, num_envs), team)
         worker.reset([int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)])
         while not consumer.done:
@@ -331,10 +334,13 @@ class _HeroEpisodeConsumer:
     runs the update budget, logs the episode's metrics and, every
     ``eval_every`` episodes and at the last, a greedy evaluation seeded
     ``config.seed + 500 + episode``, all under a running
-    completed-episode counter.  ``evaluator`` (set by
-    :func:`_interleaved_evaluator` whenever ``eval_every`` is non-zero)
-    maps ``(episodes, seed)`` to the metrics dict.  The synchronous loop
-    and the async learner both consume through it.
+    completed-episode counter.  ``evaluator`` is set whenever
+    ``eval_every`` is non-zero and maps ``(episodes, seed)`` to the
+    metrics dict (the synchronous loop's :func:`_interleaved_evaluator`),
+    or to ``None`` when the evaluation runs in another process, which
+    hands the metrics to :meth:`log_eval` when they arrive (the async
+    learner's evaluator process).  The synchronous loop and the async
+    learner both consume through it.
     """
 
     env: CooperativeLaneChangeEnv
@@ -389,7 +395,12 @@ class _HeroEpisodeConsumer:
     def _log_eval(self) -> None:
         seed = self.config.seed + 500 + self.completed
         metrics = self.evaluator(self.eval_episodes, seed)
-        self.logger.log_many(eval_series(self.prefix, metrics), self.completed)
+        if metrics is not None:
+            self.log_eval(self.completed, metrics)
+
+    def log_eval(self, episode: int, metrics: dict[str, float]) -> None:
+        """Log one evaluation's metrics at completed-episode ``episode``."""
+        self.logger.log_many(eval_series(self.prefix, metrics), episode)
 
 
 def _hero_vector_env(factory: EnvReplicaFactory, num_envs: int) -> VectorEnv:

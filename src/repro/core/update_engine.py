@@ -597,7 +597,8 @@ class HeroTeamUpdateEngine:
             self.opponent_family.sync_members()
 
     def _opponent_input(self, obs_stack: np.ndarray) -> np.ndarray:
-        """Per-agent opponent representation, shape ``(A, B, J * O)``.
+        """Per-agent opponent representation, shape ``(A, B, J * O)``, in
+        modes ``model`` and ``zeros``.
 
         Mirrors ``HighLevelAgent._opponent_rep_batch`` for every agent in
         one family inference pass (mode ``model``).
@@ -616,14 +617,6 @@ class HeroTeamUpdateEngine:
                 .transpose(0, 2, 1, 3)
                 .reshape(num_agents, batch, opponents * options)
             )
-        if self.opponent_mode == "observed":
-            rows = [
-                np.tile(
-                    one_hot(h._last_observed_options, options).reshape(-1), (batch, 1)
-                )
-                for h in self.highs
-            ]
-            return np.stack(rows)
         return np.zeros((num_agents, batch, opponents * options), dtype=obs_stack.dtype)
 
     # ------------------------------------------------------------------
@@ -701,13 +694,16 @@ class HeroTeamUpdateEngine:
             other_onehot = np.zeros((num_agents, batch_size, 0), dtype=dtype)
 
         # --- Critic family: SMDP TD targets, one cached forward + manual VJP.
-        # One family pass covers the opponent representations of both the
-        # TD-target states (next_obs) and the actor states (obs).
-        both_reps = self._opponent_input(
-            np.concatenate([next_obs, obs], axis=1)
-        )
-        next_other_rep = both_reps[:, :batch_size]
-        other_rep = both_reps[:, batch_size:]
+        if self.opponent_mode == "observed":
+            # Each row's stored opponent options, as in
+            # HighLevelAgent._opponent_rep_batch (the TD target too).
+            next_other_rep = other_rep = other_onehot
+        else:
+            # One family pass covers the opponent representations of both
+            # the TD-target states (next_obs) and the actor states (obs).
+            both_reps = self._opponent_input(np.concatenate([next_obs, obs], axis=1))
+            next_other_rep = both_reps[:, :batch_size]
+            other_rep = both_reps[:, batch_size:]
         next_actor_in = np.concatenate([next_obs, next_other_rep], axis=-1)
         next_own_probs = _stable_softmax(self.actor_family.infer(next_actor_in))
         target_in = np.concatenate(

@@ -53,15 +53,37 @@ batch-shaped BLAS forwards would both change bits).  Two modes:
   ``{prefix}/snapshot_staleness/actor{k}`` (per actor, at that actor's
   round counter).
 
+The HERO learner only replays, updates and publishes: its interleaved
+greedy evaluations run in one **evaluator process** started beside the
+actors.  At each evaluation point the learner ships an
+:class:`~repro.distributed.protocol.EvalRequest` (the acting families it
+would publish at that instant and every agent's last-observed opponent
+options) on a request ring and keeps training; the evaluator replays the
+synchronous loop's evaluation on its own replica team and ships the
+metrics back on a result ring, and the learner logs each result under
+its episode index, in request order, all of them before it returns.  A
+greedy evaluation is a pure function of those inputs and its seed, so
+the logged values are the in-process ones bit for bit.
+
+Processes: the actors and the evaluator start with the platform's
+default start method (fork on Linux), so a child inherits the imported
+package instead of re-importing it.  A forked child's copies of the
+learner's rings and server close their mappings only: the process that
+created a segment is the one that unlinks it.  The child still rebuilds
+its replica team from a picklable spec in the learner's compute dtype,
+so ``spawn`` and ``forkserver`` keep working.
+
 Shutdown: the learner sets the server's stop flag, closes every queue
-(waking actors blocked on backpressure), joins the actors and unlinks
-every shared-memory segment.  An actor-side failure (an exception
-anywhere in the actor, its env batch included) arrives as an
-:class:`~repro.distributed.protocol.ActorError` frame carrying the
-actor id; an actor that dies without reporting (SIGKILL, ``os._exit``)
-is caught by the learner's abort poll, which names the dead actor
-process even while other actors keep shipping.  Either way the learner
-re-raises a ``RuntimeError`` naming the failing actor and tears the
+(waking actors blocked on backpressure and the evaluator waiting for a
+request), joins the actors and the evaluator and unlinks every
+shared-memory segment.  An actor-side failure (an exception anywhere in
+the actor, its env batch included) arrives as an
+:class:`~repro.distributed.protocol.ActorError` frame carrying the actor
+id, and an evaluator failure as one on the result ring; a process that
+dies without reporting (SIGKILL, ``os._exit``) is caught by the
+learner's abort poll, which names the dead process even while other
+actors keep shipping.  Either way the learner re-raises a
+``RuntimeError`` naming the failing actor or the evaluator and tears the
 whole fleet down.
 """
 
@@ -79,7 +101,11 @@ from ..baselines.base import evaluate_marl_vectorized  # noqa: F401 (perfbench/t
 from ..baselines.idqn import IndependentDQN
 from ..core.hero import HeroTeam
 from ..core.options import OptionSet
-from ..core.trainer import BatchedRolloutWorker, _HeroEpisodeConsumer
+from ..core.trainer import (
+    BatchedRolloutWorker,
+    _HeroEpisodeConsumer,
+    _interleaved_evaluator,
+)
 from ..core.trainer import evaluate_hero_vectorized  # noqa: F401 (perfbench/tracing.py wraps it)
 from ..core.update_engine import (
     BoundFamilyVector,
@@ -96,20 +122,27 @@ from ..nn.tensor import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger
 from ..utils.seeding import spawn_rngs
 from .parameter_server import ParameterServer
-from .protocol import ActorError, RolloutPayload, encode_rng_state, load_rng_state
+from .protocol import (
+    ActorError,
+    EvalRequest,
+    RolloutPayload,
+    encode_rng_state,
+    load_rng_state,
+)
 from .queues import ActorFanIn, QueueClosed, ShmRingQueue
 
 __all__ = ["check_fanout", "train_hero_async", "train_marl_async"]
-
-# Spawned (not forked) actors: a fork would duplicate the learner's BLAS
-# state and open shm handles; spawn re-imports cleanly.
-_CTX = mp.get_context("spawn")
 
 # Per-actor transition-queue capacity.  A HERO collection round ships
 # every SMDP transition and opponent observation of the batch since the
 # last round; 64 MiB holds hundreds of rounds of headroom and bounds
 # learner lag.  Each actor gets its own ring (SPSC stays single-writer).
 _QUEUE_BYTES = 64 << 20
+
+# Evaluator request/result ring capacity.  A request carries one copy of
+# the acting families; when the evaluator falls this far behind, the
+# learner's next request blocks until it catches up.
+_EVAL_QUEUE_BYTES = 16 << 20
 
 _JOIN_TIMEOUT = 10.0
 
@@ -149,13 +182,14 @@ def _parent_abort() -> str | None:
 
 
 def _actor_abort(processes):
-    """Abort callback for learner-side waits: names the first dead actor."""
+    """Abort callback for learner-side waits: names the first dead actor
+    or evaluator process."""
 
     def check() -> str | None:
         for process in processes:
             if not process.is_alive():
                 return (
-                    f"async actor process '{process.name}' died without "
+                    f"async process '{process.name}' died without "
                     f"reporting an error (exit code {process.exitcode})"
                 )
         return None
@@ -179,9 +213,10 @@ def _shutdown(server, queues, processes) -> None:
     """Tear the stack down in signal order; never leaves an orphan or shm.
 
     Stop flag first (wakes actors polling the server), queue closes
-    second (wakes actors blocked on backpressure), then join every actor
-    — with a terminate fallback so a wedged actor cannot hang the
-    learner — and finally close + unlink every shared-memory segment.
+    second (wakes actors blocked on backpressure and the evaluator
+    waiting for a request), then join every process — with a terminate
+    fallback so a wedged one cannot hang the learner — and finally close
+    + unlink every shared-memory segment.
     """
     server.request_stop()
     for queue in queues:
@@ -261,9 +296,10 @@ def _ship_rounds(spec: dict, server, queue, collect_round, exhausted=None) -> No
 
 
 def _start_actors(target, kind: str, server, queues, specs) -> list:
-    """Start one ``{kind}-actor-{k}`` process per spec, on its own ring."""
+    """Start one ``{kind}-actor-{k}`` process per spec, on its own ring,
+    with the default start method."""
     processes = [
-        _CTX.Process(
+        mp.Process(
             target=target, args=(spec, server, queue), name=f"{kind}-actor-{k}"
         )
         for k, (spec, queue) in enumerate(zip(specs, queues))
@@ -335,45 +371,57 @@ def _capture_record_batch(events: list, agent_index: int):
     return capture_batch
 
 
+def _hero_replica(spec: dict):
+    """The replica team an actor or the evaluator acts with.
+
+    Rebuilds the learner's team from ``spec`` (its state and its skills'
+    RNG states) in the learner's compute dtype and binds its acting
+    families to flat import vectors.  Returns ``(team, highs, bound)``:
+    the agents' high-level learners in env order, and a
+    :class:`BoundFamilyVector` per parameter-server slot name.
+    """
+    # A spawned or forkserver child starts at the float64 default; adopt
+    # the learner's compute dtype before building any network or env.
+    set_default_dtype(spec["dtype"])
+    env = spec["factory"]()
+    team = HeroTeam(
+        env,
+        np.random.default_rng(0),
+        hyper=spec["hyper"],
+        option_set=OptionSet(*spec["option_set_args"]),
+        opponent_mode=spec["opponent_mode"],
+        batch_size=spec["batch_size"],
+    )
+    team.load_state_dict(spec["team_state"])
+    highs = [team.agents[a].high_level for a in env.agents]
+    # Skills are pre-trained and frozen during high-level training, but
+    # their exploration RNGs advanced during pre-training: adopt the
+    # exact states, shipped once at start.
+    load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
+    load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
+    bound = {"actor": BoundFamilyVector([h.actor.trunk for h in highs])}
+    if spec["has_opponent_slot"]:
+        bound["opponent"] = BoundFamilyVector(
+            [p.trunk for h in highs for p in h.opponent_model.predictors]
+        )
+    return team, highs, bound
+
+
 def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     """Rollout actor process: act on snapshots, ship captured experience.
 
     Runs the same :class:`BatchedRolloutWorker` code path as the
-    synchronous loop on a replica team whose learnable families are bound
-    to flat import vectors.  Replay-buffer writes and opponent-model
+    synchronous loop on a replica team (:func:`_hero_replica`).
+    Replay-buffer writes and opponent-model
     records are captured as an ordered event log instead of being applied
     locally — the learner replays them verbatim, so its buffers evolve
     exactly as the synchronous loop's would.  In staleness fan-out this
     actor's batch is its own partition of the collection workload.
     """
     try:
-        # Spawned processes start at the float64 default; adopt the
-        # learner's compute dtype before building any network or env.
-        set_default_dtype(spec.get("dtype", "float64"))
-        env = spec["factory"]()
-        team = HeroTeam(
-            env,
-            np.random.default_rng(0),
-            hyper=spec["hyper"],
-            option_set=OptionSet(*spec["option_set_args"]),
-            opponent_mode=spec["opponent_mode"],
-            batch_size=spec["batch_size"],
-        )
-        team.load_state_dict(spec["team_state"])
-        highs = [team.agents[a].high_level for a in env.agents]
-        # Skills are pre-trained and frozen during high-level training, but
-        # their exploration RNGs advanced during pre-training: adopt the
-        # exact states, shipped once at spawn.
-        load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
-        load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
+        team, highs, bound = _hero_replica(spec)
         for high, words in zip(highs, spec["actor_rng"]):
             load_rng_state(high._rng, words)
-
-        bound = {"actor": BoundFamilyVector([h.actor.trunk for h in highs])}
-        if spec["has_opponent_slot"]:
-            bound["opponent"] = BoundFamilyVector(
-                [p.trunk for h in highs for p in h.opponent_model.predictors]
-            )
         events: list = []
         for k, high in enumerate(highs):
             high.store_transition = _capture_transition(events, k)
@@ -409,6 +457,99 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
         server.release()
 
 
+def _hero_evaluator_main(spec: dict, requests: ShmRingQueue, results: ShmRingQueue):
+    """Evaluator process: the HERO learner's interleaved greedy evaluations.
+
+    Builds the actors' replica team (:func:`_hero_replica`) and the
+    evaluation batch the synchronous loop builds
+    (:func:`~repro.core.trainer._interleaved_evaluator`), then serves
+    :class:`EvalRequest` frames in order until the learner closes the
+    request ring: load the request's acting families and last-observed
+    options, evaluate, ship ``(step, metrics)``.  A failure ships its
+    traceback as an ``ActorError`` and then waits for the close, so the
+    learner reads the report rather than a death notice.
+    """
+    try:
+        team, highs, bound = _hero_replica(spec)
+        evaluate = _interleaved_evaluator(
+            team, spec["factory"], spec["num_envs"], spec["eval_episodes"]
+        )
+        while True:
+            try:
+                request = requests.get(abort=_parent_abort)
+            except QueueClosed:
+                break
+            for name, view in bound.items():
+                view.load(request.vectors[name])
+            for high, observed in zip(highs, request.last_observed):
+                high._last_observed_options = observed
+            metrics = evaluate(request.episodes, request.seed)
+            results.put((request.step, metrics), abort=_parent_abort)
+    except Exception:
+        _report_actor_error(results, spec)
+        try:
+            while True:
+                requests.get(abort=_parent_abort)
+        except (QueueClosed, RuntimeError):
+            pass
+    finally:
+        requests.release()
+        results.release()
+
+
+class _RemoteEvaluator:
+    """The HERO learner's side of the evaluator process.
+
+    :meth:`request` is the consumer's ``evaluator``: it ships the
+    evaluation the synchronous loop would run at that instant and returns
+    ``None``, so the consumer logs nothing yet.  :meth:`deliver` logs the
+    results that arrived through the consumer's ``log_eval``, in request
+    order.
+    """
+
+    def __init__(self, consumer, highs, exporters, requests, results, abort):
+        self.consumer = consumer
+        self.highs = highs
+        self.exporters = exporters
+        self.requests = requests
+        self.results = results
+        self.abort = abort
+        self.pending = 0
+
+    def request(self, episodes: int, seed: int) -> None:
+        self.requests.put(
+            EvalRequest(
+                step=self.consumer.completed,
+                episodes=episodes,
+                seed=seed,
+                vectors={name: fn() for name, fn in self.exporters.items()},
+                last_observed=[h._last_observed_options for h in self.highs],
+            ),
+            abort=self.abort,
+        )
+        self.pending += 1
+
+    def deliver(self, wait: bool = False) -> None:
+        """Log every result that has arrived; with ``wait``, every pending
+        one.  Raises ``RuntimeError`` naming the evaluator on its error
+        report or its death (``abort`` polls the evaluator process only:
+        a dead actor's report reaches the fan-in first)."""
+        while self.pending:
+            if wait:
+                result = self.results.get(abort=self.abort)
+            else:
+                ok, result = self.results.poll()
+                if not ok:
+                    message = self.abort()
+                    if message:
+                        raise RuntimeError(message)
+                    return
+            if isinstance(result, ActorError):
+                raise RuntimeError(f"async evaluator failed:\n{result.message}")
+            self.pending -= 1
+            self.consumer.log_eval(*result)
+
+
 def train_hero_async(
     env: CooperativeLaneChangeEnv,
     team: HeroTeam,
@@ -428,11 +569,15 @@ def train_hero_async(
     its :class:`~repro.core.trainer.BatchedRolloutWorker` moved into
     ``num_actors`` actor processes: the learner replays each round's
     capture log into the team and hands the round's finished episodes to
-    ``consumer``, the loop's per-episode consumer (update budget, logging,
-    interleaved evals).  At ``max_staleness=0`` one actor runs and the
-    run is the synchronous one bit for bit; at ``max_staleness>0``
-    rollout and update overlap, with aggregate and per-actor staleness
-    logged per round (see the module docstring).  ``engine`` is
+    ``consumer``, the loop's per-episode consumer (update budget and
+    logging).  When ``consumer.eval_every`` is non-zero, an evaluator
+    process beside the actors runs the interleaved greedy evaluations the
+    consumer requests, and the learner logs each result as it arrives,
+    every one before returning.  At ``max_staleness=0`` one actor runs
+    and the run is the synchronous one bit for bit; at
+    ``max_staleness>0`` rollout and update overlap, with aggregate and
+    per-actor staleness logged per round (see the module docstring).
+    ``engine`` is
     the :class:`~repro.core.update_engine.UpdateEngine` behind the
     consumer's update when fused updates are active; its flat optimizer
     buffers make each snapshot publish a plain ``np.copyto``.  A team
@@ -482,7 +627,11 @@ def train_hero_async(
 
     lockstep = max_staleness == 0
     server = ParameterServer(slots, num_rngs=len(highs), dtype=get_default_dtype())
-    queues = [ShmRingQueue(_QUEUE_BYTES, context=_CTX) for _ in range(num_actors)]
+    queues = [ShmRingQueue(_QUEUE_BYTES) for _ in range(num_actors)]
+    # The evaluator's request and result rings.
+    eval_rings = (
+        [ShmRingQueue(_EVAL_QUEUE_BYTES) for _ in range(2)] if consumer.eval_every else []
+    )
     # Each actor draws its own env seeds, actor-major, so actor 0's seeds
     # are exactly the single-actor run's at any fan-out.
     seed_sets = [
@@ -537,7 +686,20 @@ def train_hero_async(
         ],
     )
 
+    remote = None
     try:
+        if eval_rings:
+            evaluator = mp.Process(
+                target=_hero_evaluator_main,
+                args=(dict(shared_spec, eval_episodes=consumer.eval_episodes), *eval_rings),
+                name="hero-evaluator",
+            )
+            evaluator.start()
+            processes.append(evaluator)
+            remote = _RemoteEvaluator(
+                consumer, highs, exporters, *eval_rings, _actor_abort([evaluator])
+            )
+            consumer.evaluator = remote.request
         rounds = _receive_rounds(queues, processes, lockstep, consumer.logger, consumer.prefix)
         while not consumer.done:
             payload = next(rounds)
@@ -559,9 +721,13 @@ def train_hero_async(
                 server.publish(
                     {name: fn() for name, fn in exporters.items()}, rng_sidecar()
                 )
+            if remote is not None:
+                remote.deliver()
+        if remote is not None:
+            remote.deliver(wait=True)
         return consumer.logger
     finally:
-        _shutdown(server, queues, processes)
+        _shutdown(server, queues + eval_rings, processes)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +755,7 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     """
     try:
         # Adopt the learner's compute dtype before building the replica.
-        set_default_dtype(spec.get("dtype", "float64"))
+        set_default_dtype(spec["dtype"])
         algo = IndependentDQN(
             spec["agent_ids"],
             spec["obs_dim"],
@@ -666,7 +832,7 @@ def train_marl_async(
     server = ParameterServer(
         {"q": family_vector_size(members)}, num_rngs=1, dtype=family_dtype(members)
     )
-    queues = [ShmRingQueue(_QUEUE_BYTES, context=_CTX) for _ in range(num_actors)]
+    queues = [ShmRingQueue(_QUEUE_BYTES) for _ in range(num_actors)]
     actor_streams = spawn_rngs(seed + _ACTOR_RNG_SALT, num_actors)
     shared_spec = {
         "agent_ids": list(ids),

@@ -22,6 +22,7 @@ loop bitwise.
 
 from __future__ import annotations
 
+import os
 import time
 from multiprocessing import shared_memory
 
@@ -51,8 +52,10 @@ class ParameterServer:
     float32 snapshots occupy half the bytes of float64).  ``num_rngs``
     reserves uint64 sidecar space for that many PCG64 generator states
     (see :mod:`repro.distributed.protocol`).  Constructed by the learner
-    (the owner and sole writer); actors receive a pickled handle that
-    re-attaches by segment name, carrying the dtype with it.
+    (the owner and sole writer); a forked actor inherits the object, and a
+    ``spawn`` or ``forkserver`` actor receives a pickled handle that
+    re-attaches by segment name, carrying the dtype with it.  Only the
+    creating process unlinks the segment.
     """
 
     def __init__(self, slots: dict[str, int], num_rngs: int = 0, dtype=np.float64):
@@ -72,7 +75,7 @@ class ParameterServer:
         self._rng_offset = offset
         offset = _align(offset + 2 * self.num_rngs * RNG_WORDS * 8)
         self._shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        self._owner = True
+        self._creator = os.getpid()
         self._closed = False
         self._name = self._shm.name
         self._bind_views()
@@ -117,7 +120,7 @@ class ParameterServer:
         self._param_offsets = state["param_offsets"]
         self._rng_offset = state["rng_offset"]
         self._name = state["name"]
-        self._owner = False
+        self._creator = None  # an attached copy never unlinks
         self._closed = False
         self._shm = _attach_shm(self._name)
         self._bind_views()
@@ -234,7 +237,8 @@ class ParameterServer:
     # Lifecycle
     # ------------------------------------------------------------------
     def release(self) -> None:
-        """Close this mapping (and unlink when owner); idempotent."""
+        """Close this mapping, and unlink the segment in the process that
+        created it; idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -242,7 +246,7 @@ class ParameterServer:
         self._params = None
         self._rngs = None
         self._shm.close()
-        if self._owner:
+        if self._creator == os.getpid():
             try:
                 self._shm.unlink()
             except FileNotFoundError:

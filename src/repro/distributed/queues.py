@@ -22,14 +22,17 @@ callback between slices, so a dead peer (crashed actor, killed learner)
 surfaces as a :class:`RuntimeError` naming the failure instead of a hang.
 The multi-ring merge also polls ``abort`` on every call, so live actors
 cannot keep the learner fed past a dead one.
-Ownership: the creating process unlinks the segment exactly once;
-attached copies (the pickled handle an actor receives) only close their
-mapping.
+Ownership: only the process that created a queue unlinks its segment,
+exactly once.  Every other copy only closes its mapping: the pickled
+handle a ``spawn`` or ``forkserver`` child receives, and the object a
+forked child inherits (which otherwise looks exactly like the
+creator's).
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import pickle
 import time
 from multiprocessing import shared_memory
@@ -73,7 +76,7 @@ class ShmRingQueue:
         self._shm = shared_memory.SharedMemory(
             create=True, size=_HEADER_BYTES + self.capacity
         )
-        self._owner = True
+        self._creator = os.getpid()
         self._closed_local = False
         self._name = self._shm.name
         self._lock = ctx.Lock()
@@ -83,7 +86,7 @@ class ShmRingQueue:
         self._header[:] = 0
 
     # ------------------------------------------------------------------
-    # Attachment / pickling (crosses the process boundary once at spawn)
+    # Attachment / pickling (a spawn or forkserver child gets a pickled handle)
     # ------------------------------------------------------------------
     def _bind_views(self) -> None:
         self._header = np.ndarray(_HEADER_SLOTS, dtype=np.int64, buffer=self._shm.buf)
@@ -106,7 +109,7 @@ class ShmRingQueue:
         self._lock = state["lock"]
         self._not_full = state["not_full"]
         self._not_empty = state["not_empty"]
-        self._owner = False
+        self._creator = None  # an attached copy never unlinks
         self._closed_local = False
         self._shm = _attach_shm(self._name)
         self._bind_views()
@@ -242,14 +245,15 @@ class ShmRingQueue:
             self._not_empty.notify_all()
 
     def release(self) -> None:
-        """Close this process's mapping (and unlink when owner); idempotent."""
+        """Close this process's mapping, and unlink the segment in the
+        process that created it; idempotent."""
         if self._closed_local:
             return
         self._closed_local = True
         self._header = None
         self._data = None
         self._shm.close()
-        if self._owner:
+        if self._creator == os.getpid():
             try:
                 self._shm.unlink()
             except FileNotFoundError:

@@ -14,14 +14,20 @@ The contract under test (``repro.distributed.actor_learner``):
 * the shared-memory transition queue exerts backpressure: a producer
   that outruns the consumer blocks instead of growing the queue;
 * an actor crash — an exception inside the actor's env batch — surfaces
-  as a ``RuntimeError`` naming the failing actor, not a hang;
+  as a ``RuntimeError`` naming the failing actor, not a hang, and an
+  evaluation that raises inside the evaluator process as one naming the
+  evaluator;
 * a finished (or failed) run leaves no orphan processes and unlinks
-  every shared-memory segment it created.
+  every shared-memory segment it created, and only the creating process
+  unlinks: a forked child's release leaves the segment in place;
+* the actors and the evaluator start with the default start method, and
+  lockstep stays bitwise under a ``spawn`` default too.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import time
 from multiprocessing import shared_memory
 
@@ -31,6 +37,7 @@ import pytest
 from repro.baselines import make_baseline, train_marl_vectorized
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
+from repro.core import trainer as trainer_module
 from repro.distributed import ParameterServer, ShmRingQueue
 from repro.distributed import actor_learner
 from repro.envs import (
@@ -144,6 +151,18 @@ def test_hero_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
     assert state_sync.keys() == state_async.keys()
     for key in state_sync:
         np.testing.assert_array_equal(state_sync[key], state_async[key], err_msg=key)
+
+
+def test_hero_lockstep_matches_sync_bitwise_under_spawn(spawn_default):
+    """Under a ``spawn`` default the actor and the evaluator rebuild their
+    replica teams from the pickled spec; the run stays bitwise."""
+    log_sync, team_sync = _sync_reference("hero", True)
+    log_async, team_async = _hero_run(True, fused=True)
+    _assert_logs_equal(log_sync, log_async)
+    state_sync, state_async = team_sync.state_dict(), team_async.state_dict()
+    for key in state_sync:
+        np.testing.assert_array_equal(state_sync[key], state_async[key], err_msg=key)
+    assert mp.active_children() == []
 
 
 @LOCKSTEP_LAYOUTS
@@ -260,8 +279,20 @@ def test_staleness_run_logs_bounded_versions_and_cleans_up(monkeypatch):
     monkeypatch.setattr(actor_learner, "ShmRingQueue", _RecordingQueue)
     _CREATED_SEGMENTS.clear()
     before = {proc.pid for proc in mp.active_children()}
+    # Env batches built by this process (forked children record into
+    # their own copies of the list).
+    built = []
+    original = trainer_module.VectorEnv
+
+    def recording_vector_env(*args, **kwargs):
+        built.append(os.getpid())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(trainer_module, "VectorEnv", recording_vector_env)
 
     logger, _ = _hero_run(True, max_staleness=2)
+    # The learner builds no eval batch: the evaluator process evaluates.
+    assert built == []
 
     staleness = logger.values("hero/snapshot_staleness")
     assert staleness.size > 0
@@ -273,7 +304,8 @@ def test_staleness_run_logs_bounded_versions_and_cleans_up(monkeypatch):
 
     after = {proc.pid for proc in mp.active_children()}
     assert after <= before, "async run leaked processes"
-    assert len(_CREATED_SEGMENTS) == 2  # parameter server + transition queue
+    # Parameter server, transition queue and the evaluator's two rings.
+    assert len(_CREATED_SEGMENTS) == 4
     for name in _CREATED_SEGMENTS:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -333,6 +365,40 @@ def test_hero_staleness_fanout_keeps_full_metric_set():
         f"hero/snapshot_staleness/actor{k}" for k in range(2)
     }
     assert sum(logger.values(name).size for name in per_actor) == aggregate.size
+    # The evaluator process ran every interleaved evaluation: eval_every=2
+    # over 3 episodes evaluates after episodes 0 and 2 (the last).
+    evals = [name for name in logger.names() if "/eval_" in name]
+    assert len(evals) == 4, evals
+    for name in evals:
+        np.testing.assert_array_equal(logger.steps(name), [0, 2], err_msg=name)
+
+
+# ----------------------------------------------------------------------
+# Segment ownership under fork
+# ----------------------------------------------------------------------
+def _release_in_child(handle) -> None:
+    handle.release()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: ShmRingQueue(capacity=1024), lambda: ParameterServer({"w": 4})],
+    ids=["queue", "server"],
+)
+def test_forked_child_release_keeps_the_segment(make):
+    """A forked child inherits the creator's object; its release closes
+    only its own mapping, and the creator's release unlinks."""
+    handle = make()
+    name = handle._name
+    child = mp.get_context("fork").Process(target=_release_in_child, args=(handle,))
+    child.start()
+    child.join(timeout=10.0)
+    assert child.exitcode == 0
+    attached = shared_memory.SharedMemory(name=name)
+    attached.close()
+    handle.release()
+    with pytest.raises(FileNotFoundError):
+        shared_memory.SharedMemory(name=name)
 
 
 # ----------------------------------------------------------------------
@@ -381,6 +447,37 @@ class _ExplodingFactory(EnvReplicaFactory):
 
     def __call__(self):
         return _ExplodingEnv(scenario=self.scenario)
+
+
+class _EvalFailingEnv(CooperativeLaneChangeEnv):
+    """Replica that raises on its first step inside the evaluator."""
+
+    def step(self, actions):
+        if mp.current_process().name == "hero-evaluator":
+            raise RuntimeError("injected evaluation failure")
+        return super().step(actions)
+
+
+class _EvalFailingFactory(EnvReplicaFactory):
+    def __call__(self):
+        return _EvalFailingEnv(scenario=self.scenario)
+
+
+def test_evaluator_error_is_named_with_its_traceback(monkeypatch):
+    monkeypatch.setattr(actor_learner, "EnvReplicaFactory", _EvalFailingFactory)
+    monkeypatch.setattr(actor_learner, "ParameterServer", _RecordingServer)
+    monkeypatch.setattr(actor_learner, "ShmRingQueue", _RecordingQueue)
+    _CREATED_SEGMENTS.clear()
+    with pytest.raises(
+        RuntimeError,
+        match=r"(?s)async evaluator failed:.*Traceback.*injected evaluation failure",
+    ):
+        _hero_run(True)
+    assert mp.active_children() == []
+    assert len(_CREATED_SEGMENTS) == 4
+    for name in _CREATED_SEGMENTS:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
 
 
 def test_actor_crash_names_failing_shard(monkeypatch):

@@ -15,9 +15,11 @@ from repro.core import (
     SACAgent,
     SLOW_DOWN,
     SkillLibrary,
+    UpdateEngine,
     train_skill,
 )
 from repro.envs import CooperativeLaneChangeEnv, LaneKeepingEnv, VectorEnv
+from repro.nn import one_hot
 from repro.nn.tensor import default_dtype
 from repro.training.replay import OptionTransition
 
@@ -45,9 +47,11 @@ def executed_actions(option, steps=10):
 
 
 def greedy_option(agent, obs):
-    """The option a high-level agent's actor ranks first in state ``obs``."""
+    """The option a high-level agent's actor ranks first in state ``obs``,
+    with its opponents as it last observed them."""
     obs = np.asarray(obs)[None]
-    actor_in = np.concatenate([obs, agent._opponent_rep_batch(obs)], axis=-1)
+    observed = one_hot(agent._last_observed_options, agent.num_options).reshape(1, -1)
+    actor_in = np.concatenate([obs, agent._opponent_rep_batch(obs, observed)], axis=-1)
     return int(agent.actor.logits_inference(actor_in)[0].argmax())
 
 
@@ -377,14 +381,43 @@ class TestHighLevelAgent:
         losses = agent.update()
         assert not any("opponent" in k for k in losses)
 
-    def test_observed_mode_uses_last_options(self):
-        agent = self.make_agent(opponent_mode="observed")
-        agent._last_observed_options = np.array([3, 1])  # the runner records these
-        rep = agent._opponent_rep_batch(np.zeros((1, 6)))[0]
-        expected = np.zeros(8)
-        expected[3] = 1.0  # opponent 0 chose option 3
-        expected[4 + 1] = 1.0  # opponent 1 chose option 1
-        np.testing.assert_array_equal(rep, expected)
+    @pytest.mark.parametrize("fused", [False, True], ids=["scalar", "fused"])
+    def test_observed_mode_update_reads_stored_options(self, fused):
+        """Mode 'observed' conditions the actor loss and the TD target on
+        each sampled row's stored opponent options, not on the agent's
+        current view: two updates from identical states that differ only
+        in ``_last_observed_options`` give identical losses and weights."""
+
+        def run(view: int):
+            env = CooperativeLaneChangeEnv(scenario=ScenarioConfig(episode_length=8))
+            team = HeroTeam(
+                env, np.random.default_rng(0), opponent_mode="observed", batch_size=16
+            )
+            rng = np.random.default_rng(1)
+            for agent in team.agents.values():
+                high = agent.high_level
+                dim, options = high.obs_dim, high.num_options
+                for _ in range(40):
+                    high.store_transition(
+                        OptionTransition(
+                            rng.standard_normal(dim),
+                            int(rng.integers(0, options)),
+                            rng.integers(0, options, high.num_opponents),
+                            float(rng.standard_normal()),
+                            rng.standard_normal(dim),
+                            False,
+                            int(rng.integers(1, 4)),
+                        )
+                    )
+                high._last_observed_options = np.full(high.num_opponents, view)
+            update = UpdateEngine(team).update if fused else team.update
+            return [update() for _ in range(2)], team.state_dict()
+
+        losses_a, state_a = run(0)
+        losses_b, state_b = run(3)
+        assert losses_a == losses_b
+        for key in state_a:
+            np.testing.assert_array_equal(state_a[key], state_b[key], err_msg=key)
 
     def test_smdp_discounting_uses_steps(self):
         """gamma^c must appear in the target: transitions with c=1 and c=4

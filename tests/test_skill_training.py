@@ -94,17 +94,6 @@ def _assert_bitwise(result, reference) -> None:
     assert mp.active_children() == []
 
 
-@pytest.fixture
-def spawn_default():
-    """Make ``spawn`` the default start method for one test."""
-    previous = mp.get_start_method(allow_none=True)
-    mp.set_start_method("spawn", force=True)
-    try:
-        yield
-    finally:
-        mp.set_start_method(previous, force=True)
-
-
 class TestBitwiseEqualsSequential:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("fused", [False, True], ids=["default", "fused"])

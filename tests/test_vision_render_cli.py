@@ -154,9 +154,10 @@ class TestTeamCheckpoint:
         obs = np.ones((1, env.high_level_obs_dim))
         for agent_id in env.agents:
             h1, h2 = team1.agents[agent_id].high_level, team2.agents[agent_id].high_level
+            # Mode 'model': the representation ignores stored options.
             np.testing.assert_array_equal(
-                h1.actor.logits_inference(np.hstack([obs, h1._opponent_rep_batch(obs)])),
-                h2.actor.logits_inference(np.hstack([obs, h2._opponent_rep_batch(obs)])),
+                h1.actor.logits_inference(np.hstack([obs, h1._opponent_rep_batch(obs, None)])),
+                h2.actor.logits_inference(np.hstack([obs, h2._opponent_rep_batch(obs, None)])),
             )
         skill_obs = np.ones(team1.skills.obs_dim)
         np.testing.assert_allclose(
