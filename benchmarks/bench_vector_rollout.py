@@ -29,8 +29,9 @@ ROLLOUT_STEPS = int(os.environ.get("REPRO_BENCH_ROLLOUT_STEPS", "300"))
 
 
 def _cycle(num_envs: int):
-    """One act/step/after_step cycle of a ``num_envs`` batch (VectorEnv +
-    BatchedHeroRunner)."""
+    """One act/step/after_step/store cycle of a ``num_envs`` batch
+    (VectorEnv + BatchedHeroRunner, each step's experience written into
+    the team as training writes it)."""
     vec_env = VectorEnv(num_envs)
     team = HeroTeam(CooperativeLaneChangeEnv(), np.random.default_rng(0))
     runner = BatchedHeroRunner(team, vec_env)
@@ -39,7 +40,8 @@ def _cycle(num_envs: int):
     def cycle():
         actions = runner.act(state["obs"], epsilon=0.1, explore=True)
         state["obs"], rewards, dones, infos = vec_env.step(actions)
-        runner.after_step(state["obs"], rewards, dones, infos)
+        _, experience = runner.after_step(state["obs"], rewards, dones, infos)
+        team.store(experience)
 
     return cycle
 
@@ -105,7 +107,7 @@ def test_vector_env_step(benchmark):
 
 
 def test_batched_rollout_step(benchmark):
-    """One full act/step/after_step cycle of the batched rollout."""
+    """One full act/step/after_step/store cycle of the batched rollout."""
     benchmark(_cycle(N_ENVS))
 
 

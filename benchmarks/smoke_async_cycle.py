@@ -8,7 +8,10 @@ contract:
 
 * lockstep (``max_staleness=0``, one actor): the async run must log
   metric series **bit-for-bit identical** to the synchronous vectorized
-  loop, for the plain and the fused-update gradient paths;
+  loop and end with identical weights and replay rows (HERO: every
+  agent's replay buffer and opponent history; IDQN: every agent's replay
+  buffer), for the plain and the fused-update gradient paths — a short
+  run's logs can agree while the experience it stored differs;
 * staleness mode (``--max-staleness > 0``): the run must complete the
   full episode budget and log a ``snapshot_staleness`` series bounded by
   the budget; HERO's evaluator process must have logged every
@@ -49,7 +52,17 @@ def _check_no_children(name: str) -> None:
         raise SystemExit(f"{name}: run left child processes behind: {children}")
 
 
-def _hero_logger(
+def _final_state(weights: dict, buffers: dict) -> dict:
+    """Final weights plus each named ring buffer's written rows and cursor
+    (what the buffer's pickle carries)."""
+    state = dict(weights)
+    for prefix, buffer in buffers.items():
+        for key, value in buffer.__getstate__().items():
+            state[f"{prefix}.{key}"] = value
+    return state
+
+
+def _hero_run(
     episodes: int,
     num_envs: int,
     seed: int,
@@ -77,10 +90,14 @@ def _hero_logger(
         num_actors=num_actors,
     )
     _check_no_children("hero")
-    return logger
+    buffers = {}
+    for agent_id, agent in team.agents.items():
+        buffers[f"{agent_id}.replay"] = agent.high_level.buffer
+        buffers[f"{agent_id}.history"] = agent.high_level.opponent_model.history
+    return logger, _final_state(team.state_dict(), buffers)
 
 
-def _idqn_logger(
+def _idqn_run(
     episodes: int,
     num_envs: int,
     seed: int,
@@ -110,7 +127,8 @@ def _idqn_logger(
     finally:
         vec_env.close()
     _check_no_children("idqn")
-    return logger
+    buffers = {f"{agent_id}.replay": b for agent_id, b in algo.buffers.items()}
+    return logger, _final_state(algo.state_dict(), buffers)
 
 
 def _assert_logs_equal(name: str, what: str, log_a, log_b) -> None:
@@ -129,21 +147,41 @@ def _assert_logs_equal(name: str, what: str, log_a, log_b) -> None:
             )
 
 
+def _assert_states_equal(name: str, what: str, state_a: dict, state_b: dict) -> None:
+    if state_a.keys() != state_b.keys():
+        raise SystemExit(
+            f"{name}: final state keys drifted ({what}): "
+            f"{sorted(state_a.keys() ^ state_b.keys())}"
+        )
+    for key in state_a:
+        if not np.array_equal(state_a[key], state_b[key]):
+            raise SystemExit(f"{name}: {what} drift in final {key}")
+
+
 def check_lockstep(train, name: str, prefix: str, episodes, num_envs, seed) -> None:
-    """Async lockstep must match the synchronous loop bit-for-bit."""
+    """Async lockstep must match the synchronous loop bit-for-bit: logs,
+    final weights and stored experience."""
     for fused in (False, True):
         what = f"async-lockstep-vs-sync ({'fused' if fused else 'plain'})"
-        log_sync = train(episodes, num_envs, seed, async_actors=False, fused=fused)
-        log_async = train(episodes, num_envs, seed, async_actors=True, fused=fused)
+        log_sync, state_sync = train(
+            episodes, num_envs, seed, async_actors=False, fused=fused
+        )
+        log_async, state_async = train(
+            episodes, num_envs, seed, async_actors=True, fused=fused
+        )
         _assert_logs_equal(name, what, log_sync, log_async)
-        print(f"{name}: {what}: no drift over {episodes} episodes")
+        _assert_states_equal(name, what, state_sync, state_async)
+        print(
+            f"{name}: {what}: no drift in logs, weights or buffers over "
+            f"{episodes} episodes"
+        )
 
 
 def check_staleness(
     train, name: str, prefix: str, episodes, num_envs, seed, budget: int, num_actors
 ) -> None:
     """Staleness mode must finish the budget and log bounded staleness."""
-    logger = train(
+    logger, _ = train(
         episodes,
         num_envs,
         seed,
@@ -188,8 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     for train, name, prefix in (
-        (_hero_logger, "hero", "hero"),
-        (_idqn_logger, "idqn", "idqn"),
+        (_hero_run, "hero", "hero"),
+        (_idqn_run, "idqn", "idqn"),
     ):
         check_lockstep(train, name, prefix, args.episodes, args.num_envs, args.seed)
         if args.max_staleness > 0:

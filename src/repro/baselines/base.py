@@ -410,8 +410,8 @@ def train_marl_vectorized(
     on the async actor–learner stack
     (:func:`~repro.distributed.actor_learner.train_marl_async`); only IDQN
     supports it (other baselines fall back to this synchronous loop with a
-    warning: their recurrent update/rollout coupling has no capture-replay
-    protocol yet).  ``max_staleness=0`` is a lockstep barrier, bitwise
+    warning: only IDQN has an actor replica, the actor stack's
+    ``_idqn_actor_main``).  ``max_staleness=0`` is a lockstep barrier, bitwise
     identical to the synchronous loop; larger values let the actors run
     ahead of the newest policy snapshot by that many collection rounds.
     ``num_actors`` fans collection out to that many actor processes, a

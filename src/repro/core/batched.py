@@ -32,6 +32,11 @@ into SMDP transitions, and keep-lane coasts at the previous speed with
 lane-centering steering.  Every selection within a step sees the
 *pre-step* options of the other agents.
 
+Experience: the runner writes nothing into the team.
+:meth:`BatchedHeroRunner.after_step` returns the experience completed
+since its previous call and keeps none of it; the caller writes it with
+:meth:`~repro.core.hero.HeroTeam.store`.
+
 Opponent observations: without a bus, an agent's stored opponent options
 and its opponent-model records are the other agents' executing options.
 When the team carries a
@@ -46,7 +51,7 @@ Greedy evaluation (:func:`repro.core.trainer.evaluate_hero_vectorized`,
 :meth:`BatchedHeroRunner.act` with ``explore=False`` and **never calls**
 :meth:`BatchedHeroRunner.after_step`: each agent selects one option at
 episode start and runs its skill to the end of the episode, without
-storing transitions, feeding opponent-model histories or exchanging.
+completing transitions, recording opponents or exchanging.
 """
 
 from __future__ import annotations
@@ -122,6 +127,8 @@ class BatchedHeroRunner:
         self._pending_obs = np.zeros((n, a, obs_dim), dtype=get_default_dtype())
         self._pending_other = np.zeros((n, a, max(self.num_opponents, 1)), np.int64)
         self._observed_other = np.zeros((n, a, max(self.num_opponents, 1)), np.int64)
+        # Per agent, the transitions completed since the last after_step.
+        self._transitions: list[list[OptionTransition]] = [[] for _ in range(a)]
         self.sync_observed_options()
         self._last_action = np.zeros((n, a, 2))
         self.lane_change_attempts = np.zeros(n, dtype=np.int64)
@@ -396,11 +403,17 @@ class BatchedHeroRunner:
         rewards: np.ndarray,
         dones: np.ndarray,
         infos: list[dict],
-    ) -> list[dict]:
-        """Account rewards/termination and store finished SMDP transitions.
+    ) -> tuple[list[dict], tuple]:
+        """Account rewards and option termination for one env step.
 
-        Returns one stats dict per env that finished an episode this step
-        (episode summary plus the env's lane-change counters).
+        Returns ``(stats, experience)``: one stats dict per env that
+        finished an episode this step (episode summary plus the env's
+        lane-change counters), and ``(transitions, records, observed)``
+        for :meth:`~repro.core.hero.HeroTeam.store`.  Per agent in env
+        order, those are the SMDP transitions completed since the previous
+        call, this step's opponent-model ``(obs, options)`` batch (``None``
+        unless ``opponent_mode='model'``), and env 0's ``(agents,
+        agents - 1)`` view of the opponents (``None`` without opponents).
         """
         next_high = VectorStepper.flatten_high(next_obs)  # reset obs for done envs
         done_idx = np.flatnonzero(dones)
@@ -432,7 +445,7 @@ class BatchedHeroRunner:
         service = self.team.observation_service
         if service is not None:
             service.exchange(self._option)
-        self._record_opponents(terminal_high)
+        records, observed = self._record_opponents(terminal_high)
 
         stats: list[dict] = []
         for i in done_idx:
@@ -449,7 +462,9 @@ class BatchedHeroRunner:
         if len(done_idx):
             self.start_episode(done_idx)  # also flags their first selection
         self._needs_new |= terminated
-        return stats
+        experience = (self._transitions, records, observed)
+        self._transitions = [[] for _ in range(self.num_agents)]
+        return stats, experience
 
     def _heard_options(self) -> np.ndarray:
         """``(n, a, a - 1)`` options each agent observes of its opponents:
@@ -460,24 +475,25 @@ class BatchedHeroRunner:
             return self._option[:, self._others]
         return service.observed_options(self.num_envs)
 
-    def _record_opponents(self, next_high: np.ndarray) -> None:
-        """Feed every agent's opponent-model history (batched bookkeeping)."""
+    def _record_opponents(self, next_high: np.ndarray) -> tuple[list, np.ndarray | None]:
+        """This step's per-agent opponent-model records (one row per env)
+        and env 0's view of the opponents."""
         if not self.num_opponents:
-            return
+            return [None] * self.num_agents, None
+        # The records are views of next_high and observed, which are both
+        # fresh each step and never written after this.
         observed = self._heard_options()  # (n, a, a - 1)
         self._observed_other[:] = observed
-        for k, agent_id in enumerate(self.agents):
-            hl = self.team.agents[agent_id].high_level
-            # Env 0's view feeds update()-time 'observed' reps and the
-            # next runner's sync_observed_options.
-            hl._last_observed_options = observed[0, k].copy()
-            if hl.opponent_mode == "model":
-                # One record per env, in env order.
-                hl.opponent_model.record_batch(next_high[:, k], observed[:, k])
+        records = [
+            (next_high[:, k], observed[:, k])
+            if self.team.agents[agent_id].high_level.opponent_mode == "model"
+            else None
+            for k, agent_id in enumerate(self.agents)
+        ]
+        return records, observed[0]
 
     def _flush(self, k: int, rows: np.ndarray, next_obs: np.ndarray, done: bool) -> None:
-        """Store completed SMDP transitions for agent ``k`` in ``rows``."""
-        hl = self.team.agents[self.agents[k]].high_level
+        """Complete agent ``k``'s pending SMDP transitions in ``rows``."""
         for idx, i in enumerate(rows):
             if not self._pending_valid[i, k] or self._steps_in_option[i, k] == 0:
                 continue
@@ -486,7 +502,7 @@ class BatchedHeroRunner:
                 if self.num_opponents
                 else np.zeros(1, dtype=np.int64)
             )
-            hl.store_transition(
+            self._transitions[k].append(
                 OptionTransition(
                     obs=self._pending_obs[i, k].copy(),
                     option=int(self._option[i, k]),

@@ -8,7 +8,8 @@ shared :class:`~repro.core.low_level.SkillLibrary` executes.  The team
 holds learnable state only; acting (option execution with asynchronous
 termination, Sec. III-B) runs through
 :class:`~repro.core.batched.BatchedHeroRunner` over a batch of one or
-more envs.
+more envs, and :meth:`HeroTeam.store` writes the experience the runner
+hands back.
 """
 
 from __future__ import annotations
@@ -81,6 +82,22 @@ class HeroTeam:
                 opponent_mode=opponent_mode,
             )
             self.agents[agent_id] = HeroAgent(agent_id, high)
+
+    def store(self, experience: tuple) -> None:
+        """Write one step's experience, as
+        :meth:`~repro.core.batched.BatchedHeroRunner.after_step` returns
+        it, into every agent's replay buffer and opponent history
+        (Algorithm 1, line 23), and adopt env 0's view of its opponents as
+        its last-observed options."""
+        transitions, records, observed = experience
+        for k, agent in enumerate(self.agents.values()):
+            high = agent.high_level
+            for transition in transitions[k]:
+                high.store_transition(transition)
+            if records[k] is not None:
+                high.opponent_model.record_batch(*records[k])
+            if observed is not None:
+                high._last_observed_options = observed[k].copy()
 
     def update(self) -> dict[str, float]:
         merged: dict[str, float] = {}

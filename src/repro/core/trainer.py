@@ -5,10 +5,10 @@
 recording the paper's four evaluation metrics per episode.  At every
 ``num_envs`` (one included) the rollout phase runs on a
 :class:`~repro.envs.vector_env.VectorEnv` through
-:class:`BatchedRolloutWorker`, which fills the replay buffers from
-vectorized rollouts with batched policy inference, and the interleaved
-greedy evaluations run on their own ``VectorEnv`` through
-:func:`evaluate_hero_vectorized`.
+:class:`BatchedRolloutWorker`, which collects rounds of experience with
+batched policy inference for a per-episode consumer to store and train
+on, and the interleaved greedy evaluations run on their own ``VectorEnv``
+through :func:`evaluate_hero_vectorized`.
 
 Evaluation seeding: both evaluators derive episode reset seeds from one
 ``SeedSequence`` spawn (:func:`repro.utils.seeding.episode_reset_seeds`),
@@ -116,14 +116,15 @@ def _train_one_skill(
 
 
 class BatchedRolloutWorker:
-    """Fills the team's replay buffers from vectorized rollouts.
+    """Collects HERO's experience from vectorized rollouts.
 
     Wraps a :class:`~repro.envs.vector_env.VectorEnv` and a
     :class:`~repro.core.batched.BatchedHeroRunner`; every call to
     :meth:`collect` advances all environments synchronously with batched
-    policy inference and returns the episodes that finished, tagged with
-    the episode index each env was running (so per-episode schedules such
-    as epsilon annealing stay well defined).
+    policy inference and returns one round: the episodes that finished,
+    tagged with the episode index each env was running (so per-episode
+    schedules such as epsilon annealing stay well defined), and the
+    round's experience, which the round's consumer stores.
     """
 
     def __init__(
@@ -150,38 +151,35 @@ class BatchedRolloutWorker:
         self._episode_of_env = np.arange(self.vec_env.num_envs)
         self._episodes_started = self.vec_env.num_envs
 
-    def collect(
-        self,
-        epsilon_schedule,
-        explore: bool = True,
-        max_steps: int | None = None,
-    ) -> list[dict]:
+    def collect(self, epsilon_schedule) -> tuple[list[dict], list[tuple]]:
         """Step the vector env until at least one episode finishes.
 
         ``epsilon_schedule`` maps an episode index to an exploration rate.
-        Returns the finished episodes' stats (see
-        :meth:`BatchedHeroRunner.after_step`) with an ``"episode_index"``
-        entry added.
+        Returns the round ``(stats, experience)``: the finished episodes'
+        stats (see :meth:`BatchedHeroRunner.after_step`) with
+        ``"episode_index"`` and ``"epsilon"`` entries added, and every
+        step's experience in order, each as
+        :meth:`~repro.core.hero.HeroTeam.store` takes it.
         """
         if self._obs is None:
             self.reset()
-        steps = 0
+        experience = []
         while True:
             epsilon = np.array(
                 [epsilon_schedule(int(e)) for e in self._episode_of_env]
             )
-            actions = self.runner.act(self._obs, epsilon=epsilon, explore=explore)
+            actions = self.runner.act(self._obs, epsilon=epsilon)
             self._obs, rewards, dones, infos = self.vec_env.step(actions)
-            stats = self.runner.after_step(self._obs, rewards, dones, infos)
+            stats, step = self.runner.after_step(self._obs, rewards, dones, infos)
+            experience.append(step)
             for stat in stats:
                 env_index = stat["env"]
                 stat["episode_index"] = int(self._episode_of_env[env_index])
                 stat["epsilon"] = float(epsilon[env_index])
                 self._episode_of_env[env_index] = self._episodes_started
                 self._episodes_started += 1
-            steps += 1
-            if stats or (max_steps is not None and steps >= max_steps):
-                return stats
+            if stats:
+                return stats, experience
 
 
 def train_hero(
@@ -244,8 +242,10 @@ def train_hero(
     processes, which needs ``max_staleness > 0`` (lockstep runs one
     actor; more raise ``ValueError``): each actor steps its own env batch
     on forked RNG streams and collection throughput scales with the
-    actor count.  The actors run without a bus, so a team with an
-    observation service raises ``ValueError``.
+    actor count.  Actor ``k``'s ``e``-th episode explores at the
+    schedule's episode ``k + num_actors * e``, so the actors together
+    anneal epsilon once, as one actor does.  The actors run without a
+    bus, so a team with an observation service raises ``ValueError``.
 
     ``checkpoint_path`` (optional) writes the trained team as a versioned
     serving checkpoint (:func:`repro.serving.save_checkpoint`) once
@@ -328,10 +328,12 @@ def train_hero(
 class _HeroEpisodeConsumer:
     """The per-episode step of every HERO training loop.
 
-    :meth:`consume` takes finished-episode stats (``episode`` summary,
-    ``epsilon``, ``lane_change_attempts``, as
-    :meth:`BatchedRolloutWorker.collect` returns them) and, for each,
-    runs the update budget, logs the episode's metrics and, every
+    :meth:`consume` takes a collection round as
+    :meth:`BatchedRolloutWorker.collect` returns it, writes its experience
+    into the team (:meth:`~repro.core.hero.HeroTeam.store`, one step at a
+    time) and then, for each finished episode's stats (``episode``
+    summary, ``epsilon``, ``lane_change_attempts``), runs the update
+    budget, logs the episode's metrics and, every
     ``eval_every`` episodes and at the last, a greedy evaluation seeded
     ``config.seed + 500 + episode``, all under a running
     completed-episode counter.  ``evaluator`` is set whenever
@@ -361,7 +363,10 @@ class _HeroEpisodeConsumer:
     def done(self) -> bool:
         return self.completed >= self.episodes
 
-    def consume(self, stats: list[dict]) -> None:
+    def consume(self, collected: tuple[list[dict], list[tuple]]) -> None:
+        stats, experience = collected
+        for step in experience:
+            self.team.store(step)
         for stat in stats:
             if self.done:
                 break

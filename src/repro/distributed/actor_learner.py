@@ -17,10 +17,12 @@ Each learner is the synchronous loop with its collection moved out: the
 actors run the synchronous loop's rollout workers
 (:class:`~repro.core.trainer.BatchedRolloutWorker` for HERO,
 :class:`~repro.baselines.base.BaselineRolloutWorker` for IDQN) and ship
-each collection round, and the learner hands every round to the same
-per-episode consumer the synchronous loop uses.  IDQN rows carry their
-finished episodes' indices, so the learner keeps no episode accounting
-of its own.
+the round each ``collect`` returns, and the learner hands every round to
+the same consumer the synchronous loop uses, which writes its
+experience and trains.  A round is plain data for both methods, so one
+actor round function (:func:`_ship_rounds`) and one learner loop
+(:func:`_learn`) serve both.  IDQN rows carry their finished episodes'
+indices, so the learner keeps no episode accounting of its own.
 
 Option selection consumes one shared RNG stream across an env batch, so
 an env batch is never *split* across actors (batch-shaped draws and
@@ -29,8 +31,8 @@ batch-shaped BLAS forwards would both change bits).  Two modes:
 * **Lockstep** (``max_staleness=0``) — *one actor*, the correctness
   mode.  Each round the actor reads the newest snapshot and the
   learner's published RNG sidecar, collects and ships; the learner
-  adopts the shipped post-round RNG state, replays the captured
-  experience in order, updates, and only then publishes version
+  adopts the shipped post-round RNG state, consumes the round (stores
+  its experience, updates), and only then publishes version
   ``round + 1``.  The ship is the barrier: the actor's next ``read``
   observes exactly ``version == round``, so the run is **bitwise
   identical** to the synchronous vectorized loop
@@ -45,7 +47,9 @@ batch-shaped BLAS forwards would both change bits).  Two modes:
   IDQN partitions the episode universe by stride
   (:func:`~repro.utils.seeding.episode_partition`: actor ``k`` owns
   episodes ``k, k+N, k+2N, ...``), so any N consumes the same
-  :func:`~repro.utils.seeding.episode_reset_seeds` universe.  Every
+  :func:`~repro.utils.seeding.episode_reset_seeds` universe.  HERO
+  actors anneal exploration by the same stride: actor ``k``'s ``e``-th
+  episode explores at the schedule's episode ``k + N * e``.  Every
   actor imports the newest snapshot with version >= ``round - k`` before
   each of its rounds; collection and update genuinely overlap and scale
   with N.  The learner logs ``{prefix}/snapshot_staleness`` (aggregate,
@@ -53,7 +57,7 @@ batch-shaped BLAS forwards would both change bits).  Two modes:
   ``{prefix}/snapshot_staleness/actor{k}`` (per actor, at that actor's
   round counter).
 
-The HERO learner only replays, updates and publishes: its interleaved
+The HERO learner only stores, updates and publishes: its interleaved
 greedy evaluations run in one **evaluator process** started beside the
 actors.  At each evaluation point the learner ships an
 :class:`~repro.distributed.protocol.EvalRequest` (the acting families it
@@ -89,7 +93,6 @@ whole fleet down.
 
 from __future__ import annotations
 
-import itertools
 import multiprocessing as mp
 import time
 import traceback
@@ -254,19 +257,23 @@ def _report_actor_error(queue: ShmRingQueue, spec: dict) -> None:
         pass
 
 
-def _ship_rounds(spec: dict, server, queue, collect_round, exhausted=None) -> None:
+def _ship_rounds(
+    spec: dict, server, queue, bound, generators, collect, exhausted=None
+) -> None:
     """The actor side of the round protocol, shared by both actors.
 
     Before round ``r`` read the newest snapshot with version >=
-    ``r - max_staleness``, let ``collect_round(vectors, rng_words)`` load
-    it and collect (it returns the payload's ``data`` and ``rng_states``),
-    and ship the round.  In lockstep the learner publishes version r+1
-    only after receiving round r, so the next read observes exactly
-    version r+1.  Runs until the learner's stop flag or a closed queue;
-    while ``exhausted()`` holds the actor idles instead (exiting early
-    would race the learner's liveness poll, which treats a missing actor
-    process as a crash).
+    ``r - max_staleness``, load its vectors into the ``bound`` family
+    views (slot name -> :class:`BoundFamilyVector`) and, in lockstep, its
+    RNG words into ``generators``; then ship the round ``collect()``
+    returns with, in lockstep, the generators' post-round states.  In
+    lockstep the learner publishes version r+1 only after receiving
+    round r, so the next read observes exactly version r+1.  Runs until
+    the learner's stop flag or a closed queue; while ``exhausted()``
+    holds the actor idles instead (exiting early would race the learner's
+    liveness poll, which treats a missing actor process as a crash).
     """
+    lockstep = spec["max_staleness"] == 0
     round_index = 0
     while not server.stop_requested:
         if exhausted is not None and exhausted():
@@ -280,12 +287,16 @@ def _ship_rounds(spec: dict, server, queue, collect_round, exhausted=None) -> No
             if server.stop_requested:
                 break
             raise
-        data, rng_states = collect_round(vectors, rng_words)
+        for name, view in bound.items():
+            view.load(vectors[name])
+        if lockstep:
+            for generator, words in zip(generators, rng_words):
+                load_rng_state(generator, words)
         payload = RolloutPayload(
             round_index=round_index,
             version_used=version,
-            data=data,
-            rng_states=rng_states,
+            data=collect(),
+            rng_states=[encode_rng_state(g) for g in generators] if lockstep else [],
             actor_id=spec["actor_id"],
         )
         try:
@@ -309,19 +320,35 @@ def _start_actors(target, kind: str, server, queues, specs) -> list:
     return processes
 
 
-def _receive_rounds(queues, processes, lockstep: bool, logger: MetricLogger, prefix: str):
-    """Yield each collection round's payload as the fan-in delivers it.
+def _publish(server, exporters, generators) -> None:
+    """Publish the next snapshot: every slot's exported family vector and
+    the generators' states as the RNG sidecar."""
+    server.publish(
+        {name: export() for name, export in exporters.items()},
+        np.stack([encode_rng_state(g) for g in generators]),
+    )
 
-    Staleness mode also logs each payload's snapshot staleness: the
-    aggregate series at the merged-payload counter (monotonic across
-    actors; equal to the round index at N=1) and the per-actor series at
-    that actor's round.
+
+def _learn(
+    consumer, queues, processes, server, exporters, generators, lockstep: bool,
+    after_round=None,
+) -> None:
+    """The learner side of the round protocol, shared by both learners:
+    until ``consumer`` is done, take the next round from the fan-in, adopt
+    its post-round RNG states into ``generators`` (lockstep) or log its
+    snapshot staleness, consume it as the synchronous loop does, publish
+    the next snapshot unless training is done, and call ``after_round()``.
     """
     abort = _actor_abort(processes)
     fan_in = ActorFanIn(queues)
-    for merged in itertools.count():
+    logger, prefix = consumer.logger, consumer.prefix
+    merged = 0
+    while not consumer.done:
         payload = _check_payload(fan_in.get(abort=abort))
-        if not lockstep:
+        if lockstep:
+            for generator, words in zip(generators, payload.rng_states):
+                load_rng_state(generator, words)
+        else:
             # version_used can exceed this actor's round counter when other
             # actors drive versions up faster; staleness is the lag behind
             # the actor's own progress, floored at 0.
@@ -332,43 +359,17 @@ def _receive_rounds(queues, processes, lockstep: bool, logger: MetricLogger, pre
                 staleness,
                 payload.round_index,
             )
-        yield payload
+        merged += 1
+        consumer.consume(payload.data)
+        if not consumer.done:
+            _publish(server, exporters, generators)
+        if after_round is not None:
+            after_round()
 
 
 # ---------------------------------------------------------------------------
 # HERO
 # ---------------------------------------------------------------------------
-
-
-def _capture_transition(events: list, agent_index: int):
-    def capture(transition) -> None:
-        events.append(("t", agent_index, transition))
-
-    return capture
-
-
-def _capture_record(events: list, agent_index: int):
-    def capture(obs, other_options) -> None:
-        events.append(
-            (
-                "r",
-                agent_index,
-                np.array(obs, dtype=get_default_dtype(), copy=True),
-                np.array(other_options, dtype=np.int64, copy=True),
-            )
-        )
-
-    return capture
-
-
-def _capture_record_batch(events: list, agent_index: int):
-    capture = _capture_record(events, agent_index)
-
-    def capture_batch(obs, other_options) -> None:
-        for row, options in zip(obs, other_options):
-            capture(row, options)
-
-    return capture_batch
 
 
 def _hero_replica(spec: dict):
@@ -408,48 +409,29 @@ def _hero_replica(spec: dict):
 
 
 def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
-    """Rollout actor process: act on snapshots, ship captured experience.
+    """Rollout actor process: act on snapshots, ship each collected round.
 
-    Runs the same :class:`BatchedRolloutWorker` code path as the
-    synchronous loop on a replica team (:func:`_hero_replica`).
-    Replay-buffer writes and opponent-model
-    records are captured as an ordered event log instead of being applied
-    locally — the learner replays them verbatim, so its buffers evolve
-    exactly as the synchronous loop's would.  In staleness fan-out this
-    actor's batch is its own partition of the collection workload.
+    Runs the synchronous loop's :class:`BatchedRolloutWorker` on a
+    replica team (:func:`_hero_replica`) and ships the rounds its
+    ``collect`` returns; the learner's consumer writes their experience
+    into the learner's team, as the synchronous loop writes its own.  In
+    staleness fan-out this actor's batch is its own partition of the
+    collection workload, and its ``e``-th episode explores at the
+    schedule's episode ``actor_id + num_actors * e``.
     """
     try:
         team, highs, bound = _hero_replica(spec)
         for high, words in zip(highs, spec["actor_rng"]):
             load_rng_state(high._rng, words)
-        events: list = []
-        for k, high in enumerate(highs):
-            high.store_transition = _capture_transition(events, k)
-            if spec["has_opponent_slot"]:
-                high.opponent_model.record = _capture_record(events, k)
-                high.opponent_model.record_batch = _capture_record_batch(events, k)
-
         n = spec["num_envs"]
         worker = BatchedRolloutWorker(VectorEnv(n, env_fns=[spec["factory"]] * n), team)
         worker.reset(spec["seeds"])
-        lockstep = spec["max_staleness"] == 0
-
-        def collect_round(vectors, rng_words):
-            for name, view in bound.items():
-                view.load(vectors[name])
-            if lockstep:
-                for high, words in zip(highs, rng_words):
-                    load_rng_state(high._rng, words)
-            events.clear()
-            stats = worker.collect(spec["epsilon_schedule"])
-            data = {
-                "events": list(events),
-                "stats": stats,
-                "last_observed": [h._last_observed_options.copy() for h in highs],
-            }
-            return data, [encode_rng_state(h._rng) for h in highs] if lockstep else []
-
-        _ship_rounds(spec, server, queue, collect_round)
+        schedule = spec["epsilon_schedule"]
+        first, stride = spec["actor_id"], spec["num_actors"]
+        _ship_rounds(
+            spec, server, queue, bound, [h._rng for h in highs],
+            lambda: worker.collect(lambda e: schedule(first + stride * e)),
+        )
     except Exception:
         _report_actor_error(queue, spec)
     finally:
@@ -567,13 +549,12 @@ def train_hero_async(
 
     The synchronous loop of :func:`~repro.core.trainer.train_hero` with
     its :class:`~repro.core.trainer.BatchedRolloutWorker` moved into
-    ``num_actors`` actor processes: the learner replays each round's
-    capture log into the team and hands the round's finished episodes to
-    ``consumer``, the loop's per-episode consumer (update budget and
-    logging).  When ``consumer.eval_every`` is non-zero, an evaluator
-    process beside the actors runs the interleaved greedy evaluations the
-    consumer requests, and the learner logs each result as it arrives,
-    every one before returning.  At ``max_staleness=0`` one actor runs
+    ``num_actors`` actor processes: the learner hands each round an actor
+    ships to ``consumer``, the loop's per-episode consumer (store, update
+    budget and logging).  When ``consumer.eval_every`` is non-zero, an
+    evaluator process beside the actors runs the interleaved greedy
+    evaluations the consumer requests, and the learner logs each result
+    as it arrives, every one before returning.  At ``max_staleness=0`` one actor runs
     and the run is the synchronous one bit for bit; at
     ``max_staleness>0`` rollout and update overlap, with aggregate and
     per-actor staleness logged per round (see the module docstring).
@@ -622,10 +603,7 @@ def train_hero_async(
             fused_impl.opponent_opt._flat if fused_impl else None,
         )
 
-    def rng_sidecar() -> np.ndarray:
-        return np.stack([encode_rng_state(h._rng) for h in highs])
-
-    lockstep = max_staleness == 0
+    generators = [h._rng for h in highs]
     server = ParameterServer(slots, num_rngs=len(highs), dtype=get_default_dtype())
     queues = [ShmRingQueue(_QUEUE_BYTES) for _ in range(num_actors)]
     # The evaluator's request and result rings.
@@ -665,11 +643,12 @@ def train_hero_async(
         ],
         "has_opponent_slot": has_opponent_slot,
         "max_staleness": max_staleness,
+        "num_actors": num_actors,
         "dtype": np.dtype(get_default_dtype()).name,
     }
     # Version 0 — current weights and RNG states — must exist before the
     # actors' first read.
-    server.publish({name: fn() for name, fn in exporters.items()}, rng_sidecar())
+    _publish(server, exporters, generators)
     processes = _start_actors(
         _hero_actor_main,
         "hero",
@@ -700,29 +679,10 @@ def train_hero_async(
                 consumer, highs, exporters, *eval_rings, _actor_abort([evaluator])
             )
             consumer.evaluator = remote.request
-        rounds = _receive_rounds(queues, processes, lockstep, consumer.logger, consumer.prefix)
-        while not consumer.done:
-            payload = next(rounds)
-            if lockstep:
-                for high, words in zip(highs, payload.rng_states):
-                    load_rng_state(high._rng, words)
-            # Replay the actor's capture log: buffer pushes and opponent
-            # records land in the learner's team in the exact order the
-            # synchronous loop would have produced them.
-            for event in payload.data["events"]:
-                if event[0] == "t":
-                    highs[event[1]].store_transition(event[2])
-                else:
-                    highs[event[1]].opponent_model.record(event[2], event[3])
-            for high, observed in zip(highs, payload.data["last_observed"]):
-                high._last_observed_options = observed
-            consumer.consume(payload.data["stats"])
-            if not consumer.done:
-                server.publish(
-                    {name: fn() for name, fn in exporters.items()}, rng_sidecar()
-                )
-            if remote is not None:
-                remote.deliver()
+        _learn(
+            consumer, queues, processes, server, exporters, generators,
+            max_staleness == 0, remote.deliver if remote is not None else None,
+        )
         if remote is not None:
             remote.deliver(wait=True)
         return consumer.logger
@@ -764,11 +724,10 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
             hidden_dim=spec["hidden_dim"],
             buffer_capacity=1,  # the actor never observes; learner owns replay
         )
-        bound = BoundFamilyVector(
-            [algo.q_networks[a].trunk for a in algo.agent_ids]
-        )
+        bound = {
+            "q": BoundFamilyVector([algo.q_networks[a].trunk for a in algo.agent_ids])
+        }
         load_rng_state(algo._rng, spec["actor_rng"])
-        lockstep = spec["max_staleness"] == 0
         worker = BaselineRolloutWorker(
             spec["build_batch"](spec["num_envs"]),
             algo,
@@ -778,15 +737,10 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
             spec["num_actors"],
             spec["actor_id"],
         )
-
-        def collect_round(vectors, rng_words):
-            bound.load(vectors["q"])
-            if lockstep:
-                load_rng_state(algo._rng, rng_words[0])
-            rows = worker.collect()
-            return {"rows": rows}, [encode_rng_state(algo._rng)] if lockstep else []
-
-        _ship_rounds(spec, server, queue, collect_round, lambda: worker.exhausted)
+        _ship_rounds(
+            spec, server, queue, bound, [algo._rng], worker.collect,
+            lambda: worker.exhausted,
+        )
     except Exception:
         _report_actor_error(queue, spec)
     finally:
@@ -826,9 +780,8 @@ def train_marl_async(
     members = [algorithm.q_networks[a].trunk for a in ids]
     impl = getattr(engine, "_impl", None)
     fused_impl = impl if isinstance(impl, IDQNUpdateEngine) else None
-    export = _make_exporter(members, fused_impl.opt._flat if fused_impl else None)
-
-    lockstep = max_staleness == 0
+    exporters = {"q": _make_exporter(members, fused_impl.opt._flat if fused_impl else None)}
+    generators = [algorithm._rng]
     server = ParameterServer(
         {"q": family_vector_size(members)}, num_rngs=1, dtype=family_dtype(members)
     )
@@ -848,7 +801,7 @@ def train_marl_async(
         "num_actors": num_actors,
         "dtype": np.dtype(get_default_dtype()).name,
     }
-    server.publish({"q": export()}, np.stack([encode_rng_state(algorithm._rng)]))
+    _publish(server, exporters, generators)
     processes = _start_actors(
         _idqn_actor_main,
         "idqn",
@@ -861,16 +814,10 @@ def train_marl_async(
     )
 
     try:
-        rounds = _receive_rounds(queues, processes, lockstep, consumer.logger, consumer.prefix)
-        while not consumer.done:
-            payload = next(rounds)
-            if lockstep:
-                load_rng_state(algorithm._rng, payload.rng_states[0])
-            consumer.consume(payload.data["rows"])
-            if not consumer.done:
-                server.publish(
-                    {"q": export()}, np.stack([encode_rng_state(algorithm._rng)])
-                )
+        _learn(
+            consumer, queues, processes, server, exporters, generators,
+            max_staleness == 0,
+        )
         return consumer.logger
     finally:
         _shutdown(server, queues, processes)

@@ -27,9 +27,14 @@ class RolloutPayload:
     processes and ``round_index`` counts collection rounds on that actor.
     ``version_used`` is the snapshot version the actor acted with, so the
     learner can log per-actor staleness (``round_index - version_used``).
-    ``data`` is method-specific (the HERO capture log or the IDQN step
-    rows) and ``rng_states`` carries the actor's post-collection generator
-    states for the lockstep handoff (empty when staleness is allowed).
+    ``data`` is the round the actor's rollout worker collected, exactly
+    as its ``collect`` returned it: for HERO the ``(stats, experience)``
+    pair of :meth:`~repro.core.trainer.BatchedRolloutWorker.collect`, for
+    IDQN the step rows of
+    :meth:`~repro.baselines.base.BaselineRolloutWorker.collect`; the
+    learner hands it to the synchronous loop's consumer unchanged.
+    ``rng_states`` carries the actor's post-collection generator states
+    for the lockstep handoff (empty when staleness is allowed).
 
     Arrays inside ``data`` keep their dtype through pickling, so the wire
     format needs no dtype tag of its own: a float32 run's frames carry
@@ -38,7 +43,7 @@ class RolloutPayload:
 
     round_index: int
     version_used: int
-    data: dict = field(default_factory=dict)
+    data: object = None
     rng_states: list = field(default_factory=list)
     actor_id: int = 0
 

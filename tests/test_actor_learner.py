@@ -59,6 +59,7 @@ def _hero_run(
     max_staleness: int = 0,
     num_actors: int = 1,
     num_envs: int = 2,
+    episodes: int = 3,
 ):
     config = TrainingConfig(seed=0)
     config.scenario = SCENARIO
@@ -67,7 +68,7 @@ def _hero_run(
     logger = train_hero(
         env,
         team,
-        episodes=3,
+        episodes=episodes,
         config=config,
         num_envs=num_envs,
         eval_every=2,
@@ -371,6 +372,17 @@ def test_hero_staleness_fanout_keeps_full_metric_set():
     assert len(evals) == 4, evals
     for name in evals:
         np.testing.assert_array_equal(logger.steps(name), [0, 2], err_msg=name)
+
+
+def test_hero_fanout_anneals_exploration_once_across_actors():
+    """Actor k's e-th episode explores at the schedule's episode
+    k + num_actors * e (IDQN's stride), so the actors walk the epsilon
+    schedule once between them instead of each restarting it: no two
+    logged episodes share an epsilon."""
+    logger, _ = _hero_run(True, max_staleness=2, num_actors=2, episodes=12)
+    epsilons = logger.values("hero/epsilon").tolist()
+    assert len(epsilons) == 12
+    assert len(set(epsilons)) == 12, epsilons
 
 
 # ----------------------------------------------------------------------

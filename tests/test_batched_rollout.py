@@ -95,7 +95,8 @@ class TestBatchedHeroRunner:
         for _ in range(30):
             actions = runner.act(obs, epsilon=0.5, explore=True)
             obs, rewards, dones, infos = vec.step(actions)
-            runner.after_step(obs, rewards, dones, infos)
+            _, experience = runner.after_step(obs, rewards, dones, infos)
+            team.store(experience)
         for agent in team.agents.values():
             assert len(agent.high_level.buffer) > 0
             assert len(agent.high_level.opponent_model.history) > 0
@@ -112,11 +113,45 @@ class TestBatchedHeroRunner:
         for _ in range(25):
             actions = runner.act(obs, epsilon=0.5, explore=True)
             obs, rewards, dones, infos = vec.step(actions)
-            collected.extend(runner.after_step(obs, rewards, dones, infos))
+            stats, _ = runner.after_step(obs, rewards, dones, infos)
+            collected.extend(stats)
         assert collected, "8-step episodes must finish within 25 steps"
         for stat in collected:
             assert set(stat) >= {"env", "episode", "lane_change_attempts"}
             assert stat["episode"]["length"] >= 1.0
+
+    def test_act_and_after_step_leave_the_team_untouched(self):
+        """The runner only hands experience back: buffers, histories and
+        last-observed options change only through ``HeroTeam.store``."""
+        vec, team, runner = make_setup()
+        highs = [agent.high_level for agent in team.agents.values()]
+        sentinels = [high._last_observed_options for high in highs]
+        obs = vec.reset(0)
+        completed = 0
+        for _ in range(30):
+            obs, rewards, dones, infos = vec.step(runner.act(obs, epsilon=0.5))
+            _, (transitions, _, _) = runner.after_step(obs, rewards, dones, infos)
+            completed += sum(len(rows) for rows in transitions)
+        assert completed > 0
+        for high, sentinel in zip(highs, sentinels):
+            assert len(high.buffer) == 0
+            assert len(high.opponent_model.history) == 0
+            assert high._last_observed_options is sentinel
+
+    def test_runner_holds_at_most_one_step_of_experience(self):
+        """Experience nobody stores does not build up in the runner: an
+        act completes at most one option per (env, agent) pair, and
+        after_step hands everything back."""
+        vec, team, runner = make_setup()
+        obs = vec.reset(0)
+        pairs = vec.num_envs * vec.num_agents
+        for _ in range(50):
+            actions = runner.act(obs, epsilon=0.5)
+            assert sum(len(rows) for rows in runner._transitions) <= pairs
+            obs, rewards, dones, infos = vec.step(actions)
+            _, (transitions, _, _) = runner.after_step(obs, rewards, dones, infos)
+            assert sum(len(rows) for rows in transitions) <= 2 * pairs
+            assert not any(runner._transitions)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_clip_bounds_matches_per_option_clipping(self, dtype):
@@ -324,12 +359,14 @@ class TestBusOnRunner:
         heard = []
         for _ in range(3):
             obs, rewards, dones, infos = vec.step(runner.act(obs, epsilon=0.5))
-            runner.after_step(obs, rewards, dones, infos)
+            _, experience = runner.after_step(obs, rewards, dones, infos)
+            team.store(experience)
             heard.append(service.observed_options(vec.num_envs))
         # Latency 2: nothing heard after the first exchange, so the first
         # records are the keep-lane defaults, not the executing options.
         np.testing.assert_array_equal(heard[0], 0)
         history = team.agents[team.env.agents[0]].high_level.opponent_model.history
+        assert len(history) == 3 * vec.num_envs
         np.testing.assert_array_equal(history.options[: vec.num_envs], 0)
         np.testing.assert_array_equal(runner._observed_other, heard[-1])
         assert service.stats()["sent"] == 3 * vec.num_envs * 6
@@ -360,7 +397,7 @@ class TestBatchedRolloutWorker:
         vec, team, runner = make_setup()
         worker = BatchedRolloutWorker(vec, team, runner)
         worker.reset([1, 2, 3])
-        stats = worker.collect(lambda episode: 0.5)
+        stats, _ = worker.collect(lambda episode: 0.5)
         assert stats
         indices = [stat["episode_index"] for stat in stats]
         assert all(0 <= i < vec.num_envs for i in indices)
@@ -371,7 +408,7 @@ class TestBatchedRolloutWorker:
         vec, team, runner = make_setup()
         worker = BatchedRolloutWorker(vec, team, runner)
         worker.reset([1, 2, 3])
-        stats = worker.collect(lambda episode: 0.1 * (episode + 1))
+        stats, _ = worker.collect(lambda episode: 0.1 * (episode + 1))
         for stat in stats:
             assert stat["epsilon"] == pytest.approx(
                 0.1 * (stat["episode_index"] + 1)

@@ -42,7 +42,8 @@ def run_episode(vec, runner, epsilon=0.5, reset_seed=0):
     runner.start_all()
     while True:
         obs, rewards, dones, infos = vec.step(runner.act(obs, epsilon=epsilon))
-        runner.after_step(obs, rewards, dones, infos)
+        _, experience = runner.after_step(obs, rewards, dones, infos)
+        runner.team.store(experience)
         if dones[0]:
             return
 
@@ -73,7 +74,7 @@ class TestHeroTeam:
     def test_opponent_history_recorded(self):
         vec, team, runner = one_env()
         obs, rewards, dones, infos = vec.step(runner.act(vec.reset(0)))
-        runner.after_step(obs, rewards, dones, infos)
+        team.store(runner.after_step(obs, rewards, dones, infos)[1])
         for agent in team.agents.values():
             assert len(agent.high_level.opponent_model.history) == 1
 
@@ -201,7 +202,7 @@ class TestDistributedHero:
         np.testing.assert_array_equal(service.observed_options(1)[0, 0], [0, 0])
         obs, rewards, dones, infos = vec.step(runner.act(vec.reset(0)))
         executed = runner._option[0].copy()
-        runner.after_step(obs, rewards, dones, infos)
+        team.store(runner.after_step(obs, rewards, dones, infos)[1])
         np.testing.assert_array_equal(service.observed_options(1)[0, 0], executed[1:])
         history = team.agents[env.agents[0]].high_level.opponent_model.history
         np.testing.assert_array_equal(history.options[0], executed[1:])
