@@ -13,6 +13,12 @@ windows (``bench_update_phase._time_rounds_paired``) and asserts on the
 median paired ratio; the ``benchmark``-fixture test records the per-cycle
 cost of one greedy batched act/step cycle that feeds the CI perf gate
 (``benchmarks/check_regression.py``).
+
+``test_recorded_eval_scoring_speedup`` guards the training loops' side:
+a run's interleaved evaluations, recorded at their cadence and scored
+after training in one wide rollout (``score_hero_records``), against
+the same evaluations run one by one on a reused small batch, the way
+the loops ran them before.  It is not gated.
 """
 
 from __future__ import annotations
@@ -24,12 +30,24 @@ from bench_update_phase import _time_rounds_paired
 
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import BatchedHeroRunner, HeroTeam, train_hero
-from repro.core.trainer import evaluate_hero, evaluate_hero_vectorized
-from repro.envs import CooperativeLaneChangeEnv, VectorEnv
+from repro.core.trainer import (
+    evaluate_hero,
+    evaluate_hero_vectorized,
+    score_hero_records,
+)
+from repro.core.update_engine import gather_family
+from repro.envs import CooperativeLaneChangeEnv, EnvReplicaFactory, VectorEnv
+from repro.experiments.common import bench_scenario
+from repro.utils.evaluation import EvalRecord, is_eval_point
 
 N_ENVS = 8
 TARGET_SPEEDUP = 3.0
 EVAL_EPISODES = int(os.environ.get("REPRO_BENCH_EVAL_EPISODES", "24"))
+# The perfbench `team` shape: 112 HERO episodes (scale 0.008) with the
+# default cadence, eval_every = 112 // 40 = 2, records 57 evaluations of
+# 3 episodes each.
+TEAM_EPISODES = 112
+SCORING_TARGET = 2.5
 
 
 def _make_team(scenario: ScenarioConfig) -> tuple[CooperativeLaneChangeEnv, HeroTeam]:
@@ -88,6 +106,53 @@ def test_eval_rollout_speedup():
         f"vectorized greedy eval only {speedup:.2f}x over scalar "
         f"(need >= {TARGET_SPEEDUP}x): {vector_s / vector_rounds:.3f}s vs "
         f"{scalar_s:.3f}s for {EVAL_EPISODES} episodes"
+    )
+
+
+def test_recorded_eval_scoring_speedup():
+    """Scoring a `team`-shape run's 57 records in one batch: >= 2.5x over
+    57 evaluations on a reused 3-env batch.
+
+    Both sides score the same episodes with the same seeds; the
+    per-evaluation side is what the training loops ran at each cadence
+    point before they recorded instead.  Paired windows as in
+    :func:`test_eval_rollout_speedup`; report-only under ``CI``.
+    """
+    scenario = bench_scenario()
+    env, team = _make_team(scenario)
+    factory = EnvReplicaFactory.from_env(env)
+    every = TEAM_EPISODES // 40
+    steps = [e for e in range(TEAM_EPISODES) if is_eval_point(e, every, TEAM_EPISODES)]
+    observed = [a.high_level._last_observed_options for a in team.agents.values()]
+    vectors = {name: gather_family(m) for name, m in team.acting_families().items()}
+    records = [EvalRecord(step, 500 + step, vectors, observed) for step in steps]
+    vec_env = VectorEnv(3, env_fns=[factory] * 3)
+    runner = BatchedHeroRunner(team, vec_env)
+
+    def per_evaluation():
+        for record in records:
+            evaluate_hero_vectorized(vec_env, team, 3, record.seed, runner=runner)
+
+    def one_batch():
+        score_hero_records(factory, team, records, 3)
+
+    speedup, per_eval_s, batch_s = _time_rounds_paired(
+        per_evaluation, one_batch, 1, rounds_b=2
+    )
+    print(
+        f"\n{len(records)} evaluations: one by one {per_eval_s:.3f}s | one batch "
+        f"{batch_s / 2:.3f}s | {speedup:.2f}x (median paired ratio)"
+    )
+    if os.environ.get("CI"):
+        if speedup < SCORING_TARGET:
+            print(
+                f"WARNING: {speedup:.2f}x below the {SCORING_TARGET}x target "
+                "(report-only on shared CI runners)"
+            )
+        return
+    assert speedup >= SCORING_TARGET, (
+        f"scoring {len(records)} records in one batch only {speedup:.2f}x over "
+        f"one evaluation at a time (need >= {SCORING_TARGET}x)"
     )
 
 

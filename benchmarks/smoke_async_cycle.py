@@ -14,9 +14,9 @@ contract:
   run's logs can agree while the experience it stored differs;
 * staleness mode (``--max-staleness > 0``): the run must complete the
   full episode budget and log a ``snapshot_staleness`` series bounded by
-  the budget; HERO's evaluator process must have logged every
-  interleaved evaluation of the cadence (``0, eval_every, ...,
-  episodes - 1``);
+  the budget, and every interleaved evaluation of the cadence
+  (``0, eval_every, ..., episodes - 1``) must be logged at its step,
+  recorded by the learner and scored after training (HERO and IDQN);
 * every run, synchronous or async, leaves no child process behind.
 
 Usage::
@@ -203,13 +203,12 @@ def check_staleness(
             f"{name}: snapshot staleness {staleness} escaped the "
             f"budget [0, {budget}]"
         )
-    if name == "hero":
-        cadence = sorted(set(range(0, episodes, EVAL_EVERY)) | {episodes - 1})
-        evals = {m: logger.steps(m).tolist() for m in logger.names() if "/eval_" in m}
-        if not evals or any(steps != cadence for steps in evals.values()):
-            raise SystemExit(
-                f"{name}: eval series logged at steps {evals}, expected {cadence}"
-            )
+    cadence = sorted(set(range(0, episodes, EVAL_EVERY)) | {episodes - 1})
+    evals = {m: logger.steps(m).tolist() for m in logger.names() if "/eval_" in m}
+    if not evals or any(steps != cadence for steps in evals.values()):
+        raise SystemExit(
+            f"{name}: eval series logged at steps {evals}, expected {cadence}"
+        )
     print(
         f"{name}: staleness budget {budget}: {episodes} episodes, observed "
         f"staleness mean {staleness.mean():.2f} / max {staleness.max():.0f}"

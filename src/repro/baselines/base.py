@@ -10,8 +10,10 @@ that flat space.
 
 Training has one loop, :func:`train_marl_vectorized`, built from a
 :class:`BaselineRolloutWorker` (collection rounds) and a
-:class:`BaselineConsumer` (observe, update, log, evaluate); the async
-IDQN learner reuses both across processes.
+:class:`BaselineConsumer` (observe, update, log, record evaluations); the
+async IDQN learner reuses both across processes.  The recorded
+interleaved evaluations are scored after training by
+:func:`score_marl_records` (:mod:`repro.utils.evaluation`).
 """
 
 from __future__ import annotations
@@ -22,11 +24,18 @@ from typing import Callable
 
 import numpy as np
 
-from ..envs.wrappers import VectorBaselineEnv
+from ..core.update_engine import gather_family, scatter_family
+from ..utils.evaluation import (
+    EvalRecord,
+    is_eval_point,
+    log_scored_records,
+    scored_reset_seeds,
+    step_scored_episodes,
+    summarise_records,
+)
 from ..utils.logging_utils import (
     MetricLogger,
     episode_series,
-    eval_series,
     summarise_eval_episodes,
 )
 from ..utils.schedule import LinearSchedule
@@ -39,11 +48,12 @@ class MARLAlgorithm:
     Acting and learning go through three methods: :meth:`act_batch` and
     :meth:`observe_batch` take stacked arrays from a
     :class:`~repro.envs.wrappers.VectorBaselineEnv`, one row per env, and
-    :meth:`update` runs one gradient step.  Training, the interleaved and
-    served evaluations, the async IDQN actors and the Table 2 testbed
-    (:func:`evaluate_marl`, one ``(1, num_agents, obs_dim)`` row per step)
-    all act through :meth:`act_batch`, which the in-tree baselines run on
-    the gradient-free ``Sequential.infer`` paths.
+    :meth:`update` runs one gradient step.  Training, the scoring of
+    recorded evaluations, served evaluations, the async IDQN actors and
+    the Table 2 testbed (:func:`evaluate_marl`, one
+    ``(1, num_agents, obs_dim)`` row per step) all act through
+    :meth:`act_batch`, which the in-tree baselines run on the
+    gradient-free ``Sequential.infer`` paths.
     """
 
     name: str = "base"
@@ -86,6 +96,13 @@ class MARLAlgorithm:
         raise NotImplementedError
 
     def update(self) -> dict[str, float] | None:
+        raise NotImplementedError
+
+    def acting_members(self) -> list:
+        """The networks a greedy :meth:`act_batch` reads, as one flat-vector
+        family (:func:`~repro.core.update_engine.gather_family`).  The
+        async IDQN actors' parameter-server slot and the recorded
+        interleaved evaluations copy them."""
         raise NotImplementedError
 
     # ------------------------------------------------------------------
@@ -290,15 +307,19 @@ class BaselineRolloutWorker:
 
 @dataclass
 class BaselineConsumer:
-    """Trains a baseline on collected rows: observe, update, log, evaluate.
+    """Trains a baseline on collected rows: observe, update, log, record.
 
     Takes each row through ``observe_batch``, then for each finished budget
-    episode runs the update budget, the episode metrics and (every
-    ``eval_every`` episodes, and at the last) a greedy evaluation on
-    ``eval_vec_env`` seeded ``seed + 500 + episode``, all under that
-    episode's index.  Metrics reach the logger strictly in
-    episode order, so a batch that finishes episodes out of order logs the
-    series one env would.  The synchronous loop and the async IDQN learner
+    episode runs the update budget and the episode metrics, and (every
+    ``eval_every`` episodes, and at the last) records a greedy evaluation
+    seeded ``seed + 500 + episode``: an
+    :class:`~repro.utils.evaluation.EvalRecord` of the algorithm's
+    :meth:`~MARLAlgorithm.acting_members` at that instant, all under that
+    episode's index.  Episode metrics reach the logger strictly in episode
+    order, so a batch that finishes episodes out of order logs the series
+    one env would.  :meth:`score` scores the records on batches from
+    ``build_batch`` (a :meth:`VectorBaselineEnv.replica_builder`) once
+    training is done.  The synchronous loop and the async IDQN learner
     both consume through it.
     """
 
@@ -311,7 +332,8 @@ class BaselineConsumer:
     prefix: str
     eval_every: int | None
     eval_episodes: int
-    eval_vec_env: VectorBaselineEnv | None
+    build_batch: Callable | None
+    records: list = field(default_factory=list, init=False)
     _pending: dict = field(default_factory=dict, init=False)
     _next_to_log: int = field(default=0, init=False)
 
@@ -337,20 +359,69 @@ class BaselineConsumer:
         series = episode_series(self.prefix, summary)
         for name, value in (losses or {}).items():
             series[f"{self.prefix}/{name}"] = value
-        if self.eval_every and (
-            episode % self.eval_every == 0 or episode == self.episodes - 1
-        ):
-            metrics = evaluate_marl_vectorized(
-                self.eval_vec_env,
-                self.algorithm,
-                episodes=self.eval_episodes,
-                seed=self.seed + 500 + episode,
+        if is_eval_point(episode, self.eval_every, self.episodes):
+            self.records.append(
+                EvalRecord(
+                    step=episode,
+                    seed=self.seed + 500 + episode,
+                    vectors=gather_family(self.algorithm.acting_members()),
+                )
             )
-            series.update(eval_series(self.prefix, metrics))
         self._pending[episode] = series
         while self._next_to_log in self._pending:
             self.logger.log_many(self._pending.pop(self._next_to_log), self._next_to_log)
             self._next_to_log += 1
+
+    def score(self) -> None:
+        """Score every record and log its ``{prefix}/eval_*`` series at its
+        step, in step order."""
+        log_scored_records(
+            self.records,
+            lambda batch: score_marl_records(
+                self.build_batch, self.algorithm, batch, self.eval_episodes
+            ),
+            self.logger,
+            self.prefix,
+        )
+        self.records.clear()
+
+
+def score_marl_records(
+    build_batch, algorithm: MARLAlgorithm, records: list[EvalRecord], episodes: int
+) -> list[dict[str, float]]:
+    """Greedy metrics of each record, from one rollout of all of them.
+
+    ``build_batch`` is a :meth:`VectorBaselineEnv.replica_builder` (the
+    caller's traffic, track and command grid); it builds one batch of
+    ``len(records) * episodes`` envs without auto-reset, where env
+    ``k * episodes + j`` runs episode ``j`` of ``records[k]`` once, from
+    that record's seeds (:func:`~repro.utils.evaluation.scored_reset_seeds`).
+    Each step, every record with an unfinished episode loads its vector
+    into the algorithm's acting members and calls ``act_batch(...,
+    explore=False)`` on its own ``episodes`` rows, the calls a stand-alone
+    :func:`evaluate_marl_vectorized` on ``episodes`` envs makes, so a
+    record's metrics do not depend on which records share the batch.  The
+    live parameters are restored exactly, also when acting raises.
+    """
+    vec_env = build_batch(len(records) * episodes, auto_reset=False)
+    obs = vec_env.reset(scored_reset_seeds(records, episodes))
+    members = algorithm.acting_members()
+    live = gather_family(members)
+    actions = np.zeros((vec_env.num_envs, algorithm.num_agents), dtype=np.int64)
+
+    def act(obs, finished):
+        for k, record in enumerate(records):
+            rows = slice(k * episodes, (k + 1) * episodes)
+            if not finished[rows].all():
+                scatter_family(members, record.vectors)
+                actions[rows] = algorithm.act_batch(obs[rows], explore=False)
+        return actions
+
+    try:
+        summaries = step_scored_episodes(vec_env, obs, act)
+    finally:
+        scatter_family(members, live)
+    return summarise_records(summaries, episodes)
 
 
 def train_marl_vectorized(
@@ -366,7 +437,6 @@ def train_marl_vectorized(
     metric_prefix: str | None = None,
     eval_every: int | None = None,
     eval_episodes: int = 3,
-    eval_num_envs: int | None = None,
     fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
@@ -390,14 +460,15 @@ def train_marl_vectorized(
     until their last counted episode finishes.
 
     ``eval_every`` (default: episodes // 40) interleaves short greedy
-    evaluations, logged under ``{prefix}/eval_*``: the exploration-free
-    curves Fig. 7 plots.  They run through :func:`evaluate_marl_vectorized`
-    on a dedicated ``VectorBaselineEnv`` (the training one holds live
-    mid-episode state) of ``eval_num_envs`` replicas of the training
-    batch's env (default: the training batch size capped at
-    ``eval_episodes``; extra envs would roll out episodes that are never
-    scored), built by :meth:`VectorBaselineEnv.replica_builder`, so
-    evaluation sees the caller's traffic, track and command grid.
+    evaluations of ``eval_episodes`` episodes, logged under
+    ``{prefix}/eval_*``: the exploration-free curves Fig. 7 plots.
+    Training does not stop for them: each cadence point records its
+    episode, seed and acting parameters, and after the last episode
+    :func:`score_marl_records` scores every record in one wide greedy
+    rollout on batches built by :meth:`VectorBaselineEnv.replica_builder`,
+    so scoring sees the caller's traffic, track and command grid.  The
+    builder is made up front, so an env subclass raises ``ValueError``
+    before the first episode.
 
     ``fused_updates`` routes gradient steps through
     :class:`repro.core.update_engine.UpdateEngine`: IDQN's per-agent DQNs
@@ -442,11 +513,7 @@ def train_marl_vectorized(
     )
     if eval_every is None:
         eval_every = max(episodes // 40, 1)
-    eval_vec_env = None
-    if eval_every:
-        if eval_num_envs is None:
-            eval_num_envs = max(min(vec_env.num_envs, eval_episodes), 1)
-        eval_vec_env = vec_env.replica_builder()(eval_num_envs)
+    build_batch = vec_env.replica_builder() if eval_every else None
     if not vec_env.fast_path:
         warnings.warn(
             "VectorBaselineEnv is stepping on the scalar fallback "
@@ -466,7 +533,7 @@ def train_marl_vectorized(
         prefix,
         eval_every,
         eval_episodes,
-        eval_vec_env,
+        build_batch,
     )
     if async_actors:
         from ..distributed.actor_learner import train_marl_async
@@ -488,6 +555,7 @@ def train_marl_vectorized(
         )
         while not consumer.done:
             consumer.consume(worker.collect())
+    consumer.score()
     if hasattr(algorithm, "epsilon"):
         algorithm.epsilon = float(epsilon_schedule(episodes - 1))
     return logger

@@ -94,6 +94,10 @@ class COMA(MARLAlgorithm):
                 actions[:, i] = np.argmax(logits, axis=-1)
         return actions
 
+    def acting_members(self) -> list:
+        """Every agent's actor trunk (the critic only trains)."""
+        return [actor.trunk for actor in self.actors]
+
     def observe_batch(self, observations, actions, rewards, next_observations, dones):
         """Accumulate each env's episode separately.
 

@@ -98,6 +98,10 @@ class IndependentDQN(MARLAlgorithm):
                 actions[greedy_rows, k] = np.argmax(q_rows, axis=-1)
         return actions
 
+    def acting_members(self) -> list:
+        """Every agent's Q trunk: greedy acting is its argmax."""
+        return [self.q_networks[agent].trunk for agent in self.agent_ids]
+
     def observe_batch(self, observations, actions, rewards, next_observations, dones):
         for k, agent in enumerate(self.agent_ids):
             self.buffers[agent].push_batch(

@@ -224,6 +224,10 @@ class MAAC(MARLAlgorithm):
                 actions[:, i] = np.argmax(logits, axis=-1)
         return actions
 
+    def acting_members(self) -> list:
+        """The shared actor's trunk (the attention critics only train)."""
+        return [self.actor.trunk]
+
     def observe_batch(self, observations, actions, rewards, next_observations, dones):
         rewards_joint = np.broadcast_to(
             np.asarray(rewards, dtype=self.buffer.rewards.dtype)[:, None],

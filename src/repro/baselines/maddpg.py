@@ -98,6 +98,10 @@ class MADDPG(MARLAlgorithm):
                 actions[:, i] = np.argmax(logits, axis=-1)
         return actions
 
+    def acting_members(self) -> list:
+        """Every agent's actor trunk (critics and targets only train)."""
+        return [actor.trunk for actor in self.actors]
+
     def observe_batch(self, observations, actions, rewards, next_observations, dones):
         rewards_joint = np.broadcast_to(
             np.asarray(rewards, dtype=self.buffer.rewards.dtype)[:, None],

@@ -230,9 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help=(
-            "vectorized env copies for training AND the interleaved greedy "
-            "evaluations, for HERO and all four baselines (1 = a one-env "
-            "batch)"
+            "vectorized env copies for training, for HERO and all four "
+            "baselines (1 = a one-env batch); the interleaved greedy "
+            "evaluations score in one wide batch after training"
         ),
     )
     run.add_argument(
@@ -307,9 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help=(
-            "vectorized env copies for training AND the interleaved greedy "
-            "evaluations, for HERO and all four baselines (1 = a one-env "
-            "batch)"
+            "vectorized env copies for training, for HERO and all four "
+            "baselines (1 = a one-env batch); the interleaved greedy "
+            "evaluations score in one wide batch after training"
         ),
     )
     run_all.add_argument(

@@ -3,8 +3,8 @@
 :class:`BatchedHeroRunner` drives one :class:`~repro.core.hero.HeroTeam`
 across the ``N`` environments of a
 :class:`~repro.envs.stepping.VectorStepper` — the
-:class:`~repro.envs.vector_env.VectorEnv` in training and interleaved
-evaluation (``N == 1`` included), and the pose-only
+:class:`~repro.envs.vector_env.VectorEnv` in training and in scoring a
+run's recorded evaluations (``N == 1`` included), and the pose-only
 :class:`~repro.envs.stepping.PoseStepper` where the envs are somewhere
 else: the serving stack's client slots and the scalar env (or Table 2
 testbed) :func:`~repro.core.trainer.evaluate_hero` steps.  The runner
@@ -47,11 +47,14 @@ env's executing options before recording.  Only a runner that calls
 ``after_step`` advances the bus.
 
 Greedy evaluation (:func:`repro.core.trainer.evaluate_hero_vectorized`,
-:func:`repro.core.trainer.evaluate_hero`) drives
-:meth:`BatchedHeroRunner.act` with ``explore=False`` and **never calls**
-:meth:`BatchedHeroRunner.after_step`: each agent selects one option at
-episode start and runs its skill to the end of the episode, without
-completing transitions, recording opponents or exchanging.
+:func:`repro.core.trainer.evaluate_hero` and the scoring of a training
+run's recorded evaluations) drives :meth:`BatchedHeroRunner.act` with
+``explore=False`` and **never calls** :meth:`BatchedHeroRunner.after_step`:
+each agent selects one option at episode start and runs its skill to the
+end of the episode, without completing transitions, recording opponents
+or exchanging.  Scoring selects each record's rows on their own
+(:meth:`BatchedHeroRunner.select_options`), with that record's snapshot
+loaded into the team.
 """
 
 from __future__ import annotations
@@ -142,23 +145,23 @@ class BatchedHeroRunner:
         for i in range(self.num_envs):
             self.start_episode(i)
 
-    def sync_observed_options(self) -> None:
+    def sync_observed_options(self, rows=slice(None)) -> None:
         """Pull each agent's last-observed opponent options from the team.
 
         ``opponent_mode='observed'`` actors condition on
         ``HighLevelAgent._last_observed_options``, which rollouts update as
         episodes run.  A runner built mid-training (e.g. a fresh evaluation
         runner) starts from zeroed state; broadcasting the team's current
-        values into every env row makes its first option selection see the
-        opponents the team last observed.  Called at construction and
-        by :func:`repro.core.trainer.evaluate_hero_vectorized` before each
-        evaluation sweep.
+        values into the env ``rows`` (default: all) makes their next option
+        selection see the opponents the team last observed.  Called at
+        construction, by :func:`repro.core.trainer.evaluate_hero_vectorized`
+        before each evaluation sweep and by :meth:`select_options`.
         """
         if not self.num_opponents:
             return
         for k, agent_id in enumerate(self.agents):
             hl = self.team.agents[agent_id].high_level
-            self._observed_other[:, k] = hl._last_observed_options
+            self._observed_other[rows, k] = hl._last_observed_options
 
     def start_episode(self, i: int | np.ndarray) -> None:
         """Reset per-env execution state of env(s) ``i``."""
@@ -194,14 +197,39 @@ class BatchedHeroRunner:
             self._choose_options(high, lane, epsilon, explore)
         return self._low_level_actions(obs, lane, explore)
 
+    def select_options(self, obs: dict[str, np.ndarray], rows) -> None:
+        """Greedy option selection for the env ``rows`` only.
+
+        Every agent of those rows that awaits an option picks it as
+        :meth:`act` would with ``explore=False``, from the team's acting
+        parameters and last-observed opponent options as they are now;
+        the other rows keep waiting.  Scoring recorded evaluations loads
+        one record's snapshot into the team, selects that record's rows
+        and moves on to the next record, so every row starts its episode
+        with its own record's options.
+        """
+        self.sync_observed_options(rows)
+        only = np.zeros(self.num_envs, dtype=bool)
+        only[rows] = True
+        self._choose_options(
+            VectorStepper.flatten_high(obs),
+            obs["lane_onehot"].argmax(axis=-1),
+            np.zeros(self.num_envs),
+            explore=False,
+            only=only,
+        )
+
     def _choose_options(
         self,
         high: np.ndarray,
         lane: np.ndarray,
         epsilon: np.ndarray,
         explore: bool,
+        only: np.ndarray | None = None,
     ) -> None:
         needs = self._needs_new.copy()
+        if only is not None:
+            needs &= only[:, None]
         chosen = self._option.copy()
         for k, agent_id in enumerate(self.agents):
             rows = np.flatnonzero(needs[:, k])

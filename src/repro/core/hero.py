@@ -99,6 +99,23 @@ class HeroTeam:
             if observed is not None:
                 high._last_observed_options = observed[k].copy()
 
+    def acting_families(self) -> dict[str, list]:
+        """The networks greedy acting reads, as flat-vector families:
+        every agent's actor trunk (``"actor"``) and, when agents model
+        their opponents, every opponent predictor's trunk
+        (``"opponent"``).  The skills are frozen during high-level
+        training and belong to neither.  The async actors' parameter
+        server slots and the recorded interleaved evaluations copy these."""
+        highs = [agent.high_level for agent in self.agents.values()]
+        families = {"actor": [high.actor.trunk for high in highs]}
+        if highs[0].num_opponents and highs[0].opponent_mode == "model":
+            families["opponent"] = [
+                predictor.trunk
+                for high in highs
+                for predictor in high.opponent_model.predictors
+            ]
+        return families
+
     def update(self) -> dict[str, float]:
         merged: dict[str, float] = {}
         for agent_id, agent in self.agents.items():

@@ -7,8 +7,9 @@ recording the paper's four evaluation metrics per episode.  At every
 :class:`~repro.envs.vector_env.VectorEnv` through
 :class:`BatchedRolloutWorker`, which collects rounds of experience with
 batched policy inference for a per-episode consumer to store and train
-on, and the interleaved greedy evaluations run on their own ``VectorEnv``
-through :func:`evaluate_hero_vectorized`.
+on.  The consumer records each interleaved greedy evaluation at its
+cadence point, and :func:`score_hero_records` scores the records after
+training in one wide greedy rollout (:mod:`repro.utils.evaluation`).
 
 Evaluation seeding: both evaluators derive episode reset seeds from one
 ``SeedSequence`` spawn (:func:`repro.utils.seeding.episode_reset_seeds`),
@@ -33,11 +34,18 @@ from ..envs.skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
 from ..envs.stepping import PoseStepper
 from ..envs.vector_env import EnvReplicaFactory, VectorEnv
 from ..nn import get_default_dtype
+from ..utils.evaluation import (
+    EvalRecord,
+    is_eval_point,
+    log_scored_records,
+    scored_reset_seeds,
+    step_scored_episodes,
+    summarise_records,
+)
 from ..utils.jobs import Job, run_jobs
 from ..utils.logging_utils import (
     MetricLogger,
     episode_series,
-    eval_series,
     summarise_eval_episodes,
 )
 from ..utils.schedule import LinearSchedule
@@ -45,7 +53,7 @@ from ..utils.seeding import episode_reset_seeds
 from .batched import BatchedHeroRunner
 from .hero import HeroTeam
 from .low_level import SkillLibrary, train_skill
-from .update_engine import UpdateEngine
+from .update_engine import UpdateEngine, gather_family, scatter_family
 
 
 def train_low_level_skills(
@@ -207,8 +215,16 @@ def train_hero(
     soft-update inside each agent update).
 
     ``eval_every`` (default: episodes // 40) interleaves short greedy
-    evaluations and logs them as ``{prefix}/eval_*`` — these are the
-    exploration-free learning curves Fig. 7 plots.
+    evaluations of ``eval_episodes`` episodes and logs them as
+    ``{prefix}/eval_*`` — these are the exploration-free learning curves
+    Fig. 7 plots.  Training does not stop for them: each cadence point
+    records its step, seed and acting parameters, and after the last
+    episode :func:`score_hero_records` scores every record in one wide
+    greedy rollout on replicas of ``env``, before this function returns
+    and before ``checkpoint_path`` is written.  The values are those of
+    evaluating at the cadence point; at ``num_envs=1`` they may differ
+    from a one-env evaluation in the last ulp (the skill forwards run on
+    the wide batch, and BLAS is not row-stable across batch sizes).
 
     Rollouts come from ``num_envs`` vectorized copies of ``env`` (default
     ``config.num_envs``; one copy is a one-env batch) with batched policy
@@ -231,9 +247,9 @@ def train_hero(
     (:func:`~repro.distributed.actor_learner.train_hero_async`): the
     actor acts on versioned policy snapshots from a shared-memory
     parameter server and ships experience back through a transition
-    queue, and the interleaved evaluations run in an evaluator process
-    beside it (the same evaluations, logged at the same steps before this
-    function returns).  ``max_staleness`` (default
+    queue; the learner records the interleaved evaluations as the
+    synchronous loop does, and they are scored once it returns.
+    ``max_staleness`` (default
     ``config.max_staleness``) bounds how many collection rounds the actor
     may run ahead of the newest snapshot — 0 is a lockstep barrier,
     bitwise identical to the synchronous path; larger values overlap
@@ -277,6 +293,10 @@ def train_hero(
     )
     if eval_every is None:
         eval_every = max(episodes // 40, 1)
+    # Replicas share the caller's track and traffic, so custom traffic
+    # falls through to VectorEnv's scalar fallback instead of being
+    # swapped for the defaults; env subclasses are rejected.
+    factory = EnvReplicaFactory.from_env(env)
     consumer = _HeroEpisodeConsumer(
         env, team, episodes, n_updates, update_fn, logger, metric_prefix,
         eval_every, eval_episodes, config,
@@ -284,7 +304,6 @@ def train_hero(
     if async_actors:
         from ..distributed.actor_learner import train_hero_async
 
-        # Its evaluator process runs the interleaved evaluations.
         train_hero_async(
             env,
             team,
@@ -298,18 +317,11 @@ def train_hero(
             num_actors=num_actors,
         )
     else:
-        # Replicas share the caller's track and traffic, so custom traffic
-        # falls through to VectorEnv's scalar fallback instead of being
-        # swapped for the defaults; env subclasses are rejected.
-        factory = EnvReplicaFactory.from_env(env)
-        if eval_every:
-            consumer.evaluator = _interleaved_evaluator(
-                team, factory, num_envs, eval_episodes
-            )
         worker = BatchedRolloutWorker(_hero_vector_env(factory, num_envs), team)
         worker.reset([int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)])
         while not consumer.done:
             consumer.consume(worker.collect(epsilon_schedule))
+    consumer.score(factory)
     if checkpoint_path is not None:
         from ..serving.checkpoint import save_checkpoint
 
@@ -333,16 +345,14 @@ class _HeroEpisodeConsumer:
     into the team (:meth:`~repro.core.hero.HeroTeam.store`, one step at a
     time) and then, for each finished episode's stats (``episode``
     summary, ``epsilon``, ``lane_change_attempts``), runs the update
-    budget, logs the episode's metrics and, every
-    ``eval_every`` episodes and at the last, a greedy evaluation seeded
-    ``config.seed + 500 + episode``, all under a running
-    completed-episode counter.  ``evaluator`` is set whenever
-    ``eval_every`` is non-zero and maps ``(episodes, seed)`` to the
-    metrics dict (the synchronous loop's :func:`_interleaved_evaluator`),
-    or to ``None`` when the evaluation runs in another process, which
-    hands the metrics to :meth:`log_eval` when they arrive (the async
-    learner's evaluator process).  The synchronous loop and the async
-    learner both consume through it.
+    budget and logs the episode's metrics, all under a running
+    completed-episode counter.  Every ``eval_every`` episodes and at the
+    last it records a greedy evaluation seeded
+    ``config.seed + 500 + episode``: an
+    :class:`~repro.utils.evaluation.EvalRecord` of the team's acting
+    families and last-observed options at that instant.  :meth:`score`
+    scores the records once training is done.  The synchronous loop and
+    the async learner both consume through it.
     """
 
     env: CooperativeLaneChangeEnv
@@ -355,8 +365,8 @@ class _HeroEpisodeConsumer:
     eval_every: int | None
     eval_episodes: int
     config: TrainingConfig
-    evaluator: Callable | None = None
     completed: int = field(default=0, init=False)
+    records: list = field(default_factory=list, init=False)
     _losses: dict = field(default_factory=dict, init=False)
 
     @property
@@ -373,11 +383,8 @@ class _HeroEpisodeConsumer:
             for _ in range(self.n_updates):
                 self._losses = self.update_fn()
             self._log_episode(stat)
-            if self.eval_every and (
-                self.completed % self.eval_every == 0
-                or self.completed == self.episodes - 1
-            ):
-                self._log_eval()
+            if is_eval_point(self.completed, self.eval_every, self.episodes):
+                self.records.append(self._record())
             self.completed += 1
 
     def _log_episode(self, stat: dict) -> None:
@@ -397,21 +404,40 @@ class _HeroEpisodeConsumer:
                 if "_nll" in key:
                     self.logger.log(f"{prefix}/{key}", value, episode)
 
-    def _log_eval(self) -> None:
-        seed = self.config.seed + 500 + self.completed
-        metrics = self.evaluator(self.eval_episodes, seed)
-        if metrics is not None:
-            self.log_eval(self.completed, metrics)
+    def _record(self) -> EvalRecord:
+        return EvalRecord(
+            step=self.completed,
+            seed=self.config.seed + 500 + self.completed,
+            vectors={
+                name: gather_family(members)
+                for name, members in self.team.acting_families().items()
+            },
+            last_observed=[
+                agent.high_level._last_observed_options.copy()
+                for agent in self.team.agents.values()
+            ],
+        )
 
-    def log_eval(self, episode: int, metrics: dict[str, float]) -> None:
-        """Log one evaluation's metrics at completed-episode ``episode``."""
-        self.logger.log_many(eval_series(self.prefix, metrics), episode)
+    def score(self, factory: EnvReplicaFactory) -> None:
+        """Score every record on replicas from ``factory`` and log its
+        ``{prefix}/eval_*`` series at its step."""
+        log_scored_records(
+            self.records,
+            lambda batch: score_hero_records(
+                factory, self.team, batch, self.eval_episodes
+            ),
+            self.logger,
+            self.prefix,
+        )
+        self.records.clear()
 
 
-def _hero_vector_env(factory: EnvReplicaFactory, num_envs: int) -> VectorEnv:
+def _hero_vector_env(
+    factory: EnvReplicaFactory, num_envs: int, auto_reset: bool = True
+) -> VectorEnv:
     """``num_envs`` replicas of one env, warning when they step on the
     scalar fallback (the warning shows once per fallback reason)."""
-    vec_env = VectorEnv(num_envs, env_fns=[factory] * num_envs)
+    vec_env = VectorEnv(num_envs, env_fns=[factory] * num_envs, auto_reset=auto_reset)
     if not vec_env.fast_path:
         warnings.warn(
             "vectorized HERO rollouts are stepping on the scalar fallback "
@@ -422,25 +448,55 @@ def _hero_vector_env(factory: EnvReplicaFactory, num_envs: int) -> VectorEnv:
     return vec_env
 
 
-def _interleaved_evaluator(
-    team: HeroTeam, factory: EnvReplicaFactory, num_envs: int, eval_episodes: int
-):
-    """The training loops' interleaved greedy evaluator.
+def score_hero_records(
+    factory: EnvReplicaFactory,
+    team: HeroTeam,
+    records: list[EvalRecord],
+    episodes: int,
+) -> list[dict[str, float]]:
+    """Greedy metrics of each record, from one rollout of all of them.
 
-    Runs :func:`evaluate_hero_vectorized` on a dedicated ``VectorEnv`` of
-    replicas (the training batch holds live mid-episode state) with one
-    reused runner.  The batch is capped at ``eval_episodes``: more envs
-    would only burn steps on rollouts that are never scored.
+    Builds one :class:`VectorEnv` of ``len(records) * episodes`` replicas
+    from ``factory`` (the caller's traffic, track and scenario) without
+    auto-reset: env ``k * episodes + j`` runs episode ``j`` of
+    ``records[k]`` once, from that record's seeds
+    (:func:`~repro.utils.evaluation.scored_reset_seeds`).  Each record's
+    rows choose their options at episode start with the record's acting
+    families and last-observed options loaded into ``team``
+    (:meth:`BatchedHeroRunner.select_options`); then every row runs its
+    skill to the end of its episode through the runner's usual batched
+    forwards, as :func:`evaluate_hero_vectorized` does.  The team's live
+    acting parameters and last-observed options are restored exactly,
+    also when a selection raises.  Nothing is stored and the team's bus
+    is neither exchanged over nor reset.  One record of one episode is
+    bitwise :func:`evaluate_hero` on a scalar env of the scenario.
     """
-    eval_vec = _hero_vector_env(factory, max(min(num_envs, eval_episodes), 1))
-    runner = BatchedHeroRunner(team, eval_vec)
-
-    def evaluator(episodes, seed):
-        return evaluate_hero_vectorized(
-            eval_vec, team, episodes=episodes, seed=seed, runner=runner
-        )
-
-    return evaluator
+    vec_env = _hero_vector_env(factory, len(records) * episodes, auto_reset=False)
+    runner = BatchedHeroRunner(team, vec_env)
+    obs = vec_env.reset(scored_reset_seeds(records, episodes))
+    families = team.acting_families()
+    highs = [agent.high_level for agent in team.agents.values()]
+    live = {name: gather_family(members) for name, members in families.items()}
+    live_observed = [high._last_observed_options for high in highs]
+    try:
+        for k, record in enumerate(records):
+            for name, members in families.items():
+                scatter_family(members, record.vectors[name])
+            for high, observed in zip(highs, record.last_observed):
+                high._last_observed_options = observed
+            runner.select_options(obs, slice(k * episodes, (k + 1) * episodes))
+    finally:
+        for name, members in families.items():
+            scatter_family(members, live[name])
+        for high, observed in zip(highs, live_observed):
+            high._last_observed_options = observed
+    # Every row holds its record's options now.  The skills are not among
+    # the recorded families, so the rest of the rollout acts on the live
+    # team.
+    summaries = step_scored_episodes(
+        vec_env, obs, lambda obs, _: runner.act(obs, epsilon=0.0, explore=False)
+    )
+    return summarise_records(summaries, episodes)
 
 
 def evaluate_hero(
@@ -521,10 +577,11 @@ def evaluate_hero_vectorized(
     identical.
 
     ``runner`` may be a pre-built :class:`BatchedHeroRunner` over
-    ``vec_env`` (the interleaved-evaluation path reuses one across calls);
-    it must not be the training runner — evaluation clobbers its per-env
-    option state.  An evaluation runner never exchanges over the team's
-    bus, so the training runner's bus state survives it.
+    ``vec_env``, reused across calls (as a benchmark timing repeated
+    evaluations does); it must not be the training runner — evaluation
+    clobbers its per-env option state.  An evaluation runner never
+    exchanges over the team's bus, so the training runner's bus state
+    survives it.
     """
     runner = runner or BatchedHeroRunner(team, vec_env)
     if runner.vec_env is not vec_env:

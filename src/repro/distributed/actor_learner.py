@@ -57,38 +57,32 @@ batch-shaped BLAS forwards would both change bits).  Two modes:
   ``{prefix}/snapshot_staleness/actor{k}`` (per actor, at that actor's
   round counter).
 
-The HERO learner only stores, updates and publishes: its interleaved
-greedy evaluations run in one **evaluator process** started beside the
-actors.  At each evaluation point the learner ships an
-:class:`~repro.distributed.protocol.EvalRequest` (the acting families it
-would publish at that instant and every agent's last-observed opponent
-options) on a request ring and keeps training; the evaluator replays the
-synchronous loop's evaluation on its own replica team and ships the
-metrics back on a result ring, and the learner logs each result under
-its episode index, in request order, all of them before it returns.  A
-greedy evaluation is a pure function of those inputs and its seed, so
-the logged values are the in-process ones bit for bit.
+The learners only store, update and publish.  Their consumers record
+each interleaved greedy evaluation at its cadence point (its step, seed
+and the acting parameters at that instant) exactly as the synchronous
+loop's do, and the caller (``train_hero`` or ``train_marl_vectorized``)
+scores the records after this stack has shut down
+(:mod:`repro.utils.evaluation`), so the logged values are the
+synchronous loop's bit for bit in lockstep.
 
-Processes: the actors and the evaluator start with the platform's
-default start method (fork on Linux), so a child inherits the imported
-package instead of re-importing it.  A forked child's copies of the
-learner's rings and server close their mappings only: the process that
-created a segment is the one that unlinks it.  The child still rebuilds
-its replica team from a picklable spec in the learner's compute dtype,
-so ``spawn`` and ``forkserver`` keep working.
+Processes: the actors start with the platform's default start method
+(fork on Linux), so a child inherits the imported package instead of
+re-importing it.  A forked child's copies of the learner's rings and
+server close their mappings only: the process that created a segment is
+the one that unlinks it.  The child still rebuilds its replica from a
+picklable spec in the learner's compute dtype, so ``spawn`` and
+``forkserver`` keep working.
 
 Shutdown: the learner sets the server's stop flag, closes every queue
-(waking actors blocked on backpressure and the evaluator waiting for a
-request), joins the actors and the evaluator and unlinks every
-shared-memory segment.  An actor-side failure (an exception anywhere in
-the actor, its env batch included) arrives as an
+(waking actors blocked on backpressure), joins the actors and unlinks
+every shared-memory segment.  An actor-side failure (an exception
+anywhere in the actor, its env batch included) arrives as an
 :class:`~repro.distributed.protocol.ActorError` frame carrying the actor
-id, and an evaluator failure as one on the result ring; a process that
-dies without reporting (SIGKILL, ``os._exit``) is caught by the
-learner's abort poll, which names the dead process even while other
-actors keep shipping.  Either way the learner re-raises a
-``RuntimeError`` naming the failing actor or the evaluator and tears the
-whole fleet down.
+id; an actor that dies without reporting (SIGKILL, ``os._exit``) is
+caught by the learner's abort poll, which names the dead process even
+while other actors keep shipping.  Either way the learner re-raises a
+``RuntimeError`` naming the failing actor and tears the whole fleet
+down.
 """
 
 from __future__ import annotations
@@ -104,11 +98,7 @@ from ..baselines.base import evaluate_marl_vectorized  # noqa: F401 (perfbench/t
 from ..baselines.idqn import IndependentDQN
 from ..core.hero import HeroTeam
 from ..core.options import OptionSet
-from ..core.trainer import (
-    BatchedRolloutWorker,
-    _HeroEpisodeConsumer,
-    _interleaved_evaluator,
-)
+from ..core.trainer import BatchedRolloutWorker, _HeroEpisodeConsumer
 from ..core.trainer import evaluate_hero_vectorized  # noqa: F401 (perfbench/tracing.py wraps it)
 from ..core.update_engine import (
     BoundFamilyVector,
@@ -125,13 +115,7 @@ from ..nn.tensor import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger
 from ..utils.seeding import spawn_rngs
 from .parameter_server import ParameterServer
-from .protocol import (
-    ActorError,
-    EvalRequest,
-    RolloutPayload,
-    encode_rng_state,
-    load_rng_state,
-)
+from .protocol import ActorError, RolloutPayload, encode_rng_state, load_rng_state
 from .queues import ActorFanIn, QueueClosed, ShmRingQueue
 
 __all__ = ["check_fanout", "train_hero_async", "train_marl_async"]
@@ -141,11 +125,6 @@ __all__ = ["check_fanout", "train_hero_async", "train_marl_async"]
 # last round; 64 MiB holds hundreds of rounds of headroom and bounds
 # learner lag.  Each actor gets its own ring (SPSC stays single-writer).
 _QUEUE_BYTES = 64 << 20
-
-# Evaluator request/result ring capacity.  A request carries one copy of
-# the acting families; when the evaluator falls this far behind, the
-# learner's next request blocks until it catches up.
-_EVAL_QUEUE_BYTES = 16 << 20
 
 _JOIN_TIMEOUT = 10.0
 
@@ -186,7 +165,7 @@ def _parent_abort() -> str | None:
 
 def _actor_abort(processes):
     """Abort callback for learner-side waits: names the first dead actor
-    or evaluator process."""
+    process."""
 
     def check() -> str | None:
         for process in processes:
@@ -216,10 +195,9 @@ def _shutdown(server, queues, processes) -> None:
     """Tear the stack down in signal order; never leaves an orphan or shm.
 
     Stop flag first (wakes actors polling the server), queue closes
-    second (wakes actors blocked on backpressure and the evaluator
-    waiting for a request), then join every process — with a terminate
-    fallback so a wedged one cannot hang the learner — and finally close
-    + unlink every shared-memory segment.
+    second (wakes actors blocked on backpressure), then join every
+    process — with a terminate fallback so a wedged one cannot hang the
+    learner — and finally close + unlink every shared-memory segment.
     """
     server.request_stop()
     for queue in queues:
@@ -330,14 +308,13 @@ def _publish(server, exporters, generators) -> None:
 
 
 def _learn(
-    consumer, queues, processes, server, exporters, generators, lockstep: bool,
-    after_round=None,
+    consumer, queues, processes, server, exporters, generators, lockstep: bool
 ) -> None:
     """The learner side of the round protocol, shared by both learners:
     until ``consumer`` is done, take the next round from the fan-in, adopt
     its post-round RNG states into ``generators`` (lockstep) or log its
-    snapshot staleness, consume it as the synchronous loop does, publish
-    the next snapshot unless training is done, and call ``after_round()``.
+    snapshot staleness, consume it as the synchronous loop does, and
+    publish the next snapshot unless training is done.
     """
     abort = _actor_abort(processes)
     fan_in = ActorFanIn(queues)
@@ -363,8 +340,6 @@ def _learn(
         consumer.consume(payload.data)
         if not consumer.done:
             _publish(server, exporters, generators)
-        if after_round is not None:
-            after_round()
 
 
 # ---------------------------------------------------------------------------
@@ -372,47 +347,13 @@ def _learn(
 # ---------------------------------------------------------------------------
 
 
-def _hero_replica(spec: dict):
-    """The replica team an actor or the evaluator acts with.
-
-    Rebuilds the learner's team from ``spec`` (its state and its skills'
-    RNG states) in the learner's compute dtype and binds its acting
-    families to flat import vectors.  Returns ``(team, highs, bound)``:
-    the agents' high-level learners in env order, and a
-    :class:`BoundFamilyVector` per parameter-server slot name.
-    """
-    # A spawned or forkserver child starts at the float64 default; adopt
-    # the learner's compute dtype before building any network or env.
-    set_default_dtype(spec["dtype"])
-    env = spec["factory"]()
-    team = HeroTeam(
-        env,
-        np.random.default_rng(0),
-        hyper=spec["hyper"],
-        option_set=OptionSet(*spec["option_set_args"]),
-        opponent_mode=spec["opponent_mode"],
-        batch_size=spec["batch_size"],
-    )
-    team.load_state_dict(spec["team_state"])
-    highs = [team.agents[a].high_level for a in env.agents]
-    # Skills are pre-trained and frozen during high-level training, but
-    # their exploration RNGs advanced during pre-training: adopt the
-    # exact states, shipped once at start.
-    load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
-    load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
-    bound = {"actor": BoundFamilyVector([h.actor.trunk for h in highs])}
-    if spec["has_opponent_slot"]:
-        bound["opponent"] = BoundFamilyVector(
-            [p.trunk for h in highs for p in h.opponent_model.predictors]
-        )
-    return team, highs, bound
-
-
 def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     """Rollout actor process: act on snapshots, ship each collected round.
 
-    Runs the synchronous loop's :class:`BatchedRolloutWorker` on a
-    replica team (:func:`_hero_replica`) and ships the rounds its
+    Rebuilds the learner's team from ``spec`` (its state and its skills'
+    RNG states) in the learner's compute dtype, binds its acting families
+    to flat import vectors, and runs the synchronous loop's
+    :class:`BatchedRolloutWorker` on it, shipping the rounds its
     ``collect`` returns; the learner's consumer writes their experience
     into the learner's team, as the synchronous loop writes its own.  In
     staleness fan-out this actor's batch is its own partition of the
@@ -420,7 +361,30 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     schedule's episode ``actor_id + num_actors * e``.
     """
     try:
-        team, highs, bound = _hero_replica(spec)
+        # A spawned or forkserver child starts at the float64 default;
+        # adopt the learner's compute dtype before building any network
+        # or env.
+        set_default_dtype(spec["dtype"])
+        env = spec["factory"]()
+        team = HeroTeam(
+            env,
+            np.random.default_rng(0),
+            hyper=spec["hyper"],
+            option_set=OptionSet(*spec["option_set_args"]),
+            opponent_mode=spec["opponent_mode"],
+            batch_size=spec["batch_size"],
+        )
+        team.load_state_dict(spec["team_state"])
+        highs = [team.agents[a].high_level for a in env.agents]
+        # Skills are pre-trained and frozen during high-level training,
+        # but their exploration RNGs advanced during pre-training: adopt
+        # the exact states, shipped once at start.
+        load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
+        load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
+        bound = {
+            name: BoundFamilyVector(members)
+            for name, members in team.acting_families().items()
+        }
         for high, words in zip(highs, spec["actor_rng"]):
             load_rng_state(high._rng, words)
         n = spec["num_envs"]
@@ -437,99 +401,6 @@ def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
     finally:
         queue.release()
         server.release()
-
-
-def _hero_evaluator_main(spec: dict, requests: ShmRingQueue, results: ShmRingQueue):
-    """Evaluator process: the HERO learner's interleaved greedy evaluations.
-
-    Builds the actors' replica team (:func:`_hero_replica`) and the
-    evaluation batch the synchronous loop builds
-    (:func:`~repro.core.trainer._interleaved_evaluator`), then serves
-    :class:`EvalRequest` frames in order until the learner closes the
-    request ring: load the request's acting families and last-observed
-    options, evaluate, ship ``(step, metrics)``.  A failure ships its
-    traceback as an ``ActorError`` and then waits for the close, so the
-    learner reads the report rather than a death notice.
-    """
-    try:
-        team, highs, bound = _hero_replica(spec)
-        evaluate = _interleaved_evaluator(
-            team, spec["factory"], spec["num_envs"], spec["eval_episodes"]
-        )
-        while True:
-            try:
-                request = requests.get(abort=_parent_abort)
-            except QueueClosed:
-                break
-            for name, view in bound.items():
-                view.load(request.vectors[name])
-            for high, observed in zip(highs, request.last_observed):
-                high._last_observed_options = observed
-            metrics = evaluate(request.episodes, request.seed)
-            results.put((request.step, metrics), abort=_parent_abort)
-    except Exception:
-        _report_actor_error(results, spec)
-        try:
-            while True:
-                requests.get(abort=_parent_abort)
-        except (QueueClosed, RuntimeError):
-            pass
-    finally:
-        requests.release()
-        results.release()
-
-
-class _RemoteEvaluator:
-    """The HERO learner's side of the evaluator process.
-
-    :meth:`request` is the consumer's ``evaluator``: it ships the
-    evaluation the synchronous loop would run at that instant and returns
-    ``None``, so the consumer logs nothing yet.  :meth:`deliver` logs the
-    results that arrived through the consumer's ``log_eval``, in request
-    order.
-    """
-
-    def __init__(self, consumer, highs, exporters, requests, results, abort):
-        self.consumer = consumer
-        self.highs = highs
-        self.exporters = exporters
-        self.requests = requests
-        self.results = results
-        self.abort = abort
-        self.pending = 0
-
-    def request(self, episodes: int, seed: int) -> None:
-        self.requests.put(
-            EvalRequest(
-                step=self.consumer.completed,
-                episodes=episodes,
-                seed=seed,
-                vectors={name: fn() for name, fn in self.exporters.items()},
-                last_observed=[h._last_observed_options for h in self.highs],
-            ),
-            abort=self.abort,
-        )
-        self.pending += 1
-
-    def deliver(self, wait: bool = False) -> None:
-        """Log every result that has arrived; with ``wait``, every pending
-        one.  Raises ``RuntimeError`` naming the evaluator on its error
-        report or its death (``abort`` polls the evaluator process only:
-        a dead actor's report reaches the fan-in first)."""
-        while self.pending:
-            if wait:
-                result = self.results.get(abort=self.abort)
-            else:
-                ok, result = self.results.poll()
-                if not ok:
-                    message = self.abort()
-                    if message:
-                        raise RuntimeError(message)
-                    return
-            if isinstance(result, ActorError):
-                raise RuntimeError(f"async evaluator failed:\n{result.message}")
-            self.pending -= 1
-            self.consumer.log_eval(*result)
 
 
 def train_hero_async(
@@ -551,10 +422,8 @@ def train_hero_async(
     its :class:`~repro.core.trainer.BatchedRolloutWorker` moved into
     ``num_actors`` actor processes: the learner hands each round an actor
     ships to ``consumer``, the loop's per-episode consumer (store, update
-    budget and logging).  When ``consumer.eval_every`` is non-zero, an
-    evaluator process beside the actors runs the interleaved greedy
-    evaluations the consumer requests, and the learner logs each result
-    as it arrives, every one before returning.  At ``max_staleness=0`` one actor runs
+    budget, logging and evaluation records, which ``train_hero`` scores
+    after this returns).  At ``max_staleness=0`` one actor runs
     and the run is the synchronous one bit for bit; at
     ``max_staleness>0`` rollout and update overlap, with aggregate and
     per-actor staleness logged per round (see the module docstring).
@@ -584,32 +453,23 @@ def train_hero_async(
     first = highs[0]
     impl = getattr(engine, "_impl", None)
     fused_impl = impl if isinstance(impl, HeroTeamUpdateEngine) else None
-
-    actor_members = [h.actor.trunk for h in highs]
-    slots = {"actor": family_vector_size(actor_members)}
+    fused_opts = (
+        {"actor": fused_impl.actor_opt, "opponent": fused_impl.opponent_opt}
+        if fused_impl
+        else {}
+    )
+    families = team.acting_families()
+    slots = {name: family_vector_size(members) for name, members in families.items()}
     exporters = {
-        "actor": _make_exporter(
-            actor_members, fused_impl.actor_opt._flat if fused_impl else None
+        name: _make_exporter(
+            members, fused_opts[name]._flat if name in fused_opts else None
         )
+        for name, members in families.items()
     }
-    has_opponent_slot = bool(first.num_opponents) and first.opponent_mode == "model"
-    if has_opponent_slot:
-        opponent_members = [
-            p.trunk for h in highs for p in h.opponent_model.predictors
-        ]
-        slots["opponent"] = family_vector_size(opponent_members)
-        exporters["opponent"] = _make_exporter(
-            opponent_members,
-            fused_impl.opponent_opt._flat if fused_impl else None,
-        )
 
     generators = [h._rng for h in highs]
     server = ParameterServer(slots, num_rngs=len(highs), dtype=get_default_dtype())
     queues = [ShmRingQueue(_QUEUE_BYTES) for _ in range(num_actors)]
-    # The evaluator's request and result rings.
-    eval_rings = (
-        [ShmRingQueue(_EVAL_QUEUE_BYTES) for _ in range(2)] if consumer.eval_every else []
-    )
     # Each actor draws its own env seeds, actor-major, so actor 0's seeds
     # are exactly the single-actor run's at any fan-out.
     seed_sets = [
@@ -641,7 +501,6 @@ def train_hero_async(
             encode_rng_state(team.skills.driving_in_lane._rng),
             encode_rng_state(team.skills.lane_change._rng),
         ],
-        "has_opponent_slot": has_opponent_slot,
         "max_staleness": max_staleness,
         "num_actors": num_actors,
         "dtype": np.dtype(get_default_dtype()).name,
@@ -665,29 +524,14 @@ def train_hero_async(
         ],
     )
 
-    remote = None
     try:
-        if eval_rings:
-            evaluator = mp.Process(
-                target=_hero_evaluator_main,
-                args=(dict(shared_spec, eval_episodes=consumer.eval_episodes), *eval_rings),
-                name="hero-evaluator",
-            )
-            evaluator.start()
-            processes.append(evaluator)
-            remote = _RemoteEvaluator(
-                consumer, highs, exporters, *eval_rings, _actor_abort([evaluator])
-            )
-            consumer.evaluator = remote.request
         _learn(
             consumer, queues, processes, server, exporters, generators,
-            max_staleness == 0, remote.deliver if remote is not None else None,
+            max_staleness == 0,
         )
-        if remote is not None:
-            remote.deliver(wait=True)
         return consumer.logger
     finally:
-        _shutdown(server, queues + eval_rings, processes)
+        _shutdown(server, queues, processes)
 
 
 # ---------------------------------------------------------------------------
@@ -724,9 +568,7 @@ def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
             hidden_dim=spec["hidden_dim"],
             buffer_capacity=1,  # the actor never observes; learner owns replay
         )
-        bound = {
-            "q": BoundFamilyVector([algo.q_networks[a].trunk for a in algo.agent_ids])
-        }
+        bound = {"q": BoundFamilyVector(algo.acting_members())}
         load_rng_state(algo._rng, spec["actor_rng"])
         worker = BaselineRolloutWorker(
             spec["build_batch"](spec["num_envs"]),
@@ -769,7 +611,9 @@ def train_marl_async(
     grid carry over) and ships its collection rounds; the learner hands every
     round's rows to ``consumer``, a
     :class:`~repro.baselines.base.BaselineConsumer`, which reads each
-    finished episode's index from the rows.  Lockstep runs one actor,
+    finished episode's index from the rows and records the interleaved
+    evaluations, scored by ``train_marl_vectorized`` after this returns.
+    Lockstep runs one actor,
     bitwise the synchronous loop; staleness fan-out stride-partitions the
     episode universe across actors for real collection parallelism.
     Returns ``consumer.logger``.
@@ -777,7 +621,7 @@ def train_marl_async(
     check_fanout(max_staleness, num_actors)
     build_batch = vec_env.replica_builder()
     ids = algorithm.agent_ids
-    members = [algorithm.q_networks[a].trunk for a in ids]
+    members = algorithm.acting_members()
     impl = getattr(engine, "_impl", None)
     fused_impl = impl if isinstance(impl, IDQNUpdateEngine) else None
     exporters = {"q": _make_exporter(members, fused_impl.opt._flat if fused_impl else None)}

@@ -2,8 +2,7 @@
 
 The async actor–learner stack's vocabulary: pickled
 :class:`RolloutPayload` / :class:`ActorError` frames on the
-shared-memory transition queue, :class:`EvalRequest` frames on the HERO
-evaluator's request ring, and a fixed-width RNG codec so
+shared-memory transition queue, and a fixed-width RNG codec so
 ``numpy`` PCG64 generator state can ride inside the parameter server's
 flat uint64 sidecar (a snapshot must carry the learner's post-update RNG
 state for the lockstep determinism contract).
@@ -49,30 +48,11 @@ class RolloutPayload:
 
 
 @dataclass
-class EvalRequest:
-    """One interleaved greedy evaluation for the HERO evaluator process.
-
-    Evaluate ``episodes`` episodes from ``seed`` with the acting families
-    ``vectors`` (parameter-server slot name -> flat vector, as the learner
-    would publish them at that instant) and every agent's
-    ``last_observed`` opponent options; the learner logs the result at
-    ``step``, its completed-episode count.
-    """
-
-    step: int
-    episodes: int
-    seed: int
-    vectors: dict
-    last_observed: list
-
-
-@dataclass
 class ActorError:
     """Terminal failure report; the learner re-raises it as RuntimeError.
 
     ``actor_id`` names the failing actor (-1 when the failure predates
-    actor identity, e.g. a spec deserialisation error, and for the
-    evaluator, which its result ring names).
+    actor identity, e.g. a spec deserialisation error).
     """
 
     message: str
@@ -183,7 +163,6 @@ def _attach_shm(name: str) -> shared_memory.SharedMemory:
 
 __all__ = [
     "ActorError",
-    "EvalRequest",
     "RNG_WORDS",
     "RolloutPayload",
     "decode_json_meta",

@@ -91,8 +91,9 @@ def _scripted_policy_params(policy: ScriptedPolicy) -> tuple:
 class EnvReplicaFactory:
     """Picklable factory replicating one ``CooperativeLaneChangeEnv`` setup.
 
-    The vectorized training loops, their interleaved-eval batches and the
-    async actor processes build their env batches from this object; the
+    The vectorized training loops, the batches scoring their recorded
+    evaluations and the async actor processes build their env batches
+    from this object; the
     actors' copy must cross the process boundary — a local closure cannot (the
     ``spawn`` start method pickles start-up arguments).  Captures exactly
     what the env constructor takes; ``track`` and ``scripted_policy`` are

@@ -194,15 +194,16 @@ class VectorBaselineEnv:
         self.vec_env.close()
 
     def replica_builder(self) -> partial:
-        """A picklable ``build(num_envs)`` of fresh batches like this one.
+        """A picklable ``build(num_envs, auto_reset=True)`` of fresh batches
+        like this one.
 
         Each batch replicates this batch's env
         (:meth:`EnvReplicaFactory.from_env`: scenario, rewards, track and
         traffic) on this batch's (linear, angular) command grid.  The
-        interleaved-eval batch of
-        :func:`~repro.baselines.base.train_marl_vectorized` and every async
-        IDQN actor's batch are built through it, so both step the
-        caller's env with the caller's commands.
+        batches that score
+        :func:`~repro.baselines.base.train_marl_vectorized`'s recorded
+        evaluations and every async IDQN actor's batch are built through
+        it, so both step the caller's env with the caller's commands.
         """
         factory = EnvReplicaFactory.from_env(self.vec_env.template_env)
         return partial(_replica_batch, factory, *self._levels)
@@ -249,9 +250,13 @@ class VectorBaselineEnv:
         return self.flatten(obs), rewards, dones, infos
 
 
-def _replica_batch(factory, linear_levels, angular_levels, num_envs: int):
+def _replica_batch(
+    factory, linear_levels, angular_levels, num_envs: int, auto_reset: bool = True
+):
     return VectorBaselineEnv(
-        VectorEnv(num_envs, env_fns=[factory] * num_envs), linear_levels, angular_levels
+        VectorEnv(num_envs, env_fns=[factory] * num_envs, auto_reset=auto_reset),
+        linear_levels,
+        angular_levels,
     )
 
 

@@ -238,9 +238,9 @@ def train_baseline_method(
     Experience comes from ``num_envs`` vectorized env copies through the
     algorithm's ``act_batch``/``observe_batch`` interface
     (:func:`~repro.baselines.base.train_marl_vectorized`, the one baseline
-    training loop, at ``num_envs == 1`` too), with the interleaved greedy
-    evaluations batched the same way
-    (:func:`~repro.baselines.base.evaluate_marl_vectorized`).
+    training loop, at ``num_envs == 1`` too), whose interleaved greedy
+    evaluations are recorded during training and scored in one wide batch
+    after it (:func:`~repro.baselines.base.score_marl_records`).
     ``async_actors`` runs the rollouts in separate actor processes (IDQN
     only; other baselines warn and fall back); ``max_staleness=0`` runs
     one actor, bitwise equal to the synchronous loop.
@@ -286,9 +286,9 @@ def train_all_methods(
     benchmark defaults use a small fraction so the suite finishes in
     minutes (docs/REPRODUCING.md documents the budgets).  ``num_envs > 1``
     collects every method's rollouts — HERO's and the four baselines' —
-    from that many vectorized env copies with batched policy inference,
-    and batches the interleaved greedy evaluations (the Fig. 7 curves)
-    the same way.  ``async_actors`` runs each supporting method's rollouts
+    from that many vectorized env copies with batched policy inference;
+    each method's interleaved greedy evaluations (the Fig. 7 curves) are
+    recorded during training and scored in one wide batch after it.  ``async_actors`` runs each supporting method's rollouts
     in a separate actor process on the async actor–learner stack
     (``repro.distributed.actor_learner``; HERO and IDQN — the other
     baselines warn and stay synchronous); ``max_staleness=0`` runs one

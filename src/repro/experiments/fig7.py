@@ -38,9 +38,10 @@ def run_fig7(
     Curves are the periodic *greedy-evaluation* series (exploration-free),
     matching how learning curves are reported; the raw training-rollout
     series remain available in each method's logger.  With ``num_envs > 1``
-    both training rollouts and these interleaved evaluations run
-    vectorized (``evaluate_hero_vectorized`` / ``evaluate_marl_vectorized``),
-    so the curves arrive at batched-rollout speed end to end.
+    the training rollouts run vectorized, and at any ``num_envs`` these
+    interleaved evaluations are recorded during training and scored after
+    it in one wide greedy rollout per method
+    (:mod:`repro.utils.evaluation`).
     """
     result = result or train_all_methods(
         scale=scale,

@@ -80,8 +80,9 @@ def run_experiment(
 
     ``num_envs > 1`` collects every method's training rollouts — HERO's
     and the four baselines' — from that many vectorized environment copies
-    and batches the interleaved greedy evaluations the same way (see
-    ``repro.envs.vector_env`` and docs/REPRODUCING.md).  ``fused_updates``
+    (see ``repro.envs.vector_env`` and docs/REPRODUCING.md); the
+    interleaved greedy evaluations are recorded during training and
+    scored in one wide batch after it, at any ``num_envs``.  ``fused_updates``
     batches every method's gradient phase through
     ``repro.core.update_engine`` (tolerance-equivalent, not bitwise).
     ``async_actors`` runs rollouts in a separate actor process

@@ -113,9 +113,8 @@ def run_table2(
     num_actors: int = 1,
     checkpoint_dir: str | None = None,
 ) -> dict:
-    """Train all methods (vectorized when ``num_envs > 1``, including the
-    interleaved greedy evaluations) and score each on the domain-shifted
-    testbed.
+    """Train all methods (vectorized when ``num_envs > 1``) and score each
+    on the domain-shifted testbed.
 
     The testbed episodes step one scalar env at a time regardless of
     ``num_envs``: :class:`~repro.envs.testbed.RealWorldTestbed` injects

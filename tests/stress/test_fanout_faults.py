@@ -8,9 +8,6 @@ finishing the budget on the survivor, unlink every shared-memory segment
 the run created (parameter server plus one ring per actor), and leave no
 orphan processes behind.  An actor that raises instead reports its
 traceback and exits cleanly; that report, not a death notice, surfaces.
-The HERO learner's evaluator process is held to the same contract: a
-SIGKILLed evaluator is named with its exit code, and an evaluation that
-raises surfaces as the evaluator's traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +30,6 @@ SCENARIO = ScenarioConfig(episode_length=5)
 # The second of two actors is the victim; actor 0 keeps collecting, so
 # the learner sees the death while mid-merge, not at startup.
 _VICTIM = "hero-actor-1"
-_EVALUATOR = "hero-evaluator"
 
 # A budget that outlasts the victim's first step by seconds, with enough
 # updates per episode that the learner, not the survivor, is the
@@ -85,24 +81,6 @@ class _RaiseEnv(CooperativeLaneChangeEnv):
         return super().step(actions)
 
 
-class _EvalSigkillEnv(CooperativeLaneChangeEnv):
-    """Replica that SIGKILLs the evaluator on its first step."""
-
-    def step(self, actions):
-        if mp.current_process().name == _EVALUATOR:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return super().step(actions)
-
-
-class _EvalRaiseEnv(CooperativeLaneChangeEnv):
-    """Replica whose evaluation raises inside the evaluator."""
-
-    def step(self, actions):
-        if mp.current_process().name == _EVALUATOR:
-            raise RuntimeError("injected failure")
-        return super().step(actions)
-
-
 class _ExitFactory(EnvReplicaFactory):
     """Drop-in for EnvReplicaFactory building :class:`_ExitEnv` replicas."""
 
@@ -118,14 +96,6 @@ class _SigkillFactory(_ExitFactory):
 
 class _RaiseFactory(_ExitFactory):
     env_cls = _RaiseEnv
-
-
-class _EvalSigkillFactory(_ExitFactory):
-    env_cls = _EvalSigkillEnv
-
-
-class _EvalRaiseFactory(_ExitFactory):
-    env_cls = _EvalRaiseEnv
 
 
 @pytest.mark.parametrize(
@@ -167,46 +137,6 @@ def test_killed_actor_is_named_and_run_cleans_up(monkeypatch, factory_cls, failu
     after = {proc.pid for proc in mp.active_children()}
     assert after <= before, "failed fan-out run leaked processes"
     assert len(_SEGMENTS) == 3  # parameter server + one ring per actor
-    for name in _SEGMENTS:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name)
-
-
-@pytest.mark.parametrize(
-    "factory_cls, failure",
-    [
-        (_EvalSigkillFactory, rf"'{_EVALUATOR}' died .*exit code -9"),
-        (_EvalRaiseFactory, r"(?s)async evaluator failed:.*Traceback.*injected failure"),
-    ],
-    ids=["sigkill", "report"],
-)
-def test_failed_evaluator_is_named_and_run_cleans_up(monkeypatch, factory_cls, failure):
-    monkeypatch.setattr(actor_learner, "EnvReplicaFactory", factory_cls)
-    monkeypatch.setattr(actor_learner, "ParameterServer", _RecordingServer)
-    monkeypatch.setattr(actor_learner, "ShmRingQueue", _RecordingQueue)
-    _SEGMENTS.clear()
-
-    config = TrainingConfig(seed=0)
-    config.scenario = SCENARIO
-    env = CooperativeLaneChangeEnv(scenario=SCENARIO)
-    team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
-    with pytest.raises(RuntimeError, match=failure):
-        train_hero(
-            env,
-            team,
-            episodes=12,
-            config=config,
-            num_envs=2,
-            eval_every=2,
-            eval_episodes=2,
-            async_actors=True,
-            max_staleness=2,
-            num_actors=2,
-        )
-
-    assert mp.active_children() == []
-    # Parameter server, one ring per actor and the evaluator's two rings.
-    assert len(_SEGMENTS) == 5
     for name in _SEGMENTS:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)

@@ -15,13 +15,13 @@ The contract under test (``repro.distributed.actor_learner``):
   that outruns the consumer blocks instead of growing the queue;
 * an actor crash — an exception inside the actor's env batch — surfaces
   as a ``RuntimeError`` naming the failing actor, not a hang, and an
-  evaluation that raises inside the evaluator process as one naming the
-  evaluator;
+  exception while scoring the recorded evaluations (after the stack shut
+  down) surfaces from ``train_hero`` as it was raised;
 * a finished (or failed) run leaves no orphan processes and unlinks
   every shared-memory segment it created, and only the creating process
   unlinks: a forked child's release leaves the segment in place;
-* the actors and the evaluator start with the default start method, and
-  lockstep stays bitwise under a ``spawn`` default too.
+* the actors start with the default start method, and lockstep stays
+  bitwise under a ``spawn`` default too.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ def test_hero_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
 
 
 def test_hero_lockstep_matches_sync_bitwise_under_spawn(spawn_default):
-    """Under a ``spawn`` default the actor and the evaluator rebuild their
-    replica teams from the pickled spec; the run stays bitwise."""
+    """Under a ``spawn`` default the actor rebuilds its replica team from
+    the pickled spec; the run stays bitwise."""
     log_sync, team_sync = _sync_reference("hero", True)
     log_async, team_async = _hero_run(True, fused=True)
     _assert_logs_equal(log_sync, log_async)
@@ -292,8 +292,9 @@ def test_staleness_run_logs_bounded_versions_and_cleans_up(monkeypatch):
     monkeypatch.setattr(trainer_module, "VectorEnv", recording_vector_env)
 
     logger, _ = _hero_run(True, max_staleness=2)
-    # The learner builds no eval batch: the evaluator process evaluates.
-    assert built == []
+    # The learner builds one env batch: the rollout that scores the
+    # recorded evaluations once the actors are gone.
+    assert built == [os.getpid()]
 
     staleness = logger.values("hero/snapshot_staleness")
     assert staleness.size > 0
@@ -305,8 +306,8 @@ def test_staleness_run_logs_bounded_versions_and_cleans_up(monkeypatch):
 
     after = {proc.pid for proc in mp.active_children()}
     assert after <= before, "async run leaked processes"
-    # Parameter server, transition queue and the evaluator's two rings.
-    assert len(_CREATED_SEGMENTS) == 4
+    # Parameter server and the transition queue.
+    assert len(_CREATED_SEGMENTS) == 2
     for name in _CREATED_SEGMENTS:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)
@@ -366,7 +367,7 @@ def test_hero_staleness_fanout_keeps_full_metric_set():
         f"hero/snapshot_staleness/actor{k}" for k in range(2)
     }
     assert sum(logger.values(name).size for name in per_actor) == aggregate.size
-    # The evaluator process ran every interleaved evaluation: eval_every=2
+    # Every interleaved evaluation was recorded and scored: eval_every=2
     # over 3 episodes evaluates after episodes 0 and 2 (the last).
     evals = [name for name in logger.names() if "/eval_" in name]
     assert len(evals) == 4, evals
@@ -461,32 +462,32 @@ class _ExplodingFactory(EnvReplicaFactory):
         return _ExplodingEnv(scenario=self.scenario)
 
 
-class _EvalFailingEnv(CooperativeLaneChangeEnv):
-    """Replica that raises on its first step inside the evaluator."""
+class _ScoreFailingEnv(CooperativeLaneChangeEnv):
+    """Replica that raises on its first step."""
 
     def step(self, actions):
-        if mp.current_process().name == "hero-evaluator":
-            raise RuntimeError("injected evaluation failure")
-        return super().step(actions)
+        raise RuntimeError("injected scoring failure")
 
 
-class _EvalFailingFactory(EnvReplicaFactory):
+class _ScoreFailingFactory(EnvReplicaFactory):
     def __call__(self):
-        return _EvalFailingEnv(scenario=self.scenario)
+        return _ScoreFailingEnv(scenario=self.scenario)
 
 
-def test_evaluator_error_is_named_with_its_traceback(monkeypatch):
-    monkeypatch.setattr(actor_learner, "EnvReplicaFactory", _EvalFailingFactory)
+@pytest.mark.parametrize("max_staleness", [0, 2], ids=["lockstep", "staleness"])
+def test_scoring_error_surfaces_after_the_stack_shut_down(monkeypatch, max_staleness):
+    """Scoring runs in train_hero once the async stack has returned: an
+    exception inside it surfaces as raised, with every actor joined and
+    every segment unlinked.  Only the scoring rollout builds its replicas
+    through trainer's factory (the actors use actor_learner's)."""
+    monkeypatch.setattr(trainer_module, "EnvReplicaFactory", _ScoreFailingFactory)
     monkeypatch.setattr(actor_learner, "ParameterServer", _RecordingServer)
     monkeypatch.setattr(actor_learner, "ShmRingQueue", _RecordingQueue)
     _CREATED_SEGMENTS.clear()
-    with pytest.raises(
-        RuntimeError,
-        match=r"(?s)async evaluator failed:.*Traceback.*injected evaluation failure",
-    ):
-        _hero_run(True)
+    with pytest.raises(RuntimeError, match="injected scoring failure"):
+        _hero_run(True, max_staleness=max_staleness)
     assert mp.active_children() == []
-    assert len(_CREATED_SEGMENTS) == 4
+    assert len(_CREATED_SEGMENTS) == 2  # parameter server + one ring
     for name in _CREATED_SEGMENTS:
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=name)

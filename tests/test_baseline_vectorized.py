@@ -86,30 +86,35 @@ class TestVectorizedTraining:
         assert len(logger.values("idqn/episode_reward")) == 2
 
     def test_interleaved_eval_runs_on_the_callers_traffic(self, monkeypatch):
-        """The eval batch replicates the training batch's env: custom
-        traffic must reach it, not be swapped for the default SlowLeader,
-        and a custom command grid must reach it, not the default 9 rows."""
+        """The batch scoring the recorded evaluations replicates the
+        training batch's env: custom traffic must reach it, not be swapped
+        for the default SlowLeader, and a custom command grid must reach
+        it, not the default 9 rows."""
         import repro.baselines.base as base_module
 
-        evaluated = []
-        original = base_module.evaluate_marl_vectorized
+        scored = []
+        original = base_module.score_marl_records
 
-        def recording_evaluate(eval_env, *args, **kwargs):
-            evaluated.append(eval_env)
-            return original(eval_env, *args, **kwargs)
+        def recording_score(build_batch, *args, **kwargs):
+            def recording_build(*build_args, **build_kwargs):
+                scored.append(build_batch(*build_args, **build_kwargs))
+                return scored[-1]
 
-        monkeypatch.setattr(base_module, "evaluate_marl_vectorized", recording_evaluate)
+            return original(recording_build, *args, **kwargs)
+
+        monkeypatch.setattr(base_module, "score_marl_records", recording_score)
         policy = StationaryObstacle()
         factory = EnvReplicaFactory(scenario=small_scenario(), scripted_policy=policy)
         vec = VectorBaselineEnv(VectorEnv(2, env_fns=[factory] * 2))
         algo = make_baseline("idqn", vec, seed=0, batch_size=16)
-        train_marl_vectorized(vec, algo, episodes=2, seed=0, eval_every=1)
-        assert len(evaluated) == 2
-        for eval_env in evaluated:
-            assert eval_env is not vec
-            assert all(e._scripted_policy is policy for e in eval_env.vec_env.envs)
+        logger = train_marl_vectorized(vec, algo, episodes=2, seed=0, eval_every=1)
+        # Both evaluations score in one batch of 2 records x 3 episodes.
+        np.testing.assert_array_equal(logger.steps("idqn/eval_episode_reward"), [0, 1])
+        assert [batch.num_envs for batch in scored] == [6]
+        assert scored[0] is not vec
+        assert all(e._scripted_policy is policy for e in scored[0].vec_env.envs)
 
-        evaluated.clear()
+        scored.clear()
         vec = VectorBaselineEnv(
             VectorEnv(2, scenario=small_scenario()),
             linear_levels=(0.05, 0.1),
@@ -118,11 +123,10 @@ class TestVectorizedTraining:
         algo = make_baseline("idqn", vec, seed=0, batch_size=16)
         assert algo.num_actions == 2
         train_marl_vectorized(vec, algo, episodes=2, seed=0, eval_every=1)
-        assert len(evaluated) == 2
-        for eval_env in evaluated:
-            np.testing.assert_array_equal(
-                eval_env._action_table, [[0.05, 0.0], [0.1, 0.0]]
-            )
+        assert [batch.num_envs for batch in scored] == [6]
+        np.testing.assert_array_equal(
+            scored[0]._action_table, [[0.05, 0.0], [0.1, 0.0]]
+        )
 
     def test_custom_env_class_rejected_when_replicated(self):
         class CustomEnv(CooperativeLaneChangeEnv):
