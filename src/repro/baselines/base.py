@@ -30,7 +30,7 @@ from ..utils.evaluation import (
     is_eval_point,
     log_scored_records,
     scored_reset_seeds,
-    step_scored_episodes,
+    step_seeded_episodes,
     summarise_records,
 )
 from ..utils.logging_utils import (
@@ -403,22 +403,23 @@ def score_marl_records(
     record's metrics do not depend on which records share the batch.  The
     live parameters are restored exactly, also when acting raises.
     """
-    vec_env = build_batch(len(records) * episodes, auto_reset=False)
-    obs = vec_env.reset(scored_reset_seeds(records, episodes))
+    seeds = scored_reset_seeds(records, episodes)
+    vec_env = build_batch(len(seeds), auto_reset=False)
+    obs = vec_env.reset(seeds)
     members = algorithm.acting_members()
     live = gather_family(members)
     actions = np.zeros((vec_env.num_envs, algorithm.num_agents), dtype=np.int64)
 
-    def act(obs, finished):
+    def act(obs, scoring):
         for k, record in enumerate(records):
             rows = slice(k * episodes, (k + 1) * episodes)
-            if not finished[rows].all():
+            if scoring[rows].any():
                 scatter_family(members, record.vectors)
                 actions[rows] = algorithm.act_batch(obs[rows], explore=False)
         return actions
 
     try:
-        summaries = step_scored_episodes(vec_env, obs, act)
+        summaries = step_seeded_episodes(vec_env, obs, seeds, act)
     finally:
         scatter_family(members, live)
     return summarise_records(summaries, episodes)
@@ -481,8 +482,8 @@ def train_marl_vectorized(
     on the async actor–learner stack
     (:func:`~repro.distributed.actor_learner.train_marl_async`); only IDQN
     supports it (other baselines fall back to this synchronous loop with a
-    warning: only IDQN has an actor replica, the actor stack's
-    ``_idqn_actor_main``).  ``max_staleness=0`` is a lockstep barrier, bitwise
+    warning: only IDQN has an actor rollout worker, the actor stack's
+    ``_idqn_worker``).  ``max_staleness=0`` is a lockstep barrier, bitwise
     identical to the synchronous loop; larger values let the actors run
     ahead of the newest policy snapshot by that many collection rounds.
     ``num_actors`` fans collection out to that many actor processes, a
@@ -491,12 +492,11 @@ def train_marl_vectorized(
     """
     logger = logger or MetricLogger()
     prefix = metric_prefix or algorithm.name
-    engine = None
+    update_fn = algorithm.update
     if fused_updates:
         from ..core.update_engine import UpdateEngine
 
-        engine = UpdateEngine(algorithm)
-    update_fn = engine.update if engine is not None else algorithm.update
+        update_fn = UpdateEngine(algorithm).update
     if async_actors:
         from .idqn import IndependentDQN
 
@@ -545,7 +545,6 @@ def train_marl_vectorized(
             seed,
             epsilon_schedule,
             consumer,
-            engine=engine,
             max_staleness=max_staleness,
             num_actors=num_actors,
         )
@@ -577,7 +576,7 @@ def evaluate_marl(
     """
     agent_ids = algorithm.agent_ids
     reset_seeds = episode_reset_seeds(seed, episodes)
-    rewards, collisions, successes, speeds = [], [], [], []
+    summaries = []
     for episode in range(episodes):
         obs = env.reset(seed=int(reset_seeds[episode]))
         done = False
@@ -587,12 +586,8 @@ def evaluate_marl(
             actions = algorithm.act_batch(stack, explore=False)[0]
             obs, _, dones, info = env.step(dict(zip(agent_ids, actions.tolist())))
             done = dones["__all__"]
-        summary = info["episode"]
-        rewards.append(summary["episode_reward"])
-        collisions.append(summary["collision"])
-        successes.append(summary["merge_success_rate"])
-        speeds.append(summary["mean_speed"])
-    return summarise_eval_episodes(rewards, collisions, successes, speeds)
+        summaries.append(info["episode"])
+    return summarise_eval_episodes(summaries)
 
 
 def evaluate_marl_vectorized(
@@ -613,33 +608,11 @@ def evaluate_marl_vectorized(
     so results are statistically identical.
     """
     reset_seeds = episode_reset_seeds(seed, episodes)
-    n = vec_env.num_envs
     # Envs beyond the episode budget run unseeded and are never scored.
     obs = vec_env.reset(
-        [int(reset_seeds[i]) if i < episodes else None for i in range(n)]
+        [int(reset_seeds[i]) if i < episodes else None for i in range(vec_env.num_envs)]
     )
-
-    episode_of_env = np.arange(n)
-    next_to_start = n
-    rewards = np.zeros(episodes)
-    collisions = np.zeros(episodes)
-    successes = np.zeros(episodes)
-    speeds = np.zeros(episodes)
-    remaining = episodes
-    while remaining:
-        actions = algorithm.act_batch(obs, explore=False)
-        obs, _, dones, infos = vec_env.step(actions)
-        for i in np.flatnonzero(dones):
-            episode = int(episode_of_env[i])
-            if episode < episodes:
-                summary = infos[i]["episode"]
-                rewards[episode] = summary["episode_reward"]
-                collisions[episode] = summary["collision"]
-                successes[episode] = summary["merge_success_rate"]
-                speeds[episode] = summary["mean_speed"]
-                remaining -= 1
-            episode_of_env[i] = next_to_start
-            if next_to_start < episodes:
-                obs[i] = vec_env.reset_env(i, seed=int(reset_seeds[next_to_start]))
-            next_to_start += 1
-    return summarise_eval_episodes(rewards, collisions, successes, speeds)
+    summaries = step_seeded_episodes(
+        vec_env, obs, reset_seeds, lambda obs, _: algorithm.act_batch(obs, explore=False)
+    )
+    return summarise_eval_episodes(summaries)

@@ -55,21 +55,97 @@ def _show_fallback_warnings() -> None:
     )
 
 
+def _training_flags() -> argparse.ArgumentParser:
+    """The flags ``run`` and ``run-all`` share, as an argparse parent."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--scale", type=float, default=0.01)
+    flags.add_argument("--seed", type=int, default=0)
+    flags.add_argument(
+        "--num-envs",
+        type=_positive_int,
+        default=1,
+        help=(
+            "vectorized env copies for training, for HERO and all four "
+            "baselines (1 = a one-env batch); the interleaved greedy "
+            "evaluations score in one wide batch after training"
+        ),
+    )
+    flags.add_argument(
+        "--fused-updates",
+        action="store_true",
+        help=(
+            "batch gradient updates across architecturally identical "
+            "networks (core.update_engine): HERO critics/actors/opponent "
+            "models and IDQN update as stacked families; tolerance-"
+            "equivalent to the default per-network loop, not bitwise"
+        ),
+    )
+    flags.add_argument(
+        "--async-actors",
+        action="store_true",
+        help=(
+            "run rollouts in a separate actor process on the async "
+            "actor-learner stack (distributed.actor_learner; HERO and "
+            "IDQN; other baselines warn and stay synchronous)"
+        ),
+    )
+    flags.add_argument(
+        "--max-staleness",
+        type=int,
+        default=0,
+        help=(
+            "snapshot-staleness budget for --async-actors, in collection "
+            "rounds: 0 = lockstep barrier, bitwise identical to the "
+            "synchronous loop; > 0 lets the actor run ahead of the newest "
+            "policy snapshot and logs <prefix>/snapshot_staleness"
+        ),
+    )
+    flags.add_argument(
+        "--num-actors",
+        type=_positive_int,
+        default=1,
+        help=(
+            "rollout actor processes for --async-actors; more than one "
+            "needs --max-staleness > 0 (lockstep runs one actor): each "
+            "actor collects its own slice of the episode universe and "
+            "collection throughput scales with the count"
+        ),
+    )
+    flags.add_argument(
+        "--dtype",
+        choices=["float64", "float32"],
+        default="float64",
+        help=(
+            "floating-point compute precision for every experiment run: "
+            "float64 (default) is bitwise-identical to the original "
+            "implementation; float32 speeds the BLAS-bound update phase "
+            "and halves snapshot/queue/shm payloads under the documented "
+            "tolerance contract (docs/ARCHITECTURE.md, Precision)"
+        ),
+    )
+    return flags
+
+
+def _training_kwargs(args) -> dict:
+    """The ``run_experiment`` keyword arguments the shared flags set."""
+    return {
+        "scale": args.scale,
+        "seed": args.seed,
+        "num_envs": args.num_envs,
+        "fused_updates": args.fused_updates,
+        "async_actors": args.async_actors,
+        "max_staleness": args.max_staleness,
+        "num_actors": args.num_actors,
+        "dtype": args.dtype,
+    }
+
+
 def _cmd_run(args) -> int:
     from .experiments import run_experiment
 
     _show_fallback_warnings()
     run_experiment(
-        args.experiment,
-        scale=args.scale,
-        seed=args.seed,
-        num_envs=args.num_envs,
-        fused_updates=args.fused_updates,
-        async_actors=args.async_actors,
-        max_staleness=args.max_staleness,
-        num_actors=args.num_actors,
-        checkpoint_dir=args.checkpoint_dir,
-        dtype=args.dtype,
+        args.experiment, checkpoint_dir=args.checkpoint_dir, **_training_kwargs(args)
     )
     return 0
 
@@ -80,17 +156,7 @@ def _cmd_run_all(args) -> int:
     _show_fallback_warnings()
     for exp_id in sorted(EXPERIMENTS):
         print(f"\n######## {exp_id} ########")
-        run_experiment(
-            exp_id,
-            scale=args.scale,
-            seed=args.seed,
-            num_envs=args.num_envs,
-            fused_updates=args.fused_updates,
-            async_actors=args.async_actors,
-            max_staleness=args.max_staleness,
-            num_actors=args.num_actors,
-            dtype=args.dtype,
-        )
+        run_experiment(exp_id, **_training_kwargs(args))
     return 0
 
 
@@ -221,73 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
         func=_cmd_list
     )
 
-    run = sub.add_parser("run", help="run one experiment harness")
+    training = _training_flags()
+    run = sub.add_parser("run", help="run one experiment harness", parents=[training])
     run.add_argument("experiment", help="fig7 | fig8 | fig10 | fig11 | table2")
-    run.add_argument("--scale", type=float, default=0.01)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument(
-        "--num-envs",
-        type=_positive_int,
-        default=1,
-        help=(
-            "vectorized env copies for training, for HERO and all four "
-            "baselines (1 = a one-env batch); the interleaved greedy "
-            "evaluations score in one wide batch after training"
-        ),
-    )
-    run.add_argument(
-        "--fused-updates",
-        action="store_true",
-        help=(
-            "batch gradient updates across architecturally identical "
-            "networks (core.update_engine): HERO critics/actors/opponent "
-            "models and IDQN update as stacked families; tolerance-"
-            "equivalent to the default per-network loop, not bitwise"
-        ),
-    )
-    run.add_argument(
-        "--async-actors",
-        action="store_true",
-        help=(
-            "run rollouts in a separate actor process on the async "
-            "actor-learner stack (distributed.actor_learner; HERO and "
-            "IDQN; other baselines warn and stay synchronous)"
-        ),
-    )
-    run.add_argument(
-        "--max-staleness",
-        type=int,
-        default=0,
-        help=(
-            "snapshot-staleness budget for --async-actors, in collection "
-            "rounds: 0 = lockstep barrier, bitwise identical to the "
-            "synchronous loop; > 0 lets the actor run ahead of the newest "
-            "policy snapshot and logs <prefix>/snapshot_staleness"
-        ),
-    )
-    run.add_argument(
-        "--num-actors",
-        type=_positive_int,
-        default=1,
-        help=(
-            "rollout actor processes for --async-actors; more than one "
-            "needs --max-staleness > 0 (lockstep runs one actor): each "
-            "actor collects its own slice of the episode universe and "
-            "collection throughput scales with the count"
-        ),
-    )
-    run.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help=(
-            "floating-point compute precision for the whole run: float64 "
-            "(default) is bitwise-identical to the original "
-            "implementation; float32 speeds the BLAS-bound update phase "
-            "and halves snapshot/queue/shm payloads under the documented "
-            "tolerance contract (docs/ARCHITECTURE.md, Precision)"
-        ),
-    )
     run.add_argument(
         "--checkpoint-dir",
         default=None,
@@ -299,70 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.set_defaults(func=_cmd_run)
 
-    run_all = sub.add_parser("run-all", help="run every experiment harness")
-    run_all.add_argument("--scale", type=float, default=0.01)
-    run_all.add_argument("--seed", type=int, default=0)
-    run_all.add_argument(
-        "--num-envs",
-        type=_positive_int,
-        default=1,
-        help=(
-            "vectorized env copies for training, for HERO and all four "
-            "baselines (1 = a one-env batch); the interleaved greedy "
-            "evaluations score in one wide batch after training"
-        ),
-    )
-    run_all.add_argument(
-        "--fused-updates",
-        action="store_true",
-        help=(
-            "batch gradient updates across architecturally identical "
-            "networks (core.update_engine): HERO critics/actors/opponent "
-            "models and IDQN update as stacked families; tolerance-"
-            "equivalent to the default per-network loop, not bitwise"
-        ),
-    )
-    run_all.add_argument(
-        "--async-actors",
-        action="store_true",
-        help=(
-            "run rollouts in a separate actor process on the async "
-            "actor-learner stack (distributed.actor_learner; HERO and "
-            "IDQN; other baselines warn and stay synchronous)"
-        ),
-    )
-    run_all.add_argument(
-        "--max-staleness",
-        type=int,
-        default=0,
-        help=(
-            "snapshot-staleness budget for --async-actors, in collection "
-            "rounds: 0 = lockstep barrier, bitwise identical to the "
-            "synchronous loop; > 0 lets the actor run ahead of the newest "
-            "policy snapshot and logs <prefix>/snapshot_staleness"
-        ),
-    )
-    run_all.add_argument(
-        "--num-actors",
-        type=_positive_int,
-        default=1,
-        help=(
-            "rollout actor processes for --async-actors; more than one "
-            "needs --max-staleness > 0 (lockstep runs one actor): each "
-            "actor collects its own slice of the episode universe and "
-            "collection throughput scales with the count"
-        ),
-    )
-    run_all.add_argument(
-        "--dtype",
-        choices=["float64", "float32"],
-        default="float64",
-        help=(
-            "floating-point compute precision for every experiment in the "
-            "sweep (see `run --dtype`)"
-        ),
-    )
-    run_all.set_defaults(func=_cmd_run_all)
+    sub.add_parser(
+        "run-all", help="run every experiment harness", parents=[training]
+    ).set_defaults(func=_cmd_run_all)
 
     watch = sub.add_parser("watch", help="render a scripted episode as ASCII")
     watch.add_argument("--seed", type=int, default=0)

@@ -39,7 +39,7 @@ from ..utils.evaluation import (
     is_eval_point,
     log_scored_records,
     scored_reset_seeds,
-    step_scored_episodes,
+    step_seeded_episodes,
     summarise_records,
 )
 from ..utils.jobs import Job, run_jobs
@@ -279,8 +279,7 @@ def train_hero(
         max_staleness = config.max_staleness
     if num_actors is None:
         num_actors = config.num_actors
-    engine = UpdateEngine(team) if fused_updates else None
-    update_fn = engine.update if engine is not None else team.update
+    update_fn = UpdateEngine(team).update if fused_updates else team.update
     logger = logger or MetricLogger()
     rng = np.random.default_rng(config.seed + 12345)
     epsilon_schedule = LinearSchedule(
@@ -312,7 +311,6 @@ def train_hero(
             rng=rng,
             epsilon_schedule=epsilon_schedule,
             config=config,
-            engine=engine,
             max_staleness=max_staleness,
             num_actors=num_actors,
         )
@@ -471,9 +469,10 @@ def score_hero_records(
     is neither exchanged over nor reset.  One record of one episode is
     bitwise :func:`evaluate_hero` on a scalar env of the scenario.
     """
-    vec_env = _hero_vector_env(factory, len(records) * episodes, auto_reset=False)
+    seeds = scored_reset_seeds(records, episodes)
+    vec_env = _hero_vector_env(factory, len(seeds), auto_reset=False)
     runner = BatchedHeroRunner(team, vec_env)
-    obs = vec_env.reset(scored_reset_seeds(records, episodes))
+    obs = vec_env.reset(seeds)
     families = team.acting_families()
     highs = [agent.high_level for agent in team.agents.values()]
     live = {name: gather_family(members) for name, members in families.items()}
@@ -493,8 +492,8 @@ def score_hero_records(
     # Every row holds its record's options now.  The skills are not among
     # the recorded families, so the rest of the rollout acts on the live
     # team.
-    summaries = step_scored_episodes(
-        vec_env, obs, lambda obs, _: runner.act(obs, epsilon=0.0, explore=False)
+    summaries = step_seeded_episodes(
+        vec_env, obs, seeds, lambda obs, _: runner.act(obs, epsilon=0.0, explore=False)
     )
     return summarise_records(summaries, episodes)
 
@@ -526,7 +525,7 @@ def evaluate_hero(
     poses = PoseStepper(team.env, 1)
     runner = BatchedHeroRunner(team, poses)
     agents, dtype = runner.agents, get_default_dtype()
-    rewards, collisions, successes, speeds = [], [], [], []
+    summaries = []
     for episode in range(episodes):
         obs = env.reset(seed=int(reset_seeds[episode]))
         runner.start_episode(0)
@@ -541,12 +540,8 @@ def evaluate_hero(
             actions = runner.act(batch, epsilon=0.0, explore=False)[0]
             obs, _, dones, info = env.step(dict(zip(agents, actions)))
             done = dones["__all__"]
-        summary = info.get("episode", env.episode_summary())
-        rewards.append(summary["episode_reward"])
-        collisions.append(summary["collision"])
-        successes.append(summary["merge_success_rate"])
-        speeds.append(summary["mean_speed"])
-    return summarise_eval_episodes(rewards, collisions, successes, speeds)
+        summaries.append(info.get("episode", env.episode_summary()))
+    return summarise_eval_episodes(summaries)
 
 
 def evaluate_hero_vectorized(
@@ -587,41 +582,19 @@ def evaluate_hero_vectorized(
     if runner.vec_env is not vec_env:
         raise ValueError("runner was built over a different VectorEnv")
     reset_seeds = episode_reset_seeds(seed, episodes)
-    n = vec_env.num_envs
-
     # opponent_mode='observed' actors condition on state the training
     # rollouts left on the team; a reused/fresh eval runner must see it.
     runner.sync_observed_options()
     runner.start_all()
     # Envs beyond the episode budget run unseeded and are never scored.
     obs = vec_env.reset(
-        [int(reset_seeds[i]) if i < episodes else None for i in range(n)]
+        [int(reset_seeds[i]) if i < episodes else None for i in range(vec_env.num_envs)]
     )
-
-    episode_of_env = np.arange(n)
-    next_to_start = n
-    rewards = np.zeros(episodes)
-    collisions = np.zeros(episodes)
-    successes = np.zeros(episodes)
-    speeds = np.zeros(episodes)
-    remaining = episodes
-    while remaining:
-        actions = runner.act(obs, epsilon=0.0, explore=False)
-        obs, _, dones, infos = vec_env.step(actions)
-        for i in np.flatnonzero(dones):
-            episode = int(episode_of_env[i])
-            if episode < episodes:
-                summary = infos[i]["episode"]
-                rewards[episode] = summary["episode_reward"]
-                collisions[episode] = summary["collision"]
-                successes[episode] = summary["merge_success_rate"]
-                speeds[episode] = summary["mean_speed"]
-                remaining -= 1
-            runner.start_episode(i)
-            episode_of_env[i] = next_to_start
-            if next_to_start < episodes:
-                row = vec_env.reset_env(i, seed=int(reset_seeds[next_to_start]))
-                for key in obs:
-                    obs[key][i] = row[key]
-            next_to_start += 1
-    return summarise_eval_episodes(rewards, collisions, successes, speeds)
+    summaries = step_seeded_episodes(
+        vec_env,
+        obs,
+        reset_seeds,
+        lambda obs, _: runner.act(obs, epsilon=0.0, explore=False),
+        restart=runner.start_episode,
+    )
+    return summarise_eval_episodes(summaries)

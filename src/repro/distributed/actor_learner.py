@@ -2,10 +2,10 @@
 
 Topology: **N rollout actor processes** (``num_actors``) each drive a
 :class:`~repro.envs.vector_env.VectorEnv` batch with batched policy
-inference on a replica of the policy networks, while the **learner**
-stays in the calling process, drains transition batches from per-actor
-shared-memory :class:`~repro.distributed.queues.ShmRingQueue` rings
-merged by :class:`~repro.distributed.queues.ActorFanIn`, and runs
+inference on their own copy of the learner's controller, while the
+**learner** stays in the calling process, drains transition batches from
+per-actor shared-memory :class:`~repro.distributed.queues.ShmRingQueue`
+rings merged by :class:`~repro.distributed.queues.ActorFanIn`, and runs
 gradient updates continuously.  Fresh policy snapshots flow the other
 way through the
 :class:`~repro.distributed.parameter_server.ParameterServer` — one
@@ -20,8 +20,11 @@ actors run the synchronous loop's rollout workers
 the round each ``collect`` returns, and the learner hands every round to
 the same consumer the synchronous loop uses, which writes its
 experience and trains.  A round is plain data for both methods, so one
-actor round function (:func:`_ship_rounds`) and one learner loop
-(:func:`_learn`) serve both.  IDQN rows carry their finished episodes'
+stack set-up (:func:`_run_stack`: parameter server, rings, version-0
+publish, actor start, :func:`_learn`, :func:`_shutdown`) and one actor
+(:func:`_actor_main`, shipping rounds through :func:`_ship_rounds`)
+serve both; the methods differ only in their acting families, RNG
+streams and rollout worker.  IDQN rows carry their finished episodes'
 indices, so the learner keeps no episode accounting of its own.
 
 Option selection consumes one shared RNG stream across an env batch, so
@@ -42,8 +45,9 @@ batch-shaped BLAS forwards would both change bits).  Two modes:
 * **Staleness fan-out** (``max_staleness=k > 0``) — *partitioned
   collection*, the throughput mode.  Each actor runs its *own* env batch
   on actor-indexed forked RNG streams
-  (:func:`~repro.utils.seeding.spawn_rngs` over ``num_actors * agents``
-  children, actor-major, so actor 0 keeps the single-actor streams), and
+  (:func:`~repro.utils.seeding.spawn_rngs` children, one per acting
+  generator of each actor: one per HERO agent, one for IDQN; actor-major,
+  so actor 0 keeps the single-actor streams), and
   IDQN partitions the episode universe by stride
   (:func:`~repro.utils.seeding.episode_partition`: actor ``k`` owns
   episodes ``k, k+N, k+2N, ...``), so any N consumes the same
@@ -66,23 +70,28 @@ scores the records after this stack has shut down
 synchronous loop's bit for bit in lockstep.
 
 Processes: the actors start with the platform's default start method
-(fork on Linux), so a child inherits the imported package instead of
-re-importing it.  A forked child's copies of the learner's rings and
-server close their mappings only: the process that created a segment is
-the one that unlinks it.  The child still rebuilds its replica from a
-picklable spec in the learner's compute dtype, so ``spawn`` and
-``forkserver`` keep working.
+(fork on Linux), so a child inherits the imported package and the
+learner's own controller (the HERO team or the IDQN algorithm) from the
+actor spec without pickling; under ``spawn`` or ``forkserver`` the spec,
+controller included, is pickled, and a controller that cannot be pickled
+raises at ``Process.start()``.  Each actor acts on its copy: it binds the
+copy's acting families to flat import vectors, adopts its own RNG
+streams and the learner's compute dtype, and never writes back.  A
+forked child's copies of the learner's rings and server close their
+mappings only: the process that created a segment is the one that
+unlinks it.
 
 Shutdown: the learner sets the server's stop flag, closes every queue
 (waking actors blocked on backpressure), joins the actors and unlinks
-every shared-memory segment.  An actor-side failure (an exception
-anywhere in the actor, its env batch included) arrives as an
-:class:`~repro.distributed.protocol.ActorError` frame carrying the actor
-id; an actor that dies without reporting (SIGKILL, ``os._exit``) is
-caught by the learner's abort poll, which names the dead process even
-while other actors keep shipping.  Either way the learner re-raises a
-``RuntimeError`` naming the failing actor and tears the whole fleet
-down.
+every shared-memory segment, also when the set-up itself fails (an
+actor that cannot start stops the ones already running).  An actor-side
+failure (an exception anywhere in the actor, its env batch included)
+arrives as an :class:`~repro.distributed.protocol.ActorError` frame
+carrying the actor id; an actor that dies without reporting (SIGKILL,
+``os._exit``) is caught by the learner's abort poll, which names the
+dead process even while other actors keep shipping.  Either way the
+learner re-raises a ``RuntimeError`` naming the failing actor and tears
+the whole fleet down.
 """
 
 from __future__ import annotations
@@ -97,20 +106,17 @@ from ..baselines.base import BaselineConsumer, BaselineRolloutWorker
 from ..baselines.base import evaluate_marl_vectorized  # noqa: F401 (perfbench/tracing.py wraps it)
 from ..baselines.idqn import IndependentDQN
 from ..core.hero import HeroTeam
-from ..core.options import OptionSet
 from ..core.trainer import BatchedRolloutWorker, _HeroEpisodeConsumer
 from ..core.trainer import evaluate_hero_vectorized  # noqa: F401 (perfbench/tracing.py wraps it)
 from ..core.update_engine import (
     BoundFamilyVector,
-    HeroTeamUpdateEngine,
-    IDQNUpdateEngine,
     family_dtype,
     family_vector_size,
     gather_family,
+    iter_family_params,
 )
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
 from ..envs.vector_env import EnvReplicaFactory, VectorEnv
-from ..nn.layers import Linear
 from ..nn.tensor import get_default_dtype, set_default_dtype
 from ..utils.logging_utils import MetricLogger
 from ..utils.seeding import spawn_rngs
@@ -179,14 +185,23 @@ def _actor_abort(processes):
     return check
 
 
-def _make_exporter(members, flat: np.ndarray | None = None):
-    """Slot exporter: the fused optimizer's flat buffer when it exists
-    (zero-copy — ``ParameterServer.publish`` copies straight out of it),
-    a ``gather_family`` copy otherwise (non-fused updates own their
-    parameter storage per network)."""
+def _make_exporter(members):
+    """Slot exporter: the one flat buffer the members' parameters tile, in
+    family order, when they do (a fused optimizer's: zero-copy, as
+    ``ParameterServer.publish`` copies straight out of it); a
+    ``gather_family`` copy otherwise (per-network optimizers own each
+    network's storage)."""
     size = family_vector_size(members)
-    if flat is not None and flat.size == size:
-        return lambda: flat
+    views = [param.data for param in iter_family_params(members)]
+    flat = views[0].base
+    if flat is not None and flat.ndim == 1 and flat.size == size:
+        address = flat.ctypes.data
+        for view in views:
+            if view.base is not flat or view.ctypes.data != address:
+                break
+            address += view.nbytes
+        else:
+            return lambda: flat
     out = np.empty(size, dtype=family_dtype(members))
     return lambda: gather_family(members, out)
 
@@ -238,7 +253,7 @@ def _report_actor_error(queue: ShmRingQueue, spec: dict) -> None:
 def _ship_rounds(
     spec: dict, server, queue, bound, generators, collect, exhausted=None
 ) -> None:
-    """The actor side of the round protocol, shared by both actors.
+    """The actor side of the round protocol.
 
     Before round ``r`` read the newest snapshot with version >=
     ``r - max_staleness``, load its vectors into the ``bound`` family
@@ -284,18 +299,47 @@ def _ship_rounds(
         round_index += 1
 
 
-def _start_actors(target, kind: str, server, queues, specs) -> list:
+def _actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue) -> None:
+    """Rollout actor process, for both methods.
+
+    Acts on ``spec["controller"]``, this actor's copy of the learner's
+    team or algorithm: binds the copy's acting families
+    (``spec["acting"]``) to flat import vectors, loads the actor's own
+    RNG streams into the generators they name, builds the method's
+    rollout worker (``spec["worker"]``) and ships each round it collects
+    (:func:`_ship_rounds`).  An exception is reported to the learner as
+    an ``ActorError`` frame; the actor's handles are released either way.
+    """
+    try:
+        # A spawned or forkserver child starts at the float64 default;
+        # adopt the learner's compute dtype before building any env.
+        set_default_dtype(spec["dtype"])
+        families, generators = spec["acting"](spec["controller"])
+        bound = {
+            name: BoundFamilyVector(members) for name, members in families.items()
+        }
+        for generator, words in zip(generators, spec["actor_rng"]):
+            load_rng_state(generator, words)
+        collect, exhausted = spec["worker"](spec)
+        _ship_rounds(spec, server, queue, bound, generators, collect, exhausted)
+    except Exception:
+        _report_actor_error(queue, spec)
+    finally:
+        queue.release()
+        server.release()
+
+
+def _start_actors(kind: str, server, queues, specs, started: list) -> None:
     """Start one ``{kind}-actor-{k}`` process per spec, on its own ring,
-    with the default start method."""
-    processes = [
-        mp.Process(
-            target=target, args=(spec, server, queue), name=f"{kind}-actor-{k}"
+    with the default start method, adding each to ``started`` once it
+    runs (a failed start leaves the earlier ones to the caller's
+    shutdown)."""
+    for k, (spec, queue) in enumerate(zip(specs, queues)):
+        process = mp.Process(
+            target=_actor_main, args=(spec, server, queue), name=f"{kind}-actor-{k}"
         )
-        for k, (spec, queue) in enumerate(zip(specs, queues))
-    ]
-    for process in processes:
         process.start()
-    return processes
+        started.append(process)
 
 
 def _publish(server, exporters, generators) -> None:
@@ -310,11 +354,11 @@ def _publish(server, exporters, generators) -> None:
 def _learn(
     consumer, queues, processes, server, exporters, generators, lockstep: bool
 ) -> None:
-    """The learner side of the round protocol, shared by both learners:
-    until ``consumer`` is done, take the next round from the fan-in, adopt
-    its post-round RNG states into ``generators`` (lockstep) or log its
-    snapshot staleness, consume it as the synchronous loop does, and
-    publish the next snapshot unless training is done.
+    """The learner side of the round protocol: until ``consumer`` is done,
+    take the next round from the fan-in, adopt its post-round RNG states
+    into ``generators`` (lockstep) or log its snapshot staleness, consume
+    it as the synchronous loop does, and publish the next snapshot unless
+    training is done.
     """
     abort = _actor_abort(processes)
     fan_in = ActorFanIn(queues)
@@ -342,65 +386,90 @@ def _learn(
             _publish(server, exporters, generators)
 
 
+def _run_stack(
+    kind: str,
+    consumer,
+    spec: dict,
+    stream_seed: int,
+    max_staleness: int,
+    num_actors: int,
+) -> MetricLogger:
+    """The one set-up of both learners; returns ``consumer.logger``.
+
+    ``spec`` is what every actor shares: the learner's own ``controller``,
+    its ``acting`` and ``worker`` functions (see :func:`_actor_main`) and
+    whatever the worker reads.  One parameter server publishes the acting
+    families (a slot each, in the families' own dtype) and the acting
+    generators' states; each actor gets its own ring and its own RNG
+    streams: children ``[k * G, (k + 1) * G)`` of one ``SeedSequence``
+    over ``stream_seed`` for ``G`` generators, actor-major, so actor 0's
+    streams equal the single-actor run's at any fan-out (lockstep swaps
+    in the sidecar every round).  Version 0 is published before the
+    actors start, and whatever fails from the first segment on, the
+    started actors are stopped and joined and every segment is unlinked.
+    """
+    check_fanout(max_staleness, num_actors)
+    families, generators = spec["acting"](spec["controller"])
+    exporters = {name: _make_exporter(members) for name, members in families.items()}
+    count = len(generators)
+    streams = spawn_rngs(stream_seed + _ACTOR_RNG_SALT, num_actors * count)
+    specs = [
+        dict(
+            spec,
+            actor_id=k,
+            num_actors=num_actors,
+            max_staleness=max_staleness,
+            dtype=np.dtype(get_default_dtype()).name,
+            actor_rng=[encode_rng_state(g) for g in streams[k * count : (k + 1) * count]],
+        )
+        for k in range(num_actors)
+    ]
+    server = ParameterServer(
+        {name: family_vector_size(members) for name, members in families.items()},
+        num_rngs=count,
+        dtype=family_dtype(next(iter(families.values()))),
+    )
+    queues: list = []
+    processes: list = []
+    try:
+        for _ in specs:
+            queues.append(ShmRingQueue(_QUEUE_BYTES))
+        # Version 0 — current weights and RNG states — must exist before
+        # the actors' first read.
+        _publish(server, exporters, generators)
+        _start_actors(kind, server, queues, specs, processes)
+        _learn(
+            consumer, queues, processes, server, exporters, generators,
+            max_staleness == 0,
+        )
+        return consumer.logger
+    finally:
+        _shutdown(server, queues, processes)
+
+
 # ---------------------------------------------------------------------------
 # HERO
 # ---------------------------------------------------------------------------
 
 
-def _hero_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
-    """Rollout actor process: act on snapshots, ship each collected round.
+def _hero_acting(team: HeroTeam):
+    """HERO's acting families and the generators its option selection
+    draws from, one per agent."""
+    highs = [agent.high_level for agent in team.agents.values()]
+    return team.acting_families(), [high._rng for high in highs]
 
-    Rebuilds the learner's team from ``spec`` (its state and its skills'
-    RNG states) in the learner's compute dtype, binds its acting families
-    to flat import vectors, and runs the synchronous loop's
-    :class:`BatchedRolloutWorker` on it, shipping the rounds its
-    ``collect`` returns; the learner's consumer writes their experience
-    into the learner's team, as the synchronous loop writes its own.  In
-    staleness fan-out this actor's batch is its own partition of the
-    collection workload, and its ``e``-th episode explores at the
-    schedule's episode ``actor_id + num_actors * e``.
-    """
-    try:
-        # A spawned or forkserver child starts at the float64 default;
-        # adopt the learner's compute dtype before building any network
-        # or env.
-        set_default_dtype(spec["dtype"])
-        env = spec["factory"]()
-        team = HeroTeam(
-            env,
-            np.random.default_rng(0),
-            hyper=spec["hyper"],
-            option_set=OptionSet(*spec["option_set_args"]),
-            opponent_mode=spec["opponent_mode"],
-            batch_size=spec["batch_size"],
-        )
-        team.load_state_dict(spec["team_state"])
-        highs = [team.agents[a].high_level for a in env.agents]
-        # Skills are pre-trained and frozen during high-level training,
-        # but their exploration RNGs advanced during pre-training: adopt
-        # the exact states, shipped once at start.
-        load_rng_state(team.skills.driving_in_lane._rng, spec["skill_rng"][0])
-        load_rng_state(team.skills.lane_change._rng, spec["skill_rng"][1])
-        bound = {
-            name: BoundFamilyVector(members)
-            for name, members in team.acting_families().items()
-        }
-        for high, words in zip(highs, spec["actor_rng"]):
-            load_rng_state(high._rng, words)
-        n = spec["num_envs"]
-        worker = BatchedRolloutWorker(VectorEnv(n, env_fns=[spec["factory"]] * n), team)
-        worker.reset(spec["seeds"])
-        schedule = spec["epsilon_schedule"]
-        first, stride = spec["actor_id"], spec["num_actors"]
-        _ship_rounds(
-            spec, server, queue, bound, [h._rng for h in highs],
-            lambda: worker.collect(lambda e: schedule(first + stride * e)),
-        )
-    except Exception:
-        _report_actor_error(queue, spec)
-    finally:
-        queue.release()
-        server.release()
+
+def _hero_worker(spec: dict):
+    """The synchronous loop's :class:`BatchedRolloutWorker` over this
+    actor's own env batch and seeds; its ``e``-th episode explores at the
+    schedule's episode ``actor_id + num_actors * e``."""
+    n, first = spec["num_envs"], spec["actor_id"]
+    worker = BatchedRolloutWorker(
+        VectorEnv(n, env_fns=[spec["factory"]] * n), spec["controller"]
+    )
+    worker.reset(spec["seed_sets"][first])
+    schedule, stride = spec["epsilon_schedule"], spec["num_actors"]
+    return lambda: worker.collect(lambda e: schedule(first + stride * e)), None
 
 
 def train_hero_async(
@@ -412,7 +481,6 @@ def train_hero_async(
     rng: np.random.Generator,
     epsilon_schedule,
     config,
-    engine=None,
     max_staleness: int = 0,
     num_actors: int = 1,
 ) -> MetricLogger:
@@ -420,118 +488,39 @@ def train_hero_async(
 
     The synchronous loop of :func:`~repro.core.trainer.train_hero` with
     its :class:`~repro.core.trainer.BatchedRolloutWorker` moved into
-    ``num_actors`` actor processes: the learner hands each round an actor
-    ships to ``consumer``, the loop's per-episode consumer (store, update
-    budget, logging and evaluation records, which ``train_hero`` scores
-    after this returns).  At ``max_staleness=0`` one actor runs
-    and the run is the synchronous one bit for bit; at
-    ``max_staleness>0`` rollout and update overlap, with aggregate and
-    per-actor staleness logged per round (see the module docstring).
-    ``engine`` is
-    the :class:`~repro.core.update_engine.UpdateEngine` behind the
-    consumer's update when fused updates are active; its flat optimizer
-    buffers make each snapshot publish a plain ``np.copyto``.  A team
-    with an observation service raises ``ValueError`` before any actor
-    starts: the actors rebuild the team without a bus.  Returns
-    ``consumer.logger``.
+    ``num_actors`` actor processes, each on its own copy of ``team``: the
+    learner hands each round an actor ships to ``consumer``, the loop's
+    per-episode consumer (store, update budget, logging and evaluation
+    records, which ``train_hero`` scores after this returns).  At
+    ``max_staleness=0`` one actor runs and the run is the synchronous one
+    bit for bit; at ``max_staleness>0`` rollout and update overlap, with
+    aggregate and per-actor staleness logged per round (see the module
+    docstring).  When fused updates own the acting families' storage,
+    each snapshot publish is a plain ``np.copyto`` out of their flat
+    buffers.  A team with an observation service raises ``ValueError``
+    before any actor starts.  Returns ``consumer.logger``.
     """
-    check_fanout(max_staleness, num_actors)
     if team.observation_service is not None:
         raise ValueError(
             "async actors roll out without the team's "
-            "DistributedObservationService (their replica teams have no bus); "
-            "train a team with a bus synchronously"
+            "DistributedObservationService (each actor would exchange over "
+            "its own copy of the bus); train a team with a bus synchronously"
         )
-    factory = EnvReplicaFactory.from_env(env)
-    if type(team.option_set) is not OptionSet:
-        raise ValueError(
-            "async actors require the default OptionSet (custom option sets "
-            "hold unpicklable predicates and cannot be shipped to the actor)"
-        )
-
-    highs = [team.agents[a].high_level for a in env.agents]
-    first = highs[0]
-    impl = getattr(engine, "_impl", None)
-    fused_impl = impl if isinstance(impl, HeroTeamUpdateEngine) else None
-    fused_opts = (
-        {"actor": fused_impl.actor_opt, "opponent": fused_impl.opponent_opt}
-        if fused_impl
-        else {}
-    )
-    families = team.acting_families()
-    slots = {name: family_vector_size(members) for name, members in families.items()}
-    exporters = {
-        name: _make_exporter(
-            members, fused_opts[name]._flat if name in fused_opts else None
-        )
-        for name, members in families.items()
-    }
-
-    generators = [h._rng for h in highs]
-    server = ParameterServer(slots, num_rngs=len(highs), dtype=get_default_dtype())
-    queues = [ShmRingQueue(_QUEUE_BYTES) for _ in range(num_actors)]
-    # Each actor draws its own env seeds, actor-major, so actor 0's seeds
-    # are exactly the single-actor run's at any fan-out.
-    seed_sets = [
-        [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
-        for _ in range(num_actors)
-    ]
-    # Actor-major RNG forks (lockstep swaps in the sidecar every round):
-    # actor k's agent streams are children [k * agents, (k + 1) * agents)
-    # of one SeedSequence, so actor 0's streams equal the single-actor
-    # run's at any fan-out (SeedSequence children depend only on their
-    # index, not on how many are spawned).
-    actor_streams = [
-        encode_rng_state(g)
-        for g in spawn_rngs(config.seed + _ACTOR_RNG_SALT, num_actors * len(highs))
-    ]
-    shared_spec = {
-        "factory": factory,
+    spec = {
+        "controller": team,
+        "acting": _hero_acting,
+        "worker": _hero_worker,
+        "factory": EnvReplicaFactory.from_env(env),
         "num_envs": num_envs,
         "epsilon_schedule": epsilon_schedule,
-        "hyper": team.hyper,
-        "option_set_args": (
-            team.option_set.option_duration,
-            team.option_set.lane_change_max_steps,
-        ),
-        "opponent_mode": first.opponent_mode,
-        "batch_size": first.batch_size,
-        "team_state": team.state_dict(),
-        "skill_rng": [
-            encode_rng_state(team.skills.driving_in_lane._rng),
-            encode_rng_state(team.skills.lane_change._rng),
+        # Each actor draws its own env seeds, actor-major, so actor 0's
+        # seeds are exactly the single-actor run's at any fan-out.
+        "seed_sets": [
+            [int(rng.integers(0, 2**31 - 1)) for _ in range(num_envs)]
+            for _ in range(num_actors)
         ],
-        "max_staleness": max_staleness,
-        "num_actors": num_actors,
-        "dtype": np.dtype(get_default_dtype()).name,
     }
-    # Version 0 — current weights and RNG states — must exist before the
-    # actors' first read.
-    _publish(server, exporters, generators)
-    processes = _start_actors(
-        _hero_actor_main,
-        "hero",
-        server,
-        queues,
-        [
-            dict(
-                shared_spec,
-                actor_id=k,
-                seeds=seed_sets[k],
-                actor_rng=actor_streams[k * len(highs) : (k + 1) * len(highs)],
-            )
-            for k in range(num_actors)
-        ],
-    )
-
-    try:
-        _learn(
-            consumer, queues, processes, server, exporters, generators,
-            max_staleness == 0,
-        )
-        return consumer.logger
-    finally:
-        _shutdown(server, queues, processes)
+    return _run_stack("hero", consumer, spec, config.seed, max_staleness, num_actors)
 
 
 # ---------------------------------------------------------------------------
@@ -539,55 +528,28 @@ def train_hero_async(
 # ---------------------------------------------------------------------------
 
 
-def _idqn_hidden_dim(algorithm: IndependentDQN) -> int:
-    trunk = algorithm.q_networks[algorithm.agent_ids[0]].trunk
-    for child in trunk.net.children:
-        if isinstance(child, Linear):
-            return child.out_features
-    raise ValueError("IDQN trunk has no Linear layer")
+def _idqn_acting(algorithm: IndependentDQN):
+    """IDQN's acting family (every agent's Q trunk) and its one
+    exploration generator."""
+    return {"q": algorithm.acting_members()}, [algorithm._rng]
 
 
-def _idqn_actor_main(spec: dict, server: ParameterServer, queue: ShmRingQueue):
-    """IDQN rollout actor: the synchronous loop's
-    :class:`~repro.baselines.base.BaselineRolloutWorker`, acting on
-    snapshots and shipping each collection round's rows (every round ends
-    where the synchronous loop would run updates).
-
-    Each actor walks its :func:`episode_partition` stride of the episode
-    universe (all of it when one actor runs).  Once its budget episodes
-    are done the actor idles (see :func:`_ship_rounds`).
-    """
-    try:
-        # Adopt the learner's compute dtype before building the replica.
-        set_default_dtype(spec["dtype"])
-        algo = IndependentDQN(
-            spec["agent_ids"],
-            spec["obs_dim"],
-            spec["num_actions"],
-            np.random.default_rng(0),
-            hidden_dim=spec["hidden_dim"],
-            buffer_capacity=1,  # the actor never observes; learner owns replay
-        )
-        bound = {"q": BoundFamilyVector(algo.acting_members())}
-        load_rng_state(algo._rng, spec["actor_rng"])
-        worker = BaselineRolloutWorker(
-            spec["build_batch"](spec["num_envs"]),
-            algo,
-            spec["episodes"],
-            spec["seed"],
-            spec["epsilon_schedule"],
-            spec["num_actors"],
-            spec["actor_id"],
-        )
-        _ship_rounds(
-            spec, server, queue, bound, [algo._rng], worker.collect,
-            lambda: worker.exhausted,
-        )
-    except Exception:
-        _report_actor_error(queue, spec)
-    finally:
-        queue.release()
-        server.release()
+def _idqn_worker(spec: dict):
+    """The synchronous loop's
+    :class:`~repro.baselines.base.BaselineRolloutWorker` over this actor's
+    :func:`~repro.utils.seeding.episode_partition` stride of the episode
+    universe (all of it when one actor runs); once its budget episodes
+    are done the actor idles (see :func:`_ship_rounds`)."""
+    worker = BaselineRolloutWorker(
+        spec["build_batch"](spec["num_envs"]),
+        spec["controller"],
+        spec["episodes"],
+        spec["seed"],
+        spec["epsilon_schedule"],
+        spec["num_actors"],
+        spec["actor_id"],
+    )
+    return worker.collect, lambda: worker.exhausted
 
 
 def train_marl_async(
@@ -597,7 +559,6 @@ def train_marl_async(
     seed: int,
     epsilon_schedule,
     consumer: BaselineConsumer,
-    engine=None,
     max_staleness: int = 0,
     num_actors: int = 1,
 ) -> MetricLogger:
@@ -606,62 +567,25 @@ def train_marl_async(
     The synchronous loop of
     :func:`~repro.baselines.base.train_marl_vectorized` with its
     :class:`~repro.baselines.base.BaselineRolloutWorker` moved into
-    ``num_actors`` actor processes: each steps a batch from
-    ``vec_env.replica_builder()`` (the caller's traffic, track and command
-    grid carry over) and ships its collection rounds; the learner hands every
-    round's rows to ``consumer``, a
-    :class:`~repro.baselines.base.BaselineConsumer`, which reads each
-    finished episode's index from the rows and records the interleaved
-    evaluations, scored by ``train_marl_vectorized`` after this returns.
-    Lockstep runs one actor,
-    bitwise the synchronous loop; staleness fan-out stride-partitions the
-    episode universe across actors for real collection parallelism.
-    Returns ``consumer.logger``.
+    ``num_actors`` actor processes, each on its own copy of
+    ``algorithm``: each steps a batch from ``vec_env.replica_builder()``
+    (the caller's traffic, track and command grid carry over) and ships
+    its collection rounds; the learner hands every round's rows to
+    ``consumer``, a :class:`~repro.baselines.base.BaselineConsumer`, which
+    reads each finished episode's index from the rows and records the
+    interleaved evaluations, scored by ``train_marl_vectorized`` after
+    this returns.  Lockstep runs one actor, bitwise the synchronous loop;
+    staleness fan-out stride-partitions the episode universe across
+    actors for real collection parallelism.  Returns ``consumer.logger``.
     """
-    check_fanout(max_staleness, num_actors)
-    build_batch = vec_env.replica_builder()
-    ids = algorithm.agent_ids
-    members = algorithm.acting_members()
-    impl = getattr(engine, "_impl", None)
-    fused_impl = impl if isinstance(impl, IDQNUpdateEngine) else None
-    exporters = {"q": _make_exporter(members, fused_impl.opt._flat if fused_impl else None)}
-    generators = [algorithm._rng]
-    server = ParameterServer(
-        {"q": family_vector_size(members)}, num_rngs=1, dtype=family_dtype(members)
-    )
-    queues = [ShmRingQueue(_QUEUE_BYTES) for _ in range(num_actors)]
-    actor_streams = spawn_rngs(seed + _ACTOR_RNG_SALT, num_actors)
-    shared_spec = {
-        "agent_ids": list(ids),
-        "obs_dim": algorithm.obs_dim,
-        "num_actions": algorithm.num_actions,
-        "hidden_dim": _idqn_hidden_dim(algorithm),
-        "build_batch": build_batch,
+    spec = {
+        "controller": algorithm,
+        "acting": _idqn_acting,
+        "worker": _idqn_worker,
+        "build_batch": vec_env.replica_builder(),
         "num_envs": vec_env.num_envs,
         "episodes": episodes,
         "seed": seed,
         "epsilon_schedule": epsilon_schedule,
-        "max_staleness": max_staleness,
-        "num_actors": num_actors,
-        "dtype": np.dtype(get_default_dtype()).name,
     }
-    _publish(server, exporters, generators)
-    processes = _start_actors(
-        _idqn_actor_main,
-        "idqn",
-        server,
-        queues,
-        [
-            dict(shared_spec, actor_id=k, actor_rng=encode_rng_state(actor_streams[k]))
-            for k in range(num_actors)
-        ],
-    )
-
-    try:
-        _learn(
-            consumer, queues, processes, server, exporters, generators,
-            max_staleness == 0,
-        )
-        return consumer.logger
-    finally:
-        _shutdown(server, queues, processes)
+    return _run_stack("idqn", consumer, spec, seed, max_staleness, num_actors)

@@ -189,6 +189,10 @@ class VectorBaselineEnv:
     def fallback_reason(self) -> str | None:
         return self.vec_env.fallback_reason
 
+    @property
+    def auto_reset(self) -> bool:
+        return self.vec_env.auto_reset
+
     def close(self) -> None:
         """Release the wrapped engine."""
         self.vec_env.close()

@@ -5,7 +5,6 @@ from .replay import (
     ObservationHistoryBuffer,
     OptionReplayBuffer,
     OptionTransition,
-    PrioritizedReplayBuffer,
     ReplayBuffer,
 )
 
@@ -14,6 +13,5 @@ __all__ = [
     "ObservationHistoryBuffer",
     "OptionReplayBuffer",
     "OptionTransition",
-    "PrioritizedReplayBuffer",
     "ReplayBuffer",
 ]

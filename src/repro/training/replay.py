@@ -1,15 +1,14 @@
 """Experience replay buffers.
 
-Three shapes are needed:
-
 * :class:`ReplayBuffer` — uniform ring buffer of flat transitions
-  (low-level SAC, DQN, MADDPG).
-* :class:`PrioritizedReplayBuffer` — proportional prioritisation
-  (optional for DQN; Schaul et al. 2016, cited by the paper as crucial
-  for stabilising DRL).
+  (low-level SAC, DQN).
 * :class:`OptionReplayBuffer` — SMDP transitions for the high-level
   learner: ``(s_h, o_i, o_-i, accumulated r_h, s_h', done, c)`` where the
   reward is summed over the ``c`` steps the option ran (Sec. III-C).
+* :class:`JointReplayBuffer` — joint multi-agent transitions for the
+  CTDE baselines.
+* :class:`ObservationHistoryBuffer` — the opponent models' rolling
+  (state, other-agent options) history.
 """
 
 from __future__ import annotations
@@ -146,63 +145,6 @@ class ReplayBuffer(_RingBuffer):
             "next_obs": np.take(self.next_obs, idx, axis=0),
             "dones": np.take(self.dones, idx, axis=0),
         }
-
-
-class PrioritizedReplayBuffer(ReplayBuffer):
-    """Proportional prioritised replay (simplified PER).
-
-    Priorities default to the max seen so new transitions are replayed at
-    least once; importance weights are returned for bias correction.
-    """
-
-    _ROW_ARRAYS = ReplayBuffer._ROW_ARRAYS + ("_priorities",)
-
-    def __init__(
-        self,
-        capacity: int,
-        obs_dim: int,
-        action_dim: int,
-        alpha: float = 0.6,
-        beta: float = 0.4,
-        dtype: np.dtype = np.float32,
-    ):
-        super().__init__(capacity, obs_dim, action_dim, dtype=dtype)
-        self.alpha = alpha
-        self.beta = beta
-        self._priorities = np.zeros(capacity)
-        self._max_priority = 1.0
-
-    def push(self, obs, action, reward, next_obs, done) -> None:
-        self._priorities[self._index] = self._max_priority
-        super().push(obs, action, reward, next_obs, done)
-
-    def push_batch(self, obs, actions, rewards, next_obs, dones) -> None:
-        _, idx = _ring_append_slots(self._index, self.capacity, len(rewards))
-        self._priorities[idx] = self._max_priority
-        super().push_batch(obs, actions, rewards, next_obs, dones)
-
-    def sample(self, batch_size: int, rng: np.random.Generator) -> dict[str, np.ndarray]:
-        if self._size == 0:
-            raise ValueError("cannot sample from an empty buffer")
-        scaled = self._priorities[: self._size] ** self.alpha
-        probs = scaled / scaled.sum()
-        idx = rng.choice(self._size, size=min(batch_size, self._size), p=probs)
-        weights = (self._size * probs[idx]) ** (-self.beta)
-        weights /= weights.max()
-        return {
-            "obs": self.obs[idx],
-            "actions": self.actions[idx],
-            "rewards": self.rewards[idx],
-            "next_obs": self.next_obs[idx],
-            "dones": self.dones[idx],
-            "weights": weights,
-            "indices": idx,
-        }
-
-    def update_priorities(self, indices: np.ndarray, td_errors: np.ndarray) -> None:
-        priorities = np.abs(td_errors) + 1e-6
-        self._priorities[indices] = priorities
-        self._max_priority = max(self._max_priority, float(priorities.max()))
 
 
 @dataclass

@@ -5,36 +5,21 @@ from .math_utils import (
     clamp,
     clip_scalar,
     discounted_returns,
-    explained_variance,
     moving_average,
     segment_intersects_circle,
     wrap_angle,
 )
-from .schedule import (
-    ConstantSchedule,
-    CosineSchedule,
-    ExponentialSchedule,
-    LinearSchedule,
-    PiecewiseSchedule,
-    Schedule,
-)
-from .seeding import child_rng, make_rng, spawn_rngs
+from .schedule import LinearSchedule, Schedule
+from .seeding import spawn_rngs
 
 __all__ = [
-    "ConstantSchedule",
-    "CosineSchedule",
-    "ExponentialSchedule",
     "LinearSchedule",
     "MetricLogger",
-    "PiecewiseSchedule",
     "Schedule",
-    "child_rng",
     "clamp",
     "clip_scalar",
     "discounted_returns",
-    "explained_variance",
     "format_table",
-    "make_rng",
     "moving_average",
     "segment_intersects_circle",
     "spawn_rngs",

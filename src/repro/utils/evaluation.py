@@ -68,40 +68,61 @@ def scored_reset_seeds(records: list[EvalRecord], episodes: int) -> list[int]:
     ]
 
 
-def step_scored_episodes(vec_env, obs, act: Callable) -> list[dict]:
-    """Step ``vec_env`` until each of its envs has finished one episode.
+def step_seeded_episodes(
+    vec_env, obs, reset_seeds, act: Callable, restart: Callable | None = None
+) -> list[dict]:
+    """Step ``vec_env`` until every episode of ``reset_seeds`` has finished.
 
-    ``vec_env`` runs without auto-reset and ``obs`` is its seeded reset.
-    ``act(obs, finished)`` returns each step's actions; ``finished`` marks
-    the envs whose episode is over, whose rows idle on their final state
-    and are never scored.  Returns every env's episode summary.
+    The one episode-accounting loop of the vectorized evaluators and the
+    scoring rollouts.  ``obs`` is the batch's reset observation, where env
+    ``i`` started episode ``i`` (seeded ``reset_seeds[i]``; envs beyond
+    the episodes run unscored).  A finished env resets with the next
+    unstarted episode's seed, or runs unscored when none is left: on its
+    auto-reset episodes, or idling on its final state in a batch without
+    auto-reset.  ``act(obs, scoring)`` returns each step's actions, where
+    ``scoring`` marks the envs still running an episode of
+    ``reset_seeds``; ``restart(i)``, when given, runs for every env ``i``
+    that finishes (HERO restarts the runner row).  Returns each episode's
+    summary, in episode order.
     """
-    n = vec_env.num_envs
-    summaries: list = [None] * n
-    finished = np.zeros(n, dtype=bool)
-    while not finished.all():
-        obs, _, dones, infos = vec_env.step(act(obs, finished))
-        for i in np.flatnonzero(dones & ~finished):
-            summaries[i] = infos[i]["episode"]
-        finished |= dones
+    episodes, n = len(reset_seeds), vec_env.num_envs
+    summaries: list = [None] * episodes
+    episode_of_env = np.arange(n)
+    # Without auto-reset an env with no episode left idles on its final
+    # state and reports done on every later step: it finished once.
+    idle = np.zeros(n, dtype=bool)
+    next_to_start = n
+    remaining = episodes
+    while remaining:
+        obs, _, dones, infos = vec_env.step(act(obs, episode_of_env < episodes))
+        for i in np.flatnonzero(dones & ~idle):
+            episode = int(episode_of_env[i])
+            if episode < episodes:
+                summaries[episode] = infos[i]["episode"]
+                remaining -= 1
+            if restart is not None:
+                restart(i)
+            episode_of_env[i] = next_to_start
+            if next_to_start < episodes:
+                row = vec_env.reset_env(i, seed=int(reset_seeds[next_to_start]))
+                if isinstance(obs, dict):
+                    for key in obs:
+                        obs[key][i] = row[key]
+                else:
+                    obs[i] = row
+            elif not vec_env.auto_reset:
+                idle[i] = True
+            next_to_start += 1
     return summaries
 
 
 def summarise_records(summaries: list[dict], episodes: int) -> list[dict[str, float]]:
     """Each record's metrics from its ``episodes`` consecutive summaries,
     in episode order."""
-    metrics = []
-    for start in range(0, len(summaries), episodes):
-        own = summaries[start : start + episodes]
-        metrics.append(
-            summarise_eval_episodes(
-                [s["episode_reward"] for s in own],
-                [s["collision"] for s in own],
-                [s["merge_success_rate"] for s in own],
-                [s["mean_speed"] for s in own],
-            )
-        )
-    return metrics
+    return [
+        summarise_eval_episodes(summaries[start : start + episodes])
+        for start in range(0, len(summaries), episodes)
+    ]
 
 
 def log_scored_records(

@@ -14,10 +14,9 @@ from collections import defaultdict
 import numpy as np
 
 
-def summarise_eval_episodes(
-    rewards, collisions, successes, speeds
-) -> dict[str, float]:
-    """Mean per-episode evaluation series into the paper's Table II metrics.
+def summarise_eval_episodes(summaries) -> dict[str, float]:
+    """Mean the episode summaries of a greedy evaluation (as an env's
+    ``info["episode"]`` holds them) into the paper's Table II metrics.
 
     The single definition of the evaluation metric contract
     (``episode_reward`` / ``collision_rate`` / ``success_rate`` /
@@ -27,10 +26,10 @@ def summarise_eval_episodes(
     apart on metric names.
     """
     return {
-        "episode_reward": float(np.mean(rewards)),
-        "collision_rate": float(np.mean(collisions)),
-        "success_rate": float(np.mean(successes)),
-        "mean_speed": float(np.mean(speeds)),
+        "episode_reward": float(np.mean([s["episode_reward"] for s in summaries])),
+        "collision_rate": float(np.mean([s["collision"] for s in summaries])),
+        "success_rate": float(np.mean([s["merge_success_rate"] for s in summaries])),
+        "mean_speed": float(np.mean([s["mean_speed"] for s in summaries])),
     }
 
 

@@ -72,16 +72,6 @@ def discounted_returns(rewards, gamma: float) -> np.ndarray:
     return returns
 
 
-def explained_variance(predictions, targets) -> float:
-    """1 - Var(targets - predictions) / Var(targets); critic fit quality."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    var_targets = targets.var()
-    if var_targets == 0:
-        return 0.0
-    return float(1.0 - (targets - predictions).var() / var_targets)
-
-
 def segment_intersects_circle(
     start: np.ndarray, end: np.ndarray, center: np.ndarray, radius: float
 ) -> float | None:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 
 class Schedule:
     """Base class: maps a step index to a scalar value."""
@@ -13,14 +11,6 @@ class Schedule:
 
     def __call__(self, step: int) -> float:
         return self.value(step)
-
-
-class ConstantSchedule(Schedule):
-    def __init__(self, value: float):
-        self._value = value
-
-    def value(self, step: int) -> float:
-        return self._value
 
 
 class LinearSchedule(Schedule):
@@ -36,55 +26,3 @@ class LinearSchedule(Schedule):
     def value(self, step: int) -> float:
         fraction = min(max(step, 0), self.duration) / self.duration
         return self.start + fraction * (self.end - self.start)
-
-
-class ExponentialSchedule(Schedule):
-    """Exponential decay ``start * decay^step`` floored at ``end``."""
-
-    def __init__(self, start: float, end: float, decay: float):
-        if not 0.0 < decay <= 1.0:
-            raise ValueError(f"decay must be in (0, 1], got {decay}")
-        self.start = start
-        self.end = end
-        self.decay = decay
-
-    def value(self, step: int) -> float:
-        return max(self.end, self.start * self.decay ** max(step, 0))
-
-
-class PiecewiseSchedule(Schedule):
-    """Linear interpolation between ``(step, value)`` breakpoints."""
-
-    def __init__(self, points: list[tuple[int, float]]):
-        if len(points) < 2:
-            raise ValueError("need at least two breakpoints")
-        steps = [s for s, _ in points]
-        if steps != sorted(steps):
-            raise ValueError("breakpoints must be sorted by step")
-        self.points = points
-
-    def value(self, step: int) -> float:
-        if step <= self.points[0][0]:
-            return self.points[0][1]
-        if step >= self.points[-1][0]:
-            return self.points[-1][1]
-        for (s0, v0), (s1, v1) in zip(self.points[:-1], self.points[1:]):
-            if s0 <= step <= s1:
-                fraction = (step - s0) / (s1 - s0)
-                return v0 + fraction * (v1 - v0)
-        raise AssertionError("unreachable")
-
-
-class CosineSchedule(Schedule):
-    """Cosine annealing from ``start`` to ``end`` over ``duration`` steps."""
-
-    def __init__(self, start: float, end: float, duration: int):
-        if duration <= 0:
-            raise ValueError(f"duration must be positive, got {duration}")
-        self.start = start
-        self.end = end
-        self.duration = duration
-
-    def value(self, step: int) -> float:
-        fraction = min(max(step, 0), self.duration) / self.duration
-        return self.end + 0.5 * (self.start - self.end) * (1 + math.cos(math.pi * fraction))

@@ -12,11 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def make_rng(seed: int | None) -> np.random.Generator:
-    """Create a generator from an integer seed (or entropy if ``None``)."""
-    return np.random.default_rng(seed)
-
-
 def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
     """Derive ``count`` statistically independent generators from ``seed``.
 
@@ -62,9 +57,3 @@ def episode_partition(episodes: int, num_actors: int, actor: int) -> np.ndarray:
     if not 0 <= actor < num_actors:
         raise ValueError(f"actor must be in [0, {num_actors}), got {actor}")
     return np.arange(actor, episodes, num_actors, dtype=np.int64)
-
-
-def child_rng(rng: np.random.Generator, salt: int = 0) -> np.random.Generator:
-    """Fork a fresh generator from an existing one (for lazily-built parts)."""
-    seed = int(rng.integers(0, 2**63 - 1)) ^ (salt * 0x9E3779B97F4A7C15 % 2**63)
-    return np.random.default_rng(seed)

@@ -18,10 +18,18 @@ The contract under test (``repro.distributed.actor_learner``):
   exception while scoring the recorded evaluations (after the stack shut
   down) surfaces from ``train_hero`` as it was raised;
 * a finished (or failed) run leaves no orphan processes and unlinks
-  every shared-memory segment it created, and only the creating process
-  unlinks: a forked child's release leaves the segment in place;
+  every shared-memory segment it created, also when an actor fails to
+  start after others did, and only the creating process unlinks: a
+  forked child's release leaves the segment in place;
 * the actors start with the default start method, and lockstep stays
-  bitwise under a ``spawn`` default too.
+  bitwise under a ``spawn`` default too, where the actor spec (the
+  learner's own team included) is pickled at start;
+* every actor's spec carries the learner's own controller and none of
+  the fields a rebuild would need, with its own RNG streams (actor 0's
+  are the single-actor run's), and the parameter server publishes in
+  the acting families' dtype;
+* a family's snapshot is exported straight out of a fused optimizer's
+  flat buffer when one holds it, and gathered afresh otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from repro.baselines import make_baseline, train_marl_vectorized
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, train_hero
 from repro.core import trainer as trainer_module
+from repro.core.update_engine import UpdateEngine, gather_family, iter_family_params
 from repro.distributed import ParameterServer, ShmRingQueue
 from repro.distributed import actor_learner
 from repro.envs import (
@@ -48,6 +57,7 @@ from repro.envs import (
     VectorEnv,
     make_baseline_vector_env,
 )
+from repro.nn.tensor import default_dtype
 
 SCENARIO = ScenarioConfig(episode_length=5)
 
@@ -155,8 +165,8 @@ def test_hero_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
 
 
 def test_hero_lockstep_matches_sync_bitwise_under_spawn(spawn_default):
-    """Under a ``spawn`` default the actor rebuilds its replica team from
-    the pickled spec; the run stays bitwise."""
+    """Under a ``spawn`` default the actor acts on a copy of the learner's
+    team unpickled from its spec; the run stays bitwise."""
     log_sync, team_sync = _sync_reference("hero", True)
     log_async, team_async = _hero_run(True, fused=True)
     _assert_logs_equal(log_sync, log_async)
@@ -512,3 +522,154 @@ def test_actor_crash_names_failing_shard(monkeypatch):
         )
     after = {proc.pid for proc in mp.active_children()}
     assert after <= before, "failed async run leaked processes"
+
+
+class _SecondStartFails(mp.Process):
+    """Actor process whose second instance fails to start, as a failed
+    fork would."""
+
+    def start(self):
+        if self.name.endswith("-actor-1"):
+            raise OSError("injected start failure")
+        super().start()
+
+
+def _assert_stack_cleaned_up(before: set, segments: int) -> None:
+    after = {proc.pid for proc in mp.active_children()}
+    assert after <= before, "an actor outlived the failed start"
+    assert len(_CREATED_SEGMENTS) == segments
+    for name in _CREATED_SEGMENTS:
+        with pytest.raises(FileNotFoundError):
+            shared_memory.SharedMemory(name=name)
+
+
+@pytest.mark.parametrize("method", ["hero", "idqn"])
+def test_failed_actor_start_stops_the_started_actors(monkeypatch, method):
+    """Two staleness actors, the second fails to start: the error
+    surfaces, the first actor is stopped and joined, and the parameter
+    server and both rings are unlinked."""
+    monkeypatch.setattr(mp, "Process", _SecondStartFails)
+    monkeypatch.setattr(actor_learner, "ParameterServer", _RecordingServer)
+    monkeypatch.setattr(actor_learner, "ShmRingQueue", _RecordingQueue)
+    _CREATED_SEGMENTS.clear()
+    before = {proc.pid for proc in mp.active_children()}
+    run = _hero_run if method == "hero" else _idqn_run
+    with pytest.raises(OSError, match="injected start failure"):
+        run(True, max_staleness=2, num_actors=2)
+    _assert_stack_cleaned_up(before, segments=3)
+
+
+def _refuse_pickling(self):
+    raise TypeError("injected: this team cannot be pickled")
+
+
+def test_unpicklable_team_fails_at_start_under_spawn(spawn_default, monkeypatch):
+    """Under ``spawn`` the actor spec carries the learner's team, pickled
+    at ``Process.start()``: a team that cannot be pickled raises there and
+    the stack still unlinks its segments."""
+    monkeypatch.setattr(HeroTeam, "__getstate__", _refuse_pickling, raising=False)
+    monkeypatch.setattr(actor_learner, "ParameterServer", _RecordingServer)
+    monkeypatch.setattr(actor_learner, "ShmRingQueue", _RecordingQueue)
+    _CREATED_SEGMENTS.clear()
+    before = {proc.pid for proc in mp.active_children()}
+    with pytest.raises(TypeError, match="cannot be pickled"):
+        _hero_run(True)
+    _assert_stack_cleaned_up(before, segments=2)
+
+
+# ----------------------------------------------------------------------
+# Actor specs and snapshot exporters
+# ----------------------------------------------------------------------
+# The fields an actor needed to rebuild its controller before it acted on
+# a copy of the learner's own.
+_REBUILD_FIELDS = {
+    "hyper", "option_set_args", "opponent_mode", "batch_size", "team_state",
+    "skill_rng", "agent_ids", "obs_dim", "num_actions", "hidden_dim",
+}
+
+
+class _ActorsStarting(Exception):
+    """Stops a run where its actors would start."""
+
+
+def _controller(method: str):
+    """A fresh HERO team or IDQN algorithm and a function that trains it
+    on the async stack."""
+    if method == "hero":
+        config = TrainingConfig(seed=0)
+        config.scenario = SCENARIO
+        env = CooperativeLaneChangeEnv(scenario=SCENARIO)
+        team = HeroTeam(env, np.random.default_rng(0), batch_size=32)
+        return team, lambda **kwargs: train_hero(
+            env, team, episodes=3, config=config, num_envs=2, eval_every=2,
+            eval_episodes=2, async_actors=True, **kwargs,
+        )
+    vec_env = make_baseline_vector_env(2, scenario=SCENARIO)
+    algo = make_baseline("idqn", vec_env, seed=3, batch_size=16, buffer_capacity=500)
+    return algo, lambda **kwargs: train_marl_vectorized(
+        vec_env, algo, episodes=4, seed=5, eval_every=2, eval_episodes=2,
+        async_actors=True, **kwargs,
+    )
+
+
+def _actor_specs(monkeypatch, method: str, num_actors: int):
+    """The learner's controller and what its staleness actors would start
+    with: their kind, specs and rings and the server's dtype."""
+    seen = {}
+
+    def capture(kind, server, queues, specs, started):
+        seen.update(kind=kind, specs=specs, rings=len(queues), dtype=server.dtype)
+        raise _ActorsStarting
+
+    monkeypatch.setattr(actor_learner, "_start_actors", capture)
+    controller, run = _controller(method)
+    with pytest.raises(_ActorsStarting):
+        run(max_staleness=2, num_actors=num_actors)
+    return controller, seen
+
+
+@pytest.mark.parametrize("method", ["hero", "idqn"])
+def test_actor_specs_carry_the_learners_own_controller(monkeypatch, method):
+    """Two float32 staleness actors are each handed the learner's own
+    controller (inherited or pickled at start, never rebuilt), none of
+    the rebuild fields, their own id and RNG streams and the learner's
+    dtype; the server publishes float32; actor 0's streams, and HERO's
+    env seeds, are the single-actor run's."""
+    with default_dtype("float32"):
+        controller, seen = _actor_specs(monkeypatch, method, num_actors=2)
+        _, alone = _actor_specs(monkeypatch, method, num_actors=1)
+    specs = seen["specs"]
+    assert (seen["kind"], seen["rings"], seen["dtype"]) == (method, 2, np.float32)
+    assert [spec["actor_id"] for spec in specs] == [0, 1]
+    for spec in specs:
+        assert spec["controller"] is controller
+        assert not _REBUILD_FIELDS & spec.keys()
+        assert (spec["num_actors"], spec["max_staleness"]) == (2, 2)
+        assert spec["dtype"] == "float32"
+    first, second = (np.stack(spec["actor_rng"]) for spec in specs)
+    assert not np.array_equal(first, second)
+    np.testing.assert_array_equal(first, np.stack(alone["specs"][0]["actor_rng"]))
+    if method == "hero":
+        assert specs[0]["seed_sets"][0] == alone["specs"][0]["seed_sets"][0]
+        assert specs[0]["seed_sets"][0] != specs[0]["seed_sets"][1]
+
+
+@pytest.mark.parametrize("method", ["hero", "idqn"])
+@pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
+def test_exporter_reads_a_fused_buffer_in_place(method, fused):
+    """A fused optimizer's flat buffer is published without a copy; a
+    plain family is gathered into one reused vector.  Either way each
+    export holds the family's current parameters."""
+    controller, _ = _controller(method)
+    if fused:
+        UpdateEngine(controller)
+    families, _ = (
+        actor_learner._hero_acting if method == "hero" else actor_learner._idqn_acting
+    )(controller)
+    for members in families.values():
+        export = actor_learner._make_exporter(members)
+        first = next(iter_family_params(members)).data
+        assert np.shares_memory(export(), first) == fused
+        np.testing.assert_array_equal(export(), gather_family(members))
+        first += 1.0
+        np.testing.assert_array_equal(export(), gather_family(members))

@@ -12,32 +12,20 @@ from repro.training.replay import (
     ObservationHistoryBuffer,
     OptionReplayBuffer,
     OptionTransition,
-    PrioritizedReplayBuffer,
     ReplayBuffer,
 )
 from repro.utils import (
-    ConstantSchedule,
-    CosineSchedule,
-    ExponentialSchedule,
     LinearSchedule,
     MetricLogger,
-    PiecewiseSchedule,
     clamp,
     discounted_returns,
-    explained_variance,
     format_table,
-    make_rng,
     moving_average,
     spawn_rngs,
 )
-from repro.utils.seeding import child_rng
 
 
 class TestSchedules:
-    def test_constant(self):
-        schedule = ConstantSchedule(0.5)
-        assert schedule(0) == schedule(1000) == 0.5
-
     def test_linear_endpoints(self):
         schedule = LinearSchedule(1.0, 0.1, 100)
         assert schedule(0) == pytest.approx(1.0)
@@ -48,34 +36,6 @@ class TestSchedules:
     def test_linear_invalid_duration(self):
         with pytest.raises(ValueError):
             LinearSchedule(1.0, 0.0, 0)
-
-    def test_exponential_floor(self):
-        schedule = ExponentialSchedule(1.0, 0.05, 0.9)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(10_000) == pytest.approx(0.05)
-
-    def test_exponential_invalid_decay(self):
-        with pytest.raises(ValueError):
-            ExponentialSchedule(1.0, 0.0, 1.5)
-
-    def test_piecewise(self):
-        schedule = PiecewiseSchedule([(0, 0.0), (10, 1.0), (20, 0.0)])
-        assert schedule(5) == pytest.approx(0.5)
-        assert schedule(15) == pytest.approx(0.5)
-        assert schedule(-5) == 0.0
-        assert schedule(25) == 0.0
-
-    def test_piecewise_validation(self):
-        with pytest.raises(ValueError):
-            PiecewiseSchedule([(0, 1.0)])
-        with pytest.raises(ValueError):
-            PiecewiseSchedule([(10, 1.0), (0, 0.0)])
-
-    def test_cosine_endpoints(self):
-        schedule = CosineSchedule(1.0, 0.0, 100)
-        assert schedule(0) == pytest.approx(1.0)
-        assert schedule(100) == pytest.approx(0.0)
-        assert 0.4 < schedule(50) < 0.6
 
 
 class TestMathUtils:
@@ -102,13 +62,6 @@ class TestMathUtils:
         returns = discounted_returns([1.0, 1.0, 1.0], 0.5)
         np.testing.assert_allclose(returns, [1.75, 1.5, 1.0])
 
-    def test_explained_variance_perfect(self):
-        targets = np.array([1.0, 2.0, 3.0])
-        assert explained_variance(targets, targets) == pytest.approx(1.0)
-
-    def test_explained_variance_zero_var(self):
-        assert explained_variance(np.zeros(3), np.ones(3)) == 0.0
-
 
 class TestSeeding:
     def test_spawn_rngs_independent(self):
@@ -124,11 +77,6 @@ class TestSeeding:
     def test_spawn_negative_count(self):
         with pytest.raises(ValueError):
             spawn_rngs(0, -1)
-
-    def test_child_rng_deterministic(self):
-        a = child_rng(make_rng(0)).integers(0, 1000)
-        b = child_rng(make_rng(0)).integers(0, 1000)
-        assert a == b
 
 
 class TestMetricLogger:
@@ -218,16 +166,11 @@ class TestReplayBuffer:
         buffer = ReplayBuffer(4, 1, 1, dtype=np.float64)
         assert buffer.obs.dtype == np.float64
 
-    def test_prioritized_inherits_float32(self):
-        buffer = PrioritizedReplayBuffer(8, 2, 1)
-        assert buffer.obs.dtype == np.float32
-
     @pytest.mark.parametrize("pushes", [0, 5, 8, 13])
     @pytest.mark.parametrize(
         "cls",
         [
             ReplayBuffer,
-            PrioritizedReplayBuffer,
             OptionReplayBuffer,
             JointReplayBuffer,
             ObservationHistoryBuffer,
@@ -260,7 +203,7 @@ class TestReplayBuffer:
 def _filled(cls, capacity: int, pushes: int):
     """A ``cls`` ring of ``capacity`` rows after ``pushes`` random pushes."""
     rng = np.random.default_rng(pushes)
-    if cls in (ReplayBuffer, PrioritizedReplayBuffer):
+    if cls is ReplayBuffer:
         buffer = cls(capacity, obs_dim=3, action_dim=2)
 
         def push():
@@ -293,27 +236,6 @@ def _filled(cls, capacity: int, pushes: int):
     for _ in range(pushes):
         push()
     return buffer
-
-
-class TestPrioritizedReplay:
-    def test_weights_returned(self):
-        buffer = PrioritizedReplayBuffer(16, 2, 1)
-        for i in range(8):
-            buffer.push([i, 0], [0], 0.0, [0, 0], False)
-        batch = buffer.sample(4, np.random.default_rng(0))
-        assert "weights" in batch and "indices" in batch
-        assert np.all(batch["weights"] <= 1.0 + 1e-12)
-
-    def test_priority_update_biases_sampling(self):
-        buffer = PrioritizedReplayBuffer(8, 1, 1, alpha=1.0)
-        for i in range(8):
-            buffer.push([i], [0], 0.0, [0], False)
-        # Give index 3 overwhelming priority.
-        buffer.update_priorities(np.arange(8), np.full(8, 1e-6))
-        buffer.update_priorities(np.array([3]), np.array([100.0]))
-        batch = buffer.sample(64, np.random.default_rng(0))
-        freq = np.mean(batch["obs"][:, 0] == 3)
-        assert freq > 0.8
 
 
 class TestOptionReplay:

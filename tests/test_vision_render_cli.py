@@ -1,6 +1,7 @@
 """Tests for the vision pipeline, ASCII renderer, CLI and checkpoints."""
 
 import numpy as np
+import pytest
 
 from repro.cli import build_parser, main
 from repro.config import ScenarioConfig
@@ -123,6 +124,35 @@ class TestCLI:
         args = parser.parse_args(["run", "fig8", "--scale", "0.002"])
         assert args.experiment == "fig8"
         assert args.scale == 0.002
+
+    def test_run_and_run_all_share_every_training_flag(self):
+        """Both commands parse every shared flag, and its default, to the
+        same value and hand ``run_experiment`` the same keywords;
+        ``--checkpoint-dir`` is ``run``-only."""
+        from repro.cli import _training_kwargs
+
+        parser = build_parser()
+        flags = [
+            "--scale", "0.003", "--seed", "4", "--num-envs", "3",
+            "--fused-updates", "--async-actors", "--max-staleness", "2",
+            "--num-actors", "2", "--dtype", "float32",
+        ]
+        run = _training_kwargs(parser.parse_args(["run", "fig7", *flags]))
+        run_all = _training_kwargs(parser.parse_args(["run-all", *flags]))
+        assert run == run_all == {
+            "scale": 0.003, "seed": 4, "num_envs": 3, "fused_updates": True,
+            "async_actors": True, "max_staleness": 2, "num_actors": 2,
+            "dtype": "float32",
+        }
+        run = _training_kwargs(parser.parse_args(["run", "fig7"]))
+        run_all = _training_kwargs(parser.parse_args(["run-all"]))
+        assert run == run_all == {
+            "scale": 0.01, "seed": 0, "num_envs": 1, "fused_updates": False,
+            "async_actors": False, "max_staleness": 0, "num_actors": 1,
+            "dtype": "float64",
+        }
+        with pytest.raises(SystemExit):
+            parser.parse_args(["run-all", "--checkpoint-dir", "ckpt"])
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
