@@ -76,7 +76,7 @@ def test_fig7_baseline_evaluation_cost(shared_sweep, benchmark):
 
 def _sweep_and_table2(seed: int = 7) -> None:
     result = train_all_methods(
-        scale=SCALE, seed=seed, skill_scale=0.0, num_envs=8, fused_updates=True
+        scale=SCALE, seed=seed, skill_scale=0.0, num_envs=8
     )
     run_table2(seed=seed, result=result)
 

@@ -51,7 +51,7 @@ def test_fig8_skill_training(benchmark):
 
 
 def _skills_config() -> TrainingConfig:
-    config = TrainingConfig(seed=7, fused_updates=True)
+    config = TrainingConfig(seed=7)
     config.scenario = bench_scenario()
     return config
 

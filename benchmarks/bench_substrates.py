@@ -3,14 +3,19 @@
 Not a paper table — these guard the cost model the experiment harness
 relies on: one env step, one SAC update, one high-level update and one
 bus exchange must each stay cheap enough that the 14,000-episode
-paper-scale run is tractable on a laptop.
+paper-scale run is tractable on a laptop.  Updates run through the fused
+engines, the only update path.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.config import ScenarioConfig
-from repro.core import SACAgent
+from repro.core import SACAgent, UpdateEngine
+from repro.core.hero import HeroAgent
 from repro.core.high_level import HighLevelAgent
+from repro.core.update_engine import HeroTeamUpdateEngine
 from repro.distributed import DistributedObservationService
 from repro.envs import CooperativeLaneChangeEnv
 from repro.nn import MLP, Adam, Tensor, mse_loss
@@ -58,11 +63,12 @@ def test_sac_update(benchmark):
             rng.standard_normal(12), rng.uniform(-0.1, 0.1, 2),
             rng.uniform(-1, 1), rng.standard_normal(12), False,
         )
-    result = benchmark(agent.update)
+    result = benchmark(UpdateEngine(agent).update)
     assert result is not None
 
 
 def test_high_level_update(benchmark):
+    """One high-level agent's step: the team engine over a lone agent."""
     agent = HighLevelAgent(
         obs_dim=19, num_options=4, num_opponents=2,
         rng=np.random.default_rng(0), batch_size=128,
@@ -77,8 +83,9 @@ def test_high_level_update(benchmark):
             )
         )
         agent.opponent_model.record(rng.standard_normal(19), rng.integers(0, 4, 2))
-    result = benchmark(agent.update)
-    assert result is not None
+    team = SimpleNamespace(agents={"vehicle_0": HeroAgent("vehicle_0", agent)})
+    result = benchmark(HeroTeamUpdateEngine(team).update)
+    assert result
 
 
 def test_bus_exchange(benchmark):

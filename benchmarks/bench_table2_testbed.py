@@ -1,8 +1,8 @@
 """Table II — domain-shifted testbed evaluation benchmark.
 
 Evaluates every trained method for 20 episodes on the perturbed testbed
-(DESIGN.md §2 substitution for the physical Smartbot track) and prints the
-measured rows next to the paper's rows.
+(docs/REPRODUCING.md, "Substitutions": the stand-in for the physical
+Smartbot track) and prints the measured rows next to the paper's rows.
 """
 
 from repro.experiments.table2 import report_table2, run_table2

@@ -6,9 +6,10 @@ step as it shipped before the fused engine landed: an unfused tape graph
 (one matmul node plus one add node per Linear), TD targets built on the
 autograd tape, the SAC actor pass backpropagating through the critic, a
 per-parameter Python Adam loop, and one network update at a time.  The
-equivalence tests (``tests/test_update_engine.py``) pin that this reference
-math is what the default path still computes bitwise; here it is only the
-*timing* baseline.
+engines' correctness oracle is ``tests/reference_updates.py`` (the
+per-network steps on the fused tape and the flat ``repro.nn.Adam``, which
+``tests/test_update_engine.py`` holds every engine to); here the seed
+reconstruction is only the *timing* baseline.
 
 The contract: at the batch sizes the in-tree paper-reproduction
 experiments train with (high-level/IDQN 128, SAC 256 — see
@@ -63,6 +64,7 @@ from repro.nn import (
     one_hot,
     sample_categorical,
     soft_update,
+    softmax,
 )
 from repro.nn.functional import log_softmax
 from repro.nn.layers import Identity, Linear
@@ -235,7 +237,7 @@ def seed_sac_update(agent: SACAgent, critic_opt: SeedAdam, actor_opt: SeedAdam):
 
     if agent.auto_alpha:
         entropy_gap = float((log_prob.data + agent.target_entropy).mean())
-        agent._log_alpha -= agent._alpha_lr * entropy_gap
+        agent._log_alpha -= agent.lr * entropy_gap
         agent._log_alpha = float(np.clip(agent._log_alpha, -10.0, 2.0))
     soft_update(agent.target_critic, agent.critic, agent.tau)
     return {"critic_loss": critic_loss.item(), "actor_loss": actor_loss.item()}
@@ -258,12 +260,14 @@ def seed_high_level_update(high, critic_opt, actor_opt, opponent_opts):
     next_other_rep = _seed_opponent_rep_batch(high, batch["next_obs"])
     next_actor_in = np.concatenate([batch["next_obs"], next_other_rep], axis=-1)
     next_own_probs = _seed_probs_inference(high.actor, next_actor_in)
-    target_in = high._critic_input(batch["next_obs"], next_own_probs, next_other_rep)
+    target_in = np.concatenate(
+        [batch["next_obs"], next_own_probs, next_other_rep], axis=-1
+    )
     next_q = _seed_infer(high.target_critic.net, target_in)[:, 0]
     discount = high.gamma ** batch["steps"]
     y = batch["rewards"] + discount * (1.0 - batch["dones"]) * next_q
 
-    critic_in = high._critic_input(batch["obs"], own_onehot, other_onehot)
+    critic_in = np.concatenate([batch["obs"], own_onehot, other_onehot], axis=-1)
     q_values = _tape_forward(high.critic.net, Tensor(critic_in)).squeeze(-1)
     critic_loss = mse_loss(q_values, y)
     critic_opt.zero_grad()
@@ -280,10 +284,13 @@ def seed_high_level_update(high, critic_opt, actor_opt, opponent_opts):
         [
             _seed_infer(
                 high.critic.net,
-                high._critic_input(
-                    batch["obs"],
-                    one_hot(np.full(batch_size, option), high.num_options),
-                    other_onehot,
+                np.concatenate(
+                    [
+                        batch["obs"],
+                        one_hot(np.full(batch_size, option), high.num_options),
+                        other_onehot,
+                    ],
+                    axis=-1,
                 ),
             )[:, 0]
             for option in range(high.num_options)
@@ -432,9 +439,28 @@ def seed_maddpg_update(algo, critic_opts, actor_opts):
     return losses
 
 
+def _seed_attention(attention, queries, keys_values, mask):
+    """The seed tape attention: one masked softmax pass per head, then the
+    output projection."""
+    heads = []
+    for head in attention.heads:
+        q = head.query_proj(queries)
+        k = head.key_proj(keys_values)
+        v = head.value_proj(keys_values)
+        scores = (q @ k.transpose(0, 2, 1)) * head.scale
+        scores = scores + Tensor(np.where(mask, 0.0, -1e9))
+        heads.append(softmax(scores, axis=-1) @ v)
+    return attention.out_proj(concatenate(heads, axis=-1))
+
+
+def _seed_logsumexp_rows(logits: np.ndarray) -> np.ndarray:
+    max_val = logits.max(axis=-1, keepdims=True)
+    return max_val + np.log(np.exp(logits - max_val).sum(axis=-1, keepdims=True))
+
+
 def _seed_attention_rows(critic, obs, actions):
-    """Seed AttentionCritic.forward: unfused encoder/head tape + the tape
-    attention module, one head-MLP forward per agent."""
+    """The seed attention-critic forward: unfused encoder/head tape + the
+    tape attention, one head-MLP forward per agent."""
     batch = obs.shape[0]
     action_onehot = one_hot(actions, critic.num_actions)
     sa_in = np.concatenate([obs, action_onehot], axis=-1)
@@ -446,7 +472,7 @@ def _seed_attention_rows(critic, obs, actions):
     sa_emb = _tape_forward(critic.sa_encoder.net, Tensor(flat_sa)).reshape(
         batch, critic.num_agents, -1
     )
-    attended = critic.attention(state_emb, sa_emb, mask=critic._mask)
+    attended = _seed_attention(critic.attention, state_emb, sa_emb, critic._mask)
     rows = []
     for i in range(critic.num_agents):
         agent_id = np.tile(one_hot(np.array([i]), critic.num_agents), (batch, 1))
@@ -460,7 +486,6 @@ def _seed_attention_rows(critic, obs, actions):
 def seed_maac_update(algo, critic_opt, actor_opt):
     """The seed MAAC.update: tape TD targets (target-critic nodes built and
     thrown away), unfused encoder tape, per-param Adam."""
-    from repro.baselines.maac import _logsumexp_rows
     from repro.nn.functional import log_softmax as _log_softmax
 
     if len(algo.buffer) < max(algo.batch_size // 4, 8):
@@ -476,7 +501,7 @@ def seed_maac_update(algo, critic_opt, actor_opt):
             algo.actor.trunk.net, algo._actor_input(batch["next_obs"][:, i], i)
         )
         next_actions[:, i] = sample_categorical(logits, algo._rng)
-        row_log_probs = logits - _logsumexp_rows(logits)
+        row_log_probs = logits - _seed_logsumexp_rows(logits)
         next_log_probs[:, i] = np.take_along_axis(
             row_log_probs, next_actions[:, i][:, None], axis=-1
         )[:, 0]
@@ -847,7 +872,7 @@ def test_maddpg_update_speedup():
     """ISSUE 10 acceptance: the MADDPG cross-family engine >= 3x over the
     seed per-agent loop (same CI report-only policy as above)."""
     seed_algo = _make_maddpg()
-    lr = seed_algo.actor_opts[0].lr
+    lr = seed_algo.lr
     critic_opts = [SeedAdam(c.parameters(), lr) for c in seed_algo.critics]
     actor_opts = [SeedAdam(a.parameters(), lr) for a in seed_algo.actors]
     engine = UpdateEngine(_make_maddpg())
@@ -862,8 +887,8 @@ def test_maac_update_speedup():
     """ISSUE 10 acceptance: the MAAC cross-family engine >= 3x over the
     seed per-agent loop (same CI report-only policy as above)."""
     seed_algo = _make_maac()
-    critic_opt = SeedAdam(seed_algo.critic.parameters(), seed_algo.critic_opt.lr)
-    actor_opt = SeedAdam(seed_algo.actor.parameters(), seed_algo.actor_opt.lr)
+    critic_opt = SeedAdam(seed_algo.critic.parameters(), seed_algo.lr)
+    actor_opt = SeedAdam(seed_algo.actor.parameters(), seed_algo.lr)
     engine = UpdateEngine(_make_maac())
     _assert_paired_speedup(
         "maac",

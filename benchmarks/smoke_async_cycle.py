@@ -10,8 +10,8 @@ contract:
   metric series **bit-for-bit identical** to the synchronous vectorized
   loop and end with identical weights and replay rows (HERO: every
   agent's replay buffer and opponent history; IDQN: every agent's replay
-  buffer), for the plain and the fused-update gradient paths — a short
-  run's logs can agree while the experience it stored differs;
+  buffer) — a short run's logs can agree while the experience it stored
+  differs;
 * staleness mode (``--max-staleness > 0``): the run must complete the
   full episode budget and log a ``snapshot_staleness`` series bounded by
   the budget, and every interleaved evaluation of the cadence
@@ -68,7 +68,6 @@ def _hero_run(
     seed: int,
     *,
     async_actors: bool,
-    fused: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
 ):
@@ -84,7 +83,6 @@ def _hero_run(
         num_envs=num_envs,
         eval_every=EVAL_EVERY,
         eval_episodes=2,
-        fused_updates=fused,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,
@@ -103,7 +101,6 @@ def _idqn_run(
     seed: int,
     *,
     async_actors: bool,
-    fused: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
 ):
@@ -119,7 +116,6 @@ def _idqn_run(
             seed=seed,
             eval_every=EVAL_EVERY,
             eval_episodes=2,
-            fused_updates=fused,
             async_actors=async_actors,
             max_staleness=max_staleness,
             num_actors=num_actors,
@@ -161,20 +157,15 @@ def _assert_states_equal(name: str, what: str, state_a: dict, state_b: dict) -> 
 def check_lockstep(train, name: str, prefix: str, episodes, num_envs, seed) -> None:
     """Async lockstep must match the synchronous loop bit-for-bit: logs,
     final weights and stored experience."""
-    for fused in (False, True):
-        what = f"async-lockstep-vs-sync ({'fused' if fused else 'plain'})"
-        log_sync, state_sync = train(
-            episodes, num_envs, seed, async_actors=False, fused=fused
-        )
-        log_async, state_async = train(
-            episodes, num_envs, seed, async_actors=True, fused=fused
-        )
-        _assert_logs_equal(name, what, log_sync, log_async)
-        _assert_states_equal(name, what, state_sync, state_async)
-        print(
-            f"{name}: {what}: no drift in logs, weights or buffers over "
-            f"{episodes} episodes"
-        )
+    what = "async-lockstep-vs-sync"
+    log_sync, state_sync = train(episodes, num_envs, seed, async_actors=False)
+    log_async, state_async = train(episodes, num_envs, seed, async_actors=True)
+    _assert_logs_equal(name, what, log_sync, log_async)
+    _assert_states_equal(name, what, state_sync, state_async)
+    print(
+        f"{name}: {what}: no drift in logs, weights or buffers over "
+        f"{episodes} episodes"
+    )
 
 
 def check_staleness(

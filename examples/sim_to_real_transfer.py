@@ -2,8 +2,8 @@
 
 Trains HERO and a baseline in the clean simulator, then evaluates both on
 the domain-shifted testbed (sensor noise, actuation delay, drive-train
-variation — DESIGN.md §2) and prints the degradation of each method, the
-quantity Table II reports.
+variation — docs/REPRODUCING.md, "Substitutions") and prints the
+degradation of each method, the quantity Table II reports.
 
 Usage::
 

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..core.update_engine import gather_family, scatter_family
+from ..core.update_engine import UpdateEngine, gather_family, scatter_family
 from ..utils.evaluation import (
     EvalRecord,
     is_eval_point,
@@ -45,10 +45,13 @@ from ..utils.seeding import episode_partition, episode_reset_seeds
 class MARLAlgorithm:
     """Interface every baseline implements.
 
-    Acting and learning go through three methods: :meth:`act_batch` and
-    :meth:`observe_batch` take stacked arrays from a
-    :class:`~repro.envs.wrappers.VectorBaselineEnv`, one row per env, and
-    :meth:`update` runs one gradient step.  Training, the scoring of
+    Acting and learning go through two methods, :meth:`act_batch` and
+    :meth:`observe_batch`, which take stacked arrays from a
+    :class:`~repro.envs.wrappers.VectorBaselineEnv`, one row per env; a
+    gradient step is ``UpdateEngine(algorithm).update()``
+    (:mod:`repro.core.update_engine`: fused families for IDQN, MADDPG
+    and MAAC, COMA's own ``update`` behind a delegating engine).
+    Training, the scoring of
     recorded evaluations, served evaluations, the async IDQN actors and
     the Table 2 testbed (:func:`evaluate_marl`, one
     ``(1, num_agents, obs_dim)`` row per step) all act through
@@ -95,9 +98,6 @@ class MARLAlgorithm:
         """
         raise NotImplementedError
 
-    def update(self) -> dict[str, float] | None:
-        raise NotImplementedError
-
     def acting_members(self) -> list:
         """The networks a greedy :meth:`act_batch` reads, as one flat-vector
         family (:func:`~repro.core.update_engine.gather_family`).  The
@@ -114,9 +114,10 @@ class MARLAlgorithm:
     # network automatically: any Module attribute, plus Modules held in
     # dict/list/tuple attributes (IDQN's per-agent dicts, MADDPG/COMA's
     # per-agent lists), target networks included, so a round trip restores
-    # the learner exactly.  Optimiser moments and replay buffers are
-    # deliberately excluded: checkpoints describe the *policy*, and the
-    # serving stack (repro.serving) only ever loads parameters.
+    # the learner exactly.  Optimiser moments (held by a training call's
+    # update engine) and replay buffers are excluded: checkpoints describe
+    # the *policy*, and the serving stack (repro.serving) only ever loads
+    # parameters.
     def named_modules(self) -> dict[str, "object"]:
         """Discover this algorithm's networks as ``{dotted_name: Module}``.
 
@@ -438,7 +439,6 @@ def train_marl_vectorized(
     metric_prefix: str | None = None,
     eval_every: int | None = None,
     eval_episodes: int = 3,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -449,7 +449,13 @@ def train_marl_vectorized(
     The one training loop of the baselines, at any batch size (the CLI's
     default ``--num-envs 1`` included): a :class:`BaselineRolloutWorker`
     collects and a :class:`BaselineConsumer` trains, both through the
-    batched interface only (``act_batch``, ``observe_batch``, ``update``).
+    batched interface only (``act_batch``, ``observe_batch``), with every
+    gradient step through one :class:`~repro.core.update_engine.UpdateEngine`
+    over ``algorithm``: IDQN's per-agent DQNs update as one stacked family,
+    and MADDPG/MAAC run their actor steps through the cross-family VJP
+    against frozen stacked critics.  Only COMA (whole variable-length
+    episodes, no fixed family shape) delegates to its own ``update``.  The
+    engine, and with it the optimiser state, lives for this call.
     Works for both off-policy (per-episode batched updates) and on-policy
     (COMA queues each env's episode in ``observe_batch``) baselines.
     Episode accounting is per env: env ``i`` always runs a specific episode
@@ -471,13 +477,6 @@ def train_marl_vectorized(
     builder is made up front, so an env subclass raises ``ValueError``
     before the first episode.
 
-    ``fused_updates`` routes gradient steps through
-    :class:`repro.core.update_engine.UpdateEngine`: IDQN's per-agent DQNs
-    update as one stacked family, and MADDPG/MAAC run their actor steps
-    through the cross-family VJP against frozen stacked critics.  Only
-    COMA (whole variable-length episodes, no fixed family shape) delegates
-    to its own ``update`` unchanged.
-
     ``async_actors`` moves the rollout phase into separate actor processes
     on the async actor–learner stack
     (:func:`~repro.distributed.actor_learner.train_marl_async`); only IDQN
@@ -492,11 +491,7 @@ def train_marl_vectorized(
     """
     logger = logger or MetricLogger()
     prefix = metric_prefix or algorithm.name
-    update_fn = algorithm.update
-    if fused_updates:
-        from ..core.update_engine import UpdateEngine
-
-        update_fn = UpdateEngine(algorithm).update
+    update_fn = UpdateEngine(algorithm).update
     if async_actors:
         from .idqn import IndependentDQN
 

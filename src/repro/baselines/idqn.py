@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Adam, DiscreteQNetwork, clip_grad_norm, hard_update, mse_loss, soft_update
+from ..nn import DiscreteQNetwork, hard_update
 from ..training.replay import ReplayBuffer
 from .base import MARLAlgorithm
 
@@ -37,6 +37,7 @@ class IndependentDQN(MARLAlgorithm):
         double_q: bool = True,
     ):
         super().__init__(agent_ids, obs_dim, num_actions)
+        self.lr = lr
         self.gamma = gamma
         self.tau = tau
         self.batch_size = batch_size
@@ -48,7 +49,6 @@ class IndependentDQN(MARLAlgorithm):
         hidden = (hidden_dim, hidden_dim)
         self.q_networks: dict[str, DiscreteQNetwork] = {}
         self.target_networks: dict[str, DiscreteQNetwork] = {}
-        self.optimizers: dict[str, Adam] = {}
         self.buffers: dict[str, ReplayBuffer] = {}
         for agent in self.agent_ids:
             seed = int(rng.integers(0, 2**31 - 1))
@@ -60,7 +60,6 @@ class IndependentDQN(MARLAlgorithm):
                 obs_dim, num_actions, agent_rng, hidden
             )
             hard_update(self.target_networks[agent], self.q_networks[agent])
-            self.optimizers[agent] = Adam(self.q_networks[agent].parameters(), lr=lr)
             self.buffers[agent] = ReplayBuffer(buffer_capacity, obs_dim, 1)
 
     # ------------------------------------------------------------------
@@ -111,36 +110,3 @@ class IndependentDQN(MARLAlgorithm):
                 next_observations[:, k],
                 dones,
             )
-
-    # ------------------------------------------------------------------
-    def update(self) -> dict[str, float] | None:
-        if any(len(b) < max(self.batch_size // 4, 8) for b in self.buffers.values()):
-            return None
-        losses = {}
-        for agent in self.agent_ids:
-            batch = self.buffers[agent].sample(self.batch_size, self._rng)
-            q_net = self.q_networks[agent]
-            target_net = self.target_networks[agent]
-            action_idx = batch["actions"].astype(np.int64)
-
-            # TD targets need no gradients: the inference path is bitwise
-            # equal to the tape forward and skips the graph entirely.
-            next_q_target = target_net.trunk.infer(batch["next_obs"])
-            if self.double_q:
-                next_best = q_net.trunk.infer(batch["next_obs"]).argmax(axis=1)
-                next_value = np.take_along_axis(
-                    next_q_target, next_best[:, None], axis=1
-                )[:, 0]
-            else:
-                next_value = next_q_target.max(axis=1)
-            y = batch["rewards"] + self.gamma * (1.0 - batch["dones"]) * next_value
-
-            q_chosen = q_net(batch["obs"]).gather(action_idx, axis=-1).squeeze(-1)
-            loss = mse_loss(q_chosen, y)
-            self.optimizers[agent].zero_grad()
-            loss.backward()
-            clip_grad_norm(q_net.parameters(), self.grad_clip)
-            self.optimizers[agent].step()
-            soft_update(target_net, q_net, self.tau)
-            losses[f"{agent}/q_loss"] = loss.item()
-        return losses

@@ -71,16 +71,6 @@ def _training_flags() -> argparse.ArgumentParser:
         ),
     )
     flags.add_argument(
-        "--fused-updates",
-        action="store_true",
-        help=(
-            "batch gradient updates across architecturally identical "
-            "networks (core.update_engine): HERO critics/actors/opponent "
-            "models and IDQN update as stacked families; tolerance-"
-            "equivalent to the default per-network loop, not bitwise"
-        ),
-    )
-    flags.add_argument(
         "--async-actors",
         action="store_true",
         help=(
@@ -117,10 +107,9 @@ def _training_flags() -> argparse.ArgumentParser:
         default="float64",
         help=(
             "floating-point compute precision for every experiment run: "
-            "float64 (default) is bitwise-identical to the original "
-            "implementation; float32 speeds the BLAS-bound update phase "
-            "and halves snapshot/queue/shm payloads under the documented "
-            "tolerance contract (docs/ARCHITECTURE.md, Precision)"
+            "float64 (default) or float32, which speeds the BLAS-bound "
+            "update phase and halves snapshot/queue/shm payloads under the "
+            "documented tolerance contract (docs/ARCHITECTURE.md, Precision)"
         ),
     )
     return flags
@@ -132,7 +121,6 @@ def _training_kwargs(args) -> dict:
         "scale": args.scale,
         "seed": args.seed,
         "num_envs": args.num_envs,
-        "fused_updates": args.fused_updates,
         "async_actors": args.async_actors,
         "max_staleness": args.max_staleness,
         "num_actors": args.num_actors,

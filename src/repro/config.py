@@ -7,7 +7,7 @@ of vehicles, option set) live in :class:`ScenarioConfig`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,8 @@ class ScenarioConfig:
 class TestbedConfig:
     """Domain-shift bundle standing in for the physical testbed (Sec. V-E).
 
-    Each field perturbs one unmodelled-dynamics axis; see DESIGN.md §2 for
-    the substitution argument.
+    Each field perturbs one unmodelled-dynamics axis; see
+    docs/REPRODUCING.md, "Substitutions", for the substitution argument.
     """
 
     sensor_noise_std: float = 0.03
@@ -126,12 +126,10 @@ class TrainingConfig:
     # one envs.vector_env.VectorEnv with batched policy inference (1 is a
     # one-env batch).
     num_envs: int = 1
-    # Route gradient updates through core.update_engine.UpdateEngine, which
-    # batches architecturally identical networks into one fused
-    # forward/backward per family.  Numerically equivalent to the default
-    # per-network loop within float tolerance (not bitwise — see
-    # docs/ARCHITECTURE.md, "Update phase").
-    fused_updates: bool = False
+    # Accepted for compatibility and not stored: every gradient step runs
+    # through core.update_engine.UpdateEngine, so True is the only legal
+    # value.
+    fused_updates: InitVar[bool] = True
     # Run rollouts in a separate actor process (distributed.actor_learner):
     # the actor steps the vectorized env batch and pulls versioned policy
     # snapshots from a shared-memory parameter server while the learner
@@ -148,11 +146,10 @@ class TrainingConfig:
     # collection throughput scales with the actor count.
     num_actors: int = 1
     # Floating-point compute dtype for the whole stack ("float64" |
-    # "float32").  float64 is the default and bitwise-identical to the
-    # original implementation; float32 roughly doubles the BLAS-bound
-    # update phase and halves every payload (snapshots, rings, shm env
-    # state, checkpoints) under the tolerance contract documented in
-    # docs/ARCHITECTURE.md ("Precision").  Applied process-globally via
+    # "float32").  float64 is the default; float32 roughly doubles the
+    # BLAS-bound update phase and halves every payload (snapshots, rings,
+    # shm env state, checkpoints) under the tolerance contract documented
+    # in docs/ARCHITECTURE.md ("Precision").  Applied process-globally via
     # repro.nn.set_default_dtype before networks are built.
     dtype: str = "float64"
     epsilon_start: float = 1.0
@@ -164,3 +161,17 @@ class TrainingConfig:
     opponent_entropy_coef: float = 0.01  # lambda in the opponent-model loss
     sac_alpha: float = 0.2
     grad_clip: float = 10.0
+
+    def __post_init__(self, fused_updates: bool) -> None:
+        check_fused_updates(fused_updates)
+
+
+def check_fused_updates(fused_updates: bool) -> None:
+    """Reject ``fused_updates=False``: the per-network update path it
+    selected is removed, and the fused engines are the only update."""
+    if fused_updates is not True:
+        raise ValueError(
+            "fused_updates=False selected the per-network update path, which "
+            "is removed: every update runs through core.update_engine."
+            "UpdateEngine (fused_updates accepts only True)"
+        )

@@ -9,7 +9,9 @@ holds learnable state only; acting (option execution with asynchronous
 termination, Sec. III-B) runs through
 :class:`~repro.core.batched.BatchedHeroRunner` over a batch of one or
 more envs, and :meth:`HeroTeam.store` writes the experience the runner
-hands back.
+hands back.  The team's gradient step is
+:class:`~repro.core.update_engine.HeroTeamUpdateEngine`: every agent's
+critic, actor and opponent predictors update as three stacked families.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class HeroAgent:
     def __init__(self, agent_id: str, high_level: HighLevelAgent):
         self.agent_id = agent_id
         self.high_level = high_level
-
-    def update(self) -> dict[str, float] | None:
-        return self.high_level.update()
 
 
 class HeroTeam:
@@ -115,15 +114,6 @@ class HeroTeam:
                 for predictor in high.opponent_model.predictors
             ]
         return families
-
-    def update(self) -> dict[str, float]:
-        merged: dict[str, float] = {}
-        for agent_id, agent in self.agents.items():
-            losses = agent.update()
-            if losses:
-                for name, value in losses.items():
-                    merged[f"{agent_id}/{name}"] = value
-        return merged
 
     # ------------------------------------------------------------------
     # Persistence: checkpoint the whole team (skills + every agent).

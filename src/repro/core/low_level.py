@@ -9,7 +9,8 @@ option family:
   enforced at execution time (Sec. IV-C's per-option ranges),
 * ``lane_change``     — the merge manoeuvre.
 
-:class:`SACAgent` is a self-contained single-agent SAC learner;
+:class:`SACAgent` holds one skill's networks, replay and temperature (its
+gradient step is :class:`~repro.core.update_engine.SACUpdateEngine`);
 :class:`SkillLibrary` maps options onto trained skills;
 :func:`train_skill` is Algorithm 2.
 """
@@ -20,19 +21,11 @@ import numpy as np
 
 from ..config import PaperHyperparameters
 from ..envs.base import SingleAgentEnv
-from ..nn import (
-    Adam,
-    SquashedGaussianPolicy,
-    TwinQNetwork,
-    clip_grad_norm,
-    get_default_dtype,
-    hard_update,
-    mse_loss,
-    soft_update,
-)
+from ..nn import SquashedGaussianPolicy, TwinQNetwork, get_default_dtype, hard_update
 from ..training.replay import ReplayBuffer
 from ..utils.logging_utils import MetricLogger
 from .options import KEEP_LANE, LANE_CHANGE, OptionSet
+from .update_engine import UpdateEngine
 
 
 class SACAgent:
@@ -57,6 +50,7 @@ class SACAgent:
     ):
         self.obs_dim = obs_dim
         self.action_dim = action_dim
+        self.lr = lr  # networks and the entropy temperature alike
         self.gamma = gamma
         self.tau = tau
         self.batch_size = batch_size
@@ -71,15 +65,12 @@ class SACAgent:
         self.target_critic = TwinQNetwork(obs_dim, action_dim, rng, hidden)
         hard_update(self.target_critic, self.critic)
 
-        self.actor_opt = Adam(self.actor.parameters(), lr=lr)
-        self.critic_opt = Adam(self.critic.parameters(), lr=lr)
         self.buffer = ReplayBuffer(buffer_capacity, obs_dim, action_dim)
 
         # Entropy temperature: fixed, or auto-tuned toward -|A| target
         # entropy (Haarnoja et al. 2018).
         self.auto_alpha = auto_alpha
         self._log_alpha = np.log(alpha)
-        self._alpha_lr = lr
         self.target_entropy = -float(action_dim)
 
     @property
@@ -97,68 +88,6 @@ class SACAgent:
 
     def observe(self, obs, action, reward, next_obs, done) -> None:
         self.buffer.push(obs, action, reward, next_obs, done)
-
-    # ------------------------------------------------------------------
-    # Learning
-    # ------------------------------------------------------------------
-    def update(self) -> dict[str, float] | None:
-        """One SAC gradient step; returns losses or None if data-starved."""
-        if len(self.buffer) < self.batch_size // 4 or len(self.buffer) < 8:
-            return None
-        batch = self.buffer.sample(self.batch_size, self._rng)
-
-        # --- Critic update -------------------------------------------------
-        # TD targets never need gradients: sample and evaluate on the
-        # no-graph paths (bitwise equal to the tape versions).
-        next_action, next_log_prob = self.actor.sample_no_grad(
-            batch["next_obs"], self._rng
-        )
-        target_q = self.target_critic.min_q_inference(batch["next_obs"], next_action)
-        soft_target = target_q - self.alpha * next_log_prob
-        y = batch["rewards"] + self.gamma * (1.0 - batch["dones"]) * soft_target
-
-        q1, q2 = self.critic(batch["obs"], batch["actions"])
-        critic_loss = mse_loss(q1, y) + mse_loss(q2, y)
-        self.critic_opt.zero_grad()
-        critic_loss.backward()
-        clip_grad_norm(self.critic.parameters(), self.grad_clip)
-        self.critic_opt.step()
-
-        # --- Actor update (reparameterised) --------------------------------
-        # The critic is stop-gradiented for this pass: the actor loss only
-        # needs dQ/d(action), so freezing the critic parameters keeps their
-        # gradient buffers untouched and skips the wasted weight backward.
-        # The backward closures check requires_grad at propagation time, so
-        # the freeze must span backward(), not just the forward.
-        new_action, log_prob = self.actor.sample(batch["obs"], self._rng)
-        critic_params = self.critic.parameters()
-        for param in critic_params:
-            param.requires_grad = False
-        try:
-            q_new = self.critic.min_q(batch["obs"], new_action)
-            actor_loss = (log_prob * self.alpha - q_new).mean()
-            self.actor_opt.zero_grad()
-            actor_loss.backward()
-        finally:
-            for param in critic_params:
-                param.requires_grad = True
-        clip_grad_norm(self.actor.parameters(), self.grad_clip)
-        self.actor_opt.step()
-
-        # --- Temperature update --------------------------------------------
-        if self.auto_alpha:
-            entropy_gap = float((log_prob.data + self.target_entropy).mean())
-            # d/d(log_alpha) of -(log_alpha * gap) = -gap.
-            self._log_alpha -= self._alpha_lr * entropy_gap
-            self._log_alpha = float(np.clip(self._log_alpha, -10.0, 2.0))
-
-        soft_update(self.target_critic, self.critic, self.tau)
-        return {
-            "critic_loss": critic_loss.item(),
-            "actor_loss": actor_loss.item(),
-            "alpha": self.alpha,
-            "entropy": -float(log_prob.data.mean()),
-        }
 
     # ------------------------------------------------------------------
     # Persistence
@@ -198,14 +127,14 @@ def train_skill(
 ) -> MetricLogger:
     """Algorithm 2: train one low-level skill with its intrinsic reward.
 
-    ``engine`` may be a :class:`~repro.core.update_engine.UpdateEngine`
-    over ``agent`` (the ``--fused-updates`` path); gradient steps then run
-    through its fused twin-critic/actor families instead of
-    :meth:`SACAgent.update`.
+    Gradient steps run through ``engine``, an
+    :class:`~repro.core.update_engine.UpdateEngine` over ``agent`` (built
+    here when not given), whose fused twin-critic/actor families hold the
+    optimiser state for this call.
     """
     logger = logger or MetricLogger()
     rng = np.random.default_rng(seed)
-    update = engine.update if engine is not None else agent.update
+    update = (engine or UpdateEngine(agent)).update
     total_steps = 0
     losses: dict[str, float] | None = None
     for episode in range(episodes):

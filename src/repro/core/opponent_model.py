@@ -11,21 +11,16 @@ i.e. minimise NLL minus lambda times the predictive entropy ("used to
 solve the over-fitting problem"). The *log-probabilities* (not samples)
 feed the high-level critic's TD target, which is the paper's variance-
 reduction trick.
+
+The maximum-likelihood step runs, for every predictor of a team at once,
+in :class:`~repro.core.update_engine.HeroTeamUpdateEngine`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..nn import (
-    Adam,
-    CategoricalPolicy,
-    clip_grad_norm,
-    entropy_from_logits,
-    get_default_dtype,
-    nll_loss,
-)
-from ..nn.functional import log_softmax
+from ..nn import CategoricalPolicy, get_default_dtype
 from ..training.replay import ObservationHistoryBuffer
 
 
@@ -50,6 +45,7 @@ class OpponentModel:
         self.obs_dim = obs_dim
         self.num_options = num_options
         self.num_opponents = num_opponents
+        self.lr = lr
         self.entropy_coef = entropy_coef
         self.batch_size = batch_size
         self.grad_clip = grad_clip
@@ -58,9 +54,6 @@ class OpponentModel:
         self.predictors = [
             CategoricalPolicy(obs_dim, num_options, rng, (hidden_dim, hidden_dim))
             for _ in range(num_opponents)
-        ]
-        self.optimizers = [
-            Adam(predictor.parameters(), lr=lr) for predictor in self.predictors
         ]
         self.history = ObservationHistoryBuffer(
             history_capacity, obs_dim, max(num_opponents, 1)
@@ -101,52 +94,14 @@ class OpponentModel:
         """Predicted option probabilities, shape (batch, num_opponents,
         num_options).
 
-        Inference only (no autograd graph); numerically identical to the
-        Tensor path — this feeds both rollout-time intention inference and
-        the critic's TD-target opponent representation.
+        Inference only (no autograd graph); this feeds rollout-time
+        intention inference.
         """
         if self.num_opponents == 0:
             return np.zeros((len(obs), 0, self.num_options), dtype=get_default_dtype())
         return np.stack(
             [predictor.probs_inference(obs) for predictor in self.predictors], axis=1
         )
-
-    def predict_log_probs_batch(self, obs: np.ndarray) -> np.ndarray:
-        """Batched log-probabilities (the critic-target input of Sec. III-C)."""
-        if self.num_opponents == 0:
-            return np.zeros((len(obs), 0, self.num_options), dtype=get_default_dtype())
-        return np.stack(
-            [
-                log_softmax(predictor.forward(obs), axis=-1).data
-                for predictor in self.predictors
-            ],
-            axis=1,
-        )
-
-    # ------------------------------------------------------------------
-    # Training
-    # ------------------------------------------------------------------
-    def update(self) -> dict[str, float] | None:
-        """One max-likelihood step per opponent; returns per-opponent NLL."""
-        if self.num_opponents == 0 or len(self.history) < 8:
-            return None
-        batch = self.history.sample(self.batch_size, self._rng)
-        losses: dict[str, float] = {}
-        for j, (predictor, optimizer) in enumerate(
-            zip(self.predictors, self.optimizers)
-        ):
-            logits = predictor.forward(batch["obs"])
-            log_probs = log_softmax(logits, axis=-1)
-            nll = nll_loss(log_probs, batch["options"][:, j])
-            entropy = entropy_from_logits(logits).mean()
-            loss = nll - entropy * self.entropy_coef
-            optimizer.zero_grad()
-            loss.backward()
-            clip_grad_norm(predictor.parameters(), self.grad_clip)
-            optimizer.step()
-            losses[f"opponent_{j}_nll"] = nll.item()
-            losses[f"opponent_{j}_entropy"] = entropy.item()
-        return losses
 
     # ------------------------------------------------------------------
     # Persistence

@@ -74,11 +74,11 @@ def train_low_level_skills(
     after the other here.
 
     The result is bitwise that of training the skills one after the other
-    with two :func:`~repro.core.low_level.train_skill` calls, on the
-    default and the ``fused_updates`` path: the skills share no state.
-    ``skills.driving_in_lane`` is trained in place.  ``skills.lane_change``
-    is replaced by the agent the child trained (its parameters, optimiser
-    moments, ``log_alpha``, RNG state and replay buffer), and the child's
+    with two :func:`~repro.core.low_level.train_skill` calls: the skills
+    share no state.  ``skills.driving_in_lane`` is trained in place.
+    ``skills.lane_change`` is replaced by the agent the child trained (its
+    parameters, ``log_alpha``, RNG state and replay buffer; the optimiser
+    moments live in each ``train_skill`` call's engine), and the child's
     series are appended to ``logger`` after lane keeping's, as sequential
     training logs them.  A child that raises or dies raises
     ``RuntimeError`` here, naming the skill; the child is joined on every
@@ -118,7 +118,6 @@ def _train_one_skill(
         episodes=episodes,
         seed=seed,
         log_prefix=log_prefix,
-        engine=UpdateEngine(agent) if config.fused_updates else None,
     )
     return agent, logger
 
@@ -201,7 +200,6 @@ def train_hero(
     eval_every: int | None = None,
     eval_episodes: int = 3,
     num_envs: int | None = None,
-    fused_updates: bool | None = None,
     async_actors: bool | None = None,
     max_staleness: int | None = None,
     num_actors: int | None = None,
@@ -211,8 +209,11 @@ def train_hero(
 
     Per episode: roll out with asynchronous option selection, store SMDP
     transitions and opponent observations, then run gradient updates for
-    every agent (critic, actor, opponent models; target nets via the
-    soft-update inside each agent update).
+    every agent through one
+    :class:`~repro.core.update_engine.UpdateEngine` over the team: all
+    agents' critics, actors and opponent predictors update as three
+    stacked network families (target nets by the engine's soft update).
+    The engine, and with it the optimiser state, lives for this call.
 
     ``eval_every`` (default: episodes // 40) interleaves short greedy
     evaluations of ``eval_episodes`` episodes and logs them as
@@ -235,12 +236,6 @@ def train_hero(
     built with a :class:`~repro.distributed.DistributedObservationService`
     learns its opponents' options over that delayed, lossy bus (the DTDE
     setting) at any ``num_envs``.
-
-    ``fused_updates`` (default ``config.fused_updates``) routes the
-    gradient phase through a :class:`~repro.core.update_engine.UpdateEngine`
-    over the team: all agents' critics, actors and opponent predictors are
-    updated as three stacked network families — tolerance-equivalent to the
-    per-agent loop, substantially faster (see docs/ARCHITECTURE.md).
 
     ``async_actors`` (default ``config.async_actors``) moves the rollout
     phase into a separate actor process on the async actor–learner stack
@@ -271,15 +266,13 @@ def train_hero(
     config = config or TrainingConfig()
     if num_envs is None:
         num_envs = config.num_envs
-    if fused_updates is None:
-        fused_updates = config.fused_updates
     if async_actors is None:
         async_actors = config.async_actors
     if max_staleness is None:
         max_staleness = config.max_staleness
     if num_actors is None:
         num_actors = config.num_actors
-    update_fn = UpdateEngine(team).update if fused_updates else team.update
+    update_fn = UpdateEngine(team).update
     logger = logger or MetricLogger()
     rng = np.random.default_rng(config.seed + 12345)
     epsilon_schedule = LinearSchedule(

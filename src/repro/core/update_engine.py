@@ -1,11 +1,12 @@
-"""Fused gradient-update engine: cross-network update batching.
+"""Fused gradient-update engine: the one gradient step of every learner.
 
-The update phase is dominated, at small ``--scale``, by many *small*,
-architecturally identical networks updated every step: each HERO agent's
-high-level critic and actor, its per-opponent option predictors, the twin
-SAC critics of every skill, and one DQN per IDQN agent.  Looping over them
-pays the Python tape/optimiser overhead once per network; this module pays
-it once per **network family** instead:
+Every learner's update runs here, once per training call through
+:class:`UpdateEngine`: each HERO agent's high-level critic and actor and
+its per-opponent option predictors (Algorithm 1), the twin SAC critics
+and actor of each skill (Algorithm 2), and the baselines' networks.  The
+networks are many, small and architecturally identical, so looping over
+them would pay the Python overhead once per network; this module pays it
+once per **network family** instead:
 
 * :class:`StackedMLP` holds K same-architecture ReLU MLPs as stacked
   ``(K, in, out)`` parameters and is the one kernel layer under every
@@ -17,7 +18,8 @@ it once per **network family** instead:
   live values.
 * :class:`FamilyAdam` is Adam over stacked parameters with per-member step
   counts and active-member masking — elementwise identical to K independent
-  :class:`repro.nn.Adam` instances.
+  :class:`repro.nn.Adam` instances.  The engine owns it: optimiser moments
+  live as long as the engine, and the learners carry only their ``lr``.
 * :class:`UpdateEngine` dispatches a :class:`~repro.core.hero.HeroTeam`, a
   :class:`~repro.core.low_level.SACAgent` or a
   :class:`~repro.baselines.base.MARLAlgorithm` to its fused update.
@@ -31,18 +33,18 @@ frozen-critic pass, generalised to span two families).
 :class:`MADDPGUpdateEngine` chains per-agent Gumbel-softmax actions into
 the joint-observation critic family; :class:`MAACUpdateEngine` fuses the
 shared attention encoders once per batch and routes every agent's
-score-function gradient through one stacked actor pass.  With those two,
-``--fused-updates`` covers all five baseline methods; only COMA (whole
-variable-length episodes) still delegates.
+score-function gradient through one stacked actor pass.  Only COMA (whole
+variable-length episodes) keeps its own tape update, behind
+:class:`_DelegatingEngine`.
 
-**Equivalence caveat** (the ``--fused-updates`` contract): fused updates are
-numerically equivalent to the per-network loop within float tolerance, not
-bitwise — batched BLAS matmuls are not row-wise bit-stable across batch
-sizes (the same caveat the vectorized rollout layer documents), and the
-single-pass gradient-norm reductions reorder sums.  The default update path
-does not go through this module and stays bitwise-identical to the scalar
-loop.  ``tests/test_update_engine.py`` locks the tolerance equivalence;
-``benchmarks/bench_update_phase.py`` guards the speedup.
+**Oracle.** ``tests/reference_updates.py`` keeps each learner's update as
+a per-network tape loop (one network, one autograd graph and one
+:class:`repro.nn.Adam` at a time: the implementation these engines
+replaced), and ``tests/test_update_engine.py`` holds every engine to it
+within float tolerance, not bitwise: batched BLAS matmuls are not row-wise
+bit-stable across batch sizes (the same caveat the vectorized rollout
+layer documents), and the single-pass gradient-norm reductions reorder
+sums.  ``benchmarks/bench_update_phase.py`` guards the speedup.
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ def soft_update_stacked(
 
     ``active`` (boolean, per member) restricts the update to the members
     whose learners stepped this round — mirroring the per-agent
-    ``soft_update`` calls of the scalar loop.
+    ``soft_update`` calls of a per-network loop.
     """
     full = active is None or bool(active.all())
     idx = None if full else np.flatnonzero(active)
@@ -534,12 +536,13 @@ class FamilyAdam:
 class HeroTeamUpdateEngine:
     """Fused update for a :class:`~repro.core.hero.HeroTeam`.
 
-    The scalar loop runs, per agent: one critic step, one actor step and
-    one step per opponent predictor — ``A * (2 + J)`` small network updates.
-    Here the A critics, A actors and ``A * J`` predictors form three
-    :class:`StackedMLP` families, each updated with one forward/backward;
-    per-agent replay sampling order and eligibility gates are preserved, so
-    the result matches the scalar loop within float tolerance.
+    Per agent, Algorithm 1's step is one critic step, one actor step and
+    one step per opponent predictor — ``A * (2 + J)`` small network
+    updates.  Here the A critics, A actors and ``A * J`` predictors form
+    three :class:`StackedMLP` families, each updated with one
+    forward/backward; per-agent replay sampling order and eligibility gates
+    are those of a per-network loop, which the result matches within float
+    tolerance.  Losses are keyed ``{agent_id}/{name}``.
     """
 
     def __init__(self, team):
@@ -562,7 +565,7 @@ class HeroTeamUpdateEngine:
 
         self.critic_family = StackedMLP([h.critic for h in self.highs])
         self.critic_opt = FamilyAdam(
-            self.critic_family.params(), len(self.highs), lr=first.critic_opt.lr
+            self.critic_family.params(), len(self.highs), lr=first.lr
         )
         self.critic_family.bind_members()
         self.target_family = StackedMLP([h.target_critic for h in self.highs])
@@ -570,7 +573,7 @@ class HeroTeamUpdateEngine:
 
         self.actor_family = StackedMLP([h.actor.trunk for h in self.highs])
         self.actor_opt = FamilyAdam(
-            self.actor_family.params(), len(self.highs), lr=first.actor_opt.lr
+            self.actor_family.params(), len(self.highs), lr=first.lr
         )
         self.actor_family.bind_members()
 
@@ -584,7 +587,7 @@ class HeroTeamUpdateEngine:
             self.opponent_opt = FamilyAdam(
                 self.opponent_family.params(),
                 len(predictors),
-                lr=first.opponent_model.optimizers[0].lr,
+                lr=first.opponent_model.lr,
             )
             self.opponent_family.bind_members()
 
@@ -621,7 +624,8 @@ class HeroTeamUpdateEngine:
 
     # ------------------------------------------------------------------
     def update(self) -> dict[str, float]:
-        """One fused team update; same merged-loss dict as ``HeroTeam.update``."""
+        """One fused team update: every eligible agent's losses, keyed
+        ``{agent_id}/{name}`` (empty while no buffer is eligible)."""
         self._sync()
         highs = self.highs
         num_agents = len(highs)
@@ -798,8 +802,8 @@ class HeroTeamUpdateEngine:
         opponents = self.num_opponents
         options = self.num_options
         models = [h.opponent_model for h in highs]
-        # The scalar loop reaches the opponent update only for agents that
-        # passed the main eligibility gate, then gates again on history.
+        # An agent's opponent update runs only if the agent passed the main
+        # eligibility gate, then gates again on its history.
         agent_ok = eligible & np.array([len(m.history) >= 8 for m in models])
         if not agent_ok.any():
             return
@@ -864,13 +868,13 @@ class SACUpdateEngine:
     """Fused update for one :class:`~repro.core.low_level.SACAgent`.
 
     The twin critics are one two-member family (one forward/backward for
-    both Q networks, jointly clipped and stepped as in the scalar loop);
+    both Q networks, jointly clipped and stepped as one optimiser);
     the actor is a one-member family.  One actor forward over
     ``[next_obs; obs]`` and one ``sample_no_grad`` call serve both the TD
     target and the reparameterised actor sample: the actor does not change
     before its own step, and one ``(2B, d)`` noise draw is the stream of
-    the scalar loop's two ``(B, d)`` draws, so RNG consumption matches
-    ``SACAgent.update`` draw for draw.  The actor gradient is the
+    two ``(B, d)`` draws (next_obs, then obs), so RNG consumption matches
+    a per-network step's draw for draw.  The actor gradient is the
     squashed-Gaussian reparameterisation in closed form against the frozen
     critic family (:meth:`StackedMLP.frozen_input_grad` over the action
     columns).
@@ -882,7 +886,7 @@ class SACUpdateEngine:
             [agent.critic.q1.trunk, agent.critic.q2.trunk]
         )
         self.critic_opt = FamilyAdam(
-            self.critic_family.params(), 2, lr=agent.critic_opt.lr
+            self.critic_family.params(), 2, lr=agent.lr
         )
         self.critic_family.bind_members()
         self.target_family = StackedMLP(
@@ -891,7 +895,7 @@ class SACUpdateEngine:
         self.target_family.bind_members()
         self.actor_family = StackedMLP([agent.actor.trunk])
         self.actor_opt = FamilyAdam(
-            self.actor_family.params(), 1, lr=agent.actor_opt.lr
+            self.actor_family.params(), 1, lr=agent.lr
         )
         self.actor_family.bind_members()
 
@@ -978,10 +982,10 @@ class SACUpdateEngine:
         clip_grad_norm_flat(self.actor_opt._grad, agent.grad_clip)
         self.actor_opt.step()
 
-        # --- Temperature + targets (same as the scalar loop) ---------------
+        # --- Temperature + targets ------------------------------------------
         if agent.auto_alpha:
             entropy_gap = float((log_prob + agent.target_entropy).mean())
-            agent._log_alpha -= agent._alpha_lr * entropy_gap
+            agent._log_alpha -= agent.lr * entropy_gap
             agent._log_alpha = float(np.clip(agent._log_alpha, -10.0, 2.0))
         soft_update_stacked(self.target_family, self.critic_family, agent.tau)
         return {
@@ -998,7 +1002,7 @@ class IDQNUpdateEngine:
     The per-agent DQNs (and their targets) become one family each: one
     stacked forward/backward replaces the per-agent loop, with per-member
     gradient clipping and a vectorized soft target update.  Replay sampling
-    order over the shared RNG matches the scalar loop.
+    order over the shared RNG matches a per-agent loop.
     """
 
     def __init__(self, algorithm):
@@ -1006,7 +1010,7 @@ class IDQNUpdateEngine:
         ids = algorithm.agent_ids
         self.family = StackedMLP([algorithm.q_networks[a].trunk for a in ids])
         self.opt = FamilyAdam(
-            self.family.params(), len(ids), lr=algorithm.optimizers[ids[0]].lr
+            self.family.params(), len(ids), lr=algorithm.lr
         )
         self.family.bind_members()
         self.target_family = StackedMLP(
@@ -1077,9 +1081,9 @@ class MADDPGUpdateEngine:
     softmax Jacobian into the actor family's own backward.  No agent's
     critic parameters depend on another agent's within a round (the critic
     inputs use *replayed* joint actions), so batching all critic steps
-    before all actor steps reproduces the scalar interleaving; replay
-    sampling and per-agent Gumbel draws consume the shared RNG in the
-    scalar loop's order.
+    before all actor steps reproduces a per-agent loop's interleaving;
+    replay sampling and per-agent Gumbel draws consume the shared RNG in
+    that loop's order.
     """
 
     def __init__(self, algorithm):
@@ -1087,7 +1091,7 @@ class MADDPGUpdateEngine:
         n = algorithm.num_agents
         self.actor_family = StackedMLP([a.trunk for a in algorithm.actors])
         self.actor_opt = FamilyAdam(
-            self.actor_family.params(), n, lr=algorithm.actor_opts[0].lr
+            self.actor_family.params(), n, lr=algorithm.lr
         )
         self.actor_family.bind_members()
         self.target_actor_family = StackedMLP(
@@ -1096,7 +1100,7 @@ class MADDPGUpdateEngine:
         self.target_actor_family.bind_members()
         self.critic_family = StackedMLP(algorithm.critics)
         self.critic_opt = FamilyAdam(
-            self.critic_family.params(), n, lr=algorithm.critic_opts[0].lr
+            self.critic_family.params(), n, lr=algorithm.lr
         )
         self.critic_family.bind_members()
         self.target_critic_family = StackedMLP(algorithm.target_critics)
@@ -1125,7 +1129,7 @@ class MADDPGUpdateEngine:
         )
 
         # Target joint action: one target-actor family inference, hard
-        # one-hot per agent (same argmax rows as the scalar loop).
+        # one-hot per agent (the argmax rows of each target actor).
         next_logits = self.target_actor_family.infer(
             batch["next_obs"].transpose(1, 0, 2)
         )
@@ -1163,8 +1167,8 @@ class MADDPGUpdateEngine:
 
         # --- Actor step via the cross-family VJP ---------------------------
         # One Gumbel draw for all agents: the generator fills C-order, so a
-        # (A, B, O) request consumes the exact uniform stream of the scalar
-        # loop's per-agent (B, O) calls in index order (the draws are
+        # (A, B, O) request consumes the exact uniform stream of per-agent
+        # (B, O) calls in index order (the draws are
         # parameter-independent, so pulling them ahead of the forward is
         # stream-neutral).
         noise = gumbel_noise((n, batch_size, num_actions), algo._rng).astype(
@@ -1224,7 +1228,7 @@ class MAACUpdateEngine:
     score-function gradient routes through the fused critic's Q rows.  TD
     targets come from the target critic's folded no-grad pass.  RNG
     consumption (replay sample, per-agent next-action draws, per-agent
-    sampled actions) matches the scalar loop draw for draw.
+    sampled actions) matches a per-agent loop draw for draw.
     """
 
     def __init__(self, algorithm):
@@ -1251,10 +1255,10 @@ class MAACUpdateEngine:
             + self.attn_params
         )
         # One optimiser over encoders + attention + head: with a single
-        # member the family step is elementwise identical to the scalar
-        # loop's one Adam over critic.parameters().
+        # member the family step is elementwise identical to one Adam over
+        # critic.parameters().
         self.critic_opt = FamilyAdam(
-            self.critic_params, 1, lr=algorithm.critic_opt.lr
+            self.critic_params, 1, lr=algorithm.lr
         )
         self.obs_enc.bind_members()
         self.sa_enc.bind_members()
@@ -1265,7 +1269,7 @@ class MAACUpdateEngine:
 
         self.actor_family = StackedMLP([algorithm.actor.trunk])
         self.actor_opt = FamilyAdam(
-            self.actor_family.params(), 1, lr=algorithm.actor_opt.lr
+            self.actor_family.params(), 1, lr=algorithm.lr
         )
         self.actor_family.bind_members()
 
@@ -1497,8 +1501,8 @@ class MAACUpdateEngine:
         attention block in raw numpy with every head folded into one 4-D
         matmul pipeline (fused QKV projections, one masked softmax over
         ``(H, B, A, A)`` scores), and one head-family pass over the
-        ``A*B`` (state, attended, agent-id) rows — the per-agent *and*
-        per-head loops of ``AttentionCritic.forward`` disappear.  The
+        ``A*B`` (state, attended, agent-id) rows, with no per-agent or
+        per-head loop.  The
         projections run as 2-D GEMMs on the flat ``(B*A, ·)`` row blocks
         (a 3-D matmul against a 2-D weight dispatches ``B`` tiny GEMMs).
         ``obs`` and ``sa_in`` are the assembled ``(B, A, ·)`` inputs in the
@@ -1670,14 +1674,14 @@ class MAACUpdateEngine:
         softmax/cumsum batches over every agent at once (the per-row
         arithmetic is identical), and one ``(A, B, 1)`` uniform call
         consumes the RNG stream draw for draw — ``Generator.uniform``
-        fills C-order, so it yields bitwise the same doubles as the
-        scalar path's per-agent ``(B, 1)`` calls.
+        fills C-order, so it yields bitwise the same doubles as
+        per-agent ``(B, 1)`` calls.
 
         Returns ``(actions, log_probs, probs)`` — the sampler already pays
         for the stable softmax, so callers reuse its float64 log-probs and
         probabilities instead of recomputing the same max/exp/sum chain.
-        In float64 (the default dtype) these are bitwise the values the
-        scalar path's ``log_softmax`` produces; float32 members cast them
+        In float64 (the default dtype) these are bitwise the values
+        ``nn.functional.log_softmax`` produces; float32 members cast them
         back down at the point of use (tolerance-level, like the rest of
         the fused contract).
         """
@@ -1710,7 +1714,7 @@ class MAACUpdateEngine:
         # --- One actor family pass over next-step AND replay-time rows
         # (both use the pre-step actor weights); the cache's replay-time
         # half feeds the policy-gradient backward later.  The categorical
-        # draws stay a per-agent loop (the scalar RNG order), everything
+        # draws stay a per-agent loop (the per-agent RNG order), everything
         # else is batched over agents.
         half = batch_size * n
         pair_rows = self._actor_rows_pair(batch["next_obs"], batch["obs"])
@@ -1839,9 +1843,8 @@ class _DelegatingEngine:
     """Fallback for algorithms without an architecture-aligned fused path.
 
     COMA trains on whole variable-length episodes, which never stack into
-    one fixed-shape family forward.  Its update still benefits from the
-    flat optimisers and the fused Linear/backward in :mod:`repro.nn`, so
-    the engine simply delegates.
+    one fixed-shape family forward.  It keeps its own tape update and
+    :class:`repro.nn.Adam` optimisers, so the engine simply delegates.
     """
 
     def __init__(self, algorithm):
@@ -1856,8 +1859,8 @@ class UpdateEngine:
 
     Accepts a :class:`~repro.core.hero.HeroTeam`, a
     :class:`~repro.core.low_level.SACAgent` or any
-    :class:`~repro.baselines.base.MARLAlgorithm`; ``update()`` replaces the
-    target's own update call when ``--fused-updates`` is active.
+    :class:`~repro.baselines.base.MARLAlgorithm`; ``update()`` is the
+    target's gradient step (losses, or ``None`` while data-starved).
     """
 
     def __init__(self, target):
@@ -1888,7 +1891,7 @@ class UpdateEngine:
         self.target = target
 
     def update(self):
-        """Run one fused update round; mirrors the target's own update API."""
+        """Run one update round of the target."""
         return self._impl.update()
 
 
@@ -1950,9 +1953,8 @@ def family_dtype(members) -> np.dtype:
 def gather_family(members, out: np.ndarray | None = None) -> np.ndarray:
     """Copy a family's parameters into one flat vector (no rebinding).
 
-    The export path for non-fused learners and for optimisers that own the
-    parameter storage themselves (plain per-network Adam): member ``.data``
-    arrays are read, never re-pointed.
+    Member ``.data`` arrays are read, never re-pointed: the copy a
+    recorded evaluation keeps, and the live state a scorer restores.
     """
     size = family_vector_size(members)
     if out is None:

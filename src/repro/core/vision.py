@@ -3,7 +3,8 @@
 The paper's low-level state is ``s_l = [s_img, s_speed, s_laneID]`` with a
 CNN encoder ("we use a conventional neural network to encode the image
 data"). The fast benchmark path replaces the image with hand-crafted
-features (DESIGN.md §2); this module provides the faithful variant:
+features (docs/REPRODUCING.md, "Substitutions"); this module provides
+the faithful variant:
 
 * :class:`VisionEncoder` — shared CNN + proprioception fusion trunk,
 * :class:`VisionSACAgent` — SAC whose actor and critics consume

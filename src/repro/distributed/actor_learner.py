@@ -112,7 +112,6 @@ from ..core.update_engine import (
     BoundFamilyVector,
     family_dtype,
     family_vector_size,
-    gather_family,
     iter_family_params,
 )
 from ..envs.lane_change_env import CooperativeLaneChangeEnv
@@ -187,23 +186,24 @@ def _actor_abort(processes):
 
 def _make_exporter(members):
     """Slot exporter: the one flat buffer the members' parameters tile, in
-    family order, when they do (a fused optimizer's: zero-copy, as
-    ``ParameterServer.publish`` copies straight out of it); a
-    ``gather_family`` copy otherwise (per-network optimizers own each
-    network's storage)."""
+    family order.  The learner's update engine bound them into its
+    optimizer's flat buffer, so an export is zero-copy
+    (``ParameterServer.publish`` copies straight out of it); members that
+    tile no buffer raise ``RuntimeError``."""
     size = family_vector_size(members)
     views = [param.data for param in iter_family_params(members)]
     flat = views[0].base
-    if flat is not None and flat.ndim == 1 and flat.size == size:
-        address = flat.ctypes.data
-        for view in views:
-            if view.base is not flat or view.ctypes.data != address:
-                break
-            address += view.nbytes
-        else:
-            return lambda: flat
-    out = np.empty(size, dtype=family_dtype(members))
-    return lambda: gather_family(members, out)
+    tiled = flat is not None and flat.ndim == 1 and flat.size == size
+    address = flat.ctypes.data if tiled else 0
+    for view in views:
+        tiled = tiled and view.base is flat and view.ctypes.data == address
+        address += view.nbytes
+    if not tiled:
+        raise RuntimeError(
+            "acting members do not tile one optimizer buffer: build the "
+            "learner's UpdateEngine before starting the actors"
+        )
+    return lambda: flat
 
 
 def _shutdown(server, queues, processes) -> None:
@@ -495,9 +495,9 @@ def train_hero_async(
     ``max_staleness=0`` one actor runs and the run is the synchronous one
     bit for bit; at ``max_staleness>0`` rollout and update overlap, with
     aggregate and per-actor staleness logged per round (see the module
-    docstring).  When fused updates own the acting families' storage,
-    each snapshot publish is a plain ``np.copyto`` out of their flat
-    buffers.  A team with an observation service raises ``ValueError``
+    docstring).  The learner's update engine owns the acting families'
+    storage, so each snapshot publish is a plain ``np.copyto`` out of its
+    flat buffers.  A team with an observation service raises ``ValueError``
     before any actor starts.  Returns ``consumer.logger``.
     """
     if team.observation_service is not None:

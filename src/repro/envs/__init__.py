@@ -1,4 +1,4 @@
-"""Driving simulator substrate (Gazebo substitute; DESIGN.md §2)."""
+"""Driving simulator substrate (Gazebo substitute; docs/REPRODUCING.md, "Substitutions")."""
 
 from .base import MultiAgentEnv, SingleAgentEnv
 from .control import lane_change_command, lane_change_steer_sign, lane_keep_command

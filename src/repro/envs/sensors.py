@@ -10,7 +10,7 @@ low-level controller (Sec. IV-C). Here:
 * :class:`PseudoCamera` renders a small ego-centric occupancy grid with a
   vehicle channel and a lane-marking channel — the same information content
   a downward-facing camera provides (lane-relative pose + nearby obstacles);
-  see DESIGN.md §2 for the substitution argument.
+  see docs/REPRODUCING.md, "Substitutions", for the substitution argument.
 """
 
 from __future__ import annotations

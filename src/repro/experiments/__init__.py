@@ -1,4 +1,5 @@
-"""Per-table/figure reproduction harnesses (see DESIGN.md §4)."""
+"""Per-table/figure reproduction harnesses (see docs/REPRODUCING.md,
+"Per-experiment commands")."""
 
 from .common import (
     ExperimentResult,

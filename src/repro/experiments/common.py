@@ -23,6 +23,7 @@ from ..config import (
     RewardConfig,
     ScenarioConfig,
     TrainingConfig,
+    check_fused_updates,
 )
 from ..core import HeroTeam, train_hero, train_low_level_skills
 from ..core.trainer import evaluate_hero, evaluate_hero_vectorized
@@ -157,16 +158,12 @@ def train_hero_method(
     updates_per_episode: int = 4,
     metric_prefix: str = "hero",
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
 ) -> TrainedMethod:
     """Two-stage HERO training (Algorithm 2 then Algorithm 1).
 
-    ``fused_updates`` routes every gradient phase — skill SAC updates and
-    the high-level team update — through the fused
-    :class:`repro.core.update_engine.UpdateEngine` families.
     ``async_actors`` moves the rollout phase to a separate actor process on
     the async actor–learner stack; ``max_staleness`` bounds how far it may
     run ahead of the newest policy snapshot (0 = lockstep, bitwise equal to
@@ -176,7 +173,6 @@ def train_hero_method(
     config = TrainingConfig(
         seed=seed,
         num_envs=num_envs,
-        fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,
@@ -227,7 +223,6 @@ def train_baseline_method(
     seed: int,
     updates_per_episode: int = 1,
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -254,7 +249,6 @@ def train_baseline_method(
         seed=seed,
         updates_per_episode=updates_per_episode,
         epsilon_decay_episodes=max(episodes // 2, 1),
-        fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,
@@ -275,7 +269,7 @@ def train_all_methods(
     scenario: ScenarioConfig | None = None,
     skill_scale: float | None = None,
     num_envs: int = 1,
-    fused_updates: bool = False,
+    fused_updates: bool = True,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -292,7 +286,9 @@ def train_all_methods(
     in a separate actor process on the async actor–learner stack
     (``repro.distributed.actor_learner``; HERO and IDQN — the other
     baselines warn and stay synchronous); ``max_staleness=0`` runs one
-    actor, bitwise equal to synchronous.
+    actor, bitwise equal to synchronous.  ``fused_updates`` is accepted
+    for compatibility and must be True: every method's gradient step runs
+    through :class:`~repro.core.update_engine.UpdateEngine`.
 
     The methods share no state, so they train side by side, one
     :func:`~repro.utils.jobs.run_jobs` job each in the order of
@@ -303,6 +299,7 @@ def train_all_methods(
     other.  A method worker is not daemonic, so HERO's Algorithm 2 and
     the ``async_actors`` actors start their own processes inside it.
     """
+    check_fused_updates(fused_updates)
     methods = list(methods or METHOD_NAMES)
     scenario = scenario or bench_scenario()
     rewards = RewardConfig()
@@ -317,7 +314,6 @@ def train_all_methods(
 
     options = {
         "num_envs": num_envs,
-        "fused_updates": fused_updates,
         "async_actors": async_actors,
         "max_staleness": max_staleness,
         "num_actors": num_actors,

@@ -24,7 +24,6 @@ def run_fig10(
     seed: int = 0,
     result: ExperimentResult | None = None,
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -34,7 +33,6 @@ def run_fig10(
         seed=seed,
         methods=["hero"],
         num_envs=num_envs,
-        fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..envs import make_baseline_env
 from ..utils.jobs import Job, run_jobs
 from .common import ExperimentResult, train_all_methods
-from .reporting import print_metric_table, shape_check
+from .reporting import _separated, print_metric_table, shape_check
 
 
 def run_fig11(
@@ -21,7 +21,6 @@ def run_fig11(
     eval_episodes: int = 10,
     result: ExperimentResult | None = None,
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -30,7 +29,6 @@ def run_fig11(
         scale=scale,
         seed=seed,
         num_envs=num_envs,
-        fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,
@@ -82,10 +80,11 @@ def report_fig11(outputs: dict) -> list[tuple[str, bool]]:
             if k != "hero" and collisions.get(k, 1.0) <= 0.5
         }
         others = safe or {k: v for k, v in speeds.items() if k != "hero"}
+        compared = {"hero": speeds["hero"], **others}
         checks.append(
             shape_check(
                 "HERO reaches the highest mean speed among non-crashing policies",
-                speeds["hero"] >= max(others.values()) - 1e-9,
+                speeds["hero"] >= max(others.values()) - 1e-9 and _separated(compared),
                 ", ".join(f"{k}={v:.3f}" for k, v in sorted(speeds.items())),
             )
         )
@@ -93,7 +92,8 @@ def report_fig11(outputs: dict) -> list[tuple[str, bool]]:
         checks.append(
             shape_check(
                 "MAAC is the slowest converged policy (paper: 0.048 lowest)",
-                speeds["maac"] <= min(v for k, v in speeds.items() if k != "maac") + 1e-9,
+                speeds["maac"] <= min(v for k, v in speeds.items() if k != "maac") + 1e-9
+                and _separated(speeds),
                 f"maac={speeds['maac']:.3f}",
             )
         )

@@ -28,7 +28,6 @@ def run_fig7(
     seed: int = 0,
     result: ExperimentResult | None = None,
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -47,7 +46,6 @@ def run_fig7(
         scale=scale,
         seed=seed,
         num_envs=num_envs,
-        fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,

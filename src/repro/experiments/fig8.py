@@ -20,7 +20,6 @@ def run_fig8(
     scale: float = 0.02,
     seed: int = 0,
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -28,10 +27,8 @@ def run_fig8(
     """``num_envs``/``async_actors``/``max_staleness``/``num_actors`` are
     accepted for CLI uniformity; each skill trains on one scalar
     single-agent env, the two skills in two processes
-    (:func:`~repro.core.trainer.train_low_level_skills`).
-    ``fused_updates`` runs the SAC updates through the fused
-    twin-critic/actor engine."""
-    config = TrainingConfig(seed=seed, fused_updates=fused_updates)
+    (:func:`~repro.core.trainer.train_low_level_skills`)."""
+    config = TrainingConfig(seed=seed)
     config.scenario = bench_scenario()
     episodes = episodes_from_scale(scale)
     _, logger = train_low_level_skills(config, episodes=episodes)

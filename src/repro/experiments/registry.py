@@ -69,7 +69,6 @@ def run_experiment(
     scale: float = 0.02,
     seed: int = 0,
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -82,9 +81,7 @@ def run_experiment(
     and the four baselines' — from that many vectorized environment copies
     (see ``repro.envs.vector_env`` and docs/REPRODUCING.md); the
     interleaved greedy evaluations are recorded during training and
-    scored in one wide batch after it, at any ``num_envs``.  ``fused_updates``
-    batches every method's gradient phase through
-    ``repro.core.update_engine`` (tolerance-equivalent, not bitwise).
+    scored in one wide batch after it, at any ``num_envs``.
     ``async_actors`` runs rollouts in a separate actor process
     on the async actor–learner stack (``repro.distributed.actor_learner``;
     HERO and IDQN), with ``max_staleness`` bounding how far the actor may
@@ -96,8 +93,7 @@ def run_experiment(
     the directory is already complete (table2 only — the figure harnesses
     report training curves, which a checkpoint does not carry).
     ``dtype`` selects the floating-point compute precision for the whole
-    run ("float64" | "float32"): the default is bitwise-identical to the
-    original implementation; float32 speeds the BLAS-bound update phase
+    run ("float64" | "float32"): float32 speeds the BLAS-bound update phase
     and halves every payload under the tolerance contract documented in
     docs/ARCHITECTURE.md ("Precision").  Env physics stays float64 at
     either setting.
@@ -119,7 +115,6 @@ def run_experiment(
             scale=scale,
             seed=seed,
             num_envs=num_envs,
-            fused_updates=fused_updates,
             async_actors=async_actors,
             max_staleness=max_staleness,
             num_actors=num_actors,

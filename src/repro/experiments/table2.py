@@ -8,7 +8,8 @@ Paper rows (collision rate / success rate / mean speed over 20 episodes):
     MADDPG          0.95 / 0.5  / 0.0703
     Ours (HERO)     0.2  / 0.8  / 0.072
 
-Shape targets under our domain-shift testbed (DESIGN.md §2):
+Shape targets under our domain-shift testbed (docs/REPRODUCING.md,
+"Substitutions"):
 
 * HERO keeps the lowest collision rate and the highest success rate,
 * Independent DQN degrades the most (its brittle greedy policy breaks
@@ -107,7 +108,6 @@ def run_table2(
     eval_episodes: int = 20,
     result: ExperimentResult | None = None,
     num_envs: int = 1,
-    fused_updates: bool = False,
     async_actors: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
@@ -136,7 +136,6 @@ def run_table2(
         scale=scale,
         seed=seed,
         num_envs=num_envs,
-        fused_updates=fused_updates,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,

@@ -1,22 +1,24 @@
-"""Multi-head attention, the building block of the MAAC baseline critic.
+"""Multi-head attention parameters, the building block of the MAAC critic.
 
 MAAC (Iqbal & Sha, ICML 2019) scores each agent's value by attending over
-the encodings of the *other* agents. We implement scaled dot-product
-attention over a set axis: inputs are ``(batch, n_agents, features)``.
+the encodings of the *other* agents: scaled dot-product attention over a
+set axis, inputs ``(batch, n_agents, features)``.  These modules hold the
+per-head projections and the output projection; the attention pass and
+its vector-Jacobian product run fused over every head in
+:class:`~repro.core.update_engine.MAACUpdateEngine`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .functional import softmax
 from .layers import Linear
 from .module import Module
-from .tensor import Tensor, concatenate
 
 
 class ScaledDotProductAttention(Module):
-    """Single attention head over a set of entity encodings."""
+    """Single attention head over a set of entity encodings: bias-free
+    query, key and value projections and the ``1/sqrt(key_dim)`` scale."""
 
     def __init__(self, model_dim: int, key_dim: int, rng: np.random.Generator):
         super().__init__()
@@ -25,21 +27,10 @@ class ScaledDotProductAttention(Module):
         self.value_proj = Linear(model_dim, key_dim, rng, bias=False)
         self.scale = 1.0 / np.sqrt(key_dim)
 
-    def forward(self, queries: Tensor, keys_values: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Attend ``queries`` (B, Nq, D) over ``keys_values`` (B, Nk, D)."""
-        q = self.query_proj(queries)
-        k = self.key_proj(keys_values)
-        v = self.value_proj(keys_values)
-        scores = (q @ k.transpose(0, 2, 1)) * self.scale  # (B, Nq, Nk)
-        if mask is not None:
-            # Masked entries get a large negative score before softmax.
-            scores = scores + Tensor(np.where(mask, 0.0, -1e9))
-        weights = softmax(scores, axis=-1)
-        return weights @ v
-
 
 class MultiHeadAttention(Module):
-    """Concatenation of several attention heads plus an output projection."""
+    """Several attention heads whose outputs are concatenated and mapped by
+    an output projection."""
 
     def __init__(
         self,
@@ -58,11 +49,6 @@ class MultiHeadAttention(Module):
             ScaledDotProductAttention(model_dim, head_dim, rng) for _ in range(num_heads)
         ]
         self.out_proj = Linear(model_dim, output_dim or model_dim, rng)
-
-    def forward(self, queries: Tensor, keys_values: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        head_outputs = [head(queries, keys_values, mask) for head in self.heads]
-        merged = concatenate(head_outputs, axis=-1)
-        return self.out_proj(merged)
 
 
 def exclude_self_mask(num_agents: int) -> np.ndarray:

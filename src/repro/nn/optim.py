@@ -219,10 +219,10 @@ class RMSprop(Optimizer):
 def clip_grad_norm(params, max_norm: float) -> float:
     """Scale gradients in-place so their global L2 norm is at most ``max_norm``.
 
-    Returns the pre-clipping norm (useful for logging divergence).  The
-    per-parameter reduction order is preserved so the default update path
-    stays bitwise-identical across releases; the fused-update engine uses
-    :func:`clip_grad_norm_flat` on its stacked gradient buffers instead.
+    Returns the pre-clipping norm (useful for logging divergence), reduced
+    parameter by parameter.  COMA's tape update clips with it; the fused
+    update engines use :func:`clip_grad_norm_flat` /
+    :func:`clip_grad_norm_stacked` on their stacked gradient buffers.
     """
     grads = [p.grad for p in params if p.grad is not None]
     if not grads:
@@ -240,8 +240,7 @@ def clip_grad_norm_flat(flat_grad: np.ndarray, max_norm: float) -> float:
 
     One ``dot`` for the squared norm and one in-place scale.  The reduction
     order differs from the per-parameter loop, so the result matches
-    :func:`clip_grad_norm` to float tolerance, not bitwise — fine for the
-    fused-update paths, which are tolerance-equivalent anyway.
+    :func:`clip_grad_norm` to float tolerance, not bitwise.
     """
     total = float(np.sqrt(np.dot(flat_grad, flat_grad)))
     if total > max_norm and total > 0:

@@ -5,8 +5,8 @@ The contract under test (``repro.distributed.actor_learner``):
 * ``async_actors`` with ``max_staleness=0`` (lockstep barrier) runs one
   actor and is **bit-for-bit** equal to the synchronous vectorized loop —
   metrics, logged steps and final network weights — for HERO
-  (``train_hero``) and IDQN (``train_marl_vectorized``), plain and fused,
-  on a two-env and on a one-env batch;
+  (``train_hero``) and IDQN (``train_marl_vectorized``), on a two-env and
+  on a one-env batch;
   asking it for more actors is a ``ValueError`` (and a CLI usage error)
   before any actor process starts;
 * ``max_staleness > 0`` runs, logs a per-round snapshot-staleness series
@@ -28,8 +28,8 @@ The contract under test (``repro.distributed.actor_learner``):
   the fields a rebuild would need, with its own RNG streams (actor 0's
   are the single-actor run's), and the parameter server publishes in
   the acting families' dtype;
-* a family's snapshot is exported straight out of a fused optimizer's
-  flat buffer when one holds it, and gathered afresh otherwise.
+* a family's snapshot is exported straight out of the learner's update
+  engine's flat buffer, and members no engine bound are refused.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ SCENARIO = ScenarioConfig(episode_length=5)
 def _hero_run(
     async_actors: bool,
     *,
-    fused: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
     num_envs: int = 2,
@@ -83,7 +82,6 @@ def _hero_run(
         num_envs=num_envs,
         eval_every=2,
         eval_episodes=2,
-        fused_updates=fused,
         async_actors=async_actors,
         max_staleness=max_staleness,
         num_actors=num_actors,
@@ -94,7 +92,6 @@ def _hero_run(
 def _idqn_run(
     async_actors: bool,
     *,
-    fused: bool = False,
     max_staleness: int = 0,
     num_actors: int = 1,
     num_envs: int = 2,
@@ -109,7 +106,6 @@ def _idqn_run(
             seed=5,
             eval_every=2,
             eval_episodes=2,
-            fused_updates=fused,
             async_actors=async_actors,
             max_staleness=max_staleness,
             num_actors=num_actors,
@@ -119,16 +115,16 @@ def _idqn_run(
     return logger, algo
 
 
-# Compute each (method, fused, num_envs) synchronous reference once per
-# test session.
+# Compute each (method, num_envs) synchronous reference once per test
+# session.
 _SYNC_CACHE: dict = {}
 
 
-def _sync_reference(method: str, fused: bool, num_envs: int = 2):
-    key = (method, fused, num_envs)
+def _sync_reference(method: str, num_envs: int = 2):
+    key = (method, num_envs)
     if key not in _SYNC_CACHE:
         run = _hero_run if method == "hero" else _idqn_run
-        _SYNC_CACHE[key] = run(False, fused=fused, num_envs=num_envs)
+        _SYNC_CACHE[key] = run(False, num_envs=num_envs)
     return _SYNC_CACHE[key]
 
 
@@ -151,12 +147,9 @@ LOCKSTEP_LAYOUTS = pytest.mark.parametrize(
 
 
 @LOCKSTEP_LAYOUTS
-@pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
-def test_hero_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
-    log_sync, team_sync = _sync_reference("hero", fused, num_envs)
-    log_async, team_async = _hero_run(
-        True, fused=fused, num_actors=num_actors, num_envs=num_envs
-    )
+def test_hero_lockstep_matches_sync_bitwise(num_actors, num_envs):
+    log_sync, team_sync = _sync_reference("hero", num_envs)
+    log_async, team_async = _hero_run(True, num_actors=num_actors, num_envs=num_envs)
     _assert_logs_equal(log_sync, log_async)
     state_sync, state_async = team_sync.state_dict(), team_async.state_dict()
     assert state_sync.keys() == state_async.keys()
@@ -167,8 +160,8 @@ def test_hero_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
 def test_hero_lockstep_matches_sync_bitwise_under_spawn(spawn_default):
     """Under a ``spawn`` default the actor acts on a copy of the learner's
     team unpickled from its spec; the run stays bitwise."""
-    log_sync, team_sync = _sync_reference("hero", True)
-    log_async, team_async = _hero_run(True, fused=True)
+    log_sync, team_sync = _sync_reference("hero")
+    log_async, team_async = _hero_run(True)
     _assert_logs_equal(log_sync, log_async)
     state_sync, state_async = team_sync.state_dict(), team_async.state_dict()
     for key in state_sync:
@@ -177,12 +170,9 @@ def test_hero_lockstep_matches_sync_bitwise_under_spawn(spawn_default):
 
 
 @LOCKSTEP_LAYOUTS
-@pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
-def test_idqn_lockstep_matches_sync_bitwise(fused, num_actors, num_envs):
-    log_sync, algo_sync = _sync_reference("idqn", fused, num_envs)
-    log_async, algo_async = _idqn_run(
-        True, fused=fused, num_actors=num_actors, num_envs=num_envs
-    )
+def test_idqn_lockstep_matches_sync_bitwise(num_actors, num_envs):
+    log_sync, algo_sync = _sync_reference("idqn", num_envs)
+    log_async, algo_async = _idqn_run(True, num_actors=num_actors, num_envs=num_envs)
     _assert_logs_equal(log_sync, log_async)
     for agent in algo_sync.agent_ids:
         for p_sync, p_async in zip(
@@ -655,21 +645,20 @@ def test_actor_specs_carry_the_learners_own_controller(monkeypatch, method):
 
 
 @pytest.mark.parametrize("method", ["hero", "idqn"])
-@pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
-def test_exporter_reads_a_fused_buffer_in_place(method, fused):
-    """A fused optimizer's flat buffer is published without a copy; a
-    plain family is gathered into one reused vector.  Either way each
-    export holds the family's current parameters."""
+def test_exporter_reads_a_fused_buffer_in_place(method):
+    """The update engine's flat buffer is published without a copy, and
+    each export holds the family's current parameters; members that no
+    engine bound tile no buffer and are refused."""
     controller, _ = _controller(method)
-    if fused:
-        UpdateEngine(controller)
-    families, _ = (
-        actor_learner._hero_acting if method == "hero" else actor_learner._idqn_acting
-    )(controller)
-    for members in families.values():
+    acting = actor_learner._hero_acting if method == "hero" else actor_learner._idqn_acting
+    for members in acting(controller)[0].values():
+        with pytest.raises(RuntimeError, match="UpdateEngine"):
+            actor_learner._make_exporter(members)
+    UpdateEngine(controller)
+    for members in acting(controller)[0].values():
         export = actor_learner._make_exporter(members)
         first = next(iter_family_params(members)).data
-        assert np.shares_memory(export(), first) == fused
+        assert np.shares_memory(export(), first)
         np.testing.assert_array_equal(export(), gather_family(members))
         first += 1.0
         np.testing.assert_array_equal(export(), gather_family(members))

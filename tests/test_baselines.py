@@ -1,4 +1,8 @@
-"""Tests for the four MARL baselines and their shared training loop."""
+"""Tests for the four MARL baselines and their shared training loop.
+
+Every gradient step runs through ``UpdateEngine`` (the fused engines for
+IDQN, MADDPG and MAAC; COMA's own update behind the delegating engine).
+"""
 
 import numpy as np
 import pytest
@@ -9,8 +13,9 @@ from repro.baselines import (
     make_baseline,
     train_marl_vectorized,
 )
-from repro.baselines.maac import AttentionCritic
+from repro.baselines.maac import MAAC
 from repro.config import ScenarioConfig
+from repro.core import UpdateEngine
 from repro.envs import make_baseline_env, make_baseline_vector_env
 
 
@@ -72,12 +77,12 @@ class TestActObserve:
     def test_update_requires_data(self, name):
         env = small_env()
         algo = make(name, env, batch_size=16)
-        assert algo.update() is None
+        assert UpdateEngine(algo).update() is None
 
     def test_coma_update_requires_episode(self):
         env = small_env()
         algo = make("coma", env)
-        assert algo.update() is None
+        assert UpdateEngine(algo).update() is None
 
 
 def _collect_experience(env, algo, episodes=3, seed=0):
@@ -103,7 +108,7 @@ class TestUpdates:
         kwargs = {"batch_size": 16} if name in OFF_POLICY else {}
         algo = make(name, env, **kwargs)
         _collect_experience(env, algo)
-        losses = algo.update()
+        losses = UpdateEngine(algo).update()
         assert losses is not None
         for key, value in losses.items():
             assert np.isfinite(value), f"{key} not finite"
@@ -112,7 +117,7 @@ class TestUpdates:
         env = small_vector_env()
         algo = make("idqn", env, batch_size=16, double_q=False)
         _collect_experience(env, algo)
-        assert algo.update() is not None
+        assert UpdateEngine(algo).update() is not None
 
     def test_idqn_learns_simple_preference(self):
         """Reward action 4 regardless of state -> Q(a=4) should dominate.
@@ -122,6 +127,7 @@ class TestUpdates:
         env = small_vector_env()
         algo = make("idqn", env, batch_size=32, lr=1e-2)
         algo.epsilon = 0.0
+        update = UpdateEngine(algo).update
         rng = np.random.default_rng(0)
         obs = rng.standard_normal((1, algo.num_agents, algo.obs_dim))
         for _ in range(200):
@@ -129,7 +135,7 @@ class TestUpdates:
             actions = np.full((1, algo.num_agents), action)
             rewards = np.array([1.0 if action == 4 else 0.0])
             algo.observe_batch(obs, actions, rewards, obs, np.array([True]))
-            algo.update()
+            update()
         greedy = algo.act_batch(obs, explore=False)
         assert np.all(greedy == 4)
 
@@ -138,8 +144,9 @@ class TestUpdates:
         algo = make("maddpg", env, batch_size=16)
         before = algo.target_critics[0].net[0].weight.data.copy()
         _collect_experience(env, algo)
+        engine = UpdateEngine(algo)
         for _ in range(5):
-            algo.update()
+            engine.update()
         after = algo.target_critics[0].net[0].weight.data
         assert not np.allclose(before, after)
 
@@ -147,7 +154,7 @@ class TestUpdates:
         env = small_vector_env()
         algo = make("coma", env)
         _collect_experience(env, algo, episodes=2)
-        losses = algo.update()
+        losses = UpdateEngine(algo).update()
         assert "critic_loss" in losses and "actor_loss" in losses
 
     def test_coma_bounded_pending_episodes(self):
@@ -157,37 +164,67 @@ class TestUpdates:
         assert len(algo._pending_episodes) <= 3
 
 
+def attention_q_rows(num_agents, obs, actions):
+    """A fresh MAAC critic's per-agent Q rows, ``(batch, agents, actions)``,
+    from the engine's critic forward (the critic's only pass)."""
+    algo = MAAC(
+        [f"a{i}" for i in range(num_agents)], obs.shape[-1], 4,
+        np.random.default_rng(0),
+    )
+    rows, _ = UpdateEngine(algo)._impl._critic_forward(
+        obs, np.concatenate([obs, np.eye(4)[actions]], axis=-1)
+    )
+    return rows
+
+
 class TestAttentionCritic:
     def test_q_rows_shape(self):
-        critic = AttentionCritic(
-            num_agents=3, obs_dim=5, num_actions=4, rng=np.random.default_rng(0)
-        )
         obs = np.zeros((7, 3, 5))
         actions = np.zeros((7, 3), dtype=np.int64)
-        rows = critic(obs, actions)
-        assert len(rows) == 3
-        assert all(row.shape == (7, 4) for row in rows)
+        assert attention_q_rows(3, obs, actions).shape == (7, 3, 4)
 
     def test_other_agents_actions_influence_q(self):
-        critic = AttentionCritic(
-            num_agents=2, obs_dim=3, num_actions=4, rng=np.random.default_rng(0)
-        )
         obs = np.random.default_rng(1).standard_normal((1, 2, 3))
-        actions_a = np.array([[0, 0]])
-        actions_b = np.array([[0, 3]])  # other agent changes action
-        q_a = critic(obs, actions_a)[0].data
-        q_b = critic(obs, actions_b)[0].data
+        q_a = attention_q_rows(2, obs, np.array([[0, 0]]))[:, 0]
+        q_b = attention_q_rows(2, obs, np.array([[0, 3]]))[:, 0]  # other agent
         assert not np.allclose(q_a, q_b)
 
     def test_own_action_does_not_influence_own_q_row(self):
         """Agent i's Q row marginalises its own action (per-action output)."""
-        critic = AttentionCritic(
-            num_agents=2, obs_dim=3, num_actions=4, rng=np.random.default_rng(0)
-        )
         obs = np.random.default_rng(1).standard_normal((1, 2, 3))
-        q_a = critic(obs, np.array([[0, 2]]))[0].data
-        q_b = critic(obs, np.array([[3, 2]]))[0].data
+        q_a = attention_q_rows(2, obs, np.array([[0, 2]]))[:, 0]
+        q_b = attention_q_rows(2, obs, np.array([[3, 2]]))[:, 0]
         np.testing.assert_allclose(q_a, q_b)
+
+    def test_mask_blocks_self_attention(self):
+        """Agent i attends over the other agents only: its own state-action
+        encoding (its key and value) never reaches its Q row, while every
+        other agent's row reads it."""
+        algo = MAAC(["a0", "a1", "a2"], 3, 4, np.random.default_rng(0))
+        forward = UpdateEngine(algo)._impl._critic_forward
+        fill = np.random.default_rng(1)
+        obs = fill.standard_normal((5, 3, 3))
+        sa_in = fill.standard_normal((5, 3, 7))
+        moved = sa_in.copy()
+        moved[:, 0] = fill.standard_normal((5, 7))
+        rows = forward(obs, sa_in)[0].copy()
+        rows_moved = forward(obs, moved)[0]
+        np.testing.assert_array_equal(rows[:, 0], rows_moved[:, 0])
+        for i in (1, 2):
+            assert not np.allclose(rows[:, i], rows_moved[:, i])
+
+    def test_update_moves_every_attention_parameter(self):
+        """The engine's closed-form attention VJP reaches every head's
+        query, key and value projection and the output projection."""
+        env = small_vector_env()
+        algo = make("maac", env, batch_size=16)
+        _collect_experience(env, algo)
+        params = algo.critic.attention.parameters()
+        assert len(params) == 2 * 3 + 2
+        before = [param.data.copy() for param in params]
+        assert UpdateEngine(algo).update() is not None
+        for index, (param, old) in enumerate(zip(params, before)):
+            assert not np.array_equal(param.data, old), index
 
 
 class TestTrainEvaluate:

@@ -116,3 +116,14 @@ class TestTrainingConfig:
         config = TrainingConfig()
         config.epsilon_start = 0.4
         assert config.epsilon_start == 0.4
+
+    def test_fused_updates_accepts_only_true(self):
+        """The keyword survives for compatibility; every update runs on
+        the fused engines, so False names the removed path and raises."""
+        from repro.experiments.common import train_all_methods
+
+        TrainingConfig(fused_updates=True)
+        with pytest.raises(ValueError, match="per-network update path"):
+            TrainingConfig(fused_updates=False)
+        with pytest.raises(ValueError, match="per-network update path"):
+            train_all_methods(scale=0.001, methods=["idqn"], fused_updates=False)

@@ -1,4 +1,12 @@
-"""Tests for the SAC low-level agent, opponent model and high-level agent."""
+"""Tests for the SAC low-level agent, opponent model and high-level agent.
+
+Learning is exercised through the fused engines, the only update path: a
+lone high-level agent steps through a one-agent
+:class:`~repro.core.update_engine.HeroTeamUpdateEngine`, and an opponent
+model through such an agent's engine.
+"""
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +26,9 @@ from repro.core import (
     UpdateEngine,
     train_skill,
 )
+from repro.core.hero import HeroAgent
+from repro.core.update_engine import HeroTeamUpdateEngine
 from repro.envs import CooperativeLaneChangeEnv, LaneKeepingEnv, VectorEnv
-from repro.nn import one_hot
 from repro.nn.tensor import default_dtype
 from repro.training.replay import OptionTransition
 
@@ -48,11 +57,50 @@ def executed_actions(option, steps=10):
 
 def greedy_option(agent, obs):
     """The option a high-level agent's actor ranks first in state ``obs``,
-    with its opponents as it last observed them."""
+    with its opponent model's predictions as the opponent input."""
     obs = np.asarray(obs)[None]
-    observed = one_hot(agent._last_observed_options, agent.num_options).reshape(1, -1)
-    actor_in = np.concatenate([obs, agent._opponent_rep_batch(obs, observed)], axis=-1)
+    rep = agent.opponent_model.predict_probs_batch(obs).reshape(1, -1)
+    actor_in = np.concatenate([obs, rep], axis=-1)
     return int(agent.actor.logits_inference(actor_in)[0].argmax())
+
+
+def high_level_step(high):
+    """The update of a lone high-level agent: one fused step per call,
+    losses without the agent prefix, None while its buffer is too small."""
+    engine = HeroTeamUpdateEngine(SimpleNamespace(agents={"a": HeroAgent("a", high)}))
+
+    def update():
+        return {key[2:]: value for key, value in engine.update().items()} or None
+
+    return update
+
+
+def opponent_step(model):
+    """The update of ``model`` as a lone agent's opponent model: the
+    opponent losses of one fused step, None when there are none.  The
+    engine steps the predictors of agents whose replay is eligible, so the
+    agent's buffer holds the minimum eligible rows."""
+    high = HighLevelAgent(
+        model.obs_dim, model.num_options, model.num_opponents,
+        np.random.default_rng(0), batch_size=32,
+    )
+    high.opponent_model = model
+    fill = np.random.default_rng(0)
+    for _ in range(8):
+        high.store_transition(
+            OptionTransition(
+                fill.standard_normal(model.obs_dim), 0,
+                np.zeros(max(model.num_opponents, 1), dtype=np.int64),
+                0.0, fill.standard_normal(model.obs_dim), False, 1,
+            )
+        )
+    step = high_level_step(high)
+
+    def update():
+        losses = step() or {}
+        return {k: v for k, v in losses.items() if k.startswith("opponent_")} or None
+
+    return update
 
 
 def make_sac(obs_dim=4, **kwargs):
@@ -106,7 +154,7 @@ class TestSACAgent:
 
     def test_update_requires_data(self):
         agent = make_sac()
-        assert agent.update() is None
+        assert UpdateEngine(agent).update() is None
 
     def test_update_returns_losses(self):
         agent = make_sac()
@@ -116,7 +164,7 @@ class TestSACAgent:
                 rng.standard_normal(4), rng.uniform(-0.1, 0.1, 2),
                 rng.uniform(-1, 1), rng.standard_normal(4), False,
             )
-        losses = agent.update()
+        losses = UpdateEngine(agent).update()
         assert set(losses) == {"critic_loss", "actor_loss", "alpha", "entropy"}
         assert np.isfinite(losses["critic_loss"])
 
@@ -129,8 +177,9 @@ class TestSACAgent:
                 0.0, rng.standard_normal(4), False,
             )
         before = agent.alpha
+        engine = UpdateEngine(agent)
         for _ in range(10):
-            agent.update()
+            engine.update()
         assert agent.alpha != before
 
     def test_state_dict_roundtrip(self):
@@ -145,12 +194,13 @@ class TestSACAgent:
         """SAC should learn to prefer high-reward actions on a bandit-like
         problem: reward = -|action[0] - 0.15|."""
         agent = make_sac(lr=1e-2, batch_size=32)
+        engine = UpdateEngine(agent)
         obs = np.zeros(4)
         for _ in range(300):
             action = agent.act(obs)
             reward = -abs(action[0] - 0.15) * 10
             agent.observe(obs, action, reward, obs, True)
-            agent.update()
+            engine.update()
         final = agent.act(obs, deterministic=True)
         assert abs(final[0] - 0.15) < 0.05
 
@@ -233,11 +283,24 @@ class TestOpponentModel:
         assert probs.shape == (2, 4)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0)
 
+    def test_batched_probs(self):
+        """A batch of observations predicts every row as it would alone."""
+        model = self.make_model()
+        obs = np.random.default_rng(0).standard_normal((8, 4))
+        probs = model.predict_probs_batch(obs)
+        assert probs.shape == (8, 2, 4)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-10)
+        for row, single in zip(probs, obs):
+            np.testing.assert_allclose(
+                row, model.predict_probs_batch(single[None])[0], rtol=1e-12
+            )
+
     def test_zero_opponents(self):
         model = self.make_model(num_opponents=0)
         assert model.predict_probs_batch(np.zeros((1, 4))).shape == (1, 0, 4)
         model.record(np.zeros(4), np.array([]))  # no-op
-        assert model.update() is None
+        assert len(model.history) == 0
+        assert opponent_step(model)() is None
 
     def test_record_validates_shape(self):
         model = self.make_model()
@@ -246,7 +309,9 @@ class TestOpponentModel:
 
     def test_update_requires_history(self):
         model = self.make_model()
-        assert model.update() is None
+        for _ in range(7):
+            model.record(np.zeros(4), np.array([1, 2]))
+        assert opponent_step(model)() is None
 
     def test_learns_state_dependent_policy(self):
         """Opponent picks option 0 when obs[0] < 0 else option 3; the model
@@ -257,21 +322,13 @@ class TestOpponentModel:
             obs = rng.standard_normal(4)
             option = 0 if obs[0] < 0 else 3
             model.record(obs, np.array([option, option]))
+        update = opponent_step(model)
         for _ in range(150):
-            losses = model.update()
+            losses = update()
         assert losses["opponent_0_nll"] < 0.4
         probs = model.predict_probs_batch(np.array([[-2.0, 0, 0, 0], [2.0, 0, 0, 0]]))
         neg, pos = probs.argmax(axis=-1)
         assert neg[0] == 0 and pos[0] == 3
-
-    def test_batched_log_probs(self):
-        model = self.make_model()
-        obs = np.random.default_rng(0).standard_normal((8, 4))
-        log_probs = model.predict_log_probs_batch(obs)
-        assert log_probs.shape == (8, 2, 4)
-        np.testing.assert_allclose(
-            np.exp(log_probs).sum(axis=-1), 1.0, atol=1e-10
-        )
 
     def test_entropy_regulariser_slows_collapse(self):
         """With a large entropy coefficient predictions stay flatter."""
@@ -282,9 +339,10 @@ class TestOpponentModel:
             obs = rng.standard_normal(4)
             sharp.record(obs, np.array([1, 1]))
             flat.record(obs, np.array([1, 1]))
+        sharp_update, flat_update = opponent_step(sharp), opponent_step(flat)
         for _ in range(100):
-            sharp.update()
-            flat.update()
+            sharp_update()
+            flat_update()
         obs = np.zeros((1, 4))
         sharp_probs = sharp.predict_probs_batch(obs)[0, 0]
         flat_probs = flat.predict_probs_batch(obs)[0, 0]
@@ -362,12 +420,12 @@ class TestHighLevelAgent:
 
     def test_update_requires_data(self):
         agent = self.make_agent()
-        assert agent.update() is None
+        assert high_level_step(agent)() is None
 
     def test_update_returns_losses(self):
         agent = self.make_agent()
         self._fill_buffer(agent)
-        losses = agent.update()
+        losses = high_level_step(agent)()
         assert "critic_loss" in losses and "actor_loss" in losses
         assert "opponent_0_nll" in losses
 
@@ -378,11 +436,10 @@ class TestHighLevelAgent:
     def test_zeros_mode_has_no_opponent_losses(self):
         agent = self.make_agent(opponent_mode="zeros")
         self._fill_buffer(agent)
-        losses = agent.update()
+        losses = high_level_step(agent)()
         assert not any("opponent" in k for k in losses)
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["scalar", "fused"])
-    def test_observed_mode_update_reads_stored_options(self, fused):
+    def test_observed_mode_update_reads_stored_options(self):
         """Mode 'observed' conditions the actor loss and the TD target on
         each sampled row's stored opponent options, not on the agent's
         current view: two updates from identical states that differ only
@@ -410,7 +467,7 @@ class TestHighLevelAgent:
                         )
                     )
                 high._last_observed_options = np.full(high.num_opponents, view)
-            update = UpdateEngine(team).update if fused else team.update
+            update = UpdateEngine(team).update
             return [update() for _ in range(2)], team.state_dict()
 
         losses_a, state_a = run(0)
@@ -447,8 +504,9 @@ class TestHighLevelAgent:
                 OptionTransition(obs, option, np.array([0, 0]), reward, obs, False, 1)
             )
             agent.opponent_model.record(obs, np.array([0, 0]))
+        update = high_level_step(agent)
         for _ in range(200):
-            agent.update()
+            update()
         assert greedy_option(agent, obs) == 2
 
     def test_state_dict_roundtrip(self):

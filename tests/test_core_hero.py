@@ -8,6 +8,7 @@ from repro.core import (
     BatchedHeroRunner,
     HeroTeam,
     LANE_CHANGE,
+    UpdateEngine,
     train_hero,
     train_low_level_skills,
 )
@@ -91,7 +92,7 @@ class TestHeroTeam:
         vec, team, runner = one_env(batch_size=8)
         for episode in range(4):
             run_episode(vec, runner, reset_seed=episode)
-        losses = team.update()
+        losses = UpdateEngine(team).update()
         assert any("critic_loss" in key for key in losses)
 
     def test_keep_lane_coasts_with_centering(self):
@@ -171,9 +172,8 @@ class TestDistributedHero:
         assert len(logger.values("hero/episode_reward")) == 3
         assert service.stats()["sent"] > 0
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
     @pytest.mark.parametrize("num_envs", [1, 4])
-    def test_dtde_trains_at_any_num_envs(self, num_envs, fused):
+    def test_dtde_trains_at_any_num_envs(self, num_envs):
         config = TrainingConfig(seed=0)
         config.scenario = small_scenario()
         env = CooperativeLaneChangeEnv(scenario=config.scenario)
@@ -183,7 +183,7 @@ class TestDistributedHero:
         team = make_team(env, batch_size=8, observation_service=service)
         logger = train_hero(
             env, team, episodes=6, config=config, num_envs=num_envs,
-            fused_updates=fused, eval_every=3, eval_episodes=1,
+            eval_every=3, eval_episodes=1,
         )
         assert len(logger.values("hero/episode_reward")) == 6
         stats = service.stats()

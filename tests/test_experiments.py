@@ -137,11 +137,10 @@ class TestMethodsSideBySide:
         assert fig11["collision_rate"] == ref_fig11["collision_rate"]
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "fused"])
-    def test_five_methods_bitwise(self, monkeypatch, dtype, fused):
+    def test_five_methods_bitwise(self, monkeypatch, dtype):
         with default_dtype(dtype):
-            side_by_side = self._sweep(monkeypatch, 2, fused_updates=fused)
-            in_process = self._sweep(monkeypatch, 1, fused_updates=fused)
+            side_by_side = self._sweep(monkeypatch, 2)
+            in_process = self._sweep(monkeypatch, 1)
         assert list(side_by_side[0].methods) == ["hero", "idqn", "coma", "maddpg", "maac"]
         self._assert_bitwise(side_by_side, in_process)
 
@@ -242,6 +241,39 @@ class TestTable2Verdicts:
             "maddpg": {"collision_rate": 0.9, "success_rate": 0.1, "mean_speed": 0.1},
         }
         assert self._verdict(rows, self.VERDICTS[verdict])
+
+
+class TestFig11Verdicts:
+    VERDICTS = {
+        "hero": "HERO reaches the highest mean speed",
+        "maac": "MAAC is the slowest converged policy",
+    }
+    METHODS = ("hero", "idqn", "coma", "maddpg", "maac")
+
+    @staticmethod
+    def _verdict(speeds: dict[str, float], phrase: str) -> bool:
+        """Run report_fig11 on synthetic speeds (no method crashes) and
+        return the verdict naming ``phrase``."""
+        from repro.experiments.fig11 import report_fig11
+
+        collisions = {name: 0.0 for name in speeds}
+        checks = dict(report_fig11({"mean_speed": speeds, "collision_rate": collisions}))
+        (line,) = [line for line in checks if phrase in line]
+        return checks[line]
+
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    def test_verdict_misses_on_all_equal_speeds(self, verdict, capsys):
+        """Five methods at speed 0.100 separate nothing, so neither speed
+        ordering may pass on them."""
+        speeds = {name: 0.1 for name in self.METHODS}
+        phrase = self.VERDICTS[verdict]
+        assert not self._verdict(speeds, phrase)
+        assert f"[MISS] {phrase}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    def test_verdict_passes_on_a_clear_margin(self, verdict):
+        speeds = dict(zip(self.METHODS, (0.08, 0.06, 0.065, 0.07, 0.048)))
+        assert self._verdict(speeds, self.VERDICTS[verdict])
 
 
 class TestFig8Tiny:

@@ -513,16 +513,19 @@ class TestPolicies:
 
 
 class TestAttention:
-    def test_multihead_shapes(self):
-        attn = MultiHeadAttention(model_dim=16, num_heads=4, rng=RNG(0))
-        x = Tensor(RNG(1).standard_normal((2, 5, 16)))
-        out = attn(x, x)
-        assert out.shape == (2, 5, 16)
+    """The attention modules hold parameters only; their pass runs in the
+    MAAC update engine (``tests/test_baselines.py`` checks its masking
+    and shapes, ``tests/test_update_engine.py`` its gradients against the
+    per-network tape reference)."""
 
-    def test_multihead_output_dim(self):
+    def test_head_projections(self):
         attn = MultiHeadAttention(16, 2, RNG(0), output_dim=8)
-        x = Tensor(np.zeros((1, 3, 16)))
-        assert attn(x, x).shape == (1, 3, 8)
+        assert len(attn.heads) == 2
+        for head in attn.heads:
+            assert head.query_proj.weight.shape == (16, 8)
+            assert head.query_proj.bias is None
+        assert attn.out_proj.weight.shape == (16, 8)
+        assert len(attn.parameters()) == 2 * 3 + 2
 
     def test_indivisible_heads_rejected(self):
         with pytest.raises(ValueError):
@@ -533,23 +536,6 @@ class TestAttention:
         assert mask.shape == (3, 3)
         assert not mask.diagonal().any()
         assert mask.sum() == 6
-
-    def test_mask_blocks_self_attention(self):
-        attn = MultiHeadAttention(8, 1, RNG(0))
-        x = Tensor(RNG(1).standard_normal((1, 3, 8)), requires_grad=True)
-        mask = exclude_self_mask(3)[None]
-        out = attn(x, x, mask=mask)
-        # Gradient of agent 0's output w.r.t. agent 0's value path exists
-        # only through queries, so just sanity-check grad flow and shape.
-        out.sum().backward()
-        assert out.shape == (1, 3, 8)
-        assert x.grad is not None
-
-    def test_attention_gradients_flow(self):
-        attn = MultiHeadAttention(8, 2, RNG(0))
-        x = Tensor(RNG(1).standard_normal((2, 4, 8)), requires_grad=True)
-        attn(x, x).sum().backward()
-        assert all(p.grad is not None for p in attn.parameters())
 
 
 @settings(max_examples=25, deadline=None)

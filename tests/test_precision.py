@@ -7,8 +7,8 @@ The guarantees under test, as documented in docs/ARCHITECTURE.md
   under an explicit ``default_dtype("float64")`` context is bitwise
   identical to running with no context at all;
 * **float32 is tolerance-equivalent** — optimisers, the stacked-family
-  VJP and few-episode end-to-end training (HERO plain/fused/async and
-  IDQN) reproduce the float64 numbers within the documented bounds;
+  VJP and few-episode end-to-end training (HERO synchronous and async,
+  IDQN, MADDPG and MAAC) reproduce the float64 numbers within the documented bounds;
 * **no silent upcasts** — float32 stays float32 through the optimiser
   state, the fused VJP and the replay-buffer boundary (one cast at
   ``push``, none at ``sample``);
@@ -77,7 +77,7 @@ def _train_idqn(dtype=None):
 
 
 def _train_fused_baseline(name, dtype=None):
-    """A fused-engine baseline run; returns the full TrainedMethod."""
+    """A baseline run on its fused engine; returns the full TrainedMethod."""
     ctx = default_dtype(dtype) if dtype else _null_context()
     with ctx:
         return train_baseline_method(
@@ -86,7 +86,6 @@ def _train_fused_baseline(name, dtype=None):
             RewardConfig(),
             episodes=3,
             seed=0,
-            fused_updates=True,
             batch_size=16,
         )
 
@@ -211,21 +210,14 @@ class TestStackedVJPTolerance:
 
 
 # ---------------------------------------------------------------------------
-# End-to-end few-episode equivalence (HERO plain / fused / async, IDQN)
+# End-to-end few-episode equivalence (HERO sync / async, the baselines)
 # ---------------------------------------------------------------------------
 
 
 class TestEndToEndEquivalence:
-    def test_hero_plain(self):
+    def test_hero(self):
         _assert_logs_close(
             _train_hero("float64"), _train_hero("float32"), EPISODE_REWARD_ATOL
-        )
-
-    def test_hero_fused(self):
-        _assert_logs_close(
-            _train_hero("float64", fused_updates=True),
-            _train_hero("float32", fused_updates=True),
-            EPISODE_REWARD_ATOL,
         )
 
     def test_hero_async(self):
@@ -245,7 +237,7 @@ class TestEndToEndEquivalence:
 
     @pytest.mark.parametrize("name", ["maddpg", "maac"])
     def test_cross_family_fused(self, name):
-        """--fused-updates --dtype float32 composes for the cross-family
+        """--dtype float32 composes for the cross-family
         VJP engines (MADDPG/MAAC) under the same end-to-end bound."""
         _assert_logs_close(
             _train_fused_baseline(name, "float64").logger,

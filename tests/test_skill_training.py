@@ -3,9 +3,8 @@ change in a child process while the parent trains lane keeping.
 
 The contract under test: the result is bitwise that of the two sequential
 ``train_skill`` calls (skill state dicts, ``log_alpha``, both RNG states,
-the replay buffers and their cursors, the logged series), on the default
-and the fused path at float64 and float32, under the platform's start
-method and under ``spawn``; a child that raises or dies surfaces in the
+the replay buffers and their cursors, the logged series) at float64 and
+float32, under the platform's start method and under ``spawn``; a child that raises or dies surfaces in the
 parent naming the skill, and no process outlives the call.
 """
 
@@ -19,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.config import TrainingConfig
-from repro.core import SkillLibrary, UpdateEngine, train_skill
+from repro.core import SkillLibrary, train_skill
 from repro.core import trainer
 from repro.core.trainer import train_low_level_skills
 from repro.envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
@@ -33,8 +32,8 @@ EPISODES = 6
 SKILLS = ("driving_in_lane", "lane_change")
 
 
-def _config(seed: int = 3, fused: bool = False) -> TrainingConfig:
-    config = TrainingConfig(seed=seed, fused_updates=fused)
+def _config(seed: int = 3) -> TrainingConfig:
+    config = TrainingConfig(seed=seed)
     config.scenario = bench_scenario()
     return config
 
@@ -61,7 +60,6 @@ def _sequential(config, episodes, skills=None, logger=None):
             seed=seed,
             logger=logger,
             log_prefix=prefix,
-            engine=UpdateEngine(agent) if config.fused_updates else None,
         )
     return skills, logger
 
@@ -96,20 +94,20 @@ def _assert_bitwise(result, reference) -> None:
 
 class TestBitwiseEqualsSequential:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    @pytest.mark.parametrize("fused", [False, True], ids=["default", "fused"])
-    def test_fresh_library(self, fused, dtype):
-        config = _config(fused=fused)
+    def test_fresh_library(self, dtype):
+        config = _config()
         with default_dtype(dtype):
             result = train_low_level_skills(config, EPISODES)
             reference = _sequential(config, EPISODES)
         _assert_bitwise(result, reference)
 
-    @pytest.mark.parametrize("fused", [False, True], ids=["default", "fused"])
-    def test_supplied_library_and_logger_trained_twice(self, fused):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_supplied_library_and_logger_trained_twice(self, dtype):
         """A caller's library and logger, trained by two calls: the second
-        call continues from the adopted agent (optimiser moments and views,
-        RNG, replay), as it would after sequential training."""
-        config = _config(seed=11, fused=fused)
+        call continues from the adopted agent (parameters, ``log_alpha``,
+        RNG, replay; each call's engine starts its own optimiser state), as
+        it would after sequential training."""
+        config = _config(seed=11)
 
         def run(train):
             skills, logger = _library(config, 5), MetricLogger()
@@ -118,12 +116,12 @@ class TestBitwiseEqualsSequential:
             assert out[0] is skills and out[1] is logger
             return train(config, 3, skills=skills, logger=logger)
 
-        _assert_bitwise(run(train_low_level_skills), run(_sequential))
+        with default_dtype(dtype):
+            _assert_bitwise(run(train_low_level_skills), run(_sequential))
 
     def test_spawn_start_method(self, spawn_default):
-        """Under spawn the agent crosses to the child by pickle: the
-        optimiser re-adopts its parameter views, and the child replays the
-        parent's float32 compute dtype."""
+        """Under spawn the agent crosses to the child by pickle, and the
+        child replays the parent's float32 compute dtype."""
         config = _config(seed=4)
         with default_dtype("float32"):
             result = train_low_level_skills(config, EPISODES)
@@ -133,7 +131,7 @@ class TestBitwiseEqualsSequential:
     def test_daemonic_process_trains_in_turn(self):
         """A pool worker (daemonic, may not start children) gets the same
         result from the in-process fallback."""
-        config = _config(seed=6, fused=True)
+        config = _config(seed=6)
         ctx = mp.get_context()
         with ctx.Pool(1) as pool:
             states = pool.apply(_train_in_worker, (config,))

@@ -1,4 +1,4 @@
-"""Equivalence locks for the fused gradient-update engine (ISSUE 4).
+"""Equivalence locks for the fused gradient-update engine.
 
 Three layers of guarantees:
 
@@ -7,22 +7,30 @@ Three layers of guarantees:
   reproduce the historical math expression for expression);
 * the **no-graph helpers** (``sample_no_grad``, ``min_q_inference``) are
   bitwise identical to their tape counterparts;
-* the **fused update engine** (stacked families + manual VJP) matches the
-  default per-network update loop within float tolerance — not bitwise,
+* every **fused update engine** (stacked families + manual VJP) matches
+  its per-network reference step (``tests/reference_updates.py``: one
+  tape graph and one ``repro.nn.Adam`` per network) within float
+  tolerance — unit by unit, and end to end with a reference engine
+  substituted for ``UpdateEngine`` in the trainer modules.  Not bitwise,
   because batched BLAS matmuls are not row-wise bit-stable across batch
   sizes (same caveat as the vectorized rollout layer).
 """
 
 from __future__ import annotations
 
+import contextlib
 import pickle
 
 import numpy as np
 import pytest
 
+from reference_updates import ReferenceEngine, attention_rows
+from repro.baselines import base as baselines_base
 from repro.baselines import make_baseline, train_marl_vectorized
 from repro.config import ScenarioConfig, TrainingConfig
 from repro.core import HeroTeam, UpdateEngine, train_hero
+from repro.core import low_level as low_level_module
+from repro.core import trainer as trainer_module
 from repro.core.low_level import SACAgent
 from repro.core.update_engine import FamilyAdam, StackedMLP
 from repro.core.trainer import train_low_level_skills
@@ -192,18 +200,20 @@ class TestFlatOptimizersBitwise:
 
     def test_pickled_optimizer_keeps_stepping_its_parameters(self):
         """Pickle copies parameter views out of the flat buffer; the
-        unpickled optimizer re-adopts them, so a pickled SAC learner keeps
-        training bit for bit like the original."""
+        unpickled optimizer re-adopts them, so a pickled SAC learner and
+        its per-network Adams keep training bit for bit like the
+        original."""
         agent = SACAgent(
             obs_dim=6, action_dim=2, rng=RNG(1), action_low=np.array([0.0, -0.1]),
             action_high=np.array([0.2, 0.1]), batch_size=32,
         )
         _fill_sac(agent, transitions=64)
-        agent.update()
-        copy = pickle.loads(pickle.dumps(agent))
+        reference = ReferenceEngine(agent)
+        reference.update()
+        copy, copy_reference = pickle.loads(pickle.dumps((agent, reference)))
         for _ in range(5):
-            agent.update()
-            copy.update()
+            reference.update()
+            copy_reference.update()
         state, copied = agent.state_dict(), copy.state_dict()
         for key in state:
             np.testing.assert_array_equal(copied[key], state[key], err_msg=key)
@@ -476,8 +486,17 @@ class TestFamilyAdam:
 
 
 # ----------------------------------------------------------------------
-# Fused engine vs. the default per-network update loop
+# Fused engines vs. the per-network reference steps
 # ----------------------------------------------------------------------
+# The tolerance contract (docs/ARCHITECTURE.md, "Precision"): float64
+# unit steps agree to rtol 1e-6 / atol 1e-9, float32 ones (engine and
+# reference both at float32) to rtol 1e-3 / atol 1e-5.
+DTYPE_TOLERANCES = pytest.mark.parametrize(
+    "dtype, rtol, atol",
+    [("float64", 1e-6, 1e-9), ("float32", 1e-3, 1e-5)],
+)
+
+
 def _make_hero_team():
     scenario = ScenarioConfig(episode_length=12)
     config = TrainingConfig(seed=0)
@@ -503,27 +522,45 @@ def _fill_sac(agent, transitions=200):
         )
 
 
+def _assert_steps_close(reference, engine, steps, rtol=1e-6, atol=1e-9):
+    """``steps`` rounds of both; every round's losses agree, key for key."""
+    for step in range(steps):
+        losses_reference = reference.update()
+        losses_engine = engine.update()
+        assert set(losses_reference) == set(losses_engine), step
+        for key in losses_reference:
+            assert np.isclose(
+                losses_reference[key], losses_engine[key], rtol=rtol, atol=atol
+            ), (step, key)
+
+
+def _assert_states_close(state_reference, state_engine, rtol=1e-6, atol=1e-9, dtype=None):
+    assert state_reference.keys() == state_engine.keys()
+    for key in state_reference:
+        if dtype is not None:
+            assert state_engine[key].dtype == np.dtype(dtype), key
+        np.testing.assert_allclose(
+            state_reference[key], state_engine[key], rtol=rtol, atol=atol, err_msg=key
+        )
+
+
 class TestFusedEngineEquivalence:
-    def test_hero_team_update(self):
-        _, team_scalar = _make_hero_team()
-        _, team_fused = _make_hero_team()
-        engine = UpdateEngine(team_fused)
-        for step in range(6):
-            scalar = team_scalar.update()
-            fused = engine.update()
-            assert set(scalar) == set(fused)
-            for key in scalar:
-                assert np.isclose(scalar[key], fused[key], rtol=1e-6, atol=1e-8), (
-                    step,
-                    key,
-                )
-        state_scalar = team_scalar.state_dict()
-        state_fused = team_fused.state_dict()
-        for key in state_scalar:
-            np.testing.assert_allclose(
-                state_scalar[key], state_fused[key], rtol=1e-6, atol=1e-9,
-                err_msg=key,
+    @pytest.mark.parametrize(
+        "dtype, rtol, step_atol, state_atol",
+        [("float64", 1e-6, 1e-8, 1e-9), ("float32", 1e-3, 1e-5, 1e-5)],
+    )
+    def test_hero_team_update(self, dtype, rtol, step_atol, state_atol):
+        with default_dtype(dtype):
+            _, team_reference = _make_hero_team()
+            _, team_engine = _make_hero_team()
+            _assert_steps_close(
+                ReferenceEngine(team_reference), UpdateEngine(team_engine), 6,
+                rtol, step_atol,
             )
+        _assert_states_close(
+            team_reference.state_dict(), team_engine.state_dict(),
+            rtol, state_atol, dtype=dtype,
+        )
 
     def test_sac_update(self):
         def make():
@@ -538,28 +575,13 @@ class TestFusedEngineEquivalence:
             _fill_sac(agent)
             return agent
 
-        scalar, fused = make(), make()
-        engine = UpdateEngine(fused)
-        for step in range(10):
-            losses_scalar = scalar.update()
-            losses_fused = engine.update()
-            for key in losses_scalar:
-                assert np.isclose(
-                    losses_scalar[key], losses_fused[key], rtol=1e-6, atol=1e-9
-                ), (step, key)
-        state_scalar, state_fused = scalar.state_dict(), fused.state_dict()
-        for key in state_scalar:
-            np.testing.assert_allclose(
-                state_scalar[key], state_fused[key], rtol=1e-6, atol=1e-9,
-                err_msg=key,
-            )
+        reference, fused = make(), make()
+        _assert_steps_close(ReferenceEngine(reference), UpdateEngine(fused), 10)
+        _assert_states_close(reference.state_dict(), fused.state_dict())
 
-    @pytest.mark.parametrize(
-        "dtype, rtol, atol",
-        [("float64", 1e-6, 1e-9), ("float32", 1e-3, 1e-5)],
-    )
+    @DTYPE_TOLERANCES
     def test_sac_update_ragged_batches(self, dtype, rtol, atol):
-        """The trimmed SAC step tracks SACAgent.update from the first
+        """The trimmed SAC step tracks the reference from the first
         data-starved-but-eligible batch (64 rows of a 256 batch) on."""
 
         def make():
@@ -572,6 +594,7 @@ class TestFusedEngineEquivalence:
 
         scalar, fused = make(), make()
         with default_dtype(dtype):
+            reference = ReferenceEngine(scalar)
             engine = UpdateEngine(fused)
         fill = RNG(9)
         rows_seen = set()
@@ -584,7 +607,7 @@ class TestFusedEngineEquivalence:
                 )
                 scalar.observe(*transition)
                 fused.observe(*transition)
-                losses_scalar = scalar.update()
+                losses_scalar = reference.update()
                 losses_fused = engine.update()
                 assert (losses_scalar is None) == (losses_fused is None), step
                 if losses_scalar is None:
@@ -596,24 +619,21 @@ class TestFusedEngineEquivalence:
                     ), (step, key)
         assert min(rows_seen) == 64 and max(rows_seen) == 256
         assert scalar._rng.bit_generator.state == fused._rng.bit_generator.state
-        state_scalar, state_fused = scalar.state_dict(), fused.state_dict()
-        for key in state_scalar:
-            assert state_fused[key].dtype == np.dtype(dtype), key
-            np.testing.assert_allclose(
-                state_scalar[key], state_fused[key], rtol=rtol, atol=atol,
-                err_msg=key,
-            )
+        _assert_states_close(
+            scalar.state_dict(), fused.state_dict(), rtol, atol, dtype=dtype
+        )
 
     def test_one_double_draw_is_the_two_draw_stream(self):
-        """The SAC engine's single (2B, d) noise draw replays the scalar
-        loop's (B, d) draws for next_obs, then obs."""
+        """The SAC engine's single (2B, d) noise draw replays the
+        reference's (B, d) draws for next_obs, then obs."""
         one, two = RNG(11), RNG(11)
         pair = one.standard_normal((2 * 37, 2))
         first, second = two.standard_normal((37, 2)), two.standard_normal((37, 2))
         np.testing.assert_array_equal(pair, np.concatenate([first, second]))
         assert one.bit_generator.state == two.bit_generator.state
 
-    def test_idqn_update(self):
+    @DTYPE_TOLERANCES
+    def test_idqn_update(self, dtype, rtol, atol):
         def make():
             env = make_baseline_env(scenario=ScenarioConfig(episode_length=12))
             algo = make_baseline("idqn", env, seed=0, batch_size=32)
@@ -628,69 +648,42 @@ class TestFusedEngineEquivalence:
             )
             return algo
 
-        scalar, fused = make(), make()
-        engine = UpdateEngine(fused)
-        for step in range(8):
-            losses_scalar = scalar.update()
-            losses_fused = engine.update()
-            assert set(losses_scalar) == set(losses_fused)
-            for key in losses_scalar:
-                assert np.isclose(
-                    losses_scalar[key], losses_fused[key], rtol=1e-6, atol=1e-9
-                ), (step, key)
-        for agent_id in scalar.agent_ids:
-            scalar_net = dict(scalar.q_networks[agent_id].named_parameters())
-            fused_net = dict(fused.q_networks[agent_id].named_parameters())
-            for name in scalar_net:
-                np.testing.assert_allclose(
-                    scalar_net[name].data,
-                    fused_net[name].data,
-                    rtol=1e-6,
-                    atol=1e-9,
-                    err_msg=f"{agent_id}.{name}",
-                )
-
-    def test_maddpg_update(self):
-        scalar, fused = _make_joint_baseline("maddpg"), _make_joint_baseline("maddpg")
-        engine = UpdateEngine(fused)
-        from repro.core.update_engine import MADDPGUpdateEngine
-
-        assert isinstance(engine._impl, MADDPGUpdateEngine)  # no delegation
-        for step in range(6):
-            losses_scalar = scalar.update()
-            losses_fused = engine.update()
-            assert set(losses_scalar) == set(losses_fused)
-            for key in losses_scalar:
-                assert np.isclose(
-                    losses_scalar[key], losses_fused[key], rtol=1e-6, atol=1e-9
-                ), (step, key)
-        state_scalar, state_fused = scalar.state_dict(), fused.state_dict()
-        for key in state_scalar:
-            np.testing.assert_allclose(
-                state_scalar[key], state_fused[key], rtol=1e-6, atol=1e-9,
-                err_msg=key,
+        with default_dtype(dtype):
+            reference, fused = make(), make()
+            _assert_steps_close(
+                ReferenceEngine(reference), UpdateEngine(fused), 8, rtol, atol
             )
+        _assert_states_close(
+            reference.state_dict(), fused.state_dict(), rtol, atol, dtype=dtype
+        )
 
-    def test_maac_update(self):
-        scalar, fused = _make_joint_baseline("maac"), _make_joint_baseline("maac")
-        engine = UpdateEngine(fused)
-        from repro.core.update_engine import MAACUpdateEngine
+    @DTYPE_TOLERANCES
+    def test_maddpg_update(self, dtype, rtol, atol):
+        with default_dtype(dtype):
+            reference = _make_joint_baseline("maddpg")
+            fused = _make_joint_baseline("maddpg")
+            engine = UpdateEngine(fused)
+            from repro.core.update_engine import MADDPGUpdateEngine
 
-        assert isinstance(engine._impl, MAACUpdateEngine)  # no delegation
-        for step in range(6):
-            losses_scalar = scalar.update()
-            losses_fused = engine.update()
-            assert set(losses_scalar) == set(losses_fused)
-            for key in losses_scalar:
-                assert np.isclose(
-                    losses_scalar[key], losses_fused[key], rtol=1e-6, atol=1e-9
-                ), (step, key)
-        state_scalar, state_fused = scalar.state_dict(), fused.state_dict()
-        for key in state_scalar:
-            np.testing.assert_allclose(
-                state_scalar[key], state_fused[key], rtol=1e-6, atol=1e-9,
-                err_msg=key,
-            )
+            assert isinstance(engine._impl, MADDPGUpdateEngine)  # no delegation
+            _assert_steps_close(ReferenceEngine(reference), engine, 6, rtol, atol)
+        _assert_states_close(
+            reference.state_dict(), fused.state_dict(), rtol, atol, dtype=dtype
+        )
+
+    @DTYPE_TOLERANCES
+    def test_maac_update(self, dtype, rtol, atol):
+        with default_dtype(dtype):
+            reference = _make_joint_baseline("maac")
+            fused = _make_joint_baseline("maac")
+            engine = UpdateEngine(fused)
+            from repro.core.update_engine import MAACUpdateEngine
+
+            assert isinstance(engine._impl, MAACUpdateEngine)  # no delegation
+            _assert_steps_close(ReferenceEngine(reference), engine, 6, rtol, atol)
+        _assert_states_close(
+            reference.state_dict(), fused.state_dict(), rtol, atol, dtype=dtype
+        )
 
     def test_delegating_engine_for_coma(self):
         """COMA (variable-length episodes) is the only remaining delegation."""
@@ -707,10 +700,64 @@ class TestFusedEngineEquivalence:
             UpdateEngine(object())
 
 
-def _make_joint_baseline(name, seed=0, batch_size=64, fill_seed=3, steps=400):
+class TestMAACCriticHeads:
+    """The MAAC engine folds every attention head into one head-major
+    pipeline; the per-head tape pass of ``tests/reference_updates.py`` is
+    its oracle at head counts other than the default two as well."""
+
+    @DTYPE_TOLERANCES
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_forward_passes_match_tape_rows(self, num_heads, dtype, rtol, atol):
+        """The layered forward and both folded no-grad passes (main critic
+        on assembled rows, target critic on gathered action rows) give
+        the tape's Q rows."""
+        with default_dtype(dtype):
+            algo = _make_joint_baseline("maac", num_heads=num_heads)
+            impl = UpdateEngine(algo)._impl
+        fill = RNG(5)
+        batch, n = 9, algo.num_agents
+        obs = fill.standard_normal((batch, n, algo.obs_dim)).astype(dtype)
+        actions = fill.integers(0, algo.num_actions, (batch, n))
+        sa_in = np.concatenate(
+            [obs, np.eye(algo.num_actions, dtype=dtype)[actions]], axis=-1
+        )
+
+        def tape_rows(critic):
+            rows = attention_rows(critic, obs, actions)
+            return np.stack([row.data for row in rows], axis=1)
+
+        rows, _ = impl._critic_forward(obs, sa_in)
+        folded = impl._critic_infer_folded(
+            algo.critic, obs.reshape(batch * n, -1), sa_in.reshape(batch * n, -1),
+            actions, batch, n, target=False,
+        )
+        folded_target = impl._critic_infer_folded(
+            algo.target_critic, obs.reshape(batch * n, -1), None,
+            actions, batch, n, target=True,
+        )
+        expected, expected_target = tape_rows(algo.critic), tape_rows(algo.target_critic)
+        for got, want in ((rows, expected), (folded, expected), (folded_target, expected_target)):
+            assert got.shape == (batch, n, algo.num_actions)
+            assert got.dtype == np.dtype(dtype)
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=atol)
+
+    @pytest.mark.parametrize("num_heads", [1, 4])
+    def test_update_matches_reference(self, num_heads):
+        """The closed-form attention VJP keeps the head-major layout of the
+        forward: engine steps track the reference at a non-default head
+        count."""
+        reference = _make_joint_baseline("maac", num_heads=num_heads)
+        fused = _make_joint_baseline("maac", num_heads=num_heads)
+        _assert_steps_close(ReferenceEngine(reference), UpdateEngine(fused), 4)
+        _assert_states_close(reference.state_dict(), fused.state_dict())
+
+
+def _make_joint_baseline(
+    name, seed=0, batch_size=64, fill_seed=3, steps=400, **kwargs
+):
     """A MADDPG/MAAC instance with a deterministically filled joint buffer."""
     env = make_baseline_env(scenario=ScenarioConfig(episode_length=12))
-    algo = make_baseline(name, env, seed=seed, batch_size=batch_size)
+    algo = make_baseline(name, env, seed=seed, batch_size=batch_size, **kwargs)
     fill = RNG(fill_seed)
     n, obs_dim, num_actions = algo.num_agents, algo.obs_dim, algo.num_actions
     algo.buffer.push_batch(
@@ -723,128 +770,33 @@ def _make_joint_baseline(name, seed=0, batch_size=64, fill_seed=3, steps=400):
     return algo
 
 
-class TestMAACInferPath:
-    """The no-grad TD-target kernels leave the default path bitwise intact."""
+@contextlib.contextmanager
+def _reference_engines():
+    """Every trainer module builds a :class:`ReferenceEngine` where it
+    builds an ``UpdateEngine`` (forked job workers inherit the patch)."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (trainer_module, baselines_base, low_level_module):
+            patch.setattr(module, "UpdateEngine", ReferenceEngine)
+        yield
 
-    def test_infer_bitwise_equals_forward(self):
-        algo = _make_joint_baseline("maac")
-        fill = RNG(11)
-        obs = fill.standard_normal((17, algo.num_agents, algo.obs_dim)).astype(
-            algo.buffer.obs.dtype
+
+def _assert_series_close(run, metrics, rtol=1e-4, atol=1e-6):
+    """``run()`` with reference updates, then with the engines: the named
+    series agree within tolerance."""
+    with _reference_engines():
+        reference = run()
+    fused = run()
+    for metric in metrics:
+        series = reference.values(metric)
+        assert len(series), f"{metric} never logged"
+        np.testing.assert_allclose(
+            series, fused.values(metric), rtol=rtol, atol=atol, err_msg=metric
         )
-        actions = fill.integers(0, algo.num_actions, (17, algo.num_agents))
-        tape_rows = algo.critic(obs, actions)
-        infer_rows = algo.critic.infer(obs, actions)
-        for i in range(algo.num_agents):
-            assert infer_rows[i].dtype == tape_rows[i].data.dtype
-            np.testing.assert_array_equal(infer_rows[i], tape_rows[i].data)
-
-    def test_default_update_bitwise_vs_tape_targets(self):
-        """MAAC.update == the pre-infer build (tape TD targets), bit for bit."""
-        current, reference = _make_joint_baseline("maac"), _make_joint_baseline("maac")
-        for _ in range(3):
-            losses_current = current.update()
-            losses_reference = _maac_update_tape_targets(reference)
-            assert losses_current == losses_reference
-        state_current, state_reference = current.state_dict(), reference.state_dict()
-        for key in state_current:
-            np.testing.assert_array_equal(
-                state_current[key], state_reference[key], err_msg=key
-            )
-
-
-def _maac_update_tape_targets(algo):
-    """``MAAC.update`` as built before the infer swap: TD-target rows from
-    the tape forward (nodes built, never backpropped).  Kept verbatim as the
-    bitwise reference for the default path."""
-    from repro.nn import (
-        Tensor,
-        clip_grad_norm,
-        entropy_from_logits,
-        mse_loss,
-        sample_categorical,
-        soft_update,
-    )
-    from repro.nn.functional import log_softmax
-    from repro.baselines.maac import _logsumexp_rows
-
-    if len(algo.buffer) < max(algo.batch_size // 4, 8):
-        return None
-    batch = algo.buffer.sample(algo.batch_size, algo._rng)
-    batch_size = len(batch["dones"])
-    n = algo.num_agents
-
-    next_actions = np.zeros((batch_size, n), dtype=np.int64)
-    next_log_probs = np.zeros((batch_size, n))
-    for i in range(n):
-        logits = algo.actor.logits_inference(
-            algo._actor_input(batch["next_obs"][:, i], i)
-        )
-        next_actions[:, i] = sample_categorical(logits, algo._rng)
-        row_log_probs = logits - _logsumexp_rows(logits)
-        next_log_probs[:, i] = np.take_along_axis(
-            row_log_probs, next_actions[:, i][:, None], axis=-1
-        )[:, 0]
-
-    target_rows = algo.target_critic(batch["next_obs"], next_actions)
-    critic_rows = algo.critic(batch["obs"], batch["actions"])
-
-    critic_loss_total = None
-    for i in range(n):
-        target_q = np.take_along_axis(
-            target_rows[i].data, next_actions[:, i][:, None], axis=-1
-        )[:, 0]
-        soft_target = target_q - algo.alpha * next_log_probs[:, i]
-        y = batch["rewards"][:, i] + algo.gamma * (1.0 - batch["dones"]) * soft_target
-        q_chosen = critic_rows[i].gather(
-            batch["actions"][:, i][:, None], axis=-1
-        ).squeeze(-1)
-        loss = mse_loss(q_chosen, y)
-        critic_loss_total = (
-            loss if critic_loss_total is None else critic_loss_total + loss
-        )
-
-    algo.critic_opt.zero_grad()
-    critic_loss_total.backward()
-    clip_grad_norm(algo.critic.parameters(), algo.grad_clip)
-    algo.critic_opt.step()
-
-    q_rows_data = [row.data for row in algo.critic(batch["obs"], batch["actions"])]
-    actor_loss_total = None
-    entropy_total = 0.0
-    for i in range(n):
-        logits = algo.actor.forward(algo._actor_input(batch["obs"][:, i], i))
-        log_probs = log_softmax(logits, axis=-1)
-        probs = np.exp(log_probs.data)
-        q_data = q_rows_data[i]
-        baseline = (probs * q_data).sum(axis=-1)
-        sampled = sample_categorical(logits.data, algo._rng)
-        advantage = (
-            np.take_along_axis(q_data, sampled[:, None], axis=-1)[:, 0] - baseline
-        )
-        chosen_log_probs = log_probs.gather(sampled[:, None], axis=-1).squeeze(-1)
-        target_term = advantage - algo.alpha * chosen_log_probs.data
-        loss = -(chosen_log_probs * Tensor(target_term)).mean()
-        actor_loss_total = (
-            loss if actor_loss_total is None else actor_loss_total + loss
-        )
-        entropy_total += float(entropy_from_logits(logits).mean().data)
-
-    algo.actor_opt.zero_grad()
-    actor_loss_total.backward()
-    clip_grad_norm(algo.actor.parameters(), algo.grad_clip)
-    algo.actor_opt.step()
-
-    soft_update(algo.target_critic, algo.critic, algo.tau)
-    return {
-        "critic_loss": critic_loss_total.item(),
-        "actor_loss": actor_loss_total.item(),
-        "entropy": entropy_total / n,
-    }
 
 
 class TestFusedTrainingEndToEnd:
-    """--fused-updates trains HERO + a baseline to the same trajectories.
+    """The trainers with their engines follow the trajectories of the same
+    trainers with per-network reference updates.
 
     A few episodes from scratch: RNG consumption is draw-for-draw identical,
     so rollouts coincide and only last-ulp update noise differs; losses and
@@ -852,109 +804,45 @@ class TestFusedTrainingEndToEnd:
     """
 
     def test_hero_few_episodes(self):
-        def run(fused):
+        def run():
             scenario = ScenarioConfig(episode_length=10)
-            config = TrainingConfig(seed=3, fused_updates=fused)
+            config = TrainingConfig(seed=3)
             config.scenario = scenario
             env = CooperativeLaneChangeEnv(scenario=scenario)
             team = HeroTeam(env, RNG(3), batch_size=16)
-            logger = train_hero(
-                env, team, episodes=5, config=config, eval_every=0
-            )
-            return logger
+            return train_hero(env, team, episodes=5, config=config, eval_every=0)
 
-        default = run(False)
-        fused = run(True)
-        for metric in ("hero/episode_reward", "hero/critic_loss"):
-            default_series = default.values(metric)
-            assert len(default_series), f"{metric} never logged"
-            np.testing.assert_allclose(
-                default_series,
-                fused.values(metric),
-                rtol=1e-4,
-                atol=1e-6,
-                err_msg=metric,
-            )
+        _assert_series_close(run, ("hero/episode_reward", "hero/critic_loss"))
+
+    @staticmethod
+    def _baseline_series_close(name, loss):
+        def run():
+            env = make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=10))
+            algo = make_baseline(name, env, seed=5, batch_size=16)
+            return train_marl_vectorized(env, algo, episodes=5, seed=5, eval_every=0)
+
+        _assert_series_close(run, (f"{name}/episode_reward", f"{name}/{loss}"))
 
     def test_idqn_few_episodes(self):
-        def run(fused):
-            env = make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=10))
-            algo = make_baseline("idqn", env, seed=5, batch_size=16)
-            logger = train_marl_vectorized(
-                env, algo, episodes=5, seed=5, eval_every=0, fused_updates=fused
-            )
-            return logger
-
-        default = run(False)
-        fused = run(True)
-        for metric in ("idqn/episode_reward", "idqn/vehicle_0/q_loss"):
-            default_series = default.values(metric)
-            assert len(default_series), f"{metric} never logged"
-            np.testing.assert_allclose(
-                default_series,
-                fused.values(metric),
-                rtol=1e-4,
-                atol=1e-6,
-                err_msg=metric,
-            )
+        self._baseline_series_close("idqn", "vehicle_0/q_loss")
 
     def test_maddpg_few_episodes(self):
-        def run(fused):
-            env = make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=10))
-            algo = make_baseline("maddpg", env, seed=5, batch_size=16)
-            logger = train_marl_vectorized(
-                env, algo, episodes=5, seed=5, eval_every=0, fused_updates=fused
-            )
-            return logger
-
-        default = run(False)
-        fused = run(True)
-        for metric in ("maddpg/episode_reward", "maddpg/vehicle_0/critic_loss"):
-            default_series = default.values(metric)
-            assert len(default_series), f"{metric} never logged"
-            np.testing.assert_allclose(
-                default_series,
-                fused.values(metric),
-                rtol=1e-4,
-                atol=1e-6,
-                err_msg=metric,
-            )
+        self._baseline_series_close("maddpg", "vehicle_0/critic_loss")
 
     def test_maac_few_episodes(self):
-        def run(fused):
-            env = make_baseline_vector_env(1, scenario=ScenarioConfig(episode_length=10))
-            algo = make_baseline("maac", env, seed=5, batch_size=16)
-            logger = train_marl_vectorized(
-                env, algo, episodes=5, seed=5, eval_every=0, fused_updates=fused
-            )
-            return logger
-
-        default = run(False)
-        fused = run(True)
-        for metric in ("maac/episode_reward", "maac/critic_loss"):
-            default_series = default.values(metric)
-            assert len(default_series), f"{metric} never logged"
-            np.testing.assert_allclose(
-                default_series,
-                fused.values(metric),
-                rtol=1e-4,
-                atol=1e-6,
-                err_msg=metric,
-            )
+        self._baseline_series_close("maac", "critic_loss")
 
     def test_skill_training_fused(self):
-        """train_low_level_skills(fused) matches the default within tolerance."""
+        """train_low_level_skills on the engines matches the reference
+        within tolerance (the lane-change skill trains in a forked worker
+        where two CPUs are usable)."""
 
-        def run(fused):
-            config = TrainingConfig(seed=1, fused_updates=fused)
+        def run():
+            config = TrainingConfig(seed=1)
             config.scenario = ScenarioConfig(episode_length=10)
-            skills, logger = train_low_level_skills(config, episodes=2)
-            return skills.state_dict(), logger
+            skills, _ = train_low_level_skills(config, episodes=2)
+            return skills.state_dict()
 
-        state_default, _ = run(False)
-        state_fused, _ = run(True)
-        for key in state_default:
-            np.testing.assert_allclose(
-                state_default[key], state_fused[key], rtol=1e-5, atol=1e-7,
-                err_msg=key,
-            )
+        with _reference_engines():
+            state_reference = run()
+        _assert_states_close(state_reference, run(), rtol=1e-5, atol=1e-7)

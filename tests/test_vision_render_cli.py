@@ -134,25 +134,27 @@ class TestCLI:
         parser = build_parser()
         flags = [
             "--scale", "0.003", "--seed", "4", "--num-envs", "3",
-            "--fused-updates", "--async-actors", "--max-staleness", "2",
+            "--async-actors", "--max-staleness", "2",
             "--num-actors", "2", "--dtype", "float32",
         ]
         run = _training_kwargs(parser.parse_args(["run", "fig7", *flags]))
         run_all = _training_kwargs(parser.parse_args(["run-all", *flags]))
         assert run == run_all == {
-            "scale": 0.003, "seed": 4, "num_envs": 3, "fused_updates": True,
+            "scale": 0.003, "seed": 4, "num_envs": 3,
             "async_actors": True, "max_staleness": 2, "num_actors": 2,
             "dtype": "float32",
         }
         run = _training_kwargs(parser.parse_args(["run", "fig7"]))
         run_all = _training_kwargs(parser.parse_args(["run-all"]))
         assert run == run_all == {
-            "scale": 0.01, "seed": 0, "num_envs": 1, "fused_updates": False,
+            "scale": 0.01, "seed": 0, "num_envs": 1,
             "async_actors": False, "max_staleness": 0, "num_actors": 1,
             "dtype": "float64",
         }
         with pytest.raises(SystemExit):
             parser.parse_args(["run-all", "--checkpoint-dir", "ckpt"])
+        with pytest.raises(SystemExit):  # the one update path has no switch
+            parser.parse_args(["run", "fig7", "--fused-updates"])
 
     def test_list_command(self, capsys):
         assert main(["list"]) == 0
@@ -184,11 +186,14 @@ class TestTeamCheckpoint:
         obs = np.ones((1, env.high_level_obs_dim))
         for agent_id in env.agents:
             h1, h2 = team1.agents[agent_id].high_level, team2.agents[agent_id].high_level
-            # Mode 'model': the representation ignores stored options.
-            np.testing.assert_array_equal(
-                h1.actor.logits_inference(np.hstack([obs, h1._opponent_rep_batch(obs, None)])),
-                h2.actor.logits_inference(np.hstack([obs, h2._opponent_rep_batch(obs, None)])),
-            )
+            # Mode 'model': the opponent input is the predicted options.
+            logits = [
+                h.actor.logits_inference(
+                    np.hstack([obs, h.opponent_model.predict_probs_batch(obs).reshape(1, -1)])
+                )
+                for h in (h1, h2)
+            ]
+            np.testing.assert_array_equal(*logits)
         skill_obs = np.ones(team1.skills.obs_dim)
         np.testing.assert_allclose(
             team1.skills.lane_change.act(skill_obs, deterministic=True),

@@ -1,5 +1,6 @@
 #!/usr/bin/env python
-"""Docs link check: every relative link and quoted repo path must resolve.
+"""Docs link check: every relative link, quoted repo path and cited doc
+must resolve.
 
 Scans ``README.md`` and ``docs/*.md`` and fails on
 
@@ -16,10 +17,15 @@ Scans ``README.md`` and ``docs/*.md`` and fails on
 
 Fenced code blocks are skipped by both checks.
 
+It also scans every ``.py`` file under ``src/``, ``examples/``,
+``benchmarks/`` and ``tools/`` and fails on a cited ``.md`` file (a
+docstring's "see docs/ARCHITECTURE.md", say) that exists neither from the
+repository root, nor under ``docs/``, nor beside the citing file.
+
 Usage::
 
-    python tools/check_doc_links.py            # check the repo's docs
-    python tools/check_doc_links.py FILE...    # check specific files
+    python tools/check_doc_links.py            # check the repo's docs and sources
+    python tools/check_doc_links.py FILE...    # check specific .md / .py files
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 LINK_PATTERN = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 PATH_HEADS = ("src", "tests", "benchmarks", "tools", "examples", "docs", "perfbench")
+# A cited Markdown file in Python source: an optional directory path, then
+# a name ending in ``.md`` (a glob such as ``docs/*.md`` is no citation).
+MD_CITATION = re.compile(r"(?<![\w./-])((?:[\w.-]+/)*[\w-]+\.md)\b")
+SOURCE_DIRS = ("src", "examples", "benchmarks", "tools")
 
 
 def _path_pattern() -> re.Pattern:
@@ -109,22 +119,42 @@ def check_file(path: Path) -> list[str]:
     return errors
 
 
+def check_source(path: Path) -> list[str]:
+    """Return one error string per ``.md`` file ``path`` cites that does
+    not exist from the repo root, under ``docs/`` or beside ``path``."""
+    errors = []
+    for cited in MD_CITATION.findall(path.read_text(encoding="utf-8")):
+        bases = (REPO_ROOT, REPO_ROOT / "docs", path.parent)
+        if not any((base / cited).is_file() for base in bases):
+            errors.append(f"{_display(path)}: missing cited doc -> {cited}")
+    return errors
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv:
         files = [Path(arg).resolve() for arg in argv]
     else:
         files = [REPO_ROOT / "README.md", *sorted((REPO_ROOT / "docs").glob("*.md"))]
+        for head in SOURCE_DIRS:
+            files += sorted((REPO_ROOT / head).rglob("*.py"))
     missing = [path for path in files if not path.exists()]
     if missing:
         for path in missing:
             print(f"no such file: {path}", file=sys.stderr)
         return 1
 
-    errors = [error for path in files for error in check_file(path)]
+    errors = [
+        error
+        for path in files
+        for error in (check_source(path) if path.suffix == ".py" else check_file(path))
+    ]
     for error in errors:
         print(error, file=sys.stderr)
-    checked = ", ".join(_display(p) for p in files)
+    docs = [p for p in files if p.suffix != ".py"]
+    checked = ", ".join(_display(p) for p in docs)
+    if len(docs) < len(files):
+        checked += f" and {len(files) - len(docs)} Python sources"
     if errors:
         print(f"\nlink check FAILED ({len(errors)} broken) over: {checked}")
         return 1
