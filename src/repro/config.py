@@ -85,13 +85,10 @@ class ScenarioConfig:
     dt: float = 0.5
     lidar_beams: int = 16
     lidar_range: float = 3.0
-    camera_size: int = 16
-    camera_range: float = 2.0
     episode_length: int = 30
     scripted_speed: float = 0.02
     initial_speed: float = 0.08
     max_option_steps: int = 6
-    observation_mode: str = "features"  # "features" | "image"
 
     @property
     def num_vehicles(self) -> int:

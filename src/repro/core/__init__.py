@@ -26,7 +26,6 @@ from .trainer import (
     train_low_level_skills,
 )
 from .update_engine import FamilyAdam, StackedMLP, UpdateEngine
-from .vision import VisionEncoder, VisionSACAgent, train_vision_skill
 
 __all__ = [
     "ACCELERATE",
@@ -47,12 +46,9 @@ __all__ = [
     "SkillLibrary",
     "StackedMLP",
     "UpdateEngine",
-    "VisionEncoder",
-    "VisionSACAgent",
     "evaluate_hero",
     "evaluate_hero_vectorized",
     "train_hero",
     "train_low_level_skills",
     "train_skill",
-    "train_vision_skill",
 ]

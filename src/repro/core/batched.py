@@ -77,10 +77,6 @@ class BatchedHeroRunner:
     """Vectorized acting/learning plumbing for one team over N envs."""
 
     def __init__(self, team: HeroTeam, vec_env: VectorStepper):
-        if vec_env.scenario.observation_mode != "features":
-            raise ValueError(
-                "BatchedHeroRunner requires observation_mode='features'"
-            )
         self.team = team
         self.vec_env = vec_env
         self.agents = list(team.env.agents)

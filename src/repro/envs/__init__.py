@@ -5,7 +5,7 @@ from .control import lane_change_command, lane_change_steer_sign, lane_keep_comm
 from .geometry import RingTrack, StraightTrack, Track, make_track
 from .lane_change_env import CooperativeLaneChangeEnv
 from .render import print_episode, render_episode_frames, render_scene
-from .sensors import Lidar, PseudoCamera, feature_dim, feature_vector
+from .sensors import Lidar, feature_dim, feature_vector
 from .skill_envs import LaneChangeEnv, LaneKeepingEnv, low_level_obs_dim
 from .spaces import Box, DictSpace, Discrete, Space
 from .stepping import VectorStepper
@@ -39,7 +39,6 @@ __all__ = [
     "LaneKeepingEnv",
     "Lidar",
     "MultiAgentEnv",
-    "PseudoCamera",
     "RealWorldTestbed",
     "RingTrack",
     "ScriptedPolicy",

@@ -11,7 +11,7 @@ Observations per learning agent:
 * ``lidar``       — normalised 360-degree distances (high-level state),
 * ``speed``       — scalar linear speed,
 * ``lane_onehot`` — current lane id, one-hot,
-* ``camera`` or ``features`` — low-level state (image or compact vector).
+* ``features``    — compact low-level state (lane pose and gaps).
 
 Actions are primitive continuous ``(linear_speed, angular_speed)`` commands;
 HERO's option machinery sits *on top* of this env (see repro.core).
@@ -26,7 +26,7 @@ import numpy as np
 from ..config import RewardConfig, ScenarioConfig
 from .base import MultiAgentEnv
 from .geometry import Track, make_track
-from .sensors import Lidar, PseudoCamera, feature_dim, feature_vector
+from .sensors import Lidar, feature_dim, feature_vector
 from .spaces import Box, DictSpace
 from .traffic import ScriptedPolicy, SlowLeader
 from .vehicle import Vehicle
@@ -50,7 +50,6 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
             track_kind, cfg.track_length, cfg.num_lanes, cfg.lane_width
         )
         self.lidar = Lidar(cfg.lidar_beams, cfg.lidar_range)
-        self.camera = PseudoCamera(cfg.camera_size, cfg.camera_range)
         self.agents = [f"vehicle_{i}" for i in range(cfg.num_learning_vehicles)]
         self._scripted_policy = scripted_policy or SlowLeader(cfg.scripted_speed)
 
@@ -77,18 +76,14 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
     # ------------------------------------------------------------------
     def _make_observation_space(self) -> DictSpace:
         cfg = self.scenario
-        spaces = {
-            "lidar": Box(0.0, 1.0, shape=(cfg.lidar_beams,)),
-            "speed": Box(0.0, 1.0, shape=(1,)),
-            "lane_onehot": Box(0.0, 1.0, shape=(cfg.num_lanes,)),
-        }
-        if cfg.observation_mode == "image":
-            spaces["camera"] = Box(
-                0.0, 1.0, shape=(self.camera.channels, cfg.camera_size, cfg.camera_size)
-            )
-        else:
-            spaces["features"] = Box(-5.0, 5.0, shape=(feature_dim(cfg.num_lanes),))
-        return DictSpace(spaces)
+        return DictSpace(
+            {
+                "lidar": Box(0.0, 1.0, shape=(cfg.lidar_beams,)),
+                "speed": Box(0.0, 1.0, shape=(1,)),
+                "lane_onehot": Box(0.0, 1.0, shape=(cfg.num_lanes,)),
+                "features": Box(-5.0, 5.0, shape=(feature_dim(cfg.num_lanes),)),
+            }
+        )
 
     @property
     def high_level_obs_dim(self) -> int:
@@ -98,7 +93,7 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
 
     @property
     def low_level_obs_dim(self) -> int:
-        """Flat dimension of the feature-mode s_l (speed/lane included)."""
+        """Flat dimension of s_l (speed/lane included)."""
         cfg = self.scenario
         return feature_dim(cfg.num_lanes) + 1 + cfg.num_lanes
 
@@ -289,16 +284,12 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
         others = self.all_vehicles()
         lane_onehot = np.zeros(cfg.num_lanes)
         lane_onehot[ego.lane_id] = 1.0
-        obs = {
+        return {
             "lidar": self.lidar.scan(ego, others),
             "speed": np.array([ego.state.linear_speed]),
             "lane_onehot": lane_onehot,
+            "features": feature_vector(ego, others, self.track),
         }
-        if cfg.observation_mode == "image":
-            obs["camera"] = self.camera.capture(ego, others)
-        else:
-            obs["features"] = feature_vector(ego, others, self.track)
-        return obs
 
     @staticmethod
     def flatten_high(obs: dict[str, np.ndarray]) -> np.ndarray:
@@ -307,12 +298,7 @@ class CooperativeLaneChangeEnv(MultiAgentEnv):
 
     @staticmethod
     def flatten_low(obs: dict[str, np.ndarray]) -> np.ndarray:
-        """Feature-mode s_l = [features, speed, laneID] as a flat vector.
-
-        In image mode, use ``obs['camera']`` with a CNN encoder instead.
-        """
-        if "features" not in obs:
-            raise KeyError("low-level flat obs requires observation_mode='features'")
+        """s_l = [features, speed, laneID] as a flat vector."""
         return np.concatenate([obs["features"], obs["speed"], obs["lane_onehot"]])
 
     def detect_collision_pairs(self) -> list[tuple[int, int]]:

@@ -1,4 +1,4 @@
-"""Simulated sensors: 360-degree lidar and a pseudo-camera.
+"""Simulated sensors: 360-degree lidar and the low-level feature vector.
 
 The paper equips each vehicle with a lidar ("the distance with other
 vehicles from 360 degrees", Sec. IV-B) and a camera whose image feeds the
@@ -7,10 +7,9 @@ low-level controller (Sec. IV-C). Here:
 * :class:`Lidar` raycasts ``n_beams`` rays in the track frame against the
   other vehicles' collision discs and the road edges, returning normalised
   distances in ``[0, 1]``.
-* :class:`PseudoCamera` renders a small ego-centric occupancy grid with a
-  vehicle channel and a lane-marking channel — the same information content
-  a downward-facing camera provides (lane-relative pose + nearby obstacles);
-  see docs/REPRODUCING.md, "Substitutions", for the substitution argument.
+* :func:`feature_vector` stands in for the camera: the lane-relative pose
+  and the nearby gaps a downward-facing camera would show; see
+  docs/REPRODUCING.md, "Substitutions", for the substitution argument.
 """
 
 from __future__ import annotations
@@ -149,71 +148,9 @@ class Lidar:
         return best / self.max_range
 
 
-class PseudoCamera:
-    """Ego-centric occupancy-grid camera substitute.
-
-    Produces a ``(2, size, size)`` float grid covering ``[0, view_range]``
-    ahead and ``[-view_range/2, +view_range/2]`` laterally, rotated into the
-    ego heading frame:
-
-    * channel 0 — occupancy of other vehicles,
-    * channel 1 — lane markings (lane boundaries and road edges).
-    """
-
-    def __init__(self, size: int = 16, view_range: float = 2.0):
-        if size < 4:
-            raise ValueError(f"camera grid must be at least 4x4, got {size}")
-        self.size = size
-        self.view_range = view_range
-        # Cell centre coordinates in the ego frame (x forward, y left).
-        xs = np.linspace(0.0, view_range, size)
-        ys = np.linspace(-view_range / 2.0, view_range / 2.0, size)
-        self._grid_x, self._grid_y = np.meshgrid(xs, ys, indexing="ij")
-        self._cell = view_range / size
-
-    @property
-    def channels(self) -> int:
-        return 2
-
-    def capture(self, ego: Vehicle, others: list[Vehicle]) -> np.ndarray:
-        track = ego.track
-        cos_h = np.cos(ego.state.heading)
-        sin_h = np.sin(ego.state.heading)
-        # Ego-frame cell centres -> track-frame offsets.
-        off_s = self._grid_x * cos_h - self._grid_y * sin_h
-        off_d = self._grid_x * sin_h + self._grid_y * cos_h
-        cell_s = ego.state.s + off_s
-        cell_d = ego.state.d + off_d
-
-        image = np.zeros((2, self.size, self.size))
-
-        # Channel 0: vehicles (periodic in s).
-        for other in others:
-            if other is ego:
-                continue
-            gap_s = np.mod(other.state.s - cell_s + track.length / 2.0, track.length) - (
-                track.length / 2.0
-            )
-            gap_d = other.state.d - cell_d
-            inside = np.hypot(gap_s, gap_d) <= (other.radius + self._cell / 2.0)
-            image[0][inside] = 1.0
-
-        # Channel 1: lane boundaries (between lanes and at road edges).
-        boundaries = [
-            -track.half_width + k * track.lane_width for k in range(track.num_lanes + 1)
-        ]
-        for boundary in boundaries:
-            near = np.abs(cell_d - boundary) <= self._cell / 2.0
-            image[1][near] = 1.0
-        # Off-road area is marked solid to give a strong deviation signal.
-        image[1][np.abs(cell_d) > track.half_width] = 1.0
-        return image
-
-
 def feature_vector(ego: Vehicle, others: list[Vehicle], track: Track) -> np.ndarray:
-    """Compact hand-crafted features used when ``observation_mode='features'``.
+    """Compact hand-crafted low-level features, the camera's stand-in.
 
-    A fast drop-in for the camera image in large benchmark sweeps:
     ``[lane deviation (signed), heading error, speed, lane one-hot...,
     forward gap same lane, forward gap other lane, rear gap other lane]``,
     gaps normalised by a 3-unit horizon.

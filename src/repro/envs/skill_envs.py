@@ -9,8 +9,8 @@ different intrinsic reward functions" before any multi-agent training:
 * :class:`LaneChangeEnv` — the *lane-change* skill, rewarded +20 on a
   completed change, -20 on timeout/failure, ``r_travel`` otherwise.
 
-Observations are the low-level state s_l = [features|camera, speed,
-laneID, target-direction]; the trailing scalar tells the controller which
+Observations are the low-level state s_l = [features, speed, laneID,
+target-direction]; the trailing scalar tells the controller which
 way to merge (0 for in-lane skills).
 """
 
@@ -22,13 +22,13 @@ from ..config import OptionBounds, RewardConfig, ScenarioConfig, LANE_CHANGE_BOU
 from ..utils.math_utils import clip_scalar
 from .base import SingleAgentEnv
 from .geometry import make_track
-from .sensors import PseudoCamera, feature_dim, feature_vector
+from .sensors import feature_dim, feature_vector
 from .spaces import Box
 from .vehicle import Vehicle
 
 
 def low_level_obs_dim(scenario: ScenarioConfig) -> int:
-    """Flat dimension of the feature-mode low-level observation."""
+    """Flat dimension of the low-level observation."""
     return feature_dim(scenario.num_lanes) + 1 + scenario.num_lanes + 1
 
 
@@ -55,7 +55,6 @@ class _SkillEnvBase(SingleAgentEnv):
         self.rewards = rewards or RewardConfig()
         cfg = self.scenario
         self.track = make_track(track_kind, cfg.track_length, cfg.num_lanes, cfg.lane_width)
-        self.camera = PseudoCamera(cfg.camera_size, cfg.camera_range)
         self.max_steps = max_steps
         self.bounds = bounds
         self.obstacle_probability = obstacle_probability
@@ -114,10 +113,6 @@ class _SkillEnvBase(SingleAgentEnv):
                 [self._target_direction],
             ]
         )
-
-    def observe_image(self) -> np.ndarray:
-        """Camera view for the vision variant of the controller."""
-        return self.camera.capture(self.ego, self._all_vehicles())
 
     def _travel_reward(self, before: float) -> float:
         delta = self.ego.distance_travelled - before

@@ -97,8 +97,6 @@ class VectorStepper:
     @staticmethod
     def flatten_low(obs: ObsBatch) -> np.ndarray:
         """Stacked s_l = [features, speed, laneID]; shape (num_envs, agents, Dl)."""
-        if "features" not in obs:
-            raise KeyError("low-level flat obs requires observation_mode='features'")
         return np.concatenate(
             [obs["features"], obs["speed"], obs["lane_onehot"]], axis=-1
         )

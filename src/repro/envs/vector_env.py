@@ -33,8 +33,6 @@ Fast path vs fallback
 The stacked fast path is only taken when every wrapped environment shares a
 configuration the vectorized kernels can express:
 
-* ``observation_mode='features'`` (the image renderer has no batched
-  kernel),
 * the exact :class:`~repro.envs.lane_change_env.CooperativeLaneChangeEnv`
   class (a subclass may override dynamics the kernels would silently drop),
 * identical scenario / reward / track parameters across the batch,
@@ -242,9 +240,9 @@ class VectorEnv(VectorStepper):
 
         The fast path mirrors the scalar arithmetic elementwise, so it is
         only valid when every wrapped env shares a configuration those
-        kernels can express: feature observations, identical scenario /
-        reward / track parameters, and a scripted policy with a vectorized
-        kernel (:class:`SlowLeader`, :class:`LaneKeepingCruiser`,
+        kernels can express: identical scenario / reward / track
+        parameters, and a scripted policy with a vectorized kernel
+        (:class:`SlowLeader`, :class:`LaneKeepingCruiser`,
         :class:`StationaryObstacle`).
         """
         template = self._envs[0]
@@ -256,11 +254,6 @@ class VectorEnv(VectorStepper):
                 )
             if env.scenario != template.scenario or env.rewards != template.rewards:
                 return "envs differ in scenario or reward configuration"
-            if env.scenario.observation_mode != "features":
-                return (
-                    f"observation_mode={env.scenario.observation_mode!r} "
-                    "has no vectorized kernel (need 'features')"
-                )
             policy = env._scripted_policy
             if type(policy) not in (SlowLeader, LaneKeepingCruiser, StationaryObstacle):
                 return (

@@ -23,11 +23,10 @@ Two parallel stacks expose the same interface contract:
 Whether the vectorized stack actually runs batched is decided by the
 wrapped ``VectorEnv``: :attr:`VectorBaselineEnv.fast_path` /
 :attr:`VectorBaselineEnv.fallback_reason` forward its verdict.  The fast
-path covers feature-mode observations with ``SlowLeader``,
-``LaneKeepingCruiser`` or ``StationaryObstacle`` traffic
-(``LaneKeepingCruiser`` keeps bitwise exactness through a sequential
-per-scripted-vehicle kernel — see ``repro.envs.vector_env``); anything
-else steps the scalar envs one by
+path covers ``SlowLeader``, ``LaneKeepingCruiser`` or
+``StationaryObstacle`` traffic (``LaneKeepingCruiser`` keeps bitwise
+exactness through a sequential per-scripted-vehicle kernel — see
+``repro.envs.vector_env``); anything else steps the scalar envs one by
 one, correct but not fast, and ``fallback_reason`` says why — e.g.
 ``"scripted policy CustomPolicy has no vectorized kernel"``.
 :func:`repro.baselines.base.train_marl_vectorized` surfaces it as a
@@ -64,10 +63,6 @@ class FlattenObservationWrapper(MultiAgentEnv):
     """
 
     def __init__(self, env: CooperativeLaneChangeEnv):
-        if env.scenario.observation_mode != "features":
-            raise ValueError(
-                "FlattenObservationWrapper requires observation_mode='features'"
-            )
         self.env = env
         self.agents = list(env.agents)
         dim = env.high_level_obs_dim + len(
@@ -159,10 +154,6 @@ class VectorBaselineEnv:
         linear_levels: tuple[float, ...] = DEFAULT_LINEAR_LEVELS,
         angular_levels: tuple[float, ...] = DEFAULT_ANGULAR_LEVELS,
     ):
-        if vec_env.scenario.observation_mode != "features":
-            raise ValueError(
-                "VectorBaselineEnv requires observation_mode='features'"
-            )
         self.vec_env = vec_env
         self.num_envs = vec_env.num_envs
         self.agents = list(vec_env.agents)

@@ -5,22 +5,17 @@ relies on; see docs/REPRODUCING.md, "Substitutions", for the rationale.
 """
 
 from .attention import MultiHeadAttention, ScaledDotProductAttention, exclude_self_mask
-from .conv import Conv2d, Flatten, GlobalAvgPool2d, MaxPool2d
 from .functional import (
     entropy_from_logits,
     gumbel_softmax,
-    kl_from_logits,
     log_softmax,
-    logsumexp,
     one_hot,
     sample_categorical,
     softmax,
 )
 from .layers import (
     ACTIVATIONS,
-    Dropout,
     Identity,
-    LayerNorm,
     LeakyReLU,
     Linear,
     ReLU,
@@ -29,10 +24,9 @@ from .layers import (
     Tanh,
     make_activation,
 )
-from .losses import cross_entropy, huber_loss, mse_loss, nll_loss
+from .losses import mse_loss, nll_loss
 from .module import Module, Parameter, hard_update, soft_update
 from .networks import (
-    CNNEncoder,
     CategoricalPolicy,
     DiscreteQNetwork,
     MLP,
@@ -40,13 +34,12 @@ from .networks import (
     SquashedGaussianPolicy,
     TwinQNetwork,
 )
-from .optim import Adam, Optimizer, RMSprop, SGD, clip_grad_norm
+from .optim import Adam, Optimizer, clip_grad_norm
 from .tensor import (
     Tensor,
     concatenate,
     default_dtype,
     get_default_dtype,
-    no_grad_copy,
     ones,
     set_default_dtype,
     stack,
@@ -58,27 +51,18 @@ from .tensor import (
 __all__ = [
     "ACTIVATIONS",
     "Adam",
-    "CNNEncoder",
     "CategoricalPolicy",
-    "Conv2d",
     "DiscreteQNetwork",
-    "Dropout",
-    "Flatten",
-    "GlobalAvgPool2d",
     "Identity",
-    "LayerNorm",
     "LeakyReLU",
     "Linear",
     "MLP",
-    "MaxPool2d",
     "Module",
     "MultiHeadAttention",
     "Optimizer",
     "Parameter",
     "QNetwork",
     "ReLU",
-    "RMSprop",
-    "SGD",
     "ScaledDotProductAttention",
     "Sequential",
     "Sigmoid",
@@ -88,21 +72,16 @@ __all__ = [
     "TwinQNetwork",
     "clip_grad_norm",
     "concatenate",
-    "cross_entropy",
     "default_dtype",
     "entropy_from_logits",
     "get_default_dtype",
     "exclude_self_mask",
     "gumbel_softmax",
     "hard_update",
-    "huber_loss",
-    "kl_from_logits",
     "log_softmax",
-    "logsumexp",
     "make_activation",
     "mse_loss",
     "nll_loss",
-    "no_grad_copy",
     "one_hot",
     "ones",
     "sample_categorical",

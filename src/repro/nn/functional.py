@@ -31,15 +31,6 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
 
 
-def logsumexp(x: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable ``log(sum(exp(x)))`` along ``axis``."""
-    max_val = Tensor(x.data.max(axis=axis, keepdims=True))
-    result = (x - max_val).exp().sum(axis=axis, keepdims=True).log() + max_val
-    if not keepdims:
-        result = result.squeeze(axis)
-    return result
-
-
 def one_hot(indices, num_classes: int, dtype=None) -> np.ndarray:
     """Plain numpy one-hot rows (not differentiable, used as input data).
 
@@ -61,14 +52,6 @@ def entropy_from_logits(logits: Tensor, axis: int = -1) -> Tensor:
     log_probs = log_softmax(logits, axis=axis)
     probs = log_probs.exp()
     return -(probs * log_probs).sum(axis=axis)
-
-
-def kl_from_logits(p_logits: Tensor, q_logits: Tensor, axis: int = -1) -> Tensor:
-    """KL(p || q) for categoricals parameterised by logits."""
-    log_p = log_softmax(p_logits, axis=axis)
-    log_q = log_softmax(q_logits, axis=axis)
-    p = log_p.exp()
-    return (p * (log_p - log_q)).sum(axis=axis)
 
 
 def gumbel_noise(shape, rng: np.random.Generator) -> np.ndarray:

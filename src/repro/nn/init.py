@@ -39,11 +39,7 @@ def orthogonal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.
 
 
 def _fans(shape: tuple) -> tuple[int, int]:
-    """Compute (fan_in, fan_out) for dense or conv weight shapes."""
+    """Compute (fan_in, fan_out) for a bias or dense ``(in, out)`` weight."""
     if len(shape) == 1:
         return shape[0], shape[0]
-    if len(shape) == 2:
-        return shape[0], shape[1]
-    # Conv weights are (out_channels, in_channels, kh, kw).
-    receptive = int(np.prod(shape[2:]))
-    return shape[1] * receptive, shape[0] * receptive
+    return shape[0], shape[1]

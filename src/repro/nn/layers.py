@@ -1,4 +1,4 @@
-"""Core layers: Linear, LayerNorm, Dropout, activations, Sequential."""
+"""Core layers: Linear, activations, Sequential."""
 
 from __future__ import annotations
 
@@ -75,41 +75,6 @@ class Linear(Module):
 
         parents = (x, weight) if bias is None else (x, weight, bias)
         return Tensor._make(data, parents, backward, "linear")
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the last axis."""
-
-    def __init__(self, features: int, eps: float = 1e-5):
-        super().__init__()
-        self.gamma = Parameter(np.ones(features))
-        self.beta = Parameter(np.zeros(features))
-        self.eps = eps
-
-    def forward(self, x: Tensor) -> Tensor:
-        mean = x.mean(axis=-1, keepdims=True)
-        centered = x - mean
-        var = (centered * centered).mean(axis=-1, keepdims=True)
-        normalised = centered / (var + self.eps).sqrt()
-        return normalised * self.gamma + self.beta
-
-
-class Dropout(Module):
-    """Inverted dropout; identity in eval mode."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        super().__init__()
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = p
-        self._rng = rng
-
-    def forward(self, x: Tensor) -> Tensor:
-        if not self.training or self.p == 0.0:
-            return x
-        keep = 1.0 - self.p
-        mask = self._rng.uniform(size=x.shape) < keep
-        return x * Tensor(mask / keep)
 
 
 class ReLU(Module):

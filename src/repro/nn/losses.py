@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .functional import log_softmax
 from .tensor import Tensor
 
 
@@ -15,23 +14,8 @@ def mse_loss(prediction: Tensor, target: Tensor | np.ndarray) -> Tensor:
     return (diff * diff).mean()
 
 
-def huber_loss(prediction: Tensor, target: Tensor | np.ndarray, delta: float = 1.0) -> Tensor:
-    """Huber loss; robust alternative to MSE for DQN targets."""
-    target = target if isinstance(target, Tensor) else Tensor(target)
-    diff = prediction - target
-    abs_diff = diff.abs()
-    quadratic = abs_diff.minimum(Tensor(delta))
-    linear = abs_diff - quadratic
-    return (quadratic * quadratic * 0.5 + linear * delta).mean()
-
-
 def nll_loss(log_probs: Tensor, targets: np.ndarray) -> Tensor:
     """Negative log-likelihood given row-wise ``log_probs`` and int targets."""
     targets = np.asarray(targets, dtype=np.int64)
     picked = log_probs.gather(targets[:, None], axis=-1)
     return -picked.mean()
-
-
-def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
-    """Softmax cross-entropy; the opponent-model likelihood term."""
-    return nll_loss(log_softmax(logits, axis=-1), targets)

@@ -1,8 +1,8 @@
 """Module system: parameter containers with recursive traversal.
 
 A tiny analogue of ``torch.nn.Module`` sufficient for the networks in this
-repository: named parameter discovery, train/eval mode flags, state dicts
-for checkpointing, and soft/hard target-network updates.
+repository: named parameter discovery, state dicts for checkpointing, and
+soft/hard target-network updates.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ class Module:
     serialisation.
     """
 
-    def __init__(self):
-        self.training = True
-
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
@@ -53,32 +50,9 @@ class Module:
     def parameters(self) -> list[Parameter]:
         return [param for _, param in self.named_parameters()]
 
-    def modules(self) -> Iterator["Module"]:
-        """Yield this module and all descendants."""
-        yield self
-        for value in vars(self).items():
-            pass  # placeholder to keep mypy-style readers happy
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
-
     # ------------------------------------------------------------------
-    # Mode and gradients
+    # Gradients
     # ------------------------------------------------------------------
-    def train(self) -> "Module":
-        for module in self.modules():
-            module.training = True
-        return self
-
-    def eval(self) -> "Module":
-        for module in self.modules():
-            module.training = False
-        return self
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.grad = None

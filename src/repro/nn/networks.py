@@ -1,11 +1,9 @@
-"""Reusable network architectures for actors, critics and encoders.
+"""Reusable network architectures for actors and critics.
 
 These are the concrete function approximators the paper's learners use:
 
 * :class:`MLP` — the "multi-layer fully-connected neural network" used for
   all critics (Sec. V-B; hidden width 32 per Table I).
-* :class:`CNNEncoder` — the "conventional neural network to encode the image
-  data" for the low-level vision state.
 * :class:`CategoricalPolicy` — high-level option actors and opponent models.
 * :class:`SquashedGaussianPolicy` — the SAC low-level continuous actor.
 * :class:`QNetwork` / :class:`TwinQNetwork` — state(-action) value heads.
@@ -17,8 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conv import Conv2d, Flatten, MaxPool2d
-from .functional import log_softmax, sample_categorical, softmax
+from .functional import softmax
 from .layers import Linear, Sequential, make_activation
 from .module import Module
 from .tensor import Tensor, concatenate, get_default_dtype
@@ -85,47 +82,11 @@ class MLP(Module):
         return self.net.infer(np.asarray(x, dtype=get_default_dtype()))
 
 
-class CNNEncoder(Module):
-    """Small convolutional encoder for the pseudo-camera occupancy grid.
-
-    Input: ``(batch, channels, height, width)``. Output: ``(batch, out_features)``.
-    """
-
-    def __init__(
-        self,
-        in_channels: int,
-        image_size: int,
-        out_features: int,
-        rng: np.random.Generator,
-        conv_channels: Sequence[int] = (8, 16),
-    ):
-        super().__init__()
-        layers: list[Module] = []
-        channels = in_channels
-        size = image_size
-        for out_ch in conv_channels:
-            layers.append(Conv2d(channels, out_ch, kernel_size=3, rng=rng, padding=1))
-            layers.append(make_activation("relu"))
-            layers.append(MaxPool2d(2))
-            channels = out_ch
-            size //= 2
-        layers.append(Flatten())
-        self.conv = Sequential(*layers)
-        flat = channels * size * size
-        self.head = Linear(flat, out_features, rng)
-        self.out_features = out_features
-
-    def forward(self, x: Tensor | np.ndarray) -> Tensor:
-        if not isinstance(x, Tensor):
-            x = Tensor(x)
-        return self.head(self.conv(x)).relu()
-
-
 class CategoricalPolicy(Module):
     """Stochastic policy over a discrete action (option) set.
 
-    Produces logits; exposes sampling, log-probabilities and entropy. This is
-    the shape of the high-level actor pi_h and the opponent model pi_h^-i.
+    Produces logits and probabilities. This is the shape of the high-level
+    actor pi_h and the opponent model pi_h^-i.
     """
 
     def __init__(
@@ -146,17 +107,6 @@ class CategoricalPolicy(Module):
 
     def probs(self, obs: Tensor | np.ndarray) -> Tensor:
         return softmax(self.forward(obs), axis=-1)
-
-    def log_probs(self, obs: Tensor | np.ndarray) -> Tensor:
-        return log_softmax(self.forward(obs), axis=-1)
-
-    def sample(self, obs: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sample integer actions (no gradient)."""
-        logits = self.forward(obs).data
-        return sample_categorical(logits, rng)
-
-    def greedy(self, obs: np.ndarray) -> np.ndarray:
-        return self.forward(obs).data.argmax(axis=-1)
 
     def logits_inference(self, obs: np.ndarray) -> np.ndarray:
         """Gradient-free logits (batched rollout inference)."""
@@ -196,14 +146,6 @@ class SquashedGaussianPolicy(Module):
         high = np.broadcast_to(np.asarray(action_high, dtype=dtype), (action_dim,))
         if np.any(high <= low):
             raise ValueError("action_high must exceed action_low elementwise")
-        self._action_scale = (high - low) / 2.0
-        self._action_offset = (high + low) / 2.0
-
-    def set_bounds(self, action_low, action_high) -> None:
-        """Re-target the output range (used when options share one actor)."""
-        dtype = self._action_scale.dtype
-        low = np.broadcast_to(np.asarray(action_low, dtype=dtype), (self.action_dim,))
-        high = np.broadcast_to(np.asarray(action_high, dtype=dtype), (self.action_dim,))
         self._action_scale = (high - low) / 2.0
         self._action_offset = (high + low) / 2.0
 

@@ -1,15 +1,15 @@
-"""Gradient-based optimisers and gradient utilities.
+"""The Adam optimiser and gradient utilities.
 
-All optimisers operate on **flat buffers**: at construction the parameters
-are copied into one contiguous vector and every ``Parameter.data`` is
-rebound to a view into it, so the moment buffers (momentum, Adam ``m``/``v``,
-RMSprop squared averages) and the parameter update itself run as a handful
-of whole-vector elementwise operations instead of a Python loop over
-parameters.  Because the update math is purely elementwise, stepping the
-flat vector is **bitwise identical** to stepping each parameter separately
-(``tests/test_update_engine.py`` locks this over 100 steps for all three
-optimisers); weight decay and all intermediate products reuse preallocated
-scratch buffers, so a step allocates nothing.
+:class:`Adam` (on the :class:`Optimizer` base) operates on **flat
+buffers**: at construction the parameters are copied into one contiguous
+vector and every ``Parameter.data`` is rebound to a view into it, so the
+moment buffers (``m``/``v``) and the parameter update itself run as a
+handful of whole-vector elementwise operations instead of a Python loop
+over parameters.  Because the update math is purely elementwise, stepping
+the flat vector is **bitwise identical** to stepping each parameter
+separately (``tests/test_update_engine.py`` locks this over 100 steps);
+weight decay and all intermediate products reuse preallocated scratch
+buffers, so a step allocates nothing.
 
 When only a subset of parameters received gradients, the step falls back to
 per-parameter slices of the same flat buffers — still bitwise identical to
@@ -113,32 +113,6 @@ class Optimizer:
             param.grad = None
 
 
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float, momentum: float = 0.0, weight_decay: float = 0.0):
-        super().__init__(params, lr)
-        self.momentum = momentum
-        self.weight_decay = weight_decay
-        self._velocity = np.zeros_like(self._flat)
-        self._buf = np.empty_like(self._flat)
-
-    def _apply(self, sl: slice) -> None:
-        grad = self._grad[sl]
-        buf = self._buf[sl]
-        param = self._flat[sl]
-        if self.weight_decay:
-            np.multiply(param, self.weight_decay, out=buf)
-            grad += buf
-        if self.momentum:
-            velocity = self._velocity[sl]
-            velocity *= self.momentum
-            velocity += grad
-            grad = velocity
-        np.multiply(grad, self.lr, out=buf)
-        param -= buf
-
-
 class Adam(Optimizer):
     """Adam optimiser (Kingma & Ba, 2015)."""
 
@@ -184,33 +158,6 @@ class Adam(Optimizer):
         buf *= self.lr
         np.divide(v, bias2, out=buf2)  # v_hat
         np.sqrt(buf2, out=buf2)
-        buf2 += self.eps
-        buf /= buf2
-        param -= buf
-
-
-class RMSprop(Optimizer):
-    """RMSprop optimiser."""
-
-    def __init__(self, params, lr: float, alpha: float = 0.99, eps: float = 1e-8):
-        super().__init__(params, lr)
-        self.alpha = alpha
-        self.eps = eps
-        self._sq = np.zeros_like(self._flat)
-        self._buf = np.empty_like(self._flat)
-        self._buf2 = np.empty_like(self._flat)
-
-    def _apply(self, sl: slice) -> None:
-        grad = self._grad[sl]
-        buf, buf2 = self._buf[sl], self._buf2[sl]
-        param = self._flat[sl]
-        sq = self._sq[sl]
-        sq *= self.alpha
-        np.multiply(grad, grad, out=buf)
-        buf *= 1.0 - self.alpha
-        sq += buf
-        np.multiply(grad, self.lr, out=buf)
-        np.sqrt(sq, out=buf2)
         buf2 += self.eps
         buf /= buf2
         param -= buf

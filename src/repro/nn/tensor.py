@@ -682,8 +682,3 @@ def zeros(shape, requires_grad: bool = False) -> Tensor:
 
 def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape, dtype=_default_dtype), requires_grad=requires_grad)
-
-
-def no_grad_copy(t: Tensor) -> Tensor:
-    """Deep-copied, graph-free clone of ``t``."""
-    return Tensor(t.data.copy(), requires_grad=False)

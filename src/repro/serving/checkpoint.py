@@ -26,6 +26,10 @@ Version compatibility: this build writes format ``2`` and reads both
 ``1`` and ``2``.  A float32 controller's archive stores half the
 parameter bytes of a float64 one, and :func:`load_policy` rebuilds the
 controller under the archive's dtype regardless of the process default.
+Archives from builds that still had the camera pipeline record three
+more scenario keys (``observation_mode``, ``camera_size``,
+``camera_range``); :func:`load_policy` drops them, and refuses an archive
+whose ``observation_mode`` is not ``"features"``.
 
 Because parameters are stored in their native dtype and the metadata
 codec is canonical (sorted keys, no whitespace), a save → load → save
@@ -51,6 +55,10 @@ CHECKPOINT_FORMAT_VERSION = 2
 READABLE_FORMAT_VERSIONS = (1, 2)
 
 _ARCHIVE_KEYS = ("format_version", "meta", "flat_params")
+
+# ScenarioConfig fields of the deleted camera pipeline, still present in
+# the scenario metadata of archives written before its removal.
+_RETIRED_SCENARIO_KEYS = ("observation_mode", "camera_size", "camera_range")
 
 
 class CheckpointError(RuntimeError):
@@ -264,6 +272,23 @@ def load_checkpoint(path) -> Checkpoint:
 # ---------------------------------------------------------------------------
 
 
+def _scenario_from_meta(fields) -> ScenarioConfig:
+    """Rebuild the scenario, dropping the retired camera keys.
+
+    Only feature observations were ever trainable, so an archive that
+    records any other ``observation_mode`` cannot hold a servable policy.
+    """
+    if isinstance(fields, dict):
+        mode = fields.get("observation_mode", "features")
+        if mode != "features":
+            raise CheckpointError(
+                f"checkpoint scenario field observation_mode={mode!r} is not "
+                "loadable: this build has feature observations only"
+            )
+        fields = {k: v for k, v in fields.items() if k not in _RETIRED_SCENARIO_KEYS}
+    return ScenarioConfig(**fields)
+
+
 @dataclass
 class LoadedPolicy:
     """A controller rebuilt from a checkpoint, plus its training configs."""
@@ -290,7 +315,7 @@ def load_policy(path) -> LoadedPolicy:
     ckpt = load_checkpoint(path)
     meta = ckpt.meta
     try:
-        scenario = ScenarioConfig(**meta["scenario"])
+        scenario = _scenario_from_meta(meta["scenario"])
         rewards = RewardConfig(**meta["rewards"])
         hyper = PaperHyperparameters(**meta["hyper"])
     except TypeError as exc:

@@ -190,13 +190,6 @@ class TestVectorBaselineEnv:
         with pytest.raises(ValueError):
             vec.step(np.full((2, vec.num_agents), vec.num_actions))
 
-    def test_image_mode_rejected(self):
-        from repro.envs import VectorEnv
-
-        scenario = ScenarioConfig(observation_mode="image")
-        with pytest.raises(ValueError):
-            VectorBaselineEnv(VectorEnv(1, scenario=scenario))
-
 
 class TestBatchedPlumbing:
     def test_push_batch_equivalent_to_sequential(self):

@@ -211,16 +211,6 @@ class TestBatchedHeroRunner:
         with pytest.raises(ValueError, match="initiation"):
             BatchedHeroRunner(team, vec)
 
-    def test_requires_feature_observations(self):
-        scenario = small_scenario(observation_mode="image")
-        vec = VectorEnv(2, scenario=scenario)
-        team = HeroTeam(
-            CooperativeLaneChangeEnv(scenario=small_scenario()),
-            np.random.default_rng(0),
-        )
-        with pytest.raises(ValueError, match="features"):
-            BatchedHeroRunner(team, vec)
-
 
 def force_options(team, options):
     """Make every agent's greedy choice ``options[k]`` (a dominant logit)."""

@@ -105,6 +105,17 @@ class TestScenarioConfig:
         with pytest.raises(Exception):
             ScenarioConfig().num_lanes = 3
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("observation_mode", "features"), ("camera_size", 16), ("camera_range", 2.0)],
+    )
+    def test_camera_fields_are_retired(self, field, value):
+        """Observations are lidar features only; the camera's fields are
+        gone (checkpoints that record them drop them on load)."""
+        with pytest.raises(TypeError):
+            ScenarioConfig(**{field: value})
+        assert not hasattr(ScenarioConfig(), field)
+
 
 class TestTrainingConfig:
     def test_defaults_derive_from_table1(self):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.envs import (
     Lidar,
-    PseudoCamera,
     RingTrack,
     StraightTrack,
     Vehicle,
@@ -229,45 +228,6 @@ class TestLidar:
             others.append(v)
         scan = self.lidar.scan(ego, [ego] + others)
         assert np.all(scan >= 0.0) and np.all(scan <= 1.0)
-
-
-class TestPseudoCamera:
-    def setup_method(self):
-        self.track = StraightTrack(20.0)
-        self.camera = PseudoCamera(size=16, view_range=2.0)
-
-    def test_shape_and_channels(self):
-        ego = Vehicle(0, self.track)
-        ego.reset(s=0.0, lane_id=0)
-        image = self.camera.capture(ego, [ego])
-        assert image.shape == (2, 16, 16)
-        assert self.camera.channels == 2
-
-    def test_vehicle_ahead_appears_in_occupancy(self):
-        ego = Vehicle(0, self.track)
-        other = Vehicle(1, self.track, radius=0.12)
-        ego.reset(s=0.0, lane_id=0)
-        other.reset(s=1.0, lane_id=0)
-        image = self.camera.capture(ego, [ego, other])
-        assert image[0].sum() > 0
-
-    def test_vehicle_behind_not_visible(self):
-        ego = Vehicle(0, self.track)
-        other = Vehicle(1, self.track, radius=0.12)
-        ego.reset(s=5.0, lane_id=0)
-        other.reset(s=3.0, lane_id=0)
-        image = self.camera.capture(ego, [ego, other])
-        assert image[0].sum() == 0
-
-    def test_lane_markings_present(self):
-        ego = Vehicle(0, self.track)
-        ego.reset(s=0.0, lane_id=0)
-        image = self.camera.capture(ego, [ego])
-        assert image[1].sum() > 0
-
-    def test_too_small_grid_rejected(self):
-        with pytest.raises(ValueError):
-            PseudoCamera(size=2)
 
 
 class TestFeatureVector:

@@ -50,12 +50,6 @@ class TestCooperativeLaneChangeEnv:
         assert first["lane_onehot"].sum() == pytest.approx(1.0)
         assert "features" in first
 
-    def test_image_mode_observation(self):
-        env = make_env(observation_mode="image")
-        obs = env.reset(seed=0)
-        cam = obs[env.agents[0]]["camera"]
-        assert cam.shape == (2, env.scenario.camera_size, env.scenario.camera_size)
-
     def test_observation_in_space(self):
         env = make_env()
         obs = env.reset(seed=0)
@@ -178,6 +172,38 @@ class TestCooperativeLaneChangeEnv:
         low = CooperativeLaneChangeEnv.flatten_low(first)
         assert low.shape == (env.low_level_obs_dim,)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"num_learning_vehicles": 2}, {"num_lanes": 3}, {"lidar_beams": 8}],
+        ids=["default", "two-agents", "three-lanes", "eight-beams"],
+    )
+    def test_observations_stay_in_space_through_an_episode(self, overrides):
+        env = make_env(episode_length=12, **overrides)
+        obs = env.reset(seed=5)
+        rng = np.random.default_rng(5)
+        done = False
+        while not done:
+            for agent in env.agents:
+                assert env.observation_spaces[agent].contains(obs[agent]), agent
+            actions = {
+                agent: rng.uniform([0.0, -0.5], [0.3, 0.5]) for agent in env.agents
+            }
+            obs, _, dones, _ = env.step(actions)
+            done = dones["__all__"]
+
+    def test_flatten_helpers_keep_the_paper_layout(self):
+        """s_h = [lidar, speed, laneID] and s_l = [features, speed, laneID]."""
+        env = make_env()
+        first = env.reset(seed=0)[env.agents[0]]
+        np.testing.assert_array_equal(
+            CooperativeLaneChangeEnv.flatten_high(first),
+            np.concatenate([first["lidar"], first["speed"], first["lane_onehot"]]),
+        )
+        np.testing.assert_array_equal(
+            CooperativeLaneChangeEnv.flatten_low(first),
+            np.concatenate([first["features"], first["speed"], first["lane_onehot"]]),
+        )
+
 
 class TestLaneKeepingEnv:
     def test_reset_perturbs_position(self):
@@ -278,6 +304,23 @@ class TestLaneChangeEnv:
         assert success, f"scripted lane change failed after {steps} steps"
 
 
+@pytest.mark.parametrize("env_cls", [LaneKeepingEnv, LaneChangeEnv], ids=["keep", "change"])
+def test_skill_observations_stay_in_space_through_an_episode(env_cls):
+    """The skills observe s_l plus the merge direction: lidar features,
+    speed and lane one-hot, as the team env's flatten_low lays them out."""
+    env = env_cls()
+    obs = env.reset(seed=2)
+    rng = np.random.default_rng(2)
+    lanes = env.scenario.num_lanes
+    done = False
+    while not done:
+        assert env.observation_space.contains(obs)
+        lane_onehot = obs[-1 - lanes : -1]
+        assert lane_onehot.sum() == 1.0 and lane_onehot[env.ego.lane_id] == 1.0
+        assert obs[-2 - lanes] == env.ego.state.linear_speed
+        obs, _, done, _ = env.step(env.action_space.sample(rng))
+
+
 class TestWrappers:
     def test_flatten_wrapper_shapes(self):
         env = FlattenObservationWrapper(CooperativeLaneChangeEnv())
@@ -285,12 +328,17 @@ class TestWrappers:
         for agent in env.agents:
             assert obs[agent].shape == (env.obs_dim,)
 
-    def test_flatten_wrapper_requires_features(self):
-        base = CooperativeLaneChangeEnv(
-            scenario=ScenarioConfig(observation_mode="image")
-        )
-        with pytest.raises(ValueError):
-            FlattenObservationWrapper(base)
+    def test_flatten_wrapper_concatenates_the_dict_observation(self):
+        base = CooperativeLaneChangeEnv()
+        wrapped = FlattenObservationWrapper(CooperativeLaneChangeEnv())
+        expected, flat = base.reset(seed=3), wrapped.reset(seed=3)
+        for agent in wrapped.agents:
+            o = expected[agent]
+            np.testing.assert_array_equal(
+                flat[agent],
+                np.concatenate([o["lidar"], o["speed"], o["lane_onehot"], o["features"]]),
+            )
+            assert wrapped.observation_spaces[agent].contains(flat[agent])
 
     def test_discrete_wrapper_grid(self):
         env = make_baseline_env()

@@ -6,7 +6,7 @@ The guarantees under test, as documented in docs/ARCHITECTURE.md
 * **float64 stays the seed** — the default dtype is float64 and running
   under an explicit ``default_dtype("float64")`` context is bitwise
   identical to running with no context at all;
-* **float32 is tolerance-equivalent** — optimisers, the stacked-family
+* **float32 is tolerance-equivalent** — the optimiser, the stacked-family
   VJP and few-episode end-to-end training (HERO synchronous and async,
   IDQN, MADDPG and MAAC) reproduce the float64 numbers within the documented bounds;
 * **no silent upcasts** — float32 stays float32 through the optimiser
@@ -29,7 +29,7 @@ from repro.config import RewardConfig, ScenarioConfig
 from repro.core.update_engine import StackedMLP
 from repro.distributed.parameter_server import ParameterServer
 from repro.experiments.common import train_baseline_method, train_hero_method
-from repro.nn import MLP, SGD, Adam, RMSprop, Parameter
+from repro.nn import MLP, Adam, Parameter
 from repro.nn.tensor import default_dtype, get_default_dtype
 from repro.serving import load_checkpoint, load_policy, save_checkpoint
 from repro.training.replay import (
@@ -119,23 +119,16 @@ def _assert_logs_equal(log_a, log_b):
 
 
 # ---------------------------------------------------------------------------
-# Optimisers: float32 tracks float64 and never upcasts its state
+# Optimiser: float32 tracks float64 and never upcasts its state
 # ---------------------------------------------------------------------------
 
 
-OPTIMIZERS = {
-    "sgd": lambda params: SGD(params, lr=0.05, momentum=0.9, weight_decay=1e-4),
-    "adam": lambda params: Adam(params, lr=0.01),
-    "rmsprop": lambda params: RMSprop(params, lr=0.01),
-}
-
-
-def _run_optimizer(name: str, dtype: str, steps: int = 50):
+def _run_optimizer(dtype: str, steps: int = 50):
     master = [RNG(7 + k).standard_normal((6, 4)) for k in range(3)]
     grads = [RNG(70 + k).standard_normal((steps, 6, 4)) for k in range(3)]
     with default_dtype(dtype):
         params = [Parameter(m.astype(dtype)) for m in master]
-        opt = OPTIMIZERS[name](params)
+        opt = Adam(params, lr=0.01)
         for t in range(steps):
             for param, grad in zip(params, grads):
                 param.grad = grad[t].astype(dtype)
@@ -145,16 +138,14 @@ def _run_optimizer(name: str, dtype: str, steps: int = 50):
 
 
 class TestOptimizerTolerance:
-    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
-    def test_float32_tracks_float64(self, name):
-        p64 = _run_optimizer(name, "float64")
-        p32 = _run_optimizer(name, "float32")
+    def test_float32_tracks_float64(self):
+        p64 = _run_optimizer("float64")
+        p32 = _run_optimizer("float32")
         for a, b in zip(p64, p32):
             np.testing.assert_allclose(a.data, b.data, rtol=1e-3, atol=1e-5)
 
-    @pytest.mark.parametrize("name", sorted(OPTIMIZERS))
-    def test_float32_state_never_upcasts(self, name):
-        for param in _run_optimizer(name, "float32", steps=5):
+    def test_float32_state_never_upcasts(self):
+        for param in _run_optimizer("float32", steps=5):
             assert param.data.dtype == np.float32
 
 

@@ -1,4 +1,4 @@
-"""Tests for the vision pipeline, ASCII renderer, CLI and checkpoints."""
+"""Tests for the ASCII renderer, the CLI and team checkpoints."""
 
 import numpy as np
 import pytest
@@ -6,73 +6,12 @@ import pytest
 from repro.cli import build_parser, main
 from repro.config import ScenarioConfig
 from repro.core.hero import HeroTeam
-from repro.core.vision import VisionEncoder, VisionSACAgent, train_vision_skill
-from repro.envs import CooperativeLaneChangeEnv, LaneKeepingEnv
+from repro.envs import CooperativeLaneChangeEnv
 from repro.envs.render import print_episode, render_episode_frames, render_scene
 
 
 def tiny_scenario():
-    return ScenarioConfig(episode_length=6, camera_size=8)
-
-
-class TestVisionEncoder:
-    def test_output_shape(self):
-        encoder = VisionEncoder(2, 8, vector_dim=5, out_features=16,
-                                rng=np.random.default_rng(0))
-        out = encoder(np.zeros((3, 2, 8, 8)), np.zeros((3, 5)))
-        assert out.shape == (3, 16)
-
-    def test_gradients_reach_cnn(self):
-        encoder = VisionEncoder(2, 8, 5, 16, np.random.default_rng(0))
-        out = encoder(np.random.default_rng(1).uniform(size=(2, 2, 8, 8)),
-                      np.zeros((2, 5)))
-        out.sum().backward()
-        conv_params = encoder.cnn.parameters()
-        assert any(p.grad is not None and np.abs(p.grad).sum() > 0 for p in conv_params)
-
-
-class TestVisionSAC:
-    def make_agent(self, env):
-        return VisionSACAgent(
-            image_shape=(2, env.scenario.camera_size, env.scenario.camera_size),
-            vector_dim=env.observation_space.dim,
-            action_dim=2,
-            rng=np.random.default_rng(0),
-            action_low=env.action_space.low,
-            action_high=env.action_space.high,
-            batch_size=8,
-            buffer_capacity=200,
-        )
-
-    def test_act_within_bounds(self):
-        env = LaneKeepingEnv(scenario=tiny_scenario(), max_steps=3)
-        agent = self.make_agent(env)
-        vector = env.reset(seed=0)
-        image = env.observe_image()
-        action = agent.act(image, vector)
-        assert env.action_space.contains(np.clip(action, env.action_space.low,
-                                                 env.action_space.high))
-
-    def test_update_needs_data(self):
-        env = LaneKeepingEnv(scenario=tiny_scenario(), max_steps=3)
-        agent = self.make_agent(env)
-        assert agent.update() is None
-
-    def test_training_loop_runs(self):
-        env = LaneKeepingEnv(scenario=tiny_scenario(), max_steps=3)
-        agent = self.make_agent(env)
-        logger = train_vision_skill(env, agent, episodes=4, seed=0, warmup_steps=4)
-        rewards = logger.values("vision_skill/episode_reward")
-        assert len(rewards) == 4
-        assert np.all(np.isfinite(rewards))
-
-    def test_update_returns_finite_losses(self):
-        env = LaneKeepingEnv(scenario=tiny_scenario(), max_steps=4)
-        agent = self.make_agent(env)
-        train_vision_skill(env, agent, episodes=3, seed=0, warmup_steps=2)
-        losses = agent.update()
-        assert losses is not None
-        assert all(np.isfinite(v) for v in losses.values())
+    return ScenarioConfig(episode_length=6)
 
 
 class TestRenderer:

@@ -14,9 +14,12 @@ The contract under test:
   routes results to the right futures under concurrent load, survives
   handler failures, and drains on close,
 * corrupted / version-mismatched archives fail with ``CheckpointError``,
+* archives whose scenario records the retired camera fields still load
+  and serve their policy, unless they record image observations,
 * checkpoints hot-reload into a running server between batches.
 """
 
+import dataclasses
 import os
 import pickle
 import socket
@@ -42,6 +45,7 @@ from repro import (
 )
 from repro.config import ScenarioConfig
 from repro.core.batched import BatchedHeroRunner
+from repro.distributed.protocol import encode_json_meta
 from repro.envs import CooperativeLaneChangeEnv, VectorEnv
 from repro.envs.wrappers import make_baseline_env, make_baseline_vector_env
 from repro.experiments.common import ExperimentResult, TrainedMethod
@@ -216,8 +220,6 @@ def test_load_policy_rejects_unknown_method(tmp_path):
     path = tmp_path / "hero.npz"
     save_checkpoint(path, team)
     ckpt = load_checkpoint(path)
-    from repro.distributed.protocol import encode_json_meta
-
     meta = dict(ckpt.meta)
     meta["method"] = "not-a-method"
     np.savez(
@@ -228,6 +230,128 @@ def test_load_policy_rejects_unknown_method(tmp_path):
     )
     with pytest.raises(CheckpointError, match="not-a-method"):
         load_policy(path)
+
+
+_RETIRED_DEFAULTS = {"camera_size": 16, "camera_range": 2.0}
+
+
+def _rewrite_with_camera_fields(
+    path,
+    observation_mode,
+    keys=("camera_size", "camera_range", "observation_mode"),
+    format_version=CHECKPOINT_FORMAT_VERSION,
+):
+    """Give the archive's scenario the fields every build with the
+    camera pipeline wrote: ``camera_size``, ``camera_range`` and
+    ``observation_mode`` (the first two at their old defaults), or only
+    the ``keys`` named.  ``format_version=1`` also drops the ``dtype``
+    field, which format 1 predates."""
+    ckpt = load_checkpoint(path)
+    meta = dict(ckpt.meta)
+    retired = dict(_RETIRED_DEFAULTS, observation_mode=observation_mode)
+    meta["scenario"] = dict(meta["scenario"], **{key: retired[key] for key in keys})
+    if format_version == 1:
+        del meta["dtype"]
+    np.savez(
+        path,
+        format_version=np.int64(format_version),
+        meta=encode_json_meta(meta),
+        flat_params=ckpt.flat_params,
+    )
+
+
+def test_archive_with_camera_fields_serves_the_saved_policy(tmp_path):
+    scenario = small_scenario()
+    team = fresh_team(seed=8, scenario=scenario)
+    path = tmp_path / "hero.npz"
+    save_checkpoint(path, team, scenario=scenario, rewards=team.env.rewards)
+    _rewrite_with_camera_fields(path, "features")
+    loaded = load_policy(path)
+    assert loaded.scenario == scenario
+    assert_state_equal(team.state_dict(), loaded.controller.state_dict())
+    # Served greedy actions equal the saved controller's own.
+    vec_env = VectorEnv(3, scenario=scenario)
+    saved_runner = BatchedHeroRunner(team, vec_env)
+    with PolicyServer(loaded, num_slots=3, max_wait_us=10e6) as srv:
+        _drive_hero_parity(srv, saved_runner, vec_env, steps=10)
+
+
+def test_archive_with_image_observations_is_refused(tmp_path):
+    team = fresh_team()
+    path = tmp_path / "hero.npz"
+    save_checkpoint(path, team)
+    _rewrite_with_camera_fields(path, "image")
+    with pytest.raises(CheckpointError, match="observation_mode='image'"):
+        load_policy(path)
+
+
+def test_archive_written_by_this_build_records_no_retired_keys(tmp_path):
+    """New archives carry only live scenario fields, so an earlier build
+    reads them with the retired fields at their defaults."""
+    team = fresh_team()
+    path = tmp_path / "hero.npz"
+    save_checkpoint(path, team, scenario=small_scenario())
+    recorded = set(load_checkpoint(path).meta["scenario"])
+    assert recorded == {field.name for field in dataclasses.fields(ScenarioConfig)}
+    assert recorded.isdisjoint({"observation_mode", "camera_size", "camera_range"})
+
+
+@pytest.mark.parametrize("key", ["observation_mode", "camera_size", "camera_range"])
+def test_archive_with_one_retired_key_loads(key, tmp_path):
+    scenario = small_scenario()
+    team = fresh_team(seed=4, scenario=scenario)
+    path = tmp_path / "hero.npz"
+    save_checkpoint(path, team, scenario=scenario)
+    _rewrite_with_camera_fields(path, "features", keys=(key,))
+    loaded = load_policy(path)
+    assert loaded.scenario == scenario
+    assert_state_equal(team.state_dict(), loaded.controller.state_dict())
+
+
+def test_retired_keys_do_not_hide_unknown_scenario_fields(tmp_path):
+    """Only the three camera keys are dropped; any other unknown field
+    still marks the archive as corrupted."""
+    team = fresh_team()
+    path = tmp_path / "hero.npz"
+    save_checkpoint(path, team)
+    _rewrite_with_camera_fields(path, "features")
+    ckpt = load_checkpoint(path)
+    meta = dict(ckpt.meta)
+    meta["scenario"] = dict(meta["scenario"], lidar_fov=1.0)
+    np.savez(
+        path,
+        format_version=np.int64(CHECKPOINT_FORMAT_VERSION),
+        meta=encode_json_meta(meta),
+        flat_params=ckpt.flat_params,
+    )
+    with pytest.raises(CheckpointError, match="corrupted checkpoint config"):
+        load_policy(path)
+
+
+def test_format1_archive_with_camera_fields_loads(tmp_path):
+    """Format-1 archives predate both the dtype field and the camera's
+    removal; they load as float64 with their scenario intact."""
+    scenario = small_scenario()
+    team = fresh_team(seed=6, scenario=scenario)
+    path = tmp_path / "hero.npz"
+    save_checkpoint(path, team, scenario=scenario)
+    _rewrite_with_camera_fields(path, "features", format_version=1)
+    loaded = load_policy(path)
+    assert loaded.scenario == scenario
+    assert_state_equal(team.state_dict(), loaded.controller.state_dict())
+
+
+@pytest.mark.parametrize("name", BASELINE_NAMES)
+def test_baseline_archive_with_camera_fields_loads(name, tmp_path):
+    env = make_baseline_env(scenario=small_scenario())
+    algo = make_baseline(name, env, seed=5)
+    path = tmp_path / f"{name}.npz"
+    save_checkpoint(path, algo, scenario=small_scenario())
+    _rewrite_with_camera_fields(path, "features")
+    loaded = load_policy(path)
+    assert loaded.method == name
+    assert loaded.scenario == small_scenario()
+    assert_state_equal(algo.state_dict(), loaded.controller.state_dict())
 
 
 # ---------------------------------------------------------------------------

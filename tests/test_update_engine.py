@@ -2,9 +2,9 @@
 
 Three layers of guarantees:
 
-* the **flat optimisers** in ``repro.nn.optim`` are *bitwise* identical to
-  the per-parameter loops they replaced (reference implementations below
-  reproduce the historical math expression for expression);
+* the **flat optimiser** (``repro.nn.Adam``) is *bitwise* identical to
+  the per-parameter loop it replaced (the reference implementation below
+  reproduces the historical math expression for expression);
 * the **no-graph helpers** (``sample_no_grad``, ``min_q_inference``) are
   bitwise identical to their tape counterparts;
 * every **fused update engine** (stacked families + manual VJP) matches
@@ -44,8 +44,6 @@ from repro.nn import (
     MLP,
     Adam,
     Parameter,
-    RMSprop,
-    SGD,
     SquashedGaussianPolicy,
     Tensor,
     TwinQNetwork,
@@ -60,19 +58,6 @@ RNG = np.random.default_rng
 # ----------------------------------------------------------------------
 # Reference (seed) per-parameter optimiser math
 # ----------------------------------------------------------------------
-def _seed_sgd_step(params, velocity, grads, lr, momentum, weight_decay):
-    for value, vel, grad in zip(params, velocity, grads):
-        if grad is None:
-            continue
-        if weight_decay:
-            grad = grad + weight_decay * value
-        if momentum:
-            vel *= momentum
-            vel += grad
-            grad = vel
-        value -= lr * grad
-
-
 def _seed_adam_step(params, state, grads, lr, betas=(0.9, 0.999), eps=1e-8, wd=0.0):
     beta1, beta2 = betas
     state["t"] += 1
@@ -88,15 +73,6 @@ def _seed_adam_step(params, state, grads, lr, betas=(0.9, 0.999), eps=1e-8, wd=0
         v *= beta2
         v += (1.0 - beta2) * grad**2
         value -= lr * (m / bias1) / (np.sqrt(v / bias2) + eps)
-
-
-def _seed_rmsprop_step(params, sqs, grads, lr, alpha=0.99, eps=1e-8):
-    for value, sq, grad in zip(params, sqs, grads):
-        if grad is None:
-            continue
-        sq *= alpha
-        sq += (1.0 - alpha) * grad**2
-        value -= lr * grad / (np.sqrt(sq) + eps)
 
 
 _SHAPES = [(7, 5), (5,), (5, 3), (3,)]
@@ -122,8 +98,8 @@ class TestFlatOptimizersBitwise:
         reference = [value.copy() for value in values]
         return params, reference
 
-    def _run(self, opt, params, reference, step_reference, drop_every=3):
-        for grads in _grad_stream(100, drop_every=drop_every):
+    def _run(self, opt, params, reference, step_reference):
+        for grads in _grad_stream(100, drop_every=3):
             for param, grad in zip(params, grads):
                 param.grad = None if grad is None else grad.copy()
             opt.step()
@@ -146,29 +122,20 @@ class TestFlatOptimizersBitwise:
             lambda grads: _seed_adam_step(reference, state, grads, 0.01, wd=0.01),
         )
 
-    def test_sgd_momentum(self):
+    def test_adam_without_weight_decay(self):
+        """The learners' setting: Adam at its defaults, no weight decay."""
         params, reference = self._init()
-        opt = SGD(params, lr=0.05, momentum=0.9, weight_decay=0.001)
-        velocity = [np.zeros_like(v) for v in reference]
+        opt = Adam(params, lr=0.01)
+        state = {
+            "t": 0,
+            "m": [np.zeros_like(v) for v in reference],
+            "v": [np.zeros_like(v) for v in reference],
+        }
         self._run(
             opt,
             params,
             reference,
-            lambda grads: _seed_sgd_step(
-                reference, velocity, grads, 0.05, 0.9, 0.001
-            ),
-        )
-
-    def test_rmsprop(self):
-        params, reference = self._init()
-        opt = RMSprop(params, lr=0.01)
-        sqs = [np.zeros_like(v) for v in reference]
-        self._run(
-            opt,
-            params,
-            reference,
-            lambda grads: _seed_rmsprop_step(reference, sqs, grads, 0.01),
-            drop_every=None,
+            lambda grads: _seed_adam_step(reference, state, grads, 0.01),
         )
 
     def test_step_allocates_nothing_per_param(self):

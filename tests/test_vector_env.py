@@ -15,7 +15,7 @@ The contract under test:
 import numpy as np
 import pytest
 
-from repro.config import ScenarioConfig
+from repro.config import RewardConfig, ScenarioConfig
 from repro.envs import (
     CooperativeLaneChangeEnv,
     LaneKeepingCruiser,
@@ -23,6 +23,7 @@ from repro.envs import (
     StationaryObstacle,
     VectorEnv,
 )
+from repro.envs.geometry import make_track
 from repro.nn.tensor import default_dtype
 
 
@@ -245,29 +246,32 @@ class _UnvectorizedPolicy(ScriptedPolicy):
         return 0.01, 0.0
 
 
+def _fallback_vector_env(num_envs, scenario=None):
+    """A ``VectorEnv`` on the scalar fallback, plus its env factory."""
+
+    def make_env():
+        return CooperativeLaneChangeEnv(
+            scenario=scenario, scripted_policy=_UnvectorizedPolicy()
+        )
+
+    return VectorEnv(num_envs, env_fns=[make_env] * num_envs), make_env
+
+
 class TestFallback:
     def test_custom_scripted_policy_uses_fallback(self):
-        env_fns = [
-            lambda: CooperativeLaneChangeEnv(scripted_policy=_UnvectorizedPolicy())
-            for _ in range(2)
-        ]
-        vec = VectorEnv(2, env_fns=env_fns)
+        vec, _ = _fallback_vector_env(2)
         assert not vec.fast_path
         assert "no vectorized kernel" in vec.fallback_reason
 
-    def test_image_mode_uses_fallback(self):
-        scenario = ScenarioConfig(observation_mode="image")
-        vec = VectorEnv(2, scenario=scenario)
-        assert not vec.fast_path
-
     def test_fallback_matches_scalar(self):
-        scenario = ScenarioConfig(observation_mode="image", episode_length=6)
-        vec = VectorEnv(2, scenario=scenario)
-        scalar = CooperativeLaneChangeEnv(scenario=scenario)
+        vec, make_env = _fallback_vector_env(2, ScenarioConfig(episode_length=6))
+        assert not vec.fast_path
+        scalar = make_env()
         vec_obs = vec.reset([11, 12])
         scalar_obs = scalar.reset(seed=11)
         assert_obs_rows_equal(vec_obs, scalar_obs, 0, vec.agents)
         rng = np.random.default_rng(2)
+        auto_resets = 0
         for _ in range(8):  # crosses the episode boundary -> autoreset
             actions = random_actions(rng, 2, vec.num_agents)
             vec_obs, vec_rewards, vec_dones, _ = vec.step(actions)
@@ -277,8 +281,88 @@ class TestFallback:
             assert rewards[scalar.agents[0]] == vec_rewards[0]
             assert dones["__all__"] == vec_dones[0]
             if dones["__all__"]:
+                auto_resets += 1
                 obs = scalar.reset()
             assert_obs_rows_equal(vec_obs, obs, 0, vec.agents)
+        assert auto_resets > 0
+
+
+class _SubclassedEnv(CooperativeLaneChangeEnv):
+    """A subclass may override dynamics the stacked kernels would drop."""
+
+
+# Pairs of env factories whose configurations the stacked kernels cannot
+# express together, with the reason the fallback names.
+_MIXED_BATCHES = {
+    "subclass": (
+        [_SubclassedEnv, _SubclassedEnv],
+        "is not exactly CooperativeLaneChangeEnv",
+    ),
+    "scenario": (
+        [
+            lambda: CooperativeLaneChangeEnv(scenario=ScenarioConfig(episode_length=5)),
+            lambda: CooperativeLaneChangeEnv(scenario=ScenarioConfig(episode_length=7)),
+        ],
+        "differ in scenario or reward",
+    ),
+    "rewards": (
+        [
+            lambda: CooperativeLaneChangeEnv(rewards=RewardConfig(alpha=0.3)),
+            lambda: CooperativeLaneChangeEnv(rewards=RewardConfig(alpha=0.7)),
+        ],
+        "differ in scenario or reward",
+    ),
+    "policy-type": (
+        [
+            lambda: CooperativeLaneChangeEnv(scripted_policy=LaneKeepingCruiser()),
+            lambda: CooperativeLaneChangeEnv(scripted_policy=StationaryObstacle()),
+        ],
+        "differ in scripted policy type",
+    ),
+    "track": (
+        [
+            lambda: CooperativeLaneChangeEnv(track=make_track("straight", 20.0)),
+            lambda: CooperativeLaneChangeEnv(track=make_track("straight", 24.0)),
+        ],
+        "differ in track geometry",
+    ),
+}
+
+
+class TestMixedBatches:
+    @pytest.mark.parametrize("case", sorted(_MIXED_BATCHES))
+    def test_fallback_names_its_reason(self, case):
+        env_fns, reason = _MIXED_BATCHES[case]
+        vec = VectorEnv(2, env_fns=env_fns)
+        assert not vec.fast_path
+        assert reason in vec.fallback_reason
+
+    @pytest.mark.parametrize("case", ["scenario", "rewards"])
+    def test_each_env_steps_like_its_own_scalar_env(self, case):
+        """Heterogeneous envs keep their own episode lengths and rewards
+        on the fallback, auto-resets included."""
+        env_fns, _ = _MIXED_BATCHES[case]
+        vec = VectorEnv(2, env_fns=env_fns)
+        scalars = [make_env() for make_env in env_fns]
+        vec_obs = vec.reset([31, 32])
+        for i, env in enumerate(scalars):
+            assert_obs_rows_equal(vec_obs, env.reset(seed=31 + i), i, vec.agents)
+        rng = np.random.default_rng(3)
+        auto_resets = 0
+        for _ in range(16):
+            actions = random_actions(rng, 2, vec.num_agents)
+            vec_obs, vec_rewards, vec_dones, _ = vec.step(actions)
+            for i, env in enumerate(scalars):
+                obs, rewards, dones, _ = env.step(
+                    {a: actions[i, k] for k, a in enumerate(env.agents)}
+                )
+                assert rewards[env.agents[0]] == vec_rewards[i]
+                assert dones["__all__"] == vec_dones[i]
+                if dones["__all__"]:
+                    auto_resets += 1
+                    obs = env.reset()
+                assert_obs_rows_equal(vec_obs, obs, i, vec.agents)
+        assert auto_resets > 0
 
 
 class TestResetEnv:
@@ -348,7 +432,7 @@ class TestStackedResets:
 
     def test_fallback_resets_still_observe_through_the_scalar_env(self, monkeypatch):
         calls = self._count_scalar_observes(monkeypatch)
-        vec = VectorEnv(2, scenario=ScenarioConfig(observation_mode="image"))
+        vec, _ = _fallback_vector_env(2)
         assert not vec.fast_path
         vec.reset([1, 2])
         assert len(calls) > 0
